@@ -7,18 +7,11 @@ repo root records this measurement at the paper size (the tentpole claim
 is >= 3x there); CI re-runs the small grid with ``--min-speedup 2.0`` as
 a regression gate.
 
-``--jit`` adds a third leg: the fast engine with the compiled (numba)
-kernel tier (``MachineConfig.jit="on"``).  When numba is not installed
-the leg is recorded honestly as unavailable instead of silently timing
-the fallback; the CI numba job runs ``--jit --min-jit-speedup 2.0`` to
-gate the compiled tier's >= 2x over the uncompiled fast engine.
-
 Standalone::
 
     python benchmarks/bench_engine.py --size default --rounds 3 \
         --out BENCH_engine.json
     python benchmarks/bench_engine.py --size small --min-speedup 2.0
-    python benchmarks/bench_engine.py --size small --jit --min-jit-speedup 2.0
 
 Under pytest the grid runs once as a recorded benchmark with a sanity
 assertion only (the hard gate lives in the CI job, where rounds and host
@@ -33,47 +26,29 @@ import time
 
 from repro.common.config import default_machine
 from repro.sim import prepare, simulate
-from repro.sim.jit import numba_available
 from repro.workloads import build_workload, workload_names
 
 SCHEMES = ("base", "sc", "tpi", "hw")
 ENGINES = ("reference", "fast")
 
-#: The compiled-tier leg: the fast engine plus ``jit="on"``.  Not in
-#: ENGINES because it only runs under ``--jit`` (and needs numba).
-JIT_LEG = "fast+jit"
 
-
-def _legs(jit: bool):
-    """(label, machine) pairs to time; jit adds the compiled leg."""
-    legs = [(engine, default_machine().with_(engine=engine))
-            for engine in ENGINES]
-    if jit:
-        legs.append((JIT_LEG, default_machine().with_(engine="fast",
-                                                      jit="on")))
-    return legs
-
-
-def time_grid(size: str, rounds: int = 3, jit: bool = False) -> dict:
-    """Best-of-``rounds`` wall-clock per grid cell, per engine leg."""
-    legs = _legs(jit)
+def time_grid(size: str, rounds: int = 3) -> dict:
+    """Best-of-``rounds`` wall-clock per grid cell, per engine."""
     cells = {}
-    totals = {label: 0.0 for label, _machine in legs}
+    totals = {engine: 0.0 for engine in ENGINES}
     for name in workload_names():
         program = build_workload(name, size=size)
-        for label, machine in legs:
-            run = prepare(program, machine)
+        for engine in ENGINES:
+            run = prepare(program, default_machine().with_(engine=engine))
             for scheme in SCHEMES:
-                if label == JIT_LEG:
-                    simulate(run, scheme)  # compile outside the clock
                 best = float("inf")
                 for _ in range(rounds):
                     started = time.perf_counter()
                     simulate(run, scheme)
                     best = min(best, time.perf_counter() - started)
-                cells[f"{name}/{scheme}/{label}"] = round(best, 4)
-                totals[label] += best
-    grid = {
+                cells[f"{name}/{scheme}/{engine}"] = round(best, 4)
+                totals[engine] += best
+    return {
         "grid": "fig11",
         "size": size,
         "rounds": rounds,
@@ -84,18 +59,6 @@ def time_grid(size: str, rounds: int = 3, jit: bool = False) -> dict:
         "fast_s": round(totals["fast"], 3),
         "speedup": round(totals["reference"] / totals["fast"], 2),
     }
-    if jit:
-        grid["jit_s"] = round(totals[JIT_LEG], 3)
-        grid["jit_speedup"] = round(totals["fast"] / totals[JIT_LEG], 2)
-    return grid
-
-
-def jit_stanza() -> dict:
-    """Provenance of the compiled tier on this host (for the report)."""
-    module, reason = numba_available()
-    if module is None:
-        return {"available": False, "reason": reason}
-    return {"available": True, "numba": module.__version__}
 
 
 def main(argv=None) -> int:
@@ -105,16 +68,10 @@ def main(argv=None) -> int:
                         help="workload size preset(s) to measure")
     parser.add_argument("--rounds", type=int, default=3,
                         help="timing rounds per cell (best is kept)")
-    parser.add_argument("--jit", action="store_true",
-                        help="also time the compiled (numba) tier; "
-                             "recorded as unavailable when numba is absent")
     parser.add_argument("--out", default=None,
                         help="write the report as JSON to this path")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="exit non-zero if any measured grid is slower")
-    parser.add_argument("--min-jit-speedup", type=float, default=None,
-                        help="with --jit: exit non-zero if the compiled "
-                             "tier beats the fast engine by less than this")
     args = parser.parse_args(argv)
 
     report = {
@@ -122,37 +79,16 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "grids": {},
     }
-    jit_ok = False
-    if args.jit:
-        report["jit"] = jit_stanza()
-        jit_ok = report["jit"]["available"]
-        if not jit_ok:
-            print(f"jit leg unavailable: {report['jit']['reason']} "
-                  f"(recording the two stock engines only)",
-                  file=sys.stderr)
     failed = False
     for size in args.size:
-        grid = time_grid(size, args.rounds, jit=jit_ok)
+        grid = time_grid(size, args.rounds)
         report["grids"][size] = grid
-        line = (f"fig11[{size}] reference={grid['reference_s']}s "
-                f"fast={grid['fast_s']}s speedup={grid['speedup']}x")
-        if jit_ok:
-            line += (f" jit={grid['jit_s']}s "
-                     f"jit_speedup={grid['jit_speedup']}x")
-        print(line)
+        print(f"fig11[{size}] reference={grid['reference_s']}s "
+              f"fast={grid['fast_s']}s speedup={grid['speedup']}x")
         if args.min_speedup is not None and grid["speedup"] < args.min_speedup:
             print(f"FAIL: speedup {grid['speedup']}x is below the "
                   f"{args.min_speedup}x floor", file=sys.stderr)
             failed = True
-        if args.min_jit_speedup is not None:
-            if not jit_ok:
-                print("FAIL: --min-jit-speedup requires numba",
-                      file=sys.stderr)
-                failed = True
-            elif grid["jit_speedup"] < args.min_jit_speedup:
-                print(f"FAIL: jit speedup {grid['jit_speedup']}x is below "
-                      f"the {args.min_jit_speedup}x floor", file=sys.stderr)
-                failed = True
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)

@@ -58,7 +58,7 @@ import sys
 from typing import Dict, List, Optional
 
 from repro.coherence import SCHEME_NAMES
-from repro.common.config import default_machine
+from repro.common.config import ENGINE_NAMES, default_machine
 from repro.common.errors import ReproError
 from repro.compiler import mark_program
 from repro.experiments import experiment_ids, run_experiment
@@ -71,16 +71,9 @@ def _add_runtime_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="worker processes (0 = all cores; default 1)")
     sub.add_argument("--engine", metavar="NAME",
-                     help="simulation engine: fast, gang, or reference "
-                          "(default $REPRO_ENGINE or fast; gang shares "
-                          "trace-static analyses across sweep variants; the "
-                          "engines are bit-identical, see docs/PERF.md)")
-    sub.add_argument("--jit", nargs="?", const="on", metavar="MODE",
-                     help="compiled (numba) kernel tier on top of the fast/"
-                          "gang engines: on, off, or interp (default "
-                          "$REPRO_JIT or off; bare --jit means on; falls "
-                          "back cleanly when numba is absent — bit-identical "
-                          "either way, see docs/PERF.md)")
+                     help=f"simulation engine: {', '.join(ENGINE_NAMES)} "
+                          "(default $REPRO_ENGINE or fast; the engines are "
+                          "bit-identical, see docs/PERF.md)")
     sub.add_argument("--cache-dir", metavar="PATH",
                      help="artifact cache location (default ~/.cache/repro "
                           "or $REPRO_CACHE_DIR)")
@@ -90,8 +83,16 @@ def _add_runtime_args(sub: argparse.ArgumentParser) -> None:
                      help="write run telemetry (cache hits, wall times) as JSON")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one line (exit 2), like every other CLI error;
+    ``-h`` still prints the full usage."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Choi & Yew (ISCA 1996) cache-coherence reproduction")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -240,34 +241,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_engine(args) -> None:
-    """Validate ``--engine``/``--jit`` and export them to the runtime.
+    """Validate ``--engine`` and export it to the runtime.
 
-    The env vars are how the choices reach machine configs built deep
-    inside experiments, and worker processes inherit them.  An unknown
-    engine name, an unknown ``--jit`` mode, or a garbage pre-existing
-    ``$REPRO_JIT`` value is a one-line usage error (exit 2), not a
-    traceback.
+    The env var is how the choice reaches machine configs built deep
+    inside experiments, and worker processes inherit it.  An unknown
+    engine name is a one-line usage error (exit 2), not a traceback.
     """
     import os
 
     choice = getattr(args, "engine", None)
     if choice:
-        from repro.sim.engine import ENGINE_NAMES
-
         if choice not in ENGINE_NAMES:
             raise ReproError(f"unknown engine {choice!r}; choose from "
                              f"{', '.join(ENGINE_NAMES)} (see docs/PERF.md)")
         os.environ["REPRO_ENGINE"] = choice
-    from repro.sim.jit import JIT_MODES, parse_jit_env
-
-    jit = getattr(args, "jit", None)
-    if jit is not None:
-        if jit not in JIT_MODES:
-            raise ReproError(f"unknown jit mode {jit!r}; choose from "
-                             f"{', '.join(JIT_MODES)} (see docs/PERF.md)")
-        os.environ["REPRO_JIT"] = jit
-    else:
-        parse_jit_env()  # reject a garbage $REPRO_JIT before doing any work
 
 
 def _runtime_from_args(args):

@@ -323,9 +323,6 @@ class _BatchKernel:
         self.word_lat = self.network.word_latency()
         self.miss_lat = self.network.miss_latency(self.line_words)
 
-    def resync(self) -> None:
-        """Rebuild any derived protocol mirror after a fallback epoch."""
-
     def boundary(self, eng, proc: int, ta, i: int) -> int:
         """Run one event through the scheme's exact per-event path."""
         return eng._exec_event(proc, ta.events[i])

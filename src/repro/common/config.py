@@ -27,6 +27,11 @@ configuration time; raise the cap explicitly with the ``REPRO_MAX_PROCS``
 environment variable when a larger machine is really intended."""
 
 
+ENGINE_NAMES = ("fast", "reference")
+"""Concrete simulation engines (``MachineConfig.engine`` also accepts
+``"auto"``): the batched fast engine and the per-event reference loop."""
+
+
 def max_procs() -> int:
     """The effective ``n_procs`` cap (``REPRO_MAX_PROCS`` overrides)."""
     import os
@@ -240,21 +245,13 @@ class MachineConfig:
     check_coherence: bool = True
     record_epochs: bool = False
     engine: str = "auto"
-    """Simulation engine: ``"fast"`` (batched kernel), ``"gang"`` (batched
-    kernel sharing trace-static analyses across the back-end variants of a
-    sweep group), ``"reference"`` (per-event heap loop), or ``"auto"``
-    (the ``REPRO_ENGINE`` environment variable, else fast).  The engines
-    are differentially tested to be bit-identical, so this knob affects
+    """Simulation engine: ``"fast"`` (batched kernel; sweep groups also
+    share trace-static analyses across their back-end variants),
+    ``"reference"`` (per-event heap loop), or ``"auto"`` (the
+    ``REPRO_ENGINE`` environment variable, else fast).  The engines are
+    differentially tested to be bit-identical, so this knob affects
     wall-clock only — it is therefore excluded from runtime job
     fingerprints."""
-    jit: str = "auto"
-    """Compiled (numba) kernel tier for the batched engines: ``"on"``
-    (compile the batch scan kernels, falling back cleanly when numba is
-    absent or the workload is unsupported), ``"off"``, ``"interp"`` (run
-    the very same kernel loops uncompiled — the differential-testing
-    tier), or ``"auto"`` (the ``REPRO_JIT`` environment variable, else
-    off).  Like ``engine``, the tier is differentially tested to be
-    bit-identical and is excluded from runtime job fingerprints."""
 
     def __post_init__(self) -> None:
         if self.n_procs <= 0:
@@ -268,12 +265,9 @@ class MachineConfig:
             raise ConfigError("latencies must be positive")
         if not 0.0 <= self.network_smoothing <= 1.0:
             raise ConfigError("network smoothing must lie in [0, 1]")
-        if self.engine not in ("auto", "fast", "gang", "reference"):
-            raise ConfigError(f"unknown engine {self.engine!r}; "
-                              f"choose auto, fast, gang, or reference")
-        if self.jit not in ("auto", "on", "off", "interp"):
-            raise ConfigError(f"unknown jit tier {self.jit!r}; "
-                              f"choose auto, on, off, or interp")
+        if self.engine != "auto" and self.engine not in ENGINE_NAMES:
+            raise ConfigError(f"unknown engine {self.engine!r}; choose "
+                              f"{', '.join(ENGINE_NAMES)} or auto")
 
     def with_(self, **changes) -> "MachineConfig":
         """Return a copy with the given fields replaced (sweep helper)."""

@@ -126,8 +126,8 @@ def _prime_gang(prepared: PreparedRun, entries: Sequence[_Entry],
     A no-op for single-config groups; otherwise one config-axis broadcast
     (:func:`repro.sim.gang.prime_group`) pre-builds every member
     geometry's epoch analyses on the shared trace.  Results are identical
-    with or without priming, so this is applied unconditionally to fast-
-    and gang-engine entries.
+    with or without priming, so this is applied unconditionally to
+    fast-engine entries.
     """
     from repro.sim.engine import resolve_engine
     from repro.sim.gang import distinct_backends, prime_group
@@ -187,7 +187,7 @@ def _simulate_entries(prepared: PreparedRun,
             "label": entry.label, "scheme": entry.scheme,
             "fingerprint": entry.result_key[:12],
             "wall_s": wall, "source": "computed",
-            "engine": result.engine, "jit": result.jit,
+            "engine": result.engine,
             "worker": os.getpid()})
         out.append((entry.index, result))
     for entry in entries:
@@ -199,7 +199,7 @@ def _simulate_entries(prepared: PreparedRun,
             "label": entry.label, "scheme": entry.scheme,
             "fingerprint": entry.result_key[:12],
             "wall_s": 0.0, "source": "shared",
-            "engine": result.engine, "jit": result.jit,
+            "engine": result.engine,
             "worker": os.getpid()})
         out.append((entry.index, result))
     return out

@@ -51,14 +51,12 @@ TRACE_MACHINE_FIELDS = ("n_procs", "schedule")
 def split_machine(machine: MachineConfig) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Split a machine into (trace-relevant, back-end-only) plain dicts.
 
-    ``engine`` and ``jit`` appear in neither half — the engines and the
-    compiled tier are differentially tested to be bit-identical, so
-    neither choice ever keys an artifact (cache entries are shared
-    across tiers).
+    ``engine`` appears in neither half — the engines are differentially
+    tested to be bit-identical, so the choice never keys an artifact
+    (cache entries are shared across engines).
     """
     plain = _plain(machine)
     plain.pop("engine", None)
-    plain.pop("jit", None)
     front = {name: plain.pop(name) for name in TRACE_MACHINE_FIELDS}
     return front, plain
 

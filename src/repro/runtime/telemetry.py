@@ -45,7 +45,6 @@ class JobRecord:
     wall_s: float = 0.0
     source: str = "computed"  # computed | cache | retried
     engine: str = ""  # which simulation engine produced the result
-    jit: str = ""  # compiled-tier provenance ("", "numba", "interp", "fallback:…")
     worker: int = 0  # pid of the executing process (parent pid if serial)
 
 
@@ -90,9 +89,6 @@ class Telemetry:
     serve_latency_s: List[float] = field(default_factory=list)
     """Recent per-request wall times (capped ring; see
     :data:`SERVE_LATENCY_CAP`) backing the ``/stats`` p50/p99."""
-    jit_fallbacks: Dict[str, int] = field(default_factory=dict)
-    """Count of jobs that requested the compiled tier but fell back,
-    keyed by fallback reason (``numba-missing``, ``no-kernel``, …)."""
 
     # ------------------------------------------------------------ recording
 
@@ -110,9 +106,6 @@ class Telemetry:
 
     def note_job(self, record: JobRecord) -> None:
         self.records.append(record)
-        if record.jit.startswith("fallback:"):
-            reason = record.jit.split(":", 1)[1]
-            self.jit_fallbacks[reason] = self.jit_fallbacks.get(reason, 0) + 1
 
     def note_request(self, latency_s: float, source: str) -> None:
         """Record one serve request (``source``: hit/coalesced/computed/
@@ -197,8 +190,6 @@ class RunReport:
             "phases": {phase: round(seconds, 6)
                        for phase, seconds in sorted(t.phase_s.items())},
             **({"serve": t.serve_section()} if t.serve_requests else {}),
-            **({"jit_fallbacks": dict(sorted(t.jit_fallbacks.items()))}
-               if t.jit_fallbacks else {}),
             "retries": t.retries,
             "worker_busy_s": {str(pid): round(busy, 6)
                               for pid, busy in sorted(t.worker_utilization().items())},
@@ -230,10 +221,6 @@ class RunReport:
                 f"({100 * serve['hit_rate']:.0f}%), "
                 f"p50 {serve['p50_ms']:.2f}ms p99 {serve['p99_ms']:.2f}ms, "
                 f"{serve['errors']} error(s)")
-        if t.jit_fallbacks:
-            lines.append("jit fallbacks: " + "  ".join(
-                f"{reason} x{count}"
-                for reason, count in sorted(t.jit_fallbacks.items())))
         if t.records:
             width = max(len(r.label) for r in t.records)
             lines.append(f"{'job'.ljust(width)}  {'source':>8}  {'wall':>8}  worker")

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.coherence import SCHEME_NAMES
-from repro.common.config import default_machine
+from repro.common.config import ENGINE_NAMES, default_machine
 from repro.common.errors import ReproError
 from repro.runtime import (
     ArtifactCache,
@@ -55,7 +55,6 @@ from repro.runtime import (
 )
 from repro.runtime.cache import KIND_RESULT
 from repro.serve.payloads import json_bytes, simulate_payload, sweep_payload
-from repro.sim.engine import ENGINE_NAMES
 from repro.sim.sweep import SweepPoint, sweep_from_specs
 from repro.workloads import build_workload, workload_names
 
@@ -163,26 +162,14 @@ class SimulationService:
         if engine is not None and engine not in ENGINE_NAMES:
             raise ServeError(400, f"unknown engine {engine!r}; choose from "
                                   f"{', '.join(ENGINE_NAMES)}")
-        jit = body.get("jit")
-        if jit is not None:
-            # Accept JSON booleans (the common case) or an explicit mode
-            # string; anything else is a client error, same as a bad
-            # engine name or an over-cap procs count.
-            if jit is True:
-                jit = "on"
-            elif jit is False:
-                jit = "off"
-            if jit not in ("on", "off", "interp"):
-                raise ServeError(400, f"invalid jit flag {jit!r}; use true, "
-                                      f"false, or one of on, off, interp")
         try:
             program = build_workload(workload, size=size)
         except (ReproError, ValueError, KeyError) as exc:
             raise ServeError(400, str(exc)) from None
-        return program, schemes, engine, jit
+        return program, schemes, engine
 
     def parse_simulate(self, body: Dict[str, Any]) -> _Parsed:
-        program, schemes, engine, jit = self._parse_common(
+        program, schemes, engine = self._parse_common(
             body, ("base", "sc", "tpi", "hw"), "default")
         procs = body.get("procs", 16)
         if not isinstance(procs, int) or procs < 1:
@@ -196,13 +183,11 @@ class SimulationService:
             raise ServeError(400, str(exc)) from None
         if engine:
             machine = machine.with_(engine=engine)
-        if jit:
-            machine = machine.with_(jit=jit)
         jobs = jobs_for_schemes(program, schemes, machine)
         return _Parsed(kind="simulate", jobs=jobs, schemes=tuple(schemes))
 
     def parse_sweep(self, body: Dict[str, Any]) -> _Parsed:
-        program, schemes, engine, jit = self._parse_common(
+        program, schemes, engine = self._parse_common(
             body, ("tpi", "hw"), "small")
         axes = body.get("axes")
         if not axes or not isinstance(axes, list):
@@ -211,8 +196,6 @@ class SimulationService:
         base = default_machine()
         if engine:
             base = base.with_(engine=engine)
-        if jit:
-            base = base.with_(jit=jit)
         try:
             sweep = sweep_from_specs(program, [str(a) for a in axes],
                                      schemes=schemes, base=base)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.coherence.api import CoherenceScheme, SimContext, make_scheme
-from repro.common.config import MachineConfig
+from repro.common.config import ENGINE_NAMES, MachineConfig
 from repro.common.errors import SimulationError
 from repro.compiler.marking import Marking
 from repro.memsys.memory import ShadowMemory
@@ -95,7 +95,6 @@ class Engine:
         self.result.epochs = len(self.trace.epochs)
         self.result.final_network_load = self.network.rho
         self.result.engine = self.engine_name
-        self.result.jit = getattr(self, "jit_state", "")
         self._collect_scheme_extras()
         return self.result
 
@@ -249,7 +248,6 @@ class Engine:
 
 
 DEFAULT_ENGINE = "fast"
-ENGINE_NAMES = ("fast", "gang", "reference")
 
 
 def resolve_engine(machine: MachineConfig) -> str:
@@ -267,7 +265,8 @@ def resolve_engine(machine: MachineConfig) -> str:
         choice = os.environ.get("REPRO_ENGINE", "") or DEFAULT_ENGINE
     if choice not in ENGINE_NAMES:
         raise SimulationError(
-            f"unknown engine {choice!r}; choose from {ENGINE_NAMES} or 'auto'")
+            f"unknown engine {choice!r}; choose from "
+            f"{', '.join(ENGINE_NAMES)} or auto")
     return choice
 
 
@@ -275,12 +274,11 @@ def make_engine(trace: Trace, marking: Marking, machine: MachineConfig,
                 scheme_name: str) -> Engine:
     """Instantiate the engine selected by ``machine.engine``/``REPRO_ENGINE``.
 
-    ``"gang"`` maps to the fast engine here: a single (machine, scheme)
-    is a gang of one.  The config-axis sharing lives in
+    The config-axis sharing of fast runs lives in
     :func:`repro.sim.gang.prime_group`, which the executor applies to
     whole groups before their members reach this call.
     """
-    if resolve_engine(machine) in ("fast", "gang"):
+    if resolve_engine(machine) == "fast":
         from repro.sim.fastengine import FastEngine
 
         return FastEngine(trace, marking, machine, scheme_name)

@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.coherence.batch import _Cols
 from repro.common.errors import SimulationError
-from repro.sim import jit
 from repro.sim.engine import Engine, _LockState
 from repro.sim.metrics import EpochRecord
 from repro.trace.columnar import KIND_WRITE, ColumnarEpoch
@@ -208,7 +207,6 @@ class FastEngine(Engine):
     def __init__(self, trace, marking, machine, scheme_name):
         super().__init__(trace, marking, machine, scheme_name)
         self._kernel = self.scheme.make_batch_kernel()
-        self.jit_state = jit.attach(self)
         self._epoch_words = 0
         self._plan_key = "none"
         self._cur_batch = None
@@ -319,12 +317,8 @@ class FastEngine(Engine):
         if hot_idx is None:
             self.fallback_epochs += 1
             if len(epoch.tasks) == 1:
-                end_time = self._run_single_task_epoch(epoch, global_time)
-            else:
-                end_time = super()._run_epoch(epoch, global_time)
-            if self._kernel is not None:
-                self._kernel.resync()
-            return end_time
+                return self._run_single_task_epoch(epoch, global_time)
+            return super()._run_epoch(epoch, global_time)
         self.batched_epochs += 1
         return self._run_epoch_fast(epoch, global_time, hot_idx)
 

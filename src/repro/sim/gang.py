@@ -37,9 +37,9 @@ Fallbacks (each member silently degrades to a plain solo run):
 * a gang of one (or of identical configs) — priming is skipped, the
   single member just runs.
 
-Select with ``MachineConfig.engine="gang"``, ``REPRO_ENGINE=gang``, or
-``--engine gang``; the executor also gang-primes fast-engine groups
-automatically, since the results are identical by construction.
+There is no separate engine to select: the executor gang-primes and
+lockstep-runs every group whose members resolve to the fast engine,
+since the results are identical by construction.
 """
 
 from __future__ import annotations

@@ -62,12 +62,6 @@ class SimResult:
     for cached artifacts and telemetry.  Deliberately absent from
     :meth:`to_dict` — the engines are bit-identical by contract, and the
     JSON rendering must not differ between them."""
-    jit: str = ""
-    """Compiled-tier provenance: ``""`` (tier not requested), ``"numba"``,
-    ``"interp"``, or ``"fallback:<reason>"`` when the tier was requested
-    but declined (numba missing, no batch kernel for the geometry, a
-    compile error, …).  Like ``engine``, deliberately absent from
-    :meth:`to_dict`: the compiled tier is bit-identical by contract."""
 
     # ------------------------------------------------------------- recording
 

@@ -96,6 +96,9 @@ class TestMachineConfig:
             MachineConfig(n_procs=0)
         with pytest.raises(ConfigError):
             MachineConfig(base_miss_latency=0)
+        for engine in ("warp", "gang"):
+            with pytest.raises(ConfigError, match="unknown engine"):
+                MachineConfig(engine=engine)
 
     def test_parameter_table_contains_key_rows(self):
         rows = dict(parameter_table(default_machine()))

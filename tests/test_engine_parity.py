@@ -27,17 +27,11 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.common.config import default_machine
 from repro.sim import prepare, simulate
-from repro.sim.jit import numba_available
 from repro.workloads import build_workload, workload_names
 from tests.strategies import machines, rich_programs
 
 SCHEMES = ("base", "sc", "tpi", "hw", "limitless", "update", "tardis",
            "snoop")
-
-#: The jit tier's parity leg compiles when numba is installed (the CI
-#: numba job) and otherwise interprets the identical loop functions —
-#: the same (ok, ctx) code path, minus the compiler.
-JIT_MODE = "on" if numba_available()[0] is not None else "interp"
 
 SETTINGS = dict(deadline=None,
                 suppress_health_check=[HealthCheck.too_slow,
@@ -67,16 +61,6 @@ def assert_parity(program, scheme, machine):
     return pair
 
 
-def assert_jit_parity(program, scheme, machine):
-    """fast+jit must match the reference engine byte-for-byte."""
-    ref = simulate(prepare(
-        program, machine.with_(engine="reference")), scheme)
-    jit = simulate(prepare(
-        program, machine.with_(engine="fast", jit=JIT_MODE)), scheme)
-    assert snapshot(jit) == snapshot(ref)
-    return jit
-
-
 class TestWorkloadGrid:
     """Every paper workload x every scheme, small size."""
 
@@ -84,10 +68,10 @@ class TestWorkloadGrid:
     def runs(self):
         cache = {}
 
-        def get(name, engine, jit="auto"):
-            key = (name, engine, jit)
+        def get(name, engine):
+            key = (name, engine)
             if key not in cache:
-                machine = default_machine().with_(engine=engine, jit=jit,
+                machine = default_machine().with_(engine=engine,
                                                   record_epochs=True)
                 cache[key] = prepare(
                     build_workload(name, size="small"), machine)
@@ -101,21 +85,6 @@ class TestWorkloadGrid:
         fast = simulate(runs(name, "fast"), scheme)
         ref = simulate(runs(name, "reference"), scheme)
         assert snapshot(fast) == snapshot(ref)
-
-    @pytest.mark.parametrize("name", workload_names())
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_small_grid_jit(self, runs, name, scheme):
-        jit = simulate(runs(name, "fast", JIT_MODE), scheme)
-        ref = simulate(runs(name, "reference"), scheme)
-        assert snapshot(jit) == snapshot(ref)
-        assert jit.jit == ("numba" if JIT_MODE == "on" else "interp")
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_small_grid_gang_jit(self, runs, scheme):
-        """The tier rides the gang engine's member FastEngines too."""
-        jit = simulate(runs("ocean", "gang", JIT_MODE), scheme)
-        ref = simulate(runs("ocean", "reference"), scheme)
-        assert snapshot(jit) == snapshot(ref)
 
     @pytest.mark.parametrize("scheme", ("base", "tpi", "hw"))
     def test_paper_size_spot_check(self, scheme):
@@ -131,7 +100,6 @@ class TestEngineProvenance:
         assert pair["reference"].engine == "reference"
         for result in pair.values():
             assert "engine" not in result.to_dict()
-            assert "jit" not in result.to_dict()
 
 
 class TestRandomPrograms:
@@ -169,30 +137,3 @@ class TestRandomPrograms:
     def test_parity_snoop(self, program, machine):
         assert_parity(program, "snoop", machine)
 
-
-class TestRandomProgramsJit:
-    """The jit tier over the same adversarial space.
-
-    Random machines include two-way associativity (no batch kernel —
-    the tier must fall back, not diverge), single-word lines, narrow
-    timetags, sequential consistency, and coalescing buffers.
-    """
-
-    @settings(max_examples=20, **SETTINGS)
-    @given(program=rich_programs(), machine=machines())
-    def test_jit_parity_tpi_hw(self, program, machine):
-        assert_jit_parity(program, "tpi", machine)
-        assert_jit_parity(program, "hw", machine)
-
-    @settings(max_examples=10, **SETTINGS)
-    @given(program=rich_programs(), machine=machines())
-    def test_jit_parity_base_sc(self, program, machine):
-        assert_jit_parity(program, "base", machine)
-        assert_jit_parity(program, "sc", machine)
-
-    @settings(max_examples=10, **SETTINGS)
-    @given(program=rich_programs(), machine=machines())
-    def test_jit_parity_tardis_update_snoop(self, program, machine):
-        assert_jit_parity(program, "tardis", machine)
-        assert_jit_parity(program, "update", machine)
-        assert_jit_parity(program, "snoop", machine)

@@ -11,8 +11,8 @@ Layers:
 * hypothesis-random programs x machines, each fanned into several
   back-end variants, ganged via :func:`run_gang` and compared member by
   member against solo fast and solo reference runs;
-* executor-level sweeps: jobs=1 vs jobs=N, cold vs warm cache, and the
-  ``engine="gang"`` selection path;
+* executor-level sweeps: jobs=1 vs jobs=N, cold vs warm cache, and
+  engine choice (fast sweeps gang-prime, reference sweeps do not);
 * the cache-shape guarantee: a line-size/timetag sweep stores exactly
   one prepared front end per workload;
 * grid-order and ``jobs=None`` regressions for :class:`Sweep.run`.
@@ -29,7 +29,8 @@ from repro.coherence.api import dead_config_fields, scheme_registry
 from repro.common.config import (WORD_BYTES, CacheConfig, DirectoryConfig,
                                  TardisConfig, TpiConfig, WriteBufferKind,
                                  default_machine)
-from repro.runtime import ArtifactCache, Job, Telemetry, effective_jobs
+from repro.runtime import (ArtifactCache, Job, Telemetry, effective_jobs,
+                           expand_sweep)
 from repro.runtime.cache import KIND_PREPARED, KIND_RESULT
 from repro.sim import prepare, simulate
 from repro.sim.engine import resolve_engine
@@ -151,17 +152,15 @@ class TestSchemeAxisGang:
             assert snapshot(result) == snapshot(solo_ref)
 
     def test_scheme_sweep_gang_vs_fast(self):
-        """`--engine gang` == `--engine fast`, per scheme, whole axis."""
-        renders = []
-        for engine in ("fast", "gang"):
-            sweep = Sweep(build_workload("ocean", size="small"),
-                          schemes=self.SCHEMES,
-                          base=MACHINE.with_(engine=engine))
-            sweep.add_axis("line", axis_cache_lines([1, 4]))
-            points = sweep.run()
-            renders.append([(p.labels, p.scheme, snapshot(p.result))
-                            for p in points])
-        assert renders[0] == renders[1]
+        """A ganged fast sweep == solo fast runs, per scheme, whole axis."""
+        program = build_workload("ocean", size="small")
+        sweep = Sweep(program, schemes=self.SCHEMES,
+                      base=MACHINE.with_(engine="fast"))
+        sweep.add_axis("line", axis_cache_lines([1, 4]))
+        ganged = [snapshot(p.result) for p in sweep.run()]
+        solo = [snapshot(simulate(prepare(program, job.machine), job.scheme))
+                for job in expand_sweep(sweep)]
+        assert ganged == solo
 
 
 class TestPrimeFallbacks:
@@ -180,7 +179,8 @@ class TestPrimeFallbacks:
     def test_identical_configs_dedup_to_one(self):
         # engine is not a back-end field: variants differing only in it
         # collapse to one backend, so priming is skipped.
-        pair = [MACHINE.with_(engine="fast"), MACHINE.with_(engine="gang")]
+        pair = [MACHINE.with_(engine="fast"),
+                MACHINE.with_(engine="reference")]
         assert len(distinct_backends(pair)) == 1
         run = prepare(build_workload("ocean", size="small"), MACHINE)
         stats = prime_group(run.trace, distinct_backends(pair))
@@ -254,11 +254,11 @@ def line_k_sweep(base=MACHINE, schemes=("tpi", "hw"), workload="ocean"):
 class TestGangSweeps:
     def test_engine_selection_is_invisible_in_results(self):
         renders = []
-        for engine in ("fast", "gang", "reference"):
+        for engine in ("fast", "reference"):
             points = line_k_sweep(MACHINE.with_(engine=engine)).run()
             renders.append([(p.labels, p.scheme, snapshot(p.result))
                             for p in points])
-        assert renders[0] == renders[1] == renders[2]
+        assert renders[0] == renders[1]
 
     def test_dead_config_shares_results_in_sweep(self):
         """The hw column collapses across timetag widths: one simulation
@@ -276,8 +276,8 @@ class TestGangSweeps:
         assert len(shared) == 2 and all(r.scheme == "hw" for r in shared)
 
     def test_jobs_1_vs_jobs_n_parity(self):
-        serial = line_k_sweep(MACHINE.with_(engine="gang")).run(jobs=1)
-        parallel = line_k_sweep(MACHINE.with_(engine="gang")).run(jobs=2)
+        serial = line_k_sweep(MACHINE.with_(engine="fast")).run(jobs=1)
+        parallel = line_k_sweep(MACHINE.with_(engine="fast")).run(jobs=2)
         assert [snapshot(p.result) for p in serial] == \
                [snapshot(p.result) for p in parallel]
 

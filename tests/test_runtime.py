@@ -68,6 +68,22 @@ class TestFingerprints:
                      tag={"cell": "a"})
         assert base.fingerprint() == tagged.fingerprint()
 
+    @pytest.mark.parametrize("workload,scheme,result_key,prepare_key", [
+        ("ocean", "tpi",
+         "929c24c148045c729fec1a669563e7731c7ee357dc692f0c7176ed6a27285ff4",
+         "d675eacea491680dcd4046a90819bee28d1831a5ec4f46f8f26dfdab269415bc"),
+        ("trfd", "hw",
+         "af46dba0a3e5502199d41faa016e86e47b827f8e61eb9740655b447663dfea0f",
+         "7b84d5b8fe3ffc06703654df0fe477ccc1d01b8b0e6dd82bc025af5a58adc748"),
+    ])
+    def test_fingerprints_are_pinned(self, workload, scheme, result_key,
+                                     prepare_key):
+        """Literal keys: a change here invalidates every cached artifact
+        and must come with an ``ENGINE_SALT`` bump."""
+        job = Job(program=small(workload), scheme=scheme, machine=MACHINE)
+        assert job.fingerprint() == result_key
+        assert job.prepare_fingerprint() == prepare_key
+
     def test_group_by_prepare_dedups(self):
         jobs = jobs_for_schemes(small("ocean"), SCHEMES, MACHINE)
         jobs += jobs_for_schemes(small("ocean"), ("tpi",),

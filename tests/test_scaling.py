@@ -9,9 +9,10 @@ wider than the busy processor set.  Three layers of evidence:
   processors that receive work, so a DOALL with 8 iterations schedules
   identically (and as cheaply) on a million-processor machine;
 * **parity** — the sparse representation is observationally invisible:
-  reference, fast, and gang engines stay byte-identical at irregular
-  processor counts (1, primes, powers-of-two-minus-one), and the
-  ``REPRO_DENSE_STATE`` escape hatch reproduces the exact same results;
+  the reference engine, the fast engine, and a gang-primed fast member
+  stay byte-identical at irregular processor counts (1, primes,
+  powers-of-two-minus-one), and the ``REPRO_DENSE_STATE`` escape hatch
+  reproduces the exact same results;
 * **scale smoke** — a 4096-processor machine runs a tiny workload under
   both engines, bit-identically, in test-suite time.
 
@@ -29,6 +30,7 @@ from repro.common.config import (DEFAULT_MAX_PROCS, SchedulePolicy,
 from repro.common.errors import ConfigError
 from repro.ir import ProgramBuilder
 from repro.sim import prepare, simulate
+from repro.sim.gang import GangMember, run_gang
 from repro.trace.schedule import schedule_iterations
 from repro.workloads import build_workload
 from tests.strategies import machines, rich_programs
@@ -137,10 +139,16 @@ class TestIrregularCounts:
     @given(program=rich_programs(), machine=irregular_machines(),
            scheme=st.sampled_from(SCHEMES))
     def test_three_engine_parity(self, program, machine, scheme):
+        """Reference, solo fast, and a gang-primed fast member agree."""
         snaps = {}
-        for engine in ("reference", "fast", "gang"):
+        for engine in ("reference", "fast"):
             run = prepare(program, machine.with_(engine=engine))
             snaps[engine] = snapshot(simulate(run, scheme))
+        fast = machine.with_(engine="fast")
+        members = [GangMember(fast, scheme),
+                   GangMember(fast.with_(hit_latency=fast.hit_latency + 1),
+                              scheme)]
+        snaps["gang"] = snapshot(run_gang(prepare(program, fast), members)[0])
         assert snaps["fast"] == snaps["reference"]
         assert snaps["gang"] == snaps["reference"]
 

@@ -94,9 +94,13 @@ class TestServiceDedup:
         run(service.answer("simulate", dict(SIM_BODY)))
         assert service.dispatched == 1
         warm = run(service.answer("simulate", dict(SIM_BODY)))
+        # unknown body keys are ignored: same key, same bytes
+        extra = run(service.answer("simulate",
+                                   dict(SIM_BODY, unknown_option=True)))
         service.close()
+        assert extra == warm
         assert service.dispatched == 1  # pool untouched the second time
-        assert service.telemetry.serve_hits == 1
+        assert service.telemetry.serve_hits == 2
         # warm payloads are deterministic: no phases key
         assert "phases" not in json.loads(warm.decode())
 
@@ -147,6 +151,7 @@ class TestServiceValidation:
         ({"workload": "ocean", "procs": -1}, "procs"),
         ({"workload": "ocean", "procs": 10**9}, "REPRO_MAX_PROCS"),
         ([], "JSON object"),
+        ({"workload": "ocean", "engine": "gang"}, "unknown engine"),
     ])
     def test_simulate_rejections(self, tmp_path, body, fragment):
         service = make_service(tmp_path)
@@ -346,13 +351,21 @@ class TestHttpServer:
 
 class TestServeCliErrors:
     def test_unknown_engine_is_usage_error(self, capsys):
-        code = main(["simulate", "ocean", "--size", "small",
-                     "--engine", "warp"])
+        for engine in ("warp", "gang"):
+            code = main(["simulate", "ocean", "--size", "small",
+                         "--engine", engine])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.count("\n") == 1  # one line, no traceback
+            assert f"unknown engine {engine!r}" in err
+            assert "fast, reference" in err
+
+    def test_unknown_flag_exits_2_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "ocean", "--size", "small", "--warp-drive"])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1  # one line, no traceback
-        assert "unknown engine 'warp'" in err
-        assert "fast, gang, reference" in err
+        assert err == "repro: error: unrecognized arguments: --warp-drive\n"
 
     def test_unbindable_host_is_usage_error(self, capsys):
         code = main(["serve", "--host", "256.1.1.1", "--port", "80"])
