@@ -50,8 +50,10 @@ lint:
 # The self-tests seed known protocol bugs and require 100%
 # counterexample detection.
 modelcheck:
-	$(PYTHON) -m repro modelcheck --self-test --strict
-	$(PYTHON) -m repro modelcheck --scheme tardis --self-test --strict
+	for scheme in tpi tardis; do \
+		$(PYTHON) -m repro modelcheck --scheme $$scheme --self-test --strict \
+			|| exit 1; \
+	done
 
 clean:
 	rm -rf .pytest_cache .hypothesis build src/repro.egg-info

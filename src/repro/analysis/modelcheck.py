@@ -2,87 +2,47 @@
 
 The TPI semantics this repo simulates (k-bit timetags, per-array ``W``
 registers, the two-phase reset) are a *reconstruction* from the ISCA-1996
-paper.  The staleness oracle and the dynamic sanitizer defend the
-compiler marking; the hypothesis suites reach the timetag wrap-around
-corners only probabilistically.  This module closes the remaining gap:
-it expresses the protocol as a small set of **guarded actions** over an
-explicit abstract state and enumerates *every* reachable state of tiny
-configurations, asserting the staleness-safety invariant on each read.
+paper, and the hypothesis suites reach the timetag wrap-around corners
+only probabilistically.  This protocol module for
+:mod:`repro.analysis.mc_core` expresses TPI as **guarded actions** over
+an explicit abstract state, so the core can enumerate *every* reachable
+state of tiny configurations.  Every protocol decision (freshness test,
+R-1 fill rule, ``W`` epilogue update, reset-sweep phase geometry) is
+taken from :mod:`repro.coherence.tpi_rules`, the same pure functions
+:class:`~repro.coherence.tpi.TpiScheme` and the batch kernels execute.
 
-Crucially, the transition rules are not a transcription of the
-simulator: every protocol decision — the ``(R - tag) mod 2^k <=
-min(R - W[a], 2^k - 1)`` freshness test, the R-1 fill rule, the
-``W[a] := R`` / ``R + 1`` epilogue update, and the reset sweep's phase
-geometry — is taken from :mod:`repro.coherence.tpi_rules`, the same pure
-functions :class:`~repro.coherence.tpi.TpiScheme`, the batch kernels,
-and :meth:`~repro.memsys.cache.Cache.two_phase_reset` execute.  A
-verification run therefore covers the production logic itself.
+State ``(R, plan, W, writers, caches)``: the epoch counter (full index;
+the k-bit view is taken inside the shared rules), each array's write
+mode this epoch (``none``; ``excl``, a legal DOALL with one writer per
+word; ``racy``, the illegal write-write-conflict case), the per-array
+``W`` registers, the ``excl`` single-writer guard, and per-processor
+lines of ``(valid, timetag, stale-since)`` words.  ``stale-since`` is
+ghost state: the epoch of the earliest write the copy misses.
 
-Abstract state
---------------
-``(R, plan, W, writers, caches)`` where ``R`` is the epoch counter
-(full index; the k-bit hardware view is taken inside the shared rules),
-``plan`` gives each array's write mode for the current epoch (``none`` /
-``excl`` — a legal DOALL, each word written by at most one task — /
-``racy`` — the illegal-DOALL write-write-conflict case), ``W`` is the
-per-array last-write-epoch register file, ``writers`` enforces the
-``excl`` single-writer-per-word guard, and each processor's cache maps
-lines to per-word ``(valid, timetag, stale-since)`` triples.  The
-``stale-since`` component is *ghost state*: the epoch of the earliest
-write the cached copy fails to reflect (``FRESH`` when none).
+Actions: ``advance`` picks the next epoch's plan, applies the ended
+plan's ``W`` updates (may-write contract), bumps ``R`` and runs the
+reset sweep where the phase rule says so; ``write p w`` (guarded by the
+plan) write-allocates, stamps ``R`` and marks other valid copies stale;
+``read p w ts|strict`` hits or fills under the shared rules, with a
+timestamp Time-Read only where no same-epoch writer is possible (plain
+reads are the compiler's claim, checked by the oracle and lint).
 
-Guarded actions
----------------
-* ``advance`` — nondeterministically pick the next epoch's write plan;
-  apply the compiler's epilogue ``W`` updates for the plan just ended
-  (may-write contract: updates fire whether or not a write occurred),
-  bump ``R``, and run the two-phase reset sweep where the shared phase
-  rule says the counter crossed a boundary.
-* ``write p w`` — guarded by the plan (and the single-writer rule under
-  ``excl``); write-allocates, stamps the word's tag ``R``, and marks
-  every other processor's valid copy stale-since-``R``.
-* ``read p w ts|strict`` — a timestamp Time-Read is admissible only for
-  arrays without a possible same-epoch writer (otherwise the compiler
-  would have emitted a strict Time-Read, which is always admissible); a
-  valid word consults the shared hit rule, a miss fills/refreshes under
-  the shared R-1 fill-tag rule.  Plain (unmarked) reads are out of
-  scope: their freshness is the compiler's claim, checked by the oracle
-  and lint — the model checker verifies the *hardware* protocol under a
-  sound marking.
-
-Invariant
----------
-**Staleness safety**: a read hit must never return a word whose ghost
-stale-since epoch predates the current epoch — the cached copy misses a
-write that committed at an earlier epoch barrier.  (Same-epoch races in
-``racy`` plans are data races the paper's model never promises to
-order; the dynamic sanitizer draws the same line.)
-
-Every counterexample trace can be replayed through the *production*
-:class:`~repro.coherence.tpi.TpiScheme` (:func:`replay_counterexample`)
-to confirm the production code exhibits the same stale read — or refute
-it, which would mean the model has drifted from the implementation.
-The protocol mutation self-test (:func:`protocol_self_test`) seeds
-known bugs into the rule set and gates on 100% counterexample
-detection, mirroring the lint oracle's mutation gate.
+Invariant (**staleness safety**): a read hit never returns a word whose
+stale-since epoch predates the current epoch.  Same-epoch races in
+``racy`` plans are data races the paper never promises to order.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import time
-from collections import deque
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, Report
+from repro.analysis import mc_core
+from repro.analysis.diagnostics import Report
 from repro.coherence import tpi_rules
 from repro.common.errors import ConfigError
-
-MODELCHECK_VERSION = 1
-"""Bump on any change to the abstract state or action semantics."""
 
 # Plan modes per array, per epoch.
 PLAN_NONE = 0  # the epoch cannot write the array
@@ -102,14 +62,9 @@ _INVALID_WORD = (0, 0, FRESH)  # canonical invalid-word state
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Bounds of one exhaustive enumeration.
-
-    Kept deliberately tiny: the protocol's per-word state machine does
-    not grow new behaviours with size, only more interleavings of the
-    same ones, so 2-3 processors and 1-2 lines of 1-2 words already
-    exercise every rule (both reset phases included, given enough
-    epochs for two counter wrap-arounds).
-    """
+    """Bounds of one exhaustive enumeration.  Size adds interleavings,
+    not behaviours: 2-3 processors and 1-2 lines of 1-2 words exercise
+    every rule, both reset phases included over two counter wraps."""
 
     n_procs: int = 2
     n_lines: int = 1
@@ -159,18 +114,13 @@ class ModelConfig:
                 f".k{self.timetag_bits}.e{self.max_epochs}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"n_procs": self.n_procs, "n_lines": self.n_lines,
-                "line_words": self.line_words,
-                "timetag_bits": self.timetag_bits,
-                "max_epochs": self.max_epochs,
-                "allow_racy": self.allow_racy}
+        return asdict(self)
 
 
 #: The CI gate: every config forces >= 2 counter wrap-arounds, covering
 #: 2-3 processors, 1-2 lines, 1-2 words per line, and k = 2 and 3.  The
-#: two-line config drops the racy plan mode (covered by the one-line
-#: configs) to keep its state space inside the CI time budget; with it,
-#: the whole grid enumerates in well under a minute.
+#: two-line config drops the racy plan mode (the one-line configs cover
+#: it) to keep the grid well under a minute.
 DEFAULT_CONFIGS: Tuple[ModelConfig, ...] = (
     ModelConfig(n_procs=2, n_lines=1, line_words=1, timetag_bits=2,
                 max_epochs=10),
@@ -190,13 +140,9 @@ DEFAULT_CONFIGS: Tuple[ModelConfig, ...] = (
 
 @dataclass(frozen=True)
 class ProtocolRules:
-    """The protocol decisions the checker consults, as swappable slots.
-
-    The defaults bind the production functions from
-    :mod:`repro.coherence.tpi_rules` — checking with ``PRODUCTION_RULES``
-    verifies the code the simulator runs.  The mutation self-test
-    substitutes deliberately broken variants.
-    """
+    """The protocol decisions the checker consults, as swappable slots:
+    the production :mod:`repro.coherence.tpi_rules` functions by default,
+    deliberately broken variants in the mutation self-test."""
 
     name: str = "production"
     timestamp_hit: Callable[..., bool] = tpi_rules.timestamp_hit
@@ -239,11 +185,9 @@ def protocol_mutants() -> Tuple[ProtocolRules, ...]:
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(mc_core.Violation):
     """One staleness-safety counterexample."""
 
-    config: ModelConfig
-    trace: Tuple[Tuple, ...]  # state-changing actions from the initial state
     proc: int
     word: int
     mark: str
@@ -251,53 +195,49 @@ class Violation:
     stale_since: int
     epoch: int
 
-    def render(self) -> List[str]:
-        """Human-readable trace, one action per line."""
-        lines: List[str] = []
-        for action in self.trace:
-            if action[0] == "advance":
-                plan = ", ".join(f"A{a}:{_PLAN_NAMES[m]}"
-                                 for a, m in enumerate(action[1])
-                                 if m != PLAN_NONE) or "no writes"
-                lines.append(f"epoch {action[2]} begins [{plan}]")
-            elif action[0] == "write":
-                lines.append(f"  p{action[1]} writes w{action[2]}")
-            else:
-                lines.append(f"  p{action[1]} {action[3]} Time-Read "
-                             f"w{action[2]} -> miss, line fill")
-        lines.append(f"  p{self.proc} {self.mark} Time-Read w{self.word} "
-                     f"-> HIT (tag {self.tag}, R {self.epoch}) on a copy "
-                     f"stale since epoch {self.stale_since}  "
-                     f"** staleness-safety violation")
-        return lines
+    def render_action(self, action: Tuple) -> str:
+        if action[0] == "advance":
+            plan = ", ".join(f"A{a}:{_PLAN_NAMES[m]}"
+                             for a, m in enumerate(action[1])
+                             if m != PLAN_NONE) or "no writes"
+            return f"epoch {action[2]} begins [{plan}]"
+        if action[0] == "write":
+            return f"  p{action[1]} writes w{action[2]}"
+        return (f"  p{action[1]} {action[3]} Time-Read w{action[2]} "
+                f"-> miss, line fill")
+
+    def breach(self) -> str:
+        return (f"  p{self.proc} {self.mark} Time-Read w{self.word} -> HIT "
+                f"(tag {self.tag}, R {self.epoch}) on a copy stale since "
+                f"epoch {self.stale_since}")
+
+    def describe(self) -> str:
+        return (f"{self.mark} Time-Read by p{self.proc} of w{self.word} at "
+                f"epoch {self.epoch} hits a copy stale since epoch "
+                f"{self.stale_since}")
+
+    def detail(self) -> Dict[str, Any]:
+        return {"proc": self.proc, "word": self.word, "mark": self.mark,
+                "stale_since": self.stale_since}
+
+    def epoch_label(self) -> Optional[str]:
+        return str(self.epoch)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(mc_core.CheckResult):
     """Outcome of exhausting one bounded configuration."""
 
-    config: ModelConfig
-    rules: str
-    states: int = 0
-    transitions: int = 0
-    reads_checked: int = 0
-    violations: List[Violation] = field(default_factory=list)
-    truncated: bool = False
-    elapsed: float = 0.0
+    reads_noun = "read hits"
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.truncated
+    def coverage(self) -> str:
+        return f"{self.config.wraps} wrap(s)"
 
-    def summary(self) -> str:
-        verdict = ("OK" if self.ok else
-                   f"{len(self.violations)} counterexample(s)"
-                   + (", TRUNCATED" if self.truncated else ""))
-        return (f"modelcheck {self.config.label} [{self.rules}]: "
-                f"{self.states} states, {self.transitions} transitions, "
-                f"{self.reads_checked} read hits checked, "
-                f"{self.config.wraps} wrap(s) in {self.elapsed:.2f}s "
-                f"-> {verdict}")
+    def coverage_gap(self) -> Optional[str]:
+        if self.config.wraps >= 2:
+            return None
+        return (f"{self.config.max_epochs} epochs force only "
+                f"{self.config.wraps} counter wrap-around(s); the timetag "
+                f"recycling corner is not fully exercised")
 
 
 # ------------------------------------------------------------ the enumerator
@@ -323,52 +263,33 @@ def _sweep_line(line, bounds, rules, modulus):
                                            modulus)
         else word
         for word in line)
-    if all(word[0] == 0 for word in swept):
-        return None  # behaviourally identical to an absent line
-    return swept
+    # A line with no valid word behaves exactly like an absent one.
+    return swept if any(word[0] for word in swept) else None
 
 
 def _fill_line(line, accessed_offset, epoch, stamp_current, rules):
-    """Fill/refresh one line, per the production fill and refresh rules.
-
-    A fetched line refreshes every word that is invalid or older than the
-    incoming fill tag (words the task validated this epoch keep their
-    newer tags), and the accessed word always takes fresh data.  Fresh
-    words copy current memory, so their ghost stale-since clears.
-    """
+    """Fill/refresh one line per the production rules: words invalid or
+    older than the fill tag, and the accessed word, take fresh data (their
+    ghost stale-since clears); newer words keep their tags."""
     base_tag = rules.fill_tag(epoch, False, stamp_current)
-    words = []
-    for valid, tag, since in line:
-        if not valid or tag < base_tag:
-            words.append((1, base_tag, FRESH))
-        else:
-            words.append((valid, tag, since))
-    words[accessed_offset] = (1, rules.fill_tag(epoch, True, stamp_current),
-                              FRESH)
-    return tuple(words)
-
-
-def _install_line(line_words_count, accessed_offset, epoch, stamp_current,
-                  rules):
-    base_tag = rules.fill_tag(epoch, False, stamp_current)
-    words = [(1, base_tag, FRESH)] * line_words_count
+    words = [(1, base_tag, FRESH) if not valid or tag < base_tag
+             else (valid, tag, since) for valid, tag, since in line]
     words[accessed_offset] = (1, rules.fill_tag(epoch, True, stamp_current),
                               FRESH)
     return tuple(words)
 
 
 def _successors(state, config: ModelConfig, rules: ProtocolRules,
-                plan_choices: Tuple[Tuple[int, ...], ...]
-                ) -> Iterator[Tuple[Tuple, Optional[Tuple], Optional[Tuple]]]:
-    """Yield ``(action, next_state, violation_info)`` triples.
-
-    A read *hit* leaves the state unchanged: it yields no successor, only
-    (on an invariant breach) a violation triple.  ``violation_info`` is
-    ``(proc, word, mark, tag, stale_since)``.
+                plan_choices: Tuple[Tuple[int, ...], ...]) -> Iterator[Tuple]:
+    """Yield ``(action, next_state, breach, served)`` per the core's
+    successor contract; ``served`` marks read hits, the only reads
+    served from a cached copy.  ``breach`` is the :class:`Violation`
+    fields ``(proc, word, mark, tag, stale_since, epoch)``.
     """
     R, plan, wregs, writers, caches = state
     n_procs, n_lines = config.n_procs, config.n_lines
     line_words, modulus = config.line_words, config.modulus
+    absent = (_INVALID_WORD,) * line_words  # a line not resident
 
     # -- advance: end the current epoch, pick the next epoch's write plan.
     if R < config.max_epochs:
@@ -378,17 +299,13 @@ def _successors(state, config: ModelConfig, rules: ProtocolRules,
             for w, mode in zip(wregs, plan))
         bounds = rules.crossed_phase_bounds(R, R + 1, modulus,
                                             config.phase_size)
-        if bounds is None:
-            swept = caches
-        else:
-            swept = tuple(
-                tuple(_sweep_line(line, bounds, rules, modulus)
-                      for line in cache)
-                for cache in caches)
+        swept = caches if bounds is None else tuple(
+            tuple(_sweep_line(line, bounds, rules, modulus) for line in cache)
+            for cache in caches)
         cleared = (NO_WRITER,) * config.n_words
         for next_plan in plan_choices:
             yield (("advance", next_plan, R + 1),
-                   (R + 1, next_plan, new_wregs, cleared, swept), None)
+                   (R + 1, next_plan, new_wregs, cleared, swept), None, False)
 
     if R == 0:
         return  # accesses happen inside epochs only
@@ -406,16 +323,10 @@ def _successors(state, config: ModelConfig, rules: ProtocolRules,
             for p, cache in enumerate(caches):
                 line = cache[line_idx]
                 if p == proc:
-                    if line is None:
-                        # Write-allocate: fetch the line, then stamp the
-                        # written word with the current epoch.
-                        line = _install_line(line_words, offset, R, False,
-                                             rules)
-                        line = line[:offset] + ((1, R, FRESH),) \
-                            + line[offset + 1:]
-                    else:
-                        line = line[:offset] + ((1, R, FRESH),) \
-                            + line[offset + 1:]
+                    if line is None:  # write-allocate: fetch, then stamp
+                        line = _fill_line(absent, offset, R, False, rules)
+                    line = line[:offset] + ((1, R, FRESH),) \
+                        + line[offset + 1:]
                 elif line is not None:
                     valid, tag, since = line[offset]
                     if valid:
@@ -429,7 +340,8 @@ def _successors(state, config: ModelConfig, rules: ProtocolRules,
             if mode == PLAN_EXCL:
                 new_writers = writers[:word] + (proc,) + writers[word + 1:]
             yield (("write", proc, word),
-                   (R, plan, wregs, new_writers, tuple(new_caches)), None)
+                   (R, plan, wregs, new_writers, tuple(new_caches)), None,
+                   False)
 
     # -- reads: timestamp Time-Reads where no same-epoch writer is
     # possible, strict Time-Reads anywhere.
@@ -449,193 +361,81 @@ def _successors(state, config: ModelConfig, rules: ProtocolRules,
                         hit = bool(rules.timestamp_hit(
                             R, tag, wregs[line_idx], modulus))
                 if hit:
+                    breach = None
                     if since != FRESH and since < R:
-                        yield (("read", proc, word, mark), None,
-                               (proc, word, mark, tag, since))
-                    else:
-                        yield (("read", proc, word, mark), None, None)
+                        breach = (proc, word, mark, tag, since, R)
+                    yield ("read", proc, word, mark), None, breach, True
                     continue
-                stamp_current = mark == "ts"
-                if line is None:
-                    new_line = _install_line(line_words, offset, R,
-                                             stamp_current, rules)
-                else:
-                    new_line = _fill_line(line, offset, R, stamp_current,
-                                          rules)
+                new_line = _fill_line(line or absent, offset, R, mark == "ts",
+                                      rules)
                 cache = caches[proc]
                 new_cache = cache[:line_idx] + (new_line,) \
                     + cache[line_idx + 1:]
                 new_caches = caches[:proc] + (new_cache,) + caches[proc + 1:]
                 yield (("read", proc, word, mark),
-                       (R, plan, wregs, writers, new_caches), None)
-
-
-def _trace_to(parents, state) -> Tuple[Tuple, ...]:
-    actions: List[Tuple] = []
-    while True:
-        link = parents[state]
-        if link is None:
-            break
-        state, action = link
-        actions.append(action)
-    return tuple(reversed(actions))
+                       (R, plan, wregs, writers, new_caches), None, False)
 
 
 def check_config(config: ModelConfig,
                  rules: ProtocolRules = PRODUCTION_RULES, *,
                  max_violations: int = 1,
                  max_states: int = 2_000_000) -> CheckResult:
-    """Exhaustively enumerate every reachable state of one configuration.
-
-    Breadth-first, so the first counterexample found has a minimal
-    action trace.  ``max_states`` is a runaway backstop far above any
-    in-bounds configuration; hitting it marks the result ``truncated``
-    (the claim of exhaustiveness is then void and reported as such).
-    """
-    start = time.perf_counter()
+    """Exhaustively enumerate every reachable state of one configuration
+    (breadth-first, see :func:`repro.analysis.mc_core.explore`)."""
     result = CheckResult(config=config, rules=rules.name)
-    init = _initial_state(config)
-    plan_choices = config.plan_choices
-    parents: Dict[Tuple, Optional[Tuple]] = {init: None}
-    frontier = deque([init])
-    while frontier:
-        if len(parents) > max_states:
-            result.truncated = True
-            break
-        state = frontier.popleft()
-        for action, nxt, breach in _successors(state, config, rules,
-                                               plan_choices):
-            result.transitions += 1
-            if action[0] == "read" and nxt is None and breach is None:
-                result.reads_checked += 1
-            if breach is not None:
-                result.reads_checked += 1
-                proc, word, mark, tag, since = breach
-                result.violations.append(Violation(
-                    config=config, trace=_trace_to(parents, state) + (action,),
-                    proc=proc, word=word, mark=mark, tag=tag,
-                    stale_since=since, epoch=state[0]))
-                if len(result.violations) >= max_violations:
-                    frontier.clear()
-                    break
-                continue
-            if nxt is not None and nxt not in parents:
-                parents[nxt] = (state, action)
-                frontier.append(nxt)
-    result.states = len(parents)
-    result.elapsed = time.perf_counter() - start
+    mc_core.explore(result, _initial_state(config),
+                    partial(_successors, config=config, rules=rules,
+                            plan_choices=config.plan_choices),
+                    Violation, max_violations=max_violations,
+                    max_states=max_states)
     return result
 
 
-# --------------------------------------------------- production-replay check
-
-
-@dataclass(frozen=True)
-class ReplayOutcome:
-    """Production verdict on one model counterexample.
-
-    ``confirmed`` — the production :class:`TpiScheme` returned the same
-    stale read (its shadow-memory version check tripped), so the model's
-    counterexample is a genuine protocol bug.  Otherwise the production
-    code *refuted* the trace (it missed, or hit fresh data): expected
-    when the checked rules were mutants, and evidence of model drift
-    when they were the production rules.
-    """
-
-    confirmed: bool
-    final_kind: str
-    mismatches: Tuple[str, ...]
-    detail: str
-
-    @property
-    def refuted(self) -> bool:
-        return not self.confirmed
+# ------------------------------------------------------- production replay
 
 
 _TS_SITE, _STRICT_SITE, _WRITE_SITE = 0, 1, 2
 
 
-def _replay_rig(config: ModelConfig):
-    """A production SimContext shaped like the model: one shared array
-    per line, a cache that holds every line, hand-crafted marking."""
-    from repro.common.config import CacheConfig, MachineConfig, TpiConfig
+def _replay_marking(config: ModelConfig):
+    """Hand-crafted marking: a timestamp and a strict Time-Read site, a
+    write site, and one epoch write key per plan choice."""
     from repro.compiler.epochs import EpochGraph
     from repro.compiler.marking import Marking, RefMark
-    from repro.ir import ProgramBuilder
-    from repro.memsys.memory import ShadowMemory
-    from repro.memsys.network import KruskalSnirNetwork
-    from repro.trace.layout import MemoryLayout
 
-    n_sets = 1
-    while n_sets < config.n_lines:
-        n_sets *= 2
-    machine = MachineConfig(
-        n_procs=config.n_procs,
-        cache=CacheConfig(size_bytes=n_sets * config.line_words * 4,
-                          line_words=config.line_words),
-        tpi=TpiConfig(timetag_bits=config.timetag_bits),
-    )
-    builder = ProgramBuilder("modelcheck-replay")
-    for array in range(config.n_lines):
-        builder.array(f"A{array}", (config.line_words,))
-    with builder.procedure("main"):
-        pass
-    program = builder.build()
-    layout = MemoryLayout(program, config.n_procs, config.line_words)
-    epoch_writes: Dict[int, Dict[str, bool]] = {}
-    for key, chosen_plan in enumerate(config.plan_choices):
-        epoch_writes[key] = {f"A{a}": mode == PLAN_RACY
-                             for a, mode in enumerate(chosen_plan)
-                             if mode != PLAN_NONE}
-    marking = Marking(
-        tpi={_TS_SITE: RefMark.TIME_READ, _STRICT_SITE: RefMark.TIME_READ,
-             _WRITE_SITE: RefMark.READ},
-        sc={_TS_SITE: RefMark.TIME_READ, _STRICT_SITE: RefMark.TIME_READ,
-            _WRITE_SITE: RefMark.READ},
-        graph=EpochGraph(),
-        strict_sites={_STRICT_SITE},
-        epoch_writes=epoch_writes,
-    )
-    from repro.coherence.api import SimContext
-
-    return SimContext(machine=machine, marking=marking,
-                      shadow=ShadowMemory(layout.total_words),
-                      network=KruskalSnirNetwork(machine), layout=layout)
+    epoch_writes = {key: {f"A{a}": mode == PLAN_RACY
+                          for a, mode in enumerate(chosen_plan)
+                          if mode != PLAN_NONE}
+                    for key, chosen_plan in enumerate(config.plan_choices)}
+    sites = {_TS_SITE: RefMark.TIME_READ, _STRICT_SITE: RefMark.TIME_READ,
+             _WRITE_SITE: RefMark.READ}
+    return Marking(tpi=dict(sites), sc=dict(sites), graph=EpochGraph(),
+                   strict_sites={_STRICT_SITE}, epoch_writes=epoch_writes)
 
 
-def _model_addr(config: ModelConfig, layout, word: int) -> int:
-    line_idx, offset = divmod(word, config.line_words)
-    return layout.addr_of(f"A{line_idx}", (offset,))
-
-
-def replay_counterexample(violation: Violation) -> ReplayOutcome:
+def replay_counterexample(violation: Violation) -> mc_core.ReplayOutcome:
     """Drive the production TpiScheme through a counterexample trace.
 
-    The model records only state-changing actions plus the final
-    violating read, which maps one-to-one onto production calls:
     ``advance`` becomes ``end_epoch`` (with the ended plan's write key) +
     shadow barrier + ``begin_epoch``; reads and writes become scheme
     accesses at the matching marked sites.  The production shadow
-    memory's own coherence check (``check_coherence``) is the staleness
-    judge, so confirmation does not depend on the model's ghost state.
+    memory, not the model's ghost state, judges staleness.
     """
     from repro.coherence.api import make_scheme
-    from repro.common.errors import SimulationError
+    from repro.common.config import TpiConfig
     from repro.common.stats import MissKind
 
     config = violation.config
-    ctx = _replay_rig(config)
+    ctx = mc_core.replay_rig(config, _replay_marking(config),
+                             tpi=TpiConfig(timetag_bits=config.timetag_bits))
     scheme = make_scheme("tpi", ctx)
     plan_keys = {chosen: key
                  for key, chosen in enumerate(config.plan_choices)}
-    current_plan: Tuple[int, ...] = (PLAN_NONE,) * config.n_lines
     epoch = 0
-    mismatches: List[str] = []
-    final_kind = "none"
-    confirmed = False
-    detail = ""
-    for index, action in enumerate(violation.trace):
-        last = index == len(violation.trace) - 1
+    current_plan: Tuple[int, ...] = (PLAN_NONE,) * config.n_lines
+
+    def perform(action):
+        nonlocal epoch, current_plan
         if action[0] == "advance":
             if epoch >= 1:
                 scheme.end_epoch(plan_keys[current_plan])
@@ -643,146 +443,40 @@ def replay_counterexample(violation: Violation) -> ReplayOutcome:
             scheme.begin_epoch(epoch, True)
             epoch += 1
             current_plan = action[1]
-        elif action[0] == "write":
-            _, proc, word = action
-            scheme.write(proc, _model_addr(config, ctx.layout, word),
-                         _WRITE_SITE, True, False)
-        else:
-            _, proc, word, mark = action
-            site = _TS_SITE if mark == "ts" else _STRICT_SITE
-            addr = _model_addr(config, ctx.layout, word)
-            try:
-                outcome = scheme.read(proc, addr, site, True, False)
-            except SimulationError as exc:
-                final_kind = "stale-hit"
-                if last:
-                    confirmed = True
-                    detail = f"production confirmed the stale read: {exc}"
-                else:
-                    mismatches.append(
-                        f"step {index}: production already stale ({exc})")
-                    detail = "production went stale before the final read"
-                break
-            hit = outcome.kind is MissKind.HIT
-            final_kind = "hit" if hit else outcome.kind.name.lower()
-            if last:
-                detail = ("production hit fresh data" if hit else
-                          f"production missed ({final_kind})")
-            elif hit:
-                # The model recorded this read because it missed there.
-                mismatches.append(
-                    f"step {index}: production hit where the model missed")
-    return ReplayOutcome(confirmed=confirmed, final_kind=final_kind,
-                         mismatches=tuple(mismatches), detail=detail)
+            return None
+        line_idx, offset = divmod(action[2], config.line_words)
+        addr = ctx.layout.addr_of(f"A{line_idx}", (offset,))
+        if action[0] == "write":
+            scheme.write(action[1], addr, _WRITE_SITE, True, False)
+            return None
+        site = _TS_SITE if action[3] == "ts" else _STRICT_SITE
+        return scheme.read(action[1], addr, site, True, False)
+
+    def mismatch(action, outcome) -> Optional[str]:
+        # The model recorded every earlier read because it missed there.
+        return ("production hit where the model missed"
+                if outcome.kind is MissKind.HIT else None)
+
+    return mc_core.replay(violation.trace, perform, mismatch, missed="missed")
 
 
-# ------------------------------------------------- protocol mutation gate
-
-
-@dataclass(frozen=True)
-class ProtocolMutation:
-    """One seeded protocol bug and whether the checker caught it."""
-
-    name: str
-    caught: bool
-    config_label: str
-    states: int
-    refuted_by_production: Optional[bool]
-
-
-@dataclass
-class ProtocolSelfTest:
-    """Outcome of the protocol mutation self-test."""
-
-    mutations: List[ProtocolMutation] = field(default_factory=list)
-
-    @property
-    def seeded(self) -> int:
-        return len(self.mutations)
-
-    @property
-    def caught(self) -> int:
-        return sum(1 for m in self.mutations if m.caught)
-
-    @property
-    def missed(self) -> List[ProtocolMutation]:
-        return [m for m in self.mutations if not m.caught]
-
-    @property
-    def detection_rate(self) -> float:
-        return self.caught / self.seeded if self.seeded else 1.0
-
-    def summary(self) -> str:
-        return (f"protocol mutation self-test: {self.caught}/{self.seeded} "
-                f"seeded protocol bugs produced counterexamples")
+# ------------------------------------------------ mutation gate and report
 
 
 #: Small grid for the self-test; every mutant must fall on one of these.
 SELF_TEST_CONFIGS: Tuple[ModelConfig, ...] = (
-    ModelConfig(n_procs=2, n_lines=1, line_words=1, timetag_bits=2,
-                max_epochs=10),
-    ModelConfig(n_procs=2, n_lines=1, line_words=2, timetag_bits=2,
-                max_epochs=8),
-)
+    DEFAULT_CONFIGS[0], replace(DEFAULT_CONFIGS[1], max_epochs=8))
 
 
 def protocol_self_test(configs: Optional[Sequence[ModelConfig]] = None,
-                       *, replay: bool = True) -> ProtocolSelfTest:
-    """Seed each known protocol bug and require a counterexample.
-
-    Also cross-checks each counterexample against the production
-    implementation: a mutant's trace must be *refuted* there (the
-    production code does not have the seeded bug), which exercises the
-    replay harness in the direction tests cannot fake.
-    """
-    configs = tuple(configs) if configs is not None else SELF_TEST_CONFIGS
-    result = ProtocolSelfTest()
-    for mutant in protocol_mutants():
-        caught = False
-        label = ""
-        states = 0
-        refuted: Optional[bool] = None
-        for config in configs:
-            check = check_config(config, mutant)
-            states += check.states
-            if check.violations:
-                caught = True
-                label = config.label
-                if replay:
-                    refuted = replay_counterexample(
-                        check.violations[0]).refuted
-                break
-        result.mutations.append(ProtocolMutation(
-            name=mutant.name, caught=caught, config_label=label,
-            states=states, refuted_by_production=refuted))
-    return result
-
-
-# ----------------------------------------------------------- report plumbing
-
-
-def _code_digest() -> str:
-    """Digest of the rule and checker sources, mixed into the cache key
-    so editing either invalidates previously cached verification runs."""
-    digest = hashlib.sha256()
-    for source in (tpi_rules.__file__, __file__):
-        digest.update(Path(source).read_bytes())
-    return digest.hexdigest()
-
-
-def modelcheck_fingerprint(configs: Sequence[ModelConfig]) -> str:
-    """Content key for a cached model-checking report."""
-    from repro.runtime.cache import cache_salt
-    from repro.runtime.jobs import canonical_json
-
-    payload = canonical_json({
-        "salt": cache_salt(),
-        "kind": "modelcheck",
-        "version": MODELCHECK_VERSION,
-        "code": _code_digest(),
-        "configs": [config.to_dict() for config in configs],
-    })
-    return hashlib.sha256(payload.encode()).hexdigest()
+                       *, replay: bool = True) -> mc_core.ProtocolSelfTest:
+    """Seed each known protocol bug and require a counterexample; with
+    ``replay``, production must refute each mutant's trace."""
+    return mc_core.self_test(
+        protocol_mutants(),
+        tuple(configs) if configs is not None else SELF_TEST_CONFIGS,
+        check_config, replay_counterexample if replay else None,
+        subject="protocol")
 
 
 def modelcheck_report(configs: Optional[Sequence[ModelConfig]] = None, *,
@@ -791,100 +485,27 @@ def modelcheck_report(configs: Optional[Sequence[ModelConfig]] = None, *,
                       max_states: int = 2_000_000,
                       replay: bool = True,
                       cache=None) -> Report:
-    """Run the bounded-exhaustive check and report as lint diagnostics.
+    """Run the bounded-exhaustive check and report as lint diagnostics
+    (cached for the production rules, see :func:`mc_core.report`).
 
-    * ``MC001`` (error) per staleness-safety counterexample, its trace in
-      ``detail["trace"]`` and the production replay verdict in
-      ``detail["replay"]``;
-    * ``MC002`` (error) when the production replay *refutes* a
-      counterexample found against the production rules — the model has
-      drifted from the implementation;
-    * ``MC003`` (warning) when a configuration's epoch bound forces
-      fewer than two counter wrap-arounds (the corner the check exists
-      to cover is then not exercised);
-    * ``MC004`` (warning) when the state backstop truncated the search
-      (the exhaustiveness claim is void).
-
-    Reports for the production rules flow through the artifact cache
-    under the ``modelcheck`` kind, keyed by the bounds *and a digest of
-    the rule/checker sources*, so a warm re-verify is a pickle load but
-    any semantic edit re-verifies.
+    ``MC001`` (error) per counterexample, with its trace and replay
+    verdict in the detail; ``MC002`` (error) when production refutes a
+    counterexample to the production rules (model drift); ``MC003``
+    (warning) when a config forces fewer than two counter wrap-arounds;
+    ``MC004`` (warning) when the state backstop truncated the search.
     """
-    configs = tuple(configs) if configs is not None else DEFAULT_CONFIGS
-    key = None
-    if cache is not None and rules is PRODUCTION_RULES:
-        from repro.runtime.cache import KIND_MODELCHECK
+    return mc_core.report(
+        PROTOCOL, tuple(configs) if configs is not None else DEFAULT_CONFIGS,
+        rules, production=rules is PRODUCTION_RULES, check=check_config,
+        replay_fn=replay_counterexample, max_violations=max_violations,
+        max_states=max_states, replay=replay, cache=cache)
 
-        key = modelcheck_fingerprint(configs)
-        cached = cache.load(KIND_MODELCHECK, key)
-        if isinstance(cached, Report):
-            cached.meta["cache"] = "hit"
-            return cached
-    report = Report(subject="tpi-protocol", tool="modelcheck")
-    report.meta["rules"] = rules.name
-    report.meta["configs"] = ",".join(config.label for config in configs)
-    total_states = total_transitions = total_reads = 0
-    elapsed = 0.0
-    results: List[CheckResult] = []
-    for config in configs:
-        result = check_config(config, rules, max_violations=max_violations,
-                              max_states=max_states)
-        results.append(result)
-        total_states += result.states
-        total_transitions += result.transitions
-        total_reads += result.reads_checked
-        elapsed += result.elapsed
-        if config.wraps < 2:
-            report.add(Diagnostic(
-                "MC003",
-                f"{config.label}: {config.max_epochs} epochs force only "
-                f"{config.wraps} counter wrap-around(s); the timetag "
-                f"recycling corner is not fully exercised",
-                detail={"config": config.to_dict()}))
-        if result.truncated:
-            report.add(Diagnostic(
-                "MC004",
-                f"{config.label}: state backstop reached after "
-                f"{result.states} states; enumeration is not exhaustive",
-                detail={"config": config.to_dict()}))
-        for violation in result.violations:
-            detail: Dict[str, Any] = {
-                "config": config.to_dict(),
-                "trace": violation.render(),
-                "proc": violation.proc,
-                "word": violation.word,
-                "mark": violation.mark,
-                "stale_since": violation.stale_since,
-            }
-            if replay:
-                outcome = replay_counterexample(violation)
-                detail["replay"] = ("confirmed" if outcome.confirmed
-                                    else "refuted")
-                detail["replay_detail"] = outcome.detail
-                if outcome.refuted and rules is PRODUCTION_RULES:
-                    report.add(Diagnostic(
-                        "MC002",
-                        f"{config.label}: production TpiScheme refuted the "
-                        f"model counterexample ({outcome.detail}); the "
-                        f"abstract model has drifted from the implementation",
-                        detail={"config": config.to_dict(),
-                                "trace": violation.render()}))
-            report.add(Diagnostic(
-                "MC001",
-                f"{config.label}: {violation.mark} Time-Read by "
-                f"p{violation.proc} of w{violation.word} at epoch "
-                f"{violation.epoch} hits a copy stale since epoch "
-                f"{violation.stale_since}",
-                epoch=str(violation.epoch), detail=detail))
-    report.meta["states"] = total_states
-    report.meta["transitions"] = total_transitions
-    report.meta["reads_checked"] = total_reads
-    report.meta["wraps"] = min(config.wraps for config in configs)
-    report.meta["elapsed"] = round(elapsed, 3)
-    report.meta["results"] = [r.summary() for r in results]
-    if cache is not None and key is not None:
-        from repro.runtime.cache import KIND_MODELCHECK
 
-        cache.store(KIND_MODELCHECK, key, report)
-        report.meta["cache"] = "miss"
-    return report
+PROTOCOL = mc_core.Protocol(
+    subject="tpi-protocol", kind="modelcheck",
+    scheme="TpiScheme", codes=("MC001", "MC002", "MC003", "MC004"),
+    coverage={}, sources=(tpi_rules.__file__, __file__), config=ModelConfig,
+    cli_bounds={"procs": "n_procs", "lines": "n_lines",
+                "words": "line_words", "k": "timetag_bits",
+                "epochs": "max_epochs"},
+    report=modelcheck_report, self_test=protocol_self_test)

@@ -1,75 +1,43 @@
 """Bounded-exhaustive model checking of the Tardis lease protocol.
 
-The TPI checker (:mod:`repro.analysis.modelcheck`) verifies the 1996
-timetag protocol; this module does the same for its 2015 descendant,
-:class:`~repro.coherence.tardis.TardisScheme`.  The protocol is
-expressed as guarded actions over an explicit abstract state and every
-reachable state of tiny configurations is enumerated, asserting
-staleness safety on each read that *serves cached data* (a lease hit or
-a data-less renewal — the two paths where Tardis trusts a copy it did
-not just fetch).
-
-As with the TPI checker, the transition rules are not a transcription
-of the simulator: every protocol decision — the ``rts >= pts`` lease
-hit test, the commutative lease grant, the ``max(pts, mem_rts + 1)``
-write ordering, the barrier ``pts`` join, the data-less renewal guard,
-and the Tardis 2.0 rebase geometry — is taken from
+The protocol module for :mod:`repro.analysis.mc_core` that checks
+:class:`~repro.coherence.tardis.TardisScheme`, the 2015 descendant of
+the TPI timetags (:mod:`repro.analysis.modelcheck`).  Every decision
+(the ``rts >= pts`` lease hit, the commutative grant, ``max(pts,
+mem_rts + 1)`` write ordering, the barrier ``pts`` join, the data-less
+renewal guard, the Tardis 2.0 rebase geometry) is taken from
 :mod:`repro.coherence.tardis_rules`, the same pure functions the
 reference scheme and the batched kernel execute.
 
-Abstract state
---------------
-``(pts, base, mem, vers, floor, caches, rebases)``: per-processor
+State ``(pts, base, mem, vers, floor, caches, rebases)``: per-processor
 logical timestamps, the representable-window base, per-line home
-``(wts, rts)``, per-word ghost *data versions* (current, and the floor
-committed at the last barrier), and per-processor cached copies
-``(wts, rts, versions)``.  Timestamps are bounded by ``max_ts`` —
-writes that would mint a larger timestamp are pruned, which (with the
-rebase clamp) makes the state space finite.  The rebase counter
-saturates at 2, so states beyond the second rebase merge.
+``(wts, rts)``, per-word ghost data versions (current, and the floor
+committed at the last barrier), and per-processor copies ``(wts, rts,
+versions)``.  Writes that would mint a timestamp above ``max_ts`` are
+pruned, which (with the rebase clamp) keeps the space finite; the rebase
+counter saturates at 2.
 
-Guarded actions
----------------
-* ``barrier`` — join every ``pts`` to the global max, promote the
-  version floor, and rebase (clamping every stored timestamp) when the
-  lease frontier would leave the ``2^k`` window.
-* ``write p l w`` — re-validate a resident copy whose freshness proof
-  is gone (the exclusive-ownership upgrade fetch), then order the write
-  after every lease on the line and stamp the whole line current.
-* ``read p l w`` — a live lease serves the cached word (checked); an
-  expired lease renews data-lessly when the line was provably unwritten
-  since the fill (served word checked), else re-fetches.
+Actions: ``barrier`` joins every ``pts``, promotes the floor and rebases
+when the lease frontier would leave the ``2^k`` window; ``write p l w``
+re-validates a doubtful resident copy, orders the write after every
+lease and stamps the line; ``read p l w`` is a lease hit, a data-less
+renewal when the line is provably unwritten since the fill, or a fetch.
 
-Invariant
----------
-**Staleness safety**: a read served from a cached copy must never
-return a word version older than the floor committed at the last
-barrier.  Within-epoch staleness is Tardis's whole point (live leases
-serve the old value at an earlier logical time) and is not a violation.
-
-Counterexample traces replay through the production
-:class:`~repro.coherence.tardis.TardisScheme`
-(:func:`replay_tardis_counterexample`); its per-read version oracle is
-the judge.  :func:`tardis_self_test` seeds known protocol bugs —
-including the write-skips-revalidation bug actually found while
-building the scheme — and gates on 100% counterexample detection.
+Invariant (**staleness safety**): a read served from a cached copy (hit
+or renewal) never returns a version below the last barrier's floor.
+Within-epoch staleness is Tardis's contract, not a violation.
 """
 
 from __future__ import annotations
 
-import hashlib
-import time
-from collections import deque
-from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, replace
+from functools import partial
+from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, Report
+from repro.analysis import mc_core
+from repro.analysis.diagnostics import Report
 from repro.coherence import tardis_rules
 from repro.common.errors import ConfigError
-
-MODELCHECK_TARDIS_VERSION = 1
-"""Bump on any change to the abstract state or action semantics."""
 
 
 # --------------------------------------------------------------------- config
@@ -77,13 +45,9 @@ MODELCHECK_TARDIS_VERSION = 1
 
 @dataclass(frozen=True)
 class TardisModelConfig:
-    """Bounds of one exhaustive enumeration.
-
-    ``max_ts`` bounds logical time: no write may mint a timestamp above
-    it.  ``max_ts // 2^k`` is the number of representable windows the
-    bound forces the protocol through (each crossing is a rebase), the
-    Tardis analogue of the TPI checker's counter wrap-arounds.
-    """
+    """Bounds of one exhaustive enumeration.  ``max_ts`` bounds logical
+    time (no write mints a larger timestamp); ``max_ts // 2^k`` windows
+    crossed, each a rebase, are the analogue of TPI's counter wraps."""
 
     n_procs: int = 2
     n_lines: int = 1
@@ -121,10 +85,7 @@ class TardisModelConfig:
                 f".k{self.timestamp_bits}.s{self.lease}.t{self.max_ts}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {"n_procs": self.n_procs, "n_lines": self.n_lines,
-                "line_words": self.line_words,
-                "timestamp_bits": self.timestamp_bits,
-                "lease": self.lease, "max_ts": self.max_ts}
+        return asdict(self)
 
 
 #: The CI gate: every config reaches >= 2 rebases, covering 2-3
@@ -151,14 +112,10 @@ TARDIS_DEFAULT_CONFIGS: Tuple[TardisModelConfig, ...] = (
 
 @dataclass(frozen=True)
 class TardisRules:
-    """The protocol decisions the checker consults, as swappable slots.
-
-    The defaults bind the production functions from
-    :mod:`repro.coherence.tardis_rules`.  ``write_renewal_ok`` is the
-    *write path's* revalidation guard — the same production rule, in a
-    separate slot so the self-test can break the write path alone (the
-    shape of the real bug found while building the scheme).
-    """
+    """The protocol decisions the checker consults, as swappable slots
+    bound to :mod:`repro.coherence.tardis_rules` by default.
+    ``write_renewal_ok`` is the write path's revalidation guard: the same
+    rule, in its own slot so the self-test can break the write alone."""
 
     name: str = "production"
     lease_hit: Callable[..., bool] = tardis_rules.lease_hit
@@ -179,25 +136,20 @@ TARDIS_PRODUCTION_RULES = TardisRules()
 def tardis_mutants() -> Tuple[TardisRules, ...]:
     """Known protocol bugs the checker must detect (the self-test seeds)."""
     return (
-        # Renewal equality without the ``mem_wts > base`` guard: after a
-        # rebase, a stale copy and the written home both clamp to the
-        # base, equality proves nothing, and the renewal serves old data.
+        # Renewal without the ``mem_wts > base`` guard: after a rebase a
+        # stale copy and the written home both clamp to the base.
         replace(TARDIS_PRODUCTION_RULES, name="renewal-ignores-base",
                 renewal_ok=lambda cached_wts, mem_wts, base:
                 cached_wts == mem_wts),
-        # The write trusts any resident copy: a write to one word of a
-        # line that missed a remote write re-leases its stale siblings.
-        # This is the real bug found (and pinned) while building the
-        # scheme's write path.
+        # The write trusts any resident copy, re-leasing the stale siblings
+        # of the written word (the real bug found building the scheme).
         replace(TARDIS_PRODUCTION_RULES, name="write-skips-revalidate",
                 write_renewal_ok=lambda cached_wts, mem_wts, base: True),
-        # The home lease frontier is overwritten instead of max-merged:
-        # a low-pts reader retracts an earlier reader's longer lease, so
-        # a write gets ordered *inside* that still-live lease.
+        # The home lease frontier is overwritten, not max-merged, so a
+        # write gets ordered inside an earlier reader's live lease.
         replace(TARDIS_PRODUCTION_RULES, name="grant-caps-rts",
                 lease_grant=lambda pts, mem_rts, lease: pts + lease),
-        # Off-by-one hit window: a lease is honoured one timestamp past
-        # its expiry — exactly long enough to straddle a barrier join.
+        # A lease honoured one timestamp past expiry straddles a barrier.
         replace(TARDIS_PRODUCTION_RULES, name="lease-off-by-one",
                 lease_hit=lambda pts, rts: rts + 1 >= pts),
     )
@@ -207,11 +159,9 @@ def tardis_mutants() -> Tuple[TardisRules, ...]:
 
 
 @dataclass(frozen=True)
-class TardisViolation:
+class TardisViolation(mc_core.Violation):
     """One staleness-safety counterexample."""
 
-    config: TardisModelConfig
-    trace: Tuple[Tuple, ...]  # state-changing actions from the initial state
     proc: int
     line: int
     word: int
@@ -219,53 +169,47 @@ class TardisViolation:
     version: int
     floor: int
 
-    def render(self) -> List[str]:
-        lines: List[str] = []
-        for action in self.trace:
-            if action[0] == "barrier":
-                note = " + rebase" if action[2] else ""
-                lines.append(f"barrier (pts join -> {action[1]}{note})")
-            elif action[0] == "write":
-                lines.append(f"  p{action[1]} writes l{action[2]}"
-                             f".w{action[3]}")
-            else:
-                how = action[4] if len(action) > 4 else "fetch"
-                lines.append(f"  p{action[1]} reads l{action[2]}"
-                             f".w{action[3]} -> {how}")
-        lines.append(f"  p{self.proc} reads l{self.line}.w{self.word} -> "
-                     f"{self.served} serves version {self.version} below "
-                     f"the barrier floor {self.floor}  "
-                     f"** staleness-safety violation")
-        return lines
+    def render_action(self, action: Tuple) -> str:
+        if action[0] == "barrier":
+            note = " + rebase" if action[2] else ""
+            return f"barrier (pts join -> {action[1]}{note})"
+        if action[0] == "write":
+            return f"  p{action[1]} writes l{action[2]}.w{action[3]}"
+        return f"  p{action[1]} reads l{action[2]}.w{action[3]} -> {action[4]}"
+
+    def breach(self) -> str:
+        return (f"  p{self.proc} reads l{self.line}.w{self.word} -> "
+                f"{self.served} serves version {self.version} below the "
+                f"barrier floor {self.floor}")
+
+    def describe(self) -> str:
+        return (f"a {self.served} read by p{self.proc} of "
+                f"l{self.line}.w{self.word} serves version {self.version} "
+                f"below the barrier floor {self.floor}")
+
+    def detail(self) -> Dict[str, Any]:
+        return {"proc": self.proc, "line": self.line, "word": self.word,
+                "served": self.served, "version": self.version,
+                "floor": self.floor}
 
 
 @dataclass
-class TardisCheckResult:
+class TardisCheckResult(mc_core.CheckResult):
     """Outcome of exhausting one bounded configuration."""
 
-    config: TardisModelConfig
-    rules: str
-    states: int = 0
-    transitions: int = 0
-    reads_checked: int = 0
     max_rebases: int = 0
-    violations: List[TardisViolation] = field(default_factory=list)
-    truncated: bool = False
-    elapsed: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations and not self.truncated
+    tool = "modelcheck-tardis"
+    reads_noun = "served reads"
 
-    def summary(self) -> str:
-        verdict = ("OK" if self.ok else
-                   f"{len(self.violations)} counterexample(s)"
-                   + (", TRUNCATED" if self.truncated else ""))
-        return (f"modelcheck-tardis {self.config.label} [{self.rules}]: "
-                f"{self.states} states, {self.transitions} transitions, "
-                f"{self.reads_checked} served reads checked, "
-                f">={self.max_rebases} rebase(s) reached in "
-                f"{self.elapsed:.2f}s -> {verdict}")
+    def coverage(self) -> str:
+        return f">={self.max_rebases} rebase(s) reached"
+
+    def coverage_gap(self) -> Optional[str]:
+        if self.max_rebases >= 2:
+            return None
+        return (f"the bounds reach only {self.max_rebases} rebase(s); the "
+                f"timestamp-compression corner is not fully exercised")
 
 
 # ------------------------------------------------------------ the enumerator
@@ -282,13 +226,12 @@ def _initial_state(config: TardisModelConfig):
             0)                               # rebases (saturates at 2)
 
 
-def _successors(state, config: TardisModelConfig, rules: TardisRules
-                ) -> Iterator[Tuple[Tuple, Optional[Tuple], Optional[Tuple]]]:
-    """Yield ``(action, next_state, violation_info)`` triples.
-
-    A lease-hit read leaves the state unchanged: it yields no successor,
-    only (on an invariant breach) a violation triple.  ``violation_info``
-    is ``(proc, line, word, served, version, floor)``.
+def _successors(state, config: TardisModelConfig,
+                rules: TardisRules) -> Iterator[Tuple]:
+    """Yield ``(action, next_state, breach, served)`` per the core's
+    successor contract; ``served`` marks lease hits and data-less
+    renewals.  ``breach`` is the :class:`TardisViolation` fields
+    ``(proc, line, word, served, version, floor)``.
     """
     pts, base, mem, vers, floor, caches, rebases = state
     n_procs, n_lines = config.n_procs, config.n_lines
@@ -308,12 +251,12 @@ def _successors(state, config: TardisModelConfig, rules: TardisRules
             for cache in caches)
         barrier_state = ((joined,) * n_procs, new_base, new_mem, vers, vers,
                          new_caches, min(rebases + 1, 2))
-        yield ("barrier", joined, True), barrier_state, None
+        yield ("barrier", joined, True), barrier_state, None, False
     else:
         barrier_state = ((joined,) * n_procs, base, mem, vers, vers,
                          caches, rebases)
         if barrier_state != state:
-            yield ("barrier", joined, False), barrier_state, None
+            yield ("barrier", joined, False), barrier_state, None, False
 
     # -- writes: revalidate a doubtful resident copy, then stamp through.
     for proc in range(n_procs):
@@ -344,7 +287,7 @@ def _successors(state, config: TardisModelConfig, rules: TardisRules
                               + caches[proc + 1:])
                 yield (("write", proc, line, word),
                        (new_pts, base, new_mem, new_vers, floor, new_caches,
-                        rebases), None)
+                        rebases), None, False)
 
     # -- reads: hit / data-less renewal / fetch.
     for proc in range(n_procs):
@@ -359,13 +302,12 @@ def _successors(state, config: TardisModelConfig, rules: TardisRules
                 if copy is not None:
                     cached_wts, cached_rts, cached_vers = copy
                     if bool(rules.lease_hit(pts[proc], cached_rts)):
+                        breach = None
                         if cached_vers[word] < floor[line][word]:
-                            yield (("read", proc, line, word, "hit"), None,
-                                   (proc, line, word, "hit",
-                                    cached_vers[word], floor[line][word]))
-                        else:
-                            yield (("read", proc, line, word, "hit"),
-                                   None, None)
+                            breach = (proc, line, word, "hit",
+                                      cached_vers[word], floor[line][word])
+                        yield (("read", proc, line, word, "hit"), None,
+                               breach, True)
                         continue
                     if bool(rules.renewal_ok(cached_wts, mem_wts, base)):
                         breach = None
@@ -379,7 +321,7 @@ def _successors(state, config: TardisModelConfig, rules: TardisRules
                                       + caches[proc + 1:])
                         yield (("read", proc, line, word, "renew"),
                                (pts, base, granted_mem, vers, floor,
-                                new_caches, rebases), breach)
+                                new_caches, rebases), breach, True)
                         continue
                 # Miss or unprovable copy: fetch current data + lease.
                 new_cache = (caches[proc][:line]
@@ -388,303 +330,90 @@ def _successors(state, config: TardisModelConfig, rules: TardisRules
                 new_caches = caches[:proc] + (new_cache,) + caches[proc + 1:]
                 yield (("read", proc, line, word, "fetch"),
                        (pts, base, granted_mem, vers, floor, new_caches,
-                        rebases), None)
-
-
-def _trace_to(parents, state) -> Tuple[Tuple, ...]:
-    actions: List[Tuple] = []
-    while True:
-        link = parents[state]
-        if link is None:
-            break
-        state, action = link
-        actions.append(action)
-    return tuple(reversed(actions))
+                        rebases), None, False)
 
 
 def tardis_check_config(config: TardisModelConfig,
                         rules: TardisRules = TARDIS_PRODUCTION_RULES, *,
                         max_violations: int = 1,
                         max_states: int = 2_000_000) -> TardisCheckResult:
-    """Exhaustively enumerate every reachable state of one configuration.
-
-    Breadth-first, so the first counterexample found has a minimal
-    action trace; ``max_states`` is the runaway backstop (hitting it
-    voids the exhaustiveness claim and marks the result truncated).
-    """
-    start = time.perf_counter()
+    """Exhaustively enumerate every reachable state of one configuration
+    (breadth-first, see :func:`repro.analysis.mc_core.explore`)."""
     result = TardisCheckResult(config=config, rules=rules.name)
-    init = _initial_state(config)
-    parents: Dict[Tuple, Optional[Tuple]] = {init: None}
-    frontier = deque([init])
-    while frontier:
-        if len(parents) > max_states:
-            result.truncated = True
-            break
-        state = frontier.popleft()
-        for action, nxt, breach in _successors(state, config, rules):
-            result.transitions += 1
-            if (action[0] == "read" and action[4] in ("hit", "renew")
-                    and breach is None):
-                result.reads_checked += 1
-            if breach is not None:
-                result.reads_checked += 1
-                proc, line, word, served, version, vfloor = breach
-                trace = _trace_to(parents, state)
-                if nxt is not None:  # the serving read is the last action
-                    trace = trace + (action,)
-                result.violations.append(TardisViolation(
-                    config=config, trace=trace, proc=proc, line=line,
-                    word=word, served=served, version=version, floor=vfloor))
-                if len(result.violations) >= max_violations:
-                    frontier.clear()
-                    break
-                continue
-            if nxt is not None and nxt not in parents:
-                parents[nxt] = (state, action)
-                result.max_rebases = max(result.max_rebases, nxt[6])
-                frontier.append(nxt)
-    result.states = len(parents)
-    result.elapsed = time.perf_counter() - start
+    reached = mc_core.explore(
+        result, _initial_state(config),
+        partial(_successors, config=config, rules=rules), TardisViolation,
+        max_violations=max_violations, max_states=max_states)
+    result.max_rebases = max(state[6] for state in reached)
     return result
 
 
-# --------------------------------------------------- production-replay check
-
-
-@dataclass(frozen=True)
-class TardisReplayOutcome:
-    """Production verdict on one model counterexample.
-
-    ``confirmed`` — the production :class:`TardisScheme`'s per-read
-    version oracle tripped on the same serving read, so the model's
-    counterexample is a genuine protocol bug.  Otherwise production
-    *refuted* the trace: expected for mutants, model drift for the
-    production rules.
-    """
-
-    confirmed: bool
-    final_kind: str
-    mismatches: Tuple[str, ...]
-    detail: str
-
-    @property
-    def refuted(self) -> bool:
-        return not self.confirmed
-
-
-def _tardis_replay_rig(config: TardisModelConfig):
-    """A production SimContext shaped like the model: one shared array
-    per line, a cache that holds every line, no marking (hardware)."""
-    from repro.common.config import CacheConfig, MachineConfig, TardisConfig
-    from repro.compiler.epochs import EpochGraph
-    from repro.compiler.marking import Marking
-    from repro.ir import ProgramBuilder
-    from repro.memsys.memory import ShadowMemory
-    from repro.memsys.network import KruskalSnirNetwork
-    from repro.trace.layout import MemoryLayout
-
-    n_sets = 1
-    while n_sets < config.n_lines:
-        n_sets *= 2
-    machine = MachineConfig(
-        n_procs=config.n_procs,
-        cache=CacheConfig(size_bytes=n_sets * config.line_words * 4,
-                          line_words=config.line_words),
-        tardis=TardisConfig(lease=config.lease,
-                            timestamp_bits=config.timestamp_bits),
-    )
-    builder = ProgramBuilder("modelcheck-tardis-replay")
-    for line in range(config.n_lines):
-        builder.array(f"A{line}", (config.line_words,))
-    with builder.procedure("main"):
-        pass
-    program = builder.build()
-    layout = MemoryLayout(program, config.n_procs, config.line_words)
-    from repro.coherence.api import SimContext
-
-    return SimContext(machine=machine,
-                      marking=Marking(tpi={}, sc={}, graph=EpochGraph()),
-                      shadow=ShadowMemory(layout.total_words),
-                      network=KruskalSnirNetwork(machine), layout=layout)
+# ------------------------------------------------------- production replay
 
 
 def replay_tardis_counterexample(violation: TardisViolation
-                                 ) -> TardisReplayOutcome:
+                                 ) -> mc_core.ReplayOutcome:
     """Drive the production TardisScheme through a counterexample trace.
 
     ``barrier`` becomes ``end_epoch`` + shadow barrier; reads and writes
-    become scheme accesses.  The production shadow memory's own version
-    oracle is the staleness judge, so confirmation does not depend on
-    the model's ghost state.
+    become scheme accesses.  The production shadow memory, not the
+    model's ghost state, judges staleness.
     """
     from repro.coherence.api import make_scheme
-    from repro.common.errors import SimulationError
+    from repro.common.config import TardisConfig
     from repro.common.stats import MissKind
+    from repro.compiler.epochs import EpochGraph
+    from repro.compiler.marking import Marking
 
     config = violation.config
-    ctx = _tardis_replay_rig(config)
+    ctx = mc_core.replay_rig(
+        config, Marking(tpi={}, sc={}, graph=EpochGraph()),
+        tardis=TardisConfig(lease=config.lease,
+                            timestamp_bits=config.timestamp_bits))
     scheme = make_scheme("tardis", ctx)
 
-    def addr_of(line: int, word: int) -> int:
-        return ctx.layout.addr_of(f"A{line}", (word,))
-
-    final = (("read", violation.proc, violation.line, violation.word,
-              violation.served),)
-    mismatches: List[str] = []
-    final_kind = "none"
-    confirmed = False
-    detail = ""
-    trace = violation.trace + final
-    for index, action in enumerate(trace):
-        last = index == len(trace) - 1
+    def perform(action):
         if action[0] == "barrier":
             scheme.end_epoch(None)
             ctx.shadow.barrier()
-        elif action[0] == "write":
-            _, proc, line, word = action
-            scheme.write(proc, addr_of(line, word), 0, True, False)
-        else:
-            _, proc, line, word = action[:4]
-            how = action[4] if len(action) > 4 else "fetch"
-            try:
-                outcome = scheme.read(proc, addr_of(line, word), 0, True,
-                                      False)
-            except SimulationError as exc:
-                final_kind = "stale-hit"
-                if last:
-                    confirmed = True
-                    detail = f"production confirmed the stale read: {exc}"
-                else:
-                    mismatches.append(
-                        f"step {index}: production already stale ({exc})")
-                    detail = "production went stale before the final read"
-                break
-            hit = outcome.kind is MissKind.HIT
-            final_kind = "hit" if hit else outcome.kind.name.lower()
-            if last:
-                detail = ("production hit fresh data" if hit else
-                          f"production served fresh data ({final_kind})")
-            elif how == "fetch" and hit:
-                mismatches.append(
-                    f"step {index}: production hit where the model fetched")
-            elif how in ("hit", "renew") and outcome.read_words > 0:
-                mismatches.append(
-                    f"step {index}: production fetched where the model "
-                    f"served cached data")
-    return TardisReplayOutcome(confirmed=confirmed, final_kind=final_kind,
-                               mismatches=tuple(mismatches), detail=detail)
+            return None
+        addr = ctx.layout.addr_of(f"A{action[2]}", (action[3],))
+        if action[0] == "write":
+            scheme.write(action[1], addr, 0, True, False)
+            return None
+        return scheme.read(action[1], addr, 0, True, False)
+
+    def mismatch(action, outcome) -> Optional[str]:
+        if action[4] == "fetch" and outcome.kind is MissKind.HIT:
+            return "production hit where the model fetched"
+        if action[4] != "fetch" and outcome.read_words > 0:
+            return "production fetched where the model served cached data"
+        return None
+
+    return mc_core.replay(violation.trace, perform, mismatch,
+                          missed="served fresh data")
 
 
-# ------------------------------------------------- protocol mutation gate
-
-
-@dataclass(frozen=True)
-class TardisMutation:
-    """One seeded protocol bug and whether the checker caught it."""
-
-    name: str
-    caught: bool
-    config_label: str
-    states: int
-    refuted_by_production: Optional[bool]
-
-
-@dataclass
-class TardisSelfTest:
-    """Outcome of the Tardis protocol mutation self-test."""
-
-    mutations: List[TardisMutation] = field(default_factory=list)
-
-    @property
-    def seeded(self) -> int:
-        return len(self.mutations)
-
-    @property
-    def caught(self) -> int:
-        return sum(1 for m in self.mutations if m.caught)
-
-    @property
-    def missed(self) -> List[TardisMutation]:
-        return [m for m in self.mutations if not m.caught]
-
-    @property
-    def detection_rate(self) -> float:
-        return self.caught / self.seeded if self.seeded else 1.0
-
-    def summary(self) -> str:
-        return (f"tardis mutation self-test: {self.caught}/{self.seeded} "
-                f"seeded protocol bugs produced counterexamples")
+# ------------------------------------------------ mutation gate and report
 
 
 #: Small grid for the self-test; every mutant must fall on one of these.
-#: The two-line config reaches the rebase-collapse and retracted-lease
-#: corners (a second line pumps logical time past the first line's
-#: timestamps); the two-word config reaches the stale-sibling corner.
+#: The two-word config reaches the stale-sibling corner; the two-line
+#: config reaches the rebase-collapse and retracted-lease corners (a
+#: second line pumps logical time past the first line's timestamps).
 TARDIS_SELF_TEST_CONFIGS: Tuple[TardisModelConfig, ...] = (
-    TardisModelConfig(n_procs=2, n_lines=1, line_words=2, timestamp_bits=2,
-                      lease=1, max_ts=8),
-    TardisModelConfig(n_procs=2, n_lines=2, line_words=1, timestamp_bits=2,
-                      lease=1, max_ts=4),
-)
+    TARDIS_DEFAULT_CONFIGS[1], TARDIS_DEFAULT_CONFIGS[3])
 
 
 def tardis_self_test(configs: Optional[Sequence[TardisModelConfig]] = None,
-                     *, replay: bool = True) -> TardisSelfTest:
-    """Seed each known protocol bug and require a counterexample.
-
-    Each counterexample also replays against the production scheme,
-    which must *refute* it (production does not have the seeded bug).
-    """
-    configs = (tuple(configs) if configs is not None
-               else TARDIS_SELF_TEST_CONFIGS)
-    result = TardisSelfTest()
-    for mutant in tardis_mutants():
-        caught = False
-        label = ""
-        states = 0
-        refuted: Optional[bool] = None
-        for config in configs:
-            check = tardis_check_config(config, mutant)
-            states += check.states
-            if check.violations:
-                caught = True
-                label = config.label
-                if replay:
-                    refuted = replay_tardis_counterexample(
-                        check.violations[0]).refuted
-                break
-        result.mutations.append(TardisMutation(
-            name=mutant.name, caught=caught, config_label=label,
-            states=states, refuted_by_production=refuted))
-    return result
-
-
-# ----------------------------------------------------------- report plumbing
-
-
-def _code_digest() -> str:
-    """Digest of the rule and checker sources, mixed into the cache key
-    so editing either invalidates previously cached verification runs."""
-    digest = hashlib.sha256()
-    for source in (tardis_rules.__file__, __file__):
-        digest.update(Path(source).read_bytes())
-    return digest.hexdigest()
-
-
-def tardis_modelcheck_fingerprint(configs: Sequence[TardisModelConfig]) -> str:
-    """Content key for a cached tardis model-checking report."""
-    from repro.runtime.cache import cache_salt
-    from repro.runtime.jobs import canonical_json
-
-    payload = canonical_json({
-        "salt": cache_salt(),
-        "kind": "modelcheck-tardis",
-        "version": MODELCHECK_TARDIS_VERSION,
-        "code": _code_digest(),
-        "configs": [config.to_dict() for config in configs],
-    })
-    return hashlib.sha256(payload.encode()).hexdigest()
+                     *, replay: bool = True) -> mc_core.ProtocolSelfTest:
+    """Seed each known protocol bug and require a counterexample; with
+    ``replay``, production must refute each mutant's trace."""
+    return mc_core.self_test(
+        tardis_mutants(),
+        tuple(configs) if configs is not None else TARDIS_SELF_TEST_CONFIGS,
+        tardis_check_config,
+        replay_tardis_counterexample if replay else None, subject="tardis")
 
 
 def tardis_modelcheck_report(
@@ -694,103 +423,30 @@ def tardis_modelcheck_report(
         max_states: int = 2_000_000,
         replay: bool = True,
         cache=None) -> Report:
-    """Run the bounded-exhaustive check and report as lint diagnostics.
+    """Run the bounded-exhaustive check and report as lint diagnostics
+    (cached for the production rules, see :func:`mc_core.report`).
 
-    * ``MC101`` (error) per staleness-safety counterexample;
-    * ``MC102`` (error) when the production replay refutes a
-      counterexample found against the production rules (model drift);
-    * ``MC103`` (warning) when a configuration's enumeration never
-      reached a second rebase, so the timestamp-compression corner is
-      under-exercised;
-    * ``MC104`` (warning) when the state backstop truncated the search.
-
-    Reports for the production rules flow through the artifact cache
-    (kind ``modelcheck``), keyed by the bounds and a digest of the
-    rule/checker sources.
+    ``MC101`` (error) per counterexample; ``MC102`` (error) when
+    production refutes a counterexample to the production rules (model
+    drift); ``MC103`` (warning) when a config never reaches a second
+    rebase; ``MC104`` (warning) when the state backstop truncated the
+    search.
     """
-    configs = (tuple(configs) if configs is not None
-               else TARDIS_DEFAULT_CONFIGS)
-    key = None
-    if cache is not None and rules is TARDIS_PRODUCTION_RULES:
-        from repro.runtime.cache import KIND_MODELCHECK
+    return mc_core.report(
+        PROTOCOL,
+        tuple(configs) if configs is not None else TARDIS_DEFAULT_CONFIGS,
+        rules, production=rules is TARDIS_PRODUCTION_RULES,
+        check=tardis_check_config, replay_fn=replay_tardis_counterexample,
+        max_violations=max_violations, max_states=max_states, replay=replay,
+        cache=cache)
 
-        key = tardis_modelcheck_fingerprint(configs)
-        cached = cache.load(KIND_MODELCHECK, key)
-        if isinstance(cached, Report):
-            cached.meta["cache"] = "hit"
-            return cached
-    report = Report(subject="tardis-protocol", tool="modelcheck")
-    report.meta["rules"] = rules.name
-    report.meta["configs"] = ",".join(config.label for config in configs)
-    total_states = total_transitions = total_reads = 0
-    min_rebases: Optional[int] = None
-    elapsed = 0.0
-    results: List[TardisCheckResult] = []
-    for config in configs:
-        result = tardis_check_config(config, rules,
-                                     max_violations=max_violations,
-                                     max_states=max_states)
-        results.append(result)
-        total_states += result.states
-        total_transitions += result.transitions
-        total_reads += result.reads_checked
-        elapsed += result.elapsed
-        min_rebases = (result.max_rebases if min_rebases is None
-                       else min(min_rebases, result.max_rebases))
-        if result.max_rebases < 2:
-            report.add(Diagnostic(
-                "MC103",
-                f"{config.label}: the bounds reach only "
-                f"{result.max_rebases} rebase(s); the "
-                f"timestamp-compression corner is not fully exercised",
-                detail={"config": config.to_dict()}))
-        if result.truncated:
-            report.add(Diagnostic(
-                "MC104",
-                f"{config.label}: state backstop reached after "
-                f"{result.states} states; enumeration is not exhaustive",
-                detail={"config": config.to_dict()}))
-        for violation in result.violations:
-            detail: Dict[str, Any] = {
-                "config": config.to_dict(),
-                "trace": violation.render(),
-                "proc": violation.proc,
-                "line": violation.line,
-                "word": violation.word,
-                "served": violation.served,
-                "version": violation.version,
-                "floor": violation.floor,
-            }
-            if replay:
-                outcome = replay_tardis_counterexample(violation)
-                detail["replay"] = ("confirmed" if outcome.confirmed
-                                    else "refuted")
-                detail["replay_detail"] = outcome.detail
-                if outcome.refuted and rules is TARDIS_PRODUCTION_RULES:
-                    report.add(Diagnostic(
-                        "MC102",
-                        f"{config.label}: production TardisScheme refuted "
-                        f"the model counterexample ({outcome.detail}); the "
-                        f"abstract model has drifted from the implementation",
-                        detail={"config": config.to_dict(),
-                                "trace": violation.render()}))
-            report.add(Diagnostic(
-                "MC101",
-                f"{config.label}: a {violation.served} read by "
-                f"p{violation.proc} of l{violation.line}.w{violation.word} "
-                f"serves version {violation.version} below the barrier "
-                f"floor {violation.floor}",
-                detail=detail))
-    report.meta["states"] = total_states
-    report.meta["transitions"] = total_transitions
-    report.meta["reads_checked"] = total_reads
-    report.meta["wraps"] = min(config.wraps for config in configs)
-    report.meta["rebases"] = min_rebases or 0
-    report.meta["elapsed"] = round(elapsed, 3)
-    report.meta["results"] = [r.summary() for r in results]
-    if cache is not None and key is not None:
-        from repro.runtime.cache import KIND_MODELCHECK
 
-        cache.store(KIND_MODELCHECK, key, report)
-        report.meta["cache"] = "miss"
-    return report
+PROTOCOL = mc_core.Protocol(
+    subject="tardis-protocol", kind="modelcheck-tardis",
+    scheme="TardisScheme", codes=("MC101", "MC102", "MC103", "MC104"),
+    coverage={"rebases": "max_rebases"},
+    sources=(tardis_rules.__file__, __file__), config=TardisModelConfig,
+    cli_bounds={"procs": "n_procs", "lines": "n_lines",
+                "words": "line_words", "k": "timestamp_bits",
+                "lease": "lease", "max_ts": "max_ts"},
+    report=tardis_modelcheck_report, self_test=tardis_self_test)

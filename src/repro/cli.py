@@ -66,6 +66,10 @@ from repro.ir.pprint import format_program
 from repro.sim import simulate_all
 from repro.workloads import build_workload, workload_names
 
+#: ``repro modelcheck --scheme`` -> the protocol module it checks.
+_MODELCHECKERS = {"tpi": "repro.analysis.modelcheck",
+                  "tardis": "repro.analysis.modelcheck_tardis"}
+
 
 def _add_runtime_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -174,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mck = sub.add_parser("modelcheck",
                          help="bounded-exhaustive protocol verification "
                               "(TPI timetags or Tardis leases)")
-    mck.add_argument("--scheme", choices=("tpi", "tardis"), default="tpi",
+    mck.add_argument("--scheme", choices=tuple(_MODELCHECKERS), default="tpi",
                      help="protocol to verify: the 1996 TPI timetags or "
                           "the Tardis lease protocol (default tpi)")
     mck.add_argument("--procs", type=int, metavar="N",
@@ -444,54 +448,39 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_modelcheck(args) -> int:
+    import importlib
+
     from repro.analysis.diagnostics import EXIT_USAGE
     from repro.runtime import ArtifactCache
 
-    tardis = args.scheme == "tardis"
-    if not tardis and (args.lease is not None or args.max_ts is not None):
-        print("error: --lease/--max-ts apply to --scheme tardis only",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if tardis and args.epochs is not None:
-        print("error: --epochs applies to --scheme tpi only (the tardis "
-              "horizon is --max-ts)", file=sys.stderr)
-        return EXIT_USAGE
-    if tardis:
-        from repro.analysis import (
-            TardisModelConfig as config_cls,
-            tardis_modelcheck_report as report_fn,
-            tardis_self_test as self_test_fn,
-        )
-
-        bounds = {"n_procs": args.procs, "n_lines": args.lines,
-                  "line_words": args.words, "timestamp_bits": args.k,
-                  "lease": args.lease, "max_ts": args.max_ts}
-    else:
-        from repro.analysis import (
-            ModelConfig as config_cls,
-            modelcheck_report as report_fn,
-            protocol_self_test as self_test_fn,
-        )
-
-        bounds = {"n_procs": args.procs, "n_lines": args.lines,
-                  "line_words": args.words, "timetag_bits": args.k,
-                  "max_epochs": args.epochs}
-    custom: Dict[str, int] = {key: value for key, value in bounds.items()
-                              if value is not None}
+    protocols = {scheme: importlib.import_module(module).PROTOCOL
+                 for scheme, module in _MODELCHECKERS.items()}
+    protocol = protocols[args.scheme]
+    for flag in sorted({flag for other in protocols.values()
+                        for flag in other.cli_bounds}):
+        if flag not in protocol.cli_bounds and getattr(args, flag) is not None:
+            owners = "/".join(scheme for scheme, other in protocols.items()
+                              if flag in other.cli_bounds)
+            print(f"error: --{flag.replace('_', '-')} applies to --scheme "
+                  f"{owners} only", file=sys.stderr)
+            return EXIT_USAGE
+    custom: Dict[str, int] = {field: getattr(args, flag)
+                              for flag, field in protocol.cli_bounds.items()
+                              if getattr(args, flag) is not None}
     try:
-        configs = [config_cls(**custom)] if custom else None
+        configs = [protocol.config(**custom)] if custom else None
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    report = report_fn(configs, replay=not args.no_replay, cache=cache)
+    report = protocol.report(configs, replay=not args.no_replay, cache=cache)
     print(report.render())
     for line in report.meta.get("results", ()):
         print("  " + line)
     code = report.exit_code(strict=args.strict)
     payload = report.to_dict()
     if args.self_test:
-        result = self_test_fn(replay=not args.no_replay)
+        result = protocol.self_test(replay=not args.no_replay)
         print(result.summary())
         for mutation in result.mutations:
             if mutation.caught:

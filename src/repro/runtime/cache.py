@@ -9,9 +9,9 @@ Four artifact kinds are stored, all pickled under their fingerprint:
 * ``lint`` — :class:`~repro.analysis.diagnostics.Report` from
   ``repro lint``, keyed by :func:`repro.analysis.lint.lint_fingerprint`;
 * ``modelcheck`` — :class:`~repro.analysis.diagnostics.Report` from
-  ``repro modelcheck``, keyed by
-  :func:`repro.analysis.modelcheck.modelcheck_fingerprint` (which digests
-  the rule/checker *source files*, so editing the protocol re-verifies).
+  ``repro modelcheck``, keyed by :func:`repro.analysis.mc_core.fingerprint`
+  (which digests the rule/checker *source files*, so editing the protocol
+  re-verifies).
 
 Layout: ``<root>/v<CACHE_VERSION>/<kind>/<key[:2]>/<key>.pkl``.  The root
 defaults to ``~/.cache/repro`` and can be overridden with the

@@ -1,5 +1,5 @@
 """Bounded-exhaustive protocol verification (repro.analysis.modelcheck
-and repro.analysis.modelcheck_tardis).
+and repro.analysis.modelcheck_tardis, on the shared repro.analysis.mc_core).
 
 Covers the verification claims end to end for both checked protocols
 (TPI timetags and Tardis leases): the default config grids are clean and
@@ -8,10 +8,15 @@ the *same* rule functions the production schemes execute, every seeded
 protocol bug yields a counterexample that the production implementation
 refutes (and, when production shares the bug, confirms), and the CLI /
 cache plumbing behaves like ``repro lint``'s.
+
+The self-test, report/cache and CLI cases are written once (the
+``_*Cases`` bases) and run per protocol by the TPI and Tardis classes,
+each of which binds ``P`` to that protocol's entry points.
 """
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +24,7 @@ from repro.analysis.diagnostics import RULES, Severity
 from repro.analysis.modelcheck import (
     DEFAULT_CONFIGS,
     PRODUCTION_RULES,
+    SELF_TEST_CONFIGS,
     ModelConfig,
     check_config,
     modelcheck_report,
@@ -44,6 +50,27 @@ from repro.runtime import ArtifactCache
 
 SMALL = ModelConfig(n_procs=2, n_lines=1, line_words=1, timetag_bits=2,
                     max_epochs=10)
+TARDIS_SMALL = TardisModelConfig(n_procs=2, n_lines=1, line_words=1,
+                                 timestamp_bits=2, lease=1, max_ts=9)
+
+TPI = SimpleNamespace(
+    small=SMALL, bigger=replace(SMALL, max_epochs=9),
+    shallow=replace(SMALL, max_epochs=6),
+    check=check_config, report=modelcheck_report,
+    self_test=protocol_self_test, mutants=protocol_mutants,
+    self_test_configs=SELF_TEST_CONFIGS,
+    codes=("MC001", "MC002", "MC003", "MC004"), coverage="wraps",
+    subject="tpi-protocol", scheme=(),
+    horizon="--epochs", deep="10", shallow_horizon="6")
+TARDIS = SimpleNamespace(
+    small=TARDIS_SMALL, bigger=replace(TARDIS_SMALL, max_ts=8),
+    shallow=replace(TARDIS_SMALL, max_ts=3),
+    check=tardis_check_config, report=tardis_modelcheck_report,
+    self_test=tardis_self_test, mutants=tardis_mutants,
+    self_test_configs=TARDIS_SELF_TEST_CONFIGS,
+    codes=("MC101", "MC102", "MC103", "MC104"), coverage="rebases",
+    subject="tardis-protocol", scheme=("--scheme", "tardis"),
+    horizon="--max-ts", deep="9", shallow_horizon="3")
 
 
 class TestSharedRules:
@@ -112,11 +139,21 @@ class TestDefaultGrid:
         assert not result.ok
 
 
-class TestMutationSelfTest:
+# ------------------------------------------------------------ shared cases
+
+
+class _SelfTestCases:
     """Acceptance gate: 100% of seeded protocol bugs must be caught."""
 
+    def first_violation(self, mutant):
+        for config in self.P.self_test_configs:
+            result = self.P.check(config, mutant)
+            if result.violations:
+                return result.violations[0]
+        pytest.fail(f"mutant {mutant.name} produced no counterexample")
+
     def test_every_seeded_bug_is_caught(self):
-        result = protocol_self_test(replay=False)
+        result = self.P.self_test(replay=False)
         assert result.seeded == 4
         assert result.detection_rate == 1.0, result.summary()
         assert result.missed == []
@@ -124,24 +161,168 @@ class TestMutationSelfTest:
     def test_production_refutes_every_mutant_counterexample(self):
         """The replay direction tests cannot fake: production does not
         have the seeded bugs, so it must reject each mutant's trace."""
-        result = protocol_self_test(replay=True)
+        result = self.P.self_test(replay=True)
         assert all(m.refuted_by_production for m in result.mutations), \
             [(m.name, m.refuted_by_production) for m in result.mutations]
+
+    def test_counterexample_renders_each_action_once(self):
+        """A trace ends with the serving read, which renders as the
+        violation line alone, never also as an ordinary action."""
+        for mutant in self.P.mutants():
+            violation = self.first_violation(mutant)
+            assert violation.trace[-1][0] == "read"
+            rendered = violation.render()
+            assert len(rendered) == len(violation.trace), rendered
+            assert rendered[-1].endswith("** staleness-safety violation")
+            assert not any("violation" in line for line in rendered[:-1])
+
+
+class _ReportCases:
+    def test_clean_report_exits_zero(self):
+        report = self.P.report([self.P.small], cache=None)
+        assert report.tool == "modelcheck"
+        assert report.exit_code() == 0
+        assert report.meta[self.P.coverage] >= 2
+        assert report.meta["states"] > 0
+        payload = report.to_dict()
+        assert payload["tool"] == "modelcheck"
+        assert payload["counts"]["error"] == 0
+
+    def coverage_warns(self):
+        report = self.P.report([self.P.shallow], cache=None)
+        assert [d.rule_id for d in report.diagnostics] == [self.P.codes[2]]
+        assert report.exit_code() == 0
+        assert report.exit_code(strict=True) == 1
+
+    def truncation_warns(self):
+        report = self.P.report([self.P.small], max_states=50, cache=None)
+        assert self.P.codes[3] in {d.rule_id for d in report.diagnostics}
+
+    def test_mc_rules_are_catalogued(self):
+        error, drift, coverage, truncation = self.P.codes
+        assert RULES[error].severity is Severity.ERROR
+        assert RULES[drift].severity is Severity.ERROR
+        assert RULES[coverage].severity is Severity.WARNING
+        assert RULES[truncation].severity is Severity.WARNING
+
+    def test_warm_repeat_hits_cache(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cold = self.P.report([self.P.small], cache=cache)
+        assert cold.meta["cache"] == "miss"
+        warm = self.P.report([self.P.small], cache=cache)
+        assert warm.meta["cache"] == "hit"
+        assert warm.to_dict()["counts"] == cold.to_dict()["counts"]
+        assert cache.stats().entries.get("modelcheck") == 1
+
+    def cache_key_depends_on_bounds(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        self.P.report([self.P.small], cache=cache)
+        other = self.P.report([self.P.bigger], cache=cache)
+        assert other.meta["cache"] == "miss"
+        assert cache.stats().entries.get("modelcheck") == 2
+
+    def test_cache_key_depends_on_search_bounds(self, tmp_path):
+        """A truncated run must not answer a later exhaustive one."""
+        cache = ArtifactCache(tmp_path)
+        truncated = self.P.report([self.P.small], max_states=50, cache=cache)
+        assert truncated.meta["cache"] == "miss"
+        assert self.P.codes[3] in {d.rule_id for d in truncated.diagnostics}
+        full = self.P.report([self.P.small], cache=cache)
+        assert full.meta["cache"] == "miss"
+        assert full.diagnostics == []
+        assert full.meta["states"] > truncated.meta["states"]
+        for bounds in ({"max_violations": 1}, {"replay": False}):
+            again = self.P.report([self.P.small], cache=cache, **bounds)
+            assert again.meta["cache"] == "miss", bounds
+        warm = self.P.report([self.P.small], cache=cache)
+        assert warm.meta["cache"] == "hit"
+
+    def test_mutant_reports_are_never_cached(self, tmp_path):
+        cache = ArtifactCache(tmp_path)
+        mutant = self.P.mutants()[0]
+        self.P.report([self.P.small], rules=mutant, cache=cache)
+        assert cache.stats().entries.get("modelcheck", 0) == 0
+
+
+class _CliCases:
+    def args(self, *extra, horizon=None):
+        return ["modelcheck", *self.P.scheme, "--procs", "2", "--lines", "1",
+                "--words", "1", "--k", "2", self.P.horizon,
+                horizon or self.P.deep, *extra]
+
+    def test_explicit_bounds_exit_zero(self, capsys):
+        assert main(self.args("--no-cache")) == 0
+        out = capsys.readouterr().out
+        assert f"modelcheck {self.P.subject}: 0 error(s)" in out
+        assert self.P.small.label in out
+
+    def test_bad_bounds_one_line_exit_2(self, capsys):
+        assert main(["modelcheck", *self.P.scheme, self.P.horizon, "99",
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_self_test_flag(self, capsys):
+        assert main(self.args("--no-cache", "--self-test",
+                              "--no-replay")) == 0
+        out = capsys.readouterr().out
+        assert "4/4 seeded protocol bugs" in out
+        assert "MISSED" not in out
+
+    def test_shallow_bounds_warn_but_exit_zero(self, capsys):
+        args = self.args("--no-cache", horizon=self.P.shallow_horizon)
+        assert main(args) == 0
+        assert self.P.codes[2] in capsys.readouterr().out
+        assert main([*args, "--strict"]) == 1
+
+    def test_json_report_written(self, tmp_path, capsys):
+        path = tmp_path / "mc.json"
+        assert main(self.args("--no-cache", "--json", str(path))) == 0
+        payload = json.loads(path.read_text())
+        assert payload["tool"] == "modelcheck"
+        assert payload["counts"]["error"] == 0
+        assert payload["meta"][self.P.coverage] >= 2
+
+    def test_unwritable_json_one_line_exit_2(self, capsys):
+        args = self.args("--no-cache", "--json", "/nonexistent-dir/out.json",
+                         horizon=self.P.shallow_horizon)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --json output")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_cache_dir_round_trip(self, tmp_path, capsys):
+        args = self.args("--cache-dir", str(tmp_path))
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "cache=hit" in capsys.readouterr().out
+
+
+# --------------------------------------------------------------------- tpi
+
+
+class TestMutationSelfTest(_SelfTestCases):
+    P = TPI
 
     @pytest.mark.parametrize("mutant", protocol_mutants(),
                              ids=lambda m: m.name)
     def test_each_mutant_falls_on_the_small_config(self, mutant):
-        for config in (SMALL,
-                       ModelConfig(n_procs=2, n_lines=1, line_words=2,
-                                   timetag_bits=2, max_epochs=8)):
-            result = check_config(config, mutant)
-            if result.violations:
-                violation = result.violations[0]
-                rendered = "\n".join(violation.render())
-                assert "staleness-safety violation" in rendered
-                assert violation.stale_since < violation.epoch
-                return
-        pytest.fail(f"mutant {mutant.name} produced no counterexample")
+        violation = self.first_violation(mutant)
+        rendered = "\n".join(violation.render())
+        assert "staleness-safety violation" in rendered
+        assert violation.stale_since < violation.epoch
+
+    def test_serving_read_is_not_also_rendered_as_a_miss(self):
+        mutant = next(m for m in protocol_mutants()
+                      if m.name == "drop-racy-bump")
+        rendered = check_config(SMALL, mutant).violations[0].render()
+        assert rendered[-2] == "epoch 2 begins [no writes]"
+        assert rendered[-1].startswith(
+            "  p0 ts Time-Read w0 -> HIT (tag 1, R 2) on a copy stale "
+            "since epoch 1")
+        assert "  p0 ts Time-Read w0 -> miss, line fill" not in rendered
 
 
 def _window_off_by_one(epoch, tag, w_reg, modulus):
@@ -180,119 +361,18 @@ class TestProductionReplay:
         assert report.exit_code() == 1
 
 
-class TestReportAndCache:
-    def test_clean_report_exits_zero(self):
-        report = modelcheck_report([SMALL], cache=None)
-        assert report.tool == "modelcheck"
-        assert report.exit_code() == 0
-        assert report.meta["wraps"] >= 2
-        assert report.meta["states"] > 0
-        payload = report.to_dict()
-        assert payload["tool"] == "modelcheck"
-        assert payload["counts"]["error"] == 0
-
-    def test_under_two_wraps_warns_mc003(self):
-        shallow = ModelConfig(n_procs=2, n_lines=1, line_words=1,
-                              timetag_bits=2, max_epochs=6)
-        report = modelcheck_report([shallow], cache=None)
-        assert [d.rule_id for d in report.diagnostics] == ["MC003"]
-        assert report.exit_code() == 0
-        assert report.exit_code(strict=True) == 1
-
-    def test_truncation_warns_mc004(self):
-        report = modelcheck_report([SMALL], max_states=50, cache=None)
-        assert "MC004" in {d.rule_id for d in report.diagnostics}
-
-    def test_mc_rules_are_catalogued(self):
-        assert RULES["MC001"].severity is Severity.ERROR
-        assert RULES["MC002"].severity is Severity.ERROR
-        assert RULES["MC003"].severity is Severity.WARNING
-        assert RULES["MC004"].severity is Severity.WARNING
-
-    def test_warm_repeat_hits_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cold = modelcheck_report([SMALL], cache=cache)
-        assert cold.meta["cache"] == "miss"
-        warm = modelcheck_report([SMALL], cache=cache)
-        assert warm.meta["cache"] == "hit"
-        assert warm.to_dict()["counts"] == cold.to_dict()["counts"]
-        assert cache.stats().entries.get("modelcheck") == 1
-
-    def test_cache_key_depends_on_bounds(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        modelcheck_report([SMALL], cache=cache)
-        other = modelcheck_report(
-            [replace(SMALL, max_epochs=9)], cache=cache)
-        assert other.meta["cache"] == "miss"
-        assert cache.stats().entries.get("modelcheck") == 2
-
-    def test_mutant_reports_are_never_cached(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        mutant = protocol_mutants()[0]
-        modelcheck_report([SMALL], rules=mutant, cache=cache)
-        assert cache.stats().entries.get("modelcheck", 0) == 0
+class TestReportAndCache(_ReportCases):
+    P = TPI
+    test_under_two_wraps_warns_mc003 = _ReportCases.coverage_warns
+    test_truncation_warns_mc004 = _ReportCases.truncation_warns
+    test_cache_key_depends_on_bounds = _ReportCases.cache_key_depends_on_bounds
 
 
-class TestCli:
-    ARGS = ["modelcheck", "--procs", "2", "--lines", "1", "--words", "1",
-            "--k", "2", "--epochs", "10", "--no-cache"]
-
-    def test_explicit_bounds_exit_zero(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "modelcheck tpi-protocol: 0 error(s)" in out
-        assert "p2.l1.w1.k2.e10" in out
-
-    def test_bad_bounds_one_line_exit_2(self, capsys):
-        assert main(["modelcheck", "--epochs", "99", "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert len(err.strip().splitlines()) == 1
-
-    def test_self_test_flag(self, capsys):
-        assert main([*self.ARGS, "--self-test", "--no-replay"]) == 0
-        out = capsys.readouterr().out
-        assert "4/4 seeded protocol bugs" in out
-        assert "MISSED" not in out
-
-    def test_shallow_bounds_warn_but_exit_zero(self, capsys):
-        args = ["modelcheck", "--procs", "2", "--lines", "1", "--words", "1",
-                "--k", "2", "--epochs", "6", "--no-cache"]
-        assert main(args) == 0
-        assert "MC003" in capsys.readouterr().out
-        assert main([*args, "--strict"]) == 1
-
-    def test_json_report_written(self, tmp_path, capsys):
-        path = tmp_path / "mc.json"
-        assert main([*self.ARGS, "--json", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert payload["tool"] == "modelcheck"
-        assert payload["counts"]["error"] == 0
-        assert payload["meta"]["wraps"] >= 2
-
-    def test_unwritable_json_one_line_exit_2(self, capsys):
-        args = ["modelcheck", "--procs", "2", "--lines", "1", "--words", "1",
-                "--k", "2", "--epochs", "6", "--no-cache",
-                "--json", "/nonexistent-dir/out.json"]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write --json output")
-        assert len(err.strip().splitlines()) == 1
-
-    def test_cache_dir_round_trip(self, tmp_path, capsys):
-        args = ["modelcheck", "--procs", "2", "--lines", "1", "--words", "1",
-                "--k", "2", "--epochs", "10", "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        capsys.readouterr()
-        assert main(args) == 0
-        assert "cache=hit" in capsys.readouterr().out
+class TestCli(_CliCases):
+    P = TPI
 
 
 # --------------------------------------------------------------------- tardis
-
-
-TARDIS_SMALL = TardisModelConfig(n_procs=2, n_lines=1, line_words=1,
-                                 timestamp_bits=2, lease=1, max_ts=9)
 
 
 class TestTardisSharedRules:
@@ -360,39 +440,25 @@ class TestTardisDefaultGrid:
         assert not result.ok
 
 
-class TestTardisMutationSelfTest:
-    """Acceptance gate: 100% of seeded protocol bugs must be caught."""
-
-    def test_every_seeded_bug_is_caught(self):
-        result = tardis_self_test(replay=False)
-        assert result.seeded == 4
-        assert result.detection_rate == 1.0, result.summary()
-        assert result.missed == []
-
-    def test_production_refutes_every_mutant_counterexample(self):
-        """The replay direction tests cannot fake: production does not
-        have the seeded bugs, so it must reject each mutant's trace."""
-        result = tardis_self_test(replay=True)
-        assert all(m.refuted_by_production for m in result.mutations), \
-            [(m.name, m.refuted_by_production) for m in result.mutations]
+class TestTardisMutationSelfTest(_SelfTestCases):
+    P = TARDIS
 
     @pytest.mark.parametrize("mutant", tardis_mutants(),
                              ids=lambda m: m.name)
     def test_each_mutant_falls_on_the_self_test_grid(self, mutant):
-        for config in TARDIS_SELF_TEST_CONFIGS:
-            result = tardis_check_config(config, mutant)
-            if result.violations:
-                violation = result.violations[0]
-                rendered = "\n".join(violation.render())
-                assert "staleness-safety violation" in rendered
-                assert violation.version < violation.floor
-                assert violation.served in ("hit", "renewal")
-                return
-        pytest.fail(f"mutant {mutant.name} produced no counterexample")
+        violation = self.first_violation(mutant)
+        rendered = "\n".join(violation.render())
+        assert "staleness-safety violation" in rendered
+        assert violation.version < violation.floor
+        assert violation.served in ("hit", "renewal")
 
 
 def _lease_off_by_one(pts, rts):
     return rts + 1 >= pts
+
+
+def _renewal_ignores_base(cached_wts, mem_wts, base):
+    return cached_wts == mem_wts
 
 
 class TestTardisProductionReplay:
@@ -406,6 +472,23 @@ class TestTardisProductionReplay:
         assert result.violations
         outcome = replay_tardis_counterexample(result.violations[0])
         assert outcome.confirmed, outcome
+        assert "stale read" in outcome.detail
+
+    def test_replay_confirms_a_shared_renewal_bug(self, monkeypatch):
+        """The same cross-check on the renewal path: the serving read is
+        the trace's last action and replays exactly once."""
+        monkeypatch.setattr(tardis_rules, "renewal_ok", _renewal_ignores_base)
+        mutant = replace(TARDIS_PRODUCTION_RULES, name="renewal-ignores-base",
+                         renewal_ok=_renewal_ignores_base,
+                         write_renewal_ok=_renewal_ignores_base)
+        result = tardis_check_config(TARDIS_SELF_TEST_CONFIGS[1], mutant)
+        violation = result.violations[0]
+        assert violation.served == "renewal"
+        assert violation.trace[-1] == ("read", violation.proc, violation.line,
+                                       violation.word, "renew")
+        outcome = replay_tardis_counterexample(violation)
+        assert outcome.confirmed, outcome
+        assert outcome.mismatches == ()
         assert "stale read" in outcome.detail
 
     def test_divergence_raises_mc102(self, monkeypatch):
@@ -424,76 +507,20 @@ class TestTardisProductionReplay:
         assert report.exit_code() == 1
 
 
-class TestTardisReportAndCache:
-    def test_clean_report_exits_zero(self):
-        report = tardis_modelcheck_report([TARDIS_SMALL], cache=None)
-        assert report.tool == "modelcheck"
-        assert report.exit_code() == 0
-        assert report.meta["rebases"] >= 2
-        assert report.meta["states"] > 0
-        payload = report.to_dict()
-        assert payload["counts"]["error"] == 0
-
-    def test_under_two_rebases_warns_mc103(self):
-        shallow = TardisModelConfig(n_procs=2, n_lines=1, line_words=1,
-                                    timestamp_bits=2, lease=1, max_ts=3)
-        report = tardis_modelcheck_report([shallow], cache=None)
-        assert [d.rule_id for d in report.diagnostics] == ["MC103"]
-        assert report.exit_code() == 0
-        assert report.exit_code(strict=True) == 1
-
-    def test_truncation_warns_mc104(self):
-        report = tardis_modelcheck_report([TARDIS_SMALL], max_states=50,
-                                          cache=None)
-        assert "MC104" in {d.rule_id for d in report.diagnostics}
-
-    def test_mc_rules_are_catalogued(self):
-        assert RULES["MC101"].severity is Severity.ERROR
-        assert RULES["MC102"].severity is Severity.ERROR
-        assert RULES["MC103"].severity is Severity.WARNING
-        assert RULES["MC104"].severity is Severity.WARNING
-
-    def test_warm_repeat_hits_cache(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        cold = tardis_modelcheck_report([TARDIS_SMALL], cache=cache)
-        assert cold.meta["cache"] == "miss"
-        warm = tardis_modelcheck_report([TARDIS_SMALL], cache=cache)
-        assert warm.meta["cache"] == "hit"
-        assert warm.to_dict()["counts"] == cold.to_dict()["counts"]
-        assert cache.stats().entries.get("modelcheck") == 1
+class TestTardisReportAndCache(_ReportCases):
+    P = TARDIS
+    test_under_two_rebases_warns_mc103 = _ReportCases.coverage_warns
+    test_truncation_warns_mc104 = _ReportCases.truncation_warns
 
     def test_cache_key_depends_on_bounds_and_scheme(self, tmp_path):
+        self.cache_key_depends_on_bounds(tmp_path)
         cache = ArtifactCache(tmp_path)
-        tardis_modelcheck_report([TARDIS_SMALL], cache=cache)
-        other = tardis_modelcheck_report(
-            [replace(TARDIS_SMALL, max_ts=8)], cache=cache)
-        assert other.meta["cache"] == "miss"
         modelcheck_report([SMALL], cache=cache)
         assert cache.stats().entries.get("modelcheck") == 3
 
-    def test_mutant_reports_are_never_cached(self, tmp_path):
-        cache = ArtifactCache(tmp_path)
-        mutant = tardis_mutants()[0]
-        tardis_modelcheck_report([TARDIS_SMALL], rules=mutant, cache=cache)
-        assert cache.stats().entries.get("modelcheck", 0) == 0
 
-
-class TestTardisCli:
-    ARGS = ["modelcheck", "--scheme", "tardis", "--procs", "2", "--lines",
-            "1", "--words", "1", "--k", "2", "--max-ts", "9", "--no-cache"]
-
-    def test_explicit_bounds_exit_zero(self, capsys):
-        assert main(self.ARGS) == 0
-        out = capsys.readouterr().out
-        assert "modelcheck tardis-protocol: 0 error(s)" in out
-        assert "p2.l1.w1.k2.s1.t9" in out
-
-    def test_bad_bounds_one_line_exit_2(self, capsys):
-        assert main(["modelcheck", "--scheme", "tardis", "--max-ts", "99",
-                     "--no-cache"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert len(err.strip().splitlines()) == 1
+class TestTardisCli(_CliCases):
+    P = TARDIS
 
     def test_scheme_flag_mismatch_exit_2(self, capsys):
         assert main(["modelcheck", "--lease", "2", "--no-cache"]) == 2
@@ -501,25 +528,3 @@ class TestTardisCli:
         assert main(["modelcheck", "--scheme", "tardis", "--epochs", "6",
                      "--no-cache"]) == 2
         assert "tpi only" in capsys.readouterr().err
-
-    def test_self_test_flag(self, capsys):
-        assert main([*self.ARGS, "--self-test", "--no-replay"]) == 0
-        out = capsys.readouterr().out
-        assert "4/4 seeded protocol bugs" in out
-        assert "MISSED" not in out
-
-    def test_shallow_bounds_warn_but_exit_zero(self, capsys):
-        args = ["modelcheck", "--scheme", "tardis", "--procs", "2",
-                "--lines", "1", "--words", "1", "--k", "2", "--max-ts", "3",
-                "--no-cache"]
-        assert main(args) == 0
-        assert "MC103" in capsys.readouterr().out
-        assert main([*args, "--strict"]) == 1
-
-    def test_json_report_written(self, tmp_path, capsys):
-        path = tmp_path / "mc.json"
-        assert main([*self.ARGS, "--json", str(path)]) == 0
-        payload = json.loads(path.read_text())
-        assert payload["tool"] == "modelcheck"
-        assert payload["counts"]["error"] == 0
-        assert payload["meta"]["rebases"] >= 2
