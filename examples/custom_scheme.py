@@ -46,15 +46,16 @@ class EpochFlushScheme(CoherenceScheme):
         cache = self.caches[proc]
         line_addr, _, word = cache.split(addr)
         loc = cache.probe(line_addr)
-        if (loc is not None and cache.word_valid[loc.set_index, loc.way, word]
+        # A location is a plain ``(set, way)`` tuple.
+        if (loc is not None and cache.word_valid[loc + (word,)]
                 and not in_critical):
             cache.touch(loc)
-            version = int(cache.version[loc.set_index, loc.way, word])
+            version = int(cache.version[loc + (word,)])
             self._check_read_version(addr, version)
             return AccessResult(latency=self.machine.hit_latency,
                                 kind=MissKind.HIT, version=version)
-        loc, _evicted, _dirty = cache.install(line_addr)
-        s, w = loc.set_index, loc.way
+        loc, _evicted, _dirty = cache.install(line_addr, loc)
+        s, w = loc
         base = cache.line_base(line_addr)
         cache.version[s, w, :] = self.shadow.version[base:base + self.line_words]
         version = int(cache.version[s, w, word])
@@ -69,14 +70,14 @@ class EpochFlushScheme(CoherenceScheme):
         loc = cache.probe(line_addr)
         read_words = 0
         if loc is None:
-            loc, _evicted, _dirty = cache.install(line_addr)
+            loc, _evicted, _dirty = cache.install(line_addr, loc)
             base = cache.line_base(line_addr)
-            cache.version[loc.set_index, loc.way, :] = (
+            cache.version[loc] = (
                 self.shadow.version[base:base + self.line_words])
             read_words = 1 + self.line_words
         version = self.shadow.write(addr, proc)
-        cache.version[loc.set_index, loc.way, word] = version
-        cache.word_valid[loc.set_index, loc.way, word] = True
+        cache.version[loc + (word,)] = version
+        cache.word_valid[loc + (word,)] = True
         return AccessResult(latency=self.machine.hit_latency,
                             kind=MissKind.HIT, read_words=read_words,
                             write_words=2 if shared else 0, version=version)

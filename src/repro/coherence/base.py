@@ -67,13 +67,13 @@ class BaseScheme(CoherenceScheme):
         cache = self.caches[proc]
         line_addr, _, word = cache.split(addr)
         loc = cache.probe(line_addr)
-        if loc is not None and cache.word_valid[loc.set_index, loc.way, word]:
+        if loc is not None and cache.word_valid[loc[0], loc[1], word]:
             cache.touch(loc)
             return AccessResult(latency=self.machine.hit_latency,
                                 kind=MissKind.HIT)
         kind = MissKind.REPLACEMENT if self.touched[proc, addr] else MissKind.COLD
         self.touched[proc, addr] = True
-        cache.install(line_addr)
+        cache.install(line_addr, loc)
         return AccessResult(latency=self.network.miss_latency(self.line_words),
                             kind=kind, read_words=1 + self.line_words)
 
@@ -83,9 +83,9 @@ class BaseScheme(CoherenceScheme):
         loc = cache.probe(line_addr)
         read_words = 0
         if loc is None:
-            loc, _evicted, _dirty = cache.install(line_addr)
+            loc, _evicted, _dirty = cache.install(line_addr, loc)
             read_words = 1 + self.line_words
-        cache.word_valid[loc.set_index, loc.way, word] = True
+        cache.word_valid[loc[0], loc[1], word] = True
         cache.touch(loc)
         self.touched[proc, addr] = True
         # Private data can stay write-back; local-memory traffic is free.

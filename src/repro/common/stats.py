@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List
@@ -11,16 +12,17 @@ from typing import List
 def percentile(values: List[float], q: float) -> float:
     """Nearest-rank percentile (``q`` in [0, 100]) of a sample list.
 
-    The single implementation shared by the serve telemetry and the serve
+    The smallest sample with at least ``q`` percent of the sample at or
+    below it: rank ``ceil(q / 100 * n)``, clamped to ``[1, n]``.  The
+    single implementation shared by the serve telemetry and the serve
     benchmark harness, so both report identical latency quantiles.  Returns
     0.0 for an empty sample.
     """
     if not values:
         return 0.0
     ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1,
-                      int(round(q / 100.0 * (len(ordered) - 1)))))
-    return ordered[rank]
+    rank = min(len(ordered), max(1, math.ceil(q / 100.0 * len(ordered))))
+    return ordered[rank - 1]
 
 
 class MissKind(enum.Enum):
@@ -41,6 +43,11 @@ class MissKind(enum.Enum):
     RESET = "reset"  # TPI: invalidated by a two-phase reset
     UNCACHED = "uncached"  # BASE: shared data is never cached
 
+    # Members are singletons compared by identity, so identity hashing is
+    # exact; it keeps the per-access counter updates in C (``Enum``'s
+    # own ``__hash__`` is a Python-level call).
+    __hash__ = object.__hash__
+
     @property
     def is_miss(self) -> bool:
         return self is not MissKind.HIT
@@ -57,6 +64,8 @@ class TrafficClass(enum.Enum):
     READ = "read"
     WRITE = "write"
     COHERENCE = "coherence"
+
+    __hash__ = object.__hash__  # as for MissKind
 
 
 @dataclass

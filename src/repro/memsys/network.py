@@ -31,6 +31,20 @@ class KruskalSnirNetwork:
         self.stages = self.config.stages(machine.n_procs)
         self.rho = 0.0
 
+    @property
+    def rho(self) -> float:
+        """Smoothed offered load (words per link per cycle)."""
+        return self._rho
+
+    @rho.setter
+    def rho(self, value: float) -> None:
+        # Every latency is a function of rho alone, and rho only moves at
+        # epoch boundaries, so each is computed once per value: the
+        # per-event path asks for them on every miss.
+        self._rho = value
+        self._miss = {}
+        self._control = None
+
     # ------------------------------------------------------------- feedback
 
     def observe_epoch(self, words_injected: int, proc_cycles: int,
@@ -60,6 +74,12 @@ class KruskalSnirNetwork:
 
     def miss_latency(self, line_words: int) -> int:
         """Round-trip latency of a cache-line miss under the current load."""
+        latency = self._miss.get(line_words)
+        if latency is None:
+            latency = self._miss[line_words] = self._line_latency(line_words)
+        return latency
+
+    def _line_latency(self, line_words: int) -> int:
         queueing = 2 * self.stages * self.config.switch_cycle * self.stage_queueing()
         transfer = line_words * self.config.word_transfer_cycles * self.load_factor()
         return int(round(self.base_miss_latency + transfer + queueing))
@@ -70,5 +90,8 @@ class KruskalSnirNetwork:
 
     def control_latency(self) -> int:
         """Round trip of a control-only message (lock, upgrade grant)."""
-        rt = 2 * self.stages * self.config.switch_cycle * (1.0 + self.stage_queueing())
-        return int(round(rt)) + 1
+        if self._control is None:
+            rt = (2 * self.stages * self.config.switch_cycle
+                  * (1.0 + self.stage_queueing()))
+            self._control = int(round(rt)) + 1
+        return self._control

@@ -79,7 +79,7 @@ def _prime_epoch(epoch, todo: Sequence[Tuple[int, int]],
         is_write = tc.kind == KIND_WRITE
         for geometry in todo:
             per_geometry[geometry].append(_TaskArrays(
-                tc.proc, tc.extra_work, None, tc.n, tc.addr, tc.site,
+                tc.proc, tc.extra_work, tc.n, tc.addr, tc.site,
                 tc.work, tc.shared, is_write, geometry[0], geometry[1],
                 geometry=rows[geometry]))
     for geometry in todo:

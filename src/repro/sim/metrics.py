@@ -7,6 +7,11 @@ from typing import Dict, List
 
 from repro.common.stats import MissKind, TrafficClass
 
+_HIT = MissKind.HIT
+_READ = TrafficClass.READ
+_WRITE = TrafficClass.WRITE
+_COHERENCE = TrafficClass.COHERENCE
+
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -69,8 +74,9 @@ class SimResult:
         self.reads += 1
         if shared:
             self.shared_reads += 1
-        self.miss_counts[kind] = self.miss_counts.get(kind, 0) + 1
-        if kind.is_miss:
+        counts = self.miss_counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if kind is not _HIT:
             self.miss_latency_total += latency
             self.miss_latency_count += 1
 
@@ -81,11 +87,13 @@ class SimResult:
 
     def note_traffic(self, read_words: int, write_words: int,
                      coherence_words: int) -> None:
-        for cls, words in ((TrafficClass.READ, read_words),
-                           (TrafficClass.WRITE, write_words),
-                           (TrafficClass.COHERENCE, coherence_words)):
-            if words:
-                self.traffic[cls] = self.traffic.get(cls, 0) + words
+        traffic = self.traffic
+        if read_words:
+            traffic[_READ] = traffic.get(_READ, 0) + read_words
+        if write_words:
+            traffic[_WRITE] = traffic.get(_WRITE, 0) + write_words
+        if coherence_words:
+            traffic[_COHERENCE] = traffic.get(_COHERENCE, 0) + coherence_words
 
     # --------------------------------------------------------------- derived
 

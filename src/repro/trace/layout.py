@@ -21,6 +21,7 @@ without materializing a per-copy address map (see docs/PERF.md).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -42,14 +43,15 @@ class RegionTable:
     """Closed-form word-address -> array-region lookup.
 
     Replaces the dense O(total_words) table: allocation spans are disjoint
-    and sorted by base, so a searchsorted over per-array spans answers both
-    scalar and vectorized queries; addresses in alignment padding map to
+    and sorted by base, so a searchsorted over per-array spans answers
+    vectorized queries (and a bisect answers a Python-int address); addresses in alignment padding map to
     -1 exactly as the dense table did.  Every per-processor copy of a
     private array maps to the same region (offsets within a span reduce
     modulo the copy stride).
     """
 
-    __slots__ = ("names", "_starts", "_spans", "_strides", "_sizes")
+    __slots__ = ("names", "_starts", "_spans", "_strides", "_sizes",
+                 "_start_list", "_records")
 
     def __init__(self, starts: np.ndarray, spans: np.ndarray,
                  strides: np.ndarray, sizes: np.ndarray, names: List[str]):
@@ -58,8 +60,19 @@ class RegionTable:
         self._spans = spans
         self._strides = strides
         self._sizes = sizes
+        # Python-int copies for the scalar lookup the per-event path makes.
+        self._start_list = starts.tolist()
+        self._records = list(zip(starts.tolist(), spans.tolist(),
+                                 strides.tolist(), sizes.tolist()))
 
     def __getitem__(self, addr):
+        if isinstance(addr, int):
+            pos = bisect_right(self._start_list, addr) - 1
+            if pos < 0:
+                return -1
+            start, span, stride, size = self._records[pos]
+            off = addr - start
+            return pos if off < span and off % stride < size else -1
         a = np.asarray(addr)
         if not self._starts.size:
             empty = np.full(a.shape, -1, dtype=np.int32)

@@ -49,7 +49,7 @@ def state_of(scheme, proc, addr=ADDR):
     loc = scheme.caches[proc].probe(line_addr)
     if loc is None:
         return "I"
-    return "M" if scheme.caches[proc].dirty[loc.set_index, loc.way] else "S"
+    return "M" if scheme.caches[proc].dirty[loc] else "S"
 
 
 def build_config(scheme, own, other):

@@ -116,7 +116,7 @@ class TestLeases:
         # The oracle agrees: the slot's rts covers the current pts.
         loc = t.caches[0].probe(t.caches[0].split(8)[0])
         assert tardis_rules.lease_hit(
-            t.pts[0], int(t.rts_a[0][loc.set_index, loc.way]))
+            t.pts[0], int(t.rts_a[0][loc]))
 
     def test_no_invalidations_readers_keep_hitting_in_epoch(self):
         # The defining Tardis property: a write sends no messages to

@@ -1,9 +1,11 @@
 """Unit tests for the memory-system substrate."""
 
+import numpy as np
 import pytest
 
 from repro.common.config import CacheConfig, MachineConfig, NetworkConfig
 from repro.memsys.cache import Cache
+from repro.memsys.lazystate import TouchBitmap
 from repro.memsys.memory import ShadowMemory
 from repro.memsys.network import KruskalSnirNetwork
 from repro.memsys.wbuffer import (
@@ -57,38 +59,38 @@ class TestCacheGeometry:
     def test_dirty_eviction_reported(self):
         cache = tiny_cache()
         loc, _, _ = cache.install(2)
-        cache.dirty[loc.set_index, loc.way] = True
+        cache.dirty[loc] = True
         _, evicted, dirty = cache.install(2 + cache.n_sets)
         assert evicted == 2 and dirty
 
     def test_install_sets_all_words_valid(self):
         cache = tiny_cache()
         loc, _, _ = cache.install(1)
-        assert cache.word_valid[loc.set_index, loc.way].all()
-        assert not cache.used[loc.set_index, loc.way].any()
+        assert cache.word_valid[loc].all()
+        assert not cache.used[loc].any()
 
     def test_invalidate_line(self):
         cache = tiny_cache()
         loc, _, _ = cache.install(1)
         cache.invalidate_line(loc, reason=2)
         assert cache.probe(1) is None
-        assert cache.inval_reason[loc.set_index, loc.way] == 2
+        assert cache.inval_reason[loc] == 2
 
 
 class TestTwoPhaseReset:
     def test_invalidates_only_target_phase(self):
         cache = tiny_cache(line_words=4)
         loc, _, _ = cache.install(0)
-        cache.timetag[loc.set_index, loc.way] = [3, 130, 127, 128]
+        cache.timetag[loc] = [3, 130, 127, 128]
         count = cache.two_phase_reset(128, 255, modulus=256)
         assert count == 2
-        valid = cache.word_valid[loc.set_index, loc.way]
+        valid = cache.word_valid[loc]
         assert list(valid) == [True, False, True, False]
 
     def test_ignores_invalid_words(self):
         cache = tiny_cache()
         loc, _, _ = cache.install(0)
-        cache.word_valid[loc.set_index, loc.way, :] = False
+        cache.word_valid[loc[0], loc[1], :] = False
         assert cache.two_phase_reset(0, 255, modulus=256) == 0
 
     def test_flush_all(self):
@@ -196,3 +198,24 @@ class TestShadowMemory:
     def test_rejects_empty(self):
         with pytest.raises(Exception):
             ShadowMemory(0)
+
+
+class TestTouchBitmap:
+    def test_scalar_paths_match_fancy_indexing(self):
+        """Python-int get/set (the per-event path) and the fancy-indexed
+        path (the batch kernels) read and write the same bits."""
+        rng = np.random.default_rng(7)
+        scalar = TouchBitmap(6, 40)
+        fancy = TouchBitmap(6, 40)
+        procs = rng.integers(0, 5, 60)  # proc 5 never touched
+        addrs = rng.integers(0, 40, 60)
+        for p, a in zip(procs.tolist(), addrs.tolist()):
+            scalar[p, a] = True
+        fancy[procs, addrs] = True
+        every_p = np.repeat(np.arange(6), 40)
+        every_a = np.tile(np.arange(40), 6)
+        expected = fancy[every_p, every_a].tolist()
+        assert scalar[every_p, every_a].tolist() == expected
+        assert [scalar[p, a] for p, a in zip(every_p.tolist(),
+                                              every_a.tolist())] == expected
+        assert scalar[5, 3] is False

@@ -1,6 +1,6 @@
 """Unit tests for repro.common.stats."""
 
-from repro.common.stats import Counter, MissKind
+from repro.common.stats import Counter, MissKind, percentile
 
 
 class TestCounter:
@@ -38,3 +38,18 @@ class TestMissKind:
         assert MissKind.CONSERVATIVE.is_unnecessary
         assert not MissKind.TRUE_SHARING.is_unnecessary
         assert not MissKind.COLD.is_unnecessary
+
+
+class TestPercentile:
+    def test_nearest_rank(self):
+        """Rank ``ceil(q/100 * n)``: the median of 1..4 is 2, not 3."""
+        assert percentile([4, 1, 3, 2], 50) == 2
+        assert percentile([1, 2, 3, 4], 75) == 3
+        assert percentile([1, 2, 3, 4], 76) == 4
+        assert percentile(list(range(1, 101)), 99) == 99
+        assert percentile([5.0], 99) == 5.0
+
+    def test_bounds(self):
+        assert percentile([3, 1, 2], 0) == 1
+        assert percentile([3, 1, 2], 100) == 3
+        assert percentile([], 50) == 0.0

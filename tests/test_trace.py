@@ -1,5 +1,6 @@
 """Tests for memory layout, scheduling, and trace generation."""
 
+import numpy as np
 import pytest
 
 from repro.common.config import MachineConfig, SchedulePolicy, default_machine
@@ -60,6 +61,25 @@ class TestLayout:
     def test_reverse_lookup(self):
         layout = MemoryLayout(self.build(), n_procs=4)
         assert layout.array_of_addr(layout.addr_of("A", (3, 3))) == "A"
+
+    @pytest.mark.parametrize("n_procs", [1, 4, 7])
+    def test_scalar_region_lookup_matches_vectorized(self, n_procs):
+        """``region_of[int]`` (the per-event path) equals the vectorized
+        lookup for every word: array bodies, alignment padding, every
+        private copy, and addresses outside the layout."""
+        b = ProgramBuilder("p")
+        b.array("A", (5, 3))          # 15 words: padded to 16
+        b.array("t", (3,), private=True)
+        b.array("B", (2,))
+        b.array("u", (6,), private=True)
+        with b.procedure("main"):
+            pass
+        layout = MemoryLayout(b.build(), n_procs=n_procs)
+        region_of, _names = layout.shared_region_table()
+        addrs = np.arange(-3, layout.total_words + 8)
+        vectorized = region_of[addrs].tolist()
+        assert [region_of[a] for a in addrs.tolist()] == vectorized
+        assert -1 in vectorized  # padding and out-of-range words covered
 
 
 class TestScheduling:

@@ -31,7 +31,7 @@ def _seeded_cache(n_lines_resident: int, n_sets: int, line_words: int = 4,
     value = 0
     for line_addr in range(n_lines_resident):
         loc, _, _ = cache.install(line_addr)
-        s, w = loc.set_index, loc.way
+        s, w = loc
         for word in range(line_words):
             cache.timetag[s, w, word] = value % (2 * modulus)  # wrapped tags
             cache.word_valid[s, w, word] = (value % 3) != 0
@@ -81,8 +81,8 @@ class TestSweepPaths:
         for line_addr in range(4):
             dl, sl = dense.probe(line_addr), sparse.probe(line_addr)
             np.testing.assert_array_equal(
-                dense.word_valid[dl.set_index, dl.way],
-                sparse.word_valid[sl.set_index, sl.way])
+                dense.word_valid[dl],
+                sparse.word_valid[sl])
 
     def test_empty_cache_sweeps_nothing(self):
         cache = Cache(CacheConfig(size_bytes=64 * 4 * 4, line_words=4))
@@ -93,7 +93,7 @@ class TestSweepPaths:
         k-bit residue (tag 5 mod 4 == 1 lies in phase [0, 1])."""
         cache = Cache(CacheConfig(size_bytes=4 * 4 * 4, line_words=4))
         loc, _, _ = cache.install(0)
-        s, w = loc.set_index, loc.way
+        s, w = loc
         cache.timetag[s, w, :] = [1, 5, 2, 6]
         cache.word_valid[s, w, :] = True
         assert cache.two_phase_reset(0, 1, 4) == 2
