@@ -46,10 +46,11 @@ class ShadowMemory:
 
     def write(self, addr: int, proc: int) -> int:
         """Perform a write; returns the new version of the word."""
-        self.version[addr] += 1
+        version = self.version.item(addr) + 1
+        self.version[addr] = version
         self._writer_p1[addr] = proc + 1
         self._dirty_addrs.append(addr)
-        return int(self.version[addr])
+        return version
 
     def write_many(self, addrs: np.ndarray, procs) -> None:
         """Vectorized write bump (batch kernels); ``addrs`` may repeat."""
@@ -59,7 +60,7 @@ class ShadowMemory:
             self._dirty_arrays.append(np.asarray(addrs))
 
     def read_version(self, addr: int) -> int:
-        return int(self.version[addr])
+        return self.version.item(addr)
 
     def barrier(self) -> None:
         """All writes so far become globally visible (epoch boundary).
@@ -84,4 +85,4 @@ class ShadowMemory:
 
     def visible_floor(self, addr: int) -> int:
         """Minimum version a coherent read may legally return."""
-        return int(self.epoch_version[addr])
+        return self.epoch_version.item(addr)
