@@ -3,15 +3,16 @@
 The fast engine (:mod:`repro.sim.fastengine`) partitions each task's
 events into *cold* spans — runs of accesses to lines that are provably not
 order-sensitive across processors this epoch — and hands each span to the
-scheme's kernel.  Every kernel is a *full-batch* kernel: it scans a
-window of events and resolves *every* outcome it can prove — hits,
-misses, fills, refreshes, timetag stamping, miss classification — in
-closed form with numpy, then applies the whole window at once; whatever
-it cannot prove runs through the engine's exact per-event path (the
-directory kernel runs its residual miss/upgrade protocol transitions
-through an exact per-event loop inside the apply; the tardis and update
-kernels vectorize a provable prefix per set chain and run the rest in
-program order).  Within a window, each direct-mapped cache set is either
+scheme's kernel.  A kernel scans a window of events and resolves
+*every* outcome it can prove — hits, misses, fills, refreshes, timetag
+stamping, miss classification — in closed form with numpy, then applies
+the whole window at once; whatever it cannot prove runs through the
+engine's exact per-event path.  The MSI kernel (hw, limitless, snoop)
+vectorizes hits, silent writes and the own-cache side of fills, then
+calls the scheme's own miss and upgrade transitions in program order
+inside the apply; the tardis and update kernels vectorize a provable
+prefix per set chain and run the rest in program order through the
+exact path.  Within a window, each direct-mapped cache set is either
 *fully batched* or *fully per-event*: a set whose events the scan cannot
 prove (two distinct lines competing for it, or a staleness-oracle check
 that might fire) is "poisoned" and all of its events run through the
@@ -19,17 +20,17 @@ exact per-event path instead.  Because an event's side effects are
 confined to its own set (plus the shadow words / write buffer entries
 of its own addresses, which live in that set too), the batched apply
 and the poisoned events commute, and no intra-window ordering is lost.
-Full-batch kernels additionally support the engine's **epoch
-pre-apply** (:meth:`_FullBatchKernel.preapply`): all of an epoch's cold
-events, across every task, merge into one window whose per-task latency
-prefix sums are memoized, so each later ``span`` call is a
-constant-time lookup.
+Kernels additionally support the engine's **epoch pre-apply**
+(:meth:`_BatchKernel.preapply`): all of an epoch's cold events, across
+every task, merge into one window whose per-task latency prefix sums
+are memoized, so each later ``span`` call is a constant-time lookup.
 
-Every per-event execution goes through exactly the code the reference
-engine uses, so protocol transitions and coherence-oracle errors
-reproduce bit-identically; the scans only ever *prove* that the batched
-events take a closed-form path.  Differential parity with the reference
-engine is enforced by tests/test_engine_parity.py.
+Every per-event execution, and every MSI miss or upgrade, goes through
+exactly the code the reference engine uses, so protocol transitions and
+coherence-oracle errors reproduce bit-identically; the scans only ever
+*prove* that the batched events take a closed-form path.  Differential
+parity with the reference engine is enforced by
+tests/test_engine_parity.py.
 
 Closed-form misses lean on two facts about cold spans: a span belongs to
 one task and runs in program order, and cold lines are untouched by other
@@ -51,8 +52,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.coherence.api import AccessResult
-from repro.coherence.directory import _REASON_FALSE, _REASON_TRUE
 from repro.coherence.sparse import STATE_E
 from repro.coherence.tpi_rules import time_read_window, word_age
 from repro.common.config import ConsistencyModel, WriteBufferKind
@@ -251,10 +250,7 @@ class _LazyViews:
     Materializing a view materializes the backing object (a Cache or
     timestamp array), so at ``n_procs`` in the thousands a kernel only
     ever touches the processors its windows actually contain.  Views are
-    real numpy views — writes through them land in the backing arrays —
-    and :meth:`materialized` walks the *backing* list's materialized
-    processors (not just the viewed ones), so holder scans can never
-    miss a cache that was built on the exact path.
+    real numpy views — writes through them land in the backing arrays.
     """
 
     __slots__ = ("_backing", "_extract", "_views")
@@ -273,13 +269,25 @@ class _LazyViews:
             view = self._views[proc] = self._extract(self._backing[proc])
         return view
 
-    def materialized(self):
-        return [(proc, self[proc])
-                for proc, _item in self._backing.materialized()]
-
 
 class _BatchKernel:
-    """Shared plumbing: live cache views, window loops, accounting."""
+    """Span loop and shared plumbing of every kernel: live cache views,
+    window gathers, accounting.
+
+    A span runs as one scan + one apply per window; events the scan
+    could not prove (and every event sharing a cache set with one) run
+    through the exact path after the apply.  The apply-first order is
+    sound because a poisoned set's events and the batched events touch
+    disjoint cache sets, shadow words, touched bits, and write-buffer
+    entries — every side channel is keyed by the event's own set or
+    address.
+
+    Kernels additionally support *epoch pre-apply* (:meth:`preapply`):
+    when the fast engine proves that an epoch's hot and cold events live
+    in disjoint cache sets, every task's cold events are scanned and
+    applied in one merged multi-processor window before dispatch, and
+    :meth:`span` then answers from memoized per-task elapsed-cycle
+    prefix sums instead of rescanning per window."""
 
     def __init__(self, scheme):
         self.scheme = scheme
@@ -301,6 +309,7 @@ class _BatchKernel:
         self.word_lat = 0
         self.miss_lat = 0
         self.seq = self.machine.consistency is ConsistencyModel.SEQUENTIAL
+        self._memo = {}
 
     @classmethod
     def build(cls, scheme) -> Optional["_BatchKernel"]:
@@ -332,11 +341,6 @@ class _BatchKernel:
             breakdown["busy"] += work
             elapsed += work + self.boundary(eng, proc, ta, i)
         return elapsed
-
-    def _charge_work(self, eng, ta, lo: int, n: int) -> int:
-        work = int(ta.work[lo:lo + n].sum())
-        eng.result.breakdown["busy"] += work
-        return work
 
     def _work(self, eng, cols: _Cols) -> int:
         work = int(cols.work.sum())
@@ -475,28 +479,6 @@ class _BatchKernel:
         self.cver[proc][sets] = self.shadow.version[
             base[:, None] + np.arange(lw)]
 
-
-class _FullBatchKernel(_BatchKernel):
-    """Span loop for the full-batch kernels: one scan + one apply per
-    window; events the scan could not prove (and every event sharing a
-    cache set with one) run through the exact path after the apply.
-
-    The apply-first order is sound because a poisoned set's events and
-    the batched events touch disjoint cache sets, shadow words, touched
-    bits, and write-buffer entries — every side channel is keyed by the
-    event's own set or address.
-
-    Full-batch kernels additionally support *epoch pre-apply*
-    (:meth:`preapply`): when the fast engine proves that an epoch's hot
-    and cold events live in disjoint cache sets, every task's cold events
-    are scanned and applied in one merged multi-processor window before
-    dispatch, and :meth:`span` then answers from memoized per-task
-    elapsed-cycle prefix sums instead of rescanning per window."""
-
-    def __init__(self, scheme):
-        super().__init__(scheme)
-        self._memo = {}
-
     def span(self, eng, proc: int, ta, lo: int, hi: int) -> int:
         cs = self._memo.get(id(ta))
         if cs is not None:
@@ -570,7 +552,7 @@ class _FullBatchKernel(_BatchKernel):
         return elapsed
 
 
-class BaseBatchKernel(_FullBatchKernel):
+class BaseBatchKernel(_BatchKernel):
     """BASE: shared accesses are fixed-cost remote word operations; the
     private side is an ordinary cache whose misses are closed-form (an
     install has no protocol side effects beyond its own set)."""
@@ -688,7 +670,7 @@ class _WriteBufferMixin:
         return 0
 
 
-class TpiBatchKernel(_WriteBufferMixin, _FullBatchKernel):
+class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
     """TPI fully in closed form: hit tests, fills, refreshes, timetag
     stamping, and miss classification.
 
@@ -913,7 +895,7 @@ class TpiBatchKernel(_WriteBufferMixin, _FullBatchKernel):
         return elapsed
 
 
-class ScBatchKernel(_WriteBufferMixin, _FullBatchKernel):
+class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
     """SC fully in closed form: bypassing reads are fixed-cost word
     fetches classified against the evolving line state; cached reads hit
     whenever the line is resident (installed lines are fully valid);
@@ -1049,258 +1031,7 @@ class ScBatchKernel(_WriteBufferMixin, _FullBatchKernel):
         return elapsed
 
 
-class DirectoryBatchKernel(_FullBatchKernel):
-    """HW directory: hits, silent exclusive writes, and fills are
-    vectorized; misses and S->E upgrades run through a compact in-order
-    loop that performs only the *protocol* side (directory transitions,
-    remote invalidations, classification, traffic/latency) and reuses the
-    scheme's own helpers, so LimitLess traps and the Tullsen-Eggers
-    criterion stay exact.
-
-    Cold-span planning makes the loop safe: any remote holder that could
-    evict or observe a cold line within the epoch forces a plan-level
-    fallback, so the remote-cache mutations the loop performs
-    (invalidations, owner demotions) commute with everything batched.  In
-    an unpoisoned set all events address one line, so the set's first
-    event is its only possible miss and the pre-window occupant/dirty
-    gathers are exact at miss time.  The E-self test gathers the scheme's
-    :class:`~repro.coherence.sparse.DirectoryStore` columns directly —
-    every protocol mutation writes through the :class:`DirEntry` proxies
-    into those columns, so there is no mirror to rebuild or resync."""
-
-    def __init__(self, scheme):
-        super().__init__(scheme)
-        self.ctrl_lat = 0
-
-    def begin_epoch(self) -> None:
-        super().begin_epoch()
-        self.ctrl_lat = self.network.control_latency()
-
-    def _scan(self, cols):
-        s, line, wd = cols.s, cols.line, cols.wd
-        wr, sh, addr = cols.wr, cols.sh, cols.addr
-
-        ch = self._set_chains(cols, None, "hold")  # every access holds
-        tags0 = self._gset(self.tags, cols)
-        resident = ch.resident(line, tags0)
-        miss = ~resident
-        # Any earlier shared write to the line left it write-exclusive to
-        # us (write miss and upgrade both end in E/self; E-self hits stay).
-        store = self.scheme.dirstore
-        e_self = ((store.state_code[line] == STATE_E)
-                  & (store.owner_p1[line] == cols.procv + 1)
-                  ) | ch.prior_any(wr & sh)
-        upgrade = wr & sh & resident & ~e_self
-
-        bad = ch.conflict
-        if self.check:
-            # MSI reads must observe the exact current version: fills and
-            # same-address writes refetch it, anything else must compare
-            # equal or the whole set goes to the exact path so the oracle
-            # fires against true state.
-            fresh = self._prior_addr(cols, wr) | ch.prior_any(miss)
-            stale = (~wr & sh & resident & ~fresh
-                     & (self._gword(self.cver, cols)
-                        != self.shadow.version[addr]))
-            if stale.any():
-                bad = bad | ch.group_any(stale)
-
-        ctx = {"miss": miss, "upgrade": upgrade,
-               "occ0": tags0, "dirty0": self._gset(self.dirty, cols)}
-        return ~bad, ctx
-
-    def _apply(self, eng, cols, ctx, lat_out=None):
-        c = ctx
-        s, wd, wr, sh, addr = cols.s, cols.wd, cols.wr, cols.sh, cols.addr
-        line = cols.line
-        miss, upgrade = c["miss"], c["upgrade"]
-        result = eng.result
-        bd = result.breakdown
-        elapsed = self._work(eng, cols)
-
-        rd = ~wr
-        rhit = rd & ~miss
-        n_rh = int(rhit.sum())
-        if n_rh:
-            elapsed += self._note_hits(eng, n_rh, int((rhit & sh).sum()))
-            if lat_out is not None:
-                lat_out[rhit] = self.hit_lat
-
-        if miss.any():
-            # Vector side of the fills: a fill resets the whole line's
-            # used/dirty/validity and snapshots its shadow versions (taken
-            # before this window's bumps — no write can precede its own
-            # set's miss).  The protocol side runs in the loop below.
-            for p, idx in self._parts_idx(cols, miss):
-                su = s[idx]
-                self.used[p][su] = False
-                self.dirty[p][su] = False
-                self._install_lines(p, su, line[idx])
-        for p, lo, hi in cols.parts:  # every HW access marks its word
-            self.used[p][s[lo:hi], wd[lo:hi]] = True
-
-        n_wr = int(wr.sum())
-        if n_wr:
-            result.writes += n_wr
-            result.shared_writes += int((wr & sh).sum())
-            self._bump_shadow(addr[wr], cols.procv[wr])
-            for p, idx in self._parts_idx(cols, wr):
-                sw = s[idx]
-                self.dirty[p][sw] = True
-                self.cver[p][sw, wd[idx]] = self.shadow.version[addr[idx]]
-            # Private and exclusive-owned write hits are silent: hit
-            # latency, no traffic, no directory motion.  Misses and
-            # upgrades get their latency from the loop.
-            silent = wr & ~miss & ~upgrade
-            n_silent = int(silent.sum())
-            cycles = n_silent * self.hit_lat
-            bd["busy"] += cycles
-            elapsed += cycles
-            if lat_out is not None:
-                lat_out[silent] = self.hit_lat
-
-        slow = miss | upgrade
-        if slow.any():
-            elapsed += self._slow_events(eng, cols, c, slow, lat_out)
-        return elapsed
-
-    def _slow_events(self, eng, cols, c, slow, lat_out=None) -> int:
-        """Misses and upgrades, in execution order per processor:
-        directory transitions, remote invalidations, classification, and
-        latency/traffic — the cache-array effects are already applied
-        vectorized.  Slow events of distinct processors in one merged
-        window commute (cold-span planning guarantees no remote holder of
-        a slow line evicts or observes it this epoch), so iterating part
-        by part preserves the reference outcome."""
-        scheme = self.scheme
-        result = eng.result
-        bd = result.breakdown
-        mc = result.miss_counts
-        lw = self.line_words
-        hit_lat = self.hit_lat
-        elapsed = 0
-        rw = wwt = cw = 0
-        wr, sh, line, wd = cols.wr, cols.sh, cols.line, cols.wd
-        occ0, dirty0, upgrade = c["occ0"], c["dirty0"], c["upgrade"]
-        for proc, idx in self._parts_idx(cols, slow):
-            seen = scheme.seen_lines[proc]
-            cache = scheme.caches[proc]
-            for i in idx.tolist():
-                ln = int(line[i])
-                word = int(wd[i])
-                shd = bool(sh[i])
-                if upgrade[i]:
-                    inval = scheme._invalidate_sharers(ln, word, skip=proc)
-                    cw += inval.coherence_words + 2  # upgrade round trip
-                    lat = hit_lat + inval.latency
-                    if self.seq:  # wait for the grant + acks
-                        lat += self.ctrl_lat
-                    entry = scheme.directory[ln]
-                    entry.state = "E"
-                    entry.owner = proc
-                    entry.sharers = {proc}
-                    if lat > hit_lat:
-                        bd["write_stall"] += lat
-                    else:
-                        bd["busy"] += lat
-                    if lat_out is not None:
-                        lat_out[i] = lat
-                    elapsed += lat
-                    continue
-                # A miss: evict the pre-window occupant, fetch the line.
-                res = AccessResult(latency=0, kind=MissKind.HIT)
-                evicted = int(occ0[i]) if occ0[i] >= 0 else None
-                scheme._evict(cache, proc, evicted, bool(dirty0[i]), res)
-                rw += res.read_words + 1 + lw  # the fill
-                wwt += res.write_words
-                cw += res.coherence_words
-                seen_line = ln in seen
-                if not wr[i]:
-                    if shd:
-                        kind = scheme._miss_kind(proc, ln)
-                        lat = self.miss_lat
-                        entry = scheme._entry(ln)
-                        if entry.state == "E" and entry.owner != proc:
-                            # 4-hop: the dirty owner supplies the data and
-                            # writes back; both copies become read-shared.
-                            owner_cache = scheme.caches[entry.owner]
-                            owner_loc = owner_cache.probe(ln)
-                            if owner_loc is None:
-                                raise ProtocolError(
-                                    f"directory owner {entry.owner} of line "
-                                    f"{ln} has no cached copy")
-                            owner_cache.dirty[owner_loc] = False
-                            lat += self.ctrl_lat
-                            cw += 2 + lw  # forward + write-back data
-                            entry.sharers = {entry.owner}
-                            entry.owner = -1
-                            entry.state = "S"
-                        entry.sharers.add(proc)
-                        if entry.state == "U":
-                            entry.state = "S"
-                    else:
-                        kind = (MissKind.REPLACEMENT if seen_line
-                                else MissKind.COLD)
-                        lat = self.miss_lat
-                    seen.add(ln)
-                    result.reads += 1
-                    if shd:
-                        result.shared_reads += 1
-                    mc[kind] = mc.get(kind, 0) + 1
-                    result.miss_latency_total += lat
-                    result.miss_latency_count += 1
-                    bd["read_stall"] += lat
-                    if lat_out is not None:
-                        lat_out[i] = lat
-                    elapsed += lat
-                else:
-                    lat = hit_lat
-                    if shd:
-                        scheme._miss_kind(proc, ln)  # consumes inval_reason
-                    seen.add(ln)
-                    if shd:
-                        entry = scheme._entry(ln)
-                        if entry.state == "E" and entry.owner != proc:
-                            owner = entry.owner
-                            owner_cache = scheme.caches[owner]
-                            owner_loc = owner_cache.probe(ln)
-                            if owner_loc is None:
-                                raise ProtocolError(
-                                    f"directory owner {owner} of line {ln} "
-                                    "has no cached copy")
-                            used_word = bool(owner_cache.used[
-                                owner_loc[0], owner_loc[1], word])
-                            reason = (_REASON_TRUE if used_word
-                                      else _REASON_FALSE)
-                            scheme.inval_reason[owner][ln] = reason
-                            scheme.invalidations_sent += 1
-                            if reason == _REASON_FALSE:
-                                scheme.false_invalidations += 1
-                            owner_cache.invalidate_line(owner_loc)
-                            cw += 2 + lw
-                        elif entry.state == "S":
-                            inval = scheme._invalidate_sharers(ln, word,
-                                                               skip=proc)
-                            cw += inval.coherence_words
-                            lat += inval.latency
-                        if self.seq:  # the exclusive fetch stalls the CPU
-                            lat += self.miss_lat
-                        entry.state = "E"
-                        entry.owner = proc
-                        entry.sharers = {proc}
-                    if lat > hit_lat:
-                        bd["write_stall"] += lat
-                    else:
-                        bd["busy"] += lat
-                    if lat_out is not None:
-                        lat_out[i] = lat
-                    elapsed += lat
-        self._traffic(eng, read_words=rw, write_words=wwt,
-                      coherence_words=cw)
-        return elapsed
-
-
-class UpdateBatchKernel(_FullBatchKernel):
+class UpdateBatchKernel(_BatchKernel):
     """Write-update directory, full-batch: read hits batch like HW;
     write hits batch with their per-write broadcast traffic computed in
     closed form from the sharer sets; misses (and oracle-suspicious
@@ -1419,7 +1150,7 @@ class UpdateBatchKernel(_FullBatchKernel):
         return words
 
 
-class TardisBatchKernel(_FullBatchKernel):
+class TardisBatchKernel(_BatchKernel):
     """Tardis, full-batch: live-lease read hits and private write hits
     are vectorized; everything that talks to the home node (misses,
     renewals, shared writes) runs through the scheme's *exact* access
@@ -1522,43 +1253,40 @@ class TardisBatchKernel(_FullBatchKernel):
         return elapsed
 
 
-class SnoopBatchKernel(_FullBatchKernel):
-    """Snooping MSI, full-batch: hits, silent M-state writes, and fills
-    are vectorized; misses and BusUpgr upgrades run through a compact
-    in-order loop that performs only the *protocol* side (snooped
-    invalidations, classification, traffic/latency).
+class MsiBatchKernel(_BatchKernel):
+    """Write-back MSI (the hw/limitless directory and snoop): hits,
+    silent writes and the own-cache side of fills are vectorized; misses
+    and upgrades then run the scheme's own protocol-side transitions
+    (:class:`~repro.coherence.directory.MsiScheme`) in program order, so
+    owner forwards, LimitLess traps and the Tullsen-Eggers criterion are
+    the exact path's code, accounted by the engine's own routine.
 
-    The structure mirrors :class:`DirectoryBatchKernel` — snooping makes
-    the same invalidation decisions as the full-map directory, it just
-    *finds* the holders by snooping instead of looking them up — but the
-    snoop needs no directory mirror at all: a holder is any cache whose
-    (direct-mapped) tag view matches the line, and the M holder is the
-    one with the dirty bit, so the loop's "bus" is a gather over the
-    kernel's own tag/dirty views.  Cold-span planning gives the same
-    commutation guarantees as for the directory (snoop declares the same
-    hot rule), so remote invalidations inside the loop are safe.
-    """
+    Cold-span planning makes the in-order loop safe: any remote holder
+    that could evict or observe a cold line within the epoch forces a
+    plan-level fallback, so the remote-cache mutations the transitions
+    perform (invalidations, owner demotions) commute with everything
+    batched, and slow events of distinct processors in one merged window
+    commute with each other.  In an unpoisoned set all events address
+    one line, so the set's first event is its only possible miss and the
+    pre-window occupant/dirty gathers are exact at miss time.
 
-    def _holders(self, si: int, ln: int, skip: int):
-        # Only materialized caches can hold a copy; an untouched
-        # processor's cache is empty by construction.
-        return [q for q, tags_q in self.tags.materialized()
-                if q != skip and tags_q[si] == ln]
+    Subclasses supply only :meth:`_exclusive`."""
+
+    def _exclusive(self, cols, ch, tags0, dirty0) -> np.ndarray:
+        """Per event: may the processor's resident copy be written
+        silently when the event executes?"""
+        raise NotImplementedError
 
     def _scan(self, cols):
-        s, line, wd = cols.s, cols.line, cols.wd
-        wr, sh, addr = cols.wr, cols.sh, cols.addr
+        line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
 
         ch = self._set_chains(cols, None, "hold")  # every access holds
         tags0 = self._gset(self.tags, cols)
+        dirty0 = self._gset(self.dirty, cols)
         resident = ch.resident(line, tags0)
         miss = ~resident
-        # M at event time: the copy was dirty at window start, or some
-        # earlier write to the line (any write sets the dirty bit, and
-        # nothing in a cold span clears it mid-window).
-        m_now = ((tags0 == line) & self._gset(self.dirty, cols)
-                 ) | ch.prior_any(wr)
-        upgrade = wr & sh & resident & ~m_now
+        upgrade = (wr & sh & resident
+                   & ~self._exclusive(cols, ch, tags0, dirty0))
 
         bad = ch.conflict
         if self.check:
@@ -1574,20 +1302,16 @@ class SnoopBatchKernel(_FullBatchKernel):
                 bad = bad | ch.group_any(stale)
 
         ctx = {"miss": miss, "upgrade": upgrade,
-               "occ0": tags0, "dirty0": self._gset(self.dirty, cols)}
+               "occ0": tags0, "dirty0": dirty0}
         return ~bad, ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
-        c = ctx
         s, wd, wr, sh, addr = cols.s, cols.wd, cols.wr, cols.sh, cols.addr
-        line = cols.line
-        miss, upgrade = c["miss"], c["upgrade"]
+        miss, upgrade = ctx["miss"], ctx["upgrade"]
         result = eng.result
-        bd = result.breakdown
         elapsed = self._work(eng, cols)
 
-        rd = ~wr
-        rhit = rd & ~miss
+        rhit = ~wr & ~miss
         n_rh = int(rhit.sum())
         if n_rh:
             elapsed += self._note_hits(eng, n_rh, int((rhit & sh).sum()))
@@ -1595,171 +1319,90 @@ class SnoopBatchKernel(_FullBatchKernel):
                 lat_out[rhit] = self.hit_lat
 
         if miss.any():
-            # Vector side of the fills (the protocol side runs in the
-            # loop below): reset the set and snapshot shadow versions
-            # before this window's bumps — a miss is its set's first
-            # event, so no write can precede the install of its own line.
+            # Own-cache side of the fills: reset the set and snapshot
+            # shadow versions before this window's bumps — a miss is its
+            # set's first event, so no write can precede the install of
+            # its own line.
             for p, idx in self._parts_idx(cols, miss):
                 su = s[idx]
                 self.used[p][su] = False
                 self.dirty[p][su] = False
-                self._install_lines(p, su, line[idx])
+                self._install_lines(p, su, cols.line[idx])
         for p, lo, hi in cols.parts:  # every access marks its word used
             self.used[p][s[lo:hi], wd[lo:hi]] = True
 
-        n_wr = int(wr.sum())
-        if n_wr:
-            result.writes += n_wr
-            result.shared_writes += int((wr & sh).sum())
+        if wr.any():
             self._bump_shadow(addr[wr], cols.procv[wr])
             for p, idx in self._parts_idx(cols, wr):
                 sw = s[idx]
                 self.dirty[p][sw] = True
                 self.cver[p][sw, wd[idx]] = self.shadow.version[addr[idx]]
-            # Private and M-state write hits are silent: hit latency, no
-            # bus transaction.  Misses and upgrades price in the loop.
+            # Private and exclusive write hits are silent: hit latency,
+            # no traffic, no protocol motion.
             silent = wr & ~miss & ~upgrade
             n_silent = int(silent.sum())
+            result.writes += n_silent
+            result.shared_writes += int((silent & sh).sum())
             cycles = n_silent * self.hit_lat
-            bd["busy"] += cycles
+            result.breakdown["busy"] += cycles
             elapsed += cycles
             if lat_out is not None:
                 lat_out[silent] = self.hit_lat
 
         slow = miss | upgrade
         if slow.any():
-            elapsed += self._slow_events(eng, cols, c, slow, lat_out)
+            elapsed += self._transitions(eng, cols, ctx, slow, lat_out)
         return elapsed
 
-    def _invalidate_copies(self, ln: int, si: int, word: int,
-                           skip: int) -> int:
-        """Snoop-invalidate every other copy; classify each; returns the
-        coherence words moved (mirrors ``SnoopBusScheme._invalidate_holders``,
-        with the per-copy cache mutations inlined on the 1-D views)."""
+    def _transitions(self, eng, cols, ctx, slow, lat_out=None) -> int:
+        """Misses and upgrades, in program order per processor: the
+        scheme's protocol side, then the engine's accounting."""
         scheme = self.scheme
-        cw = 0
-        for q in self._holders(si, ln, skip):
-            used_word = bool(self.used[q][si, word])
-            reason = _REASON_TRUE if used_word else _REASON_FALSE
-            scheme.inval_reason[q][ln] = reason
-            scheme.invalidations_sent += 1
-            if reason == _REASON_FALSE:
-                scheme.false_invalidations += 1
-            if self.dirty[q][si]:
-                cw += self.line_words  # dirty data returns
-            self.tags[q][si] = -1
-            self.dirty[q][si] = False
-            self.wv[q][si] = False
-            self.used[q][si] = False
-            cw += 2  # invalidate + ack
-        return cw
-
-    def _slow_events(self, eng, cols, c, slow, lat_out=None) -> int:
-        """Misses and upgrades, in execution order per processor: bus
-        transactions, snooped invalidations, classification, and
-        latency/traffic — the cache-array effects are already applied
-        vectorized.  The commutation argument is the directory kernel's."""
-        scheme = self.scheme
-        result = eng.result
-        bd = result.breakdown
-        mc = result.miss_counts
-        lw = self.line_words
-        hit_lat = self.hit_lat
-        ctrl_lat = self.network.control_latency()
+        account = eng._account
         elapsed = 0
-        rw = wwt = cw = 0
-        wr, sh, line, wd, s = cols.wr, cols.sh, cols.line, cols.wd, cols.s
-        occ0, dirty0, upgrade = c["occ0"], c["dirty0"], c["upgrade"]
         for proc, idx in self._parts_idx(cols, slow):
-            seen = scheme.seen_lines[proc]
-            for i in idx.tolist():
-                ln = int(line[i])
-                si = int(s[i])
-                word = int(wd[i])
-                shd = bool(sh[i])
-                if upgrade[i]:
-                    # BusUpgr from S: invalidate every other copy.
-                    cw += self._invalidate_copies(ln, si, word, proc) + 2
-                    lat = hit_lat
-                    if self.seq:  # wait for the bus grant
-                        lat += ctrl_lat
-                    if lat > hit_lat:
-                        bd["write_stall"] += lat
-                    else:
-                        bd["busy"] += lat
-                    if lat_out is not None:
-                        lat_out[i] = lat
-                    elapsed += lat
-                    continue
-                # A miss: write back the pre-window occupant, fetch.
-                if occ0[i] >= 0 and dirty0[i]:
-                    wwt += 1 + lw  # silent dirty write-back
-                rw += 1 + lw  # the fill
-                seen_line = ln in seen
-                if not wr[i]:
-                    # BusRd: a dirty holder snoops it, flushes, demotes.
-                    kind = (scheme._miss_kind(proc, ln) if shd else
-                            (MissKind.REPLACEMENT if seen_line
-                             else MissKind.COLD))
-                    lat = self.miss_lat
-                    if shd:
-                        for q in self._holders(si, ln, proc):
-                            if self.dirty[q][si]:
-                                self.dirty[q][si] = False
-                                lat += ctrl_lat
-                                cw += 2 + lw  # snoop + flush
-                                scheme.cache_to_cache_transfers += 1
-                                break
-                    seen.add(ln)
-                    result.reads += 1
-                    if shd:
-                        result.shared_reads += 1
-                    mc[kind] = mc.get(kind, 0) + 1
-                    result.miss_latency_total += lat
-                    result.miss_latency_count += 1
-                    bd["read_stall"] += lat
-                    if lat_out is not None:
-                        lat_out[i] = lat
-                    elapsed += lat
+            for i, is_write, ln, word, shared, upgrade, occ, dirty in zip(
+                    idx.tolist(), cols.wr[idx].tolist(),
+                    cols.line[idx].tolist(), cols.wd[idx].tolist(),
+                    cols.sh[idx].tolist(), ctx["upgrade"][idx].tolist(),
+                    ctx["occ0"][idx].tolist(), ctx["dirty0"][idx].tolist()):
+                if upgrade:
+                    r = scheme._upgrade(proc, ln, word)
                 else:
-                    lat = hit_lat
-                    if shd:
-                        # BusRdX: classify, invalidate every other copy.
-                        scheme._miss_kind(proc, ln)  # consumes inval_reason
-                        owner = -1
-                        for q in self._holders(si, ln, proc):
-                            if self.dirty[q][si]:
-                                owner = q
-                                break
-                        if owner >= 0:
-                            used_word = bool(self.used[owner][si, word])
-                            reason = (_REASON_TRUE if used_word
-                                      else _REASON_FALSE)
-                            scheme.inval_reason[owner][ln] = reason
-                            scheme.invalidations_sent += 1
-                            if reason == _REASON_FALSE:
-                                scheme.false_invalidations += 1
-                            self.tags[owner][si] = -1
-                            self.dirty[owner][si] = False
-                            self.wv[owner][si] = False
-                            self.used[owner][si] = False
-                            cw += 2 + lw  # flush + inval
-                            scheme.cache_to_cache_transfers += 1
-                        else:
-                            cw += self._invalidate_copies(ln, si, word, proc)
-                        if self.seq:  # the exclusive fetch stalls the CPU
-                            lat += self.miss_lat
-                    seen.add(ln)
-                    if lat > hit_lat:
-                        bd["write_stall"] += lat
-                    else:
-                        bd["busy"] += lat
-                    if lat_out is not None:
-                        lat_out[i] = lat
-                    elapsed += lat
-        self._traffic(eng, read_words=rw, write_words=wwt,
-                      coherence_words=cw)
+                    miss = scheme._write_miss if is_write else scheme._read_miss
+                    r = miss(proc, ln, word, shared)
+                    scheme._filled(proc, ln, occ if occ >= 0 else None,
+                                   dirty, r)
+                latency = account(is_write, shared, r)
+                if lat_out is not None:
+                    lat_out[i] = latency
+                elapsed += latency
         return elapsed
+
+
+class DirectoryBatchKernel(MsiBatchKernel):
+    """HW directory: a copy is exclusive in state E/self.  The test
+    gathers the scheme's :class:`~repro.coherence.sparse.DirectoryStore`
+    columns directly — every protocol mutation writes through the
+    :class:`DirEntry` proxies into those columns."""
+
+    def _exclusive(self, cols, ch, tags0, dirty0):
+        # Any earlier shared write to the line left it E/self (write miss
+        # and upgrade both end there; E/self hits stay).
+        store = self.scheme.dirstore
+        return (((store.state_code[cols.line] == STATE_E)
+                 & (store.owner_p1[cols.line] == cols.procv + 1))
+                | ch.prior_any(cols.wr & cols.sh))
+
+
+class SnoopBatchKernel(MsiBatchKernel):
+    """Snooping MSI: a copy is exclusive in M, i.e. dirty."""
+
+    def _exclusive(self, cols, ch, tags0, dirty0):
+        # Dirty at window start, or after some earlier write to the line
+        # (any write sets the dirty bit, and nothing in a cold span
+        # clears it mid-window).
+        return ((tags0 == cols.line) & dirty0) | ch.prior_any(cols.wr)
 
 
 # ---------------------------------------------------------------------------
@@ -1843,6 +1486,6 @@ def resolve_geometries(addr, geometries):
 
 
 __all__ = ["BaseBatchKernel", "DirectoryBatchKernel", "GangParams",
-           "ScBatchKernel", "SnoopBatchKernel", "TardisBatchKernel",
-           "TpiBatchKernel", "UpdateBatchKernel",
+           "MsiBatchKernel", "ScBatchKernel", "SnoopBatchKernel",
+           "TardisBatchKernel", "TpiBatchKernel", "UpdateBatchKernel",
            "prior_same_addr", "resolve_geometries"]

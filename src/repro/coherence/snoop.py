@@ -23,30 +23,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
+from repro.coherence.api import AccessResult, SimContext
+from repro.coherence.directory import MsiScheme
 from repro.common.config import ConsistencyModel
 from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
 from repro.memsys.cache import Cache, CacheWay
-from repro.memsys.lazystate import LazyList
-
-_REASON_TRUE = 1
-_REASON_FALSE = 2
 
 
-class SnoopBusScheme(CoherenceScheme):
+class SnoopBusScheme(MsiScheme):
     name = "snoop"
-    batch_hot_rule = "directory"
-    batch_evict_coupled = True
-    # Snooping finds sharers on the bus: no timetags, no write buffer
-    # (writes hit in M or stall for the bus transaction), no directory,
-    # no leases.
-    config_dead_fields = ("tpi", "write_buffer", "directory", "tardis")
 
     def extras(self) -> Dict[str, int]:
-        return {"invalidations_sent": self.invalidations_sent,
-                "false_invalidations": self.false_invalidations,
-                "cache_to_cache_transfers": self.cache_to_cache_transfers}
+        out = super().extras()
+        out["cache_to_cache_transfers"] = self.cache_to_cache_transfers
+        return out
 
     def directory_hot_lines(self, lines):
         """Lines with a Modified copy are order-sensitive even read-read:
@@ -65,176 +56,74 @@ class SnoopBusScheme(CoherenceScheme):
 
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
-        machine = self.machine
-        self.caches: LazyList = LazyList(machine.n_procs,
-                                         lambda _p: Cache(machine.cache))
-        self.line_words = machine.cache.line_words
-        self.seen_lines: LazyList = LazyList(machine.n_procs, lambda _p: set())
-        self.inval_reason: LazyList = LazyList(machine.n_procs,
-                                               lambda _p: dict())
-        self.invalidations_sent = 0
-        self.false_invalidations = 0
         self.cache_to_cache_transfers = 0
 
     # -------------------------------------------------------------- plumbing
 
-    def _holders(self, line_addr: int) -> List[int]:
-        """Every processor whose snoop would assert "shared" for the line."""
+    def _holders(self, line_addr: int, skip: int = -1) -> List[int]:
+        """Every processor but ``skip`` whose snoop would assert "shared"
+        for the line (the requester skips itself: the batch kernel has
+        already filled its cache when the protocol side runs)."""
         return [proc for proc, cache in self.caches.materialized()
-                if cache.probe(line_addr) is not None]
+                if proc != skip and cache.probe(line_addr) is not None]
 
-    def _dirty_holder(self, line_addr: int) -> Optional[int]:
+    def _dirty_holder(self, line_addr: int, skip: int = -1) -> Optional[int]:
         for proc, cache in self.caches.materialized():
+            if proc == skip:
+                continue
             loc = cache.probe(line_addr)
             if loc is not None and cache.dirty[loc]:
                 return proc
         return None
 
-    def _invalidate_holders(self, line_addr: int, word: int,
-                            skip: int) -> AccessResult:
-        """Invalidate every snooped copy except ``skip``'s; classify each."""
-        out = AccessResult(latency=0, kind=MissKind.HIT)
-        for target in self._holders(line_addr):
-            if target == skip:
-                continue
-            cache = self.caches[target]
-            loc = cache.probe(line_addr)
-            assert loc is not None
-            used_word = bool(cache.used[loc[0], loc[1], word])
-            reason = _REASON_TRUE if used_word else _REASON_FALSE
-            self.inval_reason[target][line_addr] = reason
-            self.invalidations_sent += 1
-            if reason == _REASON_FALSE:
-                self.false_invalidations += 1
-            if cache.dirty[loc]:
-                out.coherence_words += self.line_words  # dirty data returns
-            cache.invalidate_line(loc)
-            out.coherence_words += 2  # invalidate + ack
-        return out
+    # --------------------------------------------------------- protocol side
 
-    def _fill(self, cache: Cache, proc: int, line_addr: int,
-              result: AccessResult, probed: Optional[CacheWay]) -> CacheWay:
-        """``probed``: the caller's probe result (see ``Cache.install``)."""
-        loc, evicted, dirty = cache.install(line_addr, probed)
-        if evicted is not None and dirty:
-            result.write_words += 1 + self.line_words  # silent write-back
-        s, w = loc
-        base = cache.line_base(line_addr)
-        cache.version[s, w, :] = self.shadow.version[base:base + self.line_words]
-        result.read_words += 1 + self.line_words
-        self.seen_lines[proc].add(line_addr)
-        return loc
+    def _exclusive(self, proc: int, line_addr: int, cache: Cache,
+                   loc: CacheWay) -> bool:
+        return bool(cache.dirty[loc])
 
-    def _miss_kind(self, proc: int, line_addr: int) -> MissKind:
-        reason = self.inval_reason[proc].pop(line_addr, None)
-        if reason == _REASON_TRUE:
-            return MissKind.TRUE_SHARING
-        if reason == _REASON_FALSE:
-            return MissKind.FALSE_SHARING
-        if line_addr in self.seen_lines[proc]:
-            return MissKind.REPLACEMENT
-        return MissKind.COLD
-
-    # -------------------------------------------------------------- accesses
-
-    def read(self, proc: int, addr: int, site: int, shared: bool,
-             in_critical: bool) -> AccessResult:
-        cache = self.caches[proc]
-        line_addr, _, word = cache.split(addr)
-        loc = cache.probe(line_addr)
-        if loc is not None:
-            cache.touch(loc)
-            cache.used[loc[0], loc[1], word] = True
-            version = cache.version.item(*loc, word)
-            if shared:
-                self._check_read_version(addr, version, exact=True)
-            return AccessResult(latency=self.machine.hit_latency,
-                                kind=MissKind.HIT, version=version)
-
-        kind = self._miss_kind(proc, line_addr) if shared else (
-            MissKind.REPLACEMENT if line_addr in self.seen_lines[proc]
-            else MissKind.COLD)
+    def _read_miss(self, proc: int, line_addr: int, word: int,
+                   shared: bool) -> AccessResult:
         result = AccessResult(latency=self.network.miss_latency(self.line_words),
-                              kind=kind)
+                              kind=self._miss_kind(proc, line_addr, shared))
         if shared:
-            owner = self._dirty_holder(line_addr)
-            if owner is not None and owner != proc:
+            owner = self._dirty_holder(line_addr, skip=proc)
+            if owner is not None:
                 # BusRd snooped by the M holder: flush + demote to S.
-                owner_cache = self.caches[owner]
-                owner_loc = owner_cache.probe(line_addr)
-                assert owner_loc is not None
-                owner_cache.dirty[owner_loc] = False
-                result.latency += self.network.control_latency()
-                result.coherence_words += 2 + self.line_words  # snoop + flush
+                self._flush_owner(owner, line_addr, result)
                 self.cache_to_cache_transfers += 1
-        loc = self._fill(cache, proc, line_addr, result, loc)
-        cache.used[loc[0], loc[1], word] = True
-        result.version = cache.version.item(*loc, word)
-        if shared:
-            self._check_read_version(addr, result.version, exact=True)
         return result
 
-    def write(self, proc: int, addr: int, site: int, shared: bool,
-              in_critical: bool) -> AccessResult:
-        cache = self.caches[proc]
-        line_addr, _, word = cache.split(addr)
-        loc = cache.probe(line_addr)
+    def _write_miss(self, proc: int, line_addr: int, word: int,
+                    shared: bool) -> AccessResult:
+        result = AccessResult(latency=self.machine.hit_latency,
+                              kind=MissKind.HIT)
         if not shared:
-            result = AccessResult(latency=self.machine.hit_latency,
-                                  kind=MissKind.HIT)
-            if loc is None:
-                loc = self._fill(cache, proc, line_addr, result, loc)
-            version = self.shadow.write(addr, proc)
-            s, w = loc
-            cache.dirty[s, w] = True
-            cache.version[s, w, word] = version
-            cache.used[s, w, word] = True
-            cache.touch(loc)
-            result.version = version
             return result
-
-        result = AccessResult(latency=self.machine.hit_latency, kind=MissKind.HIT)
-        sequential = self.machine.consistency is ConsistencyModel.SEQUENTIAL
-        if loc is not None and cache.dirty[loc]:
-            pass  # silent write hit in M
-        elif loc is not None:
-            # BusUpgr from S: invalidate every other copy, no data moves.
-            inval = self._invalidate_holders(line_addr, word, skip=proc)
-            result.coherence_words += inval.coherence_words + 2  # upgrade rt
-            if sequential:  # wait for the bus grant
-                result.latency += self.network.control_latency()
+        # BusRdX: classify, invalidate everyone, fetch exclusive.
+        result.kind = self._miss_kind(proc, line_addr)
+        owner = self._dirty_holder(line_addr, skip=proc)
+        if owner is not None:
+            self._invalidate_copy(owner, line_addr, word)
+            result.coherence_words += 2 + self.line_words  # flush + inval
+            self.cache_to_cache_transfers += 1
         else:
-            # BusRdX: classify, invalidate everyone, fetch exclusive.
-            result.kind = self._miss_kind(proc, line_addr)
-            owner = self._dirty_holder(line_addr)
-            if owner is not None and owner != proc:
-                owner_cache = self.caches[owner]
-                owner_loc = owner_cache.probe(line_addr)
-                assert owner_loc is not None
-                used_word = bool(owner_cache.used[owner_loc[0],
-                                                  owner_loc[1], word])
-                reason = _REASON_TRUE if used_word else _REASON_FALSE
-                self.inval_reason[owner][line_addr] = reason
-                self.invalidations_sent += 1
-                if reason == _REASON_FALSE:
-                    self.false_invalidations += 1
-                owner_cache.invalidate_line(owner_loc)
-                result.coherence_words += 2 + self.line_words  # flush + inval
-                self.cache_to_cache_transfers += 1
-            else:
-                inval = self._invalidate_holders(line_addr, word, skip=proc)
-                result.coherence_words += inval.coherence_words
-            loc = self._fill(cache, proc, line_addr, result, loc)
-            if sequential:  # the exclusive fetch is on the critical path
-                result.latency += self.network.miss_latency(self.line_words)
+            result.coherence_words += self._invalidate_targets(
+                self._holders(line_addr, skip=proc), line_addr, word)
+        if self.machine.consistency is ConsistencyModel.SEQUENTIAL:
+            # The exclusive fetch is on the critical path.
+            result.latency += self.network.miss_latency(self.line_words)
+        return result
 
-        version = self.shadow.write(addr, proc)
-        s, w = loc
-        cache.dirty[s, w] = True
-        cache.version[s, w, word] = version
-        cache.used[s, w, word] = True
-        cache.touch(loc)
-        result.version = version
+    def _upgrade(self, proc: int, line_addr: int, word: int) -> AccessResult:
+        """BusUpgr from S: invalidate every other copy, no data moves."""
+        result = AccessResult(
+            latency=self.machine.hit_latency, kind=MissKind.HIT,
+            coherence_words=self._invalidate_targets(
+                self._holders(line_addr, skip=proc), line_addr, word)
+            + 2)  # upgrade round trip
+        if self.machine.consistency is ConsistencyModel.SEQUENTIAL:
+            result.latency += self.network.control_latency()  # bus grant
         return result
 
     # ------------------------------------------------------------ invariants

@@ -34,9 +34,7 @@ class Cache:
     Line bookkeeping:
 
     * ``tags[s, w]`` — line address stored, or -1;
-    * ``dirty[s, w]`` — write-back dirty bit (HW scheme);
-    * ``inval_reason[s, w]`` — 0 none, 1 true-sharing, 2 false-sharing:
-      why the line's last copy was invalidated (classification state);
+    * ``dirty[s, w]`` — write-back dirty bit (write-back schemes);
 
     Word bookkeeping:
 
@@ -58,7 +56,6 @@ class Cache:
         shape_word = (self.n_sets, self.assoc, self.line_words)
         self.tags = np.full(shape_line, -1, dtype=np.int64)
         self.dirty = np.zeros(shape_line, dtype=bool)
-        self.inval_reason = np.zeros(shape_line, dtype=np.int8)
         self.word_valid = np.zeros(shape_word, dtype=bool)
         self.timetag = np.zeros(shape_word, dtype=np.int64)
         self.version = np.zeros(shape_word, dtype=np.int64)
@@ -140,7 +137,6 @@ class Cache:
                 evicted = None  # in-place refresh, nothing actually left
         self.tags[s, w] = line_addr
         self.dirty[s, w] = False
-        self.inval_reason[s, w] = 0
         self.word_valid[s, w] = True
         self.used[s, w] = False
         self.touch(loc)
@@ -148,14 +144,14 @@ class Cache:
 
     # --------------------------------------------------------- invalidation
 
-    def invalidate_line(self, loc: CacheWay, reason: int = 0) -> None:
-        """Coherence invalidation (keeps the classification reason)."""
+    def invalidate_line(self, loc: CacheWay) -> None:
+        """Coherence invalidation.  Why the copy went (the Tullsen-Eggers
+        classification) is protocol state, kept by the scheme."""
         s, w = loc
         self.tags[s, w] = -1
         self.dirty[s, w] = False
         self.word_valid[s, w] = False
         self.used[s, w] = False
-        self.inval_reason[s, w] = reason
 
     def two_phase_reset(self, phase_lo: int, phase_hi: int,
                         modulus: int) -> int:

@@ -41,6 +41,7 @@ _HIT = MissKind.HIT
 class _LockState:
     held: bool = False
     holder: int = -1
+    holder_rank: int = -1
     free_time: int = 0
     spins: int = 0
 
@@ -151,6 +152,10 @@ class Engine:
                                 event.site, event.shared, event.in_critical)
             elif kind is EventKind.LOCK:
                 state = locks.setdefault(event.lock, _LockState())
+                if state.held and state.holder_rank == rank:
+                    raise SimulationError(
+                        f"processor {proc} re-acquired lock {event.lock} it "
+                        "already holds: no one can release it")
                 if state.held:
                     # Spin: jump past the holder's current position and retry.
                     waited = max(clock + _LOCK_RETRY_CYCLES,
@@ -170,6 +175,7 @@ class Engine:
                     breakdown["sync_stall"] += waited + acquire
                     state.held = True
                     state.holder = proc
+                    state.holder_rank = rank
                     self.result.extra["lock_acquires"] = (
                         self.result.extra.get("lock_acquires", 0) + 1)
             elif kind is EventKind.UNLOCK:
@@ -186,6 +192,7 @@ class Engine:
                 self._epoch_words += r.total_words
                 state.held = False
                 state.holder = -1
+                state.holder_rank = -1
                 state.free_time = clock
             else:  # pragma: no cover - closed enum
                 raise SimulationError(f"unknown event kind {kind}")
@@ -202,10 +209,23 @@ class Engine:
         if held:
             raise SimulationError(f"epoch {epoch.index} ended with locks held: {held}")
 
+        return self._end_epoch(epoch, global_time, base, clocks,
+                               reads_before, misses_before)
+
+    def _end_epoch(self, epoch, global_time: int, base: int,
+                   clocks: Dict[int, int], reads_before: int,
+                   misses_before: int) -> int:
+        """The barrier closing an epoch: drain the scheme, charge barrier
+        idle time, feed the network model, record the epoch; returns the
+        epoch's end time.  ``clocks`` maps each participating processor
+        to its finishing clock."""
+        machine = self.machine
+        result = self.result
+        breakdown = result.breakdown
         barrier_words = self.scheme.end_epoch(epoch.write_key)
-        for proc, words in barrier_words.items():
+        for _proc, words in barrier_words.items():
             if words:
-                self.result.note_traffic(0, words, 0)
+                result.note_traffic(0, words, 0)
                 self._epoch_words += words
         self.shadow.barrier()
 
@@ -219,13 +239,13 @@ class Engine:
                                       * (end_time - global_time))
         epoch_cycles = max(1, end_time - global_time)
         self.network.observe_epoch(self._epoch_words, epoch_cycles,
-                                   self.machine.network_smoothing)
+                                   machine.network_smoothing)
         if machine.record_epochs:
-            self.result.epoch_records.append(EpochRecord(
+            result.epoch_records.append(EpochRecord(
                 index=epoch.index, parallel=epoch.parallel,
                 label=epoch.label, cycles=epoch_cycles,
-                reads=self.result.reads - reads_before,
-                read_misses=self.result.read_misses - misses_before,
+                reads=result.reads - reads_before,
+                read_misses=result.read_misses - misses_before,
                 words_injected=self._epoch_words,
                 network_load=self.network.rho))
         return end_time
@@ -238,14 +258,22 @@ class Engine:
 
         The one per-event access routine: the reference heap, the fast
         engine's fallback and hot-event paths, and the batch kernels'
-        boundary and exact events all go through it, so every path
-        accounts an access identically.
+        boundary and exact events all go through it.
         """
-        result = self.result
-        breakdown = result.breakdown
         if is_write:
             r = self.scheme.write(proc, addr, site, shared, in_critical)
-            latency = r.latency
+        else:
+            r = self.scheme.read(proc, addr, site, shared, in_critical)
+        return self._account(is_write, shared, r)
+
+    def _account(self, is_write: bool, shared: bool, r) -> int:
+        """Account one access's :class:`AccessResult`; returns its
+        latency.  Every path that runs a scheme transition accounts it
+        here, so all of them account an access identically."""
+        result = self.result
+        breakdown = result.breakdown
+        latency = r.latency
+        if is_write:
             if latency > self._hit_latency:
                 # Only a stalling consistency model produces this.
                 breakdown["write_stall"] += latency
@@ -253,8 +281,6 @@ class Engine:
                 breakdown["busy"] += latency
             result.note_write(shared)
         else:
-            r = self.scheme.read(proc, addr, site, shared, in_critical)
-            latency = r.latency
             kind = r.kind
             if kind is _HIT:
                 breakdown["busy"] += latency

@@ -43,9 +43,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.coherence.batch import _Cols
-from repro.common.errors import SimulationError
-from repro.sim.engine import Engine, _LockState
-from repro.sim.metrics import EpochRecord
+from repro.sim.engine import Engine
 from repro.trace.columnar import KIND_WRITE, ColumnarEpoch
 from repro.trace.events import EventKind
 
@@ -315,111 +313,9 @@ class FastEngine(Engine):
         hot_idx = self._plan_epoch(epoch)
         if hot_idx is None:
             self.fallback_epochs += 1
-            if len(epoch.tasks) == 1:
-                return self._run_single_task_epoch(epoch, global_time)
             return super()._run_epoch(epoch, global_time)
         self.batched_epochs += 1
         return self._run_epoch_fast(epoch, global_time, hot_idx)
-
-    def _run_single_task_epoch(self, epoch, global_time: int) -> int:
-        """Fallback epochs with one task need no scheduling heap.
-
-        A lone task's events execute in program order on one processor,
-        so the heap's push/pop per event is pure overhead — the dominant
-        cost of the many tiny serial epochs real programs carry.  Every
-        event still takes the scheme's exact per-event path with the
-        reference engine's accounting, so results are byte-identical.
-        """
-        machine = self.machine
-        result = self.result
-        breakdown = result.breakdown
-        stalls = self.scheme.begin_epoch(epoch.index, epoch.parallel)
-        self._epoch_words = 0
-        reads_before = result.reads
-        misses_before = result.read_misses
-
-        task = epoch.tasks[0]
-        proc = task.proc
-        base = global_time + machine.epoch_setup_cycles
-        breakdown["dispatch"] += base - global_time
-        stall = stalls.get(proc, 0)
-        breakdown["reset_stall"] += stall
-        clock = base + stall
-        if task.events:
-            locks: Dict[int, _LockState] = {}
-            for event in task.events:
-                clock += event.work
-                breakdown["busy"] += event.work
-                kind = event.kind
-                if kind is EventKind.READ or kind is EventKind.WRITE:
-                    clock += self._access(proc, kind is EventKind.WRITE,
-                                          event.addr, event.site,
-                                          event.shared, event.in_critical)
-                elif kind is EventKind.LOCK:
-                    state = locks.setdefault(event.lock, _LockState())
-                    if state.held:
-                        # Single processor: re-locking a held lock can
-                        # never be released by anyone else.
-                        raise SimulationError(
-                            f"processor {proc} spun on lock {event.lock} "
-                            "a million times: probable deadlock")
-                    waited = max(clock, state.free_time) - clock
-                    acquire = self.network.control_latency()
-                    clock += waited + acquire
-                    breakdown["sync_stall"] += waited + acquire
-                    state.held = True
-                    state.holder = proc
-                    result.extra["lock_acquires"] = (
-                        result.extra.get("lock_acquires", 0) + 1)
-                elif kind is EventKind.UNLOCK:
-                    state = locks.setdefault(event.lock, _LockState())
-                    if not state.held or state.holder != proc:
-                        raise SimulationError(
-                            f"processor {proc} released lock {event.lock} it "
-                            "does not hold (mis-migrated critical section?)")
-                    r = self.scheme.release_fence(proc)
-                    clock += r.latency
-                    breakdown["sync_stall"] += r.latency
-                    result.note_traffic(r.read_words, r.write_words,
-                                        r.coherence_words)
-                    self._epoch_words += r.total_words
-                    state.held = False
-                    state.holder = -1
-                    state.free_time = clock
-                else:  # pragma: no cover - closed enum
-                    raise SimulationError(f"unknown event kind {kind}")
-            held = [lock for lock, state in locks.items() if state.held]
-            if held:
-                raise SimulationError(
-                    f"epoch {epoch.index} ended with locks held: {held}")
-            clock += task.extra_work
-            breakdown["busy"] += task.extra_work
-        else:
-            clock = base + stall
-
-        barrier_words = self.scheme.end_epoch(epoch.write_key)
-        for _proc, words in barrier_words.items():
-            if words:
-                result.note_traffic(0, words, 0)
-                self._epoch_words += words
-        self.shadow.barrier()
-
-        end_time = max(clock, base)
-        breakdown["barrier_idle"] += end_time - clock
-        breakdown["barrier_idle"] += ((machine.n_procs - 1)
-                                      * (end_time - global_time))
-        epoch_cycles = max(1, end_time - global_time)
-        self.network.observe_epoch(self._epoch_words, epoch_cycles,
-                                   machine.network_smoothing)
-        if machine.record_epochs:
-            result.epoch_records.append(EpochRecord(
-                index=epoch.index, parallel=epoch.parallel,
-                label=epoch.label, cycles=epoch_cycles,
-                reads=result.reads - reads_before,
-                read_misses=result.read_misses - misses_before,
-                words_injected=self._epoch_words,
-                network_load=self.network.rho))
-        return end_time
 
     def _run_epoch_fast(self, epoch, global_time: int,
                         hot_idx: List[np.ndarray]) -> int:
@@ -472,31 +368,8 @@ class FastEngine(Engine):
 
         if preapplied:
             self._kernel.clear_memo()
-        barrier_words = self.scheme.end_epoch(epoch.write_key)
-        for _proc, words in barrier_words.items():
-            if words:
-                result.note_traffic(0, words, 0)
-                self._epoch_words += words
-        self.shadow.barrier()
-
-        end_time = max(clocks.values(), default=global_time)
-        end_time = max(end_time, base)
-        for proc_clock in clocks.values():
-            breakdown["barrier_idle"] += end_time - proc_clock
-        breakdown["barrier_idle"] += ((machine.n_procs - len(clocks))
-                                      * (end_time - global_time))
-        epoch_cycles = max(1, end_time - global_time)
-        self.network.observe_epoch(self._epoch_words, epoch_cycles,
-                                   machine.network_smoothing)
-        if machine.record_epochs:
-            result.epoch_records.append(EpochRecord(
-                index=epoch.index, parallel=epoch.parallel,
-                label=epoch.label, cycles=epoch_cycles,
-                reads=result.reads - reads_before,
-                read_misses=result.read_misses - misses_before,
-                words_injected=self._epoch_words,
-                network_load=self.network.rho))
-        return end_time
+        return self._end_epoch(epoch, global_time, base, clocks,
+                               reads_before, misses_before)
 
     # ---------------------------------------------------------- pre-apply
 
@@ -514,7 +387,7 @@ class FastEngine(Engine):
         commutative sums and all latencies are epoch-latched, so the
         pre-applied cold state and per-task latency sums are exactly what
         interleaved execution would produce; :meth:`~repro.coherence.
-        batch._FullBatchKernel.span` then replays them from memoized
+        batch._BatchKernel.span` then replays them from memoized
         prefix sums.  When two tasks share a processor *and* the epoch
         has hot events, their cold segments resume in heap order rather
         than rank order, so any cold set shared between such tasks forces

@@ -135,7 +135,8 @@ class TestLockErrors:
     """Hand-crafted traces for the engine's lock-safety guards (the IR
     builder cannot emit unbalanced critical sections)."""
 
-    def crafted(self, events_by_proc, scheme="hw", n_procs=4):
+    def crafted(self, events_by_proc, scheme="hw", n_procs=4,
+                engine="auto"):
         from repro.compiler.marking import mark_program
         from repro.sim import make_engine
         from repro.trace.events import (EventKind, MemEvent, Task, Trace,
@@ -147,7 +148,7 @@ class TestLockErrors:
         with b.procedure("main"):
             b.stmt(writes=[b.at("A", 0)], work=1)
         program = b.build()
-        m = machine(n_procs=n_procs)
+        m = machine(n_procs=n_procs, engine=engine)
         tasks = [
             Task(proc=proc, events=[
                 MemEvent(kind=kind, addr=0, site=0, work=1, lock=lock)
@@ -180,6 +181,17 @@ class TestLockErrors:
         engine = self.crafted({0: [(EventKind.LOCK, 7)],
                                1: [(EventKind.UNLOCK, 7)]})
         with pytest.raises(SimulationError, match="does not hold"):
+            engine.run()
+
+    @pytest.mark.parametrize("engine_name", ("fast", "reference"))
+    def test_self_relock_raises_at_once(self, engine_name):
+        """Re-locking a lock the task already holds can never succeed: it
+        fails on the spot instead of spinning toward the deadlock guard."""
+        from repro.trace.events import EventKind
+
+        engine = self.crafted({0: [(EventKind.LOCK, 7), (EventKind.LOCK, 7)]},
+                              engine=engine_name)
+        with pytest.raises(SimulationError, match="already holds"):
             engine.run()
 
     def test_spin_counter_deadlock_guard(self, monkeypatch):

@@ -92,6 +92,40 @@ class TestWorkloadGrid:
         assert_parity(program, scheme, default_machine())
 
 
+class TestSharedTransitions:
+    """A protocol change made in a scheme reaches both engines: the MSI
+    batch kernel runs the schemes' own miss and upgrade transitions
+    rather than a copy of them."""
+
+    @pytest.mark.parametrize("scheme", ("hw", "limitless", "snoop"))
+    def test_mutated_classification_reaches_both_engines(self, scheme,
+                                                         monkeypatch):
+        from repro.coherence.directory import (_REASON_FALSE, _REASON_TRUE,
+                                               MsiScheme)
+
+        # ocean on 4 processors invalidates copies on both engines' exact
+        # paths and inside the kernel's in-order transition loop.
+        program = build_workload("ocean", size="small")
+        machine = default_machine().with_(n_procs=4, record_epochs=True)
+        plain = both_engines(program, scheme, machine)["reference"]
+
+        classify = MsiScheme._invalidate_copy
+
+        def all_false(self, target, line_addr, word):
+            dirty = classify(self, target, line_addr, word)
+            reasons = self.inval_reason[target]
+            if reasons[line_addr] == _REASON_TRUE:
+                reasons[line_addr] = _REASON_FALSE
+                self.false_invalidations += 1
+            return dirty
+
+        monkeypatch.setattr(MsiScheme, "_invalidate_copy", all_false)
+        mutated = assert_parity(program, scheme, machine)["reference"]
+        assert snapshot(mutated) != snapshot(plain)
+        assert (mutated.extra["false_invalidations"]
+                == mutated.extra["invalidations_sent"])
+
+
 class TestEngineProvenance:
     def test_engine_recorded_but_not_rendered(self):
         program = build_workload("ocean", size="small")

@@ -72,9 +72,8 @@ class TestCacheGeometry:
     def test_invalidate_line(self):
         cache = tiny_cache()
         loc, _, _ = cache.install(1)
-        cache.invalidate_line(loc, reason=2)
+        cache.invalidate_line(loc)
         assert cache.probe(1) is None
-        assert cache.inval_reason[loc] == 2
 
 
 class TestTwoPhaseReset:
