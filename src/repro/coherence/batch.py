@@ -12,10 +12,17 @@ vectorizes hits, silent writes and the own-cache side of fills, then
 calls the scheme's own miss and upgrade transitions in program order
 inside the apply; the tardis and update kernels vectorize a provable
 prefix per set chain and run the rest in program order through the
-exact path.  Within a window, each direct-mapped cache set is either
-*fully batched* or *fully per-event*: a set whose events the scan cannot
-prove (two distinct lines competing for it, or a staleness-oracle check
-that might fire) is "poisoned" and all of its events run through the
+exact path.
+
+A direct-mapped set may hold several lines within one window: its
+program-order chain splits into *runs*, maximal stretches of one
+allocated line (:class:`_SetChains`).  Each run is the single-line
+closed form, except that a run after the first starts with a miss that
+installs its line fresh (evicting the previous run's line), so
+window-start state reaches only the first run and the window leaves
+each set as its last run left it.  Within a window, each set is either
+*fully batched* or *fully per-event*: a set in which a staleness-oracle
+check might fire is "poisoned" and all of its events run through the
 exact per-event path instead.  Because an event's side effects are
 confined to its own set (plus the shadow words / write buffer entries
 of its own addresses, which live in that set too), the batched apply
@@ -78,19 +85,33 @@ class _Chains:
     """
 
     def __init__(self, key: np.ndarray):
-        n = len(key)
-        self.n = n
         order = np.argsort(key, kind="stable")
-        self.order = order
         k_sorted = key[order]
-        gs = np.empty(n, dtype=bool)
+        gs = np.empty(len(key), dtype=bool)
         gs[0] = True
         gs[1:] = k_sorted[1:] != k_sorted[:-1]
+        self._group(order, gs)
+
+    def _group(self, order: np.ndarray, gs: np.ndarray) -> None:
+        """Adopt ``order`` (program order inside each group) and the
+        group-start flags ``gs`` along it."""
+        self.n = n = len(order)
+        self.order = order
         self._gs = gs
-        pos = np.arange(n)
-        self._gfirst = np.maximum.accumulate(np.where(gs, pos, 0))
+        self._gfirst = np.maximum.accumulate(np.where(gs, np.arange(n), 0))
         self._gid = np.cumsum(gs) - 1
         self._ngroups = int(self._gid[-1]) + 1
+
+    def split(self, sub: np.ndarray) -> "_Chains":
+        """Chains over the stretches of equal ``sub`` inside each group,
+        sharing this order (no argsort).  ``sub`` must never decrease
+        along program order within a group."""
+        s = sub[self.order]
+        gs = self._gs.copy()
+        gs[1:] |= s[1:] != s[:-1]
+        out = _Chains.__new__(_Chains)
+        out._group(self.order, gs)
+        return out
 
     def _scatter(self, arr_sorted: np.ndarray) -> np.ndarray:
         out = np.empty(self.n, dtype=arr_sorted.dtype)
@@ -120,13 +141,23 @@ def prior_same_addr(addr: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class _SetChains(_Chains):
-    """Per-set chains plus line-residency tracking.
+    """Per-set chains, their runs, and line-residency tracking.
 
     ``mask`` selects the events that allocate into the cache (install on
     miss, or hit the resident line); for those, the occupant of the set
     *after* the event is always the event's own line.  Hence the occupant
     seen by event i is the line of its previous masked same-set event, or
     the pre-window occupant if it has none — one gather either way.
+
+    Each set's chain splits into **runs**, maximal stretches of one
+    allocated line: an allocating event whose line differs from the
+    previous allocating event's line in the set is a *break* and opens a
+    run (a non-allocating event belongs to the run in progress).  A run
+    after the first starts with a miss that installs its line fresh, so
+    window-start state reaches only ``first``-run events, and the window
+    leaves each set as its ``last`` run left it.  ``runs`` answers
+    "earlier X in my run" and ``run`` is a dense run id; a window with no
+    break reuses the set chains (every event is first and last).
     """
 
     def __init__(self, s: np.ndarray, line: np.ndarray,
@@ -136,27 +167,63 @@ class _SetChains(_Chains):
         pos = np.arange(n)
         ls = line[self.order]
         m = mask[self.order] if mask is not None else np.ones(n, dtype=bool)
-        cand = np.where(m, pos, -1)
-        run = np.maximum.accumulate(cand)
+        latest = np.maximum.accumulate(np.where(m, pos, -1))
         prev = np.empty(n, dtype=np.int64)
         prev[0] = -1
-        prev[1:] = run[:-1]
+        prev[1:] = latest[:-1]
         prev[prev < self._gfirst] = -1
         has_prev = prev >= 0
         prev_line = np.where(has_prev, ls[np.maximum(prev, 0)], -1)
         self.has_prev = self._scatter(has_prev)
         self.prev_line = self._scatter(prev_line)
-        # A set is *conflicted* when two distinct lines compete for it
-        # within the window (an in-window eviction chain): closed-form
-        # residency would need install ordering, so such sets are poisoned.
-        confl = m & has_prev & (prev_line != ls)
-        hot = np.bincount(self._gid, weights=confl,
-                          minlength=self._ngroups) > 0
-        self.conflict = self._scatter(hot[self._gid])
+        self._mask = mask
+        self._run_addrs = None
+        brk = m & has_prev & (prev_line != ls)
+        if not brk.any():
+            self.runs = self
+            self.run = None
+            self.first = self.last = np.ones(n, dtype=bool)
+            return
+        rid = np.cumsum(self._gs | brk) - 1
+        gend = np.empty(n, dtype=bool)
+        gend[:-1] = self._gs[1:]
+        gend[-1] = True
+        self.run = self._scatter(rid)
+        self.runs = self.split(self.run)
+        self.first = self._scatter(rid == rid[self._gfirst])
+        self.last = self._scatter(rid == rid[gend][self._gid])
 
     def resident(self, line: np.ndarray, tags0: np.ndarray) -> np.ndarray:
         """Is the event's line resident when the event executes?"""
         return np.where(self.has_prev, self.prev_line == line, tags0 == line)
+
+    def run_addrs(self, addrs: _Chains) -> _Chains:
+        """The address chains ``addrs`` of this window, split at run
+        boundaries: "earlier X at my address in my run"."""
+        if self.run is None:
+            return addrs
+        if self._run_addrs is None:
+            self._run_addrs = addrs.split(self.run)
+        return self._run_addrs
+
+    def victims(self, line: np.ndarray, wr: np.ndarray, occ0: np.ndarray,
+                dirty0: np.ndarray):
+        """Per event: the line a miss there evicts (-1 for none) and its
+        dirty bit.  Misses happen only at run heads.  The first run's head
+        evicts the window-start occupant ``occ0`` (dirty per ``dirty0``);
+        a later run's head evicts the previous run's line, dirty if that
+        run wrote (``wr``: allocating writes) or is the first run and kept
+        the dirty window-start occupant."""
+        if self.run is None:
+            return occ0, dirty0
+        kept = self.first & (occ0 == line) & dirty0
+        if self._mask is not None:
+            kept &= self._mask
+        held = self.runs.group_any(wr | kept)[self.order]
+        before = np.zeros(self.n, dtype=bool)
+        before[1:] = held[:-1]
+        return (np.where(self.first, occ0, self.prev_line),
+                np.where(self.first, dirty0, self._scatter(before)))
 
 
 class _Cols:
@@ -274,13 +341,14 @@ class _BatchKernel:
     """Span loop and shared plumbing of every kernel: live cache views,
     window gathers, accounting.
 
-    A span runs as one scan + one apply per window; events the scan
-    could not prove (and every event sharing a cache set with one) run
-    through the exact path after the apply.  The apply-first order is
-    sound because a poisoned set's events and the batched events touch
-    disjoint cache sets, shadow words, touched bits, and write-buffer
-    entries — every side channel is keyed by the event's own set or
-    address.
+    A span runs as one scan + one apply per window.  The scan proves
+    every set run by run (counters and traffic cover all events; cache
+    state is written from each set's last run) and poisons only sets
+    where the staleness oracle might fire; their events run through the
+    exact path after the apply.  The apply-first order is sound because
+    a poisoned set's events and the batched events touch disjoint cache
+    sets, shadow words, touched bits, and write-buffer entries — every
+    side channel is keyed by the event's own set or address.
 
     Kernels additionally support *epoch pre-apply* (:meth:`preapply`):
     when the fast engine proves that an epoch's hot and cold events live
@@ -469,9 +537,10 @@ class _BatchKernel:
 
     def _install_lines(self, proc: int, sets: np.ndarray,
                        lines: np.ndarray) -> None:
-        """Batched fills: tags, full word validity, and the line's shadow
-        version snapshot (call *before* this window's shadow bumps — no
-        write can precede the install of its own line within a window)."""
+        """Batched fills of each set's last run: tags, full word validity,
+        and the line's shadow versions.  Call *after* this window's shadow
+        bumps: a cold written line has a single writer, so the final
+        shadow version of every word is what the last run's copy holds."""
         self.tags[proc][sets] = lines
         self.wv[proc][sets] = True
         lw = self.line_words
@@ -568,15 +637,14 @@ class BaseBatchKernel(_BatchKernel):
         touch = priv & (wr | miss)
         repl = (self.scheme.touched[cols.procv, addr]
                 | self._prior_addr(cols, touch))
-        # Shared accesses never consult the cache: always batchable.
-        ok = ~(priv & ch.conflict)
-        ctx = {"miss": miss, "repl": repl, "touch": touch}
-        return ok, ctx
+        ctx = {"miss": miss, "repl": repl, "touch": touch, "last": ch.last}
+        return np.ones(cols.n, dtype=bool), ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
         s, wd, wr, sh, addr, line = (cols.s, cols.wd, cols.wr, cols.sh,
                                      cols.addr, cols.line)
         miss, repl, touch = ctx["miss"], ctx["repl"], ctx["touch"]
+        last = ctx["last"]
         result = eng.result
         bd = result.breakdown
         elapsed = self._work(eng, cols)
@@ -614,9 +682,10 @@ class BaseBatchKernel(_BatchKernel):
             if lat_out is not None:
                 lat_out[pr_hit] = self.hit_lat
 
-        if miss.any():
+        fill = miss & last
+        if fill.any():
             # BASE keeps no per-word versions; a fill is tags + validity.
-            for p, idx in self._parts_idx(cols, miss):
+            for p, idx in self._parts_idx(cols, fill):
                 self.tags[p][s[idx]] = line[idx]
                 self.wv[p][s[idx]] = True
         if touch.any():
@@ -632,7 +701,7 @@ class BaseBatchKernel(_BatchKernel):
             self._traffic(eng, write_words=2 * n_sw)
             pw = wr & ~sh
             if n_wr > n_sw:
-                for p, idx in self._parts_idx(cols, pw):
+                for p, idx in self._parts_idx(cols, pw & last):
                     self.wv[p][s[idx], wd[idx]] = True
                 wm = pw & miss
                 n_wm = int(wm.sum())
@@ -719,7 +788,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         rd = ~wr
 
         ch = self._set_chains(cols, None, "hold")  # every access allocates
-        ach = self._addr_chains(cols)
+        ach = ch.run_addrs(self._addr_chains(cols))
         tags0 = self._gset(self.tags, cols)
         resident = ch.resident(line, tags0)
         wb = ach.prior_any(wr)
@@ -745,17 +814,20 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
                                          (age <= window) | no_region), True)
 
         # Pass 1, pre-window state only: exact for every event up to (and
-        # including) its set's first effective miss.
+        # including) its run's first effective miss.  A later run's head
+        # misses, which makes the rest of that run fresh whatever pass 1
+        # says about it.
         if per_word:
             age_p = np.where(wb, 0, age0)
             hit_p = resident & (wb | wv0) & tt_pass(age_p, age_p == 0)
         else:
             hit_p = resident & (wb | wv0) & tt_pass(age0, zeros)
         cand = np.where(wr, ~resident, ~hit_p)
-        # fresh: a prior same-set miss filled/refreshed the line, so every
+        # fresh: a prior same-run miss filled/refreshed the line, so every
         # word is valid with tag >= R-1 (the paper's fill rule).
-        fresh = ch.prior_any(cand)
-        fill = tags0 != line  # per set: fresh via install, not refresh
+        fresh = ch.runs.prior_any(cand)
+        # Per run: fresh via install, not refresh (a later run installs).
+        fill = (tags0 != line) | ~ch.first
         valid = wb | fresh | wv0
         if per_word:
             age_f = np.where(fill | ~wv0, 1, np.minimum(age0, 1))
@@ -783,7 +855,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         else:
             refreshed = fresh
         current = wb | rm_before | refreshed | (cver0 == ver0)
-        bad = ch.conflict
+        ok = np.ones(n, dtype=bool)
         if self.check:
             fresh_ver = wb | rm_before | refreshed
             stale = hit & ~fresh_ver & (
@@ -791,15 +863,16 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
             if stale.any():
                 # The staleness oracle may fire: route the whole set
                 # through the exact path so it fires against true state.
-                bad = bad | ch.group_any(stale)
+                ok = ~ch.group_any(stale)
         touched = (scheme.touched[cols.procv, addr]
-                   | ach.prior_any(np.ones(n, dtype=bool)))
+                   | self._addr_chains(cols).prior_any(
+                       np.ones(n, dtype=bool)))
 
         ctx = {"tr": tr, "strict": strict, "hit": hit,
                "rmiss": rmiss, "wmiss": wmiss, "resident": resident,
                "valid": valid, "current": current, "touched": touched,
-               "fill": fill}
-        return ~bad, ctx
+               "fill": fill, "last": ch.last}
+        return ok, ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
         scheme = self.scheme
@@ -837,8 +910,13 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
             if lat_out is not None:
                 lat_out[rmiss] = self.miss_lat
 
-        # ---- state: line-wide fill/refresh effects for missed sets -----
-        miss_any = rmiss | wmiss
+        n_wr = int(wr.sum())
+        if n_wr:
+            self._bump_shadow(addr[wr], cols.procv[wr])
+
+        # ---- state: each set as its last run leaves it ------------------
+        last = c["last"]
+        miss_any = (rmiss | wmiss) & last
         if miss_any.any():
             lw = self.line_words
             for p, idx in self._parts_idx(cols, miss_any):
@@ -860,18 +938,16 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
             if per_word and n_rm:
                 # Accessed word of each read miss: version refetched, tag
                 # stamped to R unless the Time-Read was strict.
-                for p, idx in self._parts_idx(cols, rmiss):
+                for p, idx in self._parts_idx(cols, rmiss & last):
                     self.cver[p][s[idx], wd[idx]] = (
                         self.shadow.version[addr[idx]])
                     self.tt[p][s[idx], wd[idx]] = np.where(
                         c["strict"][idx], R - 1, R)
         scheme.touched[cols.procv, addr] = True
 
-        n_wr = int(wr.sum())
         if n_wr:
             result.writes += n_wr
-            self._bump_shadow(addr[wr], cols.procv[wr])
-            for p, idx in self._parts_idx(cols, wr):
+            for p, idx in self._parts_idx(cols, wr & last):
                 sw, ww = s[idx], wd[idx]
                 self.wv[p][sw, ww] = True
                 if per_word:
@@ -929,22 +1005,22 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
         ach = self._addr_chains(cols)
         resident = ch.resident(line, self._gset(self.tags, cols))
         miss = cached & ~resident  # line miss: install (read or write)
-        fresh = ch.prior_any(miss)
-        wb = ach.prior_any(wr)
+        fresh = ch.runs.prior_any(miss)
+        wb = ch.run_addrs(ach).prior_any(wr)
         cver0 = self._gword(self.cver, cols)
         current = wb | fresh | (cver0 == self.shadow.version[addr])
         touched = (scheme.touched[cols.procv, addr]
                    | ach.prior_any(bypass | wr | (miss & ~wr)))
 
-        bad = ch.conflict
+        ok = np.ones(cols.n, dtype=bool)
         if self.check:
             stale = (cached & ~wr & resident & ~wb & ~fresh
                      & (cver0 < self.shadow.epoch_version[addr]))
             if stale.any():
-                bad = bad | ch.group_any(stale)
+                ok = ~ch.group_any(stale)
         ctx = {"bypass": bypass, "miss": miss, "have": resident,
-               "current": current, "touched": touched}
-        return ~bad, ctx
+               "current": current, "touched": touched, "last": ch.last}
+        return ok, ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
         scheme = self.scheme
@@ -999,16 +1075,19 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
             if lat_out is not None:
                 lat_out[plain] = self.hit_lat
 
-        if miss.any():
-            for p, idx in self._parts_idx(cols, miss):
+        n_wr = int(wr.sum())
+        if n_wr:
+            self._bump_shadow(addr[wr], cols.procv[wr])
+        last = c["last"]
+        fill = miss & last
+        if fill.any():
+            for p, idx in self._parts_idx(cols, fill):
                 self._install_lines(p, s[idx], line[idx])
 
-        n_wr = int(wr.sum())
         if n_wr:
             result.writes += n_wr
             aw = addr[wr]
-            self._bump_shadow(aw, cols.procv[wr])
-            for p, idx in self._parts_idx(cols, wr):
+            for p, idx in self._parts_idx(cols, wr & last):
                 sw, ww = s[idx], wd[idx]
                 self.wv[p][sw, ww] = True
                 self.cver[p][sw, ww] = self.shadow.version[addr[idx]]
@@ -1266,15 +1345,20 @@ class MsiBatchKernel(_BatchKernel):
     plan-level fallback, so the remote-cache mutations the transitions
     perform (invalidations, owner demotions) commute with everything
     batched, and slow events of distinct processors in one merged window
-    commute with each other.  In an unpoisoned set all events address
-    one line, so the set's first event is its only possible miss and the
-    pre-window occupant/dirty gathers are exact at miss time.
+    commute with each other.  Misses happen only at run heads (see
+    :class:`_SetChains`): the first run's head evicts the window-start
+    occupant, a later run's head the previous run's line, and the
+    transitions hand each victim and its dirty bit to the scheme's own
+    ``_filled``/``_evict``.  ``_plan_epoch``'s eviction pre-check keeps
+    those victims private: in a batched epoch no set holding two of a
+    task's lines holds a line another task touches.
 
     Subclasses supply only :meth:`_exclusive`."""
 
     def _exclusive(self, cols, ch, tags0, dirty0) -> np.ndarray:
         """Per event: may the processor's resident copy be written
-        silently when the event executes?"""
+        silently when the event executes?  Window-start state counts
+        only in the first run; a later run starts from a fresh fill."""
         raise NotImplementedError
 
     def _scan(self, cols):
@@ -1288,26 +1372,28 @@ class MsiBatchKernel(_BatchKernel):
         upgrade = (wr & sh & resident
                    & ~self._exclusive(cols, ch, tags0, dirty0))
 
-        bad = ch.conflict
+        ok = np.ones(cols.n, dtype=bool)
         if self.check:
             # MSI reads must observe the exact current version: fills and
             # same-address writes refetch it, anything else must compare
             # equal or the whole set goes to the exact path so the oracle
             # fires against true state.
-            fresh = self._prior_addr(cols, wr) | ch.prior_any(miss)
+            fresh = (ch.run_addrs(self._addr_chains(cols)).prior_any(wr)
+                     | ch.runs.prior_any(miss))
             stale = (~wr & sh & resident & ~fresh
                      & (self._gword(self.cver, cols)
                         != self.shadow.version[addr]))
             if stale.any():
-                bad = bad | ch.group_any(stale)
+                ok = ~ch.group_any(stale)
 
-        ctx = {"miss": miss, "upgrade": upgrade,
-               "occ0": tags0, "dirty0": dirty0}
-        return ~bad, ctx
+        victim, vdirty = ch.victims(line, wr, tags0, dirty0)
+        ctx = {"miss": miss, "upgrade": upgrade, "victim": victim,
+               "vdirty": vdirty, "last": ch.last}
+        return ok, ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
         s, wd, wr, sh, addr = cols.s, cols.wd, cols.wr, cols.sh, cols.addr
-        miss, upgrade = ctx["miss"], ctx["upgrade"]
+        miss, upgrade, last = ctx["miss"], ctx["upgrade"], ctx["last"]
         result = eng.result
         elapsed = self._work(eng, cols)
 
@@ -1318,22 +1404,23 @@ class MsiBatchKernel(_BatchKernel):
             if lat_out is not None:
                 lat_out[rhit] = self.hit_lat
 
-        if miss.any():
-            # Own-cache side of the fills: reset the set and snapshot
-            # shadow versions before this window's bumps — a miss is its
-            # set's first event, so no write can precede the install of
-            # its own line.
-            for p, idx in self._parts_idx(cols, miss):
+        if wr.any():
+            self._bump_shadow(addr[wr], cols.procv[wr])
+        # Own-cache side, as each set's last run leaves it: the fill
+        # resets the set, then every access marks its word used and every
+        # write dirties the line.
+        fill = miss & last
+        if fill.any():
+            for p, idx in self._parts_idx(cols, fill):
                 su = s[idx]
                 self.used[p][su] = False
                 self.dirty[p][su] = False
                 self._install_lines(p, su, cols.line[idx])
-        for p, lo, hi in cols.parts:  # every access marks its word used
-            self.used[p][s[lo:hi], wd[lo:hi]] = True
+        for p, idx in self._parts_idx(cols, last):
+            self.used[p][s[idx], wd[idx]] = True
 
         if wr.any():
-            self._bump_shadow(addr[wr], cols.procv[wr])
-            for p, idx in self._parts_idx(cols, wr):
+            for p, idx in self._parts_idx(cols, wr & last):
                 sw = s[idx]
                 self.dirty[p][sw] = True
                 self.cver[p][sw, wd[idx]] = self.shadow.version[addr[idx]]
@@ -1365,7 +1452,8 @@ class MsiBatchKernel(_BatchKernel):
                     idx.tolist(), cols.wr[idx].tolist(),
                     cols.line[idx].tolist(), cols.wd[idx].tolist(),
                     cols.sh[idx].tolist(), ctx["upgrade"][idx].tolist(),
-                    ctx["occ0"][idx].tolist(), ctx["dirty0"][idx].tolist()):
+                    ctx["victim"][idx].tolist(),
+                    ctx["vdirty"][idx].tolist()):
                 if upgrade:
                     r = scheme._upgrade(proc, ln, word)
                 else:
@@ -1391,18 +1479,19 @@ class DirectoryBatchKernel(MsiBatchKernel):
         # and upgrade both end there; E/self hits stay).
         store = self.scheme.dirstore
         return (((store.state_code[cols.line] == STATE_E)
-                 & (store.owner_p1[cols.line] == cols.procv + 1))
-                | ch.prior_any(cols.wr & cols.sh))
+                 & (store.owner_p1[cols.line] == cols.procv + 1) & ch.first)
+                | ch.runs.prior_any(cols.wr & cols.sh))
 
 
 class SnoopBatchKernel(MsiBatchKernel):
     """Snooping MSI: a copy is exclusive in M, i.e. dirty."""
 
     def _exclusive(self, cols, ch, tags0, dirty0):
-        # Dirty at window start, or after some earlier write to the line
-        # (any write sets the dirty bit, and nothing in a cold span
-        # clears it mid-window).
-        return ((tags0 == cols.line) & dirty0) | ch.prior_any(cols.wr)
+        # Dirty at window start, or after some earlier write in the run
+        # (any write sets the dirty bit, and only the fill that opens a
+        # run clears it mid-window).
+        return (((tags0 == cols.line) & dirty0 & ch.first)
+                | ch.runs.prior_any(cols.wr))
 
 
 # ---------------------------------------------------------------------------
