@@ -14,13 +14,16 @@ inside the apply; the tardis and update kernels vectorize a provable
 prefix per set chain and run the rest in program order through the
 exact path.
 
-A direct-mapped set may hold several lines within one window: its
-program-order chain splits into *runs*, maximal stretches of one
-allocated line (:class:`_SetChains`).  Each run is the single-line
-closed form, except that a run after the first starts with a miss that
-installs its line fresh (evicting the previous run's line), so
-window-start state reaches only the first run and the window leaves
-each set as its last run left it.  Within a window, each set is either
+Cache state is indexed by **slot**, ``set * K + way`` for a K-way cache
+(a slot is a set when the cache is direct-mapped).  A per-window slot scan
+(:meth:`_BatchKernel._slot_chains`) gives each event the way its line
+occupies when the event executes, so a slot's program-order chain splits
+into *runs* that are exactly its line residencies (:class:`_SetChains`).
+Each run is the single-line closed form, except that a run after the
+first starts with a miss that installs its line fresh (evicting the
+previous run's line), so window-start state reaches only the first run
+and the window leaves each slot as its last run left it; the apply then
+writes each used slot's LRU stamp.  Within a window, each set is either
 *fully batched* or *fully per-event*: a set in which a staleness-oracle
 check might fire is "poisoned" and all of its events run through the
 exact per-event path instead.  Because an event's side effects are
@@ -47,10 +50,11 @@ refresh, word validations) is a function of the window's own events.
 Intra-window ordering between accesses to the same set or word is
 restored with :class:`_Chains` (one stable argsort per key).
 
-Kernels require direct-mapped caches (``associativity == 1``): with one
-way per set, ``probe`` is a single gather and LRU state is provably inert.
-For any other geometry :meth:`build` returns ``None`` and the fast engine
-falls back to its exact per-event path.
+The loop-in-apply kernels (tardis, update) interleave exact events with
+their batched prefix, which batched LRU stamps would misorder, so they
+alone require direct-mapped caches: for any other geometry their
+:meth:`build` returns ``None`` and the fast engine falls back to its
+exact per-event path.
 """
 
 from __future__ import annotations
@@ -104,8 +108,8 @@ class _Chains:
 
     def split(self, sub: np.ndarray) -> "_Chains":
         """Chains over the stretches of equal ``sub`` inside each group,
-        sharing this order (no argsort).  ``sub`` must never decrease
-        along program order within a group."""
+        sharing this order (no argsort).  Within a group, the events of
+        one ``sub`` value must form one stretch of program order."""
         s = sub[self.order]
         gs = self._gs.copy()
         gs[1:] |= s[1:] != s[:-1]
@@ -118,18 +122,40 @@ class _Chains:
         out[self.order] = arr_sorted
         return out
 
-    def prior_any(self, flags: np.ndarray) -> np.ndarray:
-        """``out[i]`` — does some ``j < i`` in i's group have ``flags[j]``?"""
+    def _prior(self, flags: np.ndarray) -> np.ndarray:
+        """Along the sorted order: flagged events earlier in the group."""
         f = flags[self.order].astype(np.int64)
         csum = np.cumsum(f) - f
-        base = np.maximum.accumulate(np.where(self._gs, csum, 0))
-        return self._scatter((csum - base) > 0)
+        return csum - np.maximum.accumulate(np.where(self._gs, csum, 0))
+
+    def prior_count(self, flags: np.ndarray) -> np.ndarray:
+        """``out[i]`` — how many ``j < i`` in i's group have ``flags[j]``?"""
+        return self._scatter(self._prior(flags))
+
+    def prior_any(self, flags: np.ndarray) -> np.ndarray:
+        """``out[i]`` — does some ``j < i`` in i's group have ``flags[j]``?"""
+        return self._scatter(self._prior(flags) > 0)
+
+    def _count(self, flags: np.ndarray) -> np.ndarray:
+        """Per group: its flagged events."""
+        return np.bincount(self._gid, weights=flags[self.order],
+                           minlength=self._ngroups)
+
+    def group_count(self, flags: np.ndarray) -> np.ndarray:
+        """``out[i]`` — how many events in i's group have the flag?"""
+        return self._scatter(self._count(flags)[self._gid])
 
     def group_any(self, flags: np.ndarray) -> np.ndarray:
         """``out[i]`` — does *any* event in i's group have the flag?"""
-        hot = np.bincount(self._gid, weights=flags[self.order],
-                          minlength=self._ngroups) > 0
-        return self._scatter(hot[self._gid])
+        return self._scatter((self._count(flags) > 0)[self._gid])
+
+    def spread(self, flags: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``out[i]`` — ``values`` at the flagged event of i's group (at
+        most one per group), or -1 if the group has none."""
+        f = flags[self.order]
+        out = np.full(self._ngroups, -1, dtype=values.dtype)
+        out[self._gid[f]] = values[self.order][f]
+        return self._scatter(out[self._gid])
 
 
 def prior_same_addr(addr: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -141,28 +167,38 @@ def prior_same_addr(addr: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 class _SetChains(_Chains):
-    """Per-set chains, their runs, and line-residency tracking.
+    """Per-slot chains, their runs, and line-residency tracking.
+
+    ``key`` groups events by cache slot (``set * K + way``, offset per
+    processor in merged windows); ``slot`` is each event's slot in its
+    own processor's cache and ``sets`` the chains of whole sets, which
+    poisoning groups by.  In a direct-mapped cache a slot is a set, so
+    both default to this object's own grouping.
 
     ``mask`` selects the events that allocate into the cache (install on
-    miss, or hit the resident line); for those, the occupant of the set
+    miss, or hit the resident line); for those, the occupant of the slot
     *after* the event is always the event's own line.  Hence the occupant
-    seen by event i is the line of its previous masked same-set event, or
+    seen by event i is the line of its previous masked same-slot event, or
     the pre-window occupant if it has none — one gather either way.
 
-    Each set's chain splits into **runs**, maximal stretches of one
-    allocated line: an allocating event whose line differs from the
-    previous allocating event's line in the set is a *break* and opens a
-    run (a non-allocating event belongs to the run in progress).  A run
-    after the first starts with a miss that installs its line fresh, so
+    Each slot's chain splits into **runs**, its line residencies: an
+    allocating event whose line differs from the previous allocating
+    event's line in the slot is a *break* and opens a run (a
+    non-allocating event belongs to the run in progress).  A run after
+    the first starts with a miss that installs its line fresh, so
     window-start state reaches only ``first``-run events, and the window
-    leaves each set as its ``last`` run left it.  ``runs`` answers
+    leaves each slot as its ``last`` run left it.  ``runs`` answers
     "earlier X in my run" and ``run`` is a dense run id; a window with no
-    break reuses the set chains (every event is first and last).
+    break reuses the slot chains (every event is first and last).
     """
 
-    def __init__(self, s: np.ndarray, line: np.ndarray,
-                 mask: Optional[np.ndarray]):
-        super().__init__(s)
+    def __init__(self, key: np.ndarray, line: np.ndarray,
+                 mask: Optional[np.ndarray],
+                 slot: Optional[np.ndarray] = None,
+                 sets: Optional[_Chains] = None):
+        super().__init__(key)
+        self.slot = key if slot is None else slot
+        self.sets = self if sets is None else sets
         n = self.n
         pos = np.arange(n)
         ls = line[self.order]
@@ -341,14 +377,18 @@ class _BatchKernel:
     """Span loop and shared plumbing of every kernel: live cache views,
     window gathers, accounting.
 
-    A span runs as one scan + one apply per window.  The scan proves
-    every set run by run (counters and traffic cover all events; cache
-    state is written from each set's last run) and poisons only sets
-    where the staleness oracle might fire; their events run through the
-    exact path after the apply.  The apply-first order is sound because
-    a poisoned set's events and the batched events touch disjoint cache
-    sets, shadow words, touched bits, and write-buffer entries — every
-    side channel is keyed by the event's own set or address.
+    A span runs as one scan + one apply per window.  The scan first
+    gives each event its slot (:meth:`_slot_chains`), then proves every
+    slot run by run (counters and traffic cover all events; cache state
+    is written from each slot's last run, and each used slot of a
+    set-associative cache gets its last use's LRU stamp) and poisons
+    only sets where the staleness oracle might fire; their events run
+    through the exact path after the apply.  The apply-first order is
+    sound because a poisoned set's events and the batched events touch
+    disjoint cache sets, shadow words, touched bits, and write-buffer
+    entries — every side channel is keyed by the event's own set or
+    address.  Poisoning is by set, never by slot, so the ways of one set
+    never mix batched and exact events.
 
     Kernels additionally support *epoch pre-apply* (:meth:`preapply`):
     when the fast engine proves that an epoch's hot and cold events live
@@ -362,18 +402,22 @@ class _BatchKernel:
         self.machine = scheme.machine
         self.network = scheme.network
         self.shadow = scheme.shadow
-        caches = scheme.caches
-        # Direct-mapped views: way dimension dropped, so a probe is one
-        # gather and all scatters are 1-D/2-D fancy indexing.
-        self.tags = _LazyViews(caches, lambda c: c.tags[:, 0])
-        self.wv = _LazyViews(caches, lambda c: c.word_valid[:, 0, :])
-        self.cver = _LazyViews(caches, lambda c: c.version[:, 0, :])
-        self.used = _LazyViews(caches, lambda c: c.used[:, 0, :])
-        self.tt = _LazyViews(caches, lambda c: c.timetag[:, 0, :])
-        self.dirty = _LazyViews(caches, lambda c: c.dirty[:, 0])
+        self.caches = caches = scheme.caches
+        self.assoc = self.machine.cache.associativity
+        self.line_words = lw = self.machine.cache.line_words
+        # Slot views (``[set * K + way]`` and ``[slot, word]``): reshapes,
+        # so writes land in the cache arrays, and a gather or scatter is
+        # 1-D/2-D fancy indexing.  ``ways`` keeps the ``[set, way]`` tags
+        # for the slot scan.
+        self.ways = _LazyViews(caches, lambda c: c.tags)
+        self.tags = _LazyViews(caches, lambda c: c.tags.reshape(-1))
+        self.wv = _LazyViews(caches, lambda c: c.word_valid.reshape(-1, lw))
+        self.cver = _LazyViews(caches, lambda c: c.version.reshape(-1, lw))
+        self.used = _LazyViews(caches, lambda c: c.used.reshape(-1, lw))
+        self.tt = _LazyViews(caches, lambda c: c.timetag.reshape(-1, lw))
+        self.dirty = _LazyViews(caches, lambda c: c.dirty.reshape(-1))
         self.check = self.machine.check_coherence
         self.hit_lat = self.machine.hit_latency
-        self.line_words = self.machine.cache.line_words
         self.word_lat = 0
         self.miss_lat = 0
         self.seq = self.machine.consistency is ConsistencyModel.SEQUENTIAL
@@ -381,8 +425,6 @@ class _BatchKernel:
 
     @classmethod
     def build(cls, scheme) -> Optional["_BatchKernel"]:
-        if scheme.machine.cache.associativity != 1:
-            return None
         return cls(scheme)
 
     def begin_epoch(self) -> None:
@@ -415,34 +457,26 @@ class _BatchKernel:
         eng.result.breakdown["busy"] += work
         return work
 
-    def _gset(self, arrs, cols: _Cols) -> np.ndarray:
-        """Per-event gather from per-processor set-indexed arrays."""
+    def _gset(self, arrs, cols: _Cols, idx: np.ndarray) -> np.ndarray:
+        """Per-event gather ``arrs[proc][idx]`` from per-processor arrays
+        (``idx``: each event's slot, or its set for :attr:`ways`)."""
         parts = cols.parts
         if len(parts) == 1:
-            return arrs[parts[0][0]][cols.s]
-        out = np.empty(cols.n, dtype=arrs[parts[0][0]].dtype)
+            return arrs[parts[0][0]][idx]
+        first = arrs[parts[0][0]]
+        out = np.empty((cols.n,) + first.shape[1:], dtype=first.dtype)
         for p, lo, hi in parts:
-            out[lo:hi] = arrs[p][cols.s[lo:hi]]
+            out[lo:hi] = arrs[p][idx[lo:hi]]
         return out
 
-    def _gword(self, arrs, cols: _Cols) -> np.ndarray:
-        """Per-event gather from per-processor ``[set, word]`` arrays."""
+    def _gword(self, arrs, cols: _Cols, slot: np.ndarray) -> np.ndarray:
+        """Per-event gather from per-processor ``[slot, word]`` arrays."""
         parts = cols.parts
         if len(parts) == 1:
-            return arrs[parts[0][0]][cols.s, cols.wd]
+            return arrs[parts[0][0]][slot, cols.wd]
         out = np.empty(cols.n, dtype=arrs[parts[0][0]].dtype)
         for p, lo, hi in parts:
-            out[lo:hi] = arrs[p][cols.s[lo:hi], cols.wd[lo:hi]]
-        return out
-
-    def _gword0(self, arrs, cols: _Cols) -> np.ndarray:
-        """Like :meth:`_gword` but always word 0 (per-line timetags)."""
-        parts = cols.parts
-        if len(parts) == 1:
-            return arrs[parts[0][0]][cols.s, 0]
-        out = np.empty(cols.n, dtype=arrs[parts[0][0]].dtype)
-        for p, lo, hi in parts:
-            out[lo:hi] = arrs[p][cols.s[lo:hi], 0]
+            out[lo:hi] = arrs[p][slot[lo:hi], cols.wd[lo:hi]]
         return out
 
     def _set_chains(self, cols: _Cols, mask, token) -> "_SetChains":
@@ -452,9 +486,107 @@ class _BatchKernel:
         them across schemes and repeated simulations."""
         ch = cols.cache.get(token)
         if ch is None:
-            ch = _SetChains(cols.skey, cols.line, mask)
+            ch = _SetChains(cols.skey, cols.line, mask, cols.s)
             cols.cache[token] = ch
         return ch
+
+    def _line_chains(self, cols: _Cols) -> _Chains:
+        """Per-line chains (one processor's line lives in one set), also
+        memoized on the window."""
+        ch = cols.cache.get("line")
+        if ch is None:
+            key = cols.line
+            if len(cols.parts) > 1:
+                key = key + cols.procv * (int(key.max()) + 1)
+            ch = cols.cache["line"] = _Chains(key)
+        return ch
+
+    def _slot_chains(self, cols: _Cols, mask, token) -> "_SetChains":
+        """The window's slot chains: the set chains re-keyed by the way
+        each event's line occupies when it executes (:meth:`_ways`).  A
+        direct-mapped cache's slot chains are its memoized set chains;
+        otherwise they depend on the window-start tags and are built on
+        every scan."""
+        sets = self._set_chains(cols, mask, token)
+        K = self.assoc
+        if K == 1:
+            return sets
+        way = self._ways(cols, mask, sets)
+        return _SetChains(cols.skey * K + way, cols.line, mask,
+                          cols.s * K + way, sets)
+
+    def _ways(self, cols: _Cols, mask, sets: _SetChains) -> np.ndarray:
+        """Per event, the way its line occupies when the event executes:
+        the line's way if it is resident, else (for an allocating event)
+        the set's next invalid way, lowest first, else the LRU victim.  A
+        non-allocating event whose line is not resident gets way 0: no
+        slot holds its line, so it reads as a miss wherever it sits."""
+        line = cols.line
+        ways0 = self._gset(self.ways, cols, cols.s)  # window-start tags
+        at = ways0 == line[:, None]
+        way = at.argmax(axis=1)
+        new = ~at.any(axis=1)
+        if mask is not None:
+            new &= mask
+        if not new.any():
+            return way
+        # A set whose new lines fit its invalid ways evicts nothing: the
+        # r-th new line (by first allocation) takes the r-th invalid way.
+        lines = self._line_chains(cols)
+        first = new & ~lines.prior_any(new)
+        rank = lines.spread(first, sets.prior_count(first))
+        empty = ways0 < 0
+        nth = empty & (np.cumsum(empty, axis=1) - 1 == rank[:, None])
+        way = np.where(rank >= 0, nth.argmax(axis=1), way)
+        evict = sets.group_count(first) > empty.sum(axis=1)
+        if evict.any():
+            self._walk_lru(cols, mask, sets, ways0, evict, way)
+        return way
+
+    def _walk_lru(self, cols: _Cols, mask, sets: _SetChains,
+                  ways0: np.ndarray, evict: np.ndarray,
+                  way: np.ndarray) -> None:
+        """Sets whose new lines outnumber their invalid ways (rare): walk
+        their events in program order with plain LRU, writing ``way``."""
+        idx = sets.order[evict[sets.order]]
+        line = cols.line.tolist()
+        alloc = None if mask is None else mask.tolist()
+        procv, s = cols.procv, cols.s
+        group = -1
+        for i, key in zip(idx.tolist(), cols.skey[idx].tolist()):
+            if key != group:
+                group = key
+                tags = ways0[i].tolist()
+                stamps = self.caches[int(procv[i])].lru_stamps(int(s[i]))
+                tick = max(stamps)
+            ln = line[i]
+            if ln in tags:
+                w = tags.index(ln)
+            elif alloc is not None and not alloc[i]:
+                way[i] = 0
+                continue
+            else:
+                w = (tags.index(-1) if -1 in tags
+                     else stamps.index(min(stamps)))
+                tags[w] = ln
+            if alloc is None or alloc[i]:
+                tick += 1
+                stamps[w] = tick
+            way[i] = w
+
+    def _stamp(self, cols: _Cols, ctx) -> None:
+        """LRU stamps after an apply (set-associative caches): each slot
+        the window allocated into gets its last use's window position,
+        above the cache's tick (``ctx["alloc"]``, absent when every event
+        allocates, selects the events that touch the cache)."""
+        alloc = ctx.get("alloc")
+        if alloc is None:
+            alloc = np.ones(cols.n, dtype=bool)
+        slot = ctx["slot"]
+        for p, idx in self._parts_idx(cols, alloc):
+            rev = idx[::-1]
+            slots, last = np.unique(slot[rev], return_index=True)
+            self.caches[p].touch_slots(slots, rev[last], cols.n)
 
     def _addr_chains(self, cols: _Cols) -> _Chains:
         ch = cols.cache.get("addr")
@@ -535,17 +667,18 @@ class _BatchKernel:
         duplicate addresses resolve last-wins, matching execution order)."""
         self.shadow.write_many(addrs, proc)
 
-    def _install_lines(self, proc: int, sets: np.ndarray,
+    def _install_lines(self, proc: int, slots: np.ndarray,
                        lines: np.ndarray) -> None:
-        """Batched fills of each set's last run: tags, full word validity,
-        and the line's shadow versions.  Call *after* this window's shadow
-        bumps: a cold written line has a single writer, so the final
-        shadow version of every word is what the last run's copy holds."""
-        self.tags[proc][sets] = lines
-        self.wv[proc][sets] = True
+        """Batched fills of each slot's last run: tags, full word
+        validity, and the line's shadow versions.  Call *after* this
+        window's shadow bumps: a cold written line has a single writer, so
+        the final shadow version of every word is what the last run's copy
+        holds."""
+        self.tags[proc][slots] = lines
+        self.wv[proc][slots] = True
         lw = self.line_words
         base = lines * lw
-        self.cver[proc][sets] = self.shadow.version[
+        self.cver[proc][slots] = self.shadow.version[
             base[:, None] + np.arange(lw)]
 
     def span(self, eng, proc: int, ta, lo: int, hi: int) -> int:
@@ -560,12 +693,14 @@ class _BatchKernel:
             j = min(i + _WINDOW, hi)
             cols = _Cols.window(proc, ta, i, j)
             ok, ctx = self._scan(cols)
-            if ok.all():
-                elapsed += self._apply(eng, cols, ctx)
-            else:
-                cok = cols.compress(ok)
-                elapsed += self._apply(eng, cok,
-                                       {k: v[ok] for k, v in ctx.items()})
+            poisoned = not ok.all()
+            if poisoned:
+                cols = cols.compress(ok)
+                ctx = {k: v[ok] for k, v in ctx.items()}
+            elapsed += self._apply(eng, cols, ctx)
+            if self.assoc > 1:
+                self._stamp(cols, ctx)
+            if poisoned:
                 elapsed += self._boundaries(
                     eng, proc, ta, (np.flatnonzero(~ok) + i).tolist())
             i = j
@@ -590,6 +725,8 @@ class _BatchKernel:
             return False
         lat = np.zeros(cols.n, dtype=np.int64)
         self._apply(eng, cols, ctx, lat_out=lat)
+        if self.assoc > 1:
+            self._stamp(cols, ctx)
         v = cols.work + lat
         for (proc, ta, sel), (p, lo, hi) in zip(pieces, cols.parts):
             vfull = np.zeros(ta.n + 1, dtype=np.int64)
@@ -629,20 +766,22 @@ class BaseBatchKernel(_BatchKernel):
     def _scan(self, cols):
         line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
         priv = ~sh
-        ch = self._set_chains(cols, priv, "base")
-        resident = ch.resident(line, self._gset(self.tags, cols))
+        ch = self._slot_chains(cols, priv, "base")
+        resident = ch.resident(line, self._gset(self.tags, cols, ch.slot))
         # Installed lines are fully valid and writes validate their word,
         # so a resident private line always hits; misses install.
         miss = priv & ~resident
         touch = priv & (wr | miss)
         repl = (self.scheme.touched[cols.procv, addr]
                 | self._prior_addr(cols, touch))
-        ctx = {"miss": miss, "repl": repl, "touch": touch, "last": ch.last}
+        ctx = {"miss": miss, "repl": repl, "touch": touch, "last": ch.last,
+               "slot": ch.slot, "alloc": priv}
         return np.ones(cols.n, dtype=bool), ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
-        s, wd, wr, sh, addr, line = (cols.s, cols.wd, cols.wr, cols.sh,
-                                     cols.addr, cols.line)
+        wd, wr, sh, addr, line = (cols.wd, cols.wr, cols.sh, cols.addr,
+                                  cols.line)
+        s = ctx["slot"]
         miss, repl, touch = ctx["miss"], ctx["repl"], ctx["touch"]
         last = ctx["last"]
         result = eng.result
@@ -787,12 +926,13 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         wr, sh, addr, site = cols.wr, cols.sh, cols.addr, cols.site
         rd = ~wr
 
-        ch = self._set_chains(cols, None, "hold")  # every access allocates
+        ch = self._slot_chains(cols, None, "hold")  # every access allocates
+        slot = ch.slot
         ach = ch.run_addrs(self._addr_chains(cols))
-        tags0 = self._gset(self.tags, cols)
+        tags0 = self._gset(self.tags, cols, slot)
         resident = ch.resident(line, tags0)
         wb = ach.prior_any(wr)
-        wv0 = self._gword(self.wv, cols)
+        wv0 = self._gword(self.wv, cols, slot)
 
         tr_table, strict_table = self._site_tables(int(site.max()))
         tr = rd & sh & tr_table[site]
@@ -804,10 +944,10 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         zeros = np.zeros(n, dtype=bool)
 
         if per_word:
-            age0 = word_age(R, self._gword(self.tt, cols), mod)
+            age0 = word_age(R, self._gword(self.tt, cols, slot), mod)
         else:
             # Per-line tags live on word 0; strict Time-Reads never hit.
-            age0 = word_age(R, self._gword0(self.tt, cols), mod)
+            age0 = word_age(R, self._gset(self.tt, cols, slot)[:, 0], mod)
 
         def tt_pass(age, strict_ok):
             return np.where(tr, np.where(strict, strict_ok,
@@ -844,7 +984,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         rmiss = rd & ~hit
         wmiss = wr & ~resident
 
-        cver0 = self._gword(self.cver, cols)
+        cver0 = self._gword(self.cver, cols, slot)
         ver0 = self.shadow.version[addr]
         # Words rewritten from memory during the window carry a current
         # version: any refresh/fill upgraded word, or the accessed word of
@@ -863,7 +1003,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
             if stale.any():
                 # The staleness oracle may fire: route the whole set
                 # through the exact path so it fires against true state.
-                ok = ~ch.group_any(stale)
+                ok = ~ch.sets.group_any(stale)
         touched = (scheme.touched[cols.procv, addr]
                    | self._addr_chains(cols).prior_any(
                        np.ones(n, dtype=bool)))
@@ -871,7 +1011,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         ctx = {"tr": tr, "strict": strict, "hit": hit,
                "rmiss": rmiss, "wmiss": wmiss, "resident": resident,
                "valid": valid, "current": current, "touched": touched,
-               "fill": fill, "last": ch.last}
+               "fill": fill, "last": ch.last, "slot": slot}
         return ok, ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
@@ -879,8 +1019,9 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         R = scheme.epoch_index
         per_word = scheme.per_word_tags
         c = ctx
-        s, wd, wr, sh, addr, line = (cols.s, cols.wd, cols.wr, cols.sh,
-                                     cols.addr, cols.line)
+        wd, wr, sh, addr, line = (cols.wd, cols.wr, cols.sh, cols.addr,
+                                  cols.line)
+        s = c["slot"]
         rmiss, wmiss, hit = c["rmiss"], c["wmiss"], c["hit"]
         result = eng.result
         elapsed = self._work(eng, cols)
@@ -914,7 +1055,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         if n_wr:
             self._bump_shadow(addr[wr], cols.procv[wr])
 
-        # ---- state: each set as its last run leaves it ------------------
+        # ---- state: each slot as its last run leaves it -----------------
         last = c["last"]
         miss_any = (rmiss | wmiss) & last
         if miss_any.any():
@@ -1000,14 +1141,14 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
 
         bypass = ~wr & sh & self._site_table(int(site.max()))[site]
         cached = ~bypass
-        ch = self._set_chains(cols, cached,
-                              ("sc", id(self.scheme.ctx.marking)))
+        ch = self._slot_chains(cols, cached,
+                               ("sc", id(self.scheme.ctx.marking)))
         ach = self._addr_chains(cols)
-        resident = ch.resident(line, self._gset(self.tags, cols))
+        resident = ch.resident(line, self._gset(self.tags, cols, ch.slot))
         miss = cached & ~resident  # line miss: install (read or write)
         fresh = ch.runs.prior_any(miss)
         wb = ch.run_addrs(ach).prior_any(wr)
-        cver0 = self._gword(self.cver, cols)
+        cver0 = self._gword(self.cver, cols, ch.slot)
         current = wb | fresh | (cver0 == self.shadow.version[addr])
         touched = (scheme.touched[cols.procv, addr]
                    | ach.prior_any(bypass | wr | (miss & ~wr)))
@@ -1017,16 +1158,18 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
             stale = (cached & ~wr & resident & ~wb & ~fresh
                      & (cver0 < self.shadow.epoch_version[addr]))
             if stale.any():
-                ok = ~ch.group_any(stale)
+                ok = ~ch.sets.group_any(stale)
         ctx = {"bypass": bypass, "miss": miss, "have": resident,
-               "current": current, "touched": touched, "last": ch.last}
+               "current": current, "touched": touched, "last": ch.last,
+               "slot": ch.slot, "alloc": cached}
         return ok, ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
         scheme = self.scheme
         c = ctx
-        s, wd, wr, sh, addr, line = (cols.s, cols.wd, cols.wr, cols.sh,
-                                     cols.addr, cols.line)
+        wd, wr, sh, addr, line = (cols.wd, cols.wr, cols.sh, cols.addr,
+                                  cols.line)
+        s = c["slot"]
         bypass, miss = c["bypass"], c["miss"]
         result = eng.result
         elapsed = self._work(eng, cols)
@@ -1123,14 +1266,23 @@ class UpdateBatchKernel(_BatchKernel):
     evict-coupled cold planning keeps every remote membership fixed for
     the window.  Batched hits after an in-window fill are proven by the
     set chain, and the fill's refreshed versions excuse them from the
-    pre-window staleness test."""
+    pre-window staleness test.  Direct-mapped caches only (see
+    :meth:`build`)."""
+
+    @classmethod
+    def build(cls, scheme) -> Optional["UpdateBatchKernel"]:
+        # Exact events interleave with the batched prefix inside the
+        # apply; LRU stamps written after it would misorder them.
+        if scheme.machine.cache.associativity != 1:
+            return None
+        return cls(scheme)
 
     def _scan(self, cols):
         line = cols.line
         wr, sh, addr = cols.wr, cols.sh, cols.addr
 
         ch = self._set_chains(cols, None, "hold")  # every access installs
-        tags0 = self._gset(self.tags, cols)
+        tags0 = self._gset(self.tags, cols, cols.s)
         resident = ch.resident(line, tags0)
         batch = resident
         if self.check:
@@ -1139,7 +1291,7 @@ class UpdateBatchKernel(_BatchKernel):
             # it; suspicious reads take the exact path where the oracle
             # fires against true state.
             fresh = (self._prior_addr(cols, wr) | ch.prior_any(~resident)
-                     | (self._gword(self.cver, cols)
+                     | (self._gword(self.cver, cols, cols.s)
                         >= self.shadow.epoch_version[addr]))
             batch = resident & (wr | ~sh | fresh)
         return np.ones(cols.n, dtype=bool), {"batch": batch}
@@ -1256,11 +1408,18 @@ class TardisBatchKernel(_BatchKernel):
     Lease grants are commutative maxima and cold-span planning keeps a
     written line on a single processor, so parts of a merged pre-apply
     window commute exactly as the dispatch-order reference does.
+    Direct-mapped caches only, for the update kernel's reason.
     """
 
     def __init__(self, scheme):
         super().__init__(scheme)
         self.rts = _LazyViews(scheme.rts_a, lambda a: a[:, 0])
+
+    @classmethod
+    def build(cls, scheme) -> Optional["TardisBatchKernel"]:
+        if scheme.machine.cache.associativity != 1:
+            return None
+        return cls(scheme)
 
     def preapply(self, eng, pieces, cols: Optional[_Cols] = None) -> bool:
         # ``pts`` is epoch-global: a *hot* shared write advances it
@@ -1277,7 +1436,7 @@ class TardisBatchKernel(_BatchKernel):
         wr, sh, addr = cols.wr, cols.sh, cols.addr
 
         ch = self._set_chains(cols, None, "hold")  # every access installs
-        tags0 = self._gset(self.tags, cols)
+        tags0 = self._gset(self.tags, cols, cols.s)
         resident = ch.resident(line, tags0)
 
         ptsv = np.empty(cols.n, dtype=np.int64)
@@ -1287,12 +1446,12 @@ class TardisBatchKernel(_BatchKernel):
             ptsv[lo:hi] = self.scheme.pts[p]
             w = swr[lo:hi]
             prior_sw[lo:hi] = (np.cumsum(w) - w) > 0
-        lease0 = self._gset(self.rts, cols) >= ptsv
+        lease0 = self._gset(self.rts, cols, cols.s) >= ptsv
         if self.check:
             # The batched hit serves its cached version, which must meet
             # the epoch floor; suspicious reads go to the exact path
             # where the oracle fires against true state.
-            lease0 = lease0 & (self._gword(self.cver, cols)
+            lease0 = lease0 & (self._gword(self.cver, cols, cols.s)
                                >= self.shadow.epoch_version[addr])
         cand = np.where(wr, ~sh & resident,
                         resident & (~sh | (lease0 & ~prior_sw)))
@@ -1345,28 +1504,32 @@ class MsiBatchKernel(_BatchKernel):
     plan-level fallback, so the remote-cache mutations the transitions
     perform (invalidations, owner demotions) commute with everything
     batched, and slow events of distinct processors in one merged window
-    commute with each other.  Misses happen only at run heads (see
-    :class:`_SetChains`): the first run's head evicts the window-start
-    occupant, a later run's head the previous run's line, and the
-    transitions hand each victim and its dirty bit to the scheme's own
-    ``_filled``/``_evict``.  ``_plan_epoch``'s eviction pre-check keeps
-    those victims private: in a batched epoch no set holding two of a
-    task's lines holds a line another task touches.
+    commute with each other.  Misses happen only at run heads, the
+    starts of a slot's line residencies (see :class:`_SetChains`): the
+    first run's head evicts the slot's window-start occupant (none if the
+    way was invalid), a later run's head the previous run's line (the
+    LRU victim the slot scan chose), and the transitions hand each victim
+    and its dirty bit to the scheme's own ``_filled``/``_evict``.
+    ``_plan_epoch``'s eviction pre-check keeps those victims private: in
+    a batched epoch no set a task must evict from holds a line another
+    task touches that a cold miss could displace, or whose invalidation
+    could change the victim.
 
     Subclasses supply only :meth:`_exclusive`."""
 
     def _exclusive(self, cols, ch, tags0, dirty0) -> np.ndarray:
         """Per event: may the processor's resident copy be written
         silently when the event executes?  Window-start state counts
-        only in the first run; a later run starts from a fresh fill."""
+        only in the first run, and only for the slot's window-start
+        occupant (``tags0``); any other run starts from a fresh fill."""
         raise NotImplementedError
 
     def _scan(self, cols):
         line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
 
-        ch = self._set_chains(cols, None, "hold")  # every access holds
-        tags0 = self._gset(self.tags, cols)
-        dirty0 = self._gset(self.dirty, cols)
+        ch = self._slot_chains(cols, None, "hold")  # every access holds
+        tags0 = self._gset(self.tags, cols, ch.slot)
+        dirty0 = self._gset(self.dirty, cols, ch.slot)
         resident = ch.resident(line, tags0)
         miss = ~resident
         upgrade = (wr & sh & resident
@@ -1381,18 +1544,19 @@ class MsiBatchKernel(_BatchKernel):
             fresh = (ch.run_addrs(self._addr_chains(cols)).prior_any(wr)
                      | ch.runs.prior_any(miss))
             stale = (~wr & sh & resident & ~fresh
-                     & (self._gword(self.cver, cols)
+                     & (self._gword(self.cver, cols, ch.slot)
                         != self.shadow.version[addr]))
             if stale.any():
-                ok = ~ch.group_any(stale)
+                ok = ~ch.sets.group_any(stale)
 
         victim, vdirty = ch.victims(line, wr, tags0, dirty0)
         ctx = {"miss": miss, "upgrade": upgrade, "victim": victim,
-               "vdirty": vdirty, "last": ch.last}
+               "vdirty": vdirty, "last": ch.last, "slot": ch.slot}
         return ok, ctx
 
     def _apply(self, eng, cols, ctx, lat_out=None):
-        s, wd, wr, sh, addr = cols.s, cols.wd, cols.wr, cols.sh, cols.addr
+        wd, wr, sh, addr = cols.wd, cols.wr, cols.sh, cols.addr
+        s = ctx["slot"]
         miss, upgrade, last = ctx["miss"], ctx["upgrade"], ctx["last"]
         result = eng.result
         elapsed = self._work(eng, cols)
@@ -1406,8 +1570,8 @@ class MsiBatchKernel(_BatchKernel):
 
         if wr.any():
             self._bump_shadow(addr[wr], cols.procv[wr])
-        # Own-cache side, as each set's last run leaves it: the fill
-        # resets the set, then every access marks its word used and every
+        # Own-cache side, as each slot's last run leaves it: the fill
+        # resets the slot, then every access marks its word used and every
         # write dirties the line.
         fill = miss & last
         if fill.any():
@@ -1475,11 +1639,16 @@ class DirectoryBatchKernel(MsiBatchKernel):
     :class:`DirEntry` proxies into those columns."""
 
     def _exclusive(self, cols, ch, tags0, dirty0):
-        # Any earlier shared write to the line left it E/self (write miss
-        # and upgrade both end there; E/self hits stay).
+        # Window-start E/self holds only while the line keeps the slot it
+        # started in (a K-way line evicted mid-window may come back as
+        # the first run of another slot).  Any earlier shared write to
+        # the line in its run left it E/self (write miss and upgrade both
+        # end there; E/self hits stay).
         store = self.scheme.dirstore
-        return (((store.state_code[cols.line] == STATE_E)
-                 & (store.owner_p1[cols.line] == cols.procv + 1) & ch.first)
+        line = cols.line
+        return (((store.state_code[line] == STATE_E)
+                 & (store.owner_p1[line] == cols.procv + 1)
+                 & (tags0 == line) & ch.first)
                 | ch.runs.prior_any(cols.wr & cols.sh))
 
 

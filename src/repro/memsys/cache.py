@@ -97,6 +97,23 @@ class Cache:
             set_index, way = loc
             self._lru[set_index * self.assoc + way] = self._tick
 
+    def lru_stamps(self, set_index: int) -> list:
+        """The set's LRU stamps, one per way (a copy)."""
+        assoc = self.assoc
+        return self._lru[set_index * assoc:(set_index + 1) * assoc]
+
+    def touch_slots(self, slots, order, span: int) -> None:
+        """Batched :meth:`touch` of ``span`` uses: slot ``slots[i]``
+        (``set * assoc + way``) was last used at step ``order[i]`` (in
+        ``[0, span)``) of them.  Stamps are only ever compared within a
+        set, so the steps need only keep program order."""
+        if self.assoc > 1:
+            lru = self._lru
+            tick = self._tick + 1
+            for slot, step in zip(slots.tolist(), order.tolist()):
+                lru[slot] = tick + step
+            self._tick += span
+
     # ---------------------------------------------------------- fill/evict
 
     def victim(self, line_addr: int) -> CacheWay:

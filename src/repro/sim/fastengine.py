@@ -25,9 +25,12 @@ does.  This engine exploits that:
 
 Epochs the analysis cannot clear — synchronization (locks / critical
 sections), a scheme with no declared hot rule, or an eviction-coupled
-scheme whose replacements might touch another processor's lines — fall
-back wholesale to the reference ``_run_epoch``, so correctness never
-depends on the batching being profitable.
+scheme whose replacements might touch another processor's lines (or, in
+a set-associative cache, whose LRU victims a remote invalidation could
+change) — fall back wholesale to the reference ``_run_epoch``, so
+correctness never depends on the batching being profitable.  The same
+rule serves every associativity: kernels index cache state by slot
+(``set * K + way``), so a K-way cache batches like a direct-mapped one.
 
 Differential parity with the reference engine over every workload,
 scheme, and a hypothesis-randomized program space is enforced by
@@ -59,9 +62,9 @@ class _TaskArrays:
     the batch kernels run on the arrays.
     """
 
-    __slots__ = ("_rows", "proc", "extra_work", "n", "addr", "site",
-                 "work", "shared", "is_write", "line", "set_", "word",
-                 "uniq_lines", "uniq_sets")
+    __slots__ = ("_rows", "_set_lines", "proc", "extra_work", "n", "addr",
+                 "site", "work", "shared", "is_write", "line", "set_",
+                 "word", "uniq_lines", "uniq_sets")
 
     def __init__(self, proc, extra_work, n, addr, site, work,
                  shared, is_write, line_words: int, n_sets: int,
@@ -69,6 +72,7 @@ class _TaskArrays:
         self.proc = proc
         self.extra_work = extra_work
         self._rows = None
+        self._set_lines = None
         self.n = n
         self.addr = addr
         self.site = site
@@ -120,6 +124,20 @@ class _TaskArrays:
                 self.site.tolist(), self.work.tolist(),
                 self.shared.tolist()))
         return self._rows
+
+    @property
+    def set_lines(self):
+        """For the eviction pre-check: the task's sets, each event's
+        index into them, the task's distinct lines with each one's index
+        into them, and each set's count of them."""
+        if self._set_lines is None:
+            sets = self.uniq_sets
+            lines, first = np.unique(self.line, return_index=True)
+            group = np.searchsorted(sets, self.set_[first])
+            self._set_lines = (sets, np.searchsorted(sets, self.set_),
+                               group, lines,
+                               np.bincount(group, minlength=len(sets)))
+        return self._set_lines
 
 
 class _EpochBatch:
@@ -183,6 +201,14 @@ class _EpochBatch:
             self.other_lines.append(
                 np.unique(np.concatenate(rest)) if rest
                 else np.zeros(0, dtype=np.int64))
+
+
+def _among(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:
+    """``np.isin(values, sorted_unique)`` for a sorted, duplicate-free
+    array: a binary search instead of isin's sort, which dominates on
+    the planner's small per-task arrays."""
+    idx = np.searchsorted(sorted_unique, values)
+    return sorted_unique.take(idx, mode="clip") == values
 
 
 _NO_HOT = np.zeros(0, dtype=np.int64)
@@ -272,40 +298,60 @@ class FastEngine(Engine):
             # Evictions mutate shared protocol state (directory entries,
             # sharer sets) and so must happen in the reference order unless
             # provably private.  Hot-event evictions do: they replay at the
-            # reference heap keys, and within a task the occupant of a set
-            # at a hot event's turn is fixed by program order plus heap-
-            # ordered remote invalidations.  The hazard is an eagerly-timed
-            # *cold* miss evicting a line another processor interacts with
-            # this epoch.
-            if cache_cfg.associativity != 1:
-                # No kernel runs here anyway; victim choice is LRU-timing-
-                # dependent, so just take the exact path.
+            # reference heap keys, and within a task the contents and LRU
+            # order of a set at a hot event's turn are fixed by program
+            # order plus heap-ordered remote invalidations.  The hazard is
+            # an eagerly-timed *cold* miss evicting a line another
+            # processor interacts with this epoch, or choosing its LRU
+            # victim before or after a remote invalidation frees a way.
+            if not self._evictions_private(batch, hot_masks):
                 return None
-            caches = self.scheme.caches
-            for rank, ta in enumerate(batch.tasks):
-                other = batch.other_lines[rank]
-                if not len(other):
-                    continue
-                # 1. Epoch-start occupants a cold miss would displace.
-                occ = caches[ta.proc].tags[ta.set_, 0]
-                risk = (occ >= 0) & (occ != ta.line)
-                if hot_masks is not None:
-                    risk &= ~hot_masks[rank]
-                if risk.any() and np.isin(occ[risk], other).any():
-                    return None
-                # 2. Mid-epoch installs: if a set holds two or more of this
-                #    task's distinct lines and any of them is foreign-
-                #    touched, a later cold miss could displace a freshly
-                #    installed foreign-touched (or heap-timed hot) line.
-                foreign = np.isin(ta.line, other)
-                if foreign.any():
-                    pairs = np.unique((ta.set_ << 32) | ta.line)
-                    pair_sets = pairs >> 32
-                    dup_sets = pair_sets[1:][pair_sets[1:] == pair_sets[:-1]]
-                    if dup_sets.size and np.isin(
-                            ta.set_[foreign], dup_sets).any():
-                        return None
         return hot_idx
+
+    def _evictions_private(self, batch, hot_masks) -> bool:
+        """The eviction pre-check, per set of each task's processor.  A
+        set *must evict* when its epoch-start residents plus the task's
+        lines in it exceed the associativity K.  Decline (False) if a set
+
+        1. must evict, and a cold event's miss could displace an
+           epoch-start resident another task touches;
+        2. holds more than K of the task's distinct lines, one of them
+           touched by another task (a later cold miss could displace it
+           after a heap-timed install);
+        3. must evict with K > 1, and holds any line another task
+           touches: a remote invalidation frees a way at heap time, and
+           that timing decides which line a cold miss evicts.
+
+        At K = 1 "must evict" is implied by clause 1 and clause 3
+        vanishes.  In a set that need not evict, an invalidated way only
+        moves way positions; set contents and LRU order stay the same."""
+        K = self.machine.cache.associativity
+        caches = self.scheme.caches
+        for rank, ta in enumerate(batch.tasks):
+            other = batch.other_lines[rank]
+            if not len(other):
+                continue
+            sets, at, group, lines, n_lines = ta.set_lines
+            res = caches[ta.proc].tags[sets]  # epoch-start residents
+            res_foreign = _among(res, other)
+            line_foreign = _among(lines, other)
+            if not (res_foreign.any() or line_foreign.any()):
+                continue
+            must = ((res >= 0).sum(axis=1) + n_lines
+                    - _among(res, lines).sum(axis=1)) > K
+            foreign = np.bincount(group, line_foreign, len(sets)) > 0
+            if K > 1 and (must & (foreign | res_foreign.any(axis=1))).any():
+                return False
+            if (foreign & (n_lines > K)).any():
+                return False
+            risk = must[at]
+            if hot_masks is not None:
+                risk &= ~hot_masks[rank]
+            if risk.any() and (res_foreign[at[risk]]
+                               & (res[at[risk]] != ta.line[risk, None])
+                               ).any():
+                return False
+        return True
 
     # ------------------------------------------------------------- epochs
 

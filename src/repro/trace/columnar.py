@@ -31,6 +31,7 @@ buffers — no per-event object graph — which is what makes cached
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -97,12 +98,17 @@ class ColumnarEpoch:
     ``parallel``, ``label``, ``n_tasks_scheduled``, ``write_key``,
     ``tasks`` (materialized lazily and cached) and use ``_batch`` as a
     scratch slot; the fast engine additionally reads the columnar views.
+
+    ``trace`` is a weak proxy: the trace owns its epoch views, and a
+    strong back-reference would make a reference cycle that keeps a
+    dropped trace (and every analysis cached on its epochs) alive until
+    the next full garbage collection.
     """
 
     __slots__ = ("trace", "index", "_tasks", "_batch")
 
     def __init__(self, trace: "ColumnarTrace", index: int):
-        self.trace = trace
+        self.trace = weakref.proxy(trace)
         self.index = index
         self._tasks: Optional[List[Task]] = None
         self._batch = None

@@ -106,13 +106,14 @@ def machines(draw):
     """Random machine configurations for differential engine testing.
 
     Deliberately includes tiny caches (conflict-heavy), single-word lines,
-    two-way associativity (no batch kernel — exercises the fast engine's
-    per-event merged path), sequential consistency, coalescing write
-    buffers, every schedule policy, and narrow timetags (frequent resets).
+    two- and four-way associativity (the kernels' slot scan and LRU
+    stamps, and the per-event path of the kernels that stay
+    direct-mapped), sequential consistency, coalescing write buffers,
+    every schedule policy, and narrow timetags (frequent resets).
     """
     n_lines = draw(st.sampled_from([8, 32, 256]))
     line_words = draw(st.sampled_from([1, 2, 4]))
-    assoc = draw(st.sampled_from([1, 1, 1, 2]))  # weight the kernel path
+    assoc = draw(st.sampled_from([1, 1, 2, 4]))
     cache = CacheConfig(size_bytes=n_lines * line_words * WORD_BYTES,
                         line_words=line_words, associativity=assoc)
     return default_machine().with_(

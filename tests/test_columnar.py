@@ -17,8 +17,10 @@ cached :func:`simulate_all` paths that ship columnar buffers.
 """
 
 import dataclasses
+import gc
 import json
 import pickle
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -92,6 +94,21 @@ class TestRoundTrip:
         clone = pickle.loads(pickle.dumps(columnar))
         assert_traces_equal(clone.to_trace(), columnar.to_trace())
         assert clone.n_expanded_epochs == columnar.n_expanded_epochs
+
+    def test_dropped_run_frees_its_trace(self):
+        """Epoch views hold their trace weakly: a dropped prepared run is
+        freed by reference counting, analyses cached on its epochs
+        included, without waiting for a garbage collection."""
+        gc.disable()
+        try:
+            run = prepare(build_workload("ocean"), MACHINE)
+            for scheme in ("tpi", "hw"):
+                simulate(run, scheme)
+            trace = weakref.ref(run.trace)
+            del run
+            assert trace() is None
+        finally:
+            gc.enable()
 
 
 # --------------------------------------------------------- generation parity
