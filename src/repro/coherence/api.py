@@ -83,8 +83,9 @@ class CoherenceScheme(abc.ABC):
     #:
     #: ``batch_evict_coupled`` marks schemes whose *evictions* mutate
     #: global protocol state (directory entries, sharer sets); for those
-    #: the fast engine additionally falls back whenever a replacement
-    #: could touch a line another processor interacts with this epoch.
+    #: the fast engine additionally makes every cache set hot in which a
+    #: replacement could touch a line another processor interacts with
+    #: this epoch.
     batch_hot_rule: Optional[str] = None
     batch_evict_coupled: bool = False
 

@@ -1500,20 +1500,20 @@ class MsiBatchKernel(_BatchKernel):
     the exact path's code, accounted by the engine's own routine.
 
     Cold-span planning makes the in-order loop safe: any remote holder
-    that could evict or observe a cold line within the epoch forces a
-    plan-level fallback, so the remote-cache mutations the transitions
-    perform (invalidations, owner demotions) commute with everything
-    batched, and slow events of distinct processors in one merged window
-    commute with each other.  Misses happen only at run heads, the
+    that could evict or observe a cold line within the epoch makes its
+    set hot, so the remote-cache mutations the transitions perform
+    (invalidations, owner demotions) commute with everything batched,
+    and slow events of distinct processors in one merged window commute
+    with each other.  Misses happen only at run heads, the
     starts of a slot's line residencies (see :class:`_SetChains`): the
     first run's head evicts the slot's window-start occupant (none if the
     way was invalid), a later run's head the previous run's line (the
     LRU victim the slot scan chose), and the transitions hand each victim
     and its dirty bit to the scheme's own ``_filled``/``_evict``.
-    ``_plan_epoch``'s eviction pre-check keeps those victims private: in
-    a batched epoch no set a task must evict from holds a line another
-    task touches that a cold miss could displace, or whose invalidation
-    could change the victim.
+    ``_plan_epoch``'s eviction pre-check keeps those victims private: a
+    set a task must evict from that holds a line another task touches
+    which a miss could displace, or whose invalidation could change the
+    victim, is hot, so it holds no cold event.
 
     Subclasses supply only :meth:`_exclusive`."""
 

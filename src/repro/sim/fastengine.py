@@ -10,7 +10,11 @@ does.  This engine exploits that:
 
 * Each epoch's lines are split into **hot** — order-sensitive across
   processors under the scheme's :attr:`~repro.coherence.api.
-  CoherenceScheme.batch_hot_rule` — and **cold** (everything else).
+  CoherenceScheme.batch_hot_rule` — and **cold** (everything else).  For
+  an eviction-coupled scheme every line of a **hot set** is hot too: a
+  cache set in which a replacement or a remote invalidation could
+  couple processors (:meth:`FastEngine._hazard_sets`), hot for every
+  task, so its state changes only in heap order.
 * Hot events replay through exactly the reference heap discipline, with
   identical keys ``(clock, proc, rank, idx)``, so their global order — and
   therefore every directory transition, invalidation count, and
@@ -24,13 +28,12 @@ does.  This engine exploits that:
   unobservable.
 
 Epochs the analysis cannot clear — synchronization (locks / critical
-sections), a scheme with no declared hot rule, or an eviction-coupled
-scheme whose replacements might touch another processor's lines (or, in
-a set-associative cache, whose LRU victims a remote invalidation could
-change) — fall back wholesale to the reference ``_run_epoch``, so
-correctness never depends on the batching being profitable.  The same
-rule serves every associativity: kernels index cache state by slot
-(``set * K + way``), so a K-way cache batches like a direct-mapped one.
+sections), or a scheme with no declared hot rule — fall back wholesale
+to the reference ``_run_epoch``, as do epochs too small to pay for the
+analysis, so correctness never depends on the batching being
+profitable.  The hot-set rule serves every associativity: kernels index
+cache state by slot (``set * K + way``), so a K-way cache batches like a
+direct-mapped one.
 
 Differential parity with the reference engine over every workload,
 scheme, and a hypothesis-randomized program space is enforced by
@@ -127,15 +130,14 @@ class _TaskArrays:
 
     @property
     def set_lines(self):
-        """For the eviction pre-check: the task's sets, each event's
-        index into them, the task's distinct lines with each one's index
-        into them, and each set's count of them."""
+        """For the eviction pre-check: the task's sets, the task's
+        distinct lines with each one's index into the sets, and each
+        set's count of them."""
         if self._set_lines is None:
             sets = self.uniq_sets
             lines, first = np.unique(self.line, return_index=True)
             group = np.searchsorted(sets, self.set_[first])
-            self._set_lines = (sets, np.searchsorted(sets, self.set_),
-                               group, lines,
+            self._set_lines = (sets, group, lines,
                                np.bincount(group, minlength=len(sets)))
         return self._set_lines
 
@@ -296,62 +298,64 @@ class FastEngine(Engine):
 
         if self.scheme.batch_evict_coupled:
             # Evictions mutate shared protocol state (directory entries,
-            # sharer sets) and so must happen in the reference order unless
-            # provably private.  Hot-event evictions do: they replay at the
-            # reference heap keys, and within a task the contents and LRU
-            # order of a set at a hot event's turn are fixed by program
-            # order plus heap-ordered remote invalidations.  The hazard is
-            # an eagerly-timed *cold* miss evicting a line another
-            # processor interacts with this epoch, or choosing its LRU
-            # victim before or after a remote invalidation frees a way.
-            if not self._evictions_private(batch, hot_masks):
-                return None
+            # sharer sets), so every install, eviction, LRU update and
+            # remote invalidation in a set that might couple processors
+            # must happen in the reference order.  Make each such set
+            # *hot* for every task: the set index is a global function of
+            # the line address, so no cold event touches a line of it and
+            # its state, in every cache, changes only in heap order.
+            flagged = self._hazard_sets(batch)
+            if len(flagged):
+                hot_idx = [np.flatnonzero(mask | _among(ta.set_, flagged))
+                           for mask, ta in zip(hot_masks, batch.tasks)]
+                # Flagged sets follow epoch-start tags, so they rarely
+                # recur: memoizing their plans and windows only costs
+                # memory.
+                self._plan_key = None
         return hot_idx
 
-    def _evictions_private(self, batch, hot_masks) -> bool:
-        """The eviction pre-check, per set of each task's processor.  A
-        set *must evict* when its epoch-start residents plus the task's
-        lines in it exceed the associativity K.  Decline (False) if a set
+    def _hazard_sets(self, batch) -> np.ndarray:
+        """The eviction pre-check: the sorted cache set indices in which
+        a batched replacement could couple processors.  Per set of each
+        task's processor, the set *must evict* when its epoch-start
+        residents plus the task's lines in it exceed the associativity
+        K.  Flag the set if it
 
-        1. must evict, and a cold event's miss could displace an
-           epoch-start resident another task touches;
+        1. must evict and holds an epoch-start resident another task
+           touches (one of the task's misses could displace it);
         2. holds more than K of the task's distinct lines, one of them
-           touched by another task (a later cold miss could displace it
-           after a heap-timed install);
-        3. must evict with K > 1, and holds any line another task
+           touched by another task (a miss could displace it after a
+           heap-timed install);
+        3. must evict with K > 1 and holds any line another task
            touches: a remote invalidation frees a way at heap time, and
-           that timing decides which line a cold miss evicts.
+           that timing decides which line a miss evicts.
 
-        At K = 1 "must evict" is implied by clause 1 and clause 3
-        vanishes.  In a set that need not evict, an invalidated way only
-        moves way positions; set contents and LRU order stay the same."""
+        Clause 1 counts every event, hot or cold, so the check reads only
+        the trace and the epoch-start tags: flagging a set cannot create
+        risk in another.  In a set that need not evict, an invalidated
+        way only moves way positions; set contents and LRU order stay
+        the same."""
         K = self.machine.cache.associativity
         caches = self.scheme.caches
+        flagged = []
         for rank, ta in enumerate(batch.tasks):
             other = batch.other_lines[rank]
             if not len(other):
                 continue
-            sets, at, group, lines, n_lines = ta.set_lines
+            sets, group, lines, n_lines = ta.set_lines
             res = caches[ta.proc].tags[sets]  # epoch-start residents
-            res_foreign = _among(res, other)
-            line_foreign = _among(lines, other)
-            if not (res_foreign.any() or line_foreign.any()):
+            res_foreign = _among(res, other).any(axis=1)
+            foreign = np.bincount(group, _among(lines, other),
+                                  len(sets)) > 0
+            if not (res_foreign.any() or foreign.any()):
                 continue
             must = ((res >= 0).sum(axis=1) + n_lines
                     - _among(res, lines).sum(axis=1)) > K
-            foreign = np.bincount(group, line_foreign, len(sets)) > 0
-            if K > 1 and (must & (foreign | res_foreign.any(axis=1))).any():
-                return False
-            if (foreign & (n_lines > K)).any():
-                return False
-            risk = must[at]
-            if hot_masks is not None:
-                risk &= ~hot_masks[rank]
-            if risk.any() and (res_foreign[at[risk]]
-                               & (res[at[risk]] != ta.line[risk, None])
-                               ).any():
-                return False
-        return True
+            hazard = must & (res_foreign | foreign if K > 1 else res_foreign)
+            hazard |= foreign & (n_lines > K)
+            if hazard.any():
+                flagged.append(sets[hazard])
+        return np.unique(np.concatenate(flagged)) if flagged else _NO_HOT
 
     # ------------------------------------------------------------- epochs
 
@@ -439,27 +443,35 @@ class FastEngine(Engine):
         than rank order, so any cold set shared between such tasks forces
         a bail-out (without hot events the merged rank order is exactly
         the dispatch order)."""
-        tasks = batch.tasks
         any_hot = any(len(h) for h in hot_idx)
         # The pieces, guard outcome, and merged window depend only on the
         # trace and the hot-index partition — never on runtime protocol
         # state — so cache them under the partition key ``_plan_epoch``
         # recorded: "written"/"none" are shared by every scheme;
         # directory partitions are keyed by their extra hot lines, which
-        # recur across repeated (deterministic) simulations.
+        # recur across repeated (deterministic) simulations.  A partition
+        # with hot sets has no key (``None``) and is never cached.
         key = "none" if not any_hot else self._plan_key
-        cached = batch.preapply_cache.get(key, _MISS)
-        if cached is not _MISS:
-            if cached is None:
-                return False
-            pieces, cols = cached
-            return self._kernel.preapply(self, pieces, cols)
+        window = batch.preapply_cache.get(key, _MISS)
+        if window is _MISS:
+            window = self._preapply_window(batch, hot_idx, any_hot)
+            if key is not None:
+                batch.preapply_cache[key] = window
+        if window is None:
+            return False
+        pieces, cols = window
+        return self._kernel.preapply(self, pieces, cols)
+
+    def _preapply_window(self, batch, hot_idx, any_hot: bool):
+        """The merged window's ``(pieces, cols)``, or ``None`` when the
+        guards above fail."""
         if any_hot:
             hot_sets = np.unique(np.concatenate(
-                [ta.set_[h] for ta, h in zip(tasks, hot_idx) if len(h)]))
+                [ta.set_[h] for ta, h in zip(batch.tasks, hot_idx)
+                 if len(h)]))
             proc_sets: Dict[int, np.ndarray] = {}
         pieces = []
-        for rank, ta in enumerate(tasks):
+        for rank, ta in enumerate(batch.tasks):
             if ta.n == 0:
                 continue
             h = hot_idx[rank]
@@ -474,24 +486,19 @@ class FastEngine(Engine):
                 cold_sets = ta.uniq_sets
             if any_hot:
                 if np.isin(cold_sets, hot_sets).any():
-                    batch.preapply_cache[key] = None
-                    return False
+                    return None
                 seen = proc_sets.get(ta.proc)
                 if seen is None:
                     proc_sets[ta.proc] = cold_sets
                 else:
                     if np.isin(cold_sets, seen).any():
-                        batch.preapply_cache[key] = None
-                        return False
+                        return None
                     proc_sets[ta.proc] = np.union1d(seen, cold_sets)
             pieces.append((ta.proc, ta, sel))
         if not pieces:
-            batch.preapply_cache[key] = None
-            return False
-        cols = _Cols.merged(pieces, self.machine.cache.n_sets,
-                            self.shadow.total_words)
-        batch.preapply_cache[key] = (pieces, cols)
-        return self._kernel.preapply(self, pieces, cols)
+            return None
+        return pieces, _Cols.merged(pieces, self.machine.cache.n_sets,
+                                    self.shadow.total_words)
 
     # ------------------------------------------------------------ advance
 
