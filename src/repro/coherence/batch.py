@@ -8,9 +8,10 @@ scheme's kernel.  A kernel scans a window of events and resolves
 stamping, miss classification — in closed form with numpy, then applies
 the whole window at once; whatever it cannot prove runs through the
 engine's exact per-event path.  The MSI kernel (hw, limitless, snoop)
-vectorizes hits, silent writes and the own-cache side of fills, then
-calls the scheme's own miss and upgrade transitions in program order
-inside the apply; the tardis and update kernels vectorize a provable
+vectorizes hits, silent writes, the own-cache side of fills and the
+*quiet* misses and upgrades, those no other processor can observe; it
+calls the scheme's own transitions in program order, inside the apply,
+only for the rest.  The tardis and update kernels vectorize a provable
 prefix per set chain and run the rest in program order through the
 exact path.
 
@@ -35,12 +36,14 @@ Kernels additionally support the engine's **epoch pre-apply**
 every task, merge into one window whose per-task latency prefix sums
 are memoized, so each later ``span`` call is a constant-time lookup.
 
-Every per-event execution, and every MSI miss or upgrade, goes through
-exactly the code the reference engine uses, so protocol transitions and
-coherence-oracle errors reproduce bit-identically; the scans only ever
-*prove* that the batched events take a closed-form path.  Differential
-parity with the reference engine is enforced by
-tests/test_engine_parity.py.
+Every per-event execution, and every MSI miss or upgrade another
+processor could observe, goes through exactly the code the reference
+engine uses, so cross-processor transitions and coherence-oracle errors
+reproduce bit-identically; the scans only ever *prove* that the batched
+events take a closed-form path.  Differential parity with the reference
+engine is enforced by tests/test_engine_parity.py, and the closed forms
+(the MSI kernel's quiet transitions among them) are pinned absolutely by
+the golden digests of tests/test_golden.py.
 
 Closed-form misses lean on two facts about cold spans: a span belongs to
 one task and runs in program order, and cold lines are untouched by other
@@ -63,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.coherence.sparse import STATE_E
+from repro.coherence.sparse import STATE_E, STATE_S, STATE_U
 from repro.coherence.tpi_rules import time_read_window, word_age
 from repro.common.config import ConsistencyModel, WriteBufferKind
 from repro.common.errors import ProtocolError
@@ -198,7 +201,10 @@ class _SetChains(_Chains):
                  sets: Optional[_Chains] = None):
         super().__init__(key)
         self.slot = key if slot is None else slot
-        self.sets = self if sets is None else sets
+        # No attribute refers back to this object (``sets``/``runs`` are
+        # properties): a self-cycle would keep every window's chain
+        # arrays alive until the cyclic garbage collector runs.
+        self._sets = sets
         n = self.n
         pos = np.arange(n)
         ls = line[self.order]
@@ -216,7 +222,7 @@ class _SetChains(_Chains):
         self._run_addrs = None
         brk = m & has_prev & (prev_line != ls)
         if not brk.any():
-            self.runs = self
+            self._runs = None
             self.run = None
             self.first = self.last = np.ones(n, dtype=bool)
             return
@@ -225,9 +231,17 @@ class _SetChains(_Chains):
         gend[:-1] = self._gs[1:]
         gend[-1] = True
         self.run = self._scatter(rid)
-        self.runs = self.split(self.run)
+        self._runs = self.split(self.run)
         self.first = self._scatter(rid == rid[self._gfirst])
         self.last = self._scatter(rid == rid[gend][self._gid])
+
+    @property
+    def sets(self) -> _Chains:
+        return self if self._sets is None else self._sets
+
+    @property
+    def runs(self) -> _Chains:
+        return self if self._runs is None else self._runs
 
     def resident(self, line: np.ndarray, tags0: np.ndarray) -> np.ndarray:
         """Is the event's line resident when the event executes?"""
@@ -1493,11 +1507,20 @@ class TardisBatchKernel(_BatchKernel):
 
 class MsiBatchKernel(_BatchKernel):
     """Write-back MSI (the hw/limitless directory and snoop): hits,
-    silent writes and the own-cache side of fills are vectorized; misses
-    and upgrades then run the scheme's own protocol-side transitions
+    silent writes and the own-cache side of fills are vectorized, and so
+    are the *quiet* misses and upgrades (:meth:`_quiet`), those no other
+    processor can observe; only the rest (the *loud* ones) run the
+    scheme's own protocol-side transitions
     (:class:`~repro.coherence.directory.MsiScheme`) in program order, so
-    owner forwards, LimitLess traps and the Tullsen-Eggers criterion are
-    the exact path's code, accounted by the engine's own routine.
+    owner forwards, invalidations, LimitLess traps and the
+    Tullsen-Eggers criterion are the exact path's code, accounted by the
+    engine's own routine.
+
+    A quiet transition touches no remote cache and no other line's
+    protocol state, so its closed form (:meth:`_quiet_transitions`)
+    prices it as the scheme's methods would and leaves each of its
+    lines in the state its last transition leaves: the quiet and loud
+    sets name disjoint lines and commute.
 
     Cold-span planning makes the in-order loop safe: any remote holder
     that could evict or observe a cold line within the epoch makes its
@@ -1515,7 +1538,8 @@ class MsiBatchKernel(_BatchKernel):
     which a miss could displace, or whose invalidation could change the
     victim, is hot, so it holds no cold event.
 
-    Subclasses supply only :meth:`_exclusive`."""
+    Subclasses supply :meth:`_exclusive`, :meth:`_holders_ok` and
+    :meth:`_settle`."""
 
     def _exclusive(self, cols, ch, tags0, dirty0) -> np.ndarray:
         """Per event: may the processor's resident copy be written
@@ -1523,6 +1547,20 @@ class MsiBatchKernel(_BatchKernel):
         only in the first run, and only for the slot's window-start
         occupant (``tags0``); any other run starts from a fresh fill."""
         raise NotImplementedError
+
+    def _holders_ok(self, lines, proc, shared, private) -> np.ndarray:
+        """Per named line, the scheme's part of the quiet rule: at window
+        start, no processor but ``proc`` holds it by the protocol, and
+        the protocol agrees with ``proc``'s cache.  ``shared`` and
+        ``private``: does ``proc`` access the line shared / private in
+        the window."""
+        raise NotImplementedError
+
+    def _settle(self, cols, split) -> int:
+        """Protocol state after the quiet transitions (``split``: what
+        :meth:`_quiet` returns); returns their replacement-hint
+        coherence words."""
+        return 0
 
     def _scan(self, cols):
         line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
@@ -1560,6 +1598,10 @@ class MsiBatchKernel(_BatchKernel):
         miss, upgrade, last = ctx["miss"], ctx["upgrade"], ctx["last"]
         result = eng.result
         elapsed = self._work(eng, cols)
+        slow = miss | upgrade
+        # The quiet test reads window-start state: before the own-cache
+        # side below overwrites any cache.
+        split = self._quiet(cols, ctx, slow) if slow.any() else None
 
         rhit = ~wr & ~miss
         n_rh = int(rhit.sum())
@@ -1600,9 +1642,151 @@ class MsiBatchKernel(_BatchKernel):
             if lat_out is not None:
                 lat_out[silent] = self.hit_lat
 
-        slow = miss | upgrade
-        if slow.any():
-            elapsed += self._transitions(eng, cols, ctx, slow, lat_out)
+        if split is not None:
+            elapsed += self._quiet_transitions(eng, cols, ctx, split,
+                                               lat_out)
+            loud = slow & ~split[0]
+            if loud.any():
+                elapsed += self._transitions(eng, cols, ctx, loud, lat_out)
+        return elapsed
+
+    def _quiet(self, cols, ctx, slow):
+        """Split the slow events (misses and upgrades) into quiet and loud.
+
+        Every line a slow event names, as its line or as its victim, is
+        tested against window-start state.  A line is quiet when exactly
+        one processor touches it in the window (or evicts it), its events
+        are all shared or all private, the scheme finds no other holder
+        and agrees with the processor's cache (:meth:`_holders_ok`), and
+        a line with a shared slow event has no pending invalidation
+        reason.  An event is quiet when its line and its victim are;
+        then any line a loud event names turns loud, until nothing
+        changes.  Returns ``(quiet event mask, lines, proc, shared,
+        lpos, vpos)``: the named lines (sorted) with their processor and
+        "has shared events", and per event its line's and its victim's
+        index into them (-1 for none)."""
+        line, sh = cols.line, cols.sh
+        victim = ctx["victim"]
+        evicts = slow & ~ctx["upgrade"] & (victim >= 0)
+        lines = np.unique(np.concatenate((line[slow], victim[evicts])))
+        n = len(lines)
+        lpos = np.searchsorted(lines, line)
+        on = lines.take(lpos, mode="clip") == line
+        lpos[~on] = -1
+        vpos = np.full(cols.n, -1, dtype=np.int64)
+        vpos[evicts] = np.searchsorted(lines, victim[evicts])
+        shared = np.bincount(lpos[on & sh], minlength=n) > 0
+        private = np.bincount(lpos[on & ~sh], minlength=n) > 0
+        ok = ~(shared & private)
+
+        parts = cols.parts
+        if len(parts) == 1:
+            proc = np.full(n, parts[0][0], dtype=np.int64)
+        else:
+            P = self.machine.n_procs
+            procv = cols.procv
+            pairs = np.unique(np.concatenate((
+                lpos[on] * P + procv[on], vpos[evicts] * P + procv[evicts])))
+            at, who = np.divmod(pairs, P)
+            proc = np.empty(n, dtype=np.int64)
+            proc[at] = who
+            ok[at[1:][at[1:] == at[:-1]]] = False  # two processors
+
+        # A shared miss is classified by (and consumes) a pending
+        # invalidation reason: a line with one stays loud.
+        reasons = self.scheme.inval_reason
+        claim = np.bincount(lpos[slow & sh], minlength=n) > 0
+        for p, sel in self._by_proc(proc, claim):
+            pending = dict.get(reasons, p)
+            if pending:
+                ok[sel] &= ~np.isin(lines[sel], np.fromiter(
+                    pending, np.int64, len(pending)))
+        ok &= self._holders_ok(lines, proc, shared, private)
+
+        ev = np.flatnonzero(slow)
+        el, ev_v = lpos[ev], vpos[ev]
+        while True:
+            q = ok[el] & ((ev_v < 0) | ok[ev_v])
+            named = np.concatenate((el[~q], ev_v[~q]))
+            named = named[named >= 0]
+            if not ok[named].any():
+                break
+            ok[named] = False
+        quiet = np.zeros(cols.n, dtype=bool)
+        quiet[ev[q]] = True
+        return quiet, lines, proc, shared, lpos, vpos
+
+    @staticmethod
+    def _by_proc(proc, mask):
+        """Yield ``(p, selector)`` per processor among the masked lines."""
+        for p in np.unique(proc[mask]).tolist():
+            yield p, mask & (proc == p)
+
+    def _quiet_transitions(self, eng, cols, ctx, split, lat_out=None) -> int:
+        """The quiet misses and upgrades in closed form, as the scheme's
+        transitions would price them in program order: a read miss is a
+        replacement miss if its processor had seen the line before the
+        window or missed on it earlier in it, else cold; a write miss
+        costs the hit latency (plus the line fetch for a shared one under
+        sequential consistency), an upgrade the hit latency (plus the
+        grant under sequential consistency) and its round trip; every
+        miss fetches its line, writes back a dirty victim, and marks the
+        line seen."""
+        quiet = split[0]
+        wr, sh, line = cols.wr, cols.sh, cols.line
+        result = eng.result
+        bd = result.breakdown
+        hit = self.hit_lat
+        lw1 = 1 + self.line_words
+        up = quiet & ctx["upgrade"]
+        miss = quiet & ~up
+        rmiss = miss & ~wr
+        elapsed = 0
+        if rmiss.any():
+            # Missed on earlier in the window: all but the first miss per
+            # (processor, line); ``akey // line_words`` keys that pair.
+            missed = np.flatnonzero(ctx["miss"])
+            _, first = np.unique(cols.akey[missed] // self.line_words,
+                                 return_index=True)
+            seen = np.zeros(cols.n, dtype=bool)
+            seen[missed] = True
+            seen[missed[first]] = False
+            seen &= rmiss
+            seen_lines = self.scheme.seen_lines
+            for p, idx in self._parts_idx(cols, rmiss & ~seen):
+                before = seen_lines[p]
+                seen[idx] = [ln in before for ln in line[idx].tolist()]
+            n_rm = int(rmiss.sum())
+            elapsed += self._note_read_misses(
+                eng, n_rm, int((rmiss & sh).sum()),
+                ((MissKind.REPLACEMENT, seen), (MissKind.COLD, rmiss & ~seen)))
+            if lat_out is not None:
+                lat_out[rmiss] = self.miss_lat
+        wmiss = miss & wr
+        n_wm = int(wmiss.sum())
+        n_up = int(up.sum())
+        if n_wm or n_up:
+            n_sw = int((wmiss & sh).sum())
+            lat_sw = hit + (self.miss_lat if self.seq else 0)
+            lat_up = hit + (self.network.control_latency() if self.seq else 0)
+            cycles = (n_wm - n_sw) * hit
+            for n, lat in ((n_sw, lat_sw), (n_up, lat_up)):
+                bd["write_stall" if lat > hit else "busy"] += n * lat
+                cycles += n * lat
+            bd["busy"] += (n_wm - n_sw) * hit
+            result.writes += n_wm + n_up
+            result.shared_writes += n_sw + n_up
+            elapsed += cycles
+            if lat_out is not None:
+                lat_out[wmiss] = np.where(sh[wmiss], lat_sw, hit)
+                lat_out[up] = lat_up
+        writeback = miss & (ctx["victim"] >= 0) & ctx["vdirty"]
+        self._traffic(eng, read_words=n_wm * lw1,
+                      write_words=int(writeback.sum()) * lw1,
+                      coherence_words=2 * n_up + self._settle(cols, split))
+        seen_lines = self.scheme.seen_lines
+        for p, idx in self._parts_idx(cols, miss):
+            seen_lines[p].update(line[idx].tolist())
         return elapsed
 
     def _transitions(self, eng, cols, ctx, slow, lat_out=None) -> int:
@@ -1633,10 +1817,11 @@ class MsiBatchKernel(_BatchKernel):
 
 
 class DirectoryBatchKernel(MsiBatchKernel):
-    """HW directory: a copy is exclusive in state E/self.  The test
+    """HW directory: a copy is exclusive in state E/self.  The kernel
     gathers the scheme's :class:`~repro.coherence.sparse.DirectoryStore`
     columns directly — every protocol mutation writes through the
-    :class:`DirEntry` proxies into those columns."""
+    :class:`DirEntry` proxies into those columns — and writes the quiet
+    lines' final states into them."""
 
     def _exclusive(self, cols, ch, tags0, dirty0):
         # Window-start E/self holds only while the line keeps the slot it
@@ -1651,6 +1836,68 @@ class DirectoryBatchKernel(MsiBatchKernel):
                  & (tags0 == line) & ch.first)
                 | ch.runs.prior_any(cols.wr & cols.sh))
 
+    def _holders_ok(self, lines, proc, shared, private):
+        # A line with an entry is S{proc} or E/proc if resident, else U,
+        # and has no private access.  A line without one (state U) is
+        # untracked; a shared access to it must miss, since a resident
+        # copy would read as held by nobody.
+        store = self.scheme.dirstore
+        row = store.row_p1[lines].astype(np.int64) - 1
+        state = store.state_code[lines]
+        mine = np.where(state == STATE_E, store.owner_p1[lines] == proc + 1,
+                        (state == STATE_S) & (store.ptr_len[row] == 1)
+                        & (store.ptr_pool[row, 0] == proc + 1))
+        agree = np.where(self._resident(lines, proc), mine, state == STATE_U)
+        return np.where(row >= 0, agree & ~private, agree | ~shared)
+
+    def _resident(self, lines, proc) -> np.ndarray:
+        """Per line: is it in its processor's cache (window-start tags)?"""
+        sets = lines % self.machine.cache.n_sets
+        out = np.zeros(len(lines), dtype=bool)
+        for p, sel in self._by_proc(proc, np.ones(len(lines), dtype=bool)):
+            out[sel] = (self.ways[p][sets[sel]]
+                        == lines[sel, None]).any(axis=1)
+        return out
+
+    def _settle(self, cols, split):
+        """Each quiet line with an entry, or with shared accesses (their
+        first miss creates one), ends in the state its last transition
+        leaves: S{proc} after a read miss, E/proc after a write miss or an
+        upgrade, U after its eviction.  A replacement hint goes home for
+        every evicted line with an entry."""
+        quiet, lines, proc, shared, lpos, vpos = split
+        store = self.scheme.dirstore
+        tracked = (store.row_p1[lines] > 0) | shared
+        idx = np.flatnonzero(quiet)
+        vi = idx[vpos[idx] >= 0]
+        hints = int(tracked[vpos[vi]].sum())
+        at = np.concatenate((lpos[idx], vpos[vi]))
+        keep = tracked[at]
+        if not keep.any():
+            return hints
+        pos = np.concatenate((idx, vi))[keep]
+        state = np.concatenate((
+            np.where(cols.wr[idx], STATE_E, STATE_S),
+            np.full(len(vi), STATE_U)))[keep]
+        at = at[keep]
+        order = np.lexsort((pos, at))
+        at, state = at[order], state[order]
+        final = np.ones(len(at), dtype=bool)
+        final[:-1] = at[1:] != at[:-1]
+        at, state = at[final], state[final]
+        ln, p1 = lines[at], proc[at] + 1
+        rows = store.row_p1[ln].astype(np.int64) - 1
+        new = rows < 0
+        if new.any():
+            rows[new] = store.new_rows(ln[new])
+        held = state != STATE_U
+        store.state_code[ln] = state
+        store.owner_p1[ln] = np.where(state == STATE_E, p1, 0)
+        store.ptr_pool[rows] = 0
+        store.ptr_pool[rows, 0] = np.where(held, p1, 0)
+        store.ptr_len[rows] = held
+        return hints
+
 
 class SnoopBatchKernel(MsiBatchKernel):
     """Snooping MSI: a copy is exclusive in M, i.e. dirty."""
@@ -1661,6 +1908,19 @@ class SnoopBatchKernel(MsiBatchKernel):
         # run clears it mid-window).
         return (((tags0 == cols.line) & dirty0 & ch.first)
                 | ch.runs.prior_any(cols.wr))
+
+    def _holders_ok(self, lines, proc, shared, private):
+        # Only a shared access snoops: no other materialized cache may
+        # hold a line with one.  Evictions are silent.
+        ok = np.ones(len(lines), dtype=bool)
+        sub = np.flatnonzero(shared)
+        if sub.size:
+            ls, ps = lines[sub], proc[sub]
+            sets = ls % self.machine.cache.n_sets
+            for q, cache in self.caches.materialized():
+                held = (cache.tags[sets] == ls[:, None]).any(axis=1)
+                ok[sub[held & (ps != q)]] = False
+        return ok
 
 
 # ---------------------------------------------------------------------------

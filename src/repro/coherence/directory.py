@@ -26,6 +26,8 @@ from __future__ import annotations
 import abc
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
 from repro.coherence.sparse import DirectoryStore, DirEntry, hot_exclusive_lines
 from repro.common.config import ConsistencyModel
@@ -51,8 +53,10 @@ class MsiScheme(CoherenceScheme):
     :meth:`read`/:meth:`write` run it and then fill their own cache.  The
     batch kernel (:class:`repro.coherence.batch.MsiBatchKernel`) applies
     the own-cache side with vector operations and then calls the same
-    protocol side in program order, so both engines run one definition
-    of every transition.
+    protocol side in program order for every transition another
+    processor could observe.  The quiet rest (no other holder, no other
+    toucher, no pending invalidation reason) has a closed form in the
+    kernel, pinned by the golden digests as the tpi/sc/base kernels' are.
     """
 
     batch_hot_rule = "directory"
@@ -241,7 +245,6 @@ class FullMapDirectoryScheme(MsiScheme):
 
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
-        self.directory: Dict[int, DirEntry] = {}
         n_lines = -(-ctx.shadow.total_words // self.line_words)
         self.dirstore = DirectoryStore(n_lines,
                                        self.machine.directory.limitless_pointers)
@@ -249,11 +252,12 @@ class FullMapDirectoryScheme(MsiScheme):
     # ------------------------------------------------------------- plumbing
 
     def _entry(self, line_addr: int) -> DirEntry:
-        entry = self.directory.get(line_addr)
-        if entry is None:
-            entry = DirEntry(self.dirstore, line_addr)
-            self.directory[line_addr] = entry
-        return entry
+        """The line's directory entry, created (state U) on first use."""
+        store = self.dirstore
+        row = int(store.row_p1[line_addr]) - 1
+        if row < 0:
+            row = int(store.new_rows([line_addr])[0])
+        return DirEntry(store, line_addr, row)
 
     def _overflow_penalty(self, n_sharers: int) -> int:
         """Hook for the LimitLess subclass; full-map pays nothing."""
@@ -278,8 +282,9 @@ class FullMapDirectoryScheme(MsiScheme):
         return out
 
     def _evict(self, proc: int, evicted: int, result: AccessResult) -> None:
-        entry = self.directory.get(evicted)
-        if entry is not None:
+        row = int(self.dirstore.row_p1[evicted]) - 1
+        if row >= 0:
+            entry = DirEntry(self.dirstore, evicted, row)
             entry.sharers.discard(proc)
             if entry.state == "E" and entry.owner == proc:
                 entry.owner = -1
@@ -356,7 +361,8 @@ class FullMapDirectoryScheme(MsiScheme):
 
     def check_invariants(self) -> None:
         """Protocol invariants, callable from tests after any access mix."""
-        for line_addr, entry in self.directory.items():
+        for line_addr in np.flatnonzero(self.dirstore.row_p1).tolist():
+            entry = self._entry(line_addr)
             holders = {p for p, cache in self.caches.materialized()
                        if cache.probe(line_addr) is not None}
             if entry.state == "U" and holders:

@@ -1,15 +1,16 @@
 """Sparse limited-pointer directory state (the paper's fig5 organization).
 
-The full-map scheme conceptually keeps one presence bit per processor per
-memory line — O(P) state per line, the very storage blow-up Figure 5 uses
-to motivate TPI.  This module stores the directory the way a DIR_i
-hardware would: per line, a *state code* and an *owner* in dense-by-line
-columns (what the batch kernels gather), plus up to ``i`` sharer
-*pointers* in a compact ``(rows, i)`` pool; lines whose sharer count
-exceeds the pointer capacity spill to a side table of Python sets,
-mirroring the LimitLESS software-handled wide entries (the functional
-trap cost stays in :mod:`repro.coherence.limitless` — it is computed
-from the sharer *count*, so the storage organization is result-neutral).
+The full-map scheme conceptually keeps one presence bit per processor
+per memory line — O(P) state per line, the very storage blow-up Figure 5
+uses to motivate TPI.  This module stores the directory the way a DIR_i
+hardware would: per line, a *state code*, an *owner* and an entry *row*
+in dense-by-line columns (what the batch kernels gather), plus up to
+``i`` sharer *pointers* in a compact ``(rows, i)`` pool; lines whose
+sharer count exceeds the pointer capacity spill to a side table of
+Python sets, mirroring the LimitLESS software-handled wide entries (the
+functional trap cost stays in :mod:`repro.coherence.limitless` — it is
+computed from the sharer *count*, so the storage organization is
+result-neutral).
 
 Entries are :class:`DirEntry` proxies writing *through* to the columns,
 so the batch kernel reads live arrays and the old O(n_lines) mirror
@@ -30,7 +31,7 @@ _NAME_OF = ("U", "S", "E")
 class DirectoryStore:
     """Columnar directory state shared by the scheme and its batch kernel."""
 
-    __slots__ = ("n_lines", "pointers", "state_code", "owner_p1",
+    __slots__ = ("n_lines", "pointers", "state_code", "owner_p1", "row_p1",
                  "ptr_pool", "ptr_len", "overflow", "_rows_used")
 
     def __init__(self, n_lines: int, pointers: int):
@@ -40,21 +41,31 @@ class DirectoryStore:
         # so untouched spans never commit memory.
         self.state_code = np.zeros(n_lines, dtype=np.uint8)
         self.owner_p1 = np.zeros(n_lines, dtype=np.int32)
-        # One pool row per line that ever had a directory entry.
+        # One pool row per line that ever had a directory entry; the line's
+        # row + 1 (0 = no entry) is the one line -> entry index.
+        self.row_p1 = np.zeros(n_lines, dtype=np.int32)
         self.ptr_pool = np.zeros((16, self.pointers), dtype=np.int32)
         self.ptr_len = np.zeros(16, dtype=np.int32)
         self.overflow: Dict[int, Set[int]] = {}
         self._rows_used = 0
 
-    def new_row(self) -> int:
-        row = self._rows_used
-        if row == len(self.ptr_len):
-            self.ptr_pool = np.concatenate(
-                [self.ptr_pool, np.zeros_like(self.ptr_pool)])
-            self.ptr_len = np.concatenate(
-                [self.ptr_len, np.zeros_like(self.ptr_len)])
-        self._rows_used = row + 1
-        return row
+    def new_rows(self, lines) -> np.ndarray:
+        """Give each of ``lines`` (none of which has an entry) a fresh
+        pool row; returns the rows."""
+        first = self._rows_used
+        self._rows_used = end = first + len(lines)
+        size = len(self.ptr_len)
+        if end > size:
+            while size < end:
+                size *= 2
+            pool = np.zeros((size, self.pointers), dtype=np.int32)
+            pool[:first] = self.ptr_pool[:first]
+            lens = np.zeros(size, dtype=np.int32)
+            lens[:first] = self.ptr_len[:first]
+            self.ptr_pool, self.ptr_len = pool, lens
+        rows = np.arange(first, end)
+        self.row_p1[lines] = rows + 1
+        return rows
 
 
 class SharerSet:
@@ -182,10 +193,10 @@ class DirEntry:
 
     __slots__ = ("_store", "_line", "_row")
 
-    def __init__(self, store: DirectoryStore, line: int):
+    def __init__(self, store: DirectoryStore, line: int, row: int):
         self._store = store
         self._line = line
-        self._row = store.new_row()
+        self._row = row
 
     @property
     def state(self) -> str:

@@ -43,7 +43,7 @@ class TestMsiBasics:
         hw, _ = new_hw()
         hw.read(0, 8, 0, True, False)
         hw.read(1, 8, 0, True, False)
-        entry = hw.directory[2]  # line 8//4
+        entry = hw._entry(2)  # line 8//4
         assert entry.state == "S" and entry.sharers == {0, 1}
         hw.check_invariants()
 
@@ -53,7 +53,7 @@ class TestMsiBasics:
         hw.read(1, 8, 0, True, False)
         r = hw.write(1, 8, 0, True, False)
         assert r.coherence_words > 0
-        entry = hw.directory[2]
+        entry = hw._entry(2)
         assert entry.state == "E" and entry.owner == 1
         miss = hw.read(0, 8, 0, True, False)
         assert miss.kind is MissKind.TRUE_SHARING
@@ -76,7 +76,7 @@ class TestMsiBasics:
         dirty_miss = hw.read(1, 8, 0, True, False)
         assert dirty_miss.latency > clean_miss.latency
         assert dirty_miss.coherence_words >= 2
-        entry = hw.directory[2]
+        entry = hw._entry(2)
         assert entry.state == "S" and entry.sharers == {0, 1}
         hw.check_invariants()
 
@@ -92,7 +92,7 @@ class TestMsiBasics:
         hw.write(0, 8, 0, True, False)
         r = hw.write(1, 8, 0, True, False)
         assert r.coherence_words >= 2
-        entry = hw.directory[2]
+        entry = hw._entry(2)
         assert entry.owner == 1
         assert hw.read(0, 8, 0, True, False).kind is MissKind.TRUE_SHARING
         hw.check_invariants()
@@ -102,7 +102,7 @@ class TestMsiBasics:
         hw.read(0, 0, 0, True, False)
         # Same set, different line: evicts line 0.
         hw.read(0, 4 * 4, 0, True, False)
-        entry = hw.directory[0]
+        entry = hw._entry(0)
         assert 0 not in entry.sharers
         hw.check_invariants()
 
@@ -116,7 +116,7 @@ class TestMsiBasics:
     def test_private_data_skips_directory(self):
         hw, _ = new_hw()
         hw.write(0, 8, 0, shared=False, in_critical=False)
-        assert 2 not in hw.directory
+        assert hw.dirstore.row_p1[2] == 0  # no entry
         hw.check_invariants()
 
     def test_replacement_miss_classified(self):

@@ -14,14 +14,16 @@ epoch.  Three layers:
   compiler) on a 4-set cache of one-word lines: fast equals reference,
   and every multi-task epoch without sync events is batched;
 * a path test on fig21's capacity cell (16 KB direct-mapped, hw): only
-  sync and too-small epochs fall back, and the result is the reference
-  engine's.
+  sync and too-small epochs fall back, at most a tenth of the MSI
+  kernel's misses and upgrades reach its in-order transition loop, and
+  the result is the reference engine's.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.coherence.batch import MsiBatchKernel
 from repro.common.config import CacheConfig, WORD_BYTES, default_machine
 from repro.compiler.marking import mark_program
 from repro.experiments.fig21_cache import SMALL_SIZES
@@ -54,13 +56,15 @@ def _setup(n_procs, ways=1):
 
 
 def _trace(layout, n_procs, epochs):
-    """``epochs``: per epoch, a list of ``(proc, [(is_write, addr)])``."""
+    """``epochs``: per epoch, a list of ``(proc, [(is_write, addr)])``;
+    an access may add a third field, ``shared`` (default True)."""
     return Trace("raw", n_procs, layout=layout, epochs=[
         TraceEpoch(index=i, parallel=True, tasks=[
             Task(proc=proc, events=[
-                MemEvent(kind=EventKind.WRITE if w else EventKind.READ,
-                         addr=addr, site=0, work=1)
-                for w, addr in accesses])
+                MemEvent(kind=EventKind.WRITE if a[0] else EventKind.READ,
+                         addr=a[1], site=0, work=1,
+                         shared=a[2] if len(a) > 2 else True)
+                for a in accesses])
             for proc, accesses in tasks])
         for i, tasks in enumerate(epochs)])
 
@@ -160,7 +164,23 @@ def _must_fall_back(epoch) -> bool:
 
 
 @pytest.mark.parametrize("workload, expected", [("flo52", 3), ("qcd2", 3)])
-def test_capacity_cell_falls_back_only_on_sync_or_size(workload, expected):
+def test_capacity_cell_falls_back_only_on_sync_or_size(workload, expected,
+                                                       monkeypatch):
+    # Count the MSI kernel's slow events (misses and upgrades) and the
+    # loud ones among them, which reach the in-order transition loop.
+    slow = {"kernel": 0, "in_order": 0}
+    quiet, transitions = MsiBatchKernel._quiet, MsiBatchKernel._transitions
+
+    def counting_quiet(self, cols, ctx, mask):
+        slow["kernel"] += int(mask.sum())
+        return quiet(self, cols, ctx, mask)
+
+    def counting_transitions(self, eng, cols, ctx, mask, lat_out=None):
+        slow["in_order"] += int(mask.sum())
+        return transitions(self, eng, cols, ctx, mask, lat_out)
+
+    monkeypatch.setattr(MsiBatchKernel, "_quiet", counting_quiet)
+    monkeypatch.setattr(MsiBatchKernel, "_transitions", counting_transitions)
     base = default_machine()
     machine = base.with_(cache=CacheConfig(
         size_bytes=16 * 1024, line_words=base.cache.line_words),
@@ -171,5 +191,8 @@ def test_capacity_cell_falls_back_only_on_sync_or_size(workload, expected):
     n_forced = sum(_must_fall_back(epoch)
                    for epoch in run.trace.epochs)
     assert eng.fallback_epochs == n_forced == expected
+    # Most transitions are quiet: closed form, not the in-order loop.
+    assert slow["kernel"] > 0
+    assert slow["in_order"] <= 0.1 * slow["kernel"]
     ref = simulate(run, "hw", machine=machine.with_(engine="reference"))
     assert fast.to_dict() == ref.to_dict()
