@@ -35,6 +35,7 @@ from repro.experiments import (
     tab_marking,
 )
 from repro.experiments.common import Bench, ExperimentResult
+from repro.runtime import session
 
 EXPERIMENTS = {
     "fig5_storage": fig5_storage.run,
@@ -65,43 +66,30 @@ def experiment_ids() -> List[str]:
     return list(EXPERIMENTS)
 
 
-def _wants_runtime(jobs, cache, telemetry) -> bool:
-    return jobs != 1 or cache is not None or telemetry is not None
-
-
 def run_experiment(experiment: str, machine: Optional[MachineConfig] = None,
                    size: str = "paper", *, jobs: Optional[int] = 1,
                    cache=None, telemetry=None) -> ExperimentResult:
     """Regenerate one paper table/figure.
 
-    ``jobs``/``cache``/``telemetry`` open a :func:`repro.runtime.session`
-    around the experiment: its simulations fan out over ``jobs`` worker
-    processes (``None``/``0`` = all cores) and reuse artifacts from the
-    given :class:`repro.runtime.ArtifactCache`.  The defaults keep the
-    original direct in-process path.
+    The experiment runs inside a :func:`repro.runtime.session`: its
+    simulations fan out over ``jobs`` worker processes (``None``/``0`` =
+    all cores), reuse artifacts from the given
+    :class:`repro.runtime.ArtifactCache`, and report into ``telemetry``.
+    The defaults run serially in-process with no cache.
     """
     if experiment not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {experiment!r}; "
                        f"choose from {sorted(EXPERIMENTS)}")
-    if _wants_runtime(jobs, cache, telemetry):
-        from repro.runtime import session
-
-        with session(jobs=jobs, cache=cache, telemetry=telemetry):
-            return EXPERIMENTS[experiment](machine=machine, size=size)
-    return EXPERIMENTS[experiment](machine=machine, size=size)
+    with session(jobs=jobs, cache=cache, telemetry=telemetry):
+        return EXPERIMENTS[experiment](machine=machine, size=size)
 
 
 def run_all(machine: Optional[MachineConfig] = None,
             size: str = "paper", *, jobs: Optional[int] = 1,
             cache=None, telemetry=None) -> Dict[str, ExperimentResult]:
-    if _wants_runtime(jobs, cache, telemetry):
-        from repro.runtime import session
-
-        with session(jobs=jobs, cache=cache, telemetry=telemetry):
-            return {name: run(machine=machine, size=size)
-                    for name, run in EXPERIMENTS.items()}
-    return {name: run(machine=machine, size=size)
-            for name, run in EXPERIMENTS.items()}
+    with session(jobs=jobs, cache=cache, telemetry=telemetry):
+        return {name: run(machine=machine, size=size)
+                for name, run in EXPERIMENTS.items()}
 
 
 __all__ = ["Bench", "EXPERIMENTS", "ExperimentResult", "experiment_ids",

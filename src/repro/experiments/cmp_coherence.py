@@ -8,11 +8,10 @@ invalidations — two decades later, and bus snooping is the classical
 small-scale baseline both papers define themselves against.  This
 experiment puts all four on the paper's workloads and machine.
 
-All four schemes run in **one scheme-gang pass** per workload
-(:func:`repro.sim.gang.run_gang`): one prepared columnar trace, one
-lockstep walk of the shared epoch batches, each scheme's counters filled
-from the same cache-hot analyses.  Results are byte-identical to solo
-runs; the gang only removes the redundant per-scheme trace passes.
+All four schemes of a workload share one front end: the experiment's
+grid goes to the executor as one batch, which compiles and traces each
+workload once and runs its four schemes over that trace, one engine at
+a time.  Results are byte-identical to solo runs.
 """
 
 from __future__ import annotations
@@ -21,19 +20,14 @@ from typing import Optional
 
 from repro.common.config import MachineConfig, default_machine
 from repro.common.stats import TrafficClass
-from repro.experiments.common import ExperimentResult
-from repro.workloads import build_workload, workload_names
+from repro.experiments.common import Bench, ExperimentResult
 
 SCHEMES = ("tpi", "hw", "tardis", "snoop")
 
 
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
-    from repro.sim import prepare
-    from repro.sim.gang import GangMember, run_gang
-
     base = machine or default_machine()
-    size_key = "small" if size == "small" else "default"
     result = ExperimentResult(
         experiment="cmp_coherence",
         title="ISCA-1996 vs 2015: time vs HW=1, miss %, words/access "
@@ -43,10 +37,9 @@ def run(machine: Optional[MachineConfig] = None,
                  *(f"{s.upper()} miss" for s in SCHEMES),
                  *(f"{s.upper()} w/acc" for s in SCHEMES)],
     )
-    for name in workload_names():
-        prepared = prepare(build_workload(name, size=size_key), base)
-        results = dict(zip(SCHEMES, run_gang(
-            prepared, [GangMember(machine=base, scheme=s) for s in SCHEMES])))
+    bench = Bench(base, size, schemes=SCHEMES)
+    for name in bench.names:
+        results = {s: bench.result(name, s) for s in SCHEMES}
         hw_cycles = results["hw"].exec_cycles
         row = [name]
         row.extend(results[s].exec_cycles / hw_cycles for s in SCHEMES)

@@ -14,8 +14,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig, default_machine
-from repro.sim import PreparedRun, prepare, simulate
+from repro.compiler.marking import MarkingOptions
+from repro.ir.program import Program
+from repro.runtime.jobs import program_digest
 from repro.sim.metrics import SimResult
+from repro.trace.schedule import MigrationSpec
 from repro.workloads import build_workload, workload_names
 
 DEFAULT_SCHEMES = ("base", "sc", "tpi", "hw")
@@ -118,110 +121,79 @@ class ExperimentResult:
 
 
 class Bench:
-    """Prepares workloads once per (front end, size) and simulates on demand.
+    """One experiment's simulation grid: workloads x schemes x machines.
 
-    When a :func:`repro.runtime.session` is active, simulations route
-    through its executor: the first request for a scheme fetches it for
-    *every* workload in one batch (fanned out across worker processes when
-    the session is parallel), and the session's artifact cache makes
-    repeat invocations near-free.  Without a session, behavior is the
-    original direct in-process path.
+    The grid is declared up front.  The first :meth:`result` request
+    submits every cell in one batch to the active
+    :func:`repro.runtime.session`'s executor, or to a serial
+    :class:`~repro.runtime.ParallelExecutor` with no cache when no session
+    is active, so ``--jobs``, the artifact cache and ``--report`` see
+    every experiment.  The executor groups the cells by front end: all
+    machines and schemes of one workload share one compile and trace
+    (gang-primed when the machines differ in cache geometry), and no
+    front end is kept between batches.  A request outside the grid is
+    fetched in a batch of its own.
 
-    ``gang`` declares the back-end machine variants an experiment sweeps
-    over (cache geometry, timetag width, write buffer — anything outside
-    ``n_procs``/``schedule``).  All variants share one prepared front end
-    per workload (prepares are keyed by front-end identity), requests for
-    any variant batch the *whole* gang in one executor call, and the
-    direct path gang-primes the shared trace before simulating
-    (:func:`repro.sim.gang.prime_group`).
+    ``machines`` are the machine variants of the grid (``[machine]`` when
+    empty); ``machine`` is what :meth:`result` uses when given none.
+    ``builds`` maps a workload to the :func:`build_workload` keywords
+    that replace the size preset; ``opts`` and ``migration`` set the
+    marking options and task migration of every front end.
     """
 
     def __init__(self, machine: Optional[MachineConfig] = None,
                  size: str = "paper", workloads: Optional[Sequence[str]] = None,
-                 gang: Sequence[MachineConfig] = ()):
+                 schemes: Sequence[str] = DEFAULT_SCHEMES,
+                 machines: Sequence[MachineConfig] = (),
+                 builds: Optional[Dict[str, dict]] = None,
+                 opts: Optional[MarkingOptions] = None,
+                 migration: Optional[MigrationSpec] = None):
         self.machine = machine or default_machine()
         self.size = "small" if size == "small" else "default"
         self.names = list(workloads) if workloads else workload_names()
-        self.gang = list(gang)
-        self._programs: Dict[str, object] = {}
-        self._prepared: Dict[Tuple[str, int, str], PreparedRun] = {}
-        self._results: Dict[Tuple[str, str, int], SimResult] = {}
-        self._primed: set = set()
-        # Front ends built by a session executor, keyed by prepare
-        # fingerprint; handed back on later batches so one compile/trace
-        # feeds every scheme (the executor fills it in-process).
-        self._front_ends: Dict[str, PreparedRun] = {}
+        self.schemes = tuple(schemes)
+        self.machines = list(machines) or [self.machine]
+        self.builds = builds or {}
+        self.opts = opts
+        self.migration = migration
+        self._programs: Dict[str, Tuple[Program, str]] = {}
+        # Keyed by machine value (MachineConfig is frozen): an id() key
+        # would let a dropped temporary's result answer for a new one.
+        self._results: Dict[Tuple[str, str, MachineConfig], SimResult] = {}
 
-    def _program(self, name: str):
+    def program(self, name: str) -> Program:
+        return self._build(name)[0]
+
+    def _build(self, name: str) -> Tuple[Program, str]:
         if name not in self._programs:
-            self._programs[name] = build_workload(name, size=self.size)
+            program = build_workload(
+                name, **self.builds.get(name, {"size": self.size}))
+            self._programs[name] = (program, program_digest(program))
         return self._programs[name]
-
-    def prepared(self, name: str,
-                 machine: Optional[MachineConfig] = None) -> PreparedRun:
-        machine = machine or self.machine
-        # Keyed by the front-end half of the machine: every back-end
-        # variant (gang member) reuses the same compile + trace.
-        key = (name, machine.n_procs, machine.schedule)
-        if key not in self._prepared:
-            self._prepared[key] = prepare(self._program(name), machine)
-        return self._prepared[key]
 
     def result(self, name: str, scheme: str,
                machine: Optional[MachineConfig] = None) -> SimResult:
-        machine = machine or self.machine
-        key = (name, scheme, id(machine))
-        if key in self._results:
-            return self._results[key]
-        from repro.runtime import current_session
-
-        session = current_session()
-        if session is None:
-            run = self.prepared(name, machine)
-            self._prime(name, run)
-            self._results[key] = simulate(run, scheme, machine=machine)
-        else:
-            self._fetch_batch(name, scheme, machine, session)
+        key = (name, scheme, machine or self.machine)
+        if key not in self._results:
+            self._fetch(key)
         return self._results[key]
 
-    def _gang_machines(self, machine: MachineConfig) -> List[MachineConfig]:
-        """The machines to batch together with ``machine``."""
-        if any(m is machine for m in self.gang):
-            return self.gang
-        return [machine]
+    def _fetch(self, wanted: Tuple[str, str, MachineConfig]) -> None:
+        """Run every grid cell not yet known, plus ``wanted``, in one batch."""
+        from repro.runtime import Job, ParallelExecutor, current_session
 
-    def _prime(self, name: str, run: PreparedRun) -> None:
-        """Gang-prime a workload's shared trace once (direct path)."""
-        if name in self._primed:
-            return
-        self._primed.add(name)
-        if len(self.gang) >= 2:
-            from repro.sim.engine import resolve_engine
-            from repro.sim.gang import prime_group
-
-            members = [m for m in self.gang
-                       if resolve_engine(m) != "reference"]
-            if len(members) >= 2:
-                prime_group(run.trace, members)
-
-    def _fetch_batch(self, name: str, scheme: str, machine: MachineConfig,
-                     session) -> None:
-        """Fetch one scheme for every still-missing workload in one batch.
-
-        When ``machine`` is a gang member, the batch covers the whole
-        gang: (workloads x variants) land in one executor run, whose
-        grouping puts every variant of a workload on one shared trace.
-        """
-        from repro.runtime import Job
-
-        machines = self._gang_machines(machine)
-        missing = [n for n in self.names
-                   if (n, scheme, id(machine)) not in self._results]
-        if name not in missing:
-            missing.append(name)
-        cells = [(n, m) for n in missing for m in machines]
-        jobs = [Job(program=self._program(n), scheme=scheme, machine=m)
-                for n, m in cells]
-        for (n, m), result in zip(cells, session.run(
-                jobs, prepared=self._front_ends)):
-            self._results[(n, scheme, id(m))] = result
+        cells = [(n, s, m) for n in self.names for m in self.machines
+                 for s in self.schemes if (n, s, m) not in self._results]
+        if wanted not in cells:
+            cells.append(wanted)
+        jobs = []
+        for name, scheme, machine in cells:
+            program, digest = self._build(name)
+            jobs.append(Job(program=program, scheme=scheme, machine=machine,
+                            opts=self.opts, migration=self.migration,
+                            _digest=digest))
+        session = current_session()
+        executor = (session.executor if session is not None
+                    else ParallelExecutor())
+        for cell, result in zip(cells, executor.run(jobs)):
+            self._results[cell] = result

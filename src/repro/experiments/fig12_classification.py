@@ -19,7 +19,7 @@ from repro.experiments.common import Bench, ExperimentResult
 
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
-    bench = Bench(machine, size)
+    bench = Bench(machine, size, schemes=("tpi", "hw"))
     result = ExperimentResult(
         experiment="fig12_classification",
         title="read misses per 1000 reads, by cause",

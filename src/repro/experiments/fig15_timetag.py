@@ -32,7 +32,8 @@ def run(machine: Optional[MachineConfig] = None,
                 for k in WIDTHS}
     machines[("flush", 4)] = base.with_(tpi=TpiConfig(
         timetag_bits=4, reset_policy=TimetagResetPolicy.FLUSH))
-    bench = Bench(base, size, gang=list(machines.values()))
+    bench = Bench(base, size, schemes=("tpi",),
+                  machines=machines.values())
 
     for name in bench.names:
         row = [name]

@@ -32,7 +32,8 @@ def run(machine: Optional[MachineConfig] = None,
     machines = {w: base.with_(cache=CacheConfig(
         size_bytes=base.cache.size_bytes, line_words=w,
         associativity=base.cache.associativity)) for w in LINE_WORDS}
-    bench = Bench(base, size, gang=list(machines.values()))
+    bench = Bench(base, size, schemes=("tpi", "hw"),
+                  machines=machines.values())
     for name in bench.names:
         for scheme in ("tpi", "hw"):
             row = [name, scheme.upper()]

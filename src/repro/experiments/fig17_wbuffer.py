@@ -23,7 +23,7 @@ def run(machine: Optional[MachineConfig] = None,
     # over one shared trace per workload.
     fifo_m = base.with_(write_buffer=WriteBufferKind.FIFO)
     coal_m = base.with_(write_buffer=WriteBufferKind.COALESCING)
-    bench = Bench(base, size, gang=[fifo_m, coal_m])
+    bench = Bench(base, size, schemes=("tpi",), machines=[fifo_m, coal_m])
     result = ExperimentResult(
         experiment="fig17_wbuffer",
         title="TPI write traffic: FIFO vs coalescing write buffer",

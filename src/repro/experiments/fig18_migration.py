@@ -17,36 +17,33 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.config import MachineConfig, default_machine
-from repro.compiler.marking import MarkingOptions
-from repro.experiments.common import ExperimentResult
-from repro.sim import prepare, simulate
+from repro.compiler.marking import MarkingOptions, mark_program
+from repro.experiments.common import Bench, ExperimentResult
 from repro.trace.schedule import MigrationSpec
-from repro.workloads import build_workload, workload_names
 
 
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
     machine = machine or default_machine()
-    preset = "small" if size == "small" else "default"
     result = ExperimentResult(
         experiment="fig18_migration",
         title="task migration: TPI slowdown vs HW slowdown (migrate every 7th task)",
         headers=["workload", "TPI no-mig cycles", "TPI mig cycles",
                  "TPI slowdown", "HW slowdown", "extra TR sites"],
     )
-    migration = MigrationSpec(every=7)
-    for name in workload_names():
-        program = build_workload(name, size=preset)
-        plain = prepare(program, machine)
-        migrated = prepare(program, machine,
-                           opts=MarkingOptions(assume_no_migration=False),
-                           migration=migration)
-        tpi_plain = simulate(plain, "tpi")
-        tpi_mig = simulate(migrated, "tpi")
-        hw_plain = simulate(plain, "hw")
-        hw_mig = simulate(migrated, "hw")
-        extra_sites = (migrated.marking.stats["sites.time_read.tpi"]
-                       - plain.marking.stats["sites.time_read.tpi"])
+    safe = MarkingOptions(assume_no_migration=False)
+    plain = Bench(machine, size, schemes=("tpi", "hw"))
+    migrated = Bench(machine, size, schemes=("tpi", "hw"), opts=safe,
+                     migration=MigrationSpec(every=7))
+    for name in plain.names:
+        program = plain.program(name)
+        tpi_plain = plain.result(name, "tpi")
+        tpi_mig = migrated.result(name, "tpi")
+        hw_plain = plain.result(name, "hw")
+        hw_mig = migrated.result(name, "hw")
+        extra_sites = (
+            mark_program(program, None, safe).stats["sites.time_read.tpi"]
+            - mark_program(program).stats["sites.time_read.tpi"])
         result.rows.append([
             name,
             tpi_plain.exec_cycles,

@@ -23,18 +23,19 @@ SCHEMES = ("sc", "tpi", "hw")
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
     base = machine or default_machine()
-    weak = Bench(base.with_(consistency=ConsistencyModel.WEAK), size)
-    seq = Bench(base.with_(consistency=ConsistencyModel.SEQUENTIAL), size)
+    weak = base.with_(consistency=ConsistencyModel.WEAK)
+    seq = base.with_(consistency=ConsistencyModel.SEQUENTIAL)
+    bench = Bench(base, size, schemes=SCHEMES, machines=[weak, seq])
     result = ExperimentResult(
         experiment="fig19_consistency",
         title="slowdown of sequential over weak consistency, per scheme",
         headers=["workload", *(f"{s.upper()} seq/weak" for s in SCHEMES)],
     )
-    for name in weak.names:
+    for name in bench.names:
         row = [name]
         for scheme in SCHEMES:
-            w = weak.result(name, scheme).exec_cycles
-            s = seq.result(name, scheme).exec_cycles
+            w = bench.result(name, scheme, weak).exec_cycles
+            s = bench.result(name, scheme, seq).exec_cycles
             row.append(s / w)
         result.rows.append(row)
     result.notes = ("shape: the write-through schemes (SC, TPI) suffer far "

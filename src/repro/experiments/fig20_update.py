@@ -19,8 +19,9 @@ from repro.experiments.common import Bench, ExperimentResult
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
     base = machine or default_machine()
-    plain = Bench(base, size)
-    coal = Bench(base.with_(write_buffer=WriteBufferKind.COALESCING), size)
+    plain = Bench(base, size, schemes=("hw", "update"))
+    coal = Bench(base.with_(write_buffer=WriteBufferKind.COALESCING), size,
+                 schemes=("update",))
     result = ExperimentResult(
         experiment="fig20_update",
         title="invalidate vs update directory: miss rate (%) and write+update words/access",

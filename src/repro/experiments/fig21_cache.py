@@ -13,11 +13,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.common.config import CacheConfig, MachineConfig, default_machine
-from repro.experiments.common import ExperimentResult
-from repro.sim import prepare, simulate
-from repro.sim.engine import resolve_engine
-from repro.sim.gang import prime_group
-from repro.workloads import build_workload, workload_names
+from repro.experiments.common import Bench, ExperimentResult
 
 SIZES_KB = (16, 64, 256)
 
@@ -51,31 +47,21 @@ def run(machine: Optional[MachineConfig] = None,
         headers=["workload", "scheme",
                  *(f"{kb}KB dm" for kb in SIZES_KB), "64KB 4-way"],
     )
-    machines = {}
-    for kb in SIZES_KB:
-        machines[(kb, 1)] = base.with_(cache=CacheConfig(
-            size_bytes=kb * 1024, line_words=base.cache.line_words))
-    machines[(64, 4)] = base.with_(cache=CacheConfig(
+    machines = [base.with_(cache=CacheConfig(
+        size_bytes=kb * 1024, line_words=base.cache.line_words))
+        for kb in SIZES_KB]
+    machines.append(base.with_(cache=CacheConfig(
         size_bytes=64 * 1024, line_words=base.cache.line_words,
-        associativity=4))
-
-    for name in workload_names():
-        program = build_workload(name, **overrides[name])
-        # Cache geometry is back-end-only: one prepare serves all four
-        # machines, gang-primed so the geometry resolution is shared.
-        run = prepare(program, base)
-        members = [m for m in machines.values()
-                   if resolve_engine(m) != "reference"]
-        if len(members) >= 2:
-            prime_group(run.trace, members)
+        associativity=4)))
+    # Cache geometry is back-end-only: one front end per workload serves
+    # all four machines, gang-primed so the geometry resolution is shared.
+    bench = Bench(base, size, schemes=("tpi", "hw"), machines=machines,
+                  builds=overrides)
+    for name in bench.names:
         for scheme in ("tpi", "hw"):
-            row = [name, scheme.upper()]
-            for kb in SIZES_KB:
-                row.append(100.0 * simulate(run, scheme,
-                                            machine=machines[(kb, 1)]).miss_rate)
-            row.append(100.0 * simulate(run, scheme,
-                                        machine=machines[(64, 4)]).miss_rate)
-            result.rows.append(row)
+            result.rows.append([name, scheme.upper(), *(
+                100.0 * bench.result(name, scheme, m).miss_rate
+                for m in machines)])
     result.notes = ("shape: miss rate non-increasing in cache size, with a "
                     "visible capacity cliff between 16KB and 256KB on the "
                     "enlarged working sets; associativity never hurts; the "

@@ -15,12 +15,10 @@ where tiny per-epoch work makes coherence and dispatch overheads dominate.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common.config import MachineConfig, default_machine
-from repro.experiments.common import ExperimentResult
-from repro.sim import prepare, simulate
-from repro.workloads import build_workload, workload_names
+from repro.experiments.common import Bench, ExperimentResult
 
 PROCS = (1, 4, 16, 32)
 SCHEMES = ("base", "tpi", "hw")
@@ -33,25 +31,28 @@ EXTENDED_PROCS = (1, 16, 64, 256, 1024, 4096, 16384)
 EXTENDED_WORKLOAD = "trfd"
 
 
+def _speedup_rows(result: ExperimentResult, bench: Bench,
+                  machines: Dict[int, MachineConfig]) -> None:
+    """One row per (workload, scheme): speedups over BASE at P = 1."""
+    for name in bench.names:
+        baseline = bench.result(name, "base", machines[1]).exec_cycles
+        for scheme in SCHEMES:
+            result.rows.append([name, scheme.upper(), *(
+                baseline / bench.result(name, scheme, m).exec_cycles
+                for m in machines.values())])
+
+
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
     base = machine or default_machine()
-    preset = "small" if size == "small" else "default"
     result = ExperimentResult(
         experiment="fig23_scaling",
         title="speedup over the no-coherence uniprocessor (BASE at P=1)",
         headers=["workload", "scheme", *(f"P={p}" for p in PROCS)],
     )
-    for name in workload_names():
-        program = build_workload(name, size=preset)
-        runs = {p: prepare(program, base.with_(n_procs=p)) for p in PROCS}
-        baseline = simulate(runs[1], "base").exec_cycles
-        for scheme in SCHEMES:
-            row = [name, scheme.upper()]
-            for p in PROCS:
-                cycles = simulate(runs[p], scheme).exec_cycles
-                row.append(baseline / cycles)
-            result.rows.append(row)
+    machines = {p: base.with_(n_procs=p) for p in PROCS}
+    bench = Bench(base, size, schemes=SCHEMES, machines=machines.values())
+    _speedup_rows(result, bench, machines)
     result.notes = ("shape: TPI and HW dominate BASE at every P; TPI's "
                     "curve rises with P; coherence/dispatch overheads can "
                     "flatten HW's curve on tiny per-epoch workloads.")
@@ -76,16 +77,12 @@ def run_extended(machine: Optional[MachineConfig] = None,
               f"{preset}) out to P=16384",
         headers=["workload", "scheme", *(f"P={p}" for p in EXTENDED_PROCS)],
     )
-    program = build_workload(EXTENDED_WORKLOAD, size=preset)
-    runs = {p: prepare(program, base.with_(n_procs=p, engine="fast"))
-            for p in EXTENDED_PROCS}
-    baseline = simulate(runs[1], "base").exec_cycles
-    for scheme in SCHEMES:
-        row = [EXTENDED_WORKLOAD, scheme.upper()]
-        for p in EXTENDED_PROCS:
-            cycles = simulate(runs[p], scheme).exec_cycles
-            row.append(baseline / cycles)
-        result.rows.append(row)
+    machines = {p: base.with_(n_procs=p, engine="fast")
+                for p in EXTENDED_PROCS}
+    bench = Bench(base, workloads=[EXTENDED_WORKLOAD], schemes=SCHEMES,
+                  machines=machines.values(),
+                  builds={EXTENDED_WORKLOAD: {"size": preset}})
+    _speedup_rows(result, bench, machines)
     result.notes = ("shape: curves saturate once P exceeds the widest "
                     "DOALL; the wide-machine points cost the same "
                     "simulation work as the saturation point because "

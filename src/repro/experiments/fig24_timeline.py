@@ -12,9 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.common.config import MachineConfig, default_machine
-from repro.experiments.common import ExperimentResult
-from repro.sim import prepare, simulate
-from repro.workloads import build_workload
+from repro.experiments.common import Bench, ExperimentResult
 
 WORKLOAD = "ocean"
 MAX_ROWS = 18
@@ -23,11 +21,9 @@ MAX_ROWS = 18
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
     base = (machine or default_machine()).with_(record_epochs=True)
-    preset = "small" if size == "small" else "default"
-    program = build_workload(WORKLOAD, size=preset)
-    run_ = prepare(program, base)
-    tpi = simulate(run_, "tpi")
-    hw = simulate(run_, "hw")
+    bench = Bench(base, size, workloads=[WORKLOAD], schemes=("tpi", "hw"))
+    tpi = bench.result(WORKLOAD, "tpi")
+    hw = bench.result(WORKLOAD, "hw")
 
     result = ExperimentResult(
         experiment="fig24_timeline",

@@ -21,12 +21,12 @@ from repro.overhead.storage import tpi_overhead
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
     base = machine or default_machine()
-    word = Bench(base, size)
-    line = Bench(base.with_(tpi=TpiConfig(
+    line_tags = base.with_(tpi=TpiConfig(
         timetag_bits=base.tpi.timetag_bits,
         reset_policy=base.tpi.reset_policy,
         reset_stall_cycles=base.tpi.reset_stall_cycles,
-        tag_per_word=False)), size)
+        tag_per_word=False))
+    bench = Bench(base, size, schemes=("tpi",), machines=[base, line_tags])
     result = ExperimentResult(
         experiment="fig25_taggranularity",
         title="TPI with per-word vs per-line timetags",
@@ -34,9 +34,9 @@ def run(machine: Optional[MachineConfig] = None,
                  "miss ratio", "per-word cycles", "per-line cycles",
                  "slowdown"],
     )
-    for name in word.names:
-        w = word.result(name, "tpi")
-        l = line.result(name, "tpi")
+    for name in bench.names:
+        w = bench.result(name, "tpi", base)
+        l = bench.result(name, "tpi", line_tags)
         result.rows.append([
             name,
             100.0 * w.miss_rate,

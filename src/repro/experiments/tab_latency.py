@@ -47,17 +47,16 @@ def run(machine: Optional[MachineConfig] = None,
         headers=["workload", "TPI 16B", "TPI 64B", "HW 16B", "HW 64B",
                  "paper TPI 16B", "paper HW 64B"],
     )
-    benches = {}
-    for line_words in (4, 16):
-        m = base.with_(cache=CacheConfig(size_bytes=base.cache.size_bytes,
-                                         line_words=line_words,
-                                         associativity=base.cache.associativity))
-        benches[line_words] = Bench(m, size)
-    for name in benches[4].names:
+    machines = {line_words: base.with_(cache=CacheConfig(
+        size_bytes=base.cache.size_bytes, line_words=line_words,
+        associativity=base.cache.associativity)) for line_words in (4, 16)}
+    bench = Bench(base, size, schemes=("tpi", "hw"),
+                  machines=machines.values())
+    for name in bench.names:
         row = [name]
         for scheme in ("tpi", "hw"):
             for line_words in (4, 16):
-                r = benches[line_words].result(name, scheme)
+                r = bench.result(name, scheme, machines[line_words])
                 row.append(r.avg_miss_latency)
         row.append(PAPER_VALUES.get((name, "tpi", 4), float("nan")))
         row.append(PAPER_VALUES.get((name, "hw", 16), float("nan")))

@@ -15,22 +15,19 @@ from typing import Optional
 from repro.common.config import MachineConfig
 from repro.compiler.report import marking_report
 from repro.experiments.common import Bench, ExperimentResult
-from repro.workloads import build_workload, workload_names
 
 
 def run(machine: Optional[MachineConfig] = None,
         size: str = "paper") -> ExperimentResult:
-    preset = "small" if size == "small" else "default"
-    bench = Bench(machine, size)
+    bench = Bench(machine, size, schemes=("tpi",))
     result = ExperimentResult(
         experiment="tab_marking",
         title="Time-Read marking: static fractions by analysis mode, dynamic hit rate",
         headers=["workload", "read sites", "inline %", "summary %", "none %",
                  "dyn TR %", "TR hit %"],
     )
-    for name in workload_names():
-        program = build_workload(name, size=preset)
-        report = marking_report(program)
+    for name in bench.names:
+        report = marking_report(bench.program(name))
         inline = report["inline"]
         sim = bench.result(name, "tpi")
         time_reads = sim.extra.get("time_reads", 0)

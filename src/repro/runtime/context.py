@@ -4,10 +4,10 @@ The experiment harnesses call :class:`~repro.experiments.common.Bench`
 deep inside 20 per-figure modules; threading ``jobs=``/``cache=`` through
 every one of them would be noise.  Instead, ``run_experiment(jobs=4)``
 opens a *session* — a context-variable scope carrying one configured
-:class:`~repro.runtime.executor.ParallelExecutor` — and ``Bench`` routes
-its simulations through the active session when there is one.  With no
-session active every caller gets the original direct in-process path,
-unchanged.
+:class:`~repro.runtime.executor.ParallelExecutor` — and ``Bench`` submits
+its grid to the active session's executor.  With no session active,
+``Bench`` uses a serial executor with no cache: the same path, minus the
+workers, the artifact cache and the shared telemetry.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ class RuntimeSession:
     @property
     def parallel(self) -> bool:
         return self.executor.n_jobs > 1
-
-    def run(self, jobs, prepared=None):
-        return self.executor.run(jobs, prepared=prepared)
 
 
 def current_session() -> Optional[RuntimeSession]:

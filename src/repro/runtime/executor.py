@@ -20,12 +20,12 @@ and the entries are scattered in gang-sized chunks — one gang per worker,
 the columnar buffers shipped once per chunk instead of once per cell
 (``simulate_all(jobs=4)`` and ganged-sweep shapes).
 
-Groups whose entries span several distinct back-end machines are *gang
-primed* (:func:`repro.sim.gang.prime_group`) before simulation: the
-trace-static per-geometry analyses are built for all members in one
-config-axis broadcast and shared.  Priming never changes results — every
-member stays byte-identical to a solo run — so it applies to fast- and
-gang-engine entries alike; reference-engine entries bypass it.
+Every group runs through :func:`repro.sim.gang.run_gang`: when its
+entries span several distinct back-end machines, the trace-static
+per-geometry analyses are built for all of them in one config-axis
+broadcast and shared, and then the entries simulate one engine at a
+time.  Priming never changes results — every member stays byte-identical
+to a solo run — and reference-engine entries bypass it.
 
 The engine is deterministic — a heap over per-processor clocks — so serial
 and parallel execution produce bit-identical results; the test suite
@@ -45,7 +45,7 @@ from repro.common.errors import SimulationError
 from repro.runtime.cache import ArtifactCache, KIND_PREPARED, KIND_RESULT
 from repro.runtime.jobs import Job
 from repro.runtime.telemetry import JobRecord, Telemetry
-from repro.sim.engine import make_engine
+from repro.sim.gang import GangMember, run_gang
 from repro.sim.metrics import SimResult
 from repro.sim.runner import PreparedRun, prepare
 
@@ -119,32 +119,6 @@ def _obtain_prepared(work: _GroupWork, cache: Optional[ArtifactCache],
     return prepared
 
 
-def _prime_gang(prepared: PreparedRun, entries: Sequence[_Entry],
-                stats: Dict[str, Any]) -> None:
-    """Share the trace-static analyses across a group's back-end variants.
-
-    A no-op for single-config groups; otherwise one config-axis broadcast
-    (:func:`repro.sim.gang.prime_group`) pre-builds every member
-    geometry's epoch analyses on the shared trace.  Results are identical
-    with or without priming, so this is applied unconditionally to
-    fast-engine entries.
-    """
-    from repro.sim.engine import resolve_engine
-    from repro.sim.gang import distinct_backends, prime_group
-
-    machines = distinct_backends(
-        [entry.machine for entry in entries
-         if resolve_engine(entry.machine) != "reference"])
-    if len(machines) < 2:
-        return
-    started = time.perf_counter()
-    info = prime_group(prepared.trace, machines)
-    phases = stats["phases"]
-    phases["gang"] = (phases.get("gang", 0.0)
-                      + time.perf_counter() - started)
-    stats["gang_width"] = max(stats.get("gang_width", 0), info["width"])
-
-
 def _simulate_entries(prepared: PreparedRun,
                       entries: Sequence[_Entry],
                       cache: Optional[ArtifactCache],
@@ -159,26 +133,12 @@ def _simulate_entries(prepared: PreparedRun,
         if entry.result_key not in reps:
             reps[entry.result_key] = entry
             unique.append(entry)
-    _prime_gang(prepared, unique, stats)
-    # Lockstep across the group (scheme *and* config axis): one epoch is
-    # stepped through every member engine before the next, so each
-    # epoch's shared trace-static analyses are built once and consumed
-    # cache-hot.  Engines are independent, so this is pure scheduling —
-    # every result stays byte-identical to a solo ``run()``.
-    engines = [make_engine(prepared.trace, prepared.marking,
-                           entry.machine, entry.scheme) for entry in unique]
-    walls = [0.0] * len(unique)
-    for engine in engines:
-        engine.start()
-    for epoch in prepared.trace.epochs:
-        for i, engine in enumerate(engines):
-            started = time.perf_counter()
-            engine.step(epoch)
-            walls[i] += time.perf_counter() - started
+    results = run_gang(prepared, [GangMember(entry.machine, entry.scheme)
+                                  for entry in unique], stats)
+    walls = stats.pop("member_wall_s")
     computed: Dict[str, SimResult] = {}
     phases = stats["phases"]
-    for entry, engine, wall in zip(unique, engines, walls):
-        result = engine.finish()
+    for entry, result, wall in zip(unique, results, walls):
         computed[entry.result_key] = result
         if cache is not None:
             cache.store(KIND_RESULT, entry.result_key, result)
@@ -337,20 +297,19 @@ class ParallelExecutor:
                     prepared: Optional[Dict[str, PreparedRun]],
                     results: List[Optional[SimResult]]) -> None:
         for work in groups:
-            supplied = (prepared or {}).get(work.prepare_key)
-            if supplied is not None:
-                stats = _new_stats()
-                outcome = (_simulate_entries(supplied, work.entries,
-                                             self.cache, stats), stats)
-            else:
-                # In-process: reuse self.cache instead of reopening the root.
-                stats = _new_stats()
-                run = _obtain_prepared(work, self.cache, stats)
-                if prepared is not None:
-                    prepared[work.prepare_key] = run
-                outcome = (_simulate_entries(run, work.entries, self.cache,
-                                             stats), stats)
-            self._absorb(outcome, results)
+            self._absorb(self._serial_group(work, prepared), results)
+
+    def _serial_group(self, work: _GroupWork,
+                      prepared: Optional[Dict[str, PreparedRun]]
+                      ) -> Tuple[List[Tuple[int, SimResult]], Dict]:
+        """One group in-process; its front end is dropped on return, so
+        a batch holds one front end (and its primed analyses) at a time."""
+        stats = _new_stats()
+        run = (prepared or {}).get(work.prepare_key)
+        if run is None:
+            # In-process: reuse self.cache instead of reopening the root.
+            run = _obtain_prepared(work, self.cache, stats)
+        return _simulate_entries(run, work.entries, self.cache, stats), stats
 
     def _run_scatter(self, work: _GroupWork,
                      prepared: Optional[Dict[str, PreparedRun]],
@@ -368,8 +327,6 @@ class ParallelExecutor:
         run = (prepared or {}).get(work.prepare_key)
         if run is None:
             run = _obtain_prepared(work, self.cache, stats)
-            if prepared is not None:
-                prepared[work.prepare_key] = run
         self.telemetry.merge_worker(stats)
         # Dedup duplicate result keys parent-side (scheme-dead config
         # pruning): chunk boundaries would otherwise split duplicates

@@ -84,11 +84,9 @@ class Engine:
             self.step(epoch)
         return self.finish()
 
-    # The epoch-at-a-time face of the same loop: a gang runs many engines
-    # in lockstep (one epoch across every member, then the next), so each
-    # epoch's shared trace-static analyses are built once and consumed
-    # while still cache-hot.  ``run() == start(); step(each); finish()``
-    # by construction — there is only one loop body.
+    # The epoch-at-a-time face of the same loop: ``run() == start();
+    # step(each); finish()`` by construction — there is only one loop
+    # body, and ``step`` is the unit a per-epoch profiler wraps.
 
     def start(self) -> None:
         """Reset the global clock; feed epochs through :meth:`step`."""
@@ -328,8 +326,8 @@ def make_engine(trace: Trace, marking: Marking, machine: MachineConfig,
     """Instantiate the engine selected by ``machine.engine``/``REPRO_ENGINE``.
 
     The config-axis sharing of fast runs lives in
-    :func:`repro.sim.gang.prime_group`, which the executor applies to
-    whole groups before their members reach this call.
+    :func:`repro.sim.gang.prime_group`, which :func:`repro.sim.gang.run_gang`
+    applies to a whole group before its members reach this call.
     """
     if resolve_engine(machine) == "fast":
         from repro.sim.fastengine import FastEngine

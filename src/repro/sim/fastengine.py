@@ -62,7 +62,9 @@ class _TaskArrays:
     object :class:`~repro.trace.events.Task` otherwise.  ``rows`` builds
     the Python-int per-event tuples lazily — only the per-event paths
     (kernel boundaries, poisoned spans, kernel-less schemes) touch them;
-    the batch kernels run on the arrays.
+    the batch kernels run on the arrays.  The tuples do not depend on the
+    geometry, so every geometry view of one task shares one ``rows_cell``
+    (a one-element list) and builds them at most once.
     """
 
     __slots__ = ("_rows", "_set_lines", "proc", "extra_work", "n", "addr",
@@ -71,10 +73,10 @@ class _TaskArrays:
 
     def __init__(self, proc, extra_work, n, addr, site, work,
                  shared, is_write, line_words: int, n_sets: int,
-                 geometry=None):
+                 geometry=None, rows_cell=None):
         self.proc = proc
         self.extra_work = extra_work
-        self._rows = None
+        self._rows = [None] if rows_cell is None else rows_cell
         self._set_lines = None
         self.n = n
         self.addr = addr
@@ -121,12 +123,13 @@ class _TaskArrays:
         READ/WRITE outside any critical section.  Python-int fields keep
         the accounting identical to object traces.
         """
-        if self._rows is None:
-            self._rows = list(zip(
+        cell = self._rows
+        if cell[0] is None:
+            cell[0] = list(zip(
                 self.is_write.tolist(), self.addr.tolist(),
                 self.site.tolist(), self.work.tolist(),
                 self.shared.tolist()))
-        return self._rows
+        return cell[0]
 
     @property
     def set_lines(self):
@@ -153,7 +156,8 @@ class _EpochBatch:
                  "hot_written", "static_masks", "static_idx", "other_lines",
                  "preapply_cache")
 
-    def __init__(self, epoch, line_words: int, n_sets: int, tasks=None):
+    def __init__(self, epoch, line_words: int, n_sets: int, tasks=None,
+                 rows_cells=None):
         self.geometry = (line_words, n_sets)
         # Hot-rule keyed cache of the merged pre-apply window (or a bail
         # marker); shared across schemes and repeated simulations.
@@ -181,6 +185,10 @@ class _EpochBatch:
                 return
             self.tasks = [_TaskArrays.from_task(task, line_words, n_sets)
                           for task in epoch.tasks]
+        if rows_cells is not None:
+            # Another geometry view of this epoch exists: share its rows.
+            for ta, cell in zip(self.tasks, rows_cells):
+                ta._rows = cell
         # Lines touched by two or more tasks this epoch.
         all_lines = (np.concatenate([ta.uniq_lines for ta in self.tasks])
                      if self.tasks else np.zeros(0, dtype=np.int64))
@@ -203,6 +211,15 @@ class _EpochBatch:
             self.other_lines.append(
                 np.unique(np.concatenate(rest)) if rest
                 else np.zeros(0, dtype=np.int64))
+
+
+def _rows_cells(batches: dict):
+    """The per-task row cells of an epoch's existing geometry views (any
+    one serves: all share them), or ``None`` before the first view."""
+    for batch in batches.values():
+        if batch.tasks:
+            return [ta._rows for ta in batch.tasks]
+    return None
 
 
 def _among(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:
@@ -257,7 +274,8 @@ class FastEngine(Engine):
             epoch._batch = batches
         batch = batches.get(geometry)
         if batch is None:
-            batch = batches[geometry] = _EpochBatch(epoch, *geometry)
+            batch = batches[geometry] = _EpochBatch(
+                epoch, *geometry, rows_cells=_rows_cells(batches))
         self._cur_batch = batch
         if batch.has_sync:
             return None

@@ -15,19 +15,22 @@ scratch, the gang:
   _EpochBatch` analyses on the shared epochs, where every member with
   that geometry — and every scheme, and the epoch pre-apply windows built
   downstream — reuses them;
-* replays each member's hot (order-sensitive) events through the
-  reference heap at identical ``(clock, proc, rank, idx)`` keys, exactly
-  as a solo :class:`~repro.sim.fastengine.FastEngine` run would;
-* steps every member through the trace **in lockstep** (epoch by epoch,
-  not member by member), so the *scheme* axis broadcasts too: one pass
-  over each epoch's shared analyses fills every member's counters while
-  the structures are cache-hot (:func:`run_gang`).
+* runs the members **one engine at a time** (:func:`run_gang`), each
+  replaying its hot (order-sensitive) events through the reference heap
+  at identical ``(clock, proc, rank, idx)`` keys, exactly as a solo
+  :class:`~repro.sim.fastengine.FastEngine` run would.
 
 Per-config *protocol* state is never shared: each member's results must
 stay byte-identical to running that config alone on either engine (the
-PR-3 parity contract, enforced by tests/test_gang.py), and protocol
+parity contract enforced by tests/test_gang.py), and protocol
 transitions depend on the member's own latencies and network feedback.
 What the gang vectorizes is the config axis of everything trace-static.
+
+Members used to be stepped in lockstep, one epoch across every engine
+before the next.  That kept every member's protocol state and every
+epoch's pre-apply windows alive at once: on ``fig21_cache`` at small
+size it took peak RSS from 185 to 242 MB for no steady wall-time gain,
+so members now run in turn and only the primed analyses are shared.
 
 Fallbacks (each member silently degrades to a plain solo run):
 
@@ -37,9 +40,9 @@ Fallbacks (each member silently degrades to a plain solo run):
 * a gang of one (or of identical configs) — priming is skipped, the
   single member just runs.
 
-There is no separate engine to select: the executor gang-primes and
-lockstep-runs every group whose members resolve to the fast engine,
-since the results are identical by construction.
+There is no separate engine to select: the executor runs every group of
+jobs sharing a front end through :func:`run_gang`, since the results
+are identical by construction.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.batch import GangParams, resolve_geometries
 from repro.sim.engine import make_engine, resolve_engine
-from repro.sim.fastengine import _MIN_TASK_EVENTS, _EpochBatch, _TaskArrays
+from repro.sim.fastengine import (_MIN_TASK_EVENTS, _EpochBatch, _TaskArrays,
+                                  _rows_cells)
 from repro.sim.metrics import SimResult
 from repro.trace.columnar import KIND_WRITE, ColumnarTrace
 
@@ -74,14 +78,16 @@ def _prime_epoch(epoch, todo: Sequence[Tuple[int, int]],
     """
     per_geometry: Dict[Tuple[int, int], List[_TaskArrays]] = \
         {g: [] for g in todo}
-    for tc in epoch.task_columns():
+    columns = epoch.task_columns()
+    cells = _rows_cells(batches) or [[None] for _ in columns]
+    for tc, cell in zip(columns, cells):
         rows = resolve_geometries(tc.addr, todo)
         is_write = tc.kind == KIND_WRITE
         for geometry in todo:
             per_geometry[geometry].append(_TaskArrays(
                 tc.proc, tc.extra_work, tc.n, tc.addr, tc.site,
                 tc.work, tc.shared, is_write, geometry[0], geometry[1],
-                geometry=rows[geometry]))
+                geometry=rows[geometry], rows_cell=cell))
     for geometry in todo:
         batches[geometry] = _EpochBatch(epoch, geometry[0], geometry[1],
                                         tasks=per_geometry[geometry])
@@ -152,36 +158,34 @@ def run_gang(prepared, members: Sequence[GangMember],
     rest share the primed analyses.  Results come back in member order,
     each byte-identical to a solo run of that (machine, scheme).
 
-    The members run in **lockstep**: one epoch is stepped across every
-    engine before any engine moves to the next (the engines' epoch-at-a-
-    time ``start``/``step``/``finish`` face).  That broadcasts the
-    *scheme* axis the same way priming broadcasts the geometry axis —
-    each epoch's shared :class:`~repro.sim.fastengine._EpochBatch`
-    analyses, hot partitions, and pre-apply windows are built by the
-    first member to arrive and consumed by the rest while still
-    cache-hot, instead of falling out of cache between whole-trace
-    passes.  Per-member protocol state stays private, so the lockstep
-    is pure scheduling: each result is byte-identical to a solo run.
+    The trace is primed once for the distinct fast-engine back ends,
+    then each member runs to completion before the next starts.  With
+    ``stats``, the priming time lands in ``phases["gang"]``, the widest
+    primed gang in ``gang_width``, and each member's engine wall time in
+    ``member_wall_s`` (member order).
     """
     members = list(members)
-    gang = [m.machine for m in members
-            if resolve_engine(m.machine) != "reference"]
-    started = time.perf_counter()
-    info = prime_group(prepared.trace, distinct_backends(gang))
+    gang = distinct_backends([m.machine for m in members
+                              if resolve_engine(m.machine) != "reference"])
+    if len(gang) >= 2:
+        started = time.perf_counter()
+        info = prime_group(prepared.trace, gang)
+        if stats is not None:
+            stats["gang_width"] = max(stats.get("gang_width", 0),
+                                      info["width"])
+            phases = stats.setdefault("phases", {})
+            phases["gang"] = (phases.get("gang", 0.0)
+                              + time.perf_counter() - started)
+    results: List[SimResult] = []
+    walls: List[float] = []
+    for member in members:
+        started = time.perf_counter()
+        results.append(make_engine(prepared.trace, prepared.marking,
+                                   member.machine, member.scheme).run())
+        walls.append(time.perf_counter() - started)
     if stats is not None:
-        stats["gang_width"] = max(stats.get("gang_width", 0), info["width"])
-        phases = stats.setdefault("phases", {})
-        phases["gang"] = (phases.get("gang", 0.0)
-                          + time.perf_counter() - started)
-    engines = [make_engine(prepared.trace, prepared.marking, member.machine,
-                           member.scheme)
-               for member in members]
-    for engine in engines:
-        engine.start()
-    for epoch in prepared.trace.epochs:
-        for engine in engines:
-            engine.step(epoch)
-    return [engine.finish() for engine in engines]
+        stats["member_wall_s"] = walls
+    return results
 
 
 __all__ = ["GangMember", "distinct_backends", "prime_group", "run_gang"]

@@ -94,21 +94,15 @@ def simulate_all(run: Union[Program, PreparedRun],
                  cache=None, telemetry=None) -> Dict[str, SimResult]:
     """Simulate several schemes over one prepared run.
 
-    ``jobs``/``cache``/``telemetry`` route execution through
-    :mod:`repro.runtime`: ``jobs=N`` scatters the schemes across worker
-    processes (the front end is still built exactly once), and a
-    :class:`repro.runtime.ArtifactCache` makes repeat invocations
-    near-free.  The default ``jobs=1`` with no cache keeps the original
-    zero-overhead in-process path.
+    Execution goes through :class:`repro.runtime.ParallelExecutor`:
+    ``jobs=N`` scatters the schemes across worker processes (the front
+    end is still built exactly once), a :class:`repro.runtime.ArtifactCache`
+    makes repeat invocations near-free, and ``telemetry`` collects the
+    run's counters.  The default ``jobs=1`` with no cache runs in-process.
     """
-    schemes = tuple(schemes)
-    if jobs == 1 and cache is None and telemetry is None:
-        if isinstance(run, Program):
-            run = prepare(run, machine, params, opts)
-        return {scheme: simulate(run, scheme) for scheme in schemes}
-
     from repro.runtime import ParallelExecutor, jobs_for_schemes
 
+    schemes = tuple(schemes)
     if isinstance(run, Program):
         job_list = jobs_for_schemes(run, schemes, machine or default_machine(),
                                     params, opts)
@@ -119,7 +113,7 @@ def simulate_all(run: Union[Program, PreparedRun],
         # Hand the existing front end to the executor so it is never
         # rebuilt — and bypass the cache: a PreparedRun does not record the
         # options it was built with, so its provenance cannot be keyed.
-        prepared = {job_list[0].prepare_fingerprint(): run}
+        prepared = {job.prepare_fingerprint(): run for job in job_list[:1]}
         cache = None
     executor = ParallelExecutor(jobs=jobs, cache=cache, telemetry=telemetry)
     results = executor.run(job_list, prepared=prepared)

@@ -6,8 +6,10 @@ harness machinery itself and the cheap analytic experiments.
 
 import pytest
 
+from repro.common.config import default_machine
 from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.common import Bench, ExperimentResult
+from repro.runtime import ArtifactCache, Telemetry, session
 
 
 class TestHarness:
@@ -40,10 +42,33 @@ class TestHarness:
 
     def test_bench_caches_prepared_runs(self):
         bench = Bench(size="small", workloads=["ocean"])
-        first = bench.prepared("ocean")
-        assert bench.prepared("ocean") is first
         r1 = bench.result("ocean", "tpi")
         assert bench.result("ocean", "tpi") is r1
+
+    def test_bench_keys_results_by_machine_value(self):
+        """Temporaries made in a loop may share an id(); each must still
+        get its own result, and an equal machine must find it again."""
+        bench = Bench(size="small", workloads=["trfd"], schemes=("base",))
+        base = default_machine()
+        cycles = [bench.result("trfd", "base",
+                               base.with_(n_procs=p)).exec_cycles
+                  for p in (1, 2, 4, 8)]
+        assert len(set(cycles)) == 4
+        again = bench.result("trfd", "base", base.with_(n_procs=4))
+        assert again.exec_cycles == cycles[2]
+
+    def test_bench_submits_its_grid_in_one_batch(self):
+        telemetry = Telemetry()
+        machines = [default_machine().with_(n_procs=p) for p in (2, 4)]
+        bench = Bench(size="small", workloads=["trfd", "ocean"],
+                      schemes=("tpi", "hw"), machines=machines)
+        with session(telemetry=telemetry):
+            bench.result("trfd", "tpi", machines[0])
+            assert telemetry.jobs_submitted == 8
+            bench.result("ocean", "hw", machines[1])
+            assert telemetry.jobs_submitted == 8
+            bench.result("ocean", "sc", machines[1])  # outside the grid
+            assert telemetry.jobs_submitted == 9
 
 
 class TestFastExperiments:
@@ -77,7 +102,7 @@ class TestFastExperiments:
         """The 1996-vs-2015 comparison: the scheme-gang results must
         match solo runs, and the note's shape claims must hold."""
         result = run_experiment("cmp_coherence", size="small")
-        bench = Bench(size="small")
+        bench = Bench(size="small", schemes=("tardis",))
         for row in result.rows:
             name = row[0]
             # snoop and the directory decide invalidations identically on
@@ -91,6 +116,30 @@ class TestFastExperiments:
             solo = bench.result(name, "tardis")
             assert result.cell(name, "TARDIS miss") == \
                 pytest.approx(100.0 * solo.miss_rate)
+
+
+class TestRuntimeRouting:
+    """Experiments that once ran their cells by hand go through the
+    executor: their jobs reach telemetry and the artifact cache."""
+
+    @pytest.mark.parametrize("experiment,n_jobs", [
+        ("fig18_migration", 24), ("fig24_timeline", 2),
+        ("cmp_coherence", 24)])
+    def test_jobs_are_reported_and_cached(self, experiment, n_jobs,
+                                          tmp_path):
+        cache = ArtifactCache(tmp_path)
+        cold = Telemetry()
+        first = run_experiment(experiment, size="small", cache=cache,
+                               telemetry=cold)
+        assert len(cold.records) == n_jobs
+        assert {r.source for r in cold.records} == {"computed"}
+        assert cold.traces_generated > 0
+        warm = Telemetry()
+        second = run_experiment(experiment, size="small", cache=cache,
+                                telemetry=warm)
+        assert warm.traces_generated == 0
+        assert warm.result_hits == n_jobs
+        assert second.to_dict() == first.to_dict()
 
 
 class TestBarCharts:

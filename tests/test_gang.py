@@ -15,6 +15,8 @@ Layers:
   engine choice (fast sweeps gang-prime, reference sweeps do not);
 * the cache-shape guarantee: a line-size/timetag sweep stores exactly
   one prepared front end per workload;
+* the geometry-free per-event rows: every geometry view of one task
+  shares one ``rows`` list, primed or built lazily;
 * grid-order and ``jobs=None`` regressions for :class:`Sweep.run`.
 """
 
@@ -130,10 +132,10 @@ class TestGangParity:
 
 
 class TestSchemeAxisGang:
-    """Tentpole pin: one gang broadcasts the *scheme* axis in lockstep;
-    every member stays byte-identical to its solo fast and solo
-    reference runs (arc2d exercises the sync-epoch fallback inside a
-    ganged member too)."""
+    """One gang runs the *scheme* axis over one prepared trace, one
+    engine at a time; every member stays byte-identical to its solo fast
+    and solo reference runs (arc2d exercises the sync-epoch fallback
+    inside a ganged member too)."""
 
     SCHEMES = ("base", "sc", "tpi", "hw", "update", "tardis", "snoop")
 
@@ -193,6 +195,36 @@ class TestPrimeFallbacks:
         assert stats["primed_epochs"] > 0
         assert stats["geometries"] == 3  # default, 8-word, 1-word lines
         assert stats["width"] == 5
+
+
+class TestSharedRows:
+    """The per-event row tuples depend on the task, never on the cache
+    geometry: every geometry view of one task shares one ``rows`` list,
+    whether gang priming or the fast engine built the views."""
+
+    @staticmethod
+    def assert_views_share_rows(trace):
+        epochs = [e for e in trace.epochs
+                  if isinstance(e._batch, dict) and len(e._batch) >= 2]
+        assert epochs
+        for epoch in epochs:
+            first, *rest = epoch._batch.values()
+            for other in rest:
+                assert len(other.tasks) == len(first.tasks)
+                for a, b in zip(first.tasks, other.tasks):
+                    assert a.rows is b.rows
+
+    def test_primed_views_share_rows(self):
+        run = prepare(build_workload("ocean", size="small"), MACHINE)
+        prime_group(run.trace, backend_variants(MACHINE))
+        self.assert_views_share_rows(run.trace)
+
+    def test_lazily_built_views_share_rows(self):
+        fast = MACHINE.with_(engine="fast")
+        run = prepare(build_workload("ocean", size="small"), fast)
+        for variant in backend_variants(fast)[:3]:  # three geometries
+            simulate(run, "tpi", machine=variant)
+        self.assert_views_share_rows(run.trace)
 
 
 def vary_dead_field(machine, name):
