@@ -259,6 +259,7 @@ class ProtocolMutation:
     caught: bool
     config_label: str
     states: int
+    transitions: int
     refuted_by_production: Optional[bool]
 
 
@@ -298,11 +299,12 @@ def self_test(mutants: Iterable, configs: Sequence, check: Callable,
     must *refute*: the direction tests cannot fake."""
     result = ProtocolSelfTest(subject=subject)
     for mutant in mutants:
-        label, states = "", 0
+        label, states, transitions = "", 0, 0
         refuted: Optional[bool] = None
         for config in configs:
             found = check(config, mutant)
             states += found.states
+            transitions += found.transitions
             if found.violations:
                 label = config.label
                 if replay_fn is not None:
@@ -310,7 +312,8 @@ def self_test(mutants: Iterable, configs: Sequence, check: Callable,
                 break
         result.mutations.append(ProtocolMutation(
             name=mutant.name, caught=bool(label), config_label=label,
-            states=states, refuted_by_production=refuted))
+            states=states, transitions=transitions,
+            refuted_by_production=refuted))
     return result
 
 
@@ -322,7 +325,8 @@ class Protocol:
     """What the report, the cache key and the CLI need from a protocol:
     its (counterexample, drift, coverage, truncation) ``codes``, the
     result attributes whose grid minimum a report's meta records, the
-    rule and protocol ``sources`` that key the cache, and the map from
+    rule, scheme and protocol ``sources`` that key the cache (the drift
+    verdicts replay through the scheme), and the map from
     ``repro modelcheck`` flags to config fields."""
 
     subject: str
@@ -338,7 +342,7 @@ class Protocol:
 
 
 def code_digest(sources: Iterable[str]) -> str:
-    """Digest of the rule, protocol and core sources, mixed into the
+    """Digest of the rule, scheme, protocol and core sources, mixed into the
     cache key so editing any of them invalidates cached reports."""
     digest = hashlib.sha256()
     for source in (*sources, __file__):

@@ -6,8 +6,8 @@ the TPI timetags (:mod:`repro.analysis.modelcheck`).  Every decision
 (the ``rts >= pts`` lease hit, the commutative grant, ``max(pts,
 mem_rts + 1)`` write ordering, the barrier ``pts`` join, the data-less
 renewal guard, the Tardis 2.0 rebase geometry) is taken from
-:mod:`repro.coherence.tardis_rules`, the same pure functions the
-reference scheme and the batched kernel execute.
+:mod:`repro.coherence.tardis_rules`, the same pure functions the scheme
+executes.
 
 State ``(pts, base, mem, vers, floor, caches, rebases)``: per-processor
 logical timestamps, the representable-window base, per-line home
@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.analysis import mc_core
 from repro.analysis.diagnostics import Report
-from repro.coherence import tardis_rules
+from repro.coherence import tardis as tardis_scheme, tardis_rules
 from repro.common.errors import ConfigError
 
 
@@ -238,15 +238,15 @@ def _successors(state, config: TardisModelConfig,
     line_words, lease, modulus = config.line_words, config.lease, config.modulus
 
     # -- barrier: join pts, promote the floor, maybe rebase.
-    joined = int(rules.pts_join(pts))
-    if bool(rules.rebase_needed(joined, lease, base, modulus)):
-        new_base = int(rules.rebase_base(joined, modulus))
-        new_mem = tuple((int(rules.clamp(w, new_base)),
-                         int(rules.clamp(r, new_base))) for w, r in mem)
+    joined = rules.pts_join(pts)
+    if rules.rebase_needed(joined, lease, base, modulus):
+        new_base = rules.rebase_base(joined, modulus)
+        new_mem = tuple((rules.clamp(w, new_base), rules.clamp(r, new_base))
+                        for w, r in mem)
         new_caches = tuple(
             tuple(None if copy is None
-                  else (int(rules.clamp(copy[0], new_base)),
-                        int(rules.clamp(copy[1], new_base)), copy[2])
+                  else (rules.clamp(copy[0], new_base),
+                        rules.clamp(copy[1], new_base), copy[2])
                   for copy in cache)
             for cache in caches)
         barrier_state = ((joined,) * n_procs, new_base, new_mem, vers, vers,
@@ -262,12 +262,12 @@ def _successors(state, config: TardisModelConfig,
     for proc in range(n_procs):
         for line in range(n_lines):
             mem_wts, mem_rts = mem[line]
-            ts_w = int(rules.write_timestamp(pts[proc], mem_rts))
+            ts_w = rules.write_timestamp(pts[proc], mem_rts)
             if ts_w > config.max_ts:
                 continue  # logical-time bound: the enumeration's horizon
             copy = caches[proc][line]
-            if copy is not None and bool(rules.write_renewal_ok(
-                    copy[0], mem_wts, base)):
+            if copy is not None and rules.write_renewal_ok(
+                    copy[0], mem_wts, base):
                 copy_vers = copy[2]  # provably unwritten since the fill
             else:
                 copy_vers = vers[line]  # exclusive-ownership upgrade fetch
@@ -294,14 +294,14 @@ def _successors(state, config: TardisModelConfig,
         for line in range(n_lines):
             mem_wts, mem_rts = mem[line]
             copy = caches[proc][line]
-            new_mem_rts = int(rules.lease_grant(pts[proc], mem_rts, lease))
+            new_mem_rts = rules.lease_grant(pts[proc], mem_rts, lease)
             granted_mem = mem[:line] + ((mem_wts, new_mem_rts),) \
                 + mem[line + 1:]
-            own_rts = int(rules.own_lease(pts[proc], lease))
+            own_rts = rules.own_lease(pts[proc], lease)
             for word in range(line_words):
                 if copy is not None:
                     cached_wts, cached_rts, cached_vers = copy
-                    if bool(rules.lease_hit(pts[proc], cached_rts)):
+                    if rules.lease_hit(pts[proc], cached_rts):
                         breach = None
                         if cached_vers[word] < floor[line][word]:
                             breach = (proc, line, word, "hit",
@@ -309,7 +309,7 @@ def _successors(state, config: TardisModelConfig,
                         yield (("read", proc, line, word, "hit"), None,
                                breach, True)
                         continue
-                    if bool(rules.renewal_ok(cached_wts, mem_wts, base)):
+                    if rules.renewal_ok(cached_wts, mem_wts, base):
                         breach = None
                         if cached_vers[word] < floor[line][word]:
                             breach = (proc, line, word, "renewal",
@@ -445,7 +445,8 @@ PROTOCOL = mc_core.Protocol(
     subject="tardis-protocol", kind="modelcheck-tardis",
     scheme="TardisScheme", codes=("MC101", "MC102", "MC103", "MC104"),
     coverage={"rebases": "max_rebases"},
-    sources=(tardis_rules.__file__, __file__), config=TardisModelConfig,
+    sources=(tardis_rules.__file__, tardis_scheme.__file__, __file__),
+    config=TardisModelConfig,
     cli_bounds={"procs": "n_procs", "lines": "n_lines",
                 "words": "line_words", "k": "timestamp_bits",
                 "lease": "lease", "max_ts": "max_ts"},

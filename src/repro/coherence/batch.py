@@ -11,9 +11,10 @@ engine's exact per-event path.  The MSI kernel (hw, limitless, snoop)
 vectorizes hits, silent writes, the own-cache side of fills and the
 *quiet* misses and upgrades, those no other processor can observe; it
 calls the scheme's own transitions in program order, inside the apply,
-only for the rest.  The tardis and update kernels vectorize a provable
-prefix per set chain and run the rest in program order through the
-exact path.
+only for the rest.  The update kernel vectorizes a provable prefix per
+set chain and runs the rest in program order through the exact path.
+Tardis has no kernel: its epochs batch through the fast engine's
+per-event cold path.
 
 Cache state is indexed by **slot**, ``set * K + way`` for a K-way cache
 (a slot is a set when the cache is direct-mapped).  A per-window slot scan
@@ -53,9 +54,9 @@ refresh, word validations) is a function of the window's own events.
 Intra-window ordering between accesses to the same set or word is
 restored with :class:`_Chains` (one stable argsort per key).
 
-The loop-in-apply kernels (tardis, update) interleave exact events with
-their batched prefix, which batched LRU stamps would misorder, so they
-alone require direct-mapped caches: for any other geometry their
+The loop-in-apply update kernel interleaves exact events with its
+batched prefix, which batched LRU stamps would misorder, so it alone
+requires a direct-mapped cache: for any other geometry its
 :meth:`build` returns ``None`` and the fast engine falls back to its
 exact per-event path.
 """
@@ -1395,116 +1396,6 @@ class UpdateBatchKernel(_BatchKernel):
         return words
 
 
-class TardisBatchKernel(_BatchKernel):
-    """Tardis, full-batch: live-lease read hits and private write hits
-    are vectorized; everything that talks to the home node (misses,
-    renewals, shared writes) runs through the scheme's *exact* access
-    methods in an in-order loop inside :meth:`_apply`.
-
-    Unlike the other full-batch kernels this one never routes events to
-    the post-apply exact path: a shared write advances the processor's
-    ``pts`` — state that is **not** set-local — so slow events must
-    execute in program order *among themselves*, which the loop
-    preserves and the post-apply path would not.  The scan therefore
-    returns all-ok and only decides which events are provably batchable:
-
-    * a hit proof needs the event's line resident along its set chain
-      with no earlier slow (home-talking) event in the set — slow events
-      are the only ones that move lease/version state, and a demoted
-      candidate re-proves itself harmlessly on the exact path;
-    * a *shared* read additionally needs its lease live at the window's
-      entry ``pts`` and no earlier shared write in its part (``pts``
-      cannot have moved before it executes);
-    * batched private writes and loop events touch disjoint addresses
-      (an address's ``shared`` flag is fixed), so applying the vector
-      side first commutes with the loop.
-
-    Lease grants are commutative maxima and cold-span planning keeps a
-    written line on a single processor, so parts of a merged pre-apply
-    window commute exactly as the dispatch-order reference does.
-    Direct-mapped caches only, for the update kernel's reason.
-    """
-
-    def __init__(self, scheme):
-        super().__init__(scheme)
-        self.rts = _LazyViews(scheme.rts_a, lambda a: a[:, 0])
-
-    @classmethod
-    def build(cls, scheme) -> Optional["TardisBatchKernel"]:
-        if scheme.machine.cache.associativity != 1:
-            return None
-        return cls(scheme)
-
-    def preapply(self, eng, pieces, cols: Optional[_Cols] = None) -> bool:
-        # ``pts`` is epoch-global: a *hot* shared write advances it
-        # between cold events, which pre-applying would reorder past the
-        # lease tests.  Only epochs whose events are all cold (every
-        # selector is None) can pre-apply; others take the span path,
-        # whose scans always see the current ``pts``.
-        if any(sel is not None for _proc, _ta, sel in pieces):
-            return False
-        return super().preapply(eng, pieces, cols)
-
-    def _scan(self, cols):
-        s, line, wd = cols.s, cols.line, cols.wd
-        wr, sh, addr = cols.wr, cols.sh, cols.addr
-
-        ch = self._set_chains(cols, None, "hold")  # every access installs
-        tags0 = self._gset(self.tags, cols, cols.s)
-        resident = ch.resident(line, tags0)
-
-        ptsv = np.empty(cols.n, dtype=np.int64)
-        prior_sw = np.zeros(cols.n, dtype=bool)
-        swr = wr & sh
-        for p, lo, hi in cols.parts:
-            ptsv[lo:hi] = self.scheme.pts[p]
-            w = swr[lo:hi]
-            prior_sw[lo:hi] = (np.cumsum(w) - w) > 0
-        lease0 = self._gset(self.rts, cols, cols.s) >= ptsv
-        if self.check:
-            # The batched hit serves its cached version, which must meet
-            # the epoch floor; suspicious reads go to the exact path
-            # where the oracle fires against true state.
-            lease0 = lease0 & (self._gword(self.cver, cols, cols.s)
-                               >= self.shadow.epoch_version[addr])
-        cand = np.where(wr, ~sh & resident,
-                        resident & (~sh | (lease0 & ~prior_sw)))
-        # Only slow events move lease/version state; a batched hit must
-        # precede every slow event of its set so its entry-state proof
-        # still holds when the vector side applies.
-        batch = cand & ~ch.prior_any(~cand)
-        return np.ones(cols.n, dtype=bool), {"batch": batch}
-
-    def _apply(self, eng, cols, ctx, lat_out=None):
-        batch = ctx["batch"]
-        s, wd, wr, sh, addr = cols.s, cols.wd, cols.wr, cols.sh, cols.addr
-        result = eng.result
-        elapsed = self._work(eng, cols)
-
-        rd = batch & ~wr
-        n_rd = int(rd.sum())
-        if n_rd:
-            elapsed += self._note_hits(eng, n_rd, int((rd & sh).sum()))
-            if lat_out is not None:
-                lat_out[rd] = self.hit_lat
-
-        pw = batch & wr  # private write hits (shared writes are slow)
-        n_pw = int(pw.sum())
-        if n_pw:
-            result.writes += n_pw
-            self._bump_shadow(addr[pw], cols.procv[pw])
-            for p, idx in self._parts_idx(cols, pw):
-                self.cver[p][s[idx], wd[idx]] = self.shadow.version[addr[idx]]
-            elapsed += self._write_latency(eng, 0, n_pw)
-            if lat_out is not None:
-                lat_out[pw] = self.hit_lat
-
-        slow = ~batch
-        if slow.any():
-            elapsed += self._exact_events(eng, cols, slow, lat_out)
-        return elapsed
-
-
 class MsiBatchKernel(_BatchKernel):
     """Write-back MSI (the hw/limitless directory and snoop): hits,
     silent writes and the own-cache side of fills are vectorized, and so
@@ -2005,5 +1896,5 @@ def resolve_geometries(addr, geometries):
 
 __all__ = ["BaseBatchKernel", "DirectoryBatchKernel", "GangParams",
            "MsiBatchKernel", "ScBatchKernel", "SnoopBatchKernel",
-           "TardisBatchKernel", "TpiBatchKernel", "UpdateBatchKernel",
+           "TpiBatchKernel", "UpdateBatchKernel",
            "prior_same_addr", "resolve_geometries"]

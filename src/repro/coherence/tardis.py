@@ -30,9 +30,10 @@ window, clamping every stored timestamp to the new base (rebase
 granularity is the epoch, so a pathological single epoch can mint more
 than ``2^k`` timestamps between checks — the model's one acknowledged
 approximation).  All decision rules live in
-:mod:`repro.coherence.tardis_rules`, shared verbatim with the batched
-kernel and the bounded-exhaustive model checker
-(:mod:`repro.analysis.modelcheck_tardis`).
+:mod:`repro.coherence.tardis_rules`, shared verbatim with the
+bounded-exhaustive model checker (:mod:`repro.analysis.modelcheck_tardis`).
+The scheme has no batch kernel: the fast engine runs its cold spans
+through this per-event path.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ class TardisScheme(CoherenceScheme):
                 "lease_expiries": self.lease_expiries,
                 "rebases": self.rebases}
 
-    def make_batch_kernel(self):
-        from repro.coherence.batch import TardisBatchKernel
-
-        return TardisBatchKernel.build(self)
-
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         machine = self.machine
@@ -85,7 +81,7 @@ class TardisScheme(CoherenceScheme):
         self.modulus = machine.tardis.modulus
         self.seen_lines: LazyList = LazyList(machine.n_procs, lambda _p: set())
         # Per-processor program timestamps and per-line cached lease state,
-        # parallel to the Cache arrays so the batched kernel gets views.
+        # parallel to the Cache arrays.
         # A lease slot is only ever consulted for a *resident* line, and
         # every fill overwrites the slot, so lazily materialized rows of
         # zeros are indistinguishable from eager ones.
@@ -124,9 +120,9 @@ class TardisScheme(CoherenceScheme):
             rts[:] = tardis_rules.clamp(rts, self.base)
         for _proc, wts in self.wts_a.materialized():
             wts[:] = tardis_rules.clamp(wts, self.base)
-        self.mem_rts = {line: int(tardis_rules.clamp(ts, self.base))
+        self.mem_rts = {line: tardis_rules.clamp(ts, self.base)
                         for line, ts in self.mem_rts.items()}
-        self.mem_wts = {line: int(tardis_rules.clamp(ts, self.base))
+        self.mem_wts = {line: tardis_rules.clamp(ts, self.base)
                         for line, ts in self.mem_wts.items()}
         self.rebases += 1
 
@@ -164,8 +160,8 @@ class TardisScheme(CoherenceScheme):
     def _grant(self, proc: int, line_addr: int, loc: CacheWay) -> None:
         """Lease the line to ``proc``: commutative at home, own-stamp local."""
         pts = self.pts[proc]
-        self.mem_rts[line_addr] = int(tardis_rules.lease_grant(
-            pts, self._home_rts(line_addr), self.lease))
+        self.mem_rts[line_addr] = tardis_rules.lease_grant(
+            pts, self._home_rts(line_addr), self.lease)
         s, w = loc
         self.rts_a[proc][s, w] = tardis_rules.own_lease(pts, self.lease)
         self.wts_a[proc][s, w] = self._home_wts(line_addr)
@@ -194,7 +190,7 @@ class TardisScheme(CoherenceScheme):
         pts = self.pts[proc]
         if loc is not None:
             s, w = loc
-            if tardis_rules.lease_hit(pts, int(self.rts_a[proc][s, w])):
+            if tardis_rules.lease_hit(pts, self.rts_a[proc].item(s, w)):
                 cache.touch(loc)
                 version = cache.version.item(s, w, word)
                 self._check_read_version(addr, version)
@@ -202,7 +198,7 @@ class TardisScheme(CoherenceScheme):
                                     kind=MissKind.HIT, version=version)
             # Expired lease: re-validate against the home node.
             self.lease_expiries += 1
-            cached_wts = int(self.wts_a[proc][s, w])
+            cached_wts = self.wts_a[proc].item(s, w)
             mem_wts = self._home_wts(line_addr)
             if tardis_rules.renewal_ok(cached_wts, mem_wts, self.base):
                 # Unwritten since the fill: renew without moving data.
@@ -246,7 +242,7 @@ class TardisScheme(CoherenceScheme):
             # Write-allocate; the stamping below covers the lease state.
             loc = self._fill(cache, proc, line_addr, result, loc)
         elif shared and not tardis_rules.renewal_ok(
-                int(self.wts_a[proc][loc]),
+                self.wts_a[proc].item(*loc),
                 self._home_wts(line_addr), self.base):
             # The write stamps the *whole line* current through ts_w, so
             # a copy that may have missed a remote write since its fill
@@ -260,8 +256,8 @@ class TardisScheme(CoherenceScheme):
         cache.touch(loc)
         result.version = version
         if shared:
-            ts_w = int(tardis_rules.write_timestamp(
-                self.pts[proc], self._home_rts(line_addr)))
+            ts_w = tardis_rules.write_timestamp(
+                self.pts[proc], self._home_rts(line_addr))
             self.pts[proc] = ts_w
             self.mem_wts[line_addr] = ts_w
             self.mem_rts[line_addr] = ts_w

@@ -5,14 +5,12 @@ timestamp-coherence semantics (PAPERS.md — Tardis / Tardis 2.0, the
 modern descendant of TPI's timetag idea): the lease hit test, the lease
 grant and renewal rules, the write-timestamp rule, the barrier join, and
 the bounded-counter rebase geometry.  Everything here is a
-side-effect-free function of plain integers (or, elementwise, of numpy
-arrays — every rule is written so broadcasting works), and everything
-that *executes* those semantics calls in here:
+side-effect-free function of plain integers (only :func:`clamp` also
+takes the scheme's timestamp arrays, elementwise), and everything that
+*executes* those semantics calls in here:
 
-* :class:`repro.coherence.tardis.TardisScheme` — the per-event reference
-  path;
-* :class:`repro.coherence.batch.TardisBatchKernel` — the vectorized fast
-  engine (arrays in, arrays out);
+* :class:`repro.coherence.tardis.TardisScheme` — the per-event path,
+  which both engines run;
 * :mod:`repro.analysis.modelcheck_tardis` — the bounded-exhaustive model
   checker, which enumerates every reachable protocol state of tiny
   configurations and asserts staleness safety **against these exact
@@ -28,10 +26,12 @@ the protocol can still observe).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 
-def lease_hit(pts, rts):
+def lease_hit(pts: int, rts: int) -> bool:
     """Hit test for a shared read against a cached lease.
 
     A cached copy may satisfy a read at processor timestamp ``pts`` iff
@@ -42,17 +42,17 @@ def lease_hit(pts, rts):
     return rts >= pts
 
 
-def lease_grant(pts, mem_rts, lease: int):
+def lease_grant(pts: int, mem_rts: int, lease: int) -> int:
     """Memory-side ``rts`` after granting a lease to a reader at ``pts``.
 
     ``max(mem_rts, pts + lease)`` — the frontier only moves forward, and
     ``max`` is commutative, so concurrent same-epoch readers may be
-    granted in any order (the property the batched kernel relies on).
+    granted in any order.
     """
-    return np.maximum(mem_rts, pts + lease)
+    return max(mem_rts, pts + lease)
 
 
-def own_lease(pts, lease: int):
+def own_lease(pts: int, lease: int) -> int:
     """The reader's *own* cached ``rts`` after a grant or renewal.
 
     ``pts + lease`` — deliberately *not* the (order-dependent) memory
@@ -62,7 +62,7 @@ def own_lease(pts, lease: int):
     return pts + lease
 
 
-def write_timestamp(pts, mem_rts):
+def write_timestamp(pts: int, mem_rts: int) -> int:
     """Timestamp at which a shared write is ordered.
 
     ``max(pts, mem_rts + 1)``: the write must be ordered after every
@@ -70,20 +70,20 @@ def write_timestamp(pts, mem_rts):
     reading the *old* value without any invalidation — and after the
     writer's own past.
     """
-    return np.maximum(pts, mem_rts + 1)
+    return max(pts, mem_rts + 1)
 
 
-def pts_join(ptss):
+def pts_join(ptss: Iterable[int]) -> int:
     """Barrier rule: every processor's ``pts`` jumps to the global max.
 
     Tardis orders epochs by physical barriers; joining the timestamps at
     the barrier forces every post-barrier read past every pre-barrier
     write's timestamp, which is what makes stale leases expire.
     """
-    return max(int(p) for p in ptss)
+    return max(ptss)
 
 
-def renewal_ok(cached_wts, mem_wts, base):
+def renewal_ok(cached_wts: int, mem_wts: int, base: int) -> bool:
     """Whether an expired lease may be renewed without a data transfer.
 
     The cached copy is current iff the line has not been written since
@@ -92,7 +92,7 @@ def renewal_ok(cached_wts, mem_wts, base):
     exactly ``base`` may have been collapsed from *different* pre-rebase
     values, so equality there proves nothing and the copy re-fetches.
     """
-    return (cached_wts == mem_wts) & (mem_wts > base)
+    return cached_wts == mem_wts and mem_wts > base
 
 
 def rebase_needed(pts: int, lease: int, base: int, modulus: int) -> bool:
@@ -118,9 +118,12 @@ def rebase_base(pts: int, modulus: int) -> int:
 def clamp(ts, base):
     """Timestamp compression applied to every stored timestamp at rebase.
 
-    ``max(ts, base)`` — elementwise over the cached/memory timestamp
-    arrays.  Orders among surviving (> base) timestamps are preserved;
-    collapsed ones become mutually ambiguous, which is exactly what
-    :func:`renewal_ok`'s ``mem_wts > base`` guard accounts for.
+    ``max(ts, base)`` — of one home or cached timestamp, or elementwise
+    over a cache's timestamp array.  Orders among surviving (> base)
+    timestamps are preserved; collapsed ones become mutually ambiguous,
+    which is exactly what :func:`renewal_ok`'s ``mem_wts > base`` guard
+    accounts for.
     """
+    if isinstance(ts, int):
+        return ts if ts > base else base
     return np.maximum(ts, base)

@@ -15,7 +15,8 @@ direct-mapped closed forms.  Four layers:
   back as the first run of another slot, where window-start directory
   state no longer holds;
 * a path test: on the golden 4-way machine every run-based scheme
-  builds a kernel, and hw batches epochs;
+  builds a kernel, and hw batches epochs; tardis has no kernel at any
+  associativity and still batches epochs;
 * a parity test: fast against reference on tiny 2-, 4- and 8-way
   caches.
 """
@@ -201,12 +202,24 @@ def test_kway_schemes_build_a_kernel(scheme):
         assert engine.batched_epochs > 0
 
 
-@pytest.mark.parametrize("scheme", ("tardis", "update"))
+@pytest.mark.parametrize("scheme", ("update",))
 def test_loop_in_apply_kernels_stay_direct_mapped(scheme):
     run = _prepared("ocean")
     machine = MACHINES["4way64k"].with_(engine="fast")
     engine = FastEngine(run.trace, run.marking, machine, scheme)
     assert engine._kernel is None
+
+
+@pytest.mark.parametrize("machine_name", ("dm64k", "4way64k"))
+def test_tardis_has_no_kernel_and_still_batches(machine_name):
+    """Tardis runs its cold spans through the per-event path, but its
+    epochs still take the fast engine's batched route."""
+    run = _prepared("ocean")
+    machine = MACHINES[machine_name].with_(engine="fast")
+    engine = FastEngine(run.trace, run.marking, machine, "tardis")
+    assert engine._kernel is None
+    engine.run()
+    assert engine.batched_epochs > 0
 
 
 @pytest.mark.parametrize("ways", (2, 4, 8))

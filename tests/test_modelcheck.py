@@ -16,6 +16,7 @@ each of which binds ``P`` to that protocol's entry points.
 
 import json
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -44,7 +45,7 @@ from repro.analysis.modelcheck_tardis import (
     tardis_self_test,
 )
 from repro.cli import main
-from repro.coherence import tardis_rules, tpi_rules
+from repro.coherence import tardis, tardis_rules, tpi, tpi_rules
 from repro.common.errors import ConfigError
 from repro.runtime import ArtifactCache
 
@@ -60,7 +61,7 @@ TPI = SimpleNamespace(
     self_test=protocol_self_test, mutants=protocol_mutants,
     self_test_configs=SELF_TEST_CONFIGS,
     codes=("MC001", "MC002", "MC003", "MC004"), coverage="wraps",
-    subject="tpi-protocol", scheme=(),
+    subject="tpi-protocol", scheme=(), scheme_module=tpi,
     horizon="--epochs", deep="10", shallow_horizon="6")
 TARDIS = SimpleNamespace(
     small=TARDIS_SMALL, bigger=replace(TARDIS_SMALL, max_ts=8),
@@ -70,6 +71,7 @@ TARDIS = SimpleNamespace(
     self_test_configs=TARDIS_SELF_TEST_CONFIGS,
     codes=("MC101", "MC102", "MC103", "MC104"), coverage="rebases",
     subject="tardis-protocol", scheme=("--scheme", "tardis"),
+    scheme_module=tardis,
     horizon="--max-ts", deep="9", shallow_horizon="3")
 
 
@@ -86,8 +88,6 @@ class TestSharedRules:
         assert PRODUCTION_RULES.reset_selects is tpi_rules.reset_selects
 
     def test_simulator_imports_the_same_functions(self):
-        import repro.coherence.tpi as tpi
-
         assert tpi.timestamp_hit is tpi_rules.timestamp_hit
         assert tpi.strict_hit is tpi_rules.strict_hit
         assert tpi.fill_tag is tpi_rules.fill_tag
@@ -237,6 +237,20 @@ class _ReportCases:
         warm = self.P.report([self.P.small], cache=cache)
         assert warm.meta["cache"] == "hit"
 
+    def test_cache_key_depends_on_the_scheme_module(self, tmp_path,
+                                                    monkeypatch):
+        """Drift verdicts replay through the production scheme, so an
+        edit to the scheme's module must not be answered from the cache."""
+        cache = ArtifactCache(tmp_path)
+        self.P.report([self.P.shallow], cache=cache)
+        scheme_file = Path(self.P.scheme_module.__file__)
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda path: read_bytes(path)
+            + (b"# edited\n" if path == scheme_file else b""))
+        edited = self.P.report([self.P.shallow], cache=cache)
+        assert edited.meta["cache"] == "miss"
+
     def test_mutant_reports_are_never_cached(self, tmp_path):
         cache = ArtifactCache(tmp_path)
         mutant = self.P.mutants()[0]
@@ -334,8 +348,6 @@ class TestProductionReplay:
     def test_replay_confirms_when_production_shares_the_bug(self, monkeypatch):
         """Completeness cross-check: seed the same bug into the model AND
         the production scheme; the replay must now confirm the trace."""
-        import repro.coherence.tpi as tpi
-
         monkeypatch.setattr(tpi, "timestamp_hit", _window_off_by_one)
         mutant = replace(PRODUCTION_RULES, name="window-off-by-one",
                          timestamp_hit=_window_off_by_one)
@@ -394,9 +406,23 @@ class TestTardisSharedRules:
         assert TARDIS_PRODUCTION_RULES.clamp is tardis_rules.clamp
 
     def test_simulator_binds_the_same_module(self):
-        import repro.coherence.tardis as tardis
-
         assert tardis.tardis_rules is tardis_rules
+
+    @pytest.mark.parametrize("rule, args, kind", [
+        ("lease_hit", (3, 4), bool),
+        ("lease_grant", (3, 2, 1), int),
+        ("own_lease", (3, 1), int),
+        ("write_timestamp", (3, 5), int),
+        ("pts_join", ((1, 4, 2),), int),
+        ("renewal_ok", (2, 2, 1), bool),
+        ("rebase_needed", (5, 1, 0, 4), bool),
+        ("rebase_base", (5, 4), int),
+        ("clamp", (2, 3), int),
+    ])
+    def test_rules_are_plain_python_on_ints(self, rule, args, kind):
+        """The checker calls these millions of times: an int in must
+        give a builtin int or bool out, never a numpy scalar."""
+        assert type(getattr(tardis_rules, rule)(*args)) is kind
 
 
 class TestTardisDefaultGrid:
@@ -412,9 +438,10 @@ class TestTardisDefaultGrid:
         assert result.ok
         assert not result.truncated
         assert result.violations == []
-        assert result.states > 1000
-        assert result.reads_checked > 0
-        assert result.max_rebases >= 2
+        # Absolute pins: a change to the rules' arithmetic or to the
+        # enumerator that alters the explored space shows up here.
+        assert (result.states, result.transitions, result.reads_checked,
+                result.max_rebases) == (6083, 25124, 9402, 2)
         assert "OK" in result.summary()
 
     def test_k3_config_is_clean_and_rebases_twice(self):
@@ -440,6 +467,41 @@ class TestTardisDefaultGrid:
         assert not result.ok
 
 
+#: Each Tardis mutant's minimal (breadth-first) counterexample: the
+#: self-test config it falls on and its rendered trace.
+TARDIS_MUTANT_TRACES = {
+    "renewal-ignores-base": ("p2.l2.w1.k2.s1.t4", [
+        "  p0 writes l0.w0",
+        "  p1 writes l0.w0",
+        "  p1 writes l1.w0",
+        "  p0 writes l1.w0",
+        "barrier (pts join -> 3 + rebase)",
+        "  p0 reads l0.w0 -> renewal serves version 1 below the barrier "
+        "floor 2  ** staleness-safety violation"]),
+    "write-skips-revalidate": ("p2.l1.w2.k2.s1.t8", [
+        "  p0 writes l0.w0",
+        "  p1 writes l0.w0",
+        "barrier (pts join -> 2 + rebase)",
+        "  p0 writes l0.w1",
+        "  p0 reads l0.w0 -> hit serves version 1 below the barrier "
+        "floor 2  ** staleness-safety violation"]),
+    "grant-caps-rts": ("p2.l1.w2.k2.s1.t8", [
+        "  p0 writes l0.w0",
+        "  p0 writes l0.w0",
+        "  p1 reads l0.w0 -> fetch",
+        "  p0 writes l0.w0",
+        "barrier (pts join -> 2 + rebase)",
+        "  p1 reads l0.w0 -> renewal serves version 2 below the barrier "
+        "floor 3  ** staleness-safety violation"]),
+    "lease-off-by-one": ("p2.l1.w2.k2.s1.t8", [
+        "  p0 writes l0.w0",
+        "  p1 writes l0.w0",
+        "barrier (pts join -> 2 + rebase)",
+        "  p0 reads l0.w0 -> hit serves version 1 below the barrier "
+        "floor 2  ** staleness-safety violation"]),
+}
+
+
 class TestTardisMutationSelfTest(_SelfTestCases):
     P = TARDIS
 
@@ -447,10 +509,10 @@ class TestTardisMutationSelfTest(_SelfTestCases):
                              ids=lambda m: m.name)
     def test_each_mutant_falls_on_the_self_test_grid(self, mutant):
         violation = self.first_violation(mutant)
-        rendered = "\n".join(violation.render())
-        assert "staleness-safety violation" in rendered
         assert violation.version < violation.floor
         assert violation.served in ("hit", "renewal")
+        assert (violation.config.label, violation.render()) == \
+            TARDIS_MUTANT_TRACES[mutant.name]
 
 
 def _lease_off_by_one(pts, rts):
