@@ -341,11 +341,21 @@ class Protocol:
     self_test: Callable[..., ProtocolSelfTest]
 
 
+#: Modules every drift replay runs through besides the protocol's own:
+#: the scheme base class, the cache, and :func:`replay_rig`'s shadow
+#: memory, network and layout.
+REPLAY_SOURCES = tuple(
+    str(Path(__file__).parents[1] / module) for module in (
+        "coherence/api.py", "memsys/cache.py", "memsys/memory.py",
+        "memsys/network.py", "trace/layout.py"))
+
+
 def code_digest(sources: Iterable[str]) -> str:
-    """Digest of the rule, scheme, protocol and core sources, mixed into the
-    cache key so editing any of them invalidates cached reports."""
+    """Digest of the rule, scheme, protocol, replay and core sources,
+    mixed into the cache key so editing any of them invalidates cached
+    reports."""
     digest = hashlib.sha256()
-    for source in (*sources, __file__):
+    for source in (*sources, *REPLAY_SOURCES, __file__):
         digest.update(Path(source).read_bytes())
     return digest.hexdigest()
 

@@ -32,10 +32,12 @@ exact per-event path instead.  Because an event's side effects are
 confined to its own set (plus the shadow words / write buffer entries
 of its own addresses, which live in that set too), the batched apply
 and the poisoned events commute, and no intra-window ordering is lost.
-Kernels additionally support the engine's **epoch pre-apply**
-(:meth:`_BatchKernel.preapply`): all of an epoch's cold events, across
-every task, merge into one window whose per-task latency prefix sums
-are memoized, so each later ``span`` call is a constant-time lookup.
+Every scan starts from one frame (:meth:`_BatchKernel._frame`) and
+every apply writes each event's latency into one array.  ``span`` sums
+that array per window; the engine's **epoch pre-apply**
+(:meth:`_BatchKernel.preapply`) merges all of an epoch's cold events,
+across every task, into one window and memoizes the array's per-task
+prefix sums, so each later ``span`` call is a constant-time lookup.
 
 Every per-event execution, and every MSI miss or upgrade another
 processor could observe, goes through exactly the code the reference
@@ -162,14 +164,6 @@ class _Chains:
         return self._scatter(out[self._gid])
 
 
-def prior_same_addr(addr: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``out[i]`` — does some ``j < i`` have ``mask[j]`` and same address?"""
-    n = len(addr)
-    if n == 0 or not mask.any():
-        return np.zeros(n, dtype=bool)
-    return _Chains(addr).prior_any(mask)
-
-
 class _SetChains(_Chains):
     """Per-slot chains, their runs, and line-residency tracking.
 
@@ -293,46 +287,40 @@ class _Cols:
                ("wr", "is_write"), ("sh", "shared"), ("addr", "addr"),
                ("site", "site"), ("work", "work"))
 
+    def __init__(self, arrays, proc=None, parts=None):
+        """``arrays``: the :attr:`_FIELDS` columns in order; the window
+        is ``parts``, or one part of processor ``proc``."""
+        for (name, _), arr in zip(self._FIELDS, arrays):
+            setattr(self, name, arr)
+        self.n = len(self.s)
+        self.parts = ((proc, 0, self.n),) if parts is None else parts
+        self.skey = self.s
+        self.akey = self.addr
+        self._procv = None
+        self.cache = {}
+
     @classmethod
     def window(cls, proc: int, ta, lo: int, hi: int) -> "_Cols":
-        c = cls()
-        c.n = hi - lo
-        for name, attr in cls._FIELDS:
-            setattr(c, name, getattr(ta, attr)[lo:hi])
-        c.parts = ((proc, 0, c.n),)
-        c.skey = c.s
-        c.akey = c.addr
-        c._procv = None
-        c.cache = {}
-        return c
+        return cls([getattr(ta, attr)[lo:hi] for _, attr in cls._FIELDS],
+                   proc)
 
     @classmethod
     def merged(cls, pieces, n_sets: int, total_words: int) -> "_Cols":
         """``pieces``: ``(proc, ta, sel)`` in execution order, ``sel`` a
         boolean mask selecting the events to include (None = all)."""
-        c = cls()
-        stacks = {name: [] for name, _ in cls._FIELDS}
+        columns = [[] for _ in cls._FIELDS]
         parts = []
-        skey = []
-        akey = []
         pos = 0
         for proc, ta, sel in pieces:
-            for name, attr in cls._FIELDS:
+            for column, (_, attr) in zip(columns, cls._FIELDS):
                 arr = getattr(ta, attr)
-                stacks[name].append(arr if sel is None else arr[sel])
-            k = len(stacks["s"][-1])
-            parts.append((proc, pos, pos + k))
-            skey.append(stacks["s"][-1] + proc * n_sets)
-            akey.append(stacks["addr"][-1] + proc * total_words)
-            pos += k
-        for name in stacks:
-            setattr(c, name, np.concatenate(stacks[name]))
-        c.n = pos
-        c.parts = tuple(parts)
-        c.skey = np.concatenate(skey)
-        c.akey = np.concatenate(akey)
-        c._procv = None
-        c.cache = {}
+                column.append(arr if sel is None else arr[sel])
+            parts.append((proc, pos, pos + len(columns[0][-1])))
+            pos = parts[-1][2]
+        c = cls([np.concatenate(column) for column in columns],
+                parts=tuple(parts))
+        c.skey = c.s + c.procv * n_sets
+        c.akey = c.addr + c.procv * total_words
         return c
 
     @property
@@ -349,16 +337,8 @@ class _Cols:
         """Keep only events where ``m`` holds (single-part windows only —
         merged windows are never partially applied)."""
         (proc, _, _), = self.parts
-        c = _Cols()
-        c.n = int(m.sum())
-        for name, _ in self._FIELDS:
-            setattr(c, name, getattr(self, name)[m])
-        c.parts = ((proc, 0, c.n),)
-        c.skey = c.s
-        c.akey = c.addr
-        c._procv = None
-        c.cache = {}
-        return c
+        return _Cols([getattr(self, name)[m] for name, _ in self._FIELDS],
+                     proc)
 
 
 class _LazyViews:
@@ -388,29 +368,39 @@ class _LazyViews:
         return view
 
 
+def _coalesce(pending: set, addrs: np.ndarray) -> int:
+    """Merge ``addrs`` into a coalescing set of pending addresses;
+    returns how many of them merged into an entry."""
+    new = [a for a in np.unique(addrs).tolist() if a not in pending]
+    pending.update(new)
+    return len(addrs) - len(new)
+
+
 class _BatchKernel:
     """Span loop and shared plumbing of every kernel: live cache views,
-    window gathers, accounting.
+    window gathers, the scan frame, accounting.
 
-    A span runs as one scan + one apply per window.  The scan first
-    gives each event its slot (:meth:`_slot_chains`), then proves every
-    slot run by run (counters and traffic cover all events; cache state
-    is written from each slot's last run, and each used slot of a
-    set-associative cache gets its last use's LRU stamp) and poisons
-    only sets where the staleness oracle might fire; their events run
-    through the exact path after the apply.  The apply-first order is
-    sound because a poisoned set's events and the batched events touch
-    disjoint cache sets, shadow words, touched bits, and write-buffer
-    entries — every side channel is keyed by the event's own set or
-    address.  Poisoning is by set, never by slot, so the ways of one set
-    never mix batched and exact events.
+    A span runs as one scan + one apply per window.  The scan starts from
+    the frame (:meth:`_frame`), which gives each event its slot and
+    residency, then proves every slot run by run (counters and traffic
+    cover all events; cache state is written from each slot's last run,
+    and each used slot of a set-associative cache gets its last use's LRU
+    stamp) and poisons only sets where the staleness oracle might fire
+    (:meth:`_ok`); their events run through the exact path after the
+    apply.  The apply-first order is sound because a poisoned set's
+    events and the batched events touch disjoint cache sets, shadow
+    words, touched bits, and write-buffer entries — every side channel
+    is keyed by the event's own set or address.  Poisoning is by set,
+    never by slot, so the ways of one set never mix batched and exact
+    events.
 
-    Kernels additionally support *epoch pre-apply* (:meth:`preapply`):
-    when the fast engine proves that an epoch's hot and cold events live
-    in disjoint cache sets, every task's cold events are scanned and
-    applied in one merged multi-processor window before dispatch, and
-    :meth:`span` then answers from memoized per-task elapsed-cycle
-    prefix sums instead of rescanning per window."""
+    Every apply writes each event's latency into one array
+    (:meth:`_run`), and both callers sum it: :meth:`span` per window,
+    and :meth:`preapply` into per-task prefix sums.  When the fast
+    engine proves that an epoch's hot and cold events live in disjoint
+    cache sets, pre-apply scans and applies every task's cold events in
+    one merged multi-processor window before dispatch, and :meth:`span`
+    then answers from the memoized prefix sums instead of rescanning."""
 
     def __init__(self, scheme):
         self.scheme = scheme
@@ -437,6 +427,7 @@ class _BatchKernel:
         self.miss_lat = 0
         self.seq = self.machine.consistency is ConsistencyModel.SEQUENTIAL
         self._memo = {}
+        self._site_tables = {}
 
     @classmethod
     def build(cls, scheme) -> Optional["_BatchKernel"]:
@@ -453,7 +444,66 @@ class _BatchKernel:
         is_write, addr, site, _work, shared = ta.rows[i]
         return eng._access(proc, is_write, addr, site, shared)
 
-    # ------------------------------------------------------------- helpers
+    # ------------------------------------------------------- span and apply
+
+    def span(self, eng, proc: int, ta, lo: int, hi: int) -> int:
+        cs = self._memo.get(id(ta))
+        if cs is not None:
+            return int(cs[hi] - cs[lo])
+        if hi - lo < _SPAN_CUTOFF:
+            return self._boundaries(eng, proc, ta, range(lo, hi))
+        elapsed = 0
+        for i in range(lo, hi, _WINDOW):
+            cols = _Cols.window(proc, ta, i, min(i + _WINDOW, hi))
+            ok, ctx = self._scan(cols)
+            poisoned = not ok.all()
+            if poisoned:
+                cols = cols.compress(ok)
+                ctx = {k: v[ok] for k, v in ctx.items()}
+            elapsed += int(self._run(eng, cols, ctx).sum())
+            if poisoned:
+                elapsed += self._boundaries(
+                    eng, proc, ta, (np.flatnonzero(~ok) + i).tolist())
+        return elapsed
+
+    def preapply(self, eng, pieces, cols: Optional[_Cols] = None) -> bool:
+        """Scan and apply an epoch's cold events in one merged window.
+
+        ``pieces`` lists ``(proc, ta, sel)`` in dispatch order; ``sel``
+        selects each task's cold events (None = all of them).  If any set
+        is poisoned the method returns False with *no* side effects and
+        the engine falls back to ordinary per-span batching.  On success
+        all counters/state are final and a per-task prefix-sum of
+        ``work + latency`` (zero at hot positions) is memoized so that
+        :meth:`span` is a constant-time lookup for the rest of the epoch.
+        """
+        if cols is None:
+            cols = _Cols.merged(pieces, self.machine.cache.n_sets,
+                                self.shadow.total_words)
+        ok, ctx = self._scan(cols)
+        if not bool(ok.all()):
+            return False
+        v = self._run(eng, cols, ctx)
+        for (proc, ta, sel), (p, lo, hi) in zip(pieces, cols.parts):
+            vfull = np.zeros(ta.n + 1, dtype=np.int64)
+            if sel is None:
+                vfull[1:] = v[lo:hi]
+            else:
+                vfull[1:][sel] = v[lo:hi]
+            self._memo[id(ta)] = np.cumsum(vfull)
+        return True
+
+    def clear_memo(self) -> None:
+        self._memo.clear()
+
+    def _run(self, eng, cols: _Cols, ctx) -> np.ndarray:
+        """Apply a scanned window; returns each event's work + latency."""
+        eng.result.breakdown["busy"] += int(cols.work.sum())
+        lat = np.zeros(cols.n, dtype=np.int64)
+        self._apply(eng, cols, ctx, lat)
+        if self.assoc > 1:
+            self._stamp(cols, ctx)
+        return cols.work + lat
 
     def _boundaries(self, eng, proc: int, ta, indices) -> int:
         """Charge each indexed event's work and run it through
@@ -467,10 +517,68 @@ class _BatchKernel:
             elapsed += work + self.boundary(eng, proc, ta, i)
         return elapsed
 
-    def _work(self, eng, cols: _Cols) -> int:
-        work = int(cols.work.sum())
-        eng.result.breakdown["busy"] += work
-        return work
+    def _exact_events(self, eng, cols, mask, lat) -> None:
+        """Run the masked events through the engine's exact per-event
+        path, in program order per processor (cold events reach here only
+        for schemes that ignore ``in_critical``)."""
+        access = eng._access
+        for proc, idx in self._parts_idx(cols, mask):
+            for i, is_write, addr, site, shared in zip(
+                    idx.tolist(), cols.wr[idx].tolist(),
+                    cols.addr[idx].tolist(), cols.site[idx].tolist(),
+                    cols.sh[idx].tolist()):
+                lat[i] = access(proc, is_write, addr, site, shared)
+
+    # ----------------------------------------------------------- the frame
+
+    def _frame(self, cols: _Cols, alloc, token):
+        """The scan frame every kernel starts from: the window's slot
+        chains (``alloc`` selects the events that allocate, None for
+        all; ``token`` names their memoized set chains), each event's
+        window-start slot tag and whether its line is resident when it
+        executes, and the context entries the apply and :meth:`_stamp`
+        read.  Returns ``(chains, tags0, resident, ctx)``."""
+        ch = self._slot_chains(cols, alloc, token)
+        tags0 = self._gset(self.tags, cols, ch.slot)
+        ctx = {"slot": ch.slot, "last": ch.last}
+        if alloc is not None:
+            ctx["alloc"] = alloc
+        return ch, tags0, ch.resident(cols.line, tags0), ctx
+
+    def _seen(self, cols: _Cols, mask: np.ndarray) -> np.ndarray:
+        """Replacement flags: did the event's processor touch its word
+        before the window, or at an earlier ``mask`` event in it?"""
+        return (self.scheme.touched[cols.procv, cols.addr]
+                | self._prior_addr(cols, mask))
+
+    def _ok(self, cols: _Cols, ch, stale) -> np.ndarray:
+        """Set poisoning: the events to batch.  A set holding a ``stale``
+        read (one the staleness oracle may flag; None when it is off)
+        runs through the exact path, so the oracle fires against true
+        state."""
+        if stale is None or not stale.any():
+            return np.ones(cols.n, dtype=bool)
+        return ~ch.sets.group_any(stale)
+
+    def _marked(self, cols: _Cols, kind: str) -> np.ndarray:
+        """Per event: is its site one of the marking's ``kind`` sites?
+        ``"tpi"`` and ``"sc"`` name that scheme's Time-Read marks,
+        ``"strict"`` the strict Time-Reads.  The per-site table is built
+        once; its trailing False stands for every larger site."""
+        table = self._site_tables.get(kind)
+        if table is None:
+            marking = self.scheme.ctx.marking
+            if kind == "strict":
+                sites = list(marking.strict_sites)
+            else:
+                sites = [site for site, mark in getattr(marking, kind).items()
+                         if mark is RefMark.TIME_READ]
+            table = np.zeros(max(sites, default=-1) + 2, dtype=bool)
+            table[sites] = True
+            self._site_tables[kind] = table
+        return table[np.minimum(cols.site, len(table) - 1)]
+
+    # ------------------------------------------------------------- helpers
 
     def _gset(self, arrs, cols: _Cols, idx: np.ndarray) -> np.ndarray:
         """Per-event gather ``arrs[proc][idx]`` from per-processor arrays
@@ -629,58 +737,79 @@ class _BatchKernel:
             if idx.size:
                 yield p, idx + lo
 
-    def _note_hits(self, eng, n_rd: int, n_shr: int) -> int:
-        """Account ``n_rd`` read hits (``n_shr`` of them shared)."""
-        result = eng.result
-        result.reads += n_rd
-        result.shared_reads += n_shr
-        mc = result.miss_counts
-        mc[MissKind.HIT] = mc.get(MissKind.HIT, 0) + n_rd
-        cycles = n_rd * self.hit_lat
-        result.breakdown["busy"] += cycles
-        return cycles
+    # ---------------------------------------------------------- accounting
 
-    def _note_read_misses(self, eng, n: int, n_shr: int,
-                          kind_masks) -> int:
-        """Account ``n`` closed-form read misses: per-kind counts, the
-        paper's miss-latency accumulators, read-stall time, line traffic."""
+    def _hits(self, eng, cols: _Cols, lat, mask: np.ndarray) -> None:
+        """Account the ``mask`` reads as hits."""
+        n = int(mask.sum())
+        if not n:
+            return
         result = eng.result
         result.reads += n
-        result.shared_reads += n_shr
+        result.shared_reads += int((mask & cols.sh).sum())
         mc = result.miss_counts
-        for kind, mask in kind_masks:
-            count = int(mask.sum())
+        mc[MissKind.HIT] = mc.get(MissKind.HIT, 0) + n
+        result.breakdown["busy"] += n * self.hit_lat
+        lat[mask] = self.hit_lat
+
+    def _fetches(self, eng, cols: _Cols, lat, mask: np.ndarray, kinds,
+                 word: bool = False) -> None:
+        """Account the ``mask`` reads as fetches from memory: line read
+        misses, or (``word``) one-word reads that bypass the cache.
+        ``kinds`` classifies them: ``(MissKind, flags)`` pairs.  Each
+        counts toward the paper's miss-latency accumulators, read-stall
+        time and read traffic."""
+        n = int(mask.sum())
+        if not n:
+            return
+        result = eng.result
+        result.reads += n
+        result.shared_reads += int((mask & cols.sh).sum())
+        mc = result.miss_counts
+        for kind, flags in kinds:
+            count = int((mask & flags).sum())
             if count:
                 mc[kind] = mc.get(kind, 0) + count
-        cycles = n * self.miss_lat
-        result.miss_latency_total += cycles
+        latency = self.word_lat if word else self.miss_lat
+        result.miss_latency_total += n * latency
         result.miss_latency_count += n
-        result.breakdown["read_stall"] += cycles
-        self._traffic(eng, read_words=n * (1 + self.line_words))
-        return cycles
+        result.breakdown["read_stall"] += n * latency
+        self._traffic(eng, read_words=n * (2 if word else 1 + self.line_words))
+        lat[mask] = latency
 
-    def _write_latency(self, eng, n_sw: int, n_pw: int) -> int:
-        """Latency/breakdown for ``n_sw`` shared + ``n_pw`` private write
-        hits (write-through schemes: SEQ stalls for the word round trip)."""
-        bd = eng.result.breakdown
-        lat_shared = self.word_lat if self.seq else self.hit_lat
-        if lat_shared > self.hit_lat:
-            bd["write_stall"] += n_sw * lat_shared
-        else:
-            bd["busy"] += n_sw * lat_shared
-        bd["busy"] += n_pw * self.hit_lat
-        return n_sw * lat_shared + n_pw * self.hit_lat
+    def _write_through(self, eng, cols: _Cols, lat, wr: np.ndarray,
+                       wmiss: Optional[np.ndarray] = None) -> None:
+        """The ``wr`` writes of a write-through path (base, sc, tpi, and
+        update's batched write hits): shadow bumps, counts, the words the
+        shared writes send (the kernel's ``_posted``), the line fetches
+        of the write-allocate misses ``wmiss`` (non-blocking for the
+        CPU), and latency: under sequential consistency a shared write
+        stalls for the word round trip."""
+        n_wr = int(wr.sum())
+        if not n_wr:
+            return
+        self.shadow.write_many(cols.addr[wr], cols.procv[wr])
+        result = eng.result
+        shw = wr & cols.sh
+        n_sw = int(shw.sum())
+        result.writes += n_wr
+        result.shared_writes += n_sw
+        n_wm = 0 if wmiss is None else int(wmiss.sum())
+        self._traffic(eng, read_words=n_wm * (1 + self.line_words),
+                      write_words=self._posted(cols, shw))
+        lat_sw = self.word_lat if self.seq else self.hit_lat
+        bd = result.breakdown
+        bd["write_stall" if lat_sw > self.hit_lat else "busy"] += (
+            n_sw * lat_sw)
+        bd["busy"] += (n_wr - n_sw) * self.hit_lat
+        lat[wr] = self.hit_lat
+        lat[shw] = lat_sw
 
     def _traffic(self, eng, read_words: int = 0, write_words: int = 0,
                  coherence_words: int = 0) -> None:
         if read_words or write_words or coherence_words:
             eng.result.note_traffic(read_words, write_words, coherence_words)
             eng._epoch_words += read_words + write_words + coherence_words
-
-    def _bump_shadow(self, addrs: np.ndarray, proc) -> None:
-        """``proc`` may be a scalar or a per-event vector (merged windows;
-        duplicate addresses resolve last-wins, matching execution order)."""
-        self.shadow.write_many(addrs, proc)
 
     def _install_lines(self, proc: int, slots: np.ndarray,
                        lines: np.ndarray) -> None:
@@ -696,82 +825,6 @@ class _BatchKernel:
         self.cver[proc][slots] = self.shadow.version[
             base[:, None] + np.arange(lw)]
 
-    def span(self, eng, proc: int, ta, lo: int, hi: int) -> int:
-        cs = self._memo.get(id(ta))
-        if cs is not None:
-            return int(cs[hi] - cs[lo])
-        if hi - lo < _SPAN_CUTOFF:
-            return self._boundaries(eng, proc, ta, range(lo, hi))
-        elapsed = 0
-        i = lo
-        while i < hi:
-            j = min(i + _WINDOW, hi)
-            cols = _Cols.window(proc, ta, i, j)
-            ok, ctx = self._scan(cols)
-            poisoned = not ok.all()
-            if poisoned:
-                cols = cols.compress(ok)
-                ctx = {k: v[ok] for k, v in ctx.items()}
-            elapsed += self._apply(eng, cols, ctx)
-            if self.assoc > 1:
-                self._stamp(cols, ctx)
-            if poisoned:
-                elapsed += self._boundaries(
-                    eng, proc, ta, (np.flatnonzero(~ok) + i).tolist())
-            i = j
-        return int(elapsed)
-
-    def preapply(self, eng, pieces, cols: Optional[_Cols] = None) -> bool:
-        """Scan and apply an epoch's cold events in one merged window.
-
-        ``pieces`` lists ``(proc, ta, sel)`` in dispatch order; ``sel``
-        selects each task's cold events (None = all of them).  If any set
-        is poisoned the method returns False with *no* side effects and
-        the engine falls back to ordinary per-span batching.  On success
-        all counters/state are final and a per-task prefix-sum of
-        ``work + latency`` (zero at hot positions) is memoized so that
-        :meth:`span` is a constant-time lookup for the rest of the epoch.
-        """
-        if cols is None:
-            cols = _Cols.merged(pieces, self.machine.cache.n_sets,
-                                self.shadow.total_words)
-        ok, ctx = self._scan(cols)
-        if not bool(ok.all()):
-            return False
-        lat = np.zeros(cols.n, dtype=np.int64)
-        self._apply(eng, cols, ctx, lat_out=lat)
-        if self.assoc > 1:
-            self._stamp(cols, ctx)
-        v = cols.work + lat
-        for (proc, ta, sel), (p, lo, hi) in zip(pieces, cols.parts):
-            vfull = np.zeros(ta.n + 1, dtype=np.int64)
-            if sel is None:
-                vfull[1:] = v[lo:hi]
-            else:
-                vfull[1:][sel] = v[lo:hi]
-            self._memo[id(ta)] = np.cumsum(vfull)
-        return True
-
-    def clear_memo(self) -> None:
-        self._memo.clear()
-
-    def _exact_events(self, eng, cols, mask, lat_out=None) -> int:
-        """Run the masked events through the engine's exact per-event
-        path, in program order per processor (cold events reach here only
-        for schemes that ignore ``in_critical``)."""
-        access = eng._access
-        elapsed = 0
-        for proc, idx in self._parts_idx(cols, mask):
-            for i, is_write, addr, site, shared in zip(
-                    idx.tolist(), cols.wr[idx].tolist(),
-                    cols.addr[idx].tolist(), cols.site[idx].tolist(),
-                    cols.sh[idx].tolist()):
-                latency = access(proc, is_write, addr, site, shared)
-                if lat_out is not None:
-                    lat_out[i] = latency
-                elapsed += latency
-        return elapsed
-
 
 class BaseBatchKernel(_BatchKernel):
     """BASE: shared accesses are fixed-cost remote word operations; the
@@ -779,118 +832,58 @@ class BaseBatchKernel(_BatchKernel):
     install has no protocol side effects beyond its own set)."""
 
     def _scan(self, cols):
-        line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
-        priv = ~sh
-        ch = self._slot_chains(cols, priv, "base")
-        resident = ch.resident(line, self._gset(self.tags, cols, ch.slot))
+        priv = ~cols.sh
+        _, _, resident, ctx = self._frame(cols, priv, "base")
         # Installed lines are fully valid and writes validate their word,
         # so a resident private line always hits; misses install.
         miss = priv & ~resident
-        touch = priv & (wr | miss)
-        repl = (self.scheme.touched[cols.procv, addr]
-                | self._prior_addr(cols, touch))
-        ctx = {"miss": miss, "repl": repl, "touch": touch, "last": ch.last,
-               "slot": ch.slot, "alloc": priv}
+        touch = priv & (cols.wr | miss)
+        ctx.update(miss=miss, touch=touch, repl=self._seen(cols, touch))
         return np.ones(cols.n, dtype=bool), ctx
 
-    def _apply(self, eng, cols, ctx, lat_out=None):
-        wd, wr, sh, addr, line = (cols.wd, cols.wr, cols.sh, cols.addr,
-                                  cols.line)
-        s = ctx["slot"]
-        miss, repl, touch = ctx["miss"], ctx["repl"], ctx["touch"]
-        last = ctx["last"]
-        result = eng.result
-        bd = result.breakdown
-        elapsed = self._work(eng, cols)
-
-        shr = sh & ~wr
-        n_shr = int(shr.sum())
-        if n_shr:
-            result.reads += n_shr
-            result.shared_reads += n_shr
-            mc = result.miss_counts
-            mc[MissKind.UNCACHED] = mc.get(MissKind.UNCACHED, 0) + n_shr
-            cycles = n_shr * self.word_lat
-            result.miss_latency_total += cycles
-            result.miss_latency_count += n_shr
-            bd["read_stall"] += cycles
-            self._traffic(eng, read_words=2 * n_shr)
-            elapsed += cycles
-            if lat_out is not None:
-                lat_out[shr] = self.word_lat
-
-        pr_miss = miss & ~wr
-        n_pm = int(pr_miss.sum())
-        if n_pm:
-            rp = repl[pr_miss]
-            elapsed += self._note_read_misses(
-                eng, n_pm, 0, ((MissKind.REPLACEMENT, rp),
-                               (MissKind.COLD, ~rp)))
-            if lat_out is not None:
-                lat_out[pr_miss] = self.miss_lat
-
-        pr_hit = ~sh & ~wr & ~miss
-        n_ph = int(pr_hit.sum())
-        if n_ph:
-            elapsed += self._note_hits(eng, n_ph, 0)
-            if lat_out is not None:
-                lat_out[pr_hit] = self.hit_lat
-
-        fill = miss & last
-        if fill.any():
-            # BASE keeps no per-word versions; a fill is tags + validity.
-            for p, idx in self._parts_idx(cols, fill):
-                self.tags[p][s[idx]] = line[idx]
-                self.wv[p][s[idx]] = True
+    def _apply(self, eng, cols, ctx, lat):
+        wr, sh = cols.wr, cols.sh
+        s, miss, last = ctx["slot"], ctx["miss"], ctx["last"]
+        repl = ctx["repl"]
+        self._fetches(eng, cols, lat, sh & ~wr, ((MissKind.UNCACHED, sh),),
+                      word=True)
+        self._fetches(eng, cols, lat, miss & ~wr,
+                      ((MissKind.REPLACEMENT, repl), (MissKind.COLD, ~repl)))
+        self._hits(eng, cols, lat, ~sh & ~wr & ~miss)
+        # BASE keeps no per-word versions; a fill is tags + validity.
+        for p, idx in self._parts_idx(cols, miss & last):
+            self.tags[p][s[idx]] = cols.line[idx]
+            self.wv[p][s[idx]] = True
+        touch = ctx["touch"]
         if touch.any():
-            self.scheme.touched[cols.procv[touch], addr[touch]] = True
+            self.scheme.touched[cols.procv[touch], cols.addr[touch]] = True
+        self._write_through(eng, cols, lat, wr, miss & wr)
+        for p, idx in self._parts_idx(cols, wr & ~sh & last):
+            self.wv[p][s[idx], cols.wd[idx]] = True
 
-        n_wr = int(wr.sum())
-        if n_wr:
-            result.writes += n_wr
-            self._bump_shadow(addr[wr], cols.procv[wr])
-            shw = sh & wr
-            n_sw = int(shw.sum())
-            result.shared_writes += n_sw
-            self._traffic(eng, write_words=2 * n_sw)
-            pw = wr & ~sh
-            if n_wr > n_sw:
-                for p, idx in self._parts_idx(cols, pw & last):
-                    self.wv[p][s[idx], wd[idx]] = True
-                wm = pw & miss
-                n_wm = int(wm.sum())
-                if n_wm:  # write-allocate fetch, non-blocking for the CPU
-                    self._traffic(
-                        eng, read_words=n_wm * (1 + self.line_words))
-            elapsed += self._write_latency(eng, n_sw, n_wr - n_sw)
-            if lat_out is not None:
-                lat_out[shw] = self.word_lat if self.seq else self.hit_lat
-                lat_out[pw] = self.hit_lat
-        return elapsed
+    def _posted(self, cols, shw) -> int:
+        """Shared writes go straight to memory: an address and a word."""
+        return 2 * int(shw.sum())
 
 
 class _WriteBufferMixin:
     """Shared-write buffering for the write-through schemes (TPI/SC)."""
 
-    def _note_shared_writes(self, proc: int, addrs: np.ndarray) -> int:
-        """Feed ``addrs`` (in program order) to the write buffer; returns
-        network words injected now (FIFO posts each write immediately, the
-        coalescing buffer holds everything until the next sync drain)."""
-        wbuf = self.scheme.wbuffers[proc]
-        n = len(addrs)
-        if wbuf.kind is WriteBufferKind.FIFO:
-            wbuf.pending += n
-            wbuf.total_writes += n
-            return WRITE_MESSAGE_WORDS * n
-        wbuf.total_writes += n
-        uniq, counts = np.unique(addrs, return_counts=True)
-        for a, c in zip(uniq.tolist(), counts.tolist()):
-            if a in wbuf.pending:
-                wbuf.merged_writes += c
+    def _posted(self, cols, shw) -> int:
+        """Feed the shared writes, in program order, to their write
+        buffers; returns network words injected now (FIFO posts each write
+        immediately, the coalescing buffer holds everything until the next
+        sync drain)."""
+        words = 0
+        for p, idx in self._parts_idx(cols, shw):
+            wbuf = self.scheme.wbuffers[p]
+            wbuf.total_writes += len(idx)
+            if wbuf.kind is WriteBufferKind.FIFO:
+                wbuf.pending += len(idx)
+                words += WRITE_MESSAGE_WORDS * len(idx)
             else:
-                wbuf.pending.add(a)
-                wbuf.merged_writes += c - 1
-        return 0
+                wbuf.merged_writes += _coalesce(wbuf.pending, cols.addr[idx])
+        return words
 
 
 class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
@@ -909,49 +902,24 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
     outcome for every event.
     """
 
-    def __init__(self, scheme):
-        super().__init__(scheme)
-        self._site_cap = 0
-        self._time_read = np.zeros(0, dtype=bool)
-        self._strict = np.zeros(0, dtype=bool)
-
-    def _site_tables(self, max_site: int):
-        if max_site >= self._site_cap:
-            cap = max_site + 1
-            marking = self.scheme.ctx.marking
-            time_read = np.zeros(cap, dtype=bool)
-            strict = np.zeros(cap, dtype=bool)
-            for site, mark in marking.tpi.items():
-                if site < cap and mark is RefMark.TIME_READ:
-                    time_read[site] = True
-            for site in marking.strict_sites:
-                if site < cap:
-                    strict[site] = True
-            self._time_read, self._strict, self._site_cap = (
-                time_read, strict, cap)
-        return self._time_read, self._strict
-
     def _scan(self, cols):
         scheme = self.scheme
         R = scheme.epoch_index
         mod = scheme.modulus
         per_word = scheme.per_word_tags
         n = cols.n
-        s, line, wd = cols.s, cols.line, cols.wd
-        wr, sh, addr, site = cols.wr, cols.sh, cols.addr, cols.site
+        line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
         rd = ~wr
 
-        ch = self._slot_chains(cols, None, "hold")  # every access allocates
+        # Every access allocates.
+        ch, tags0, resident, ctx = self._frame(cols, None, "hold")
         slot = ch.slot
         ach = ch.run_addrs(self._addr_chains(cols))
-        tags0 = self._gset(self.tags, cols, slot)
-        resident = ch.resident(line, tags0)
         wb = ach.prior_any(wr)
         wv0 = self._gword(self.wv, cols, slot)
 
-        tr_table, strict_table = self._site_tables(int(site.max()))
-        tr = rd & sh & tr_table[site]
-        strict = tr & strict_table[site]
+        tr = rd & sh & self._marked(cols, "tpi")
+        strict = tr & self._marked(cols, "strict")
         region = scheme.region_of[addr]
         window = time_read_window(R, scheme.w_regs[np.maximum(region, 0)],
                                   mod)
@@ -994,137 +962,81 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
             hit = resident & valid & tt_pass(age2, age2 == 0)
         else:
             age_ns = np.where(fresh, 1, age0)
-            stamped = zeros
             hit = resident & valid & tt_pass(age_ns, zeros)
         rmiss = rd & ~hit
-        wmiss = wr & ~resident
 
         cver0 = self._gword(self.cver, cols, slot)
-        ver0 = self.shadow.version[addr]
         # Words rewritten from memory during the window carry a current
         # version: any refresh/fill upgraded word, or the accessed word of
         # any earlier read miss to the same address.
-        rm_before = ach.prior_any(rmiss)
-        if per_word:
-            refreshed = fresh & (fill | ~wv0 | (age0 > 1))
-        else:
-            refreshed = fresh
-        current = wb | rm_before | refreshed | (cver0 == ver0)
-        ok = np.ones(n, dtype=bool)
-        if self.check:
-            fresh_ver = wb | rm_before | refreshed
-            stale = hit & ~fresh_ver & (
-                cver0 < self.shadow.epoch_version[addr])
-            if stale.any():
-                # The staleness oracle may fire: route the whole set
-                # through the exact path so it fires against true state.
-                ok = ~ch.sets.group_any(stale)
-        touched = (scheme.touched[cols.procv, addr]
-                   | self._addr_chains(cols).prior_any(
-                       np.ones(n, dtype=bool)))
+        refreshed = fresh & (fill | ~wv0 | (age0 > 1)) if per_word else fresh
+        fresh_ver = wb | ach.prior_any(rmiss) | refreshed
+        stale = (hit & ~fresh_ver
+                 & (cver0 < self.shadow.epoch_version[addr])
+                 if self.check else None)
+        ctx.update(tr=tr, strict=strict, hit=hit, rmiss=rmiss,
+                   wmiss=wr & ~resident, resident=resident, valid=valid,
+                   current=fresh_ver | (cver0 == self.shadow.version[addr]),
+                   touched=self._seen(cols, np.ones(n, dtype=bool)),
+                   fill=fill)
+        return self._ok(cols, ch, stale), ctx
 
-        ctx = {"tr": tr, "strict": strict, "hit": hit,
-               "rmiss": rmiss, "wmiss": wmiss, "resident": resident,
-               "valid": valid, "current": current, "touched": touched,
-               "fill": fill, "last": ch.last, "slot": slot}
-        return ok, ctx
-
-    def _apply(self, eng, cols, ctx, lat_out=None):
+    def _apply(self, eng, cols, ctx, lat):
         scheme = self.scheme
         R = scheme.epoch_index
         per_word = scheme.per_word_tags
         c = ctx
-        wd, wr, sh, addr, line = (cols.wd, cols.wr, cols.sh, cols.addr,
-                                  cols.line)
-        s = c["slot"]
-        rmiss, wmiss, hit = c["rmiss"], c["wmiss"], c["hit"]
-        result = eng.result
-        elapsed = self._work(eng, cols)
-
-        rd = ~wr
-        rhit = rd & hit
-        n_hit = int(rhit.sum())
-        if n_hit:
-            elapsed += self._note_hits(eng, n_hit, int((rhit & sh).sum()))
-            if lat_out is not None:
-                lat_out[rhit] = self.hit_lat
-        scheme.time_reads += int(c["tr"].sum())
-        scheme.time_read_hits += int((c["tr"] & hit).sum())
+        wd, wr, addr, line = cols.wd, cols.wr, cols.addr, cols.line
+        s, rmiss, wmiss, hit, tr = (c["slot"], c["rmiss"], c["wmiss"],
+                                    c["hit"], c["tr"])
+        self._hits(eng, cols, lat, ~wr & hit)
+        scheme.time_reads += int(tr.sum())
+        scheme.time_read_hits += int((tr & hit).sum())
         scheme.strict_reads += int(c["strict"].sum())
-
-        n_rm = int(rmiss.sum())
-        if n_rm:
-            res, val, cur, tch = (c["resident"][rmiss], c["valid"][rmiss],
-                                  c["current"][rmiss], c["touched"][rmiss])
-            elapsed += self._note_read_misses(
-                eng, n_rm, int(sh[rmiss].sum()),
-                ((MissKind.CONSERVATIVE, res & val & cur),
-                 (MissKind.TRUE_SHARING, res & val & ~cur),
-                 (MissKind.RESET, res & ~val),
-                 (MissKind.REPLACEMENT, ~res & tch),
-                 (MissKind.COLD, ~res & ~tch)))
-            if lat_out is not None:
-                lat_out[rmiss] = self.miss_lat
-
-        n_wr = int(wr.sum())
-        if n_wr:
-            self._bump_shadow(addr[wr], cols.procv[wr])
+        res, val, cur, tch = (c["resident"], c["valid"], c["current"],
+                              c["touched"])
+        self._fetches(eng, cols, lat, rmiss, (
+            (MissKind.CONSERVATIVE, res & val & cur),
+            (MissKind.TRUE_SHARING, res & val & ~cur),
+            (MissKind.RESET, res & ~val),
+            (MissKind.REPLACEMENT, ~res & tch),
+            (MissKind.COLD, ~res & ~tch)))
+        self._write_through(eng, cols, lat, wr, wmiss)
 
         # ---- state: each slot as its last run leaves it -----------------
         last = c["last"]
-        miss_any = (rmiss | wmiss) & last
-        if miss_any.any():
-            lw = self.line_words
-            for p, idx in self._parts_idx(cols, miss_any):
-                su, first = np.unique(s[idx], return_index=True)
-                lu = line[idx][first]
-                fillu = c["fill"][idx][first]
-                base = lu * lw
-                sv = self.shadow.version[base[:, None] + np.arange(lw)]
-                if per_word:
-                    ttu = self.tt[p][su]
-                    keep = (~fillu[:, None]) & self.wv[p][su] & (ttu >= R - 1)
-                    self.tt[p][su] = np.where(keep, ttu, R - 1)
-                    self.cver[p][su] = np.where(keep, self.cver[p][su], sv)
-                else:
-                    self.tt[p][su] = R - 1
-                    self.cver[p][su] = sv
-                self.wv[p][su] = True
-                self.tags[p][su] = lu
-            if per_word and n_rm:
-                # Accessed word of each read miss: version refetched, tag
-                # stamped to R unless the Time-Read was strict.
-                for p, idx in self._parts_idx(cols, rmiss & last):
-                    self.cver[p][s[idx], wd[idx]] = (
-                        self.shadow.version[addr[idx]])
-                    self.tt[p][s[idx], wd[idx]] = np.where(
-                        c["strict"][idx], R - 1, R)
+        lw = self.line_words
+        for p, idx in self._parts_idx(cols, (rmiss | wmiss) & last):
+            su, first = np.unique(s[idx], return_index=True)
+            lu = line[idx][first]
+            fillu = c["fill"][idx][first]
+            base = lu * lw
+            sv = self.shadow.version[base[:, None] + np.arange(lw)]
+            if per_word:
+                ttu = self.tt[p][su]
+                keep = (~fillu[:, None]) & self.wv[p][su] & (ttu >= R - 1)
+                self.tt[p][su] = np.where(keep, ttu, R - 1)
+                self.cver[p][su] = np.where(keep, self.cver[p][su], sv)
+            else:
+                self.tt[p][su] = R - 1
+                self.cver[p][su] = sv
+            self.wv[p][su] = True
+            self.tags[p][su] = lu
+        if per_word:
+            # Accessed word of each read miss: version refetched, tag
+            # stamped to R unless the Time-Read was strict.
+            for p, idx in self._parts_idx(cols, rmiss & last):
+                self.cver[p][s[idx], wd[idx]] = (
+                    self.shadow.version[addr[idx]])
+                self.tt[p][s[idx], wd[idx]] = np.where(
+                    c["strict"][idx], R - 1, R)
         scheme.touched[cols.procv, addr] = True
-
-        if n_wr:
-            result.writes += n_wr
-            for p, idx in self._parts_idx(cols, wr & last):
-                sw, ww = s[idx], wd[idx]
-                self.wv[p][sw, ww] = True
-                if per_word:
-                    self.tt[p][sw, ww] = R
-                self.cver[p][sw, ww] = self.shadow.version[addr[idx]]
-            shw = wr & sh
-            n_sw = int(shw.sum())
-            result.shared_writes += n_sw
-            if n_sw:
-                words = 0
-                for p, idx in self._parts_idx(cols, shw):
-                    words += self._note_shared_writes(p, addr[idx])
-                self._traffic(eng, write_words=words)
-            n_wm = int(wmiss.sum())
-            if n_wm:  # write-allocate fetch, non-blocking for the CPU
-                self._traffic(eng, read_words=n_wm * (1 + self.line_words))
-            elapsed += self._write_latency(eng, n_sw, n_wr - n_sw)
-            if lat_out is not None:
-                lat_out[shw] = self.word_lat if self.seq else self.hit_lat
-                lat_out[wr & ~sh] = self.hit_lat
-        return elapsed
+        for p, idx in self._parts_idx(cols, wr & last):
+            sw, ww = s[idx], wd[idx]
+            self.wv[p][sw, ww] = True
+            if per_word:
+                self.tt[p][sw, ww] = R
+            self.cver[p][sw, ww] = self.shadow.version[addr[idx]]
 
 
 class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
@@ -1133,139 +1045,47 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
     whenever the line is resident (installed lines are fully valid);
     misses install with the line's shadow snapshot."""
 
-    def __init__(self, scheme):
-        super().__init__(scheme)
-        self._site_cap = 0
-        self._bypass = np.zeros(0, dtype=bool)
-
-    def _site_table(self, max_site: int):
-        if max_site >= self._site_cap:
-            cap = max_site + 1
-            marking = self.scheme.ctx.marking
-            bypass = np.zeros(cap, dtype=bool)
-            for site, mark in marking.sc.items():
-                if site < cap and mark is RefMark.TIME_READ:
-                    bypass[site] = True
-            self._bypass, self._site_cap = bypass, cap
-        return self._bypass
-
     def _scan(self, cols):
-        scheme = self.scheme
-        s, line, wd = cols.s, cols.line, cols.wd
-        wr, sh, addr, site = cols.wr, cols.sh, cols.addr, cols.site
-
-        bypass = ~wr & sh & self._site_table(int(site.max()))[site]
+        wr, sh, addr = cols.wr, cols.sh, cols.addr
+        bypass = ~wr & sh & self._marked(cols, "sc")
         cached = ~bypass
-        ch = self._slot_chains(cols, cached,
-                               ("sc", id(self.scheme.ctx.marking)))
-        ach = self._addr_chains(cols)
-        resident = ch.resident(line, self._gset(self.tags, cols, ch.slot))
+        ch, _, resident, ctx = self._frame(
+            cols, cached, ("sc", id(self.scheme.ctx.marking)))
         miss = cached & ~resident  # line miss: install (read or write)
         fresh = ch.runs.prior_any(miss)
-        wb = ch.run_addrs(ach).prior_any(wr)
+        wb = ch.run_addrs(self._addr_chains(cols)).prior_any(wr)
         cver0 = self._gword(self.cver, cols, ch.slot)
-        current = wb | fresh | (cver0 == self.shadow.version[addr])
-        touched = (scheme.touched[cols.procv, addr]
-                   | ach.prior_any(bypass | wr | (miss & ~wr)))
+        stale = (cached & ~wr & resident & ~wb & ~fresh
+                 & (cver0 < self.shadow.epoch_version[addr])
+                 if self.check else None)
+        ctx.update(bypass=bypass, miss=miss, have=resident,
+                   current=wb | fresh | (cver0 == self.shadow.version[addr]),
+                   touched=self._seen(cols, bypass | wr | (miss & ~wr)))
+        return self._ok(cols, ch, stale), ctx
 
-        ok = np.ones(cols.n, dtype=bool)
-        if self.check:
-            stale = (cached & ~wr & resident & ~wb & ~fresh
-                     & (cver0 < self.shadow.epoch_version[addr]))
-            if stale.any():
-                ok = ~ch.sets.group_any(stale)
-        ctx = {"bypass": bypass, "miss": miss, "have": resident,
-               "current": current, "touched": touched, "last": ch.last,
-               "slot": ch.slot, "alloc": cached}
-        return ok, ctx
-
-    def _apply(self, eng, cols, ctx, lat_out=None):
-        scheme = self.scheme
+    def _apply(self, eng, cols, ctx, lat):
         c = ctx
-        wd, wr, sh, addr, line = (cols.wd, cols.wr, cols.sh, cols.addr,
-                                  cols.line)
-        s = c["slot"]
-        bypass, miss = c["bypass"], c["miss"]
-        result = eng.result
-        elapsed = self._work(eng, cols)
-
-        n_by = int(bypass.sum())
-        if n_by:
-            ab = addr[bypass]
-            have = c["have"][bypass]
-            cur = c["current"][bypass]
-            tch = c["touched"][bypass]
-            mc = result.miss_counts
-            for kind, mask in ((MissKind.CONSERVATIVE, have & cur),
-                               (MissKind.TRUE_SHARING, have & ~cur),
-                               (MissKind.REPLACEMENT, ~have & tch),
-                               (MissKind.COLD, ~have & ~tch)):
-                count = int(mask.sum())
-                if count:
-                    mc[kind] = mc.get(kind, 0) + count
-            result.reads += n_by
-            result.shared_reads += n_by
-            cycles = n_by * self.word_lat
-            result.miss_latency_total += cycles
-            result.miss_latency_count += n_by
-            result.breakdown["read_stall"] += cycles
-            self._traffic(eng, read_words=2 * n_by)
-            scheme.touched[cols.procv[bypass], ab] = True
-            elapsed += cycles
-            if lat_out is not None:
-                lat_out[bypass] = self.word_lat
-
+        wd, wr, addr = cols.wd, cols.wr, cols.addr
+        s, bypass, miss, last = c["slot"], c["bypass"], c["miss"], c["last"]
+        have, cur, tch = c["have"], c["current"], c["touched"]
+        self._fetches(eng, cols, lat, bypass, (
+            (MissKind.CONSERVATIVE, have & cur),
+            (MissKind.TRUE_SHARING, have & ~cur),
+            (MissKind.REPLACEMENT, ~have & tch),
+            (MissKind.COLD, ~have & ~tch)), word=True)
         rmiss = miss & ~wr
-        n_rm = int(rmiss.sum())
-        if n_rm:
-            tch = c["touched"][rmiss]
-            elapsed += self._note_read_misses(
-                eng, n_rm, int(sh[rmiss].sum()),
-                ((MissKind.REPLACEMENT, tch), (MissKind.COLD, ~tch)))
-            scheme.touched[cols.procv[rmiss], addr[rmiss]] = True
-            if lat_out is not None:
-                lat_out[rmiss] = self.miss_lat
-
-        plain = ~wr & ~bypass & ~miss
-        n_pl = int(plain.sum())
-        if n_pl:
-            elapsed += self._note_hits(eng, n_pl, int((plain & sh).sum()))
-            if lat_out is not None:
-                lat_out[plain] = self.hit_lat
-
-        n_wr = int(wr.sum())
-        if n_wr:
-            self._bump_shadow(addr[wr], cols.procv[wr])
-        last = c["last"]
-        fill = miss & last
-        if fill.any():
-            for p, idx in self._parts_idx(cols, fill):
-                self._install_lines(p, s[idx], line[idx])
-
-        if n_wr:
-            result.writes += n_wr
-            aw = addr[wr]
-            for p, idx in self._parts_idx(cols, wr & last):
-                sw, ww = s[idx], wd[idx]
-                self.wv[p][sw, ww] = True
-                self.cver[p][sw, ww] = self.shadow.version[addr[idx]]
-            scheme.touched[cols.procv[wr], aw] = True
-            shw = wr & sh
-            n_sw = int(shw.sum())
-            result.shared_writes += n_sw
-            if n_sw:
-                words = 0
-                for p, idx in self._parts_idx(cols, shw):
-                    words += self._note_shared_writes(p, addr[idx])
-                self._traffic(eng, write_words=words)
-            n_wm = int((miss & wr).sum())
-            if n_wm:  # write-allocate fetch, non-blocking for the CPU
-                self._traffic(eng, read_words=n_wm * (1 + self.line_words))
-            elapsed += self._write_latency(eng, n_sw, n_wr - n_sw)
-            if lat_out is not None:
-                lat_out[shw] = self.word_lat if self.seq else self.hit_lat
-                lat_out[wr & ~sh] = self.hit_lat
-        return elapsed
+        self._fetches(eng, cols, lat, rmiss,
+                      ((MissKind.REPLACEMENT, tch), (MissKind.COLD, ~tch)))
+        self._hits(eng, cols, lat, ~wr & ~bypass & ~miss)
+        self._write_through(eng, cols, lat, wr, miss & wr)
+        for p, idx in self._parts_idx(cols, miss & last):
+            self._install_lines(p, s[idx], cols.line[idx])
+        for p, idx in self._parts_idx(cols, wr & last):
+            sw, ww = s[idx], wd[idx]
+            self.wv[p][sw, ww] = True
+            self.cver[p][sw, ww] = self.shadow.version[addr[idx]]
+        seen = bypass | rmiss | wr
+        self.scheme.touched[cols.procv[seen], addr[seen]] = True
 
 
 class UpdateBatchKernel(_BatchKernel):
@@ -1293,12 +1113,9 @@ class UpdateBatchKernel(_BatchKernel):
         return cls(scheme)
 
     def _scan(self, cols):
-        line = cols.line
-        wr, sh, addr = cols.wr, cols.sh, cols.addr
-
-        ch = self._set_chains(cols, None, "hold")  # every access installs
-        tags0 = self._gset(self.tags, cols, cols.s)
-        resident = ch.resident(line, tags0)
+        wr, sh = cols.wr, cols.sh
+        # Every access installs; a direct-mapped slot is its set.
+        ch, _, resident, ctx = self._frame(cols, None, "hold")
         batch = resident
         if self.check:
             # A batched read serves its cached version, which must meet
@@ -1307,62 +1124,36 @@ class UpdateBatchKernel(_BatchKernel):
             # fires against true state.
             fresh = (self._prior_addr(cols, wr) | ch.prior_any(~resident)
                      | (self._gword(self.cver, cols, cols.s)
-                        >= self.shadow.epoch_version[addr]))
+                        >= self.shadow.epoch_version[cols.addr]))
             batch = resident & (wr | ~sh | fresh)
-        return np.ones(cols.n, dtype=bool), {"batch": batch}
+        ctx["batch"] = batch
+        return np.ones(cols.n, dtype=bool), ctx
 
-    def _apply(self, eng, cols, ctx, lat_out=None):
-        scheme = self.scheme
+    def _apply(self, eng, cols, ctx, lat):
         batch = ctx["batch"]
-        s, wd, wr, sh, addr = cols.s, cols.wd, cols.wr, cols.sh, cols.addr
-        result = eng.result
-        elapsed = self._work(eng, cols)
-
-        rd = batch & ~wr
-        n_rd = int(rd.sum())
-        if n_rd:
-            elapsed += self._note_hits(eng, n_rd, int((rd & sh).sum()))
-            if lat_out is not None:
-                lat_out[rd] = self.hit_lat
-
-        bw = batch & wr
-        n_bw = int(bw.sum())
-        if n_bw:
-            result.writes += n_bw
-            self._bump_shadow(addr[bw], cols.procv[bw])
-            for p, idx in self._parts_idx(cols, bw):
-                self.cver[p][s[idx], wd[idx]] = self.shadow.version[addr[idx]]
-            scheme.total_writes += n_bw
-            shw = bw & sh
-            n_sw = int(shw.sum())
-            result.shared_writes += n_sw
-            if n_sw:
-                for p, idx in self._parts_idx(cols, shw):
-                    if scheme.coalescing:
-                        self._coalesce(p, addr[idx])
-                    else:
-                        self._traffic(eng, write_words=self._broadcast(
-                            p, addr[idx], cols.line[idx]))
-            elapsed += self._write_latency(eng, n_sw, n_bw - n_sw)
-            if lat_out is not None:
-                lat_out[shw] = self.word_lat if self.seq else self.hit_lat
-                lat_out[bw & ~sh] = self.hit_lat
-
+        self._hits(eng, cols, lat, batch & ~cols.wr)
+        bw = batch & cols.wr
+        self._write_through(eng, cols, lat, bw)
+        for p, idx in self._parts_idx(cols, bw):
+            self.cver[p][cols.s[idx], cols.wd[idx]] = (
+                self.shadow.version[cols.addr[idx]])
+        self.scheme.total_writes += int(bw.sum())
         slow = ~batch
         if slow.any():
-            elapsed += self._exact_events(eng, cols, slow, lat_out)
-        return elapsed
+            self._exact_events(eng, cols, slow, lat)
 
-    def _coalesce(self, proc: int, addrs: np.ndarray) -> None:
+    def _posted(self, cols, shw) -> int:
+        """Shared write hits join their processor's pending set under
+        coalescing, else each one broadcasts (:meth:`_broadcast`)."""
         scheme = self.scheme
-        pending = scheme.pending[proc]
-        uniq, counts = np.unique(addrs, return_counts=True)
-        for a, c in zip(uniq.tolist(), counts.tolist()):
-            if a in pending:
-                scheme.merged_writes += c
+        words = 0
+        for p, idx in self._parts_idx(cols, shw):
+            if scheme.coalescing:
+                scheme.merged_writes += _coalesce(scheme.pending[p],
+                                                  cols.addr[idx])
             else:
-                pending.add(a)
-                scheme.merged_writes += c - 1
+                words += self._broadcast(p, cols.addr[idx], cols.line[idx])
+        return words
 
     def _broadcast(self, proc: int, addrs: np.ndarray,
                    lines: np.ndarray) -> int:
@@ -1455,91 +1246,64 @@ class MsiBatchKernel(_BatchKernel):
 
     def _scan(self, cols):
         line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
-
-        ch = self._slot_chains(cols, None, "hold")  # every access holds
-        tags0 = self._gset(self.tags, cols, ch.slot)
+        # Every access holds its line.
+        ch, tags0, resident, ctx = self._frame(cols, None, "hold")
         dirty0 = self._gset(self.dirty, cols, ch.slot)
-        resident = ch.resident(line, tags0)
         miss = ~resident
-        upgrade = (wr & sh & resident
-                   & ~self._exclusive(cols, ch, tags0, dirty0))
-
-        ok = np.ones(cols.n, dtype=bool)
+        stale = None
         if self.check:
             # MSI reads must observe the exact current version: fills and
             # same-address writes refetch it, anything else must compare
-            # equal or the whole set goes to the exact path so the oracle
-            # fires against true state.
+            # equal.
             fresh = (ch.run_addrs(self._addr_chains(cols)).prior_any(wr)
                      | ch.runs.prior_any(miss))
             stale = (~wr & sh & resident & ~fresh
                      & (self._gword(self.cver, cols, ch.slot)
                         != self.shadow.version[addr]))
-            if stale.any():
-                ok = ~ch.sets.group_any(stale)
-
         victim, vdirty = ch.victims(line, wr, tags0, dirty0)
-        ctx = {"miss": miss, "upgrade": upgrade, "victim": victim,
-               "vdirty": vdirty, "last": ch.last, "slot": ch.slot}
-        return ok, ctx
+        ctx.update(miss=miss, victim=victim, vdirty=vdirty,
+                   upgrade=(wr & sh & resident
+                            & ~self._exclusive(cols, ch, tags0, dirty0)))
+        return self._ok(cols, ch, stale), ctx
 
-    def _apply(self, eng, cols, ctx, lat_out=None):
+    def _apply(self, eng, cols, ctx, lat):
         wd, wr, sh, addr = cols.wd, cols.wr, cols.sh, cols.addr
         s = ctx["slot"]
         miss, upgrade, last = ctx["miss"], ctx["upgrade"], ctx["last"]
         result = eng.result
-        elapsed = self._work(eng, cols)
         slow = miss | upgrade
         # The quiet test reads window-start state: before the own-cache
         # side below overwrites any cache.
         split = self._quiet(cols, ctx, slow) if slow.any() else None
-
-        rhit = ~wr & ~miss
-        n_rh = int(rhit.sum())
-        if n_rh:
-            elapsed += self._note_hits(eng, n_rh, int((rhit & sh).sum()))
-            if lat_out is not None:
-                lat_out[rhit] = self.hit_lat
-
-        if wr.any():
-            self._bump_shadow(addr[wr], cols.procv[wr])
+        self._hits(eng, cols, lat, ~wr & ~miss)
+        self.shadow.write_many(addr[wr], cols.procv[wr])
         # Own-cache side, as each slot's last run leaves it: the fill
         # resets the slot, then every access marks its word used and every
         # write dirties the line.
-        fill = miss & last
-        if fill.any():
-            for p, idx in self._parts_idx(cols, fill):
-                su = s[idx]
-                self.used[p][su] = False
-                self.dirty[p][su] = False
-                self._install_lines(p, su, cols.line[idx])
+        for p, idx in self._parts_idx(cols, miss & last):
+            su = s[idx]
+            self.used[p][su] = False
+            self.dirty[p][su] = False
+            self._install_lines(p, su, cols.line[idx])
         for p, idx in self._parts_idx(cols, last):
             self.used[p][s[idx], wd[idx]] = True
-
-        if wr.any():
-            for p, idx in self._parts_idx(cols, wr & last):
-                sw = s[idx]
-                self.dirty[p][sw] = True
-                self.cver[p][sw, wd[idx]] = self.shadow.version[addr[idx]]
-            # Private and exclusive write hits are silent: hit latency,
-            # no traffic, no protocol motion.
-            silent = wr & ~miss & ~upgrade
-            n_silent = int(silent.sum())
-            result.writes += n_silent
-            result.shared_writes += int((silent & sh).sum())
-            cycles = n_silent * self.hit_lat
-            result.breakdown["busy"] += cycles
-            elapsed += cycles
-            if lat_out is not None:
-                lat_out[silent] = self.hit_lat
-
+        for p, idx in self._parts_idx(cols, wr & last):
+            sw = s[idx]
+            self.dirty[p][sw] = True
+            self.cver[p][sw, wd[idx]] = self.shadow.version[addr[idx]]
+        # Private and exclusive write hits are silent: hit latency, no
+        # traffic, no protocol motion.
+        silent = wr & ~miss & ~upgrade
+        n_silent = int(silent.sum())
+        result.writes += n_silent
+        result.shared_writes += int((silent & sh).sum())
+        result.breakdown["busy"] += n_silent * self.hit_lat
+        lat[silent] = self.hit_lat
         if split is not None:
-            elapsed += self._quiet_transitions(eng, cols, ctx, split,
-                                               lat_out)
+            self._quiet_transitions(eng, cols, ctx, split, lat)
             loud = slow & ~split[0]
             if loud.any():
-                elapsed += self._transitions(eng, cols, ctx, loud, lat_out)
-        return elapsed
+                self._transitions(eng, cols, ctx, loud, lat)
 
     def _quiet(self, cols, ctx, slow):
         """Split the slow events (misses and upgrades) into quiet and loud.
@@ -1613,7 +1377,7 @@ class MsiBatchKernel(_BatchKernel):
         for p in np.unique(proc[mask]).tolist():
             yield p, mask & (proc == p)
 
-    def _quiet_transitions(self, eng, cols, ctx, split, lat_out=None) -> int:
+    def _quiet_transitions(self, eng, cols, ctx, split, lat) -> None:
         """The quiet misses and upgrades in closed form, as the scheme's
         transitions would price them in program order: a read miss is a
         replacement miss if its processor had seen the line before the
@@ -1626,13 +1390,12 @@ class MsiBatchKernel(_BatchKernel):
         quiet = split[0]
         wr, sh, line = cols.wr, cols.sh, cols.line
         result = eng.result
-        bd = result.breakdown
         hit = self.hit_lat
         lw1 = 1 + self.line_words
         up = quiet & ctx["upgrade"]
         miss = quiet & ~up
         rmiss = miss & ~wr
-        elapsed = 0
+        seen_lines = self.scheme.seen_lines
         if rmiss.any():
             # Missed on earlier in the window: all but the first miss per
             # (processor, line); ``akey // line_words`` keys that pair.
@@ -1643,16 +1406,11 @@ class MsiBatchKernel(_BatchKernel):
             seen[missed] = True
             seen[missed[first]] = False
             seen &= rmiss
-            seen_lines = self.scheme.seen_lines
             for p, idx in self._parts_idx(cols, rmiss & ~seen):
                 before = seen_lines[p]
                 seen[idx] = [ln in before for ln in line[idx].tolist()]
-            n_rm = int(rmiss.sum())
-            elapsed += self._note_read_misses(
-                eng, n_rm, int((rmiss & sh).sum()),
-                ((MissKind.REPLACEMENT, seen), (MissKind.COLD, rmiss & ~seen)))
-            if lat_out is not None:
-                lat_out[rmiss] = self.miss_lat
+            self._fetches(eng, cols, lat, rmiss, (
+                (MissKind.REPLACEMENT, seen), (MissKind.COLD, ~seen)))
         wmiss = miss & wr
         n_wm = int(wmiss.sum())
         n_up = int(up.sum())
@@ -1660,32 +1418,27 @@ class MsiBatchKernel(_BatchKernel):
             n_sw = int((wmiss & sh).sum())
             lat_sw = hit + (self.miss_lat if self.seq else 0)
             lat_up = hit + (self.network.control_latency() if self.seq else 0)
-            cycles = (n_wm - n_sw) * hit
-            for n, lat in ((n_sw, lat_sw), (n_up, lat_up)):
-                bd["write_stall" if lat > hit else "busy"] += n * lat
-                cycles += n * lat
-            bd["busy"] += (n_wm - n_sw) * hit
+            for n, cycles in ((n_wm - n_sw, hit), (n_sw, lat_sw),
+                              (n_up, lat_up)):
+                result.breakdown["write_stall" if cycles > hit
+                                 else "busy"] += n * cycles
             result.writes += n_wm + n_up
             result.shared_writes += n_sw + n_up
-            elapsed += cycles
-            if lat_out is not None:
-                lat_out[wmiss] = np.where(sh[wmiss], lat_sw, hit)
-                lat_out[up] = lat_up
+            lat[wmiss] = hit
+            lat[wmiss & sh] = lat_sw
+            lat[up] = lat_up
         writeback = miss & (ctx["victim"] >= 0) & ctx["vdirty"]
         self._traffic(eng, read_words=n_wm * lw1,
                       write_words=int(writeback.sum()) * lw1,
                       coherence_words=2 * n_up + self._settle(cols, split))
-        seen_lines = self.scheme.seen_lines
         for p, idx in self._parts_idx(cols, miss):
             seen_lines[p].update(line[idx].tolist())
-        return elapsed
 
-    def _transitions(self, eng, cols, ctx, slow, lat_out=None) -> int:
+    def _transitions(self, eng, cols, ctx, slow, lat) -> None:
         """Misses and upgrades, in program order per processor: the
         scheme's protocol side, then the engine's accounting."""
         scheme = self.scheme
         account = eng._account
-        elapsed = 0
         for proc, idx in self._parts_idx(cols, slow):
             for i, is_write, ln, word, shared, upgrade, occ, dirty in zip(
                     idx.tolist(), cols.wr[idx].tolist(),
@@ -1700,11 +1453,7 @@ class MsiBatchKernel(_BatchKernel):
                     r = miss(proc, ln, word, shared)
                     scheme._filled(proc, ln, occ if occ >= 0 else None,
                                    dirty, r)
-                latency = account(is_write, shared, r)
-                if lat_out is not None:
-                    lat_out[i] = latency
-                elapsed += latency
-        return elapsed
+                lat[i] = account(is_write, shared, r)
 
 
 class DirectoryBatchKernel(MsiBatchKernel):
@@ -1814,87 +1563,6 @@ class SnoopBatchKernel(MsiBatchKernel):
         return ok
 
 
-# ---------------------------------------------------------------------------
-# The gang's config axis
-
-
-class GangParams:
-    """Stacked per-config parameter arrays for gang simulation.
-
-    A gang (:mod:`repro.sim.gang`) simulates many back-end machine
-    configurations over one shared trace.  This object lines the configs
-    up as numpy axes: cache geometry (``line_words``/``n_sets``/
-    ``associativity``), timetag width (``timetag_bits`` and the derived
-    two-phase ``counter_modulus``), and the latency table
-    (``hit_latency``/``base_miss_latency``) each become one stacked array
-    indexed by config.  The trace-static work the configs can share —
-    resolving every event address to ``(line, set, word)`` — collapses to
-    the unique cache geometries and runs as a single
-    ``(geometries x events)`` broadcast in :meth:`resolve`; per-config
-    *protocol* state never stacks, because each member's results must stay
-    byte-identical to a solo run (the PR-3 parity contract).
-    """
-
-    def __init__(self, machines):
-        machines = list(machines)
-        if not machines:
-            raise ValueError("a gang needs at least one machine")
-        self.machines = machines
-        self.n_configs = len(machines)
-        caches = [m.cache for m in machines]
-        self.line_words = np.array([c.line_words for c in caches], np.int64)
-        self.n_sets = np.array([c.n_sets for c in caches], np.int64)
-        self.associativity = np.array([c.associativity for c in caches],
-                                      np.int64)
-        self.timetag_bits = np.array([m.tpi.timetag_bits for m in machines],
-                                     np.int64)
-        self.counter_modulus = np.int64(1) << self.timetag_bits
-        self.hit_latency = np.array([m.hit_latency for m in machines],
-                                    np.int64)
-        self.base_miss_latency = np.array([m.base_miss_latency
-                                           for m in machines], np.int64)
-        # Unique cache geometries in first-appearance order, plus each
-        # config's index into them: configs sharing a geometry share every
-        # trace-static analysis built over it.
-        self.geometries = []
-        self.geometry_index = np.empty(self.n_configs, np.int64)
-        seen = {}
-        for i, cache in enumerate(caches):
-            geometry = (cache.line_words, cache.n_sets)
-            if geometry not in seen:
-                seen[geometry] = len(self.geometries)
-                self.geometries.append(geometry)
-            self.geometry_index[i] = seen[geometry]
-
-    @property
-    def n_geometries(self) -> int:
-        return len(self.geometries)
-
-    def resolve(self, addr):
-        """Geometry-resolve an address array for every unique geometry."""
-        return resolve_geometries(addr, self.geometries)
-
-
-def resolve_geometries(addr, geometries):
-    """Resolve ``(line, set, word)`` for each ``(line_words, n_sets)``.
-
-    One ``(geometries x events)`` broadcast replaces ``len(geometries)``
-    separate passes; returns ``{geometry: (line, set, word)}`` row views
-    (C-contiguous, one per geometry).  The formulas match
-    :class:`repro.sim.fastengine._TaskArrays` exactly, so pre-resolved
-    rows can never change a member's results.
-    """
-    addr = np.asarray(addr, dtype=np.int64)
-    lw = np.array([g[0] for g in geometries], np.int64)[:, None]
-    ns = np.array([g[1] for g in geometries], np.int64)[:, None]
-    line = addr[None, :] // lw
-    set_ = line % ns
-    word = addr[None, :] - line * lw
-    return {g: (line[i], set_[i], word[i])
-            for i, g in enumerate(geometries)}
-
-
-__all__ = ["BaseBatchKernel", "DirectoryBatchKernel", "GangParams",
-           "MsiBatchKernel", "ScBatchKernel", "SnoopBatchKernel",
-           "TpiBatchKernel", "UpdateBatchKernel",
-           "prior_same_addr", "resolve_geometries"]
+__all__ = ["BaseBatchKernel", "DirectoryBatchKernel", "MsiBatchKernel",
+           "ScBatchKernel", "SnoopBatchKernel", "TpiBatchKernel",
+           "UpdateBatchKernel"]

@@ -63,8 +63,8 @@ class _TaskArrays:
     the Python-int per-event tuples lazily — only the per-event paths
     (kernel boundaries, poisoned spans, kernel-less schemes) touch them;
     the batch kernels run on the arrays.  The tuples do not depend on the
-    geometry, so every geometry view of one task shares one ``rows_cell``
-    (a one-element list) and builds them at most once.
+    geometry, so every geometry view of one task shares one rows cell (a
+    one-element list) and builds them at most once.
     """
 
     __slots__ = ("_rows", "_set_lines", "proc", "extra_work", "n", "addr",
@@ -72,11 +72,10 @@ class _TaskArrays:
                  "word", "uniq_lines", "uniq_sets")
 
     def __init__(self, proc, extra_work, n, addr, site, work,
-                 shared, is_write, line_words: int, n_sets: int,
-                 geometry=None, rows_cell=None):
+                 shared, is_write, line_words: int, n_sets: int):
         self.proc = proc
         self.extra_work = extra_work
-        self._rows = [None] if rows_cell is None else rows_cell
+        self._rows = [None]
         self._set_lines = None
         self.n = n
         self.addr = addr
@@ -84,15 +83,9 @@ class _TaskArrays:
         self.work = work
         self.shared = shared
         self.is_write = is_write
-        if geometry is None:
-            self.line = addr // line_words
-            self.set_ = self.line % n_sets
-            self.word = addr - self.line * line_words
-        else:
-            # Gang priming resolves every member geometry in one
-            # (configs x events) broadcast and hands each row in here;
-            # the formulas are identical, so results cannot differ.
-            self.line, self.set_, self.word = geometry
+        self.line = addr // line_words
+        self.set_ = self.line % n_sets
+        self.word = addr - self.line * line_words
         self.uniq_lines = np.unique(self.line)
         self.uniq_sets = np.unique(self.set_)
 
@@ -156,18 +149,13 @@ class _EpochBatch:
                  "hot_written", "static_masks", "static_idx", "other_lines",
                  "preapply_cache")
 
-    def __init__(self, epoch, line_words: int, n_sets: int, tasks=None,
+    def __init__(self, epoch, line_words: int, n_sets: int,
                  rows_cells=None):
         self.geometry = (line_words, n_sets)
         # Hot-rule keyed cache of the merged pre-apply window (or a bail
         # marker); shared across schemes and repeated simulations.
         self.preapply_cache = {}
-        if tasks is not None:
-            # Gang priming pre-resolved the geometry (broadcast over the
-            # config axis); only non-sync epochs are primed.
-            self.has_sync = False
-            self.tasks = tasks
-        elif isinstance(epoch, ColumnarEpoch):
+        if isinstance(epoch, ColumnarEpoch):
             self.has_sync = epoch.has_sync
             if self.has_sync:
                 self.tasks = []
@@ -213,13 +201,22 @@ class _EpochBatch:
                 else np.zeros(0, dtype=np.int64))
 
 
-def _rows_cells(batches: dict):
-    """The per-task row cells of an epoch's existing geometry views (any
-    one serves: all share them), or ``None`` before the first view."""
-    for batch in batches.values():
-        if batch.tasks:
-            return [ta._rows for ta in batch.tasks]
-    return None
+def epoch_batch(epoch, geometry) -> _EpochBatch:
+    """The epoch's :class:`_EpochBatch` for ``geometry`` (``(line_words,
+    n_sets)``), built on first use.  One analysis per geometry is kept
+    side by side on ``epoch._batch``, so gang members with different
+    geometries never evict each other's work; every view shares the
+    first one's per-task row cells."""
+    batches = epoch._batch
+    if not isinstance(batches, dict):
+        batches = epoch._batch = {}
+    batch = batches.get(geometry)
+    if batch is None:
+        cells = next(([ta._rows for ta in b.tasks]
+                      for b in batches.values() if b.tasks), None)
+        batch = batches[geometry] = _EpochBatch(epoch, *geometry,
+                                                rows_cells=cells)
+    return batch
 
 
 def _among(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:
@@ -265,17 +262,7 @@ class FastEngine(Engine):
         if epoch.n_events < _MIN_TASK_EVENTS * max(1, epoch.n_tasks):
             return None
         cache_cfg = self.machine.cache
-        geometry = (cache_cfg.line_words, cache_cfg.n_sets)
-        # One analysis per geometry, kept side by side so gang members
-        # with different geometries never evict each other's work.
-        batches = epoch._batch
-        if not isinstance(batches, dict):
-            batches = {}
-            epoch._batch = batches
-        batch = batches.get(geometry)
-        if batch is None:
-            batch = batches[geometry] = _EpochBatch(
-                epoch, *geometry, rows_cells=_rows_cells(batches))
+        batch = epoch_batch(epoch, (cache_cfg.line_words, cache_cfg.n_sets))
         self._cur_batch = batch
         if batch.has_sync:
             return None

@@ -7,14 +7,13 @@ front-end fingerprint split in :mod:`repro.runtime.jobs` guarantees the
 grouping).  Instead of each member redoing the trace-static analysis from
 scratch, the gang:
 
-* stacks the member configurations into numpy parameter arrays
-  (:class:`~repro.coherence.batch.GangParams`) and resolves every event
-  address to ``(line, set, word)`` for *all* distinct cache geometries in
-  one ``(configs x events)`` broadcast per epoch (:func:`prime_group`);
-* publishes the resulting per-geometry :class:`~repro.sim.fastengine.
-  _EpochBatch` analyses on the shared epochs, where every member with
-  that geometry — and every scheme, and the epoch pre-apply windows built
-  downstream — reuses them;
+* builds, for each epoch the fast engine would batch, the
+  :class:`~repro.sim.fastengine._EpochBatch` analysis of every distinct
+  member cache geometry up front (:func:`prime_group`), with the same
+  get-or-build function the engine's planner uses, and publishes them
+  on the shared epochs, where every member with that geometry — and
+  every scheme, and the epoch pre-apply windows built downstream —
+  reuses them;
 * runs the members **one engine at a time** (:func:`run_gang`), each
   replaying its hot (order-sensitive) events through the reference heap
   at identical ``(clock, proc, rank, idx)`` keys, exactly as a solo
@@ -24,7 +23,7 @@ Per-config *protocol* state is never shared: each member's results must
 stay byte-identical to running that config alone on either engine (the
 parity contract enforced by tests/test_gang.py), and protocol
 transitions depend on the member's own latencies and network feedback.
-What the gang vectorizes is the config axis of everything trace-static.
+What the gang shares is everything trace-static.
 
 Members used to be stepped in lockstep, one epoch across every engine
 before the next.  That kept every member's protocol state and every
@@ -34,7 +33,7 @@ so members now run in turn and only the primed analyses are shared.
 
 Fallbacks (each member silently degrades to a plain solo run):
 
-* object (non-columnar) traces — nothing to broadcast over;
+* object (non-columnar) traces — nothing is primed;
 * sync epochs and epochs under the fast engine's batching floor — those
   fall back per-event inside each member anyway;
 * a gang of one (or of identical configs) — priming is skipped, the
@@ -49,14 +48,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.coherence.batch import GangParams, resolve_geometries
 from repro.sim.engine import make_engine, resolve_engine
-from repro.sim.fastengine import (_MIN_TASK_EVENTS, _EpochBatch, _TaskArrays,
-                                  _rows_cells)
+from repro.sim.fastengine import _MIN_TASK_EVENTS, epoch_batch
 from repro.sim.metrics import SimResult
-from repro.trace.columnar import KIND_WRITE, ColumnarTrace
+from repro.trace.columnar import ColumnarTrace
 
 
 @dataclass(frozen=True)
@@ -67,42 +64,16 @@ class GangMember:
     scheme: str
 
 
-def _prime_epoch(epoch, todo: Sequence[Tuple[int, int]],
-                 batches: Dict) -> None:
-    """Build the epoch's analyses for every geometry in ``todo`` at once.
-
-    The geometry resolution runs as one broadcast per task
-    (``GangParams.resolve``); each row feeds a pre-resolved
-    :class:`_TaskArrays`, so the per-geometry :class:`_EpochBatch` is
-    exactly what a solo run would have built lazily.
-    """
-    per_geometry: Dict[Tuple[int, int], List[_TaskArrays]] = \
-        {g: [] for g in todo}
-    columns = epoch.task_columns()
-    cells = _rows_cells(batches) or [[None] for _ in columns]
-    for tc, cell in zip(columns, cells):
-        rows = resolve_geometries(tc.addr, todo)
-        is_write = tc.kind == KIND_WRITE
-        for geometry in todo:
-            per_geometry[geometry].append(_TaskArrays(
-                tc.proc, tc.extra_work, tc.n, tc.addr, tc.site,
-                tc.work, tc.shared, is_write, geometry[0], geometry[1],
-                geometry=rows[geometry], rows_cell=cell))
-    for geometry in todo:
-        batches[geometry] = _EpochBatch(epoch, geometry[0], geometry[1],
-                                        tasks=per_geometry[geometry])
-
-
 def prime_group(trace, machines: Sequence[Any]) -> Dict[str, Any]:
     """Pre-build the shared per-geometry epoch analyses for a gang.
 
     Walks the columnar trace once, and for each epoch the fast engine
-    would batch, resolves all member geometries in one broadcast and
-    publishes the analyses on ``epoch._batch`` — the member engines (and
-    their pre-apply windows) then find every geometry already resolved.
-    Purely an optimization: results are byte-identical with or without
-    priming.  Returns a stats dict (``width``, ``geometries``,
-    ``primed_epochs``, ``fallback``).
+    would batch, builds every member geometry's analysis on
+    ``epoch._batch`` (:func:`~repro.sim.fastengine.epoch_batch`) — the
+    member engines (and their pre-apply windows) then find every
+    geometry already built.  Purely an optimization: results are
+    byte-identical with or without priming.  Returns a stats dict
+    (``width``, ``geometries``, ``primed_epochs``, ``fallback``).
     """
     stats = {"width": len({_backend_token(m) for m in machines}),
              "geometries": 0, "primed_epochs": 0, "fallback": ""}
@@ -112,21 +83,20 @@ def prime_group(trace, machines: Sequence[Any]) -> Dict[str, Any]:
     if len(machines) < 2:
         stats["fallback"] = "gang-of-one"
         return stats
-    params = GangParams(machines)
-    stats["geometries"] = params.n_geometries
+    geometries = list(dict.fromkeys(
+        (m.cache.line_words, m.cache.n_sets) for m in machines))
+    stats["geometries"] = len(geometries)
     for epoch in trace.epochs:
         if epoch.n_events < _MIN_TASK_EVENTS * max(1, epoch.n_tasks):
             continue
         if epoch.has_sync:
             continue
-        batches = epoch._batch
-        if not isinstance(batches, dict):
-            batches = {}
-            epoch._batch = batches
-        todo = [g for g in params.geometries if g not in batches]
+        built = epoch._batch if isinstance(epoch._batch, dict) else {}
+        todo = [g for g in geometries if g not in built]
         if not todo:
             continue
-        _prime_epoch(epoch, todo, batches)
+        for geometry in todo:
+            epoch_batch(epoch, geometry)
         stats["primed_epochs"] += 1
     return stats
 

@@ -19,7 +19,10 @@ Two layers of pins:
   and a 1 KB cache).  Engine parity cannot see a change both engines
   share (the per-event scheme path, the network model, the accounting),
   so these absolute pins are what guards it.  CI runs this file under
-  both ``REPRO_ENGINE`` values.
+  both ``REPRO_ENGINE`` values.  Every scheme with a batch kernel is
+  also pinned to the same digests on the fast engine with epoch
+  pre-apply off, so the kernels' per-window span path is held to them
+  as well.
 """
 
 import dataclasses
@@ -32,6 +35,7 @@ import pytest
 from repro.common.config import CacheConfig, ConsistencyModel, default_machine
 from repro.coherence import SCHEME_NAMES
 from repro.sim import prepare, simulate
+from repro.sim.fastengine import FastEngine
 from repro.workloads import build_workload, workload_names
 
 MACHINE = default_machine().with_(n_procs=4)
@@ -459,8 +463,11 @@ def _prepared(workload):
     return prepare(build_workload(workload, size="small"), _RECORDED)
 
 
-def _digest(machine_name, workload, scheme):
-    result = simulate(_prepared(workload), scheme, MACHINES[machine_name])
+def _digest(machine_name, workload, scheme, **fields):
+    machine = MACHINES[machine_name]
+    if fields:
+        machine = machine.with_(**fields)
+    result = simulate(_prepared(workload), scheme, machine)
     canonical = json.dumps(
         {"result": result.to_dict(),
          "epochs": [dataclasses.astuple(rec) for rec in result.epoch_records]},
@@ -490,6 +497,20 @@ def test_golden_digest(machine, workload, scheme):
         (machine, workload, scheme)], (
         "deterministic result drifted; if the model change is intentional, "
         "regenerate the pins with `python tests/test_golden.py`")
+
+
+@pytest.mark.parametrize("machine,workload,scheme",
+                         [key for key in _grid() if key[2] != "tardis"])
+def test_golden_digest_window_by_window(machine, workload, scheme,
+                                        monkeypatch):
+    """The same digests on the fast engine with epoch pre-apply off.
+
+    Pre-apply takes nearly every batched epoch, so the kernels' other
+    caller, ``_BatchKernel.span`` scanning and applying window by
+    window, is pinned here.  Tardis has no kernel."""
+    monkeypatch.setattr(FastEngine, "_preapply_epoch", lambda *args: False)
+    assert _digest(machine, workload, scheme, engine="fast") == DIGESTS[
+        (machine, workload, scheme)]
 
 
 if __name__ == "__main__":

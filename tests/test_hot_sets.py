@@ -175,9 +175,9 @@ def test_capacity_cell_falls_back_only_on_sync_or_size(workload, expected,
         slow["kernel"] += int(mask.sum())
         return quiet(self, cols, ctx, mask)
 
-    def counting_transitions(self, eng, cols, ctx, mask, lat_out=None):
+    def counting_transitions(self, eng, cols, ctx, mask, lat):
         slow["in_order"] += int(mask.sum())
-        return transitions(self, eng, cols, ctx, mask, lat_out)
+        return transitions(self, eng, cols, ctx, mask, lat)
 
     monkeypatch.setattr(MsiBatchKernel, "_quiet", counting_quiet)
     monkeypatch.setattr(MsiBatchKernel, "_transitions", counting_transitions)

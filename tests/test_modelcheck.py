@@ -14,6 +14,7 @@ The self-test, report/cache and CLI cases are written once (the
 each of which binds ``P`` to that protocol's entry points.
 """
 
+import importlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -237,19 +238,34 @@ class _ReportCases:
         warm = self.P.report([self.P.small], cache=cache)
         assert warm.meta["cache"] == "hit"
 
+    def edit_misses_the_cache(self, tmp_path, monkeypatch, edited_file):
+        """A report after appending to ``edited_file`` misses the cache."""
+        cache = ArtifactCache(tmp_path)
+        self.P.report([self.P.shallow], cache=cache)
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda path: read_bytes(path)
+            + (b"# edited\n" if path == edited_file else b""))
+        edited = self.P.report([self.P.shallow], cache=cache)
+        assert edited.meta["cache"] == "miss"
+
     def test_cache_key_depends_on_the_scheme_module(self, tmp_path,
                                                     monkeypatch):
         """Drift verdicts replay through the production scheme, so an
         edit to the scheme's module must not be answered from the cache."""
-        cache = ArtifactCache(tmp_path)
-        self.P.report([self.P.shallow], cache=cache)
-        scheme_file = Path(self.P.scheme_module.__file__)
-        read_bytes = Path.read_bytes
-        monkeypatch.setattr(
-            Path, "read_bytes", lambda path: read_bytes(path)
-            + (b"# edited\n" if path == scheme_file else b""))
-        edited = self.P.report([self.P.shallow], cache=cache)
-        assert edited.meta["cache"] == "miss"
+        self.edit_misses_the_cache(tmp_path, monkeypatch,
+                                   Path(self.P.scheme_module.__file__))
+
+    @pytest.mark.parametrize("module", [
+        "repro.coherence.api", "repro.memsys.cache", "repro.memsys.memory",
+        "repro.memsys.network", "repro.trace.layout"])
+    def test_cache_key_depends_on_the_replay_path(self, tmp_path,
+                                                  monkeypatch, module):
+        """The drift replay also runs through the scheme base class, the
+        cache and the replay rig's shadow memory, network and layout."""
+        self.edit_misses_the_cache(
+            tmp_path, monkeypatch,
+            Path(importlib.import_module(module).__file__))
 
     def test_mutant_reports_are_never_cached(self, tmp_path):
         cache = ArtifactCache(tmp_path)
