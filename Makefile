@@ -21,7 +21,7 @@ paper:
 	$(PYTHON) examples/reproduce_paper.py | tee paper_results.txt
 
 # Simulation-as-a-service (docs/SERVE.md): HTTP server on :8089 with the
-# sharded artifact cache; stop with Ctrl-C (drains in-flight requests).
+# artifact cache; stop with Ctrl-C (drains in-flight requests).
 serve:
 	$(PYTHON) -m repro serve --host 127.0.0.1 --port 8089
 

@@ -83,7 +83,7 @@ async def _drive(server, bodies, concurrency: int):
 def run_load(requests: int, seed: int = 1996, concurrency: int = 8) -> dict:
     """Warm-up pass over the grid, then the Zipfian steady-state mix."""
     from repro.common import percentile
-    from repro.runtime import ShardedCache
+    from repro.runtime import ArtifactCache
     from repro.serve import ServeConfig, ServeServer, SimulationService
 
     import tempfile
@@ -93,7 +93,7 @@ def run_load(requests: int, seed: int = 1996, concurrency: int = 8) -> dict:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         service = SimulationService(
-            cache=ShardedCache(cache_dir, peers=[]),
+            cache=ArtifactCache(cache_dir),
             config=ServeConfig(jobs=1, dispatchers=2))
         server = ServeServer(service, host="127.0.0.1", port=0)
 

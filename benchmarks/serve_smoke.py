@@ -5,8 +5,7 @@ subprocess, then checks the two serve guarantees from the outside:
 
 1. **differential** — a ``POST /sweep`` response is byte-identical to
    the warm ``repro sweep --json`` file for the same fingerprints
-   (CLI and server share one artifact cache here, as N hosts would
-   share a peer tier);
+   (CLI and server share one artifact cache here);
 2. **coalescing** — concurrent identical cold requests are collapsed:
    the ``/stats`` coalesced counter rises and the dispatched counter
    shows one simulation per distinct fingerprint.

@@ -32,13 +32,13 @@ Commands
     Exit codes as for ``lint``.
 ``cache stats|clear``
     Inspect or empty the on-disk artifact cache.
-``serve [--host H] [--port P] [--peers LIST]``
+``serve [--host H] [--port P]``
     Run the simulation-as-a-service HTTP server (``POST /simulate``,
     ``POST /sweep``, ``GET /jobs/<id>``, ``GET /healthz``,
     ``GET /stats``); see docs/SERVE.md.  Responses are byte-identical
     to the matching ``--json`` CLI output; identical in-flight requests
-    are coalesced; warm requests are served straight from the (sharded,
-    peer-aware) artifact cache.
+    are coalesced; warm requests are served straight from the artifact
+    cache.
 
 ``simulate``, ``experiment``, and ``sweep`` all execute through the
 :mod:`repro.runtime` engine and share its flags: ``--jobs N`` fans
@@ -236,10 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--drain-timeout", type=float, default=30.0,
                      metavar="SECONDS",
                      help="how long shutdown waits for in-flight requests")
-    srv.add_argument("--peers", metavar="LIST",
-                     help="comma-separated peer cache roots (directories "
-                          "and/or http://host:port serve endpoints) for "
-                          "read-through; default $REPRO_CACHE_PEERS")
+    # Removed; still parsed so that an empty list keeps working.
+    srv.add_argument("--peers", default="", help=argparse.SUPPRESS)
     _add_runtime_args(srv)
     return parser
 
@@ -522,14 +520,14 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from repro.runtime import ShardedCache, Telemetry
+    from repro.runtime import ArtifactCache, Telemetry
     from repro.serve import ServeConfig, ServeServer, SimulationService
 
+    if any(peer.strip() for peer in args.peers.split(",")):
+        raise ReproError("--peers was removed; repro serve reads only its "
+                         "own --cache-dir")
     _apply_engine(args)
-    peers = (None if args.peers is None
-             else [p.strip() for p in args.peers.split(",") if p.strip()])
-    cache = None if args.no_cache else ShardedCache(args.cache_dir,
-                                                    peers=peers)
+    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     config = ServeConfig(jobs=args.jobs, dispatchers=args.dispatchers,
                          timeout=args.timeout)
     telemetry = Telemetry()
@@ -545,11 +543,9 @@ def _cmd_serve(args) -> int:
             raise ReproError(
                 f"cannot bind {args.host}:{args.port}: "
                 f"{exc.strerror or exc}") from None
-        peers_note = (f", peers {','.join(p.name for p in cache.peers)}"
-                      if cache is not None and cache.peers else "")
         print(f"repro serve listening on http://{args.host}:{server.port} "
               f"(jobs={config.jobs}, dispatchers={config.dispatchers}, "
-              f"cache={'off' if cache is None else cache.root}{peers_note})",
+              f"cache={'off' if cache is None else cache.root})",
               flush=True)
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):

@@ -38,11 +38,9 @@ from repro.runtime.jobs import (
     Job,
     canonical_json,
     expand_sweep,
-    group_by_prepare,
     jobs_for_schemes,
     program_digest,
 )
-from repro.runtime.shardcache import ShardedCache, peers_from_env
 from repro.runtime.telemetry import (
     JobRecord,
     RunReport,
@@ -62,7 +60,6 @@ __all__ = [
     "ParallelExecutor",
     "RunReport",
     "RuntimeSession",
-    "ShardedCache",
     "Telemetry",
     "cache_salt",
     "canonical_json",
@@ -71,9 +68,7 @@ __all__ = [
     "effective_jobs",
     "execute_jobs",
     "expand_sweep",
-    "group_by_prepare",
     "jobs_for_schemes",
-    "peers_from_env",
     "percentile",
     "program_digest",
     "session",

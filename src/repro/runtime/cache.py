@@ -148,9 +148,6 @@ class ArtifactCache:
             # failed run.
             return False
 
-    def contains(self, kind: str, key: str) -> bool:
-        return self._path(kind, key).exists()
-
     # ----------------------------------------------------------- management
 
     def stats(self) -> CacheStats:

@@ -209,15 +209,3 @@ def expand_sweep(sweep: "Sweep") -> List[Job]:
                             tag=dict(labels), _digest=digest))
     return jobs
 
-
-def group_by_prepare(jobs: Sequence[Job]) -> List[Tuple[str, List[Tuple[int, Job]]]]:
-    """Group (index, job) pairs by shared front-end fingerprint.
-
-    Groups come back in first-appearance order, so the serial executor
-    visits cells in the caller's order while still preparing each distinct
-    front end exactly once.
-    """
-    groups: Dict[str, List[Tuple[int, Job]]] = {}
-    for index, job in enumerate(jobs):
-        groups.setdefault(job.prepare_fingerprint(), []).append((index, job))
-    return list(groups.items())

@@ -7,14 +7,15 @@ cache read-through, in-flight request coalescing by fingerprint,
 scheme-dead config pruning) before anything reaches the worker pool.
 See ``docs/SERVE.md`` for the API and the ops runbook.
 
+    from repro.runtime import ArtifactCache
     from repro.serve import ServeConfig, ServeServer, SimulationService
 
-    service = SimulationService(cache=ShardedCache(), config=ServeConfig())
+    service = SimulationService(cache=ArtifactCache(), config=ServeConfig())
     server = ServeServer(service, host="127.0.0.1", port=8089)
 """
 
 from repro.serve.payloads import json_bytes, simulate_payload, sweep_payload
-from repro.serve.server import ServeServer, run_server
+from repro.serve.server import ServeServer
 from repro.serve.service import (
     RequestRecord,
     ServeConfig,
@@ -29,7 +30,6 @@ __all__ = [
     "ServeServer",
     "SimulationService",
     "json_bytes",
-    "run_server",
     "simulate_payload",
     "sweep_payload",
 ]

@@ -12,9 +12,6 @@ POST     ``/sweep``                 run a grid study (CLI payload)
 GET      ``/jobs/<id>``             status/result of a recorded request
 GET      ``/healthz``               liveness probe
 GET      ``/stats``                 service counters, latency percentiles
-GET      ``/artifact/<kind>/<key>`` raw cached pickle (the peer tier of
-                                    :class:`~repro.runtime.shardcache.ShardedCache`
-                                    reads this route)
 =======  =========================  ===========================================
 
 ``POST`` bodies accept ``{"detach": true}`` to get a ``202`` with a job
@@ -31,19 +28,17 @@ from __future__ import annotations
 
 import asyncio
 import json
-import re
 import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import ReproError
-from repro.runtime.cache import _KINDS
 from repro.serve.payloads import json_bytes
 from repro.serve.service import ServeError, SimulationService
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 500: "Internal Server Error"}
-_KEY_RE = re.compile(r"^[0-9a-f]{8,64}$")
 _MAX_BODY = 1 << 20  # 1 MiB of JSON is far beyond any legal request
+_REQUEST_TIMEOUT_S = 30.0  # bound on reading one request's head and body
 
 
 class ServeServer:
@@ -91,19 +86,20 @@ class ServeServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
-                                              timeout=30.0)
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                    asyncio.TimeoutError):
-                return
-            method, path, headers = self._parse_head(head)
-            length = int(headers.get("content-length", "0") or "0")
-            if length < 0 or length > _MAX_BODY:
-                await self._respond(writer, 400,
-                                    {"error": "unreasonable content-length"})
-                return
-            body = await reader.readexactly(length) if length else b""
-            status, payload, extra = await self._route(method, path, body)
+                # One timer bounds the head and the body together.
+                request = await asyncio.wait_for(self._read_request(reader),
+                                                 timeout=_REQUEST_TIMEOUT_S)
+                if request is None:
+                    return
+                status, payload, extra = await self._route(*request)
+            except asyncio.TimeoutError:
+                self.service.telemetry.serve_errors += 1
+                status, payload, extra = 400, {
+                    "error": f"request incomplete after "
+                             f"{_REQUEST_TIMEOUT_S:g} s"}, {}
+            except ServeError as exc:  # malformed request, before routing
+                self.service.telemetry.serve_errors += 1
+                status, payload, extra = exc.status, {"error": str(exc)}, {}
             await self._respond(writer, status, payload, extra)
         except ConnectionError:
             pass
@@ -118,6 +114,31 @@ class ServeServer:
                 await writer.wait_closed()
             except Exception:
                 pass
+
+    async def _read_request(self, reader: asyncio.StreamReader
+                            ) -> Optional[Tuple[str, str, bytes]]:
+        """``(method, path, body)``; ``None`` when no request head arrived.
+
+        Raises :class:`ServeError` (400) for a malformed head, a bad
+        ``Content-Length`` or a body shorter than it.
+        """
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            return None
+        method, path, headers = self._parse_head(head)
+        try:
+            length = int(headers.get("content-length") or "0")
+        except ValueError:
+            raise ServeError(400, "invalid content-length") from None
+        if length < 0 or length > _MAX_BODY:
+            raise ServeError(400, "unreasonable content-length")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise ServeError(400, "request body shorter than "
+                                  "content-length") from None
+        return method, path, body
 
     @staticmethod
     def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
@@ -137,16 +158,10 @@ class ServeServer:
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
                        payload: Any,
                        extra: Optional[Dict[str, str]] = None) -> None:
-        if isinstance(payload, bytes):
-            body = payload
-            content_type = (extra or {}).pop("content-type",
-                                             "application/json")
-        else:
-            body = json_bytes(payload)
-            content_type = "application/json"
+        body = payload if isinstance(payload, bytes) else json_bytes(payload)
         reason = _REASONS.get(status, "Unknown")
         headers = [f"HTTP/1.1 {status} {reason}",
-                   f"Content-Type: {content_type}",
+                   "Content-Type: application/json",
                    f"Content-Length: {len(body)}",
                    "Connection: close"]
         for name, value in (extra or {}).items():
@@ -173,8 +188,6 @@ class ServeServer:
             if path.startswith("/jobs/") and method == "GET":
                 record = self.service.get_record(path[len("/jobs/"):])
                 return 200, record.to_dict(), {}
-            if path.startswith("/artifact/") and method == "GET":
-                return self._route_artifact(path)
             return 404, {"error": f"no route for {method} {path}"}, {}
         except ServeError as exc:
             self.service.telemetry.serve_errors += 1
@@ -197,33 +210,3 @@ class ServeServer:
         record = self.service.new_record(kind)
         payload = await self.service.answer(kind, request, record)
         return 200, payload, {"X-Repro-Job": record.id}
-
-    def _route_artifact(self, path: str) -> Tuple[int, Any, Dict[str, str]]:
-        cache = self.service.cache
-        if cache is None:
-            raise ServeError(404, "no cache configured")
-        parts = path.split("/")  # ['', 'artifact', kind, key]
-        if len(parts) != 4:
-            raise ServeError(404, "artifact path is /artifact/<kind>/<key>")
-        _, _, kind, key = parts
-        if kind not in _KINDS or not _KEY_RE.match(key):
-            raise ServeError(404, f"no artifact {kind}/{key}")
-        try:
-            payload = cache._path(kind, key).read_bytes()
-        except OSError:
-            raise ServeError(404, f"no artifact {kind}/{key}") from None
-        return 200, payload, {"content-type": "application/octet-stream"}
-
-
-async def run_server(service: SimulationService, host: str, port: int,
-                     ready: Optional[asyncio.Event] = None,
-                     drain_timeout: float = 30.0) -> ServeServer:
-    """Start a server, optionally signal ``ready``, and block until it is
-    asked to stop (signal handlers or :meth:`ServeServer.request_stop`)."""
-    server = ServeServer(service, host=host, port=port,
-                         drain_timeout=drain_timeout)
-    await server.start()
-    if ready is not None:
-        ready.set()
-    await server.serve_until_stopped()
-    return server

@@ -7,8 +7,7 @@ it into :class:`~repro.runtime.jobs.Job` objects and answers through a
 three-level dedup funnel:
 
 1. **read-through cache** — if every job fingerprint is already in the
-   artifact cache (local shard or a peer tier of a
-   :class:`~repro.runtime.shardcache.ShardedCache`), the response is
+   :class:`~repro.runtime.cache.ArtifactCache`, the response is
    assembled without touching the worker pool at all;
 2. **in-flight coalescing** — cold requests are keyed by a request
    fingerprint (hash of their job fingerprints); concurrent identical
@@ -363,10 +362,7 @@ class SimulationService:
 
     def stats_payload(self) -> Dict[str, Any]:
         t = self.telemetry
-        cache_info: Any = None
-        if self.cache is not None:
-            describe = getattr(self.cache, "describe", None)
-            cache_info = describe() if describe else {"root": str(self.cache.root)}
+        serve = t.serve_section()
         return {
             "uptime_s": round(time.time() - self.started_at, 3),
             "requests": {
@@ -380,13 +376,14 @@ class SimulationService:
                 "hit_rate": round(t.serve_hit_rate, 4),
             },
             "latency": {
-                "p50_ms": t.serve_section()["p50_ms"],
-                "p99_ms": t.serve_section()["p99_ms"],
+                "p50_ms": serve["p50_ms"],
+                "p99_ms": serve["p99_ms"],
                 "samples": len(t.serve_latency_s),
             },
             "executor": {"jobs": self.config.jobs,
                          "dispatchers": self.config.dispatchers,
                          "timeout_s": self.config.timeout,
                          "retries": self.config.retries},
-            "cache": cache_info,
+            "cache": (None if self.cache is None
+                      else {"root": str(self.cache.root)}),
         }

@@ -12,7 +12,6 @@ from repro.runtime import (
     Telemetry,
     effective_jobs,
     execute_jobs,
-    group_by_prepare,
     jobs_for_schemes,
     program_digest,
     session,
@@ -84,14 +83,18 @@ class TestFingerprints:
         assert job.fingerprint() == result_key
         assert job.prepare_fingerprint() == prepare_key
 
-    def test_group_by_prepare_dedups(self):
+    def test_executor_dedups_prepare_groups(self):
+        """The executor prepares each distinct front end once and still
+        returns results in input order."""
         jobs = jobs_for_schemes(small("ocean"), SCHEMES, MACHINE)
         jobs += jobs_for_schemes(small("ocean"), ("tpi",),
                                  MACHINE.with_(n_procs=8))
-        groups = group_by_prepare(jobs)
-        assert len(groups) == 2
-        assert [index for _, members in groups
-                for index, _ in members] == [0, 1, 2, 3, 4]
+        telemetry = Telemetry()
+        results = execute_jobs(jobs, n_jobs=1, telemetry=telemetry)
+        assert telemetry.traces_generated == 2
+        assert telemetry.traces_shared == 3
+        assert results == [simulate(prepare(job.program, job.machine),
+                                    job.scheme) for job in jobs]
 
 
 class TestExecutor:

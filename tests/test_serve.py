@@ -12,13 +12,16 @@ The two load-bearing guarantees:
 
 import asyncio
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.cli import main
-from repro.runtime import ShardedCache, Telemetry
+from repro.runtime import ArtifactCache, Telemetry
+from repro.runtime.cache import KIND_RESULT
+from repro.serve import server as server_module
 from repro.serve import (
     ServeConfig,
     ServeError,
@@ -36,7 +39,7 @@ SWEEP_BODY = {"workload": "ocean", "axes": ["line=1,4"],
 
 
 def make_service(tmp_path, **config):
-    cache = ShardedCache(tmp_path / "cache", peers=[])
+    cache = ArtifactCache(tmp_path / "cache")
     return SimulationService(cache=cache, config=ServeConfig(**config))
 
 
@@ -142,6 +145,28 @@ class TestServiceDedup:
         assert a == b
         assert a != c
 
+    def test_truncated_result_artifact_is_recomputed(self, tmp_path):
+        """A damaged result entry under serve is a miss, never an error."""
+        service = make_service(tmp_path)
+        run(service.answer("simulate", dict(SIM_BODY)))
+        warm = run(service.answer("simulate", dict(SIM_BODY)))
+        key = service.parse_simulate(SIM_BODY).jobs[0].fingerprint()
+        path = service.cache._path(KIND_RESULT, key)
+        path.write_bytes(path.read_bytes()[:10])
+        dispatched = service.dispatched
+        record = service.new_record("simulate")
+        again = run(service.answer("simulate", dict(SIM_BODY), record))
+        rewarm = run(service.answer("simulate", dict(SIM_BODY)))
+        service.close()
+        assert record.source == "computed"
+        assert service.dispatched == dispatched + 1
+        # A computed payload adds its own phase timings; the results match.
+        recomputed = json.loads(again.decode())
+        recomputed.pop("phases", None)
+        assert recomputed == json.loads(warm.decode())
+        assert rewarm == warm
+        assert service.cache.load(KIND_RESULT, key) is not None
+
 
 class TestServiceValidation:
     @pytest.mark.parametrize("body,fragment", [
@@ -206,7 +231,7 @@ class TestDifferentialAgainstCli:
 
     def test_server_bytes_match_cli_json(self, tmp_path, monkeypatch, capsys):
         cache_dir, cli = self.warm_cli(tmp_path, monkeypatch)
-        service = SimulationService(cache=ShardedCache(cache_dir, peers=[]))
+        service = SimulationService(cache=ArtifactCache(cache_dir))
 
         async def go():
             return (await service.answer("simulate", dict(SIM_BODY)),
@@ -331,22 +356,56 @@ class TestHttpServer:
                          "get_on_post": 405, "bad_json": 400,
                          "bad_workload": 400, "bad_artifact": 404}
 
-    def test_artifact_route_serves_cached_pickles(self, served, tmp_path):
+    def test_cached_artifacts_are_not_served_raw(self, served):
         service, server = served
-        from repro.runtime.cache import KIND_RESULT
-
         key = "ab" + "0" * 62
         service.cache.store(KIND_RESULT, key, {"payload": 42})
 
         def client(port):
-            resp = self._get(port, f"/artifact/result/{key}")
-            return resp.read(), resp.headers["Content-Type"]
+            try:
+                self._get(port, f"/artifact/result/{key}")
+            except urllib.error.HTTPError as err:
+                return err.code
+            return 200
 
-        raw, content_type = self._with_server(server, client)
-        assert content_type == "application/octet-stream"
-        import pickle
+        assert self._with_server(server, client) == 404
 
-        assert pickle.loads(raw) == {"payload": 42}
+    @staticmethod
+    def _raw(port, data, half_close):
+        """Send raw bytes; return the status line of the response."""
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            sock.sendall(data)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks).split(b"\r\n", 1)[0].decode()
+
+    SHORT_BODY = (b"POST /simulate HTTP/1.1\r\nContent-Length: 100\r\n"
+                  b"\r\n{}")
+
+    @pytest.mark.parametrize("data,half_close", [
+        (b"GARBAGE\r\n\r\n", False),
+        (b"POST /simulate HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+         False),
+        (SHORT_BODY, True),
+        (SHORT_BODY, False),
+    ], ids=["request_line", "content_length", "short_body",
+            "short_body_held_open"])
+    def test_malformed_requests_get_400(self, served, monkeypatch, data,
+                                        half_close):
+        service, server = served
+        # Only the held-open body waits out the timer.
+        monkeypatch.setattr(server_module, "_REQUEST_TIMEOUT_S", 0.2)
+        status = self._with_server(
+            server, lambda port: self._raw(port, data, half_close))
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert service.telemetry.serve_errors == 1
 
 
 class TestServeCliErrors:
@@ -373,6 +432,21 @@ class TestServeCliErrors:
         assert code == 2
         assert err.startswith("error: cannot bind 256.1.1.1:80")
         assert "Traceback" not in err
+
+    def test_empty_peer_list_is_still_accepted(self, capsys):
+        code = main(["serve", "--host", "256.1.1.1", "--port", "80",
+                     "--peers", ""])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot bind 256.1.1.1:80")
+
+    def test_peer_list_is_refused_before_binding(self, capsys):
+        code = main(["serve", "--host", "256.1.1.1", "--port", "80",
+                     "--peers", "/some/dir"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: --peers was removed; repro serve reads only "
+                       "its own --cache-dir\n")
 
     def test_sweep_unknown_axis_exits_2_one_line(self, capsys):
         with pytest.raises(SystemExit) as exc:

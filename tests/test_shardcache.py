@@ -1,28 +1,24 @@
-"""Tests for the sharded read-through cache and cache concurrency.
+"""Concurrency and damage tolerance of the on-disk artifact cache.
 
-Covers the :class:`~repro.runtime.shardcache.ShardedCache` peer tier
-(path peers, corruption tolerance, single-flight population) plus two
-properties the serve deployment depends on:
+Properties the serve deployment depends on, where one
+:class:`~repro.runtime.cache.ArtifactCache` root is shared by the server
+and its worker processes:
 
 * concurrent writers on one fingerprint never corrupt the entry (the
   atomic temp-file/rename store);
 * a reader racing a writer sees either a miss or a complete artifact —
   never a partial pickle;
+* a truncated entry on disk is a miss, and is evicted;
 * ``stats``/``clear`` tolerate another worker mutating the directory
   tree mid-scan.
 """
 
-import threading
 from concurrent.futures import ProcessPoolExecutor
 
-import pytest
-
-from repro.runtime import ArtifactCache, ShardedCache
+from repro.runtime import ArtifactCache
 from repro.runtime.cache import KIND_RESULT
-from repro.runtime.shardcache import peers_from_env
 
 KEY = "ab" + "0" * 62
-OTHER = "cd" + "0" * 62
 
 
 def _spin_writer(root, key, rounds):
@@ -118,104 +114,3 @@ class TestStatsClearTolerance:
         assert cache.clear() == 0  # nothing *we* removed, and no traceback
         monkeypatch.undo()
         assert cache.load(KIND_RESULT, KEY) is None
-
-
-class TestShardedCache:
-    def test_layout_is_artifactcache_compatible(self, tmp_path):
-        plain = ArtifactCache(tmp_path / "cache")
-        sharded = ShardedCache(tmp_path / "cache", peers=[])
-        plain.store(KIND_RESULT, KEY, {"v": 1})
-        assert sharded.load(KIND_RESULT, KEY) == {"v": 1}
-        assert sharded._path(KIND_RESULT, KEY) == plain._path(KIND_RESULT, KEY)
-        assert ShardedCache.shard_of(KEY) == "ab"
-
-    def test_path_peer_read_through_promotes_locally(self, tmp_path):
-        peer = ArtifactCache(tmp_path / "peer")
-        peer.store(KIND_RESULT, KEY, {"v": 2})
-        local = ShardedCache(tmp_path / "local", peers=[str(tmp_path / "peer")])
-        assert local.load(KIND_RESULT, KEY) == {"v": 2}
-        assert local.counters["peer_hits"] == 1
-        # promoted: a second load is a local hit even with the peer gone
-        local.peers = []
-        assert local.load(KIND_RESULT, KEY) == {"v": 2}
-        assert local.counters["local_hits"] == 1
-
-    def test_corrupt_peer_entry_degrades_to_miss(self, tmp_path):
-        peer = ArtifactCache(tmp_path / "peer")
-        path = peer._path(KIND_RESULT, OTHER)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(b"not a pickle")
-        local = ShardedCache(tmp_path / "local", peers=[str(tmp_path / "peer")])
-        assert local.load(KIND_RESULT, OTHER) is None
-        assert local.counters["peer_errors"] == 1
-        assert local.counters["misses"] == 1
-
-    def test_unreachable_peers_fall_back_to_compute(self, tmp_path):
-        local = ShardedCache(tmp_path / "local",
-                             peers=[str(tmp_path / "gone"),
-                                    "http://127.0.0.1:1/"])
-        # ShardedCache collapses the HTTP timeout for the test's sake by
-        # pointing at a closed local port — connection refused is instant.
-        assert local.load(KIND_RESULT, KEY) is None
-        assert local.counters["misses"] == 1
-
-    def test_single_flight_peer_population(self, tmp_path):
-        fetches = []
-        barrier = threading.Barrier(4)
-
-        class CountingPeer:
-            name = "counting"
-
-            def fetch(self, kind, key):
-                import pickle
-
-                fetches.append(key)
-                return pickle.dumps({"v": 3})
-
-        local = ShardedCache(tmp_path / "local", peers=[])
-        local.peers = [CountingPeer()]
-
-        def load():
-            barrier.wait()
-            assert local.load(KIND_RESULT, KEY) == {"v": 3}
-
-        threads = [threading.Thread(target=load) for _ in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # one flight fetched; the rest were served from the local shard
-        assert len(fetches) == 1
-
-    def test_shard_stats_and_describe(self, tmp_path):
-        local = ShardedCache(tmp_path / "local", peers=["peer-a"])
-        local.store(KIND_RESULT, KEY, {"v": 1})
-        local.store(KIND_RESULT, OTHER, {"v": 2})
-        shards = local.shard_stats()
-        assert shards["ab"]["entries"] == 1
-        assert shards["cd"]["entries"] == 1
-        info = local.describe()
-        assert info["peers"] == ["peer-a"]
-        assert info["shards"] == 2
-        assert info["counters"]["misses"] == 0
-
-    def test_peers_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_PEERS",
-                           " /a/b , http://h:1 ,, ")
-        assert peers_from_env() == ["/a/b", "http://h:1"]
-        monkeypatch.delenv("REPRO_CACHE_PEERS")
-        assert peers_from_env() == []
-
-    def test_executor_accepts_sharded_cache(self, tmp_path):
-        """Drop-in property: the executor runs unchanged on a ShardedCache."""
-        from repro.common.config import default_machine
-        from repro.runtime import Job, execute_jobs
-        from repro.workloads import build_workload
-
-        cache = ShardedCache(tmp_path / "cache", peers=[])
-        job = Job(program=build_workload("ocean", size="small"),
-                  scheme="tpi", machine=default_machine().with_(n_procs=4))
-        first = execute_jobs([job], cache=cache)
-        again = execute_jobs([job], cache=cache)
-        assert first[0].to_dict() == again[0].to_dict()
-        assert cache.counters["local_hits"] >= 1
