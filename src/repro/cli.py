@@ -232,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="concurrent cold-request dispatches (default 2); "
                           "each dispatch may fan out over --jobs workers")
     srv.add_argument("--timeout", type=float, metavar="SECONDS",
-                     help="per-job wall-clock bound inside the executor")
+                     help="per-job wall-clock bound on worker processes "
+                          "(--jobs > 1); hung workers are stopped")
     srv.add_argument("--drain-timeout", type=float, default=30.0,
                      metavar="SECONDS",
                      help="how long shutdown waits for in-flight requests")

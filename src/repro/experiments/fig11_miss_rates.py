@@ -7,7 +7,7 @@ and BASE are far worse.
 
 The sweep axis here is the scheme, so the four cells per workload already
 gang over one shared trace (the executor groups by front-end fingerprint
-and scatters each group as one unit).
+and runs each group as one unit).
 """
 
 from __future__ import annotations

@@ -5,22 +5,21 @@ and returns one :class:`~repro.sim.metrics.SimResult` per job, **in input
 order**, regardless of completion order.  The pipeline:
 
 1. finished results are looked up in the artifact cache (parent-side);
-2. the remaining jobs are grouped by front-end fingerprint, so each
-   distinct (program, machine, params, opts, migration) is compiled and
-   traced exactly once no matter how many schemes or sweep cells share it;
-3. groups run in-process when ``jobs == 1`` (zero overhead for tests and
-   small runs) or across a :class:`concurrent.futures.ProcessPoolExecutor`
-   otherwise, with a per-job timeout and one automatic in-process retry
-   when a worker crashes;
+2. the misses are grouped by front-end fingerprint into work units, so
+   each distinct (program, machine, params, opts, migration) is compiled
+   and traced exactly once no matter how many schemes or sweep cells
+   share it.  A job whose result key repeats an earlier one (scheme-dead
+   config pruning) rides that job and is recorded as ``shared``;
+3. units run in-process, one at a time, when ``jobs == 1`` (zero
+   overhead for tests and small runs), or across a
+   :class:`concurrent.futures.ProcessPoolExecutor` otherwise, with a
+   per-job timeout and one in-process retry of any unit whose worker
+   crashed.  A lone front end with several simulations is prepared
+   parent-side and split into one contiguous chunk per worker
+   (``simulate_all(jobs=4)`` and ganged-sweep shapes);
 4. everything computed is written back to the cache.
 
-When a single front end fans out to several back ends/schemes and more
-than one worker is available, the front end is prepared parent-side once
-and the entries are scattered in gang-sized chunks — one gang per worker,
-the columnar buffers shipped once per chunk instead of once per cell
-(``simulate_all(jobs=4)`` and ganged-sweep shapes).
-
-Every group runs through :func:`repro.sim.gang.run_gang`: when its
+Every unit runs through :func:`repro.sim.gang.run_gang`: when its
 entries span several distinct back-end machines, the trace-static
 per-geometry analyses are built for all of them in one config-axis
 broadcast and shared, and then the entries simulate one engine at a
@@ -63,11 +62,11 @@ def effective_jobs(jobs: Optional[int]) -> int:
 
 @dataclass
 class _Entry:
-    """One pending simulation inside a group: its own back-end machine.
+    """One pending simulation inside a unit: its own back-end machine.
 
-    Entries of one group share the front end (trace + marking) but may
+    Entries of one unit share the front end (trace + marking) but may
     differ in every back-end machine field — the gang axis — so the
-    machine rides on the entry, never on the group's ``PreparedRun``.
+    machine rides on the entry, never on the unit's ``PreparedRun``.
     """
 
     index: int
@@ -78,68 +77,63 @@ class _Entry:
 
 
 @dataclass
-class _GroupWork:
-    """One worker unit: a shared front end plus its member simulations."""
+class _Unit:
+    """One work unit: a front end plus the distinct simulations over it.
 
-    prepare_key: str
-    program: Any
-    machine: Any
-    params: Optional[Dict[str, int]]
-    opts: Any
-    migration: Any
+    The front end is ``prepared`` when the parent already holds it
+    (``simulate_all``'s ``prepared=`` or a split); otherwise it is
+    loaded from the cache or prepared from the recipe ``job``.
+    """
+
+    job: Job
     entries: List[_Entry]
-    cache_root: Optional[str]
+    prepared: Optional[PreparedRun] = None
 
 
-@dataclass
-class _ScatterWork:
-    """Scatter unit: one gang chunk over a parent-prepared front end."""
-
-    prepared: PreparedRun
-    entries: List[_Entry]
-    cache_root: Optional[str]
-
-
-def _obtain_prepared(work: _GroupWork, cache: Optional[ArtifactCache],
+def _obtain_prepared(unit: _Unit, cache: Optional[ArtifactCache],
                      stats: Dict[str, Any]) -> PreparedRun:
+    if unit.prepared is not None:
+        return unit.prepared
+    key = unit.job.prepare_fingerprint()
     if cache is not None:
-        hit = cache.load(KIND_PREPARED, work.prepare_key)
+        hit = cache.load(KIND_PREPARED, key)
         if hit is not None:
             stats["prepare_hits"] += 1
             return hit
     stats["prepare_misses"] += 1
     stats["traces_generated"] += 1
-    prepared = prepare(work.program, work.machine, work.params, work.opts,
-                       work.migration)
+    job = unit.job
+    prepared = prepare(job.program, job.machine, job.params, job.opts,
+                       job.migration)
     phases = stats["phases"]
     phases["compile"] = phases.get("compile", 0.0) + prepared.compile_s
     phases["trace"] = phases.get("trace", 0.0) + prepared.trace_s
     if cache is not None:
-        cache.store(KIND_PREPARED, work.prepare_key, prepared)
+        cache.store(KIND_PREPARED, key, prepared)
     return prepared
 
 
-def _simulate_entries(prepared: PreparedRun,
-                      entries: Sequence[_Entry],
-                      cache: Optional[ArtifactCache],
-                      stats: Dict[str, Any]) -> List[Tuple[int, SimResult]]:
-    out: List[Tuple[int, SimResult]] = []
-    # Scheme-dead config pruning (Job.fingerprint) makes e.g. every
-    # timetag width of an hw cell name the same result key — compute
-    # the representative once and share it with the duplicates.
-    reps: Dict[str, _Entry] = {}
-    unique: List[_Entry] = []
-    for entry in entries:
-        if entry.result_key not in reps:
-            reps[entry.result_key] = entry
-            unique.append(entry)
+def _new_stats() -> Dict[str, Any]:
+    return {"prepare_hits": 0, "prepare_misses": 0, "traces_generated": 0,
+            "records": [], "phases": {}}
+
+
+def _execute_unit(unit: _Unit, cache: Optional[ArtifactCache]
+                  ) -> Tuple[List[Tuple[int, SimResult]], Dict]:
+    """Run one unit, in-process or as the pool's worker entry point:
+    obtain its front end, gang its entries, store their results.
+
+    The front end is dropped on return unless the unit carries it, so a
+    serial batch holds one front end (and its primed analyses) at a time.
+    """
+    stats = _new_stats()
+    prepared = _obtain_prepared(unit, cache, stats)
     results = run_gang(prepared, [GangMember(entry.machine, entry.scheme)
-                                  for entry in unique], stats)
+                                  for entry in unit.entries], stats)
     walls = stats.pop("member_wall_s")
-    computed: Dict[str, SimResult] = {}
     phases = stats["phases"]
-    for entry, result, wall in zip(unique, results, walls):
-        computed[entry.result_key] = result
+    out: List[Tuple[int, SimResult]] = []
+    for entry, result, wall in zip(unit.entries, results, walls):
         if cache is not None:
             cache.store(KIND_RESULT, entry.result_key, result)
         phases["engine"] = phases.get("engine", 0.0) + wall
@@ -150,60 +144,34 @@ def _simulate_entries(prepared: PreparedRun,
             "engine": result.engine,
             "worker": os.getpid()})
         out.append((entry.index, result))
-    for entry in entries:
-        if entry is reps[entry.result_key]:
-            continue
-        result = computed[entry.result_key]
-        stats["results_shared"] += 1
-        stats["records"].append({
-            "label": entry.label, "scheme": entry.scheme,
-            "fingerprint": entry.result_key[:12],
-            "wall_s": 0.0, "source": "shared",
-            "engine": result.engine,
-            "worker": os.getpid()})
-        out.append((entry.index, result))
-    return out
+    return out, stats
 
 
-def _new_stats() -> Dict[str, Any]:
-    return {"prepare_hits": 0, "prepare_misses": 0, "traces_generated": 0,
-            "gang_width": 0, "results_shared": 0, "records": [], "phases": {}}
-
-
-def _execute_group(work: _GroupWork) -> Tuple[List[Tuple[int, SimResult]], Dict]:
-    """Worker entry point: prepare (or load) the front end, run members."""
-    cache = ArtifactCache(work.cache_root) if work.cache_root else None
-    stats = _new_stats()
-    prepared = _obtain_prepared(work, cache, stats)
-    return _simulate_entries(prepared, work.entries, cache, stats), stats
-
-
-def _execute_scatter(work: _ScatterWork) -> Tuple[List[Tuple[int, SimResult]], Dict]:
-    """Worker entry point for the scatter path (front end shipped in)."""
-    cache = ArtifactCache(work.cache_root) if work.cache_root else None
-    stats = _new_stats()
-    return _simulate_entries(work.prepared, work.entries, cache, stats), stats
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Terminate a pool's workers: a running future cannot be cancelled,
+    and ``shutdown`` would otherwise wait for a hung one to finish."""
+    for process in list(pool._processes.values()):
+        process.terminate()
 
 
 class ParallelExecutor:
     """Runs jobs across processes with caching and deterministic ordering.
 
-    ``jobs=1`` (the default) executes serially in-process — same code
-    path, no pool, no pickling.  ``jobs=None`` or ``0`` uses every core.
-    ``timeout`` is a per-job wall-clock bound in seconds; ``retries`` is
-    the number of automatic in-process retries after a worker crash.
+    ``jobs=1`` (the default) executes serially in-process — same work
+    units, no pool, no pickling.  ``jobs=None`` or ``0`` uses every core.
+    ``timeout`` is a per-job wall-clock bound in seconds; a unit of n
+    jobs may take n times as long.  A unit whose worker crashes is
+    retried once in-process.
     """
 
     def __init__(self, jobs: Optional[int] = 1,
                  cache: Optional[ArtifactCache] = None,
                  telemetry: Optional[Telemetry] = None,
-                 timeout: Optional[float] = None,
-                 retries: int = 1):
+                 timeout: Optional[float] = None):
         self.n_jobs = effective_jobs(jobs)
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.timeout = timeout
-        self.retries = retries
 
     # ------------------------------------------------------------------ API
 
@@ -220,71 +188,61 @@ class ParallelExecutor:
         telemetry.jobs_submitted += len(jobs)
         results: List[Optional[SimResult]] = [None] * len(jobs)
 
-        pending: List[Tuple[int, Job]] = []
+        units: Dict[str, _Unit] = {}
+        firsts: Dict[str, int] = {}  # result key -> index that computes it
+        shared: List[Tuple[int, Job, str]] = []
         for index, job in enumerate(jobs):
-            hit = (self.cache.load(KIND_RESULT, job.fingerprint())
+            key = job.fingerprint()
+            hit = (self.cache.load(KIND_RESULT, key)
                    if self.cache is not None else None)
             if hit is not None:
                 telemetry.result_hits += 1
                 telemetry.note_job(JobRecord(
-                    label=job.label, scheme=job.scheme,
-                    fingerprint=job.fingerprint()[:12], wall_s=0.0,
-                    source="cache", worker=os.getpid()))
+                    label=job.label, scheme=job.scheme, fingerprint=key[:12],
+                    wall_s=0.0, source="cache", worker=os.getpid()))
                 results[index] = hit
+                continue
+            telemetry.result_misses += 1
+            prepare_key = job.prepare_fingerprint()
+            unit = units.get(prepare_key)
+            if unit is None:
+                unit = units[prepare_key] = _Unit(
+                    job, [], (prepared or {}).get(prepare_key))
             else:
-                telemetry.result_misses += 1
-                pending.append((index, job))
+                # Every miss beyond a unit's first rides a shared front
+                # end — the fingerprint-split dedup the gang path builds on.
+                telemetry.traces_shared += 1
+            if key in firsts:
+                shared.append((index, job, key))
+                continue
+            firsts[key] = index
+            unit.entries.append(_Entry(index=index, scheme=job.scheme,
+                                       machine=job.machine, result_key=key,
+                                       label=job.label))
 
-        groups = self._build_groups(pending, prepared)
-        # Every pending job beyond the first of its group rides a shared
-        # front end — the fingerprint-split dedup the gang path builds on.
-        telemetry.traces_shared += sum(len(g.entries) - 1 for g in groups)
-        # Scatter fans gang chunks (not whole groups) out to the pool, so
-        # count work units accordingly or the report under-states worker
-        # parallelism.
-        units = max(1, len(groups))
-        if groups:
-            if self.n_jobs <= 1:
-                self._run_serial(groups, prepared, results)
-            elif len(groups) == 1 and len(groups[0].entries) > 1:
-                units = len(groups[0].entries)
-                self._run_scatter(groups[0], prepared, results)
-            else:
-                self._run_pool(groups, prepared, results)
+        work = list(units.values())
+        if self.n_jobs <= 1:
+            for unit in work:
+                self._absorb(_execute_unit(unit, self.cache), results)
+        elif work:
+            if len(work) == 1 and len(work[0].entries) > 1:
+                work = self._split(work[0])
+            self._dispatch(work, results)
 
+        for index, job, key in shared:
+            result = results[firsts[key]]
+            results[index] = result
+            telemetry.results_shared += 1
+            telemetry.note_job(JobRecord(
+                label=job.label, scheme=job.scheme, fingerprint=key[:12],
+                wall_s=0.0, source="shared", engine=result.engine,
+                worker=os.getpid()))
         telemetry.n_workers = max(telemetry.n_workers,
-                                  1 if self.n_jobs <= 1 else
-                                  min(self.n_jobs, units))
+                                  min(self.n_jobs, len(work)))
         telemetry.wall_time_s += time.perf_counter() - started
         return [result for result in results]  # type: ignore[misc]
 
     # ------------------------------------------------------------- internal
-
-    def _build_groups(self, pending: Sequence[Tuple[int, Job]],
-                      prepared: Optional[Dict[str, PreparedRun]]) -> List[_GroupWork]:
-        cache_root = str(self.cache.root) if self.cache is not None else None
-        grouped: Dict[str, _GroupWork] = {}
-        order: List[_GroupWork] = []
-        for index, job in pending:
-            key = job.prepare_fingerprint()
-            work = grouped.get(key)
-            if work is None:
-                work = _GroupWork(prepare_key=key, program=job.program,
-                                  machine=job.machine, params=job.params,
-                                  opts=job.opts, migration=job.migration,
-                                  entries=[], cache_root=cache_root)
-                grouped[key] = work
-                order.append(work)
-            work.entries.append(_Entry(index=index, scheme=job.scheme,
-                                       machine=job.machine,
-                                       result_key=job.fingerprint(),
-                                       label=job.label))
-        return order
-
-    def _group_timeout(self, work: _GroupWork) -> Optional[float]:
-        if self.timeout is None:
-            return None
-        return self.timeout * max(1, len(work.entries))
 
     def _absorb(self, outcome: Tuple[List[Tuple[int, SimResult]], Dict],
                 results: List[Optional[SimResult]]) -> None:
@@ -293,30 +251,10 @@ class ParallelExecutor:
         for index, result in payload:
             results[index] = result
 
-    def _run_serial(self, groups: Sequence[_GroupWork],
-                    prepared: Optional[Dict[str, PreparedRun]],
-                    results: List[Optional[SimResult]]) -> None:
-        for work in groups:
-            self._absorb(self._serial_group(work, prepared), results)
-
-    def _serial_group(self, work: _GroupWork,
-                      prepared: Optional[Dict[str, PreparedRun]]
-                      ) -> Tuple[List[Tuple[int, SimResult]], Dict]:
-        """One group in-process; its front end is dropped on return, so
-        a batch holds one front end (and its primed analyses) at a time."""
-        stats = _new_stats()
-        run = (prepared or {}).get(work.prepare_key)
-        if run is None:
-            # In-process: reuse self.cache instead of reopening the root.
-            run = _obtain_prepared(work, self.cache, stats)
-        return _simulate_entries(run, work.entries, self.cache, stats), stats
-
-    def _run_scatter(self, work: _GroupWork,
-                     prepared: Optional[Dict[str, PreparedRun]],
-                     results: List[Optional[SimResult]]) -> None:
+    def _split(self, unit: _Unit) -> List[_Unit]:
         """One front end, many back ends/schemes: prepare once, fan out.
 
-        Entries split into one contiguous gang chunk per worker, so the
+        Entries split into one contiguous chunk per worker, so the
         columnar buffers pickle once per worker (not once per cell) and
         each worker's chunk shares primed analyses in-process.  Contiguity
         matters: the grid is schemes-innermost, so a cell's schemes — and
@@ -324,94 +262,49 @@ class ParallelExecutor:
         in the same chunk.
         """
         stats = _new_stats()
-        run = (prepared or {}).get(work.prepare_key)
-        if run is None:
-            run = _obtain_prepared(work, self.cache, stats)
+        run = _obtain_prepared(unit, self.cache, stats)
         self.telemetry.merge_worker(stats)
-        # Dedup duplicate result keys parent-side (scheme-dead config
-        # pruning): chunk boundaries would otherwise split duplicates
-        # across workers and recompute them.
-        reps: Dict[str, _Entry] = {}
-        entries: List[_Entry] = []
-        duplicates: List[_Entry] = []
-        for entry in work.entries:
-            if entry.result_key in reps:
-                duplicates.append(entry)
-            else:
-                reps[entry.result_key] = entry
-                entries.append(entry)
-        chunks = max(1, min(self.n_jobs, len(entries)))
-        size, rem = divmod(len(entries), chunks)
-        units: List[_ScatterWork] = []
+        chunks = min(self.n_jobs, len(unit.entries))
+        size, rem = divmod(len(unit.entries), chunks)
+        out: List[_Unit] = []
         start = 0
         for rank in range(chunks):
             stop = start + size + (1 if rank < rem else 0)
-            units.append(_ScatterWork(prepared=run,
-                                      entries=entries[start:stop],
-                                      cache_root=work.cache_root))
+            out.append(_Unit(unit.job, unit.entries[start:stop], run))
             start = stop
-        self._dispatch(_execute_scatter, units, self._chunk_timeout, results)
-        for entry in duplicates:
-            result = results[reps[entry.result_key].index]
-            results[entry.index] = result
-            self.telemetry.results_shared += 1
-            self.telemetry.note_job(JobRecord(
-                label=entry.label, scheme=entry.scheme,
-                fingerprint=entry.result_key[:12], wall_s=0.0,
-                source="shared", engine=result.engine, worker=os.getpid()))
+        return out
 
-    def _chunk_timeout(self, unit: _ScatterWork) -> Optional[float]:
-        if self.timeout is None:
-            return None
-        return self.timeout * max(1, len(unit.entries))
-
-    def _run_pool(self, groups: Sequence[_GroupWork],
-                  prepared: Optional[Dict[str, PreparedRun]],
+    def _dispatch(self, units: Sequence[_Unit],
                   results: List[Optional[SimResult]]) -> None:
-        # Parent-supplied front ends cannot cross the pickle boundary via
-        # the cache, so peel those groups off and run them in-process.
-        remote: List[_GroupWork] = []
-        for work in groups:
-            if prepared and work.prepare_key in prepared:
-                self._run_serial([work], prepared, results)
-            else:
-                remote.append(work)
-        if remote:
-            self._dispatch(_execute_group, remote, self._group_timeout,
-                           results)
+        """Run units on a fresh pool; retry unfinished units in-process.
 
-    def _dispatch(self, fn, units, timeout_for, results) -> None:
-        """Submit units to a fresh pool; retry crashed units in-process."""
-        workers = min(self.n_jobs, len(units))
-        crashed: List[Any] = []
+        Each unit may take ``timeout`` seconds per entry.  On expiry the
+        pool's workers are stopped before :class:`JobTimeoutError` is
+        raised, so the error arrives on time and leaves no process behind.
+        """
+        pool = ProcessPoolExecutor(max_workers=min(self.n_jobs, len(units)))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [(unit, pool.submit(fn, unit)) for unit in units]
-                for unit, future in futures:
-                    try:
-                        self._absorb(future.result(timeout=timeout_for(unit)),
-                                     results)
-                    except FutureTimeout:
-                        for _, other in futures:
-                            other.cancel()
-                        raise JobTimeoutError(
-                            f"job exceeded {self.timeout}s timeout") from None
-                    except BrokenProcessPool:
-                        raise  # pool is dead; retry everything unfinished
-                    except Exception:
-                        crashed.append(unit)
+            futures = [pool.submit(_execute_unit, unit, self.cache)
+                       for unit in units]
+            for unit, future in zip(units, futures):
+                limit = (None if self.timeout is None
+                         else self.timeout * len(unit.entries))
+                try:
+                    self._absorb(future.result(timeout=limit), results)
+                except FutureTimeout:
+                    _stop_workers(pool)
+                    raise JobTimeoutError(
+                        f"job exceeded {self.timeout}s timeout") from None
+                except Exception:
+                    continue  # retried below; a real error raises there
         except BrokenProcessPool:
-            crashed = [unit for unit in units
-                       if self._unfinished(unit, results)]
-        for unit in crashed:
-            if self.retries <= 0:
-                raise SimulationError("worker failed and retries exhausted")
-            self.telemetry.retries += 1
-            self._absorb(fn(unit), results)
-
-    @staticmethod
-    def _unfinished(unit, results) -> bool:
-        return any(results[entry.index] is None for entry in unit.entries)
+            pass  # a worker died while units were being submitted
+        finally:
+            pool.shutdown(wait=True)
+        for unit in units:
+            if results[unit.entries[0].index] is None:
+                self.telemetry.retries += 1
+                self._absorb(_execute_unit(unit, self.cache), results)
 
 
 def execute_jobs(jobs: Sequence[Job], n_jobs: Optional[int] = 1,

@@ -19,8 +19,8 @@ three-level dedup funnel:
 
 Cold requests dispatch onto a bounded thread pool, each running a
 :class:`~repro.runtime.executor.ParallelExecutor` configured with the
-service's worker count, per-job timeout, and crash retry; the executor's
-process fan-out and gang priming apply unchanged.  Responses are the
+service's worker count and per-job timeout; the executor's process
+fan-out, crash retry and gang priming apply unchanged.  Responses are the
 byte-exact CLI ``--json`` payloads (:mod:`repro.serve.payloads`).
 
 Every request is recorded in a bounded job registry (``GET /jobs/<id>``)
@@ -79,9 +79,8 @@ class ServeConfig:
     """Concurrent cold dispatches (thread-pool width); further cold
     requests queue behind these without blocking cached traffic."""
     timeout: Optional[float] = None
-    """Per-job wall-clock bound inside the executor."""
-    retries: int = 1
-    """Automatic in-process retries after a worker crash."""
+    """Per-job wall-clock bound inside the executor (worker processes
+    only: with ``jobs == 1`` the executor runs in-process, unbounded)."""
 
 
 @dataclass
@@ -245,8 +244,7 @@ class SimulationService:
         telemetry = Telemetry()
         executor = ParallelExecutor(jobs=self.config.jobs, cache=self.cache,
                                     telemetry=telemetry,
-                                    timeout=self.config.timeout,
-                                    retries=self.config.retries)
+                                    timeout=self.config.timeout)
         results = executor.run(parsed.jobs)
         return self._build_payload(parsed, results, telemetry)
 
@@ -382,8 +380,7 @@ class SimulationService:
             },
             "executor": {"jobs": self.config.jobs,
                          "dispatchers": self.config.dispatchers,
-                         "timeout_s": self.config.timeout,
-                         "retries": self.config.retries},
+                         "timeout_s": self.config.timeout},
             "cache": (None if self.cache is None
                       else {"root": str(self.cache.root)}),
         }

@@ -95,7 +95,7 @@ def simulate_all(run: Union[Program, PreparedRun],
     """Simulate several schemes over one prepared run.
 
     Execution goes through :class:`repro.runtime.ParallelExecutor`:
-    ``jobs=N`` scatters the schemes across worker processes (the front
+    ``jobs=N`` splits the schemes across worker processes (the front
     end is still built exactly once), a :class:`repro.runtime.ArtifactCache`
     makes repeat invocations near-free, and ``telemetry`` collects the
     run's counters.  The default ``jobs=1`` with no cache runs in-process.

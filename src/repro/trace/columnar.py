@@ -4,7 +4,7 @@ as a handful of flat numpy arrays.
 A trace is mostly one enormous homogeneous event stream, so the
 list-of-:class:`MemEvent` representation pays per-object costs everywhere
 it moves: building it dominates trace generation, pickling it dominates
-the executor's scatter boundary and the artifact cache, and the fast
+the executor's process boundary and the artifact cache, and the fast
 engine immediately re-converts it to arrays (:class:`repro.sim.
 fastengine._TaskArrays`).  This module stores the same information
 columnarly:
@@ -26,7 +26,7 @@ task_columns`; consumers that want objects (the reference engine, the
 wholesale fallback path) materialize a :class:`~repro.trace.events.Task`
 list lazily per epoch.  Pickling a ``ColumnarTrace`` ships the raw array
 buffers — no per-event object graph — which is what makes cached
-``PreparedRun`` artifacts and executor scatter cheap.
+``PreparedRun`` artifacts and split executor units cheap.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Tests for the parallel execution engine and artifact cache."""
 
+import multiprocessing
+import os
 import pickle
+import time
 
 import pytest
 
@@ -16,7 +19,9 @@ from repro.runtime import (
     program_digest,
     session,
 )
+from repro.runtime import executor as executor_module
 from repro.runtime.cache import KIND_RESULT
+from repro.runtime.executor import JobTimeoutError
 from repro.sim.runner import prepare, simulate, simulate_all
 from repro.sim.sweep import Sweep, axis_cache_lines, axis_timetag_bits
 from repro.workloads import build_workload
@@ -28,6 +33,25 @@ SCHEMES = ("base", "sc", "tpi", "hw")
 
 def small(name):
     return build_workload(name, size="small")
+
+
+# Monkeypatching the executor reaches pool workers only when they fork.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers must inherit the patched run_gang")
+
+
+def patch_workers(monkeypatch, action):
+    """Make ``run_gang`` call ``action()`` first in pool workers only."""
+    parent = os.getpid()
+    real = executor_module.run_gang
+
+    def patched(prepared, members, stats=None):
+        if os.getpid() != parent:
+            action()
+        return real(prepared, members, stats)
+
+    monkeypatch.setattr(executor_module, "run_gang", patched)
 
 
 class TestFingerprints:
@@ -133,6 +157,36 @@ class TestExecutor:
         jobs = jobs_for_schemes(small("ocean"), ("nosuch",), MACHINE)
         with pytest.raises(Exception):
             execute_jobs(jobs, n_jobs=2)
+
+    @needs_fork
+    @pytest.mark.parametrize("jobs,units", [
+        (jobs_for_schemes(small("ocean"), SCHEMES, MACHINE)
+         + jobs_for_schemes(small("trfd"), SCHEMES, MACHINE), 2),
+        (jobs_for_schemes(small("ocean"), ("tpi", "hw", "sc"), MACHINE), 2),
+    ], ids=["several-front-ends", "one-front-end-split"])
+    def test_crashed_workers_retry_in_process(self, monkeypatch, jobs, units):
+        """A worker that dies mid-unit costs one in-process retry per
+        unit, never a result or a record."""
+        serial = execute_jobs(jobs, n_jobs=1)
+        patch_workers(monkeypatch, lambda: os._exit(3))
+        telemetry = Telemetry()
+        assert execute_jobs(jobs, n_jobs=2, telemetry=telemetry) == serial
+        assert telemetry.retries == units
+        assert sorted(r.label for r in telemetry.records) == sorted(
+            job.label for job in jobs)
+
+    @needs_fork
+    def test_timeout_stops_hung_workers(self, monkeypatch):
+        """``timeout`` bounds wall time: hung workers are stopped, not
+        awaited, and none outlives the error."""
+        jobs = (jobs_for_schemes(small("ocean"), ("tpi",), MACHINE)
+                + jobs_for_schemes(small("trfd"), ("tpi",), MACHINE))
+        patch_workers(monkeypatch, lambda: time.sleep(6))
+        started = time.perf_counter()
+        with pytest.raises(JobTimeoutError):
+            execute_jobs(jobs, n_jobs=2, timeout=0.5)
+        assert time.perf_counter() - started < 0.5 + 2.0
+        assert multiprocessing.active_children() == []
 
     def test_effective_jobs(self):
         assert effective_jobs(3) == 3

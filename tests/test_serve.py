@@ -168,6 +168,22 @@ class TestServiceDedup:
         assert service.cache.load(KIND_RESULT, key) is not None
 
 
+    def test_stored_front_end_serves_another_scheme(self, tmp_path):
+        """A cold request for a second scheme of one workload loads the
+        prepared front end the first request stored: no compile, no trace."""
+        service = make_service(tmp_path)
+        first = run(service.answer("simulate", dict(SIM_BODY,
+                                                    schemes=["tpi"])))
+        second = run(service.answer("simulate", dict(SIM_BODY,
+                                                     schemes=["hw"])))
+        service.close()
+        assert service.dispatched == 2
+        assert "trace" in json.loads(first.decode())["phases"]
+        phases = json.loads(second.decode())["phases"]
+        assert "compile" not in phases and "trace" not in phases
+        assert "engine" in phases
+
+
 class TestServiceValidation:
     @pytest.mark.parametrize("body,fragment", [
         ({"workload": "nope"}, "unknown workload"),
