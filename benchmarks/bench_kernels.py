@@ -7,9 +7,7 @@ workloads (front ends prepared outside the timing), best of
 * ``kernel`` — the scheme's batch kernel; off, ``make_batch_kernel``
   returns None and cold spans take the engine's per-event path;
 * ``preapply`` — epoch pre-apply; off, ``FastEngine._preapply_epoch``
-  returns False and every cold span is scanned window by window;
-* ``span_cutoff`` — the short-span cutoff; off, ``batch._SPAN_CUTOFF``
-  is 0 and every span is scanned, however short.
+  returns False and every cold span is scanned window by window.
 
 Each switch is flipped by patching it in this process; ``src/repro``
 has no setting for any of them.  Every round times all variants in
@@ -43,7 +41,6 @@ from repro.coherence import (BaseScheme, FullMapDirectoryScheme,
                              LimitLessScheme, SnoopBusScheme,
                              SoftwareBypassScheme, TpiScheme,
                              UpdateDirectoryScheme)
-from repro.coherence import batch
 from repro.common.config import default_machine
 from repro.sim import prepare, simulate
 from repro.sim.fastengine import FastEngine
@@ -54,7 +51,7 @@ KERNEL_SCHEMES = {"base": BaseScheme, "sc": SoftwareBypassScheme,
                   "tpi": TpiScheme, "hw": FullMapDirectoryScheme,
                   "limitless": LimitLessScheme, "snoop": SnoopBusScheme,
                   "update": UpdateDirectoryScheme}
-SWITCHES = ("kernel", "preapply", "span_cutoff")
+SWITCHES = ("kernel", "preapply")
 SIZES = ("small", "default")
 
 
@@ -64,8 +61,6 @@ def _patch(scheme: str, switch: str):
         return KERNEL_SCHEMES[scheme], "make_batch_kernel", lambda self: None
     if switch == "preapply":
         return FastEngine, "_preapply_epoch", lambda self, *args: False
-    if switch == "span_cutoff":
-        return batch, "_SPAN_CUTOFF", 0
     raise ValueError(f"unknown switch {switch!r}")
 
 

@@ -38,6 +38,10 @@ that array per window; the engine's **epoch pre-apply**
 (:meth:`_BatchKernel.preapply`) merges all of an epoch's cold events,
 across every task, into one window and memoizes the array's per-task
 prefix sums, so each later ``span`` call is a constant-time lookup.
+The engine's planner makes each task's hot and cold events use disjoint
+sets of its processor's cache, so every batched epoch can pre-apply;
+a poisoned set, or two tasks on one processor sharing a set, still
+sends the epoch's spans through the window-by-window path.
 
 Every per-event execution, and every MSI miss or upgrade another
 processor could observe, goes through exactly the code the reference
@@ -79,11 +83,6 @@ from repro.memsys.wbuffer import WRITE_MESSAGE_WORDS
 
 #: Events per scan window.
 _WINDOW = 4096
-
-#: Spans shorter than this run through the exact per-event path outright:
-#: a scan's fixed numpy cost outweighs the per-event code it replaces on
-#: tiny hot-fragmented spans.
-_SPAN_CUTOFF = 24
 
 
 class _Chains:
@@ -396,11 +395,11 @@ class _BatchKernel:
 
     Every apply writes each event's latency into one array
     (:meth:`_run`), and both callers sum it: :meth:`span` per window,
-    and :meth:`preapply` into per-task prefix sums.  When the fast
-    engine proves that an epoch's hot and cold events live in disjoint
-    cache sets, pre-apply scans and applies every task's cold events in
-    one merged multi-processor window before dispatch, and :meth:`span`
-    then answers from the memoized prefix sums instead of rescanning."""
+    and :meth:`preapply` into per-task prefix sums.  Since each task's
+    hot and cold events live in disjoint sets of its processor's cache,
+    pre-apply scans and applies every task's cold events in one merged
+    multi-processor window before dispatch, and :meth:`span` then
+    answers from the memoized prefix sums instead of rescanning."""
 
     def __init__(self, scheme):
         self.scheme = scheme
@@ -450,8 +449,6 @@ class _BatchKernel:
         cs = self._memo.get(id(ta))
         if cs is not None:
             return int(cs[hi] - cs[lo])
-        if hi - lo < _SPAN_CUTOFF:
-            return self._boundaries(eng, proc, ta, range(lo, hi))
         elapsed = 0
         for i in range(lo, hi, _WINDOW):
             cols = _Cols.window(proc, ta, i, min(i + _WINDOW, hi))
@@ -466,7 +463,7 @@ class _BatchKernel:
                     eng, proc, ta, (np.flatnonzero(~ok) + i).tolist())
         return elapsed
 
-    def preapply(self, eng, pieces, cols: Optional[_Cols] = None) -> bool:
+    def preapply(self, eng, pieces) -> bool:
         """Scan and apply an epoch's cold events in one merged window.
 
         ``pieces`` lists ``(proc, ta, sel)`` in dispatch order; ``sel``
@@ -477,9 +474,8 @@ class _BatchKernel:
         ``work + latency`` (zero at hot positions) is memoized so that
         :meth:`span` is a constant-time lookup for the rest of the epoch.
         """
-        if cols is None:
-            cols = _Cols.merged(pieces, self.machine.cache.n_sets,
-                                self.shadow.total_words)
+        cols = _Cols.merged(pieces, self.machine.cache.n_sets,
+                            self.shadow.total_words)
         ok, ctx = self._scan(cols)
         if not bool(ok.all()):
             return False
@@ -531,14 +527,13 @@ class _BatchKernel:
 
     # ----------------------------------------------------------- the frame
 
-    def _frame(self, cols: _Cols, alloc, token):
+    def _frame(self, cols: _Cols, alloc):
         """The scan frame every kernel starts from: the window's slot
         chains (``alloc`` selects the events that allocate, None for
-        all; ``token`` names their memoized set chains), each event's
-        window-start slot tag and whether its line is resident when it
-        executes, and the context entries the apply and :meth:`_stamp`
-        read.  Returns ``(chains, tags0, resident, ctx)``."""
-        ch = self._slot_chains(cols, alloc, token)
+        all), each event's window-start slot tag and whether its line is
+        resident when it executes, and the context entries the apply and
+        :meth:`_stamp` read.  Returns ``(chains, tags0, resident, ctx)``."""
+        ch = self._slot_chains(cols, alloc)
         tags0 = self._gset(self.tags, cols, ch.slot)
         ctx = {"slot": ch.slot, "last": ch.last}
         if alloc is not None:
@@ -602,35 +597,18 @@ class _BatchKernel:
             out[lo:hi] = arrs[p][slot[lo:hi], cols.wd[lo:hi]]
         return out
 
-    def _set_chains(self, cols: _Cols, mask, token) -> "_SetChains":
-        """Per-set chains for this window, memoized on the window: the
-        argsort and residency links depend only on static columns (and a
-        static allocation mask), so engine-cached merged windows reuse
-        them across schemes and repeated simulations."""
-        ch = cols.cache.get(token)
-        if ch is None:
-            ch = _SetChains(cols.skey, cols.line, mask, cols.s)
-            cols.cache[token] = ch
-        return ch
-
     def _line_chains(self, cols: _Cols) -> _Chains:
-        """Per-line chains (one processor's line lives in one set), also
-        memoized on the window."""
-        ch = cols.cache.get("line")
-        if ch is None:
-            key = cols.line
-            if len(cols.parts) > 1:
-                key = key + cols.procv * (int(key.max()) + 1)
-            ch = cols.cache["line"] = _Chains(key)
-        return ch
+        """Per-line chains (one processor's line lives in one set)."""
+        key = cols.line
+        if len(cols.parts) > 1:
+            key = key + cols.procv * (int(key.max()) + 1)
+        return _Chains(key)
 
-    def _slot_chains(self, cols: _Cols, mask, token) -> "_SetChains":
+    def _slot_chains(self, cols: _Cols, mask) -> "_SetChains":
         """The window's slot chains: the set chains re-keyed by the way
         each event's line occupies when it executes (:meth:`_ways`).  A
-        direct-mapped cache's slot chains are its memoized set chains;
-        otherwise they depend on the window-start tags and are built on
-        every scan."""
-        sets = self._set_chains(cols, mask, token)
+        direct-mapped cache's slot chains are its set chains."""
+        sets = _SetChains(cols.skey, cols.line, mask, cols.s)
         K = self.assoc
         if K == 1:
             return sets
@@ -833,7 +811,7 @@ class BaseBatchKernel(_BatchKernel):
 
     def _scan(self, cols):
         priv = ~cols.sh
-        _, _, resident, ctx = self._frame(cols, priv, "base")
+        _, _, resident, ctx = self._frame(cols, priv)
         # Installed lines are fully valid and writes validate their word,
         # so a resident private line always hits; misses install.
         miss = priv & ~resident
@@ -912,7 +890,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         rd = ~wr
 
         # Every access allocates.
-        ch, tags0, resident, ctx = self._frame(cols, None, "hold")
+        ch, tags0, resident, ctx = self._frame(cols, None)
         slot = ch.slot
         ach = ch.run_addrs(self._addr_chains(cols))
         wb = ach.prior_any(wr)
@@ -1049,8 +1027,7 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
         wr, sh, addr = cols.wr, cols.sh, cols.addr
         bypass = ~wr & sh & self._marked(cols, "sc")
         cached = ~bypass
-        ch, _, resident, ctx = self._frame(
-            cols, cached, ("sc", id(self.scheme.ctx.marking)))
+        ch, _, resident, ctx = self._frame(cols, cached)
         miss = cached & ~resident  # line miss: install (read or write)
         fresh = ch.runs.prior_any(miss)
         wb = ch.run_addrs(self._addr_chains(cols)).prior_any(wr)
@@ -1115,7 +1092,7 @@ class UpdateBatchKernel(_BatchKernel):
     def _scan(self, cols):
         wr, sh = cols.wr, cols.sh
         # Every access installs; a direct-mapped slot is its set.
-        ch, _, resident, ctx = self._frame(cols, None, "hold")
+        ch, _, resident, ctx = self._frame(cols, None)
         batch = resident
         if self.check:
             # A batched read serves its cached version, which must meet
@@ -1247,7 +1224,7 @@ class MsiBatchKernel(_BatchKernel):
     def _scan(self, cols):
         line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
         # Every access holds its line.
-        ch, tags0, resident, ctx = self._frame(cols, None, "hold")
+        ch, tags0, resident, ctx = self._frame(cols, None)
         dirty0 = self._gset(self.dirty, cols, ch.slot)
         miss = ~resident
         stale = None

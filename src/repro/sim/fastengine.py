@@ -26,6 +26,11 @@ does.  This engine exploits that:
   transitions as under the reference engine; only the interleaving
   *between* processors differs, exactly where it is provably
   unobservable.
+* With a kernel, every event in a cache set that a task's own hot events
+  use is hot for that task too, so each task's hot and cold events use
+  disjoint sets of its processor's cache.  That lets the epoch
+  **pre-apply** all its cold events, across every task, in one merged
+  kernel window before dispatch (:meth:`FastEngine._preapply_epoch`).
 
 Epochs the analysis cannot clear — synchronization (locks / critical
 sections), or a scheme with no declared hot rule — fall back wholesale
@@ -147,14 +152,15 @@ class _EpochBatch:
 
     __slots__ = ("geometry", "has_sync", "tasks", "multi_lines",
                  "hot_written", "static_masks", "static_idx", "other_lines",
-                 "preapply_cache")
+                 "plan_cache")
 
     def __init__(self, epoch, line_words: int, n_sets: int,
                  rows_cells=None):
         self.geometry = (line_words, n_sets)
-        # Hot-rule keyed cache of the merged pre-apply window (or a bail
-        # marker); shared across schemes and repeated simulations.
-        self.preapply_cache = {}
+        # The "directory" rule's hot partitions, keyed by the extra hot
+        # lines (see ``FastEngine._plan_epoch``); shared across schemes
+        # and repeated simulations.
+        self.plan_cache = {}
         if isinstance(epoch, ColumnarEpoch):
             self.has_sync = epoch.has_sync
             if self.has_sync:
@@ -181,7 +187,8 @@ class _EpochBatch:
         all_lines = (np.concatenate([ta.uniq_lines for ta in self.tasks])
                      if self.tasks else np.zeros(0, dtype=np.int64))
         uniq, counts = np.unique(all_lines, return_counts=True)
-        self.multi_lines = uniq[counts >= 2]
+        multi = counts >= 2
+        self.multi_lines = uniq[multi]
         written = [ta.line[ta.is_write] for ta in self.tasks]
         written_all = (np.unique(np.concatenate(written)) if written
                        else np.zeros(0, dtype=np.int64))
@@ -192,13 +199,10 @@ class _EpochBatch:
                              for ta in self.tasks]
         self.static_idx = [np.flatnonzero(m) for m in self.static_masks]
         # For the eviction pre-check: lines any *other* task touches.
-        self.other_lines = []
-        for rank in range(len(self.tasks)):
-            rest = [ta.uniq_lines for r, ta in enumerate(self.tasks)
-                    if r != rank]
-            self.other_lines.append(
-                np.unique(np.concatenate(rest)) if rest
-                else np.zeros(0, dtype=np.int64))
+        # Another task touches a line iff two tasks do, or the line is
+        # the epoch's but not this task's.
+        self.other_lines = [uniq[multi | ~_among(uniq, ta.uniq_lines)]
+                            if ta.n else uniq for ta in self.tasks]
 
 
 def epoch_batch(epoch, geometry) -> _EpochBatch:
@@ -228,7 +232,6 @@ def _among(values: np.ndarray, sorted_unique: np.ndarray) -> np.ndarray:
 
 
 _NO_HOT = np.zeros(0, dtype=np.int64)
-_MISS = object()
 
 #: Minimum events per task for batching to pay for its numpy analysis.
 #: Below this the per-epoch array set-up (unique/isin/intersect over a
@@ -247,7 +250,6 @@ class FastEngine(Engine):
     def __init__(self, trace, marking, machine, scheme_name):
         super().__init__(trace, marking, machine, scheme_name)
         self._kernel = self.scheme.make_batch_kernel()
-        self._plan_key = "none"
         self._cur_batch = None
         self.batched_epochs = 0
         self.fallback_epochs = 0
@@ -268,36 +270,12 @@ class FastEngine(Engine):
             return None
 
         if rule == "none":
-            hot_masks = None
-            hot_idx = [_NO_HOT] * len(batch.tasks)
-            self._plan_key = "none"
-        elif rule == "written":
+            return [_NO_HOT] * len(batch.tasks)
+        if rule == "written":
             hot_masks = batch.static_masks
             hot_idx = batch.static_idx
-            self._plan_key = "written"
         elif rule == "directory":
-            extra = self.scheme.directory_hot_lines(batch.multi_lines)
-            if len(extra):
-                extra = np.asarray(sorted(extra), dtype=np.int64)
-                # Deterministic replay revisits the same directory states,
-                # so identical extras recur across repeated simulations —
-                # key the partition (and downstream pre-apply window) by
-                # their content.
-                self._plan_key = ("dir", extra.tobytes())
-                cached = batch.preapply_cache.get(("plan", self._plan_key))
-                if cached is not None:
-                    hot_masks, hot_idx = cached
-                else:
-                    hot_masks = [mask | np.isin(ta.line, extra)
-                                 for mask, ta in zip(batch.static_masks,
-                                                     batch.tasks)]
-                    hot_idx = [np.flatnonzero(m) for m in hot_masks]
-                    batch.preapply_cache[("plan", self._plan_key)] = (
-                        hot_masks, hot_idx)
-            else:
-                hot_masks = batch.static_masks
-                hot_idx = batch.static_idx
-                self._plan_key = "written"
+            hot_masks, hot_idx = self._directory_plan(batch)
         else:  # pragma: no cover - unknown rule: always safe to fall back
             return None
 
@@ -313,11 +291,35 @@ class FastEngine(Engine):
             if len(flagged):
                 hot_idx = [np.flatnonzero(mask | _among(ta.set_, flagged))
                            for mask, ta in zip(hot_masks, batch.tasks)]
-                # Flagged sets follow epoch-start tags, so they rarely
-                # recur: memoizing their plans and windows only costs
-                # memory.
-                self._plan_key = None
+        if self._kernel is not None:
+            # Pre-apply runs a task's cold events ahead of its own hot
+            # ones: make them use disjoint sets of the task's cache by
+            # making hot, for this task only, every event in a set its
+            # hot events use.
+            hot_idx = [np.flatnonzero(_among(ta.set_, np.unique(ta.set_[h])))
+                       if len(h) else h
+                       for h, ta in zip(hot_idx, batch.tasks)]
         return hot_idx
+
+    def _directory_plan(self, batch):
+        """``(hot_masks, hot_idx)`` under the "directory" rule: the
+        written lines plus the scheme's order-sensitive ones."""
+        extra = self.scheme.directory_hot_lines(batch.multi_lines)
+        if not len(extra):
+            return batch.static_masks, batch.static_idx
+        extra = np.asarray(sorted(extra), dtype=np.int64)
+        # Deterministic replay revisits the same directory states, so
+        # identical extras recur across repeated simulations: key the
+        # partition by their content.
+        key = extra.tobytes()
+        plan = batch.plan_cache.get(key)
+        if plan is None:
+            hot_masks = [mask | np.isin(ta.line, extra)
+                         for mask, ta in zip(batch.static_masks,
+                                             batch.tasks)]
+            plan = batch.plan_cache[key] = (
+                hot_masks, [np.flatnonzero(m) for m in hot_masks])
+        return plan
 
     def _hazard_sets(self, batch) -> np.ndarray:
         """The eviction pre-check: the sorted cache set indices in which
@@ -432,78 +434,56 @@ class FastEngine(Engine):
         """Try to run *all* of the epoch's cold events through one merged
         kernel scan before dispatch (full-batch kernels only).
 
-        Sound whenever the hot and cold events occupy disjoint cache
-        sets: the set index is a global function of the line address, so
-        set-disjointness implies line-disjointness for every side channel
-        the hot replay can observe — cache sets (including the targets of
-        remote invalidations), shadow words, directory entries (a line
-        resident in a cold set cannot be a hot line), touched/seen bits
-        and write-buffer entries keyed by address.  Counters are
-        commutative sums and all latencies are epoch-latched, so the
-        pre-applied cold state and per-task latency sums are exactly what
-        interleaved execution would produce; :meth:`~repro.coherence.
-        batch._BatchKernel.span` then replays them from memoized
-        prefix sums.  When two tasks share a processor *and* the epoch
-        has hot events, their cold segments resume in heap order rather
-        than rank order, so any cold set shared between such tasks forces
-        a bail-out (without hot events the merged rank order is exactly
-        the dispatch order)."""
-        any_hot = any(len(h) for h in hot_idx)
-        # The pieces, guard outcome, and merged window depend only on the
-        # trace and the hot-index partition — never on runtime protocol
-        # state — so cache them under the partition key ``_plan_epoch``
-        # recorded: "written"/"none" are shared by every scheme;
-        # directory partitions are keyed by their extra hot lines, which
-        # recur across repeated (deterministic) simulations.  A partition
-        # with hot sets has no key (``None``) and is never cached.
-        key = "none" if not any_hot else self._plan_key
-        window = batch.preapply_cache.get(key, _MISS)
-        if window is _MISS:
-            window = self._preapply_window(batch, hot_idx, any_hot)
-            if key is not None:
-                batch.preapply_cache[key] = window
-        if window is None:
-            return False
-        pieces, cols = window
-        return self._kernel.preapply(self, pieces, cols)
+        This moves each task's cold events ahead of every hot event, its
+        own and other processors'.  It is sound because:
 
-    def _preapply_window(self, batch, hot_idx, any_hot: bool):
-        """The merged window's ``(pieces, cols)``, or ``None`` when the
-        guards above fail."""
-        if any_hot:
-            hot_sets = np.unique(np.concatenate(
-                [ta.set_[h] for ta, h in zip(batch.tasks, hot_idx)
-                 if len(h)]))
-            proc_sets: Dict[int, np.ndarray] = {}
+        * A task's cold events commute with its own hot events:
+          ``_plan_epoch`` made them use disjoint sets of the processor's
+          cache, and cache state and LRU stamps are per set.  Shadow
+          words, directory entries, touched/seen bits and write-buffer
+          entries are keyed by address, and the set index is a function
+          of the address, so disjoint sets mean disjoint lines.
+        * They commute with other processors' events by the argument that
+          already lets cold spans run eagerly: a cold line is written by
+          no other task, and the hot-set rule keeps every cross-processor
+          replacement in heap order.
+        * A line can be hot for one task and cold for another only when
+          the per-task promotion made it so.  Then no task writes it this
+          epoch (a multi-touched written line is hot for every task) and
+          the scheme does not count it order-sensitive (it is not among
+          the directory rule's extra lines), so all its accesses are
+          reads, which commute.
+
+        Counters are commutative sums and all latencies are
+        epoch-latched, so the pre-applied cold state and per-task latency
+        sums are exactly what interleaved execution would produce;
+        :meth:`~repro.coherence.batch._BatchKernel.span` then replays them
+        from memoized prefix sums.  When two tasks share a processor
+        *and* the epoch has hot events, their events interleave in heap
+        order rather than rank order, so a set one of them uses cold and
+        the other uses at all forces a bail-out (without hot events the
+        merged rank order is exactly the dispatch order)."""
+        shared_proc = (any(len(h) for h in hot_idx) and
+                       len({ta.proc for ta in batch.tasks}) < len(batch.tasks))
+        proc_sets: Dict[int, tuple] = {}
         pieces = []
-        for rank, ta in enumerate(batch.tasks):
-            if ta.n == 0:
-                continue
-            h = hot_idx[rank]
+        for ta, h in zip(batch.tasks, hot_idx):
+            sel = None
             if len(h):
                 sel = np.ones(ta.n, dtype=bool)
                 sel[h] = False
-                if not sel.any():
-                    continue
-                cold_sets = np.unique(ta.set_[sel])
-            else:
-                sel = None
-                cold_sets = ta.uniq_sets
-            if any_hot:
-                if np.isin(cold_sets, hot_sets).any():
-                    return None
-                seen = proc_sets.get(ta.proc)
-                if seen is None:
-                    proc_sets[ta.proc] = cold_sets
-                else:
-                    if np.isin(cold_sets, seen).any():
-                        return None
-                    proc_sets[ta.proc] = np.union1d(seen, cold_sets)
-            pieces.append((ta.proc, ta, sel))
-        if not pieces:
-            return None
-        return pieces, _Cols.merged(pieces, self.machine.cache.n_sets,
-                                    self.shadow.total_words)
+            if shared_proc:
+                cold_sets = (ta.uniq_sets if sel is None
+                             else np.unique(ta.set_[sel]))
+                seen_cold, seen_all = proc_sets.get(ta.proc, (_NO_HOT,) * 2)
+                if (np.isin(cold_sets, seen_all).any()
+                        or np.isin(ta.uniq_sets, seen_cold).any()):
+                    return False
+                proc_sets[ta.proc] = (np.union1d(seen_cold, cold_sets),
+                                      np.union1d(seen_all, ta.uniq_sets))
+            if len(h) < ta.n:
+                pieces.append((ta.proc, ta, sel))
+        return bool(pieces) and self._kernel.preapply(self, pieces)
 
     # ------------------------------------------------------------ advance
 

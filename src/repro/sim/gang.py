@@ -12,8 +12,7 @@ scratch, the gang:
   member cache geometry up front (:func:`prime_group`), with the same
   get-or-build function the engine's planner uses, and publishes them
   on the shared epochs, where every member with that geometry — and
-  every scheme, and the epoch pre-apply windows built downstream —
-  reuses them;
+  every scheme — reuses them;
 * runs the members **one engine at a time** (:func:`run_gang`), each
   replaying its hot (order-sensitive) events through the reference heap
   at identical ``(clock, proc, rank, idx)`` keys, exactly as a solo
@@ -70,8 +69,7 @@ def prime_group(trace, machines: Sequence[Any]) -> Dict[str, Any]:
     Walks the columnar trace once, and for each epoch the fast engine
     would batch, builds every member geometry's analysis on
     ``epoch._batch`` (:func:`~repro.sim.fastengine.epoch_batch`) — the
-    member engines (and their pre-apply windows) then find every
-    geometry already built.  Purely an optimization: results are
+    member engines then find every geometry already built.  Purely an optimization: results are
     byte-identical with or without priming.  Returns a stats dict
     (``width``, ``geometries``, ``primed_epochs``, ``fallback``).
     """

@@ -125,7 +125,7 @@ def test_slot_scan_matches_a_cache_replay(window):
     alloc = ~cols.sh
     kernel = _BatchKernel(SimpleNamespace(machine=machine, network=None,
                                           shadow=None, caches=caches))
-    ch = kernel._slot_chains(cols, alloc, "alloc")
+    ch = kernel._slot_chains(cols, alloc)
     way = ch.slot - cols.s * K
     tags0 = kernel._gset(kernel.tags, cols, ch.slot)
     dirty0 = kernel._gset(kernel.dirty, cols, ch.slot)

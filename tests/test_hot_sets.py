@@ -17,8 +17,17 @@ epoch.  Three layers:
   sync and too-small epochs fall back, at most a tenth of the MSI
   kernel's misses and upgrades reach its in-order transition loop, and
   the result is the reference engine's.
+
+With a kernel, ``_plan_epoch`` also makes hot, per task, every event in
+a set the task's own hot events use, so every batched epoch can
+pre-apply its cold events.  A second raw-trace property puts a line two
+tasks only read in the set of a line one of them writes (hot for one
+task, cold for the other); a path test checks that fig21's conflict
+cells pre-apply every batched epoch; and a unit test pins the eviction
+pre-check's ``other_lines`` against their definition.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -29,7 +38,7 @@ from repro.compiler.marking import mark_program
 from repro.experiments.fig21_cache import SMALL_SIZES
 from repro.ir import ProgramBuilder
 from repro.sim import make_engine, prepare, simulate
-from repro.sim.fastengine import _MIN_TASK_EVENTS, FastEngine
+from repro.sim.fastengine import _MIN_TASK_EVENTS, FastEngine, _EpochBatch
 from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
 from repro.trace.layout import MemoryLayout
 from repro.workloads import build_workload
@@ -37,6 +46,10 @@ from tests.test_engine_parity import SCHEMES, snapshot
 
 EVICT_COUPLED = ("hw", "limitless", "snoop", "update")
 N_SETS = 4
+# Every scheme with a batch kernel at associativity K; the update
+# kernel is direct-mapped only.
+KERNEL_CELLS = [(scheme, ways) for scheme in SCHEMES if scheme != "tardis"
+                for ways in (1, 2) if not (scheme == "update" and ways > 1)]
 
 
 def _setup(n_procs, ways=1):
@@ -73,6 +86,20 @@ def _run(program, machine, trace, scheme, engine):
     eng = make_engine(trace, mark_program(program),
                       machine.with_(engine=engine), scheme)
     return eng, eng.run()
+
+
+def _preapply_outcomes(eng):
+    """Record the outcome of each of ``eng``'s pre-apply attempts in the
+    returned list."""
+    outcomes = []
+    attempt = eng._preapply_epoch
+
+    def recorded(batch, hot_idx):
+        outcomes.append(attempt(batch, hot_idx))
+        return outcomes[-1]
+
+    eng._preapply_epoch = recorded
+    return outcomes
 
 
 # ------------------------------------------------------------ crafted case
@@ -155,6 +182,85 @@ def test_raw_trace_parity_and_batching(scheme, case):
     assert fast_eng.batched_epochs == len(trace.epochs)
 
 
+@st.composite
+def promoted_set_traces(draw, ways):
+    """Per epoch, on three distinct processors: a writer that writes H
+    and reads R, a sharer that touches H, and a reader that reads R but
+    never H.  H and R share a cache set and nobody writes R, so R is hot
+    for the writer (its set holds the hot line H) and can be cold for
+    the reader.  Each task also reads and writes at least one private
+    line of another set."""
+    n_procs = 4
+    program, machine, layout = _setup(n_procs, ways)
+    a = layout.base("A")
+    s = draw(st.integers(0, N_SETS - 1))
+    H, R = (a + s + N_SETS * k for k in draw(st.lists(
+        st.integers(0, 3), min_size=2, max_size=2, unique=True)))
+    private = {p: [a + 16 * (p + 1) + k for k in range(12)
+                   if (a + k) % N_SETS != (a + s) % N_SETS]
+               for p in range(n_procs)}
+    epochs = []
+    for _ in range(draw(st.integers(1, 3))):
+        writer, sharer, reader = draw(st.permutations(range(n_procs)))[:3]
+        tasks = []
+        for proc, musts, pool in (
+                (writer, [(True, H), (False, R)], [(True, H), (False, H),
+                                                   (False, R)]),
+                (sharer, [(False, H)], [(True, H), (False, H)]),
+                (reader, [(False, R)], [(False, R)])):
+            own = [(w, x) for x in private[proc] for w in (False, True)]
+            accesses = [draw(st.sampled_from(pool + own))
+                        for _ in range(draw(st.integers(32, 48)))]
+            # A private access gives the task a cold event to pre-apply.
+            for must in musts + [draw(st.sampled_from(own))]:
+                accesses.insert(draw(st.integers(0, len(accesses))), must)
+            tasks.append((proc, accesses))
+        epochs.append(tasks)
+    return program, machine, _trace(layout, n_procs, epochs)
+
+
+@pytest.mark.parametrize("scheme, ways", KERNEL_CELLS)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(data=st.data())
+def test_read_only_line_in_a_hot_set_preapplies(scheme, ways, data):
+    program, machine, trace = data.draw(promoted_set_traces(ways))
+    # Raw traces carry no compiler marking, so a compiler-directed scheme
+    # may read stale data: run the staleness oracle for hardware
+    # coherence only.
+    machine = machine.with_(check_coherence=scheme in EVICT_COUPLED)
+    fast_eng = make_engine(trace, mark_program(program),
+                           machine.with_(engine="fast"), scheme)
+    outcomes = _preapply_outcomes(fast_eng)
+    fast = fast_eng.run()
+    _, ref = _run(program, machine, trace, scheme, "reference")
+    assert snapshot(fast) == snapshot(ref)
+    assert fast_eng.batched_epochs == len(trace.epochs)
+    assert outcomes == [True] * len(trace.epochs)
+
+
+# ------------------------------------------------------------ other lines
+
+
+def test_other_lines_are_the_lines_other_tasks_touch():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n_tasks = int(rng.integers(1, 6))
+        epoch = TraceEpoch(index=0, parallel=True, tasks=[
+            Task(proc=p, events=[
+                MemEvent(kind=EventKind.READ, addr=int(addr), site=0, work=1)
+                for addr in rng.integers(0, 64, rng.integers(0, 20))])
+            for p in range(n_tasks)])
+        batch = _EpochBatch(epoch, line_words=2, n_sets=4)
+        for rank, ta in enumerate(batch.tasks):
+            rest = [t.uniq_lines for r, t in enumerate(batch.tasks)
+                    if r != rank]
+            expected = (np.unique(np.concatenate(rest)) if rest
+                        else np.zeros(0, dtype=np.int64))
+            np.testing.assert_array_equal(batch.other_lines[rank], expected)
+
+
 # ------------------------------------------------- fig21's capacity cell
 
 
@@ -196,3 +302,30 @@ def test_capacity_cell_falls_back_only_on_sync_or_size(workload, expected,
     assert slow["in_order"] <= 0.1 * slow["kernel"]
     ref = simulate(run, "hw", machine=machine.with_(engine="reference"))
     assert fast.to_dict() == ref.to_dict()
+
+
+@pytest.fixture(scope="module")
+def fig21_small_runs():
+    base = default_machine()
+    return base, [prepare(build_workload(name, **sizes), base)
+                  for name, sizes in SMALL_SIZES.items()]
+
+
+@pytest.mark.parametrize("scheme", ["tpi", "hw"])
+@pytest.mark.parametrize("cache", [
+    dict(size_bytes=16 * 1024),
+    dict(size_bytes=64 * 1024, associativity=4)], ids=["dm16k", "4way64k"])
+def test_conflict_cells_preapply_every_batched_epoch(scheme, cache,
+                                                     fig21_small_runs):
+    base, runs = fig21_small_runs
+    machine = base.with_(cache=CacheConfig(
+        line_words=base.cache.line_words, **cache), engine="fast")
+    batched, outcomes = 0, []
+    for run in runs:
+        eng = FastEngine(run.trace, run.marking, machine, scheme)
+        recorded = _preapply_outcomes(eng)
+        eng.run()
+        batched += eng.batched_epochs
+        outcomes += recorded
+    assert batched > 0
+    assert outcomes == [True] * batched
