@@ -77,9 +77,10 @@ class CoherenceScheme(abc.ABC):
     #: * ``"written"`` — lines touched by two or more processors *and*
     #:   written this epoch (the word-granularity schemes: only the shadow
     #:   memory couples processors);
-    #: * ``"directory"`` — the ``"written"`` set plus whatever
-    #:   :meth:`directory_hot_lines` adds (lines whose directory entry
-    #:   makes even read-read sharing order-sensitive).
+    #: * ``"directory"`` — the ``"written"`` set plus the exclusive
+    #:   lines :meth:`directory_hot_lines` reports (an owner forward
+    #:   makes even read-read sharing of them order-sensitive) that two
+    #:   or more tasks off the owner's processor touch.
     #:
     #: ``batch_evict_coupled`` marks schemes whose *evictions* mutate
     #: global protocol state (directory entries, sharer sets); for those
@@ -149,9 +150,11 @@ class CoherenceScheme(abc.ABC):
     # -- fast-engine hooks --------------------------------------------------
 
     def directory_hot_lines(self, lines):
-        """Subset of ``lines`` that is order-sensitive even without a write
-        this epoch (``batch_hot_rule == "directory"`` only)."""
-        return ()
+        """``(lines, owners)``: the lines of ``lines`` held exclusively,
+        whose first outside reader pays an owner forward, and each one's
+        owner (``batch_hot_rule == "directory"`` only; the fast engine's
+        ``_directory_plan`` decides which of them are hot)."""
+        return (), ()
 
     def make_batch_kernel(self):
         """Vectorized batch kernel for this scheme's hit path, or ``None``

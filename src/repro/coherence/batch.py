@@ -36,12 +36,13 @@ Every scan starts from one frame (:meth:`_BatchKernel._frame`) and
 every apply writes each event's latency into one array.  ``span`` sums
 that array per window; the engine's **epoch pre-apply**
 (:meth:`_BatchKernel.preapply`) merges all of an epoch's cold events,
-across every task, into one window and memoizes the array's per-task
-prefix sums, so each later ``span`` call is a constant-time lookup.
+across every task, into one window and returns the array's per-task
+prefix sums, from which the engine reads each cold span's cycles.
 The engine's planner makes each task's hot and cold events use disjoint
 sets of its processor's cache, so every batched epoch can pre-apply;
-a poisoned set, or two tasks on one processor sharing a set, still
-sends the epoch's spans through the window-by-window path.
+a poisoned set turns hot for its task, and only two tasks on one
+processor sharing a set still send the epoch's spans through the
+window-by-window path.
 
 Every per-event execution, and every MSI miss or upgrade another
 processor could observe, goes through exactly the code the reference
@@ -398,8 +399,8 @@ class _BatchKernel:
     and :meth:`preapply` into per-task prefix sums.  Since each task's
     hot and cold events live in disjoint sets of its processor's cache,
     pre-apply scans and applies every task's cold events in one merged
-    multi-processor window before dispatch, and :meth:`span` then
-    answers from the memoized prefix sums instead of rescanning."""
+    multi-processor window before dispatch, and the engine reads each
+    cold span's cycles from the prefix sums instead of rescanning."""
 
     def __init__(self, scheme):
         self.scheme = scheme
@@ -425,7 +426,6 @@ class _BatchKernel:
         self.word_lat = 0
         self.miss_lat = 0
         self.seq = self.machine.consistency is ConsistencyModel.SEQUENTIAL
-        self._memo = {}
         self._site_tables = {}
 
     @classmethod
@@ -438,17 +438,9 @@ class _BatchKernel:
         self.word_lat = self.network.word_latency()
         self.miss_lat = self.network.miss_latency(self.line_words)
 
-    def boundary(self, eng, proc: int, ta, i: int) -> int:
-        """Run one event through the engine's exact per-event path."""
-        is_write, addr, site, _work, shared = ta.rows[i]
-        return eng._access(proc, is_write, addr, site, shared)
-
     # ------------------------------------------------------- span and apply
 
     def span(self, eng, proc: int, ta, lo: int, hi: int) -> int:
-        cs = self._memo.get(id(ta))
-        if cs is not None:
-            return int(cs[hi] - cs[lo])
         elapsed = 0
         for i in range(lo, hi, _WINDOW):
             cols = _Cols.window(proc, ta, i, min(i + _WINDOW, hi))
@@ -459,38 +451,40 @@ class _BatchKernel:
                 ctx = {k: v[ok] for k, v in ctx.items()}
             elapsed += int(self._run(eng, cols, ctx).sum())
             if poisoned:
-                elapsed += self._boundaries(
-                    eng, proc, ta, (np.flatnonzero(~ok) + i).tolist())
+                elapsed += eng._run_rows(proc, [
+                    ta.rows[j] for j in (np.flatnonzero(~ok) + i).tolist()])
         return elapsed
 
-    def preapply(self, eng, pieces) -> bool:
+    def preapply(self, eng, pieces, poisoned) -> list:
         """Scan and apply an epoch's cold events in one merged window.
 
         ``pieces`` lists ``(proc, ta, sel)`` in dispatch order; ``sel``
         selects each task's cold events (None = all of them).  If any set
-        is poisoned the method returns False with *no* side effects and
-        the engine falls back to ordinary per-span batching.  On success
-        all counters/state are final and a per-task prefix-sum of
-        ``work + latency`` (zero at hot positions) is memoized so that
-        :meth:`span` is a constant-time lookup for the rest of the epoch.
+        is poisoned the method appends to ``poisoned``, per piece, the
+        task's indices of its events in poisoned sets, and returns an
+        empty list with *no* other side effects.  On success all
+        counters/state are final and it returns, per piece, the prefix
+        sums of the task's ``work + latency`` over ``[0, ta.n]`` (zero
+        at hot positions).
         """
         cols = _Cols.merged(pieces, self.machine.cache.n_sets,
                             self.shadow.total_words)
         ok, ctx = self._scan(cols)
         if not bool(ok.all()):
-            return False
+            for (_, ta, sel), (_, lo, hi) in zip(pieces, cols.parts):
+                idx = np.arange(ta.n) if sel is None else np.flatnonzero(sel)
+                poisoned.append(idx[~ok[lo:hi]])
+            return []
         v = self._run(eng, cols, ctx)
+        sums = []
         for (proc, ta, sel), (p, lo, hi) in zip(pieces, cols.parts):
             vfull = np.zeros(ta.n + 1, dtype=np.int64)
             if sel is None:
                 vfull[1:] = v[lo:hi]
             else:
                 vfull[1:][sel] = v[lo:hi]
-            self._memo[id(ta)] = np.cumsum(vfull)
-        return True
-
-    def clear_memo(self) -> None:
-        self._memo.clear()
+            sums.append(np.cumsum(vfull))
+        return sums
 
     def _run(self, eng, cols: _Cols, ctx) -> np.ndarray:
         """Apply a scanned window; returns each event's work + latency."""
@@ -500,18 +494,6 @@ class _BatchKernel:
         if self.assoc > 1:
             self._stamp(cols, ctx)
         return cols.work + lat
-
-    def _boundaries(self, eng, proc: int, ta, indices) -> int:
-        """Charge each indexed event's work and run it through
-        :meth:`boundary`; returns the elapsed cycles."""
-        breakdown = eng.result.breakdown
-        rows = ta.rows
-        elapsed = 0
-        for i in indices:
-            work = rows[i][3]
-            breakdown["busy"] += work
-            elapsed += work + self.boundary(eng, proc, ta, i)
-        return elapsed
 
     def _exact_events(self, eng, cols, mask, lat) -> None:
         """Run the masked events through the engine's exact per-event

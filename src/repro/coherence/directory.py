@@ -29,7 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
-from repro.coherence.sparse import DirectoryStore, DirEntry, hot_exclusive_lines
+from repro.coherence.sparse import DirectoryStore, DirEntry, exclusive_lines
 from repro.common.config import ConsistencyModel
 from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
@@ -196,8 +196,8 @@ class MsiScheme(CoherenceScheme):
             version = cache.version.item(*loc, word)
             if shared:
                 self._check_read_version(addr, version, exact=True)
-            return AccessResult(latency=self.machine.hit_latency,
-                                kind=MissKind.HIT, version=version)
+            return AccessResult(self.machine.hit_latency, MissKind.HIT,
+                                0, 0, 0, version)
 
         result = self._read_miss(proc, line_addr, word, shared)
         loc = self._fill(cache, proc, line_addr, result, loc)
@@ -218,8 +218,7 @@ class MsiScheme(CoherenceScheme):
         elif shared and not self._exclusive(proc, line_addr, cache, loc):
             result = self._upgrade(proc, line_addr, word)
         else:  # private, or a silent write hit in M
-            result = AccessResult(latency=self.machine.hit_latency,
-                                  kind=MissKind.HIT)
+            result = AccessResult(self.machine.hit_latency, MissKind.HIT)
         version = self.shadow.write(addr, proc)
         s, w = loc
         cache.dirty[s, w] = True
@@ -234,9 +233,9 @@ class FullMapDirectoryScheme(MsiScheme):
     name = "hw"
 
     def directory_hot_lines(self, lines):
-        """Lines in state E are order-sensitive even read-read: the first
-        reader pays the 4-hop owner forward and demotes the entry."""
-        return hot_exclusive_lines(self.dirstore, lines)
+        """Lines in state E, with their owners: the first other reader
+        pays the 4-hop owner forward and demotes the entry."""
+        return exclusive_lines(self.dirstore, lines)
 
     def make_batch_kernel(self):
         from repro.coherence.batch import DirectoryBatchKernel
@@ -254,7 +253,7 @@ class FullMapDirectoryScheme(MsiScheme):
     def _entry(self, line_addr: int) -> DirEntry:
         """The line's directory entry, created (state U) on first use."""
         store = self.dirstore
-        row = int(store.row_p1[line_addr]) - 1
+        row = store.row_p1.item(line_addr) - 1
         if row < 0:
             row = int(store.new_rows([line_addr])[0])
         return DirEntry(store, line_addr, row)
@@ -282,7 +281,7 @@ class FullMapDirectoryScheme(MsiScheme):
         return out
 
     def _evict(self, proc: int, evicted: int, result: AccessResult) -> None:
-        row = int(self.dirstore.row_p1[evicted]) - 1
+        row = self.dirstore.row_p1.item(evicted) - 1
         if row >= 0:
             entry = DirEntry(self.dirstore, evicted, row)
             entry.sharers.discard(proc)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.coherence.api import AccessResult, SimContext
 from repro.coherence.directory import MsiScheme
 from repro.common.config import ConsistencyModel
@@ -40,14 +42,14 @@ class SnoopBusScheme(MsiScheme):
         return out
 
     def directory_hot_lines(self, lines):
-        """Lines with a Modified copy are order-sensitive even read-read:
-        the first reader's snoop demotes the owner and is serviced
+        """Lines with a Modified copy, with its holder: the first other
+        reader's snoop demotes the holder and is serviced
         cache-to-cache."""
-        out = []
-        for line_addr in lines:
-            if self._dirty_holder(int(line_addr)) is not None:
-                out.append(int(line_addr))
-        return out
+        held = [(line_addr, self._dirty_holder(line_addr))
+                for line_addr in lines.tolist()]
+        held = np.array([pair for pair in held if pair[1] is not None],
+                        dtype=np.int64).reshape(-1, 2)
+        return held[:, 0], held[:, 1]
 
     def make_batch_kernel(self):
         from repro.coherence.batch import SnoopBatchKernel

@@ -79,11 +79,22 @@ class SharerSet:
 
     # -- reads ---------------------------------------------------------------
 
+    def _pointers(self) -> List[int]:
+        """The pool row's live pointers (``proc + 1`` each), as ints."""
+        store, row = self._store, self._row
+        return store.ptr_pool[row, :store.ptr_len.item(row)].tolist()
+
+    def _procs(self) -> Set[int]:
+        spill = self._store.overflow.get(self._row)
+        if spill is not None:
+            return set(spill)
+        return {p - 1 for p in self._pointers()}
+
     def __len__(self) -> int:
         spill = self._store.overflow.get(self._row)
         if spill is not None:
             return len(spill)
-        return int(self._store.ptr_len[self._row])
+        return self._store.ptr_len.item(self._row)
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -92,20 +103,14 @@ class SharerSet:
         spill = self._store.overflow.get(self._row)
         if spill is not None:
             return proc in spill
-        n = int(self._store.ptr_len[self._row])
-        return proc + 1 in self._store.ptr_pool[self._row, :n]
+        return proc + 1 in self._pointers()
 
     def __iter__(self) -> Iterator[int]:
-        spill = self._store.overflow.get(self._row)
-        if spill is not None:
-            return iter(sorted(spill))
-        n = int(self._store.ptr_len[self._row])
-        return iter(sorted(int(p) - 1
-                           for p in self._store.ptr_pool[self._row, :n]))
+        return iter(sorted(self._procs()))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (set, frozenset, SharerSet)):
-            return set(self) == set(other)
+            return self._procs() == set(other)
         return NotImplemented
 
     def __ne__(self, other) -> bool:
@@ -116,7 +121,7 @@ class SharerSet:
         return f"{{{', '.join(str(p) for p in self)}}}"
 
     def __sub__(self, other) -> Set[int]:
-        return set(self) - set(other)
+        return self._procs() - set(other)
 
     # -- writes --------------------------------------------------------------
 
@@ -126,15 +131,16 @@ class SharerSet:
         if spill is not None:
             spill.add(proc)
             return
-        n = int(store.ptr_len[row])
-        if proc + 1 in store.ptr_pool[row, :n]:
+        ptrs = self._pointers()
+        if proc + 1 in ptrs:
             return
+        n = len(ptrs)
         if n < store.pointers:
             store.ptr_pool[row, n] = proc + 1
             store.ptr_len[row] = n + 1
         else:
             # Pointer overflow: spill to the software-handled wide entry.
-            wide = {int(p) - 1 for p in store.ptr_pool[row, :n]}
+            wide = {p - 1 for p in ptrs}
             wide.add(proc)
             store.overflow[row] = wide
             store.ptr_pool[row, :] = 0
@@ -148,14 +154,13 @@ class SharerSet:
             if len(spill) <= store.pointers:
                 self._refill(spill)
             return
-        n = int(store.ptr_len[row])
-        ptrs = store.ptr_pool[row]
-        for i in range(n):
-            if ptrs[i] == proc + 1:
-                ptrs[i] = ptrs[n - 1]
-                ptrs[n - 1] = 0
-                store.ptr_len[row] = n - 1
-                return
+        ptrs = self._pointers()
+        if proc + 1 in ptrs:
+            n = len(ptrs)
+            pool = store.ptr_pool[row]
+            pool[ptrs.index(proc + 1)] = ptrs[n - 1]
+            pool[n - 1] = 0
+            store.ptr_len[row] = n - 1
 
     def __isub__(self, other) -> "SharerSet":
         for proc in other:
@@ -200,7 +205,7 @@ class DirEntry:
 
     @property
     def state(self) -> str:
-        return _NAME_OF[self._store.state_code[self._line]]
+        return _NAME_OF[self._store.state_code.item(self._line)]
 
     @state.setter
     def state(self, value: str) -> None:
@@ -208,7 +213,7 @@ class DirEntry:
 
     @property
     def owner(self) -> int:
-        return int(self._store.owner_p1[self._line]) - 1
+        return self._store.owner_p1.item(self._line) - 1
 
     @owner.setter
     def owner(self, value: int) -> None:
@@ -230,9 +235,9 @@ class DirEntry:
                 f"owner={self.owner})")
 
 
-def hot_exclusive_lines(store: DirectoryStore, lines) -> List[int]:
-    """The subset of ``lines`` in state E (vectorized gather)."""
+def exclusive_lines(store: DirectoryStore, lines):
+    """``(lines, owners)``: the subset of ``lines`` in state E and each
+    one's owner (vectorized gather)."""
     arr = np.asarray(lines, dtype=np.int64)
-    if arr.size == 0:
-        return []
-    return [int(x) for x in arr[store.state_code[arr] == STATE_E]]
+    held = arr[store.state_code[arr] == STATE_E]
+    return held, store.owner_p1[held] - 1

@@ -236,8 +236,8 @@ class TpiScheme(CoherenceScheme):
             version = cache.version.item(s, w, word)
             self.touched[proc, addr] = True
             self._check_read_version(addr, version)
-            return AccessResult(latency=self.machine.hit_latency,
-                                kind=MissKind.HIT, version=version)
+            return AccessResult(self.machine.hit_latency, MissKind.HIT,
+                                0, 0, 0, version)
 
         kind = self._classify_read_miss(cache, loc, word, addr, proc)
         self.touched[proc, addr] = True

@@ -18,7 +18,9 @@ does.  This engine exploits that:
 * Hot events replay through exactly the reference heap discipline, with
   identical keys ``(clock, proc, rank, idx)``, so their global order — and
   therefore every directory transition, invalidation count, and
-  classification — is bit-identical to the reference engine.
+  classification — is bit-identical to the reference engine.  A task
+  whose next hot key is still the smallest runs on without a heap round
+  trip (the heap would pop that key next anyway).
 * Each task's cold events run eagerly between its hot events, in program
   order, as numpy-batched spans (:mod:`repro.coherence.batch`) when the
   scheme provides a kernel, or through the ordinary per-event scheme
@@ -30,7 +32,8 @@ does.  This engine exploits that:
   use is hot for that task too, so each task's hot and cold events use
   disjoint sets of its processor's cache.  That lets the epoch
   **pre-apply** all its cold events, across every task, in one merged
-  kernel window before dispatch (:meth:`FastEngine._preapply_epoch`).
+  kernel window before dispatch (:meth:`FastEngine._preapply_epoch`); a
+  set where the staleness oracle might fire turns hot for its task.
 
 Epochs the analysis cannot clear — synchronization (locks / critical
 sections), or a scheme with no declared hot rule — fall back wholesale
@@ -66,7 +69,7 @@ class _TaskArrays:
     slice (zero-copy) when the trace is columnar, or converted from an
     object :class:`~repro.trace.events.Task` otherwise.  ``rows`` builds
     the Python-int per-event tuples lazily — only the per-event paths
-    (kernel boundaries, poisoned spans, kernel-less schemes) touch them;
+    (hot events, poisoned spans, kernel-less schemes) touch them;
     the batch kernels run on the arrays.  The tuples do not depend on the
     geometry, so every geometry view of one task shares one rows cell (a
     one-element list) and builds them at most once.
@@ -303,18 +306,27 @@ class FastEngine(Engine):
 
     def _directory_plan(self, batch):
         """``(hot_masks, hot_idx)`` under the "directory" rule: the
-        written lines plus the scheme's order-sensitive ones."""
-        extra = self.scheme.directory_hot_lines(batch.multi_lines)
-        if not len(extra):
+        written lines plus each exclusive line that two or more tasks off
+        its owner's processor touch.  With one such task the line is
+        cold: all its accesses are reads (a multi-touched written line is
+        already hot), the owner's hit in any order, the one outside
+        reader pays the forward whenever its first read comes, and an
+        eviction of the owner's copy is hot (clause 1 of
+        :meth:`_hazard_sets`)."""
+        lines, owners = self.scheme.directory_hot_lines(batch.multi_lines)
+        if len(lines):
+            outside = sum(_among(lines, ta.uniq_lines) & (owners != ta.proc)
+                          for ta in batch.tasks)
+            lines = lines[outside >= 2]
+        if not len(lines):
             return batch.static_masks, batch.static_idx
-        extra = np.asarray(sorted(extra), dtype=np.int64)
         # Deterministic replay revisits the same directory states, so
-        # identical extras recur across repeated simulations: key the
+        # identical hot lines recur across repeated simulations: key the
         # partition by their content.
-        key = extra.tobytes()
+        key = lines.tobytes()
         plan = batch.plan_cache.get(key)
         if plan is None:
-            hot_masks = [mask | np.isin(ta.line, extra)
+            hot_masks = [mask | _among(ta.line, lines)
                          for mask, ta in zip(batch.static_masks,
                                              batch.tasks)]
             plan = batch.plan_cache[key] = (
@@ -384,15 +396,15 @@ class FastEngine(Engine):
         reads_before = result.reads
         misses_before = result.read_misses
         batch = self._cur_batch
-        preapplied = False
+        cold = [None] * len(batch.tasks)
         if self._kernel is not None:
             self._kernel.begin_epoch()
-            preapplied = self._preapply_epoch(batch, hot_idx)
+            hot_idx = list(hot_idx)  # pre-apply may promote poisoned sets
+            cold = self._preapply_epoch(batch, hot_idx) or cold
         base = global_time + machine.epoch_setup_cycles
         clocks: Dict[int, int] = {}
-        heap: List = []
-        hot_pos = [0] * len(batch.tasks)
-        for rank, ta in enumerate(batch.tasks):
+        tasks = batch.tasks
+        for rank, ta in enumerate(tasks):
             start = base + machine.task_dispatch_cycles * rank
             breakdown["dispatch"] += start - global_time
             stall = stalls.get(ta.proc, 0)
@@ -400,39 +412,45 @@ class FastEngine(Engine):
             start += stall
             clocks[ta.proc] = start
 
-        for rank, ta in enumerate(batch.tasks):
-            if ta.n:
-                self._advance(batch, rank, 0, clocks[ta.proc],
-                              hot_idx, hot_pos, clocks, heap)
+        hot = [h.tolist() for h in hot_idx]
+        rows = [ta.rows if h else None for ta, h in zip(tasks, hot)]
+        hot_pos = [0] * len(tasks)
+        heap = [key for key in (
+            self._advance(rank, ta, 0, clocks[ta.proc], hot[rank], 0,
+                          clocks, cold[rank])
+            for rank, ta in enumerate(tasks) if ta.n) if key is not None]
+        heapq.heapify(heap)
 
         # Hot events replay with the reference engine's exact heap keys,
         # so every cross-processor interaction happens in the same global
-        # order the reference engine would produce.
-        while heap:
-            clock, proc, rank, idx = heapq.heappop(heap)
-            ta = batch.tasks[rank]
-            work = int(ta.work[idx])
-            clock += work
-            breakdown["busy"] += work
-            if self._kernel is not None:
-                clock += self._kernel.boundary(self, proc, ta, idx)
-            else:
-                is_write, addr, site, _work, shared = ta.rows[idx]
-                clock += self._access(proc, is_write, addr, site, shared)
+        # order the reference engine would produce.  heappushpop runs a
+        # task on at once while its next key is still the smallest.
+        access = self._access
+        busy = 0
+        key = heapq.heappop(heap) if heap else None
+        while key is not None:
+            clock, proc, rank, idx = key
+            is_write, addr, site, work, shared = rows[rank][idx]
+            busy += work
+            clock += work + access(proc, is_write, addr, site, shared)
             hot_pos[rank] += 1
-            self._advance(batch, rank, idx + 1, clock,
-                          hot_idx, hot_pos, clocks, heap)
-
-        if preapplied:
-            self._kernel.clear_memo()
+            key = self._advance(rank, tasks[rank], idx + 1, clock,
+                                hot[rank], hot_pos[rank], clocks, cold[rank])
+            if key is not None:
+                key = heapq.heappushpop(heap, key)
+            elif heap:
+                key = heapq.heappop(heap)
+        breakdown["busy"] += busy
         return self._end_epoch(epoch, global_time, base, clocks,
                                reads_before, misses_before)
 
     # ---------------------------------------------------------- pre-apply
 
-    def _preapply_epoch(self, batch, hot_idx) -> bool:
+    def _preapply_epoch(self, batch, hot_idx) -> Optional[List[list]]:
         """Try to run *all* of the epoch's cold events through one merged
-        kernel scan before dispatch (full-batch kernels only).
+        kernel scan before dispatch (full-batch kernels only).  Returns
+        per task its cold cycles before each hot event and after the
+        last, or None: then the cold spans run in turn.
 
         This moves each task's cold events ahead of every hot event, its
         own and other processors'.  It is sound because:
@@ -448,70 +466,100 @@ class FastEngine(Engine):
           no other task, and the hot-set rule keeps every cross-processor
           replacement in heap order.
         * A line can be hot for one task and cold for another only when
-          the per-task promotion made it so.  Then no task writes it this
+          a per-task promotion (of a set its hot events use, or of a
+          poisoned set, below) made it so.  Then no task writes it this
           epoch (a multi-touched written line is hot for every task) and
           the scheme does not count it order-sensitive (it is not among
-          the directory rule's extra lines), so all its accesses are
-          reads, which commute.
+          the directory rule's hot lines), so all its accesses commute:
+          reads, and at most one outside reader's owner forward.
 
         Counters are commutative sums and all latencies are
         epoch-latched, so the pre-applied cold state and per-task latency
-        sums are exactly what interleaved execution would produce;
-        :meth:`~repro.coherence.batch._BatchKernel.span` then replays them
-        from memoized prefix sums.  When two tasks share a processor
-        *and* the epoch has hot events, their events interleave in heap
-        order rather than rank order, so a set one of them uses cold and
-        the other uses at all forces a bail-out (without hot events the
-        merged rank order is exactly the dispatch order)."""
-        shared_proc = (any(len(h) for h in hot_idx) and
-                       len({ta.proc for ta in batch.tasks}) < len(batch.tasks))
-        proc_sets: Dict[int, tuple] = {}
-        pieces = []
-        for ta, h in zip(batch.tasks, hot_idx):
-            sel = None
-            if len(h):
-                sel = np.ones(ta.n, dtype=bool)
-                sel[h] = False
-            if shared_proc:
-                cold_sets = (ta.uniq_sets if sel is None
-                             else np.unique(ta.set_[sel]))
-                seen_cold, seen_all = proc_sets.get(ta.proc, (_NO_HOT,) * 2)
-                if (np.isin(cold_sets, seen_all).any()
-                        or np.isin(ta.uniq_sets, seen_cold).any()):
-                    return False
-                proc_sets[ta.proc] = (np.union1d(seen_cold, cold_sets),
-                                      np.union1d(seen_all, ta.uniq_sets))
-            if len(h) < ta.n:
-                pieces.append((ta.proc, ta, sel))
-        return bool(pieces) and self._kernel.preapply(self, pieces)
+        sums are exactly what interleaved execution would produce.
+
+        When two tasks share a processor *and* the epoch has hot events,
+        their events interleave in heap order rather than rank order, so
+        a set one of them uses cold and the other uses at all forces a
+        bail-out (without hot events the merged rank order is exactly
+        the dispatch order).
+
+        A set where the staleness oracle might fire is poisoned: its
+        events must run through the exact path.  The kernel then applies
+        nothing and names the poisoned events; they turn hot for their
+        task (in ``hot_idx``, in place), whole sets at a time, so the
+        task's hot and cold events still use disjoint sets, and the rest
+        of the epoch is tried again."""
+        tasks = batch.tasks
+        shared_procs = len({ta.proc for ta in tasks}) < len(tasks)
+        while True:
+            shared_proc = shared_procs and any(len(h) for h in hot_idx)
+            proc_sets: Dict[int, tuple] = {}
+            ranks, pieces = [], []
+            for rank, (ta, h) in enumerate(zip(tasks, hot_idx)):
+                sel = None
+                if len(h):
+                    sel = np.ones(ta.n, dtype=bool)
+                    sel[h] = False
+                if shared_proc:
+                    cold_sets = (ta.uniq_sets if sel is None
+                                 else np.unique(ta.set_[sel]))
+                    seen_cold, seen_all = proc_sets.get(ta.proc,
+                                                        (_NO_HOT,) * 2)
+                    if (np.isin(cold_sets, seen_all).any()
+                            or np.isin(ta.uniq_sets, seen_cold).any()):
+                        return None
+                    proc_sets[ta.proc] = (np.union1d(seen_cold, cold_sets),
+                                          np.union1d(seen_all, ta.uniq_sets))
+                if len(h) < ta.n:
+                    ranks.append(rank)
+                    pieces.append((ta.proc, ta, sel))
+            if not pieces:
+                return None
+            poisoned: List[np.ndarray] = []
+            sums = self._kernel.preapply(self, pieces, poisoned)
+            if sums:
+                cold = [[0] * (len(h) + 1) for h in hot_idx]
+                for rank, cs in zip(ranks, sums):
+                    h = hot_idx[rank]
+                    cold[rank] = (cs[np.append(h, tasks[rank].n)]
+                                  - cs[np.append(0, h + 1)]).tolist()
+                return cold
+            for rank, idx in zip(ranks, poisoned):
+                hot_idx[rank] = np.union1d(hot_idx[rank], idx)
 
     # ------------------------------------------------------------ advance
 
-    def _advance(self, batch, rank: int, start_idx: int, clock: int,
-                 hot_idx, hot_pos, clocks, heap) -> None:
-        """Run a task's cold events from ``start_idx`` up to its next hot
-        event (pushed onto the heap) or to completion."""
-        ta = batch.tasks[rank]
-        hot = hot_idx[rank]
-        position = hot_pos[rank]
-        stop = int(hot[position]) if position < len(hot) else ta.n
-        clock += self._run_cold(ta.proc, ta, start_idx, stop)
-        if position < len(hot):
-            heapq.heappush(heap, (clock, ta.proc, rank, stop))
-        else:
-            clock += ta.extra_work
-            self.result.breakdown["busy"] += ta.extra_work
-            clocks[ta.proc] = clock
+    def _advance(self, rank: int, ta: _TaskArrays, lo: int, clock: int,
+                 hot: List[int], pos: int, clocks, cold) -> Optional[tuple]:
+        """Run a task's cold events from ``lo`` up to its next hot event,
+        ``hot[pos]`` (or take their pre-applied cycles, ``cold[pos]``),
+        and return that event's heap key; at the task's end, record its
+        finishing clock and return None."""
+        stop = hot[pos] if pos < len(hot) else ta.n
+        clock += (cold[pos] if cold is not None
+                  else self._run_cold(ta.proc, ta, lo, stop))
+        if pos < len(hot):
+            return (clock, ta.proc, rank, stop)
+        clock += ta.extra_work
+        self.result.breakdown["busy"] += ta.extra_work
+        clocks[ta.proc] = clock
+        return None
 
     def _run_cold(self, proc: int, ta: _TaskArrays, lo: int, hi: int) -> int:
         if lo >= hi:
             return 0
         if self._kernel is not None:
             return self._kernel.span(self, proc, ta, lo, hi)
-        elapsed = 0
-        breakdown = self.result.breakdown
+        return self._run_rows(proc, ta.rows[lo:hi])
+
+    def _run_rows(self, proc: int, rows) -> int:
+        """Run ``rows`` (:attr:`_TaskArrays.rows` tuples) in order through
+        the exact per-event path, charging their work; returns the
+        elapsed cycles."""
+        elapsed = busy = 0
         access = self._access
-        for is_write, addr, site, work, shared in ta.rows[lo:hi]:
-            breakdown["busy"] += work
+        for is_write, addr, site, work, shared in rows:
+            busy += work
             elapsed += work + access(proc, is_write, addr, site, shared)
+        self.result.breakdown["busy"] += busy
         return elapsed

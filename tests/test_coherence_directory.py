@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.coherence.api import SimContext, make_scheme
+from repro.coherence.sparse import DirectoryStore, SharerSet
 from repro.common.config import CacheConfig, DirectoryConfig, MachineConfig
 from repro.common.stats import MissKind
 from repro.compiler.epochs import EpochGraph
@@ -173,3 +174,26 @@ class TestDirectoryProperties:
                 hw.write(proc, addr, 0, True, False)
             else:
                 hw.read(proc, addr, 0, True, False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pointers=st.integers(1, 3),
+       ops=st.lists(st.tuples(st.sampled_from(["add", "discard", "replace"]),
+                              st.sets(st.integers(0, 5), max_size=5)),
+                    max_size=40))
+def test_sharer_set_behaves_as_a_set(pointers, ops):
+    """SharerSet against a plain set, through pointer overflow (the
+    spill to a wide entry) and back."""
+    store = DirectoryStore(n_lines=4, pointers=pointers)
+    sharers, model = SharerSet(store, int(store.new_rows([2])[0])), set()
+    for op, procs in ops:
+        if op == "replace":
+            sharers.replace(procs)
+            model = set(procs)
+        else:
+            for proc in procs:
+                getattr(sharers, op)(proc)
+                getattr(model, op)(proc)
+        assert list(sharers) == sorted(model) and len(sharers) == len(model)
+        assert sharers == model and sharers - {0, 1} == model - {0, 1}
+        assert all((proc in sharers) == (proc in model) for proc in range(6))

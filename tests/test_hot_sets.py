@@ -25,7 +25,16 @@ tasks only read in the set of a line one of them writes (hot for one
 task, cold for the other); a path test checks that fig21's conflict
 cells pre-apply every batched epoch; and a unit test pins the eviction
 pre-check's ``other_lines`` against their definition.
+
+An exclusive line (directory E, snoop M) is hot only when two or more
+tasks off its owner's processor touch it; a third raw-trace property
+pins that rule and its parity.  A set the staleness oracle poisons
+turns hot for its task instead of declining pre-apply (fig18's
+migrated tpi cells).  Count tests pin how much of a small fig21 pass,
+and of fig11's hw cells, takes the exact per-event path.
 """
+
+import collections
 
 import numpy as np
 import pytest
@@ -33,18 +42,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.coherence.batch import MsiBatchKernel
+from repro.coherence.batch import _BatchKernel
 from repro.common.config import CacheConfig, WORD_BYTES, default_machine
-from repro.compiler.marking import mark_program
+from repro.compiler.marking import MarkingOptions, mark_program
+from repro.experiments import run_experiment
 from repro.experiments.fig21_cache import SMALL_SIZES
 from repro.ir import ProgramBuilder
 from repro.sim import make_engine, prepare, simulate
+from repro.sim.engine import Engine
 from repro.sim.fastengine import _MIN_TASK_EVENTS, FastEngine, _EpochBatch
 from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
 from repro.trace.layout import MemoryLayout
+from repro.trace.schedule import MigrationSpec
 from repro.workloads import build_workload
 from tests.test_engine_parity import SCHEMES, snapshot
 
 EVICT_COUPLED = ("hw", "limitless", "snoop", "update")
+MSI = ("hw", "limitless", "snoop")
 N_SETS = 4
 # Every scheme with a batch kernel at associativity K; the update
 # kernel is direct-mapped only.
@@ -89,14 +103,15 @@ def _run(program, machine, trace, scheme, engine):
 
 
 def _preapply_outcomes(eng):
-    """Record the outcome of each of ``eng``'s pre-apply attempts in the
-    returned list."""
+    """Record whether each of ``eng``'s pre-apply attempts succeeded in
+    the returned list."""
     outcomes = []
     attempt = eng._preapply_epoch
 
     def recorded(batch, hot_idx):
-        outcomes.append(attempt(batch, hot_idx))
-        return outcomes[-1]
+        cold = attempt(batch, hot_idx)
+        outcomes.append(cold is not None)
+        return cold
 
     eng._preapply_epoch = recorded
     return outcomes
@@ -240,6 +255,76 @@ def test_read_only_line_in_a_hot_set_preapplies(scheme, ways, data):
     assert outcomes == [True] * len(trace.epochs)
 
 
+@st.composite
+def exclusive_line_traces(draw, ways):
+    """Epoch 0: an owner writes line L, which leaves L exclusive
+    (directory E, or a snoop M copy).  Epoch 1: the owner reads L beside
+    0..K conflict lines of L's set, and one or two outside readers on
+    other processors read L.  Every task also touches lines of its own
+    in other sets.  Returns ``(program, machine, trace, L, readers,
+    conflicts)``."""
+    n_procs = 4
+    program, machine, layout = _setup(n_procs, ways)
+    a = layout.base("A")
+    s = draw(st.integers(0, N_SETS - 1))
+    L = a + s
+    conflicts = [L + N_SETS * k
+                 for k in range(1, draw(st.integers(0, ways)) + 1)]
+    owner, *others = draw(st.permutations(range(n_procs)))
+    readers = others[:draw(st.integers(1, 2))]
+
+    def task(proc, musts, pool):
+        own = [(w, a + 16 * (proc + 1) + k) for k in range(12)
+               if (a + k) % N_SETS != L % N_SETS for w in (False, True)]
+        accesses = [draw(st.sampled_from(pool + own))
+                    for _ in range(draw(st.integers(32, 48)))]
+        for must in musts:
+            accesses.insert(draw(st.integers(0, len(accesses))), must)
+        return proc, accesses
+
+    reads = [(False, line) for line in [L] + conflicts]
+    epochs = [[task(owner, [(True, L)], [])],
+              [task(owner, reads, reads)]
+              + [task(proc, [(False, L)], [(False, L)]) for proc in readers]]
+    return (program, machine, _trace(layout, n_procs, epochs), L,
+            len(readers), len(conflicts))
+
+
+@pytest.mark.parametrize("scheme", MSI)
+@pytest.mark.parametrize("ways", [1, 2])
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(data=st.data())
+def test_exclusive_line_is_hot_only_with_two_outside_readers(scheme, ways,
+                                                            data):
+    program, machine, trace, L, readers, conflicts = data.draw(
+        exclusive_line_traces(ways))
+    machine = machine.with_(check_coherence=True)
+    fast_eng = make_engine(trace, mark_program(program),
+                           machine.with_(engine="fast"), scheme)
+    plans = []
+    plan = fast_eng._plan_epoch
+
+    def recorded(epoch):
+        plans.append(plan(epoch))
+        return plans[-1]
+
+    fast_eng._plan_epoch = recorded
+    fast = fast_eng.run()
+    _, ref = _run(program, machine, trace, scheme, "reference")
+    assert snapshot(fast) == snapshot(ref)
+    assert fast_eng.batched_epochs == 2
+    # One outside reader leaves L cold; two make it hot, as does the
+    # owner's set when it must evict (the eviction pre-check).
+    expected = readers == 2 or conflicts == ways
+    for task, hot in zip(trace.epochs[1].tasks, plans[1]):
+        at_L = np.isin([i for i, e in enumerate(task.events)
+                        if e.addr == L], hot)
+        assert len(at_L) and at_L.all() == expected
+        assert at_L.any() == expected
+
+
 # ------------------------------------------------------------ other lines
 
 
@@ -329,3 +414,92 @@ def test_conflict_cells_preapply_every_batched_epoch(scheme, cache,
         outcomes += recorded
     assert batched > 0
     assert outcomes == [True] * batched
+
+
+# ------------------------------------------------------ poisoned sets
+
+
+@pytest.mark.parametrize("workload", ["spec77", "trfd", "arc2d"])
+def test_poisoned_sets_turn_hot_and_the_rest_preapplies(workload,
+                                                        monkeypatch):
+    # fig18's migrated tpi cells: a set where the staleness oracle might
+    # fire poisons the merged window.  Its events turn hot for their
+    # task and the rest of the epoch pre-applies, so no span runs.
+    declines, scans = [], []
+    preapply, span = _BatchKernel.preapply, _BatchKernel.span
+
+    def counting_preapply(self, eng, pieces, poisoned):
+        sums = preapply(self, eng, pieces, poisoned)
+        declines.append(not sums)
+        return sums
+
+    def counting_span(self, eng, proc, ta, lo, hi):
+        scans.append((lo, hi))
+        return span(self, eng, proc, ta, lo, hi)
+
+    monkeypatch.setattr(_BatchKernel, "preapply", counting_preapply)
+    monkeypatch.setattr(_BatchKernel, "span", counting_span)
+    base = default_machine()
+    run = prepare(build_workload(workload, size="small"), base,
+                  opts=MarkingOptions(assume_no_migration=False),
+                  migration=MigrationSpec(every=7))
+    eng = FastEngine(run.trace, run.marking, base.with_(engine="fast"),
+                     "tpi")
+    outcomes = _preapply_outcomes(eng)
+    fast = eng.run()
+    assert any(declines)
+    assert not scans
+    assert outcomes == [True] * eng.batched_epochs
+    ref = simulate(run, "tpi", machine=base.with_(engine="reference"))
+    assert fast.to_dict() == ref.to_dict()
+
+
+# ------------------------------------------------------------- path counts
+
+
+@pytest.fixture
+def exact_path_counts(monkeypatch):
+    """Counts exact-path accesses (key ``"access"``) and, per
+    ``(scheme, cache KB, associativity)``, the hot events the fast
+    engine plans."""
+    counts = collections.Counter()
+    access, plan = Engine._access, FastEngine._plan_epoch
+
+    def counted_access(self, *args):
+        counts["access"] += 1
+        return access(self, *args)
+
+    def counted_plan(self, epoch):
+        hot_idx = plan(self, epoch)
+        if hot_idx is not None:
+            cache = self.machine.cache
+            counts[self.scheme.name, cache.size_bytes // 1024,
+                   cache.associativity] += sum(map(len, hot_idx))
+        return hot_idx
+
+    monkeypatch.setattr(Engine, "_access", counted_access)
+    monkeypatch.setattr(FastEngine, "_plan_epoch", counted_plan)
+    return counts
+
+
+def test_fig21_exact_path_counts(fig21_small_runs, exact_path_counts):
+    # Exact values: a change that moves them moves the hot-event replay
+    # or the exact path, and should say so.
+    base, runs = fig21_small_runs
+    for cache in (dict(size_bytes=16 * 1024), dict(size_bytes=64 * 1024),
+                  dict(size_bytes=256 * 1024),
+                  dict(size_bytes=64 * 1024, associativity=4)):
+        machine = base.with_(cache=CacheConfig(
+            line_words=base.cache.line_words, **cache), engine="fast")
+        for run in runs:
+            for scheme in ("tpi", "hw"):
+                FastEngine(run.trace, run.marking, machine, scheme).run()
+    assert exact_path_counts["access"] == 235_190
+    assert {key[1:]: n for key, n in exact_path_counts.items()
+            if key[0] == "hw"} == {(16, 1): 49_250, (64, 1): 29_772,
+                                   (256, 1): 29_772, (64, 4): 30_600}
+
+
+def test_fig11_hw_hot_events(exact_path_counts):
+    run_experiment("fig11_miss_rates", size="small")
+    assert exact_path_counts["hw", 64, 1] == 4_542
