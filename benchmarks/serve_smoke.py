@@ -3,9 +3,10 @@
 Boots the real CLI entrypoint (``python -m repro serve``) as a
 subprocess, then checks the two serve guarantees from the outside:
 
-1. **differential** — a ``POST /sweep`` response is byte-identical to
-   the warm ``repro sweep --json`` file for the same fingerprints
-   (CLI and server share one artifact cache here);
+1. **differential** — ``POST /sweep`` and ``POST /simulate`` responses
+   are byte-identical to the warm ``repro sweep --json`` and ``repro
+   simulate --json`` files for the same fingerprints (CLI and server
+   share one artifact cache here);
 2. **coalescing** — concurrent identical cold requests are collapsed:
    the ``/stats`` coalesced counter rises and the dispatched counter
    shows one simulation per distinct fingerprint.
@@ -31,6 +32,8 @@ SWEEP_ARGS = ["sweep", "ocean", "--axis", "line=1,4", "--scheme", "tpi",
               "--size", "small"]
 SWEEP_BODY = {"workload": "ocean", "axes": ["line=1,4"], "schemes": ["tpi"],
               "size": "small"}
+SIM_ARGS = ["simulate", "ocean", "--size", "small", "--procs", "4",
+            "--scheme", "tpi"]
 COLD_BODY = {"workload": "trfd", "axes": ["k=2,3"], "schemes": ["tpi"],
              "size": "small"}
 SIM_BODY = {"workload": "ocean", "size": "small", "procs": 4,
@@ -72,13 +75,15 @@ def main() -> int:
 
         # Warm the shared cache through the CLI path (twice: the second,
         # fully warm run is the deterministic payload the server must hit).
-        cli_json = os.path.join(tmp, "sweep.json")
-        for _ in range(2):
-            subprocess.run([sys.executable, "-m", "repro", *SWEEP_ARGS,
-                            "--json", cli_json], env=env, check=True,
-                           stdout=subprocess.DEVNULL)
-        with open(cli_json, "rb") as handle:
-            cli_bytes = handle.read()
+        cli_bytes = {}
+        for route, args in (("/sweep", SWEEP_ARGS), ("/simulate", SIM_ARGS)):
+            cli_json = os.path.join(tmp, route.strip("/") + ".json")
+            for _ in range(2):
+                subprocess.run([sys.executable, "-m", "repro", *args,
+                                "--json", cli_json], env=env, check=True,
+                               stdout=subprocess.DEVNULL)
+            with open(cli_json, "rb") as handle:
+                cli_bytes[route] = handle.read()
 
         server = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
@@ -87,14 +92,13 @@ def main() -> int:
             wait_ready(port, server)
 
             # 1. Differential: server bytes == warm CLI --json bytes.
-            served = post(port, "/sweep", SWEEP_BODY)
-            assert served == cli_bytes, (
-                "server /sweep response differs from CLI --json:\n"
-                f"cli: {cli_bytes[:200]!r}...\nsrv: {served[:200]!r}...")
-
-            # and a simulate round-trip for good measure
-            simulated = json.loads(post(port, "/simulate", SIM_BODY))
-            assert "tpi" in simulated, simulated
+            for route, body in (("/sweep", SWEEP_BODY),
+                                ("/simulate", SIM_BODY)):
+                served = post(port, route, body)
+                cli = cli_bytes[route]
+                assert served == cli, (
+                    f"server {route} response differs from CLI --json:\n"
+                    f"cli: {cli[:200]!r}...\nsrv: {served[:200]!r}...")
 
             # 2. Coalescing: identical *cold* requests collapse to one
             # simulation per distinct fingerprint.
@@ -105,10 +109,10 @@ def main() -> int:
 
             stats = json.loads(get(port, "/stats"))["requests"]
             assert stats["coalesced"] > 0, stats
-            # duplicates never dispatched: cold fingerprints cost one
-            # simulation each (sweep above was warm, simulate + COLD_BODY
-            # are the only cold requests).
-            assert stats["dispatched"] <= 2, stats
+            # duplicates never dispatched: the cold fingerprint costs one
+            # simulation (sweep and simulate above were warm, COLD_BODY is
+            # the only cold request).
+            assert stats["dispatched"] == 1, stats
             assert stats["errors"] == 0, stats
             print("serve smoke OK:", stats)
         finally:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -119,11 +120,12 @@ class Job:
         """
         from repro.runtime.cache import cache_salt
 
-        front, _back = split_machine(self.machine)
         return {
             "salt": cache_salt(),
             "program": self.digest,
-            "machine": front,
+            # split_machine's front half, without walking the back half
+            "machine": {name: _plain(getattr(self.machine, name))
+                        for name in TRACE_MACHINE_FIELDS},
             "params": _plain(self.params or {}),
             "opts": _plain(self.opts or MarkingOptions()),
             "migration": _plain(self.migration or MigrationSpec()),
@@ -153,12 +155,8 @@ class Job:
         so e.g. every timetag width of a fig15-style sweep names the *same*
         hardware-directory result and the executor computes it once.
         """
-        from repro.coherence.api import dead_config_fields
-
-        _front, back = split_machine(self.machine)
-        for name in dead_config_fields(self.scheme):
-            back.pop(name, None)
-        text = ":".join([self.prepare_fingerprint(), canonical_json(back),
+        text = ":".join([self.prepare_fingerprint(),
+                         _backend_json(self.machine, self.scheme),
                          self.scheme])
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -167,34 +165,49 @@ class Job:
         return f"{self.program.name}/{self.scheme}"
 
 
+@functools.lru_cache(maxsize=1024)
+def _backend_json(machine: MachineConfig, scheme: str) -> str:
+    """Canonical JSON of the machine's back-end half without the fields
+    ``scheme`` never reads; memoized by value (``MachineConfig`` is
+    frozen), so warm requests for one cell never re-walk the config."""
+    from repro.coherence.api import dead_config_fields
+
+    _front, back = split_machine(machine)
+    for name in dead_config_fields(scheme):
+        back.pop(name, None)
+    return canonical_json(back)
+
+
 def jobs_for_schemes(program: Program, schemes: Sequence[str],
                      machine: MachineConfig,
                      params: Optional[Dict[str, int]] = None,
                      opts: Optional[MarkingOptions] = None,
                      migration: Optional[MigrationSpec] = None,
-                     tag: Any = None) -> List[Job]:
-    """One job per scheme over a shared front end (``simulate_all`` shape)."""
-    shared = Job(program=program, scheme=schemes[0] if schemes else "",
-                 machine=machine, params=params, opts=opts,
-                 migration=migration)
-    digest = shared.digest
+                     tag: Any = None,
+                     digest: Optional[str] = None) -> List[Job]:
+    """One job per scheme over a shared front end (``simulate_all`` shape).
+
+    ``digest`` is the program's :func:`program_digest` when the caller
+    already has it; otherwise it is computed once here."""
+    digest = digest or program_digest(program)
     return [Job(program=program, scheme=scheme, machine=machine,
                 params=params, opts=opts, migration=migration, tag=tag,
                 _digest=digest)
             for scheme in schemes]
 
 
-def expand_sweep(sweep: "Sweep") -> List[Job]:
+def expand_sweep(sweep: "Sweep", digest: Optional[str] = None) -> List[Job]:
     """Flatten a sweep grid into jobs, in the order ``Sweep.run`` reports.
 
-    Each job's ``tag`` is the cell's label dict; the program digest is
-    computed once and shared across the whole grid.
+    Each job's ``tag`` is the cell's label dict; the program digest
+    (``digest``, when the caller already has it) is computed at most
+    once and shared across the whole grid.
     """
     import itertools
 
     if not sweep._axes:
         raise ValueError("sweep has no axes; add at least one")
-    digest = program_digest(sweep.program)
+    digest = digest or program_digest(sweep.program)
     names = [name for name, _ in sweep._axes]
     jobs: List[Job] = []
     for combo in itertools.product(*(axis for _, axis in sweep._axes)):

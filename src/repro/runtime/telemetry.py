@@ -21,13 +21,19 @@ __all__ = ["JobRecord", "RunReport", "Telemetry", "percentile", "write_json"]
 
 def write_json(payload: Any, path: Union[str, os.PathLike, IO[str]]) -> None:
     """Shared JSON serializer for CLI outputs (``--json``, ``--report``)."""
+    text = json_text(payload)
     if hasattr(path, "write"):
-        json.dump(payload, path, indent=2, sort_keys=False, default=str)
-        path.write("\n")
+        path.write(text)
         return
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False, default=str)
-        handle.write("\n")
+        handle.write(text)
+
+
+def json_text(payload: Any) -> str:
+    """The text :func:`write_json` writes: the one definition of the
+    CLI's JSON format (two-space indent, insertion order, ``str`` for
+    anything JSON cannot encode, trailing newline)."""
+    return json.dumps(payload, indent=2, sort_keys=False, default=str) + "\n"
 
 
 SERVE_LATENCY_CAP = 4096

@@ -10,17 +10,14 @@ dict rendered through :func:`repro.runtime.write_json`.
 
 from __future__ import annotations
 
-import io
 from typing import Any, Dict, List, Optional
 
-from repro.runtime.telemetry import Telemetry, write_json
+from repro.runtime.telemetry import Telemetry, json_text
 
 
 def json_bytes(payload: Any) -> bytes:
     """Render a payload exactly as ``write_json`` writes it to a file."""
-    buffer = io.StringIO()
-    write_json(payload, buffer)
-    return buffer.getvalue().encode()
+    return json_text(payload).encode()
 
 
 def phases_dict(telemetry: Optional[Telemetry]) -> Dict[str, float]:

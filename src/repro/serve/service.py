@@ -44,6 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.coherence import SCHEME_NAMES
 from repro.common.config import ENGINE_NAMES, default_machine
 from repro.common.errors import ReproError
+from repro.ir.program import Program
 from repro.runtime import (
     ArtifactCache,
     Job,
@@ -51,6 +52,7 @@ from repro.runtime import (
     Telemetry,
     expand_sweep,
     jobs_for_schemes,
+    program_digest,
 )
 from repro.runtime.cache import KIND_RESULT
 from repro.serve.payloads import json_bytes, simulate_payload, sweep_payload
@@ -131,6 +133,7 @@ class SimulationService:
         """Requests that actually ran simulations (the coalescing
         assertion in CI: duplicates never increment this)."""
         self.requests_by_kind: Dict[str, int] = {"simulate": 0, "sweep": 0}
+        self._programs: Dict[Tuple[str, str], Tuple[Program, str]] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
         self._records: "OrderedDict[str, RequestRecord]" = OrderedDict()
         self._detached: set = set()
@@ -142,7 +145,8 @@ class SimulationService:
     # -------------------------------------------------------------- parsing
 
     def _parse_common(self, body: Dict[str, Any], default_schemes,
-                      default_size: str) -> Tuple[Any, List[str], str, str]:
+                      default_size: str
+                      ) -> Tuple[Tuple[Program, str], List[str], Optional[str]]:
         if not isinstance(body, dict):
             raise ServeError(400, "request body must be a JSON object")
         workload = body.get("workload")
@@ -160,14 +164,27 @@ class SimulationService:
         if engine is not None and engine not in ENGINE_NAMES:
             raise ServeError(400, f"unknown engine {engine!r}; choose from "
                                   f"{', '.join(ENGINE_NAMES)}")
-        try:
-            program = build_workload(workload, size=size)
-        except (ReproError, ValueError, KeyError) as exc:
-            raise ServeError(400, str(exc)) from None
-        return program, schemes, engine
+        if not isinstance(size, str):
+            raise ServeError(400, f"size must be a preset name, got {size!r}")
+        return self._program(workload, size), schemes, engine
+
+    def _program(self, workload: str, size: str) -> Tuple[Program, str]:
+        """The built program and its digest, once per ``(workload, size)``.
+
+        Only successful builds are kept, so the keys are bounded by the
+        workload and size vocabulary.  Jobs only read the program, so one
+        instance serves every request."""
+        key = (workload, size)
+        if key not in self._programs:
+            try:
+                program = build_workload(workload, size=size)
+            except (ReproError, ValueError, KeyError) as exc:
+                raise ServeError(400, str(exc)) from None
+            self._programs[key] = (program, program_digest(program))
+        return self._programs[key]
 
     def parse_simulate(self, body: Dict[str, Any]) -> _Parsed:
-        program, schemes, engine = self._parse_common(
+        (program, digest), schemes, engine = self._parse_common(
             body, ("base", "sc", "tpi", "hw"), "default")
         procs = body.get("procs", 16)
         if not isinstance(procs, int) or procs < 1:
@@ -181,11 +198,11 @@ class SimulationService:
             raise ServeError(400, str(exc)) from None
         if engine:
             machine = machine.with_(engine=engine)
-        jobs = jobs_for_schemes(program, schemes, machine)
+        jobs = jobs_for_schemes(program, schemes, machine, digest=digest)
         return _Parsed(kind="simulate", jobs=jobs, schemes=tuple(schemes))
 
     def parse_sweep(self, body: Dict[str, Any]) -> _Parsed:
-        program, schemes, engine = self._parse_common(
+        (program, digest), schemes, engine = self._parse_common(
             body, ("tpi", "hw"), "small")
         axes = body.get("axes")
         if not axes or not isinstance(axes, list):
@@ -199,7 +216,7 @@ class SimulationService:
                                      schemes=schemes, base=base)
         except ValueError as exc:
             raise ServeError(400, str(exc)) from None
-        jobs = expand_sweep(sweep)
+        jobs = expand_sweep(sweep, digest=digest)
         return _Parsed(kind="sweep", jobs=jobs, schemes=tuple(schemes))
 
     # ------------------------------------------------------------- answering

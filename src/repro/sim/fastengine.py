@@ -271,6 +271,10 @@ class FastEngine(Engine):
         self._cur_batch = batch
         if batch.has_sync:
             return None
+        if len({ta.proc for ta in batch.tasks}) < len(batch.tasks):
+            # Tasks sharing a processor each start at their own dispatch
+            # time, but ``_run_epoch_fast`` keeps one clock per processor.
+            return None
 
         if rule == "none":
             return [_NO_HOT] * len(batch.tasks)
@@ -477,12 +481,6 @@ class FastEngine(Engine):
         epoch-latched, so the pre-applied cold state and per-task latency
         sums are exactly what interleaved execution would produce.
 
-        When two tasks share a processor *and* the epoch has hot events,
-        their events interleave in heap order rather than rank order, so
-        a set one of them uses cold and the other uses at all forces a
-        bail-out (without hot events the merged rank order is exactly
-        the dispatch order).
-
         A set where the staleness oracle might fire is poisoned: its
         events must run through the exact path.  The kernel then applies
         nothing and names the poisoned events; they turn hot for their
@@ -490,26 +488,13 @@ class FastEngine(Engine):
         task's hot and cold events still use disjoint sets, and the rest
         of the epoch is tried again."""
         tasks = batch.tasks
-        shared_procs = len({ta.proc for ta in tasks}) < len(tasks)
         while True:
-            shared_proc = shared_procs and any(len(h) for h in hot_idx)
-            proc_sets: Dict[int, tuple] = {}
             ranks, pieces = [], []
             for rank, (ta, h) in enumerate(zip(tasks, hot_idx)):
                 sel = None
                 if len(h):
                     sel = np.ones(ta.n, dtype=bool)
                     sel[h] = False
-                if shared_proc:
-                    cold_sets = (ta.uniq_sets if sel is None
-                                 else np.unique(ta.set_[sel]))
-                    seen_cold, seen_all = proc_sets.get(ta.proc,
-                                                        (_NO_HOT,) * 2)
-                    if (np.isin(cold_sets, seen_all).any()
-                            or np.isin(ta.uniq_sets, seen_cold).any()):
-                        return None
-                    proc_sets[ta.proc] = (np.union1d(seen_cold, cold_sets),
-                                          np.union1d(seen_all, ta.uniq_sets))
                 if len(h) < ta.n:
                     ranks.append(rank)
                     pieces.append((ta.proc, ta, sel))

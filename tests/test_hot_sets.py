@@ -152,6 +152,26 @@ def test_hot_miss_displacing_a_cold_written_resident(scheme):
     assert fast_eng.batched_epochs == 2
 
 
+@pytest.mark.parametrize("scheme", ["hw", "tpi"])
+def test_tasks_sharing_a_processor_match_the_reference(scheme):
+    """Two of each epoch's four tasks run on processor 0.  The reference
+    engine starts every task at its own dispatch time; a per-processor
+    start clock would start both from the later one's, so the fast
+    engine declines such epochs."""
+    program, machine, layout = _setup(n_procs=4)
+    a = layout.base("A")
+    rng = np.random.default_rng(27)
+    epochs = [[(proc, [(bool(rng.integers(2)), a + int(rng.integers(32)))
+                       for _ in range(40)])
+               for proc in (0, 1, 0, 2)]
+              for _ in range(2)]
+    trace = _trace(layout, 4, epochs)
+    fast_eng, fast = _run(program, machine, trace, scheme, "fast")
+    _, ref = _run(program, machine, trace, scheme, "reference")
+    assert snapshot(fast) == snapshot(ref)
+    assert fast_eng.fallback_epochs == 2
+
+
 # ----------------------------------------------------- raw-trace property
 
 

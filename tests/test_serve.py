@@ -193,6 +193,8 @@ class TestServiceValidation:
         ({"workload": "ocean", "procs": 10**9}, "REPRO_MAX_PROCS"),
         ([], "JSON object"),
         ({"workload": "ocean", "engine": "gang"}, "unknown engine"),
+        ({"workload": "ocean", "size": "huge"}, "unknown size"),
+        ({"workload": "ocean", "size": [1]}, "size"),
     ])
     def test_simulate_rejections(self, tmp_path, body, fragment):
         service = make_service(tmp_path)
@@ -206,6 +208,10 @@ class TestServiceValidation:
         ({"workload": "ocean"}, "axes"),
         ({"workload": "ocean", "axes": ["voltage=1"]}, "unknown axis"),
         ({"workload": "ocean", "axes": ["line=abc"]}, "integers"),
+        ({"workload": "nope", "axes": ["line=1"]}, "unknown workload"),
+        ({"workload": "ocean", "size": "huge", "axes": ["line=1"]},
+         "unknown size"),
+        ({"workload": "ocean", "size": [1], "axes": ["line=1"]}, "size"),
     ])
     def test_sweep_rejections(self, tmp_path, body, fragment):
         service = make_service(tmp_path)
@@ -221,6 +227,53 @@ class TestServiceValidation:
             run(service.answer("simulate", {"workload": "nope"}))
         service.close()
         assert service.telemetry.serve_errors == 1
+
+
+class TestWarmPath:
+    """A warm hit does only the work that depends on the request."""
+
+    def test_front_end_work_runs_once_per_workload_and_size(
+            self, tmp_path, monkeypatch):
+        from repro.runtime import jobs as jobs_module
+        from repro.serve import service as service_module
+
+        builds, digests = [], []
+        build, digest = (service_module.build_workload,
+                         service_module.program_digest)
+
+        def counted_build(name, size="default", **overrides):
+            builds.append((name, size))
+            return build(name, size=size, **overrides)
+
+        def counted_digest(program):
+            digests.append(program.name)
+            return digest(program)
+
+        monkeypatch.setattr(service_module, "build_workload", counted_build)
+        monkeypatch.setattr(service_module, "program_digest", counted_digest)
+        monkeypatch.setattr(jobs_module, "program_digest", counted_digest)
+        service = make_service(tmp_path)
+        other = dict(SIM_BODY, workload="trfd")
+        for _ in range(3):  # the first pass is cold, the rest warm
+            for kind, body in (("simulate", SIM_BODY), ("sweep", SWEEP_BODY),
+                               ("simulate", other)):
+                run(service.answer(kind, dict(body)))
+        service.close()
+        assert service.dispatched == 3
+        assert service.telemetry.serve_hits == 6
+        assert sorted(builds) == [("ocean", "small"), ("trfd", "small")]
+        assert len(digests) == 2
+
+    def test_simulation_leaves_the_shared_program_unchanged(self, tmp_path):
+        from repro.runtime import program_digest
+
+        service = make_service(tmp_path)
+        run(service.answer("simulate", dict(SIM_BODY)))
+        run(service.answer("sweep", dict(SWEEP_BODY)))
+        service.close()
+        assert service.dispatched == 2
+        program, digest = service._programs[("ocean", "small")]
+        assert program_digest(program) == digest
 
 
 class TestDifferentialAgainstCli:
@@ -371,6 +424,28 @@ class TestHttpServer:
         assert codes == {"unknown_route": 404, "unknown_job": 404,
                          "get_on_post": 405, "bad_json": 400,
                          "bad_workload": 400, "bad_artifact": 404}
+
+    @pytest.mark.parametrize("route,extra", [
+        ("/simulate", {}), ("/sweep", {"axes": ["line=1,4"]})])
+    def test_bad_workload_or_size_gets_400(self, served, route, extra):
+        """Also when a good (workload, size) is already memoized."""
+        service, server = served
+        service.parse_simulate(dict(SIM_BODY))
+        bodies = [{"workload": "ocean", "size": "huge"},
+                  {"workload": "ocean", "size": [1]},
+                  {"workload": "nope", "size": "small"}]
+
+        def client(port):
+            codes = []
+            for body in bodies:
+                try:
+                    self._post(port, route, dict(body, **extra))
+                    codes.append(200)
+                except urllib.error.HTTPError as err:
+                    codes.append(err.code)
+            return codes
+
+        assert self._with_server(server, client) == [400, 400, 400]
 
     def test_cached_artifacts_are_not_served_raw(self, served):
         service, server = served
