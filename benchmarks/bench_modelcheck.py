@@ -2,11 +2,14 @@
 
 Times the five checker configs of the repository benchmark's
 ``modelcheck`` workload (``perfbench/worker.py``: three TPI, two Tardis)
-and both mutation self-tests, best of ``--rounds``, and records each
-one's states and transitions (a self-test's are summed over its
-mutants' searches, with its caught and refuted mutants) beside a
-machine stamp.  The counts are the golden check: a faster checker that
-explores a different space is a different checker.
+and both mutation self-tests, best of ``--rounds``, beside a machine
+stamp.  A grid entry records its states and transitions: a faster
+checker that explores a different space is a different checker.  A
+self-test entry records its caught and refuted mutants and, per mutant,
+the config that caught it and a digest of its rendered counterexample;
+its summed states and transitions are search effort, reported under
+``effort`` but not compared, since how far the search runs before the
+catch is the self-test's own business.
 
 Standalone::
 
@@ -14,12 +17,13 @@ Standalone::
 
 ``--baseline OLD.json`` embeds an earlier run of this script (for
 example one made with ``PYTHONPATH`` pointing at another checkout's
-``src``) and records each entry's speedup over it, failing if any count
-differs.  Under pytest one Tardis and one TPI config run once, with
-sanity assertions only.
+``src``) and records each entry's speedup over it, failing if any grid
+count, mutant label or counterexample digest differs.  Under pytest one
+Tardis and one TPI config run once, with sanity assertions only.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -31,6 +35,9 @@ import numpy as np
 from repro.analysis import (ModelConfig, TardisModelConfig, check_config,
                             protocol_self_test, tardis_check_config,
                             tardis_self_test)
+from repro.analysis.modelcheck import SELF_TEST_CONFIGS, protocol_mutants
+from repro.analysis.modelcheck_tardis import (TARDIS_SELF_TEST_CONFIGS,
+                                              tardis_mutants)
 
 # The ``modelcheck`` workload's grid, as in perfbench/worker.py.
 TPI_CONFIGS = (
@@ -55,12 +62,32 @@ def _grid_counts(result) -> dict:
             "truncated": result.truncated}
 
 
-def _self_test_counts(result) -> dict:
-    return {"states": sum(m.states for m in result.mutations),
-            "transitions": sum(m.transitions for m in result.mutations),
-            "caught": result.caught, "seeded": result.seeded,
-            "refuted": sum(1 for m in result.mutations
-                           if m.refuted_by_production is True)}
+def _self_test_counts(mutants, configs, check):
+    """Counts of a self-test: its caught and refuted mutants, and per
+    mutant the catching config and the digest of the counterexample that
+    config yields (``check`` on it, so any checkout's result reads the
+    same way)."""
+    by_label = {config.label: config for config in configs}
+
+    def counts(result) -> dict:
+        caught = {}
+        for mutant, mutation in zip(mutants(), result.mutations):
+            if not mutation.caught:
+                continue
+            found = check(by_label[mutation.config_label], mutant)
+            trace = "\n".join(found.violations[0].render())
+            caught[mutation.name] = {
+                "config": mutation.config_label,
+                "trace_sha256": hashlib.sha256(trace.encode()).hexdigest()}
+        return {"caught": result.caught, "seeded": result.seeded,
+                "refuted": sum(1 for m in result.mutations
+                               if m.refuted_by_production is True),
+                "mutants": caught,
+                "effort": {
+                    "states": sum(m.states for m in result.mutations),
+                    "transitions": sum(m.transitions
+                                       for m in result.mutations)}}
+    return counts
 
 
 def entries(tpi=TPI_CONFIGS, tardis=TARDIS_CONFIGS, self_tests=True):
@@ -70,8 +97,12 @@ def entries(tpi=TPI_CONFIGS, tardis=TARDIS_CONFIGS, self_tests=True):
     out += [(f"tardis/{c.label}", lambda c=c: tardis_check_config(c),
              _grid_counts) for c in tardis]
     if self_tests:
-        out += [("selftest/tpi", protocol_self_test, _self_test_counts),
-                ("selftest/tardis", tardis_self_test, _self_test_counts)]
+        out += [("selftest/tpi", protocol_self_test,
+                 _self_test_counts(protocol_mutants, SELF_TEST_CONFIGS,
+                                   check_config)),
+                ("selftest/tardis", tardis_self_test,
+                 _self_test_counts(tardis_mutants, TARDIS_SELF_TEST_CONFIGS,
+                                   tardis_check_config))]
     return out
 
 
@@ -96,11 +127,11 @@ def machine_stamp() -> dict:
 
 
 def compare(runs: dict, baseline: dict) -> None:
-    """Add each entry's speedup over ``baseline``; raises if any count
-    differs."""
+    """Add each entry's speedup over ``baseline``; raises if any compared
+    count differs (everything but times and a self-test's effort)."""
     for name, run in runs.items():
         old = baseline["runs"][name]
-        for key in run.keys() - {"best_s", "speedup"}:
+        for key in run.keys() - {"best_s", "speedup", "effort"}:
             if run[key] != old[key]:
                 raise ValueError(f"{name}: {key} {run[key]} differs from "
                                  f"the baseline's {old[key]}")

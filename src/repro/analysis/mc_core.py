@@ -2,12 +2,12 @@
 
 A protocol module (:mod:`repro.analysis.modelcheck` for TPI timetags,
 :mod:`repro.analysis.modelcheck_tardis` for Tardis leases) describes one
-protocol as guarded actions over an explicit abstract state: config,
-rule table and mutants, initial state and ``_successors``, action
-rendering, coverage check, and the mapping from actions to production
-scheme calls.  This module owns the rest, once: the breadth-first
-explorer, the production replay loop, the mutation self-test and the
-cached report.
+protocol as guarded actions over an explicit abstract state, one flat
+tuple of ints: config, rule table and mutants, initial state and the
+per-config successor function, action rendering, coverage check, and
+the mapping from actions to production scheme calls.  This module owns
+the rest, once: the breadth-first explorer, the production replay loop,
+the mutation self-test and the cached report.
 
 ``successors(state)`` yields ``(action, next_state, breach, served)``.
 ``next_state`` is None when the action leaves the state unchanged (a
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Any, Callable, ClassVar, Dict, Iterable, List, Mapping,
@@ -36,9 +35,9 @@ from repro.analysis.diagnostics import Diagnostic, Report
 @dataclass(frozen=True)
 class Violation:
     """One staleness-safety counterexample.  Protocol subclasses add the
-    breach fields (in ``_successors`` order) and the hooks below, plus
-    ``describe()`` (the diagnostic message) and ``detail()`` (its
-    machine-readable fields)."""
+    breach fields (in the order the successors yield them) and the hooks
+    below, plus ``describe()`` (the diagnostic message) and ``detail()``
+    (its machine-readable fields)."""
 
     config: Any
     trace: Tuple[Tuple, ...]  # state-changing actions, then the serving read
@@ -111,47 +110,73 @@ def _trace_to(parents, state) -> Tuple[Tuple, ...]:
     return tuple(reversed(actions))
 
 
-def explore(result: CheckResult, init, successors: Callable,
-            violation_cls: Callable[..., Violation], *, max_violations: int,
-            max_states: int) -> Dict[Tuple, Optional[Tuple]]:
-    """Exhaustively enumerate every state reachable from ``init``.
+class Exploration:
+    """Exhaustive breadth-first enumeration of every state reachable
+    from ``init``, resumable one BFS level per :meth:`step`.
 
-    Breadth-first, so the first counterexample found has a minimal
-    action trace.  ``max_states`` is a runaway backstop far above any
-    in-bounds configuration; hitting it marks the result ``truncated``
-    (the exhaustiveness claim is void).  Fills ``result`` in place and
-    returns the parent map, whose keys are the reached states.
+    The first counterexample found has a minimal action trace.
+    ``max_states`` is a runaway backstop far above any in-bounds
+    configuration; hitting it marks the result ``truncated`` (the
+    exhaustiveness claim is void).  Each step fills ``result`` in place;
+    ``parents`` maps every reached state to ``(parent, action)``.
     """
-    start = time.perf_counter()
-    config = result.config
-    violations = result.violations
-    parents: Dict[Tuple, Optional[Tuple]] = {init: None}
-    frontier = deque([init])
-    transitions = reads_checked = 0
-    while frontier:
-        if len(parents) > max_states:
-            result.truncated = True
-            break
-        state = frontier.popleft()
-        for action, nxt, breach, served in successors(state):
-            transitions += 1
-            if served:
-                reads_checked += 1
-            if breach is not None:
-                violations.append(violation_cls(
-                    config, _trace_to(parents, state) + (action,), *breach))
-                if len(violations) >= max_violations:
-                    frontier.clear()
-                    break
-                continue
-            if nxt is not None and nxt not in parents:
-                parents[nxt] = (state, action)
-                frontier.append(nxt)
-    result.states = len(parents)
-    result.transitions = transitions
-    result.reads_checked = reads_checked
-    result.elapsed = time.perf_counter() - start
-    return parents
+
+    def __init__(self, result: CheckResult, init, successors: Callable,
+                 violation_cls: Callable[..., Violation], *,
+                 max_violations: int, max_states: int) -> None:
+        self.result = result
+        self.successors = successors
+        self.violation_cls = violation_cls
+        self.max_violations = max_violations
+        self.max_states = max_states
+        self.parents: Dict[Tuple, Optional[Tuple]] = {init: None}
+        self.level = [init]
+
+    @property
+    def done(self) -> bool:
+        return not self.level
+
+    def step(self) -> None:
+        """Expand every state of the current level, in FIFO order."""
+        start = time.perf_counter()
+        result, parents = self.result, self.parents
+        violations, successors = result.violations, self.successors
+        config, max_states = result.config, self.max_states
+        following: List[Tuple] = []
+        transitions = reads_checked = 0
+        stop = False
+        for state in self.level:
+            if len(parents) > max_states:
+                result.truncated = stop = True
+                break
+            for action, nxt, breach, served in successors(state):
+                transitions += 1
+                if served:
+                    reads_checked += 1
+                if breach is not None:
+                    violations.append(self.violation_cls(
+                        config, _trace_to(parents, state) + (action,),
+                        *breach))
+                    stop = len(violations) >= self.max_violations
+                    if stop:
+                        break
+                    continue
+                if nxt is not None and nxt not in parents:
+                    parents[nxt] = (state, action)
+                    following.append(nxt)
+            if stop:
+                break
+        self.level = [] if stop else following
+        result.states = len(parents)
+        result.transitions += transitions
+        result.reads_checked += reads_checked
+        result.elapsed += time.perf_counter() - start
+
+    def run(self) -> Dict[Tuple, Optional[Tuple]]:
+        """Step to exhaustion; returns the parent map."""
+        while self.level:
+            self.step()
+        return self.parents
 
 
 # --------------------------------------------------- production-replay check
@@ -253,7 +278,9 @@ def replay(trace: Sequence[Tuple], perform: Callable[[Tuple], Any],
 
 @dataclass(frozen=True)
 class ProtocolMutation:
-    """One seeded protocol bug and whether the checker caught it."""
+    """One seeded protocol bug and whether the checker caught it.
+    ``states``/``transitions`` are the search effort over every config
+    until the catch; ``trace`` is the rendered counterexample."""
 
     name: str
     caught: bool
@@ -261,6 +288,7 @@ class ProtocolMutation:
     states: int
     transitions: int
     refuted_by_production: Optional[bool]
+    trace: Tuple[str, ...]
 
 
 @dataclass
@@ -291,29 +319,41 @@ class ProtocolSelfTest:
                 f"{self.seeded} seeded protocol bugs produced counterexamples")
 
 
-def self_test(mutants: Iterable, configs: Sequence, check: Callable,
+def self_test(mutants: Iterable, configs: Sequence, start: Callable,
               replay_fn: Optional[Callable], *,
               subject: str) -> ProtocolSelfTest:
     """Seed each known protocol bug and require a counterexample whose
     replay (unless ``replay_fn`` is None) the unmutated production scheme
-    must *refute*: the direction tests cannot fake."""
+    must *refute*: the direction tests cannot fake.
+
+    ``start(config, rules, max_violations=1)`` returns a fresh
+    :class:`Exploration`.  Every config of a mutant advances one BFS
+    level per round, in config order, until the first breach, so each
+    mutant is caught by its shallowest counterexample (ties go to config
+    order) and no config is exhausted while another has a shorter one.
+    """
     result = ProtocolSelfTest(subject=subject)
     for mutant in mutants:
-        label, states, transitions = "", 0, 0
-        refuted: Optional[bool] = None
-        for config in configs:
-            found = check(config, mutant)
-            states += found.states
-            transitions += found.transitions
-            if found.violations:
-                label = config.label
-                if replay_fn is not None:
-                    refuted = replay_fn(found.violations[0]).refuted
-                break
+        searches = [start(config, mutant, max_violations=1)
+                    for config in configs]
+        found: Optional[Violation] = None
+        while found is None and not all(s.done for s in searches):
+            for search in searches:
+                if search.done:
+                    continue
+                search.step()
+                if search.result.violations:
+                    found = search.result.violations[0]
+                    break
         result.mutations.append(ProtocolMutation(
-            name=mutant.name, caught=bool(label), config_label=label,
-            states=states, transitions=transitions,
-            refuted_by_production=refuted))
+            name=mutant.name, caught=found is not None,
+            config_label=found.config.label if found else "",
+            states=sum(s.result.states for s in searches),
+            transitions=sum(s.result.transitions for s in searches),
+            refuted_by_production=(
+                replay_fn(found).refuted
+                if found is not None and replay_fn is not None else None),
+            trace=tuple(found.render()) if found else ()))
     return result
 
 

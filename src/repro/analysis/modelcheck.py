@@ -11,13 +11,16 @@ R-1 fill rule, ``W`` epilogue update, reset-sweep phase geometry) is
 taken from :mod:`repro.coherence.tpi_rules`, the same pure functions
 :class:`~repro.coherence.tpi.TpiScheme` and the batch kernels execute.
 
-State ``(R, plan, W, writers, caches)``: the epoch counter (full index;
-the k-bit view is taken inside the shared rules), each array's write
-mode this epoch (``none``; ``excl``, a legal DOALL with one writer per
-word; ``racy``, the illegal write-write-conflict case), the per-array
-``W`` registers, the ``excl`` single-writer guard, and per-processor
-lines of ``(valid, timetag, stale-since)`` words.  ``stale-since`` is
-ghost state: the epoch of the earliest write the copy misses.
+The state is one flat tuple of ints, in this slot order: the epoch
+counter ``R`` (full index; the k-bit view is taken inside the shared
+rules), each array's write mode this epoch (``none``; ``excl``, a legal
+DOALL with one writer per word; ``racy``, the illegal
+write-write-conflict case), the per-array ``W`` registers, the ``excl``
+single-writer guard per word, and per processor and word a ``(valid,
+timetag, stale-since)`` slot group.  An invalid word is all zeros, so a
+line that is not resident is an all-zero run of groups.
+``stale-since`` is ghost state: the epoch of the earliest write the
+copy misses.
 
 Actions: ``advance`` picks the next epoch's plan, applies the ended
 plan's ``W`` updates (may-write contract), bumps ``R`` and runs the
@@ -36,8 +39,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, replace
-from functools import partial
-from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.analysis import mc_core
 from repro.analysis.diagnostics import Report
@@ -54,7 +57,8 @@ _PLAN_NAMES = {PLAN_NONE: "-", PLAN_EXCL: "excl", PLAN_RACY: "racy"}
 FRESH = -1  # stale-since sentinel: the copy reflects the latest write
 NO_WRITER = -1
 
-_INVALID_WORD = (0, 0, FRESH)  # canonical invalid-word state
+_WORD_SLOTS = 3  # a cached word: (valid, timetag, stale-since)
+_INVALID_WORD = (0, 0, 0)
 
 
 # --------------------------------------------------------------------- config
@@ -245,135 +249,147 @@ class CheckResult(mc_core.CheckResult):
 W_NONE_SENTINEL = -(10 ** 9)  # matches the production never-written W init
 
 
-def _initial_state(config: ModelConfig):
-    return (0,
-            (PLAN_NONE,) * config.n_lines,
-            (W_NONE_SENTINEL,) * config.n_lines,
-            (NO_WRITER,) * config.n_words,
-            ((None,) * config.n_lines,) * config.n_procs)
+def _initial_state(config: ModelConfig) -> Tuple[int, ...]:
+    return ((0,)
+            + (PLAN_NONE,) * config.n_lines
+            + (W_NONE_SENTINEL,) * config.n_lines
+            + (NO_WRITER,) * config.n_words
+            + (0,) * (_WORD_SLOTS * config.n_procs * config.n_words))
 
 
-def _sweep_line(line, bounds, rules, modulus):
-    """Apply the reset sweep to one resident line; None if nothing survives."""
-    if line is None:
-        return None
-    swept = tuple(
-        _INVALID_WORD
-        if word[0] and rules.reset_selects(word[1], bounds[0], bounds[1],
-                                           modulus)
-        else word
-        for word in line)
-    # A line with no valid word behaves exactly like an absent one.
-    return swept if any(word[0] for word in swept) else None
+def _successor_fn(config: ModelConfig, rules: ProtocolRules) -> Callable:
+    """The successor function of one config over the flat state: slot
+    offsets computed once, rules bound to locals.
 
-
-def _fill_line(line, accessed_offset, epoch, stamp_current, rules):
-    """Fill/refresh one line per the production rules: words invalid or
-    older than the fill tag, and the accessed word, take fresh data (their
-    ghost stale-since clears); newer words keep their tags."""
-    base_tag = rules.fill_tag(epoch, False, stamp_current)
-    words = [(1, base_tag, FRESH) if not valid or tag < base_tag
-             else (valid, tag, since) for valid, tag, since in line]
-    words[accessed_offset] = (1, rules.fill_tag(epoch, True, stamp_current),
-                              FRESH)
-    return tuple(words)
-
-
-def _successors(state, config: ModelConfig, rules: ProtocolRules,
-                plan_choices: Tuple[Tuple[int, ...], ...]) -> Iterator[Tuple]:
-    """Yield ``(action, next_state, breach, served)`` per the core's
+    It yields ``(action, next_state, breach, served)`` per the core's
     successor contract; ``served`` marks read hits, the only reads
     served from a cached copy.  ``breach`` is the :class:`Violation`
     fields ``(proc, word, mark, tag, stale_since, epoch)``.
     """
-    R, plan, wregs, writers, caches = state
     n_procs, n_lines = config.n_procs, config.n_lines
-    line_words, modulus = config.line_words, config.modulus
-    absent = (_INVALID_WORD,) * line_words  # a line not resident
+    line_words, n_words = config.line_words, config.n_words
+    modulus, phase_size = config.modulus, config.phase_size
+    max_epochs, plan_choices = config.max_epochs, config.plan_choices
+    timestamp_hit, strict_hit = rules.timestamp_hit, rules.strict_hit
+    fill_tag, w_register_update = rules.fill_tag, rules.w_register_update
+    crossed_phase_bounds = rules.crossed_phase_bounds
+    reset_selects = rules.reset_selects
 
-    # -- advance: end the current epoch, pick the next epoch's write plan.
-    if R < config.max_epochs:
-        new_wregs = tuple(
-            rules.w_register_update(R, mode == PLAN_RACY)
-            if mode != PLAN_NONE else w
-            for w, mode in zip(wregs, plan))
-        bounds = rules.crossed_phase_bounds(R, R + 1, modulus,
-                                            config.phase_size)
-        swept = caches if bounds is None else tuple(
-            tuple(_sweep_line(line, bounds, rules, modulus) for line in cache)
-            for cache in caches)
-        cleared = (NO_WRITER,) * config.n_words
-        for next_plan in plan_choices:
-            yield (("advance", next_plan, R + 1),
-                   (R + 1, next_plan, new_wregs, cleared, swept), None, False)
+    wreg = 1 + n_lines
+    writers = wreg + n_lines
+    caches = writers + n_words
+    line_span = _WORD_SLOTS * line_words
+    cleared = (NO_WRITER,) * n_words
+    procs = range(n_procs)
 
-    if R == 0:
-        return  # accesses happen inside epochs only
+    def word_slot(proc: int, word: int) -> int:
+        return caches + _WORD_SLOTS * (proc * n_words + word)
 
-    # -- writes, guarded by the epoch's plan.
-    for word in range(config.n_words):
+    # Per word: its line, its offset in the line, and per processor the
+    # slot of the line's first word, the word's slot and the other
+    # processors' slots for the word.
+    words = []
+    for word in range(n_words):
         line_idx, offset = divmod(word, line_words)
-        mode = plan[line_idx]
-        if mode == PLAN_NONE:
-            continue
-        for proc in range(n_procs):
-            if mode == PLAN_EXCL and writers[word] not in (NO_WRITER, proc):
-                continue  # a legal DOALL has one writer per word
-            new_caches = []
-            for p, cache in enumerate(caches):
-                line = cache[line_idx]
-                if p == proc:
-                    if line is None:  # write-allocate: fetch, then stamp
-                        line = _fill_line(absent, offset, R, False, rules)
-                    line = line[:offset] + ((1, R, FRESH),) \
-                        + line[offset + 1:]
-                elif line is not None:
-                    valid, tag, since = line[offset]
-                    if valid:
+        words.append((word, line_idx, offset, [
+            (proc, word_slot(proc, word - offset), word_slot(proc, word),
+             [word_slot(p, word) for p in procs if p != proc])
+            for proc in procs]))
+
+    def fill(nxt: List[int], first: int, offset: int, epoch: int,
+             stamp_current: bool) -> None:
+        """Fill/refresh one line per the production rules: words invalid
+        or older than the fill tag, and the accessed word, take fresh data
+        (their ghost stale-since clears); newer words keep their tags."""
+        base_tag = fill_tag(epoch, False, stamp_current)
+        for slot in range(first, first + line_span, _WORD_SLOTS):
+            if not nxt[slot] or nxt[slot + 1] < base_tag:
+                nxt[slot:slot + _WORD_SLOTS] = (1, base_tag, FRESH)
+        slot = first + _WORD_SLOTS * offset
+        nxt[slot:slot + _WORD_SLOTS] = (
+            1, fill_tag(epoch, True, stamp_current), FRESH)
+
+    def successors(state: Tuple[int, ...]) -> Iterator[Tuple]:
+        R = state[0]
+        plan = state[1:wreg]
+
+        # -- advance: end the current epoch, pick the next epoch's plan.
+        if R < max_epochs:
+            new_wregs = tuple(
+                w_register_update(R, mode == PLAN_RACY)
+                if mode != PLAN_NONE else w
+                for w, mode in zip(state[wreg:writers], plan))
+            swept = state[caches:]
+            bounds = crossed_phase_bounds(R, R + 1, modulus, phase_size)
+            if bounds is not None:
+                lo, hi = bounds
+                sweep = list(swept)
+                for slot in range(0, len(sweep), _WORD_SLOTS):
+                    if sweep[slot] and reset_selects(sweep[slot + 1], lo, hi,
+                                                     modulus):
+                        sweep[slot:slot + _WORD_SLOTS] = _INVALID_WORD
+                swept = tuple(sweep)
+            rest = new_wregs + cleared + swept
+            for next_plan in plan_choices:
+                yield (("advance", next_plan, R + 1),
+                       (R + 1,) + next_plan + rest, None, False)
+
+        if R == 0:
+            return  # accesses happen inside epochs only
+
+        # -- writes, guarded by the epoch's plan.
+        for word, line_idx, offset, per_proc in words:
+            mode = plan[line_idx]
+            if mode == PLAN_NONE:
+                continue
+            writer = state[writers + word]
+            for proc, first, own, others in per_proc:
+                if mode == PLAN_EXCL and writer not in (NO_WRITER, proc):
+                    continue  # a legal DOALL has one writer per word
+                nxt = list(state)
+                if not any(nxt[first:first + line_span:_WORD_SLOTS]):
+                    # Write-allocate: fetch the absent line, then stamp.
+                    fill(nxt, first, offset, R, False)
+                nxt[own:own + _WORD_SLOTS] = (1, R, FRESH)
+                for slot in others:
+                    if nxt[slot] and nxt[slot + 2] == FRESH:
                         # Ghost: this copy now misses the new write.
-                        stale_since = R if since == FRESH else since
-                        line = line[:offset] + ((valid, tag, stale_since),) \
-                            + line[offset + 1:]
-                new_cache = cache[:line_idx] + (line,) + cache[line_idx + 1:]
-                new_caches.append(new_cache)
-            new_writers = writers
-            if mode == PLAN_EXCL:
-                new_writers = writers[:word] + (proc,) + writers[word + 1:]
-            yield (("write", proc, word),
-                   (R, plan, wregs, new_writers, tuple(new_caches)), None,
-                   False)
+                        nxt[slot + 2] = R
+                if mode == PLAN_EXCL:
+                    nxt[writers + word] = proc
+                yield ("write", proc, word), tuple(nxt), None, False
 
-    # -- reads: timestamp Time-Reads where no same-epoch writer is
-    # possible, strict Time-Reads anywhere.
-    for word in range(config.n_words):
-        line_idx, offset = divmod(word, line_words)
-        for mark in ("ts", "strict"):
-            if mark == "ts" and plan[line_idx] != PLAN_NONE:
-                continue  # the compiler would emit a strict Time-Read
-            for proc in range(n_procs):
-                line = caches[proc][line_idx]
-                hit = False
-                if line is not None and line[offset][0]:
-                    _, tag, since = line[offset]
-                    if mark == "strict":
-                        hit = bool(rules.strict_hit(R, tag, modulus))
-                    else:
-                        hit = bool(rules.timestamp_hit(
-                            R, tag, wregs[line_idx], modulus))
-                if hit:
-                    breach = None
-                    if since != FRESH and since < R:
-                        breach = (proc, word, mark, tag, since, R)
-                    yield ("read", proc, word, mark), None, breach, True
-                    continue
-                new_line = _fill_line(line or absent, offset, R, mark == "ts",
-                                      rules)
-                cache = caches[proc]
-                new_cache = cache[:line_idx] + (new_line,) \
-                    + cache[line_idx + 1:]
-                new_caches = caches[:proc] + (new_cache,) + caches[proc + 1:]
-                yield (("read", proc, word, mark),
-                       (R, plan, wregs, writers, new_caches), None, False)
+        # -- reads: timestamp Time-Reads where no same-epoch writer is
+        # possible, strict Time-Reads anywhere.
+        for word, line_idx, offset, per_proc in words:
+            for mark in ("ts", "strict"):
+                if mark == "ts" and plan[line_idx] != PLAN_NONE:
+                    continue  # the compiler would emit a strict Time-Read
+                for proc, first, own, _ in per_proc:
+                    valid, tag, since = state[own:own + _WORD_SLOTS]
+                    if valid and (
+                            strict_hit(R, tag, modulus) if mark == "strict"
+                            else timestamp_hit(R, tag, state[wreg + line_idx],
+                                               modulus)):
+                        breach = None
+                        if since != FRESH and since < R:
+                            breach = (proc, word, mark, tag, since, R)
+                        yield ("read", proc, word, mark), None, breach, True
+                        continue
+                    nxt = list(state)
+                    fill(nxt, first, offset, R, mark == "ts")
+                    yield ("read", proc, word, mark), tuple(nxt), None, False
+
+    return successors
+
+
+def _exploration(config: ModelConfig, rules: ProtocolRules, *,
+                 max_violations: int,
+                 max_states: int = 2_000_000) -> mc_core.Exploration:
+    return mc_core.Exploration(
+        CheckResult(config=config, rules=rules.name), _initial_state(config),
+        _successor_fn(config, rules), Violation,
+        max_violations=max_violations, max_states=max_states)
 
 
 def check_config(config: ModelConfig,
@@ -381,14 +397,11 @@ def check_config(config: ModelConfig,
                  max_violations: int = 1,
                  max_states: int = 2_000_000) -> CheckResult:
     """Exhaustively enumerate every reachable state of one configuration
-    (breadth-first, see :func:`repro.analysis.mc_core.explore`)."""
-    result = CheckResult(config=config, rules=rules.name)
-    mc_core.explore(result, _initial_state(config),
-                    partial(_successors, config=config, rules=rules,
-                            plan_choices=config.plan_choices),
-                    Violation, max_violations=max_violations,
-                    max_states=max_states)
-    return result
+    (breadth-first, see :class:`repro.analysis.mc_core.Exploration`)."""
+    search = _exploration(config, rules, max_violations=max_violations,
+                          max_states=max_states)
+    search.run()
+    return search.result
 
 
 # ------------------------------------------------------- production replay
@@ -475,7 +488,7 @@ def protocol_self_test(configs: Optional[Sequence[ModelConfig]] = None,
     return mc_core.self_test(
         protocol_mutants(),
         tuple(configs) if configs is not None else SELF_TEST_CONFIGS,
-        check_config, replay_counterexample if replay else None,
+        _exploration, replay_counterexample if replay else None,
         subject="protocol")
 
 

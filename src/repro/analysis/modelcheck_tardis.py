@@ -9,13 +9,14 @@ renewal guard, the Tardis 2.0 rebase geometry) is taken from
 :mod:`repro.coherence.tardis_rules`, the same pure functions the scheme
 executes.
 
-State ``(pts, base, mem, vers, floor, caches, rebases)``: per-processor
-logical timestamps, the representable-window base, per-line home
-``(wts, rts)``, per-word ghost data versions (current, and the floor
-committed at the last barrier), and per-processor copies ``(wts, rts,
-versions)``.  Writes that would mint a timestamp above ``max_ts`` are
-pruned, which (with the rebase clamp) keeps the space finite; the rebase
-counter saturates at 2.
+The state is one flat tuple of ints, in this slot order: per-processor
+logical timestamps ``pts``, the representable-window ``base``, per-line
+home ``(wts, rts)``, per-word ghost data versions (current, then the
+floor committed at the last barrier), a ``(wts, rts, versions...)``
+copy per processor and line (``wts`` is ``NO_COPY`` and the rest zero
+when the line is not resident), and the rebase counter, which saturates
+at 2.  Writes that would mint a timestamp above ``max_ts`` are pruned,
+which (with the rebase clamp) keeps the space finite.
 
 Actions: ``barrier`` joins every ``pts``, promotes the floor and rebases
 when the lease frontier would leave the ``2^k`` window; ``write p l w``
@@ -31,7 +32,6 @@ Within-epoch staleness is Tardis's contract, not a violation.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.analysis import mc_core
@@ -215,122 +215,153 @@ class TardisCheckResult(mc_core.CheckResult):
 # ------------------------------------------------------------ the enumerator
 
 
-def _initial_state(config: TardisModelConfig):
-    no_vers = ((0,) * config.line_words,) * config.n_lines
-    return ((0,) * config.n_procs,          # pts
-            -1,                              # base (production's initial)
-            ((0, 0),) * config.n_lines,      # mem (wts, rts)
-            no_vers,                         # current data versions
-            no_vers,                         # barrier floor versions
-            ((None,) * config.n_lines,) * config.n_procs,  # caches
-            0)                               # rebases (saturates at 2)
+#: The ``wts`` of a copy that is not resident (real timestamps are >= 0);
+#: the rest of its slot group is zero.
+NO_COPY = -1
 
 
-def _successors(state, config: TardisModelConfig,
-                rules: TardisRules) -> Iterator[Tuple]:
-    """Yield ``(action, next_state, breach, served)`` per the core's
+def _initial_state(config: TardisModelConfig) -> Tuple[int, ...]:
+    no_vers = (0,) * (config.n_lines * config.line_words)
+    return ((0,) * config.n_procs                     # pts
+            + (-1,)                                   # base (production's)
+            + (0, 0) * config.n_lines                 # mem (wts, rts)
+            + no_vers                                 # current versions
+            + no_vers                                 # barrier floor
+            + ((NO_COPY, 0) + (0,) * config.line_words)
+            * (config.n_procs * config.n_lines)       # caches
+            + (0,))                                   # rebases (saturate at 2)
+
+
+def _successor_fn(config: TardisModelConfig, rules: TardisRules) -> Callable:
+    """The successor function of one config over the flat state: slot
+    offsets computed once, rules bound to locals.
+
+    It yields ``(action, next_state, breach, served)`` per the core's
     successor contract; ``served`` marks lease hits and data-less
     renewals.  ``breach`` is the :class:`TardisViolation` fields
     ``(proc, line, word, served, version, floor)``.
     """
-    pts, base, mem, vers, floor, caches, rebases = state
-    n_procs, n_lines = config.n_procs, config.n_lines
-    line_words, lease, modulus = config.line_words, config.lease, config.modulus
+    n_procs, line_words = config.n_procs, config.line_words
+    lease, modulus, max_ts = config.lease, config.modulus, config.max_ts
+    lease_hit, lease_grant = rules.lease_hit, rules.lease_grant
+    own_lease, write_timestamp = rules.own_lease, rules.write_timestamp
+    pts_join, clamp = rules.pts_join, rules.clamp
+    renewal_ok, write_renewal_ok = rules.renewal_ok, rules.write_renewal_ok
+    rebase_needed, rebase_base = rules.rebase_needed, rules.rebase_base
 
-    # -- barrier: join pts, promote the floor, maybe rebase.
-    joined = rules.pts_join(pts)
-    if rules.rebase_needed(joined, lease, base, modulus):
-        new_base = rules.rebase_base(joined, modulus)
-        new_mem = tuple((rules.clamp(w, new_base), rules.clamp(r, new_base))
-                        for w, r in mem)
-        new_caches = tuple(
-            tuple(None if copy is None
-                  else (rules.clamp(copy[0], new_base),
-                        rules.clamp(copy[1], new_base), copy[2])
-                  for copy in cache)
-            for cache in caches)
-        barrier_state = ((joined,) * n_procs, new_base, new_mem, vers, vers,
-                         new_caches, min(rebases + 1, 2))
-        yield ("barrier", joined, True), barrier_state, None, False
-    else:
-        barrier_state = ((joined,) * n_procs, base, mem, vers, vers,
-                         caches, rebases)
-        if barrier_state != state:
-            yield ("barrier", joined, False), barrier_state, None, False
+    n_lines = config.n_lines
+    base_at = n_procs
+    mem = base_at + 1
+    vers = mem + 2 * n_lines
+    floor = vers + n_lines * line_words
+    caches = floor + n_lines * line_words
+    copy_span = 2 + line_words
+    rebases_at = caches + copy_span * n_procs * n_lines
+    copies = range(caches, rebases_at, copy_span)
+    # Per line: its home slot and its first word's index in the version runs.
+    homes = [(line, mem + 2 * line, line_words * line)
+             for line in range(n_lines)]
+    words = range(line_words)
 
-    # -- writes: revalidate a doubtful resident copy, then stamp through.
-    for proc in range(n_procs):
-        for line in range(n_lines):
-            mem_wts, mem_rts = mem[line]
-            ts_w = rules.write_timestamp(pts[proc], mem_rts)
-            if ts_w > config.max_ts:
-                continue  # logical-time bound: the enumeration's horizon
-            copy = caches[proc][line]
-            if copy is not None and rules.write_renewal_ok(
-                    copy[0], mem_wts, base):
-                copy_vers = copy[2]  # provably unwritten since the fill
-            else:
-                copy_vers = vers[line]  # exclusive-ownership upgrade fetch
-            new_pts = pts[:proc] + (ts_w,) + pts[proc + 1:]
-            new_mem = mem[:line] + ((ts_w, ts_w),) + mem[line + 1:]
-            for word in range(line_words):
-                bumped = vers[line][word] + 1
-                new_line_vers = (vers[line][:word] + (bumped,)
-                                 + vers[line][word + 1:])
-                new_vers = vers[:line] + (new_line_vers,) + vers[line + 1:]
-                new_copy_vers = (copy_vers[:word] + (bumped,)
-                                 + copy_vers[word + 1:])
-                new_cache = (caches[proc][:line]
-                             + ((ts_w, ts_w, new_copy_vers),)
-                             + caches[proc][line + 1:])
-                new_caches = (caches[:proc] + (new_cache,)
-                              + caches[proc + 1:])
-                yield (("write", proc, line, word),
-                       (new_pts, base, new_mem, new_vers, floor, new_caches,
-                        rebases), None, False)
+    def successors(state: Tuple[int, ...]) -> Iterator[Tuple]:
+        base = state[base_at]
 
-    # -- reads: hit / data-less renewal / fetch.
-    for proc in range(n_procs):
-        for line in range(n_lines):
-            mem_wts, mem_rts = mem[line]
-            copy = caches[proc][line]
-            new_mem_rts = rules.lease_grant(pts[proc], mem_rts, lease)
-            granted_mem = mem[:line] + ((mem_wts, new_mem_rts),) \
-                + mem[line + 1:]
-            own_rts = rules.own_lease(pts[proc], lease)
-            for word in range(line_words):
-                if copy is not None:
-                    cached_wts, cached_rts, cached_vers = copy
-                    if rules.lease_hit(pts[proc], cached_rts):
-                        breach = None
-                        if cached_vers[word] < floor[line][word]:
-                            breach = (proc, line, word, "hit",
-                                      cached_vers[word], floor[line][word])
-                        yield (("read", proc, line, word, "hit"), None,
-                               breach, True)
-                        continue
-                    if rules.renewal_ok(cached_wts, mem_wts, base):
-                        breach = None
-                        if cached_vers[word] < floor[line][word]:
-                            breach = (proc, line, word, "renewal",
-                                      cached_vers[word], floor[line][word])
-                        new_cache = (caches[proc][:line]
-                                     + ((cached_wts, own_rts, cached_vers),)
-                                     + caches[proc][line + 1:])
-                        new_caches = (caches[:proc] + (new_cache,)
-                                      + caches[proc + 1:])
-                        yield (("read", proc, line, word, "renew"),
-                               (pts, base, granted_mem, vers, floor,
-                                new_caches, rebases), breach, True)
-                        continue
-                # Miss or unprovable copy: fetch current data + lease.
-                new_cache = (caches[proc][:line]
-                             + ((mem_wts, own_rts, vers[line]),)
-                             + caches[proc][line + 1:])
-                new_caches = caches[:proc] + (new_cache,) + caches[proc + 1:]
-                yield (("read", proc, line, word, "fetch"),
-                       (pts, base, granted_mem, vers, floor, new_caches,
-                        rebases), None, False)
+        # -- barrier: join pts, promote the floor, maybe rebase.
+        joined = pts_join(state[:n_procs])
+        if rebase_needed(joined, lease, base, modulus):
+            new_base = rebase_base(joined, modulus)
+            nxt = list(state)
+            nxt[:base_at] = (joined,) * n_procs
+            nxt[base_at] = new_base
+            for slot in range(mem, vers):
+                nxt[slot] = clamp(nxt[slot], new_base)
+            nxt[floor:caches] = state[vers:floor]
+            for slot in copies:
+                if nxt[slot] != NO_COPY:
+                    nxt[slot] = clamp(nxt[slot], new_base)
+                    nxt[slot + 1] = clamp(nxt[slot + 1], new_base)
+            nxt[rebases_at] = min(nxt[rebases_at] + 1, 2)
+            yield ("barrier", joined, True), tuple(nxt), None, False
+        else:
+            barrier_state = ((joined,) * n_procs + state[n_procs:floor]
+                             + state[vers:floor] + state[caches:])
+            if barrier_state != state:
+                yield ("barrier", joined, False), barrier_state, None, False
+
+        # -- writes: revalidate a doubtful resident copy, then stamp through.
+        for proc in range(n_procs):
+            pts = state[proc]
+            for line, home, first in homes:
+                ts_w = write_timestamp(pts, state[home + 1])
+                if ts_w > max_ts:
+                    continue  # logical-time bound: the enumeration's horizon
+                current = vers + first
+                copy = caches + copy_span * (proc * n_lines + line)
+                copy_wts = state[copy]
+                stamped = list(state)
+                if copy_wts == NO_COPY or not write_renewal_ok(
+                        copy_wts, state[home], base):
+                    # Exclusive-ownership upgrade fetch; otherwise the copy
+                    # is provably unwritten since the fill.
+                    stamped[copy + 2:copy + 2 + line_words] = \
+                        state[current:current + line_words]
+                stamped[proc] = stamped[home] = stamped[home + 1] = ts_w
+                stamped[copy] = stamped[copy + 1] = ts_w
+                for word in words:
+                    nxt = stamped[:]
+                    nxt[current + word] += 1
+                    nxt[copy + 2 + word] = nxt[current + word]
+                    yield ("write", proc, line, word), tuple(nxt), None, False
+
+        # -- reads: hit / data-less renewal / fetch.
+        for proc in range(n_procs):
+            pts = state[proc]
+            own_rts = own_lease(pts, lease)
+            for line, home, first in homes:
+                copy = caches + copy_span * (proc * n_lines + line)
+                mem_wts = state[home]
+                cached_wts = state[copy]
+                kind = "fetch"
+                if cached_wts != NO_COPY:
+                    if lease_hit(pts, state[copy + 1]):
+                        kind = "hit"
+                    elif renewal_ok(cached_wts, mem_wts, base):
+                        kind = "renew"
+                next_state = None
+                if kind != "hit":
+                    nxt = list(state)
+                    nxt[home + 1] = lease_grant(pts, state[home + 1], lease)
+                    nxt[copy + 1] = own_rts
+                    if kind == "fetch":
+                        # Miss or unprovable copy: fetch current data + lease.
+                        nxt[copy] = mem_wts
+                        nxt[copy + 2:copy + 2 + line_words] = \
+                            state[vers + first:vers + first + line_words]
+                    next_state = tuple(nxt)
+                served = kind != "fetch"
+                for word in words:
+                    breach = None
+                    if served:
+                        version = state[copy + 2 + word]
+                        least = state[floor + first + word]
+                        if version < least:
+                            breach = (proc, line, word,
+                                      "hit" if kind == "hit" else "renewal",
+                                      version, least)
+                    yield (("read", proc, line, word, kind), next_state,
+                           breach, served)
+
+    return successors
+
+
+def _exploration(config: TardisModelConfig, rules: TardisRules, *,
+                 max_violations: int,
+                 max_states: int = 2_000_000) -> mc_core.Exploration:
+    return mc_core.Exploration(
+        TardisCheckResult(config=config, rules=rules.name),
+        _initial_state(config), _successor_fn(config, rules),
+        TardisViolation, max_violations=max_violations,
+        max_states=max_states)
 
 
 def tardis_check_config(config: TardisModelConfig,
@@ -338,14 +369,13 @@ def tardis_check_config(config: TardisModelConfig,
                         max_violations: int = 1,
                         max_states: int = 2_000_000) -> TardisCheckResult:
     """Exhaustively enumerate every reachable state of one configuration
-    (breadth-first, see :func:`repro.analysis.mc_core.explore`)."""
-    result = TardisCheckResult(config=config, rules=rules.name)
-    reached = mc_core.explore(
-        result, _initial_state(config),
-        partial(_successors, config=config, rules=rules), TardisViolation,
-        max_violations=max_violations, max_states=max_states)
-    result.max_rebases = max(state[6] for state in reached)
-    return result
+    (breadth-first, see :class:`repro.analysis.mc_core.Exploration`)."""
+    search = _exploration(config, rules, max_violations=max_violations,
+                          max_states=max_states)
+    search.run()
+    # The rebase counter is the last slot.
+    search.result.max_rebases = max(state[-1] for state in search.parents)
+    return search.result
 
 
 # ------------------------------------------------------- production replay
@@ -412,8 +442,8 @@ def tardis_self_test(configs: Optional[Sequence[TardisModelConfig]] = None,
     return mc_core.self_test(
         tardis_mutants(),
         tuple(configs) if configs is not None else TARDIS_SELF_TEST_CONFIGS,
-        tardis_check_config,
-        replay_tardis_counterexample if replay else None, subject="tardis")
+        _exploration, replay_tardis_counterexample if replay else None,
+        subject="tardis")
 
 
 def tardis_modelcheck_report(

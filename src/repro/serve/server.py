@@ -208,5 +208,9 @@ class ServeServer:
             record = self.service.submit_detached(kind, request)
             return 202, record.to_dict(include_result=False), {}
         record = self.service.new_record(kind)
-        payload = await self.service.answer(kind, request, record)
+        try:
+            payload = await self.service.answer(kind, request, record)
+        except ReproError as exc:
+            # ``answer`` has already counted the failed request.
+            return getattr(exc, "status", 400), {"error": str(exc)}, {}
         return 200, payload, {"X-Repro-Job": record.id}

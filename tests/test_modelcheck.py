@@ -55,12 +55,111 @@ SMALL = ModelConfig(n_procs=2, n_lines=1, line_words=1, timetag_bits=2,
 TARDIS_SMALL = TardisModelConfig(n_procs=2, n_lines=1, line_words=1,
                                  timestamp_bits=2, lease=1, max_ts=9)
 
+#: Absolute pins for every default-grid, self-test and test config that
+#: exhausts in a couple of seconds (perfbench's five included; Tardis
+#: ``TARDIS_SMALL`` is pinned in ``TestTardisDefaultGrid``): states,
+#: transitions, reads checked and coverage.  A change to the rules'
+#: arithmetic, to a state encoding or to the explorer that alters the
+#: explored space shows up here.
+GRID_PINS = [
+    (check_config, SMALL, (5170, 33550, 4158, "2 wrap(s)")),
+    (check_config, replace(SMALL, n_procs=3, max_epochs=9),
+     (34293, 272997, 34464, "2 wrap(s)")),
+    (check_config, replace(SMALL, timetag_bits=3, max_epochs=17),
+     (47512, 317374, 27878, "2 wrap(s)")),
+    (check_config, replace(SMALL, max_epochs=9),
+     (4528, 28062, 3570, "2 wrap(s)")),
+    (check_config, replace(SMALL, max_epochs=6),
+     (2136, 13348, 1654, "1 wrap(s)")),
+    (tardis_check_config, replace(TARDIS_SMALL, line_words=2, max_ts=8),
+     (72145, 492364, 219288, ">=2 rebase(s) reached")),
+    (tardis_check_config, replace(TARDIS_SMALL, n_procs=3, max_ts=8),
+     (66374, 361683, 136836, ">=2 rebase(s) reached")),
+    (tardis_check_config, replace(TARDIS_SMALL, timestamp_bits=3, lease=2,
+                                  max_ts=16),
+     (80471, 351370, 117466, ">=2 rebase(s) reached")),
+    (tardis_check_config, replace(TARDIS_SMALL, max_ts=8),
+     (4014, 16160, 6152, ">=2 rebase(s) reached")),
+    (tardis_check_config, replace(TARDIS_SMALL, max_ts=3),
+     (148, 468, 228, ">=1 rebase(s) reached")),
+]
+
+#: Each TPI mutant's counterexample: the self-test config it falls on
+#: and its rendered trace.
+TPI_MUTANT_TRACES = {
+    "drop-racy-bump": ("p2.l1.w1.k2.e10", [
+        "epoch 1 begins [A0:racy]",
+        "  p0 writes w0",
+        "  p1 writes w0",
+        "epoch 2 begins [no writes]",
+        "  p0 ts Time-Read w0 -> HIT (tag 1, R 2) on a copy stale since "
+        "epoch 1  ** staleness-safety violation"]),
+    "fill-stamps-current": ("p2.l1.w1.k2.e10", [
+        "epoch 1 begins [A0:excl]",
+        "  p0 strict Time-Read w0 -> miss, line fill",
+        "  p1 writes w0",
+        "epoch 2 begins [no writes]",
+        "  p0 ts Time-Read w0 -> HIT (tag 1, R 2) on a copy stale since "
+        "epoch 1  ** staleness-safety violation"]),
+    "skip-second-reset-phase": ("p2.l1.w1.k2.e10", [
+        "epoch 1 begins [no writes]",
+        "  p0 strict Time-Read w0 -> miss, line fill",
+        "epoch 2 begins [no writes]",
+        "epoch 3 begins [A0:excl]",
+        "  p1 writes w0",
+        "epoch 4 begins [no writes]",
+        "  p0 ts Time-Read w0 -> HIT (tag 0, R 4) on a copy stale since "
+        "epoch 3  ** staleness-safety violation"]),
+    "window-off-by-one": ("p2.l1.w1.k2.e10", [
+        "epoch 1 begins [A0:excl]",
+        "  p0 strict Time-Read w0 -> miss, line fill",
+        "  p1 writes w0",
+        "epoch 2 begins [no writes]",
+        "  p0 ts Time-Read w0 -> HIT (tag 0, R 2) on a copy stale since "
+        "epoch 1  ** staleness-safety violation"]),
+}
+
+#: Each Tardis mutant's counterexample: the self-test config it falls
+#: on and its rendered trace.
+TARDIS_MUTANT_TRACES = {
+    "renewal-ignores-base": ("p2.l2.w1.k2.s1.t4", [
+        "  p0 writes l0.w0",
+        "  p1 writes l0.w0",
+        "  p1 writes l1.w0",
+        "  p0 writes l1.w0",
+        "barrier (pts join -> 3 + rebase)",
+        "  p0 reads l0.w0 -> renewal serves version 1 below the barrier "
+        "floor 2  ** staleness-safety violation"]),
+    "write-skips-revalidate": ("p2.l1.w2.k2.s1.t8", [
+        "  p0 writes l0.w0",
+        "  p1 writes l0.w0",
+        "barrier (pts join -> 2 + rebase)",
+        "  p0 writes l0.w1",
+        "  p0 reads l0.w0 -> hit serves version 1 below the barrier "
+        "floor 2  ** staleness-safety violation"]),
+    "grant-caps-rts": ("p2.l1.w2.k2.s1.t8", [
+        "  p0 writes l0.w0",
+        "  p0 writes l0.w0",
+        "  p1 reads l0.w0 -> fetch",
+        "  p0 writes l0.w0",
+        "barrier (pts join -> 2 + rebase)",
+        "  p1 reads l0.w0 -> renewal serves version 2 below the barrier "
+        "floor 3  ** staleness-safety violation"]),
+    "lease-off-by-one": ("p2.l1.w2.k2.s1.t8", [
+        "  p0 writes l0.w0",
+        "  p1 writes l0.w0",
+        "barrier (pts join -> 2 + rebase)",
+        "  p0 reads l0.w0 -> hit serves version 1 below the barrier "
+        "floor 2  ** staleness-safety violation"]),
+}
+
+
 TPI = SimpleNamespace(
     small=SMALL, bigger=replace(SMALL, max_epochs=9),
     shallow=replace(SMALL, max_epochs=6),
     check=check_config, report=modelcheck_report,
     self_test=protocol_self_test, mutants=protocol_mutants,
-    self_test_configs=SELF_TEST_CONFIGS,
+    self_test_configs=SELF_TEST_CONFIGS, mutant_traces=TPI_MUTANT_TRACES,
     codes=("MC001", "MC002", "MC003", "MC004"), coverage="wraps",
     subject="tpi-protocol", scheme=(), scheme_module=tpi,
     horizon="--epochs", deep="10", shallow_horizon="6")
@@ -70,6 +169,7 @@ TARDIS = SimpleNamespace(
     check=tardis_check_config, report=tardis_modelcheck_report,
     self_test=tardis_self_test, mutants=tardis_mutants,
     self_test_configs=TARDIS_SELF_TEST_CONFIGS,
+    mutant_traces=TARDIS_MUTANT_TRACES,
     codes=("MC101", "MC102", "MC103", "MC104"), coverage="rebases",
     subject="tardis-protocol", scheme=("--scheme", "tardis"),
     scheme_module=tardis,
@@ -140,6 +240,16 @@ class TestDefaultGrid:
         assert not result.ok
 
 
+@pytest.mark.parametrize("check, config, pinned", GRID_PINS, ids=[
+    f"{'tpi' if check is check_config else 'tardis'}-{config.label}"
+    for check, config, _ in GRID_PINS])
+def test_grid_config_counts_are_pinned(check, config, pinned):
+    result = check(config)
+    assert result.ok, result.summary()
+    assert (result.states, result.transitions, result.reads_checked,
+            result.coverage()) == pinned
+
+
 # ------------------------------------------------------------ shared cases
 
 
@@ -165,6 +275,20 @@ class _SelfTestCases:
         result = self.P.self_test(replay=True)
         assert all(m.refuted_by_production for m in result.mutations), \
             [(m.name, m.refuted_by_production) for m in result.mutations]
+
+    def test_each_mutant_keeps_its_pinned_counterexample(self):
+        """The self-test catches each mutant on its pinned config, with
+        the pinned trace."""
+        result = self.P.self_test(replay=False)
+        configs = {c.label: c for c in self.P.self_test_configs}
+        assert [m.name for m in result.mutations] == \
+            list(self.P.mutant_traces)
+        for mutant, mutation in zip(self.P.mutants(), result.mutations):
+            label, trace = self.P.mutant_traces[mutant.name]
+            assert mutation.config_label == label, mutant.name
+            assert list(mutation.trace) == trace, mutant.name
+            violation = self.P.check(configs[label], mutant).violations[0]
+            assert violation.render() == trace, mutant.name
 
     def test_counterexample_renders_each_action_once(self):
         """A trace ends with the serving read, which renders as the
@@ -481,41 +605,6 @@ class TestTardisDefaultGrid:
         result = tardis_check_config(TARDIS_SMALL, max_states=50)
         assert result.truncated
         assert not result.ok
-
-
-#: Each Tardis mutant's minimal (breadth-first) counterexample: the
-#: self-test config it falls on and its rendered trace.
-TARDIS_MUTANT_TRACES = {
-    "renewal-ignores-base": ("p2.l2.w1.k2.s1.t4", [
-        "  p0 writes l0.w0",
-        "  p1 writes l0.w0",
-        "  p1 writes l1.w0",
-        "  p0 writes l1.w0",
-        "barrier (pts join -> 3 + rebase)",
-        "  p0 reads l0.w0 -> renewal serves version 1 below the barrier "
-        "floor 2  ** staleness-safety violation"]),
-    "write-skips-revalidate": ("p2.l1.w2.k2.s1.t8", [
-        "  p0 writes l0.w0",
-        "  p1 writes l0.w0",
-        "barrier (pts join -> 2 + rebase)",
-        "  p0 writes l0.w1",
-        "  p0 reads l0.w0 -> hit serves version 1 below the barrier "
-        "floor 2  ** staleness-safety violation"]),
-    "grant-caps-rts": ("p2.l1.w2.k2.s1.t8", [
-        "  p0 writes l0.w0",
-        "  p0 writes l0.w0",
-        "  p1 reads l0.w0 -> fetch",
-        "  p0 writes l0.w0",
-        "barrier (pts join -> 2 + rebase)",
-        "  p1 reads l0.w0 -> renewal serves version 2 below the barrier "
-        "floor 3  ** staleness-safety violation"]),
-    "lease-off-by-one": ("p2.l1.w2.k2.s1.t8", [
-        "  p0 writes l0.w0",
-        "  p1 writes l0.w0",
-        "barrier (pts join -> 2 + rebase)",
-        "  p0 reads l0.w0 -> hit serves version 1 below the barrier "
-        "floor 2  ** staleness-safety violation"]),
-}
 
 
 class TestTardisMutationSelfTest(_SelfTestCases):

@@ -447,6 +447,22 @@ class TestHttpServer:
 
         assert self._with_server(server, client) == [400, 400, 400]
 
+    def test_each_failed_request_counts_one_error(self, served):
+        _, server = served
+        bodies = [{"workload": "nope", "size": "small"},
+                  {"workload": "ocean", "size": "huge"},
+                  {"workload": "ocean", "size": "small", "schemes": ["x"]}]
+
+        def client(port):
+            for body in bodies:
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    self._post(port, "/simulate", body)
+                assert err.value.code == 400
+            return json.loads(self._get(port, "/stats").read())
+
+        stats = self._with_server(server, client)
+        assert stats["requests"]["errors"] == 3
+
     def test_cached_artifacts_are_not_served_raw(self, served):
         service, server = served
         key = "ab" + "0" * 62
