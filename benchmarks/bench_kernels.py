@@ -7,7 +7,8 @@ workloads (front ends prepared outside the timing), best of
 * ``kernel`` — the scheme's batch kernel; off, ``make_batch_kernel``
   returns None and cold spans take the engine's per-event path;
 * ``preapply`` — epoch pre-apply; off, ``FastEngine._preapply_epoch``
-  returns False and every cold span is scanned window by window.
+  returns False and every cold span runs through the exact per-event
+  path.
 
 Each switch is flipped by patching it in this process; ``src/repro``
 has no setting for any of them.  Every round times all variants in

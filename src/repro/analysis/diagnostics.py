@@ -207,7 +207,7 @@ class Report:
         text = head + ", ".join(parts)
         extras = [f"{k}={v}" for k, v in sorted(self.meta.items())
                   if k in ("sites", "modes", "schemes", "cache",
-                           "states", "wraps")]
+                           "states", "wraps", "rebases")]
         if extras:
             text += "  (" + ", ".join(extras) + ")"
         return text

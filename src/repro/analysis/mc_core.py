@@ -476,7 +476,6 @@ def report(protocol: Protocol, configs: Sequence, rules, *, production: bool,
                 epoch=violation.epoch_label(), detail=detail))
     for name in ("states", "transitions", "reads_checked"):
         report.meta[name] = sum(getattr(r, name) for r in results)
-    report.meta["wraps"] = min(config.wraps for config in configs)
     for name, attr in protocol.coverage.items():
         report.meta[name] = min(getattr(r, attr) for r in results)
     report.meta["elapsed"] = round(sum(r.elapsed for r in results), 3)

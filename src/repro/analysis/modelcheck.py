@@ -233,8 +233,12 @@ class CheckResult(mc_core.CheckResult):
 
     reads_noun = "read hits"
 
+    @property
+    def wraps(self) -> int:
+        return self.config.wraps
+
     def coverage(self) -> str:
-        return f"{self.config.wraps} wrap(s)"
+        return f"{self.wraps} wrap(s)"
 
     def coverage_gap(self) -> Optional[str]:
         if self.config.wraps >= 2:
@@ -517,7 +521,8 @@ def modelcheck_report(configs: Optional[Sequence[ModelConfig]] = None, *,
 PROTOCOL = mc_core.Protocol(
     subject="tpi-protocol", kind="modelcheck",
     scheme="TpiScheme", codes=("MC001", "MC002", "MC003", "MC004"),
-    coverage={}, sources=(tpi_rules.__file__, tpi_scheme.__file__, __file__),
+    coverage={"wraps": "wraps"},
+    sources=(tpi_rules.__file__, tpi_scheme.__file__, __file__),
     config=ModelConfig,
     cli_bounds={"procs": "n_procs", "lines": "n_lines",
                 "words": "line_words", "k": "timetag_bits",

@@ -75,11 +75,6 @@ class TardisModelConfig:
         return 1 << self.timestamp_bits
 
     @property
-    def wraps(self) -> int:
-        """Representable-window crossings the timestamp bound forces."""
-        return self.max_ts // self.modulus
-
-    @property
     def label(self) -> str:
         return (f"p{self.n_procs}.l{self.n_lines}.w{self.line_words}"
                 f".k{self.timestamp_bits}.s{self.lease}.t{self.max_ts}")

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import MissKind
 from repro.compiler.marking import Marking
+from repro.memsys.cache import Cache, CacheBank
+from repro.memsys.lazystate import LazyList
 from repro.memsys.memory import ShadowMemory
 from repro.memsys.network import KruskalSnirNetwork
 from repro.trace.layout import MemoryLayout
@@ -41,13 +43,15 @@ class AccessResult:
 
 @dataclass
 class SimContext:
-    """Shared state for one simulation run."""
+    """Shared state for one simulation run.  ``procs``: the processors
+    the trace runs tasks on (sorted), or None for every processor."""
 
     machine: MachineConfig
     marking: Marking
     shadow: ShadowMemory
     network: KruskalSnirNetwork
     layout: Optional[MemoryLayout] = None
+    procs: Optional[Sequence[int]] = None
     stats: Dict[str, int] = field(default_factory=dict)
 
     def bump(self, name: str, amount: int = 1) -> None:
@@ -102,9 +106,17 @@ class CoherenceScheme(abc.ABC):
 
     def __init__(self, ctx: SimContext):
         self.ctx = ctx
-        self.machine = ctx.machine
+        self.machine = machine = ctx.machine
         self.network = ctx.network
         self.shadow = ctx.shadow
+        self.bank = CacheBank(machine.cache, machine.n_procs, ctx.procs)
+        self.caches: LazyList[Cache] = LazyList(machine.n_procs,
+                                                self.bank.cache)
+        # The batch kernels write bank rows directly, so every row's
+        # cache exists from the start for the loops over materialized
+        # caches (resets, snoops, invariant checks) to see.
+        self.caches.update((proc, self.bank.cache(proc))
+                           for proc in self.bank.procs.tolist())
 
     # -- epoch lifecycle ----------------------------------------------------
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
 from repro.common.config import ConsistencyModel
 from repro.common.stats import MissKind
-from repro.memsys.cache import Cache
-from repro.memsys.lazystate import LazyList, TouchBitmap
+from repro.memsys.lazystate import TouchBitmap
 
 
 class BaseScheme(CoherenceScheme):
@@ -32,10 +31,9 @@ class BaseScheme(CoherenceScheme):
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         machine = self.machine
-        self.caches: LazyList = LazyList(machine.n_procs,
-                                         lambda _p: Cache(machine.cache))
         self.line_words = machine.cache.line_words
-        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words)
+        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words,
+                                   self.bank.procs)
 
     def read(self, proc: int, addr: int, site: int, shared: bool,
              in_critical: bool) -> AccessResult:

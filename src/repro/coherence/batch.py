@@ -1,9 +1,10 @@
-"""Vectorized batch kernels: the schemes' cold-span paths over event arrays.
+"""Vectorized batch kernels: the schemes' cold-event paths over event arrays.
 
-The fast engine (:mod:`repro.sim.fastengine`) partitions each task's
-events into *cold* spans — runs of accesses to lines that are provably not
-order-sensitive across processors this epoch — and hands each span to the
-scheme's kernel.  A kernel scans a window of events and resolves
+The fast engine (:mod:`repro.sim.fastengine`) partitions each epoch's
+events into *hot* ones — accesses whose order across processors matters
+this epoch — and *cold* ones, and hands all of the epoch's cold events,
+across every task, to the scheme's kernel as one window before dispatch
+(:meth:`_BatchKernel.preapply`).  A kernel scans the window and resolves
 *every* outcome it can prove — hits, misses, fills, refreshes, timetag
 stamping, miss classification — in closed form with numpy, then applies
 the whole window at once; whatever it cannot prove runs through the
@@ -16,33 +17,24 @@ set chain and runs the rest in program order through the exact path.
 Tardis has no kernel: its epochs batch through the fast engine's
 per-event cold path.
 
-Cache state is indexed by **slot**, ``set * K + way`` for a K-way cache
-(a slot is a set when the cache is direct-mapped).  A per-window slot scan
-(:meth:`_BatchKernel._slot_chains`) gives each event the way its line
-occupies when the event executes, so a slot's program-order chain splits
-into *runs* that are exactly its line residencies (:class:`_SetChains`).
-Each run is the single-line closed form, except that a run after the
-first starts with a miss that installs its line fresh (evicting the
-previous run's line), so window-start state reaches only the first run
-and the window leaves each slot as its last run left it; the apply then
-writes each used slot's LRU stamp.  Within a window, each set is either
-*fully batched* or *fully per-event*: a set in which a staleness-oracle
-check might fire is "poisoned" and all of its events run through the
-exact per-event path instead.  Because an event's side effects are
-confined to its own set (plus the shadow words / write buffer entries
-of its own addresses, which live in that set too), the batched apply
-and the poisoned events commute, and no intra-window ordering is lost.
-Every scan starts from one frame (:meth:`_BatchKernel._frame`) and
-every apply writes each event's latency into one array.  ``span`` sums
-that array per window; the engine's **epoch pre-apply**
-(:meth:`_BatchKernel.preapply`) merges all of an epoch's cold events,
-across every task, into one window and returns the array's per-task
-prefix sums, from which the engine reads each cold span's cycles.
-The engine's planner makes each task's hot and cold events use disjoint
-sets of its processor's cache, so every batched epoch can pre-apply;
-a poisoned set turns hot for its task, and only two tasks on one
-processor sharing a set still send the epoch's spans through the
-window-by-window path.
+A window is the epoch's columns compressed by the cold mask, one
+operation per field (:class:`_Cols`).  Cache state is the scheme's
+:class:`~repro.memsys.cache.CacheBank`, indexed by bank row (one per
+processor) and **slot**, ``set * K + way`` for a K-way cache (a slot is
+a set when the cache is direct-mapped), so every gather or scatter
+covers all of the window's processors with one ``[row, slot]`` index.
+A slot scan (:meth:`_BatchKernel._slot_chains`) gives each event the way
+its line occupies when the event executes, so a slot's program-order
+chain splits into *runs* that are exactly its line residencies
+(:class:`_SetChains`).  Each run is the single-line closed form, except
+that a run after the first starts with a miss that installs its line
+fresh (evicting the previous run's line), so window-start state reaches
+only the first run and the window leaves each slot as its last run left
+it; the apply then writes each used slot's LRU stamp.  A set in which a
+staleness-oracle check might fire is "poisoned": the window applies
+nothing, and the engine makes the set's events hot for their task and
+tries the rest again.  The apply writes each event's latency into one
+array, whose prefix sums give the engine each cold segment's cycles.
 
 Every per-event execution, and every MSI miss or upgrade another
 processor could observe, goes through exactly the code the reference
@@ -53,10 +45,10 @@ engine is enforced by tests/test_engine_parity.py, and the closed forms
 (the MSI kernel's quiet transitions among them) are pinned absolutely by
 the golden digests of tests/test_golden.py.
 
-Closed-form misses lean on two facts about cold spans: a span belongs to
-one task and runs in program order, and cold lines are untouched by other
-processors within the epoch — so the only writer of a span's shadow words
-is the span's own task, and a line's whole in-window life (install,
+Closed-form misses lean on two facts about cold events: a task's cold
+events run in program order, and cold lines are untouched by other
+processors within the epoch — so the only writer of a task's cold shadow
+words is the task itself, and a line's whole in-window life (install,
 refresh, word validations) is a function of the window's own events.
 Intra-window ordering between accesses to the same set or word is
 restored with :class:`_Chains` (one stable argsort per key).
@@ -81,10 +73,6 @@ from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
 from repro.compiler.marking import RefMark
 from repro.memsys.wbuffer import WRITE_MESSAGE_WORDS
-
-#: Events per scan window.
-_WINDOW = 4096
-
 
 class _Chains:
     """Program-order predecessor queries within groups of equal keys.
@@ -168,7 +156,7 @@ class _SetChains(_Chains):
     """Per-slot chains, their runs, and line-residency tracking.
 
     ``key`` groups events by cache slot (``set * K + way``, offset per
-    processor in merged windows); ``slot`` is each event's slot in its
+    task); ``slot`` is each event's slot in its
     own processor's cache and ``sets`` the chains of whole sets, which
     poisoning groups by.  In a direct-mapped cache a slot is a set, so
     both default to this object's own grouping.
@@ -272,100 +260,48 @@ class _SetChains(_Chains):
 
 
 class _Cols:
-    """One window of events, possibly spanning several processors.
+    """One scan window: the selected events of an epoch's analysis
+    (:class:`repro.sim.fastengine._EpochBatch`), in dispatch order, over
+    every task of the epoch (each on its own processor).
 
-    ``parts`` lists contiguous ``(proc, lo, hi)`` ranges in execution
-    order; ``skey``/``akey`` are the grouping keys for the chains
-    machinery — equal to the set index / word address within one
-    processor, and offset per processor in merged windows so that no
-    chain group ever crosses a processor boundary."""
+    Each field is one operation on the epoch's columns.  ``rank`` is each
+    event's task, ``procv`` its processor and ``rowv`` its processor's
+    cache-bank row; ``task_procs`` maps a rank to its processor.
+    ``skey``/``akey`` are the grouping keys of the chains machinery: the
+    set index / word address offset per task, so that no chain group
+    ever crosses a processor boundary."""
 
     __slots__ = ("n", "s", "line", "wd", "wr", "sh", "addr", "site",
-                 "work", "parts", "skey", "akey", "_procv", "cache")
+                 "work", "rank", "skey", "akey", "task_procs", "procv",
+                 "rowv", "cache")
 
-    _FIELDS = (("s", "set_"), ("line", "line"), ("wd", "word"),
-               ("wr", "is_write"), ("sh", "shared"), ("addr", "addr"),
-               ("site", "site"), ("work", "work"))
+    _FIELDS = (("s", "set_"), ("line", "line"), ("wr", "is_write"),
+               ("sh", "shared"), ("addr", "addr"), ("site", "site"),
+               ("work", "work"), ("rank", "rank"))
 
-    def __init__(self, arrays, proc=None, parts=None):
-        """``arrays``: the :attr:`_FIELDS` columns in order; the window
-        is ``parts``, or one part of processor ``proc``."""
-        for (name, _), arr in zip(self._FIELDS, arrays):
-            setattr(self, name, arr)
+    def __init__(self, batch, sel, rows: np.ndarray, total_words: int):
+        """``sel``: a mask selecting the window's events (None: all of
+        them); ``rows``: each task's bank row; ``total_words``: a
+        multiple of the line size above every address."""
+        for name, attr in self._FIELDS:
+            arr = getattr(batch, attr)
+            setattr(self, name, arr if sel is None else arr[sel])
         self.n = len(self.s)
-        self.parts = ((proc, 0, self.n),) if parts is None else parts
-        self.skey = self.s
-        self.akey = self.addr
-        self._procv = None
+        line_words, n_sets = batch.geometry
+        self.wd = self.addr - self.line * line_words
+        self.skey = self.rank * n_sets + self.s
+        self.task_procs = batch.procs
+        self.procv = batch.procs[self.rank]
+        self.rowv = rows[self.rank]
+        self.akey = self.addr + self.rank * total_words
         self.cache = {}
 
-    @classmethod
-    def window(cls, proc: int, ta, lo: int, hi: int) -> "_Cols":
-        return cls([getattr(ta, attr)[lo:hi] for _, attr in cls._FIELDS],
-                   proc)
 
-    @classmethod
-    def merged(cls, pieces, n_sets: int, total_words: int) -> "_Cols":
-        """``pieces``: ``(proc, ta, sel)`` in execution order, ``sel`` a
-        boolean mask selecting the events to include (None = all)."""
-        columns = [[] for _ in cls._FIELDS]
-        parts = []
-        pos = 0
-        for proc, ta, sel in pieces:
-            for column, (_, attr) in zip(columns, cls._FIELDS):
-                arr = getattr(ta, attr)
-                column.append(arr if sel is None else arr[sel])
-            parts.append((proc, pos, pos + len(columns[0][-1])))
-            pos = parts[-1][2]
-        c = cls([np.concatenate(column) for column in columns],
-                parts=tuple(parts))
-        c.skey = c.s + c.procv * n_sets
-        c.akey = c.addr + c.procv * total_words
-        return c
-
-    @property
-    def procv(self) -> np.ndarray:
-        """Per-event processor id (for 2-D ``[proc, addr]`` indexing)."""
-        if self._procv is None:
-            v = np.empty(self.n, dtype=np.int64)
-            for p, lo, hi in self.parts:
-                v[lo:hi] = p
-            self._procv = v
-        return self._procv
-
-    def compress(self, m: np.ndarray) -> "_Cols":
-        """Keep only events where ``m`` holds (single-part windows only —
-        merged windows are never partially applied)."""
-        (proc, _, _), = self.parts
-        return _Cols([getattr(self, name)[m] for name, _ in self._FIELDS],
-                     proc)
-
-
-class _LazyViews:
-    """Per-processor numpy views over a :class:`LazyList` of backing
-    objects, created on first access.
-
-    Materializing a view materializes the backing object (a Cache or
-    timestamp array), so at ``n_procs`` in the thousands a kernel only
-    ever touches the processors its windows actually contain.  Views are
-    real numpy views — writes through them land in the backing arrays.
-    """
-
-    __slots__ = ("_backing", "_extract", "_views")
-
-    def __init__(self, backing, extract):
-        self._backing = backing
-        self._extract = extract
-        self._views = {}
-
-    def __len__(self) -> int:
-        return len(self._backing)
-
-    def __getitem__(self, proc: int):
-        view = self._views.get(proc)
-        if view is None:
-            view = self._views[proc] = self._extract(self._backing[proc])
-        return view
+def _stretches(keys: np.ndarray):
+    """Yield ``(key, lo, hi)`` for each stretch of equal ``keys``."""
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(keys)]):
+        yield int(keys[lo]), lo, hi
 
 
 def _coalesce(pending: set, addrs: np.ndarray) -> int:
@@ -377,50 +313,45 @@ def _coalesce(pending: set, addrs: np.ndarray) -> int:
 
 
 class _BatchKernel:
-    """Span loop and shared plumbing of every kernel: live cache views,
-    window gathers, the scan frame, accounting.
+    """Shared plumbing of every kernel: the cache bank's slot views, the
+    scan frame, accounting.
 
-    A span runs as one scan + one apply per window.  The scan starts from
-    the frame (:meth:`_frame`), which gives each event its slot and
-    residency, then proves every slot run by run (counters and traffic
-    cover all events; cache state is written from each slot's last run,
-    and each used slot of a set-associative cache gets its last use's LRU
-    stamp) and poisons only sets where the staleness oracle might fire
-    (:meth:`_ok`); their events run through the exact path after the
-    apply.  The apply-first order is sound because a poisoned set's
-    events and the batched events touch disjoint cache sets, shadow
-    words, touched bits, and write-buffer entries — every side channel
-    is keyed by the event's own set or address.  Poisoning is by set,
-    never by slot, so the ways of one set never mix batched and exact
-    events.
+    An epoch's cold events run as one scan + one apply over one window
+    (:meth:`preapply`).  The scan starts from the frame (:meth:`_frame`),
+    which gives each event its slot and residency, then proves every
+    slot run by run (counters and traffic cover all events; cache state
+    is written from each slot's last run, and each used slot of a
+    set-associative cache gets its last use's LRU stamp) and poisons
+    only sets where the staleness oracle might fire (:meth:`_ok`).
+    Poisoning is by set, never by slot, so the ways of one set never mix
+    batched and exact events.
 
-    Every apply writes each event's latency into one array
-    (:meth:`_run`), and both callers sum it: :meth:`span` per window,
-    and :meth:`preapply` into per-task prefix sums.  Since each task's
-    hot and cold events live in disjoint sets of its processor's cache,
-    pre-apply scans and applies every task's cold events in one merged
-    multi-processor window before dispatch, and the engine reads each
-    cold span's cycles from the prefix sums instead of rescanning."""
+    Cache state lives in the scheme's :class:`~repro.memsys.cache.
+    CacheBank`, one row per processor; the kernel views it by slot
+    (``tags[row, slot]``, ``wv[row, slot, word]``, ...), so every gather
+    or scatter over all of a window's processors is one fancy index."""
 
     def __init__(self, scheme):
         self.scheme = scheme
         self.machine = scheme.machine
         self.network = scheme.network
         self.shadow = scheme.shadow
-        self.caches = caches = scheme.caches
+        self.caches = scheme.caches
         self.assoc = self.machine.cache.associativity
         self.line_words = lw = self.machine.cache.line_words
-        # Slot views (``[set * K + way]`` and ``[slot, word]``): reshapes,
-        # so writes land in the cache arrays, and a gather or scatter is
-        # 1-D/2-D fancy indexing.  ``ways`` keeps the ``[set, way]`` tags
-        # for the slot scan.
-        self.ways = _LazyViews(caches, lambda c: c.tags)
-        self.tags = _LazyViews(caches, lambda c: c.tags.reshape(-1))
-        self.wv = _LazyViews(caches, lambda c: c.word_valid.reshape(-1, lw))
-        self.cver = _LazyViews(caches, lambda c: c.version.reshape(-1, lw))
-        self.used = _LazyViews(caches, lambda c: c.used.reshape(-1, lw))
-        self.tt = _LazyViews(caches, lambda c: c.timetag.reshape(-1, lw))
-        self.dirty = _LazyViews(caches, lambda c: c.dirty.reshape(-1))
+        # Slot views of the bank (``[row, set * K + way]`` and ``[row,
+        # slot, word]``): reshapes, so writes land in the cache arrays.
+        # ``ways`` keeps the ``[row, set, way]`` tags for the slot scan.
+        bank = scheme.bank
+        rows = len(bank.procs)
+        self.row_of = bank.row_of
+        self.ways = bank.tags
+        self.tags = bank.tags.reshape(rows, -1)
+        self.dirty = bank.dirty.reshape(rows, -1)
+        self.wv = bank.word_valid.reshape(rows, -1, lw)
+        self.cver = bank.version.reshape(rows, -1, lw)
+        self.used = bank.used.reshape(rows, -1, lw)
+        self.tt = bank.timetag.reshape(rows, -1, lw)
         self.check = self.machine.check_coherence
         self.hit_lat = self.machine.hit_latency
         self.word_lat = 0
@@ -438,53 +369,30 @@ class _BatchKernel:
         self.word_lat = self.network.word_latency()
         self.miss_lat = self.network.miss_latency(self.line_words)
 
-    # ------------------------------------------------------- span and apply
+    # ------------------------------------------------------------ pre-apply
 
-    def span(self, eng, proc: int, ta, lo: int, hi: int) -> int:
-        elapsed = 0
-        for i in range(lo, hi, _WINDOW):
-            cols = _Cols.window(proc, ta, i, min(i + _WINDOW, hi))
-            ok, ctx = self._scan(cols)
-            poisoned = not ok.all()
-            if poisoned:
-                cols = cols.compress(ok)
-                ctx = {k: v[ok] for k, v in ctx.items()}
-            elapsed += int(self._run(eng, cols, ctx).sum())
-            if poisoned:
-                elapsed += eng._run_rows(proc, [
-                    ta.rows[j] for j in (np.flatnonzero(~ok) + i).tolist()])
-        return elapsed
+    def preapply(self, eng, batch, sel, ends, poisoned) -> list:
+        """Scan and apply an epoch's cold events in one window.
 
-    def preapply(self, eng, pieces, poisoned) -> list:
-        """Scan and apply an epoch's cold events in one merged window.
-
-        ``pieces`` lists ``(proc, ta, sel)`` in dispatch order; ``sel``
-        selects each task's cold events (None = all of them).  If any set
-        is poisoned the method appends to ``poisoned``, per piece, the
-        task's indices of its events in poisoned sets, and returns an
-        empty list with *no* other side effects.  On success all
-        counters/state are final and it returns, per piece, the prefix
-        sums of the task's ``work + latency`` over ``[0, ta.n]`` (zero
-        at hot positions).
+        ``sel`` selects them among ``batch``'s events (None: all);
+        ``ends`` are window positions, each ending one segment of the
+        window where the previous one ended.  If any set is poisoned the
+        method appends to ``poisoned`` the epoch positions of the events
+        in poisoned sets and returns an empty list with *no* other side
+        effects.  On success all counters/state are final and it returns
+        each segment's summed ``work + latency``.
         """
-        cols = _Cols.merged(pieces, self.machine.cache.n_sets,
-                            self.shadow.total_words)
+        cols = _Cols(batch, sel, self.row_of[batch.procs],
+                     self.shadow.total_words)
         ok, ctx = self._scan(cols)
         if not bool(ok.all()):
-            for (_, ta, sel), (_, lo, hi) in zip(pieces, cols.parts):
-                idx = np.arange(ta.n) if sel is None else np.flatnonzero(sel)
-                poisoned.append(idx[~ok[lo:hi]])
+            pos = np.arange(len(batch.addr)) if sel is None else (
+                np.flatnonzero(sel))
+            poisoned.append(pos[~ok])
             return []
-        v = self._run(eng, cols, ctx)
-        sums = []
-        for (proc, ta, sel), (p, lo, hi) in zip(pieces, cols.parts):
-            vfull = np.zeros(ta.n + 1, dtype=np.int64)
-            if sel is None:
-                vfull[1:] = v[lo:hi]
-            else:
-                vfull[1:][sel] = v[lo:hi]
-            sums.append(np.cumsum(vfull))
-        return sums
+        sums = np.zeros(cols.n + 1, dtype=np.int64)
+        np.cumsum(self._run(eng, cols, ctx), out=sums[1:])
+        return np.diff(sums[ends], prepend=0).tolist()
 
     def _run(self, eng, cols: _Cols, ctx) -> np.ndarray:
         """Apply a scanned window; returns each event's work + latency."""
@@ -500,12 +408,12 @@ class _BatchKernel:
         path, in program order per processor (cold events reach here only
         for schemes that ignore ``in_critical``)."""
         access = eng._access
-        for proc, idx in self._parts_idx(cols, mask):
-            for i, is_write, addr, site, shared in zip(
-                    idx.tolist(), cols.wr[idx].tolist(),
-                    cols.addr[idx].tolist(), cols.site[idx].tolist(),
-                    cols.sh[idx].tolist()):
-                lat[i] = access(proc, is_write, addr, site, shared)
+        idx = np.flatnonzero(mask)
+        for i, proc, is_write, addr, site, shared in zip(
+                idx.tolist(), cols.procv[idx].tolist(),
+                cols.wr[idx].tolist(), cols.addr[idx].tolist(),
+                cols.site[idx].tolist(), cols.sh[idx].tolist()):
+            lat[i] = access(proc, is_write, addr, site, shared)
 
     # ----------------------------------------------------------- the frame
 
@@ -516,7 +424,7 @@ class _BatchKernel:
         resident when it executes, and the context entries the apply and
         :meth:`_stamp` read.  Returns ``(chains, tags0, resident, ctx)``."""
         ch = self._slot_chains(cols, alloc)
-        tags0 = self._gset(self.tags, cols, ch.slot)
+        tags0 = self.tags[cols.rowv, ch.slot]
         ctx = {"slot": ch.slot, "last": ch.last}
         if alloc is not None:
             ctx["alloc"] = alloc
@@ -525,7 +433,7 @@ class _BatchKernel:
     def _seen(self, cols: _Cols, mask: np.ndarray) -> np.ndarray:
         """Replacement flags: did the event's processor touch its word
         before the window, or at an earlier ``mask`` event in it?"""
-        return (self.scheme.touched[cols.procv, cols.addr]
+        return (self.scheme.touched.bits[cols.rowv, cols.addr]
                 | self._prior_addr(cols, mask))
 
     def _ok(self, cols: _Cols, ch, stale) -> np.ndarray:
@@ -557,34 +465,9 @@ class _BatchKernel:
 
     # ------------------------------------------------------------- helpers
 
-    def _gset(self, arrs, cols: _Cols, idx: np.ndarray) -> np.ndarray:
-        """Per-event gather ``arrs[proc][idx]`` from per-processor arrays
-        (``idx``: each event's slot, or its set for :attr:`ways`)."""
-        parts = cols.parts
-        if len(parts) == 1:
-            return arrs[parts[0][0]][idx]
-        first = arrs[parts[0][0]]
-        out = np.empty((cols.n,) + first.shape[1:], dtype=first.dtype)
-        for p, lo, hi in parts:
-            out[lo:hi] = arrs[p][idx[lo:hi]]
-        return out
-
-    def _gword(self, arrs, cols: _Cols, slot: np.ndarray) -> np.ndarray:
-        """Per-event gather from per-processor ``[slot, word]`` arrays."""
-        parts = cols.parts
-        if len(parts) == 1:
-            return arrs[parts[0][0]][slot, cols.wd]
-        out = np.empty(cols.n, dtype=arrs[parts[0][0]].dtype)
-        for p, lo, hi in parts:
-            out[lo:hi] = arrs[p][slot[lo:hi], cols.wd[lo:hi]]
-        return out
-
     def _line_chains(self, cols: _Cols) -> _Chains:
         """Per-line chains (one processor's line lives in one set)."""
-        key = cols.line
-        if len(cols.parts) > 1:
-            key = key + cols.procv * (int(key.max()) + 1)
-        return _Chains(key)
+        return _Chains(cols.line + cols.rank * (int(cols.line.max()) + 1))
 
     def _slot_chains(self, cols: _Cols, mask) -> "_SetChains":
         """The window's slot chains: the set chains re-keyed by the way
@@ -605,7 +488,7 @@ class _BatchKernel:
         non-allocating event whose line is not resident gets way 0: no
         slot holds its line, so it reads as a miss wherever it sits."""
         line = cols.line
-        ways0 = self._gset(self.ways, cols, cols.s)  # window-start tags
+        ways0 = self.ways[cols.rowv, cols.s]  # window-start tags
         at = ways0 == line[:, None]
         way = at.argmax(axis=1)
         new = ~at.any(axis=1)
@@ -663,13 +546,17 @@ class _BatchKernel:
         above the cache's tick (``ctx["alloc"]``, absent when every event
         allocates, selects the events that touch the cache)."""
         alloc = ctx.get("alloc")
-        if alloc is None:
-            alloc = np.ones(cols.n, dtype=bool)
-        slot = ctx["slot"]
-        for p, idx in self._parts_idx(cols, alloc):
-            rev = idx[::-1]
-            slots, last = np.unique(slot[rev], return_index=True)
-            self.caches[p].touch_slots(slots, rev[last], cols.n)
+        rev = (np.arange(cols.n) if alloc is None
+               else np.flatnonzero(alloc))[::-1]
+        if not rev.size:
+            return
+        n_slots = self.tags.shape[1]
+        keys, last = np.unique(cols.rank[rev] * n_slots + ctx["slot"][rev],
+                               return_index=True)
+        ranks, slots = np.divmod(keys, n_slots)
+        for rank, lo, hi in _stretches(ranks):
+            self.caches[int(cols.task_procs[rank])].touch_slots(
+                slots[lo:hi], rev[last[lo:hi]], cols.n)
 
     def _addr_chains(self, cols: _Cols) -> _Chains:
         ch = cols.cache.get("addr")
@@ -683,19 +570,14 @@ class _BatchKernel:
             return np.zeros(cols.n, dtype=bool)
         return self._addr_chains(cols).prior_any(mask)
 
-    def _parts_idx(self, cols: _Cols, mask: np.ndarray):
-        """Yield ``(proc, absolute-index-array)`` for events where
-        ``mask`` holds, one entry per contiguous per-processor part."""
-        parts = cols.parts
-        if len(parts) == 1:
-            idx = np.flatnonzero(mask)
-            if idx.size:
-                yield parts[0][0], idx
-            return
-        for p, lo, hi in parts:
-            idx = np.flatnonzero(mask[lo:hi])
-            if idx.size:
-                yield p, idx + lo
+    @staticmethod
+    def _by_task(cols: _Cols, mask: np.ndarray):
+        """Yield ``(proc, idx)`` per task with events where ``mask``
+        holds: the indices of those events, in program order."""
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            for rank, lo, hi in _stretches(cols.rank[idx]):
+                yield int(cols.task_procs[rank]), idx[lo:hi]
 
     # ---------------------------------------------------------- accounting
 
@@ -771,19 +653,18 @@ class _BatchKernel:
             eng.result.note_traffic(read_words, write_words, coherence_words)
             eng._epoch_words += read_words + write_words + coherence_words
 
-    def _install_lines(self, proc: int, slots: np.ndarray,
+    def _install_lines(self, rows: np.ndarray, slots: np.ndarray,
                        lines: np.ndarray) -> None:
         """Batched fills of each slot's last run: tags, full word
         validity, and the line's shadow versions.  Call *after* this
         window's shadow bumps: a cold written line has a single writer, so
         the final shadow version of every word is what the last run's copy
         holds."""
-        self.tags[proc][slots] = lines
-        self.wv[proc][slots] = True
+        self.tags[rows, slots] = lines
+        self.wv[rows, slots] = True
         lw = self.line_words
-        base = lines * lw
-        self.cver[proc][slots] = self.shadow.version[
-            base[:, None] + np.arange(lw)]
+        self.cver[rows, slots] = self.shadow.version[
+            (lines * lw)[:, None] + np.arange(lw)]
 
 
 class BaseBatchKernel(_BatchKernel):
@@ -811,15 +692,14 @@ class BaseBatchKernel(_BatchKernel):
                       ((MissKind.REPLACEMENT, repl), (MissKind.COLD, ~repl)))
         self._hits(eng, cols, lat, ~sh & ~wr & ~miss)
         # BASE keeps no per-word versions; a fill is tags + validity.
-        for p, idx in self._parts_idx(cols, miss & last):
-            self.tags[p][s[idx]] = cols.line[idx]
-            self.wv[p][s[idx]] = True
+        fill = miss & last
+        self.tags[cols.rowv[fill], s[fill]] = cols.line[fill]
+        self.wv[cols.rowv[fill], s[fill]] = True
         touch = ctx["touch"]
-        if touch.any():
-            self.scheme.touched[cols.procv[touch], cols.addr[touch]] = True
+        self.scheme.touched.bits[cols.rowv[touch], cols.addr[touch]] = True
         self._write_through(eng, cols, lat, wr, miss & wr)
-        for p, idx in self._parts_idx(cols, wr & ~sh & last):
-            self.wv[p][s[idx], cols.wd[idx]] = True
+        pw = wr & ~sh & last
+        self.wv[cols.rowv[pw], s[pw], cols.wd[pw]] = True
 
     def _posted(self, cols, shw) -> int:
         """Shared writes go straight to memory: an address and a word."""
@@ -835,7 +715,7 @@ class _WriteBufferMixin:
         immediately, the coalescing buffer holds everything until the next
         sync drain)."""
         words = 0
-        for p, idx in self._parts_idx(cols, shw):
+        for p, idx in self._by_task(cols, shw):
             wbuf = self.scheme.wbuffers[p]
             wbuf.total_writes += len(idx)
             if wbuf.kind is WriteBufferKind.FIFO:
@@ -876,7 +756,8 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         slot = ch.slot
         ach = ch.run_addrs(self._addr_chains(cols))
         wb = ach.prior_any(wr)
-        wv0 = self._gword(self.wv, cols, slot)
+        row, wd = cols.rowv, cols.wd
+        wv0 = self.wv[row, slot, wd]
 
         tr = rd & sh & self._marked(cols, "tpi")
         strict = tr & self._marked(cols, "strict")
@@ -886,11 +767,8 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         no_region = region < 0
         zeros = np.zeros(n, dtype=bool)
 
-        if per_word:
-            age0 = word_age(R, self._gword(self.tt, cols, slot), mod)
-        else:
-            # Per-line tags live on word 0; strict Time-Reads never hit.
-            age0 = word_age(R, self._gset(self.tt, cols, slot)[:, 0], mod)
+        # Per-line tags live on word 0; strict Time-Reads never hit.
+        age0 = word_age(R, self.tt[row, slot, wd if per_word else 0], mod)
 
         def tt_pass(age, strict_ok):
             return np.where(tr, np.where(strict, strict_ok,
@@ -925,7 +803,7 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
             hit = resident & valid & tt_pass(age_ns, zeros)
         rmiss = rd & ~hit
 
-        cver0 = self._gword(self.cver, cols, slot)
+        cver0 = self.cver[row, slot, wd]
         # Words rewritten from memory during the window carry a current
         # version: any refresh/fill upgraded word, or the accessed word of
         # any earlier read miss to the same address.
@@ -964,39 +842,38 @@ class TpiBatchKernel(_WriteBufferMixin, _BatchKernel):
         self._write_through(eng, cols, lat, wr, wmiss)
 
         # ---- state: each slot as its last run leaves it -----------------
-        last = c["last"]
+        last, row = c["last"], cols.rowv
         lw = self.line_words
-        for p, idx in self._parts_idx(cols, (rmiss | wmiss) & last):
-            su, first = np.unique(s[idx], return_index=True)
-            lu = line[idx][first]
-            fillu = c["fill"][idx][first]
-            base = lu * lw
-            sv = self.shadow.version[base[:, None] + np.arange(lw)]
-            if per_word:
-                ttu = self.tt[p][su]
-                keep = (~fillu[:, None]) & self.wv[p][su] & (ttu >= R - 1)
-                self.tt[p][su] = np.where(keep, ttu, R - 1)
-                self.cver[p][su] = np.where(keep, self.cver[p][su], sv)
-            else:
-                self.tt[p][su] = R - 1
-                self.cver[p][su] = sv
-            self.wv[p][su] = True
-            self.tags[p][su] = lu
+        idx = np.flatnonzero((rmiss | wmiss) & last)
+        # One event per (row, slot): the line and fill flag hold per run.
+        idx = idx[np.unique(row[idx] * self.tags.shape[1] + s[idx],
+                            return_index=True)[1]]
+        ru, su, lu = row[idx], s[idx], line[idx]
+        sv = self.shadow.version[(lu * lw)[:, None] + np.arange(lw)]
+        if per_word:
+            ttu = self.tt[ru, su]
+            keep = (~c["fill"][idx, None]) & self.wv[ru, su] & (ttu >= R - 1)
+            self.tt[ru, su] = np.where(keep, ttu, R - 1)
+            self.cver[ru, su] = np.where(keep, self.cver[ru, su], sv)
+        else:
+            self.tt[ru, su] = R - 1
+            self.cver[ru, su] = sv
+        self.wv[ru, su] = True
+        self.tags[ru, su] = lu
         if per_word:
             # Accessed word of each read miss: version refetched, tag
             # stamped to R unless the Time-Read was strict.
-            for p, idx in self._parts_idx(cols, rmiss & last):
-                self.cver[p][s[idx], wd[idx]] = (
-                    self.shadow.version[addr[idx]])
-                self.tt[p][s[idx], wd[idx]] = np.where(
-                    c["strict"][idx], R - 1, R)
-        scheme.touched[cols.procv, addr] = True
-        for p, idx in self._parts_idx(cols, wr & last):
-            sw, ww = s[idx], wd[idx]
-            self.wv[p][sw, ww] = True
-            if per_word:
-                self.tt[p][sw, ww] = R
-            self.cver[p][sw, ww] = self.shadow.version[addr[idx]]
+            rm = rmiss & last
+            self.cver[row[rm], s[rm], wd[rm]] = self.shadow.version[addr[rm]]
+            self.tt[row[rm], s[rm], wd[rm]] = np.where(c["strict"][rm],
+                                                       R - 1, R)
+        scheme.touched.bits[row, addr] = True
+        sel = wr & last
+        rw, sw, ww = row[sel], s[sel], wd[sel]
+        self.wv[rw, sw, ww] = True
+        if per_word:
+            self.tt[rw, sw, ww] = R
+        self.cver[rw, sw, ww] = self.shadow.version[addr[sel]]
 
 
 class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
@@ -1013,7 +890,7 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
         miss = cached & ~resident  # line miss: install (read or write)
         fresh = ch.runs.prior_any(miss)
         wb = ch.run_addrs(self._addr_chains(cols)).prior_any(wr)
-        cver0 = self._gword(self.cver, cols, ch.slot)
+        cver0 = self.cver[cols.rowv, ch.slot, cols.wd]
         stale = (cached & ~wr & resident & ~wb & ~fresh
                  & (cver0 < self.shadow.epoch_version[addr])
                  if self.check else None)
@@ -1037,14 +914,14 @@ class ScBatchKernel(_WriteBufferMixin, _BatchKernel):
                       ((MissKind.REPLACEMENT, tch), (MissKind.COLD, ~tch)))
         self._hits(eng, cols, lat, ~wr & ~bypass & ~miss)
         self._write_through(eng, cols, lat, wr, miss & wr)
-        for p, idx in self._parts_idx(cols, miss & last):
-            self._install_lines(p, s[idx], cols.line[idx])
-        for p, idx in self._parts_idx(cols, wr & last):
-            sw, ww = s[idx], wd[idx]
-            self.wv[p][sw, ww] = True
-            self.cver[p][sw, ww] = self.shadow.version[addr[idx]]
+        row = cols.rowv
+        fill = miss & last
+        self._install_lines(row[fill], s[fill], cols.line[fill])
+        sel = wr & last
+        self.wv[row[sel], s[sel], wd[sel]] = True
+        self.cver[row[sel], s[sel], wd[sel]] = self.shadow.version[addr[sel]]
         seen = bypass | rmiss | wr
-        self.scheme.touched[cols.procv[seen], addr[seen]] = True
+        self.scheme.touched.bits[row[seen], addr[seen]] = True
 
 
 class UpdateBatchKernel(_BatchKernel):
@@ -1082,7 +959,7 @@ class UpdateBatchKernel(_BatchKernel):
             # it; suspicious reads take the exact path where the oracle
             # fires against true state.
             fresh = (self._prior_addr(cols, wr) | ch.prior_any(~resident)
-                     | (self._gword(self.cver, cols, cols.s)
+                     | (self.cver[cols.rowv, cols.s, cols.wd]
                         >= self.shadow.epoch_version[cols.addr]))
             batch = resident & (wr | ~sh | fresh)
         ctx["batch"] = batch
@@ -1093,9 +970,8 @@ class UpdateBatchKernel(_BatchKernel):
         self._hits(eng, cols, lat, batch & ~cols.wr)
         bw = batch & cols.wr
         self._write_through(eng, cols, lat, bw)
-        for p, idx in self._parts_idx(cols, bw):
-            self.cver[p][cols.s[idx], cols.wd[idx]] = (
-                self.shadow.version[cols.addr[idx]])
+        self.cver[cols.rowv[bw], cols.s[bw], cols.wd[bw]] = (
+            self.shadow.version[cols.addr[bw]])
         self.scheme.total_writes += int(bw.sum())
         slow = ~batch
         if slow.any():
@@ -1106,7 +982,7 @@ class UpdateBatchKernel(_BatchKernel):
         coalescing, else each one broadcasts (:meth:`_broadcast`)."""
         scheme = self.scheme
         words = 0
-        for p, idx in self._parts_idx(cols, shw):
+        for p, idx in self._by_task(cols, shw):
             if scheme.coalescing:
                 scheme.merged_writes += _coalesce(scheme.pending[p],
                                                   cols.addr[idx])
@@ -1118,7 +994,7 @@ class UpdateBatchKernel(_BatchKernel):
                    lines: np.ndarray) -> int:
         """FIFO broadcasts: per write, the memory update plus one update
         message per other sharer; remote copies are patched to the word's
-        final version (a span's intermediate values are unobservable —
+        final version (a window's intermediate values are unobservable —
         any processor reading the line this epoch would have made it hot).
         """
         scheme = self.scheme
@@ -1139,10 +1015,11 @@ class UpdateBatchKernel(_BatchKernel):
             version = int(self.shadow.version[a])
             set_index = line % n_sets
             for q in holders:
-                if self.tags[q][set_index] != line:
+                cache = self.caches[q]
+                if cache.tags[set_index, 0] != line:
                     raise ProtocolError(
                         f"update: sharer {q} of line {line} has no copy")
-                self.cver[q][set_index, word] = version
+                cache.version[set_index, 0, word] = version
         return words
 
 
@@ -1167,7 +1044,7 @@ class MsiBatchKernel(_BatchKernel):
     that could evict or observe a cold line within the epoch makes its
     set hot, so the remote-cache mutations the transitions perform
     (invalidations, owner demotions) commute with everything batched,
-    and slow events of distinct processors in one merged window commute
+    and slow events of distinct processors in one window commute
     with each other.  Misses happen only at run heads, the
     starts of a slot's line residencies (see :class:`_SetChains`): the
     first run's head evicts the slot's window-start occupant (none if the
@@ -1207,7 +1084,7 @@ class MsiBatchKernel(_BatchKernel):
         line, wr, sh, addr = cols.line, cols.wr, cols.sh, cols.addr
         # Every access holds its line.
         ch, tags0, resident, ctx = self._frame(cols, None)
-        dirty0 = self._gset(self.dirty, cols, ch.slot)
+        dirty0 = self.dirty[cols.rowv, ch.slot]
         miss = ~resident
         stale = None
         if self.check:
@@ -1217,7 +1094,7 @@ class MsiBatchKernel(_BatchKernel):
             fresh = (ch.run_addrs(self._addr_chains(cols)).prior_any(wr)
                      | ch.runs.prior_any(miss))
             stale = (~wr & sh & resident & ~fresh
-                     & (self._gword(self.cver, cols, ch.slot)
+                     & (self.cver[cols.rowv, ch.slot, cols.wd]
                         != self.shadow.version[addr]))
         victim, vdirty = ch.victims(line, wr, tags0, dirty0)
         ctx.update(miss=miss, victim=victim, vdirty=vdirty,
@@ -1239,17 +1116,15 @@ class MsiBatchKernel(_BatchKernel):
         # Own-cache side, as each slot's last run leaves it: the fill
         # resets the slot, then every access marks its word used and every
         # write dirties the line.
-        for p, idx in self._parts_idx(cols, miss & last):
-            su = s[idx]
-            self.used[p][su] = False
-            self.dirty[p][su] = False
-            self._install_lines(p, su, cols.line[idx])
-        for p, idx in self._parts_idx(cols, last):
-            self.used[p][s[idx], wd[idx]] = True
-        for p, idx in self._parts_idx(cols, wr & last):
-            sw = s[idx]
-            self.dirty[p][sw] = True
-            self.cver[p][sw, wd[idx]] = self.shadow.version[addr[idx]]
+        row = cols.rowv
+        fill = miss & last
+        self.used[row[fill], s[fill]] = False
+        self.dirty[row[fill], s[fill]] = False
+        self._install_lines(row[fill], s[fill], cols.line[fill])
+        self.used[row[last], s[last], wd[last]] = True
+        sel = wr & last
+        self.dirty[row[sel], s[sel]] = True
+        self.cver[row[sel], s[sel], wd[sel]] = self.shadow.version[addr[sel]]
         # Private and exclusive write hits are silent: hit latency, no
         # traffic, no protocol motion.
         silent = wr & ~miss & ~upgrade
@@ -1293,18 +1168,14 @@ class MsiBatchKernel(_BatchKernel):
         private = np.bincount(lpos[on & ~sh], minlength=n) > 0
         ok = ~(shared & private)
 
-        parts = cols.parts
-        if len(parts) == 1:
-            proc = np.full(n, parts[0][0], dtype=np.int64)
-        else:
-            P = self.machine.n_procs
-            procv = cols.procv
-            pairs = np.unique(np.concatenate((
-                lpos[on] * P + procv[on], vpos[evicts] * P + procv[evicts])))
-            at, who = np.divmod(pairs, P)
-            proc = np.empty(n, dtype=np.int64)
-            proc[at] = who
-            ok[at[1:][at[1:] == at[:-1]]] = False  # two processors
+        P = self.machine.n_procs
+        procv = cols.procv
+        pairs = np.unique(np.concatenate((
+            lpos[on] * P + procv[on], vpos[evicts] * P + procv[evicts])))
+        at, who = np.divmod(pairs, P)
+        proc = np.empty(n, dtype=np.int64)
+        proc[at] = who
+        ok[at[1:][at[1:] == at[:-1]]] = False  # two processors
 
         # A shared miss is classified by (and consumes) a pending
         # invalidation reason: a line with one stays loud.
@@ -1365,7 +1236,7 @@ class MsiBatchKernel(_BatchKernel):
             seen[missed] = True
             seen[missed[first]] = False
             seen &= rmiss
-            for p, idx in self._parts_idx(cols, rmiss & ~seen):
+            for p, idx in self._by_task(cols, rmiss & ~seen):
                 before = seen_lines[p]
                 seen[idx] = [ln in before for ln in line[idx].tolist()]
             self._fetches(eng, cols, lat, rmiss, (
@@ -1390,7 +1261,7 @@ class MsiBatchKernel(_BatchKernel):
         self._traffic(eng, read_words=n_wm * lw1,
                       write_words=int(writeback.sum()) * lw1,
                       coherence_words=2 * n_up + self._settle(cols, split))
-        for p, idx in self._parts_idx(cols, miss):
+        for p, idx in self._by_task(cols, miss):
             seen_lines[p].update(line[idx].tolist())
 
     def _transitions(self, eng, cols, ctx, slow, lat) -> None:
@@ -1398,21 +1269,19 @@ class MsiBatchKernel(_BatchKernel):
         scheme's protocol side, then the engine's accounting."""
         scheme = self.scheme
         account = eng._account
-        for proc, idx in self._parts_idx(cols, slow):
-            for i, is_write, ln, word, shared, upgrade, occ, dirty in zip(
-                    idx.tolist(), cols.wr[idx].tolist(),
-                    cols.line[idx].tolist(), cols.wd[idx].tolist(),
-                    cols.sh[idx].tolist(), ctx["upgrade"][idx].tolist(),
-                    ctx["victim"][idx].tolist(),
-                    ctx["vdirty"][idx].tolist()):
-                if upgrade:
-                    r = scheme._upgrade(proc, ln, word)
-                else:
-                    miss = scheme._write_miss if is_write else scheme._read_miss
-                    r = miss(proc, ln, word, shared)
-                    scheme._filled(proc, ln, occ if occ >= 0 else None,
-                                   dirty, r)
-                lat[i] = account(is_write, shared, r)
+        idx = np.flatnonzero(slow)
+        for i, proc, is_write, ln, word, shared, upgrade, occ, dirty in zip(
+                idx.tolist(), cols.procv[idx].tolist(), cols.wr[idx].tolist(),
+                cols.line[idx].tolist(), cols.wd[idx].tolist(),
+                cols.sh[idx].tolist(), ctx["upgrade"][idx].tolist(),
+                ctx["victim"][idx].tolist(), ctx["vdirty"][idx].tolist()):
+            if upgrade:
+                r = scheme._upgrade(proc, ln, word)
+            else:
+                miss = scheme._write_miss if is_write else scheme._read_miss
+                r = miss(proc, ln, word, shared)
+                scheme._filled(proc, ln, occ if occ >= 0 else None, dirty, r)
+            lat[i] = account(is_write, shared, r)
 
 
 class DirectoryBatchKernel(MsiBatchKernel):
@@ -1452,11 +1321,8 @@ class DirectoryBatchKernel(MsiBatchKernel):
     def _resident(self, lines, proc) -> np.ndarray:
         """Per line: is it in its processor's cache (window-start tags)?"""
         sets = lines % self.machine.cache.n_sets
-        out = np.zeros(len(lines), dtype=bool)
-        for p, sel in self._by_proc(proc, np.ones(len(lines), dtype=bool)):
-            out[sel] = (self.ways[p][sets[sel]]
-                        == lines[sel, None]).any(axis=1)
-        return out
+        return (self.ways[self.row_of[proc], sets]
+                == lines[:, None]).any(axis=1)
 
     def _settle(self, cols, split):
         """Each quiet line with an entry, or with shared accesses (their

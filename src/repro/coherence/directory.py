@@ -68,8 +68,6 @@ class MsiScheme(CoherenceScheme):
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         machine = self.machine
-        self.caches: LazyList = LazyList(machine.n_procs,
-                                         lambda _p: Cache(machine.cache))
         self.line_words = machine.cache.line_words
         self.seen_lines: LazyList = LazyList(machine.n_procs, lambda _p: set())
         self.inval_reason: LazyList = LazyList(machine.n_procs,

@@ -32,13 +32,12 @@ class SoftwareBypassScheme(CoherenceScheme):
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         machine = self.machine
-        self.caches: LazyList = LazyList(machine.n_procs,
-                                         lambda _p: Cache(machine.cache))
         self.wbuffers = LazyList(
             machine.n_procs,
             lambda _p: make_write_buffer(machine.write_buffer))
         self.line_words = machine.cache.line_words
-        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words)
+        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words,
+                                   self.bank.procs)
 
     def end_epoch(self, write_key=None) -> Dict[int, int]:
         return PerProcWords(self.machine.n_procs,

@@ -74,8 +74,6 @@ class TardisScheme(CoherenceScheme):
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         machine = self.machine
-        self.caches: LazyList = LazyList(machine.n_procs,
-                                         lambda _p: Cache(machine.cache))
         self.line_words = machine.cache.line_words
         self.lease = machine.tardis.lease
         self.modulus = machine.tardis.modulus

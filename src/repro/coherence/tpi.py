@@ -90,8 +90,6 @@ class TpiScheme(CoherenceScheme):
         machine = self.machine
         if ctx.layout is None:
             raise SimulationError("TPI needs the memory layout (W registers)")
-        self.caches: LazyList = LazyList(machine.n_procs,
-                                         lambda _p: Cache(machine.cache))
         self.wbuffers = LazyList(
             machine.n_procs,
             lambda _p: make_write_buffer(machine.write_buffer))
@@ -99,7 +97,8 @@ class TpiScheme(CoherenceScheme):
         self.modulus = machine.tpi.counter_modulus
         self.phase_size = machine.tpi.phase_size
         self.line_words = machine.cache.line_words
-        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words)
+        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words,
+                                   self.bank.procs)
         self.per_word_tags = machine.tpi.tag_per_word
         self.region_of, self.region_names = ctx.layout.shared_region_table()
         if dense_state():

@@ -33,7 +33,6 @@ from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
 from repro.common.config import ConsistencyModel, WriteBufferKind
 from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
-from repro.memsys.cache import Cache
 from repro.memsys.lazystate import LazyList, PerProcWords
 from repro.memsys.wbuffer import WRITE_MESSAGE_WORDS
 
@@ -62,8 +61,6 @@ class UpdateDirectoryScheme(CoherenceScheme):
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         machine = self.machine
-        self.caches: LazyList = LazyList(machine.n_procs,
-                                         lambda _p: Cache(machine.cache))
         self.sharers: Dict[int, Set[int]] = {}  # line -> procs with a copy
         self.line_words = machine.cache.line_words
         self.seen_lines: LazyList = LazyList(machine.n_procs, lambda _p: set())

@@ -8,16 +8,21 @@ needs and ignores the rest.
 
 State is held in numpy arrays indexed ``[set, way]`` (line granularity) or
 ``[set, way, word]`` (word granularity), which keeps the per-event Python
-work small.
+work small.  A scheme keeps all its caches in one :class:`CacheBank`:
+one array per field with a row per processor the trace uses, each
+:class:`Cache` holding views of its own row.  The per-event path sees
+plain per-cache arrays; the fast engine's batch kernels gather and
+scatter every processor of an epoch with one ``[row, slot]`` index.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.config import CacheConfig
+from repro.memsys.lazystate import dense_state
 
 
 #: Location of a line inside the cache: ``(set index, way index)``.  A
@@ -47,19 +52,20 @@ class Cache:
       filled (Tullsen-Eggers).
     """
 
-    def __init__(self, config: CacheConfig):
+    _FIELDS = ("tags", "dirty", "word_valid", "timetag", "version", "used")
+
+    def __init__(self, config: CacheConfig, bank: "Optional[CacheBank]" = None,
+                 row: int = 0):
+        """A cache on row ``row`` of ``bank``, or (no bank) on a bank of
+        its own."""
         self.config = config
         self.line_words = config.line_words
         self.n_sets = config.n_sets
         self.assoc = config.associativity
-        shape_line = (self.n_sets, self.assoc)
-        shape_word = (self.n_sets, self.assoc, self.line_words)
-        self.tags = np.full(shape_line, -1, dtype=np.int64)
-        self.dirty = np.zeros(shape_line, dtype=bool)
-        self.word_valid = np.zeros(shape_word, dtype=bool)
-        self.timetag = np.zeros(shape_word, dtype=np.int64)
-        self.version = np.zeros(shape_word, dtype=np.int64)
-        self.used = np.zeros(shape_word, dtype=bool)
+        if bank is None:
+            bank = CacheBank(config, 1)
+        for name in self._FIELDS:
+            setattr(self, name, getattr(bank, name)[row])
         # LRU stamps, flat by ``set * assoc + way``.  Only ``victim`` of a
         # set-associative cache reads them, so a direct-mapped cache never
         # stamps; a Python list keeps the per-event stamp cheap.
@@ -221,3 +227,39 @@ class Cache:
     @property
     def occupancy(self) -> int:
         return int((self.tags != -1).sum())
+
+
+class CacheBank:
+    """The caches of one scheme as one array per :class:`Cache` field,
+    one row per processor of ``procs`` (sorted; every processor when
+    None or under ``REPRO_DENSE_STATE=1``).
+
+    Rows are allocated up front, so a bank over the processors a trace
+    uses costs what lazily materializing their caches did.  ``row_of``
+    maps a processor to its row (-1: none; :meth:`cache` then gives the
+    processor a cache of its own).
+    """
+
+    def __init__(self, config: CacheConfig, n_procs: int,
+                 procs: Optional[Sequence[int]] = None):
+        self.config = config
+        if procs is None or dense_state():
+            procs = range(n_procs)
+        self.procs = np.asarray(procs, dtype=np.int64)
+        self.row_of = np.full(n_procs, -1, dtype=np.int64)
+        self.row_of[self.procs] = np.arange(len(self.procs))
+        shape_line = (len(self.procs), config.n_sets, config.associativity)
+        shape_word = shape_line + (config.line_words,)
+        self.tags = np.full(shape_line, -1, dtype=np.int64)
+        self.dirty = np.zeros(shape_line, dtype=bool)
+        self.word_valid = np.zeros(shape_word, dtype=bool)
+        self.timetag = np.zeros(shape_word, dtype=np.int64)
+        self.version = np.zeros(shape_word, dtype=np.int64)
+        self.used = np.zeros(shape_word, dtype=bool)
+
+    def cache(self, proc: int) -> Cache:
+        """Processor ``proc``'s cache, on its row."""
+        row = int(self.row_of[proc])
+        if row < 0:
+            return Cache(self.config)
+        return Cache(self.config, self, row)

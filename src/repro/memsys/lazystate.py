@@ -132,68 +132,32 @@ class PerProcWords(Mapping):
 
 
 class TouchBitmap:
-    """Per-(processor, word) touch bits with lazily materialized rows.
+    """Per-(processor, word) touch bits, one row of ``bits`` per processor
+    of ``procs`` (sorted; every processor when None) — a scheme passes
+    its :class:`~repro.memsys.cache.CacheBank`'s, so the batch kernels
+    index ``bits`` with the bank's rows.
 
     Replaces the dense ``(n_procs, total_words)`` bool array — which is
     O(n_procs^2) once private arrays give ``total_words`` an n_procs
-    factor — while serving the same scalar and fancy-indexed gets/sets
-    the schemes and batch kernels issue.  A Python-int processor takes a
-    direct row access: the per-event path sets a bit on every access.
+    factor.  ``[proc, addr]`` is the per-event path's get/set, a direct
+    row access: it sets a bit on every access.
     """
 
-    __slots__ = ("n_procs", "total_words", "_rows")
+    __slots__ = ("bits", "_rows")
 
-    def __init__(self, n_procs: int, total_words: int):
-        self.n_procs = n_procs
-        self.total_words = total_words
-        self._rows: Dict[int, np.ndarray] = {}
-        if dense_state():
-            for proc in range(n_procs):
-                self._row(proc)
+    def __init__(self, n_procs: int, total_words: int, procs=None):
+        procs = range(n_procs) if procs is None else procs
+        self.bits = np.zeros((len(procs), total_words), dtype=bool)
+        self._rows: Dict[int, np.ndarray] = dict(zip(
+            np.asarray(procs).tolist(), self.bits))
 
-    def _row(self, proc: int) -> np.ndarray:
-        row = self._rows.get(proc)
-        if row is None:
-            row = self._rows[proc] = np.zeros(self.total_words, dtype=bool)
-        return row
-
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> bool:
         proc, addr = key
-        if isinstance(proc, int) and isinstance(addr, int):
-            row = self._rows.get(proc)
-            return False if row is None else row.item(addr)
-        procs = np.asarray(proc)
-        if procs.ndim == 0:
-            row = self._rows.get(int(procs))
-            if row is None:
-                addrs = np.asarray(addr)
-                return (np.zeros(addrs.shape, dtype=bool) if addrs.ndim
-                        else False)
-            return row[addr]
-        addrs = np.asarray(addr)
-        out = np.zeros(procs.shape, dtype=bool)
-        for p in np.unique(procs):
-            row = self._rows.get(int(p))
-            if row is not None:
-                mask = procs == p
-                out[mask] = row[addrs[mask]]
-        return out
+        return self._rows[proc].item(addr)
 
     def __setitem__(self, key, value) -> None:
         proc, addr = key
-        if isinstance(proc, int):
-            self._row(proc)[addr] = value
-            return
-        procs = np.asarray(proc)
-        if procs.ndim == 0:
-            self._row(int(procs))[addr] = value
-            return
-        addrs = np.asarray(addr)
-        values = np.asarray(value)
-        for p in np.unique(procs):
-            mask = procs == p
-            self._row(int(p))[addrs[mask]] = (values[mask] if values.ndim
-                                              else value)
+        self._rows[proc][addr] = value
 
 
 class SparseValues:

@@ -66,7 +66,7 @@ class Engine:
         self.network = KruskalSnirNetwork(machine)
         self.ctx = SimContext(machine=machine, marking=marking,
                               shadow=self.shadow, network=self.network,
-                              layout=trace.layout)
+                              layout=trace.layout, procs=trace.procs)
         self.scheme: CoherenceScheme = make_scheme(scheme_name, self.ctx)
         self._hit_latency = machine.hit_latency
         self.result = SimResult(scheme=self.scheme.name,

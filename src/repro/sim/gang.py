@@ -33,8 +33,9 @@ so members now run in turn and only the primed analyses are shared.
 Fallbacks (each member silently degrades to a plain solo run):
 
 * object (non-columnar) traces — nothing is primed;
-* sync epochs and epochs under the fast engine's batching floor — those
-  fall back per-event inside each member anyway;
+* epochs the fast engine's planner refuses (:func:`~repro.sim.
+  fastengine.batchable`: too small, sync, or two tasks on one
+  processor) — those fall back per-event inside each member anyway;
 * a gang of one (or of identical configs) — priming is skipped, the
   single member just runs.
 
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.engine import make_engine, resolve_engine
-from repro.sim.fastengine import _MIN_TASK_EVENTS, epoch_batch
+from repro.sim.fastengine import batchable, epoch_batch
 from repro.sim.metrics import SimResult
 from repro.trace.columnar import ColumnarTrace
 
@@ -67,11 +68,13 @@ def prime_group(trace, machines: Sequence[Any]) -> Dict[str, Any]:
     """Pre-build the shared per-geometry epoch analyses for a gang.
 
     Walks the columnar trace once, and for each epoch the fast engine
-    would batch, builds every member geometry's analysis on
+    would batch (:func:`~repro.sim.fastengine.batchable`, the planner's
+    own test), builds every member geometry's analysis on
     ``epoch._batch`` (:func:`~repro.sim.fastengine.epoch_batch`) — the
-    member engines then find every geometry already built.  Purely an optimization: results are
-    byte-identical with or without priming.  Returns a stats dict
-    (``width``, ``geometries``, ``primed_epochs``, ``fallback``).
+    member engines then find every geometry already built.  Purely an
+    optimization: results are byte-identical with or without priming.
+    Returns a stats dict (``width``, ``geometries``, ``primed_epochs``,
+    ``fallback``).
     """
     stats = {"width": len({_backend_token(m) for m in machines}),
              "geometries": 0, "primed_epochs": 0, "fallback": ""}
@@ -85,12 +88,9 @@ def prime_group(trace, machines: Sequence[Any]) -> Dict[str, Any]:
         (m.cache.line_words, m.cache.n_sets) for m in machines))
     stats["geometries"] = len(geometries)
     for epoch in trace.epochs:
-        if epoch.n_events < _MIN_TASK_EVENTS * max(1, epoch.n_tasks):
+        if not batchable(epoch):
             continue
-        if epoch.has_sync:
-            continue
-        built = epoch._batch if isinstance(epoch._batch, dict) else {}
-        todo = [g for g in geometries if g not in built]
+        todo = [g for g in geometries if g not in epoch._batch]
         if not todo:
             continue
         for geometry in todo:

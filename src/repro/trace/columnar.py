@@ -5,9 +5,8 @@ A trace is mostly one enormous homogeneous event stream, so the
 list-of-:class:`MemEvent` representation pays per-object costs everywhere
 it moves: building it dominates trace generation, pickling it dominates
 the executor's process boundary and the artifact cache, and the fast
-engine immediately re-converts it to arrays (:class:`repro.sim.
-fastengine._TaskArrays`).  This module stores the same information
-columnarly:
+engine works on arrays (:class:`repro.sim.fastengine._EpochBatch`).
+This module stores the same information columnarly:
 
 * one array per :class:`MemEvent` field (``kind``/``addr``/``site``/
   ``work``/``shared``/``in_critical``/``lock``) over every event in the
@@ -20,9 +19,9 @@ columnarly:
 The conversion is lossless both ways: ``ColumnarTrace.from_trace(t).
 to_trace() == t`` (enforced by a hypothesis property in
 tests/test_columnar.py), and engines driven from either form produce
-byte-identical results.  Consumers that want arrays (the fast engine's
-batch kernels) slice them zero-copy via :meth:`ColumnarEpoch.
-task_columns`; consumers that want objects (the reference engine, the
+byte-identical results.  Consumers that want arrays (the fast engine)
+slice an epoch's events zero-copy: they are one contiguous range of
+the columns; consumers that want objects (the reference engine, the
 wholesale fallback path) materialize a :class:`~repro.trace.events.Task`
 list lazily per epoch.  Pickling a ``ColumnarTrace`` ships the raw array
 buffers — no per-event object graph — which is what makes cached
@@ -258,6 +257,11 @@ class ColumnarTrace:
     @property
     def n_events(self) -> int:
         return len(self.addr)
+
+    @property
+    def procs(self) -> np.ndarray:
+        """The processors any task runs on, sorted."""
+        return np.unique(self.task_proc)
 
     def counts(self) -> Dict[str, int]:
         """Event-kind histogram, same shape as :meth:`Trace.counts`."""

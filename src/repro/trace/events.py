@@ -67,16 +67,9 @@ class TraceEpoch:
     label: str = ""
     n_tasks_scheduled: int = 0  # dispatch count (> len(tasks) under self-sched)
     write_key: Optional[int] = None
-    _batch: Optional[object] = field(default=None, repr=False, compare=False)
-    """Fast-engine columnar view of the tasks, built lazily on first use
-    and shared by every scheme simulated over this trace in-process.
-    Derived data: dropped from pickles (see ``__getstate__``) so cached
-    PreparedRun artifacts stay lean."""
 
     def __getstate__(self):
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_batch"] = None
-        return state
+        return {slot: getattr(self, slot) for slot in self.__slots__}
 
     def __setstate__(self, state):
         for slot in self.__slots__:
@@ -107,6 +100,11 @@ class Trace:
     @property
     def n_epochs(self) -> int:
         return len(self.epochs)
+
+    @property
+    def procs(self) -> List[int]:
+        """The processors any task runs on, sorted."""
+        return sorted({t.proc for e in self.epochs for t in e.tasks})
 
     def counts(self) -> Dict[str, int]:
         """Event-kind histogram (reads/writes/locks), for reporting."""

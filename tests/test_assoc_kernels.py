@@ -5,10 +5,10 @@ way its line occupies when the event executes, so the run machinery of
 :class:`repro.coherence.batch._SetChains` proves K-way caches with the
 direct-mapped closed forms.  Four layers:
 
-* a hypothesis property replays random merged windows — window-start
-  tags with invalid ways anywhere, LRU stamps, an allocation mask,
-  several processors — through the real ``Cache.probe``/``victim``/
-  ``install``/``touch`` and compares each event's way, each miss's
+* a hypothesis property replays random windows — window-start tags
+  with invalid ways anywhere, LRU stamps, an allocation mask, several
+  processors, each on its row of one cache bank — through the real
+  ``Cache.probe``/``victim``/``install``/``touch`` and compares each event's way, each miss's
   victim line and dirty bit, each slot's final line, and each set's
   final LRU order against the slot scan and its stamps;
 * a crafted trace in which an exclusive line leaves its way and comes
@@ -33,7 +33,7 @@ from repro.common.config import CacheConfig, WORD_BYTES, default_machine
 from repro.compiler.marking import mark_program
 from repro.coherence.batch import _BatchKernel, _Cols
 from repro.ir import ProgramBuilder
-from repro.memsys.cache import Cache
+from repro.memsys.cache import CacheBank
 from repro.sim import make_engine, simulate
 from repro.sim.fastengine import FastEngine
 from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
@@ -44,16 +44,17 @@ from tests.test_golden import MACHINES, _prepared
 
 @st.composite
 def windows(draw):
-    """Caches in a random state plus a merged window over them."""
+    """A bank of caches in a random state plus a window over them."""
     K = draw(st.sampled_from([2, 4]))
     n_sets = draw(st.sampled_from([1, 2, 4]))
     n_procs = draw(st.integers(1, 3))
     n_lines = n_sets * draw(st.integers(K, 3 * K))
     machine = default_machine().with_(n_procs=n_procs, cache=CacheConfig(
         size_bytes=n_sets * K * WORD_BYTES, line_words=1, associativity=K))
+    bank = CacheBank(machine.cache, n_procs)
     caches = {}
     for p in range(n_procs):
-        cache = Cache(machine.cache)
+        cache = bank.cache(p)
         for s in range(n_sets):
             lines = draw(st.lists(
                 st.integers(0, n_lines // n_sets - 1).map(
@@ -75,7 +76,7 @@ def windows(draw):
                                      st.booleans(), st.booleans()),
                            min_size=1, max_size=24)),
         min_size=1, max_size=3))
-    return machine, caches, parts
+    return machine, bank, caches, parts
 
 
 def replay(caches, parts):
@@ -106,29 +107,32 @@ def lru_order(cache):
 @settings(max_examples=300, deadline=None)
 @given(windows())
 def test_slot_scan_matches_a_cache_replay(window):
-    machine, caches, parts = window
+    machine, bank, caches, parts = window
     K = machine.cache.associativity
     n_sets = machine.cache.n_sets
     expected = copy.deepcopy(caches)
     rows = replay(expected, parts)
 
-    pieces = []
-    for proc, events in parts:
-        line = np.array([e[0] for e in events], dtype=np.int64)
-        alloc = np.array([e[1] for e in events], dtype=bool)
-        pieces.append((proc, SimpleNamespace(
-            line=line, set_=line % n_sets, word=np.zeros_like(line),
-            addr=line, site=np.zeros_like(line), work=np.zeros_like(line),
-            is_write=alloc & np.array([e[2] for e in events], dtype=bool),
-            shared=~alloc), None))
-    cols = _Cols.merged(pieces, n_sets, n_sets * K * 64)
-    alloc = ~cols.sh
+    # A processor may own several parts: keying the window by processor
+    # (a processor's "task" rank is the processor) makes them one chain.
+    events = [(proc, *e) for proc, part in parts for e in part]
+    line = np.array([e[1] for e in events], dtype=np.int64)
+    alloc = np.array([e[2] for e in events], dtype=bool)
+    rank = np.array([e[0] for e in events], dtype=np.int64)
+    batch = SimpleNamespace(
+        line=line, set_=line % n_sets, addr=line, site=np.zeros_like(line),
+        work=np.zeros_like(line),
+        is_write=alloc & np.array([e[3] for e in events], dtype=bool),
+        shared=~alloc, rank=rank, geometry=(1, n_sets),
+        procs=np.arange(machine.n_procs))
+    cols = _Cols(batch, None, bank.row_of, n_sets * K * 64)
     kernel = _BatchKernel(SimpleNamespace(machine=machine, network=None,
-                                          shadow=None, caches=caches))
+                                          shadow=None, caches=caches,
+                                          bank=bank))
     ch = kernel._slot_chains(cols, alloc)
     way = ch.slot - cols.s * K
-    tags0 = kernel._gset(kernel.tags, cols, ch.slot)
-    dirty0 = kernel._gset(kernel.dirty, cols, ch.slot)
+    tags0 = kernel.tags[cols.rowv, ch.slot]
+    dirty0 = kernel.dirty[cols.rowv, ch.slot]
     resident = ch.resident(cols.line, tags0)
     victim, vdirty = ch.victims(cols.line, cols.wr, tags0, dirty0)
     for i, (exp_way, exp_victim) in enumerate(rows):

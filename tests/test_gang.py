@@ -23,6 +23,7 @@ Layers:
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,13 +32,16 @@ from repro.coherence.api import dead_config_fields, scheme_registry
 from repro.common.config import (WORD_BYTES, CacheConfig, DirectoryConfig,
                                  TardisConfig, TpiConfig, WriteBufferKind,
                                  default_machine)
+from repro.compiler.marking import mark_program
 from repro.runtime import (ArtifactCache, Job, Telemetry, effective_jobs,
                            expand_sweep)
 from repro.runtime.cache import KIND_PREPARED, KIND_RESULT
 from repro.sim import prepare, simulate
 from repro.sim.engine import resolve_engine
+from repro.sim.fastengine import FastEngine
 from repro.sim.gang import GangMember, distinct_backends, prime_group, run_gang
 from repro.sim.sweep import Sweep, axis_cache_lines, axis_timetag_bits
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.generate import generate_trace
 from repro.workloads import build_workload
 from tests.strategies import machines, rich_programs
@@ -188,6 +192,35 @@ class TestPrimeFallbacks:
         stats = prime_group(run.trace, distinct_backends(pair))
         assert stats["fallback"] == "gang-of-one"
 
+    def test_priming_builds_nothing_for_an_epoch_the_planner_refuses(self):
+        # Priming and the planner share one batchability test: an epoch
+        # that runs two tasks on one processor, which the planner falls
+        # back on, gets no analysis from priming either.
+        from tests.test_hot_sets import _setup, _trace
+
+        program, machine, layout = _setup(n_procs=4)
+        a = layout.base("A")
+        rng = np.random.default_rng(5)
+
+        def task(proc):
+            return proc, [(bool(rng.integers(2)), a + int(rng.integers(32)))
+                          for _ in range(40)]
+
+        trace = ColumnarTrace.from_trace(_trace(layout, 4, [
+            [task(proc) for proc in (0, 1, 0)],
+            [task(proc) for proc in (0, 1, 2)]]))
+        other = machine.with_(cache=CacheConfig(size_bytes=8 * WORD_BYTES,
+                                                line_words=1))
+        stats = prime_group(trace, [machine, other])
+        refused, primed = trace.epochs
+        assert refused._batch is False
+        assert len(primed._batch) == 2
+        assert stats["primed_epochs"] == 1
+        engine = FastEngine(trace, mark_program(program),
+                            machine.with_(engine="fast"), "hw")
+        assert engine._plan_epoch(refused) is None
+        assert engine._plan_epoch(primed) is not None
+
     def test_primes_columnar_epochs(self):
         run = prepare(build_workload("ocean", size="small"), MACHINE)
         stats = prime_group(run.trace, backend_variants(MACHINE))
@@ -199,8 +232,9 @@ class TestPrimeFallbacks:
 
 class TestSharedRows:
     """The per-event row tuples depend on the task, never on the cache
-    geometry: every geometry view of one task shares one ``rows`` list,
-    whether gang priming or the fast engine built the views."""
+    geometry: every geometry view of one epoch shares one list of
+    per-task row cells (and every geometry-free column), whether gang
+    priming or the fast engine built the views."""
 
     @staticmethod
     def assert_views_share_rows(trace):
@@ -210,9 +244,9 @@ class TestSharedRows:
         for epoch in epochs:
             first, *rest = epoch._batch.values()
             for other in rest:
-                assert len(other.tasks) == len(first.tasks)
-                for a, b in zip(first.tasks, other.tasks):
-                    assert a.rows is b.rows
+                assert other.rows is first.rows
+                assert other.addr is first.addr
+                assert len(other.rows) == epoch.n_tasks
 
     def test_primed_views_share_rows(self):
         run = prepare(build_workload("ocean", size="small"), MACHINE)

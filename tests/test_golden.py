@@ -505,9 +505,10 @@ def test_golden_digest_window_by_window(machine, workload, scheme,
                                         monkeypatch):
     """The same digests on the fast engine with epoch pre-apply off.
 
-    Pre-apply takes nearly every batched epoch, so the kernels' other
-    caller, ``_BatchKernel.span`` scanning and applying window by
-    window, is pinned here.  Tardis has no kernel."""
+    Every cold span then runs in program order through the exact
+    per-event path, between the task's hot events: the path a
+    kernel-less scheme takes, pinned here under each kernel's hot-event
+    plan (per-task set promotion included).  Tardis has no kernel."""
     monkeypatch.setattr(FastEngine, "_preapply_epoch", lambda *args: False)
     assert _digest(machine, workload, scheme, engine="fast") == DIGESTS[
         (machine, workload, scheme)]

@@ -23,8 +23,8 @@ a set the task's own hot events use, so every batched epoch can
 pre-apply its cold events.  A second raw-trace property puts a line two
 tasks only read in the set of a line one of them writes (hot for one
 task, cold for the other); a path test checks that fig21's conflict
-cells pre-apply every batched epoch; and a unit test pins the eviction
-pre-check's ``other_lines`` against their definition.
+cells pre-apply every batched epoch; and a unit test pins the epoch-wide
+line/task tables the eviction pre-check reads against their definition.
 
 An exclusive line (directory E, snoop M) is hot only when two or more
 tasks off its owner's processor touch it; a third raw-trace property
@@ -43,11 +43,13 @@ from hypothesis import strategies as st
 
 from repro.coherence.batch import MsiBatchKernel
 from repro.coherence.batch import _BatchKernel
+from repro.trace.columnar import ColumnarTrace
 from repro.common.config import CacheConfig, WORD_BYTES, default_machine
 from repro.compiler.marking import MarkingOptions, mark_program
 from repro.experiments import run_experiment
 from repro.experiments.fig21_cache import SMALL_SIZES
 from repro.ir import ProgramBuilder
+from repro.memsys.lazystate import dense_state
 from repro.sim import make_engine, prepare, simulate
 from repro.sim.engine import Engine
 from repro.sim.fastengine import _MIN_TASK_EVENTS, FastEngine, _EpochBatch
@@ -108,8 +110,8 @@ def _preapply_outcomes(eng):
     outcomes = []
     attempt = eng._preapply_epoch
 
-    def recorded(batch, hot_idx):
-        cold = attempt(batch, hot_idx)
+    def recorded(batch, hot):
+        cold = attempt(batch, hot)
         outcomes.append(cold is not None)
         return cold
 
@@ -336,11 +338,14 @@ def test_exclusive_line_is_hot_only_with_two_outside_readers(scheme, ways,
     assert snapshot(fast) == snapshot(ref)
     assert fast_eng.batched_epochs == 2
     # One outside reader leaves L cold; two make it hot, as does the
-    # owner's set when it must evict (the eviction pre-check).
+    # owner's set when it must evict (the eviction pre-check).  A plan is
+    # a hot mask over the epoch's events, in task order.
     expected = readers == 2 or conflicts == ways
-    for task, hot in zip(trace.epochs[1].tasks, plans[1]):
-        at_L = np.isin([i for i, e in enumerate(task.events)
-                        if e.addr == L], hot)
+    start = 0
+    for task in trace.epochs[1].tasks:
+        hot = plans[1][start:start + len(task.events)]
+        start += len(task.events)
+        at_L = hot[[i for i, e in enumerate(task.events) if e.addr == L]]
         assert len(at_L) and at_L.all() == expected
         assert at_L.any() == expected
 
@@ -349,21 +354,41 @@ def test_exclusive_line_is_hot_only_with_two_outside_readers(scheme, ways,
 
 
 def test_other_lines_are_the_lines_other_tasks_touch():
+    """The pre-check reads "a line another task touches" off the epoch's
+    (line, task) pairs: a line of the epoch that is multi-touched or not
+    the task's own.  Pin that, and each (task, set) group's line count
+    and ``foreign`` flag, against the definition."""
     rng = np.random.default_rng(11)
+    n_sets = 4
     for _ in range(50):
         n_tasks = int(rng.integers(1, 6))
-        epoch = TraceEpoch(index=0, parallel=True, tasks=[
-            Task(proc=p, events=[
-                MemEvent(kind=EventKind.READ, addr=int(addr), site=0, work=1)
-                for addr in rng.integers(0, 64, rng.integers(0, 20))])
-            for p in range(n_tasks)])
-        batch = _EpochBatch(epoch, line_words=2, n_sets=4)
-        for rank, ta in enumerate(batch.tasks):
-            rest = [t.uniq_lines for r, t in enumerate(batch.tasks)
-                    if r != rank]
-            expected = (np.unique(np.concatenate(rest)) if rest
-                        else np.zeros(0, dtype=np.int64))
-            np.testing.assert_array_equal(batch.other_lines[rank], expected)
+        tasks = [Task(proc=p, events=[
+            MemEvent(kind=EventKind.READ, addr=int(addr), site=0, work=1)
+            for addr in rng.integers(0, 64, rng.integers(0, 20))])
+            for p in range(n_tasks)]
+        trace = ColumnarTrace.from_trace(Trace("raw", n_tasks, epochs=[
+            TraceEpoch(index=0, parallel=True, tasks=tasks)]))
+        batch = _EpochBatch(trace.epochs[0], line_words=2, n_sets=n_sets)
+        lid, ranks = np.divmod(batch.pairs, n_tasks)
+        owned = {(batch.lines[i], r) for i, r in zip(lid.tolist(),
+                                                     ranks.tolist())}
+        groups = dict(zip(zip(*batch.set_groups[:2]),
+                          zip(*batch.set_groups[2:])))
+        for rank, task in enumerate(tasks):
+            own = {e.addr // 2 for e in task.events}
+            rest = {e.addr // 2 for t in tasks if t is not task
+                    for e in t.events}
+            other = {line for line, multi in zip(batch.lines.tolist(),
+                                                 batch.multi.tolist())
+                     if multi or (line, rank) not in owned}
+            assert other == rest
+            for s in range(n_sets):
+                mine = {line for line in own if line % n_sets == s}
+                if mine:
+                    assert groups[rank, s] == (len(mine),
+                                               bool(mine & rest))
+                else:
+                    assert (rank, s) not in groups
 
 
 # ------------------------------------------------- fig21's capacity cell
@@ -443,22 +468,17 @@ def test_conflict_cells_preapply_every_batched_epoch(scheme, cache,
 def test_poisoned_sets_turn_hot_and_the_rest_preapplies(workload,
                                                         monkeypatch):
     # fig18's migrated tpi cells: a set where the staleness oracle might
-    # fire poisons the merged window.  Its events turn hot for their
-    # task and the rest of the epoch pre-applies, so no span runs.
-    declines, scans = [], []
-    preapply, span = _BatchKernel.preapply, _BatchKernel.span
+    # fire poisons the epoch's window.  Its events turn hot for their
+    # task and the rest of the epoch pre-applies.
+    declines = []
+    preapply = _BatchKernel.preapply
 
-    def counting_preapply(self, eng, pieces, poisoned):
-        sums = preapply(self, eng, pieces, poisoned)
-        declines.append(not sums)
-        return sums
-
-    def counting_span(self, eng, proc, ta, lo, hi):
-        scans.append((lo, hi))
-        return span(self, eng, proc, ta, lo, hi)
+    def counting_preapply(self, *args):
+        cycles = preapply(self, *args)
+        declines.append(not cycles)
+        return cycles
 
     monkeypatch.setattr(_BatchKernel, "preapply", counting_preapply)
-    monkeypatch.setattr(_BatchKernel, "span", counting_span)
     base = default_machine()
     run = prepare(build_workload(workload, size="small"), base,
                   opts=MarkingOptions(assume_no_migration=False),
@@ -468,7 +488,6 @@ def test_poisoned_sets_turn_hot_and_the_rest_preapplies(workload,
     outcomes = _preapply_outcomes(eng)
     fast = eng.run()
     assert any(declines)
-    assert not scans
     assert outcomes == [True] * eng.batched_epochs
     ref = simulate(run, "tpi", machine=base.with_(engine="reference"))
     assert fast.to_dict() == ref.to_dict()
@@ -490,12 +509,12 @@ def exact_path_counts(monkeypatch):
         return access(self, *args)
 
     def counted_plan(self, epoch):
-        hot_idx = plan(self, epoch)
-        if hot_idx is not None:
+        hot = plan(self, epoch)
+        if hot is not None:
             cache = self.machine.cache
             counts[self.scheme.name, cache.size_bytes // 1024,
-                   cache.associativity] += sum(map(len, hot_idx))
-        return hot_idx
+                   cache.associativity] += int(hot.sum())
+        return hot
 
     monkeypatch.setattr(Engine, "_access", counted_access)
     monkeypatch.setattr(FastEngine, "_plan_epoch", counted_plan)
@@ -523,3 +542,78 @@ def test_fig21_exact_path_counts(fig21_small_runs, exact_path_counts):
 def test_fig11_hw_hot_events(exact_path_counts):
     run_experiment("fig11_miss_rates", size="small")
     assert exact_path_counts["hw", 64, 1] == 4_542
+
+
+# -------------------------------------------------- wide and sparse epochs
+
+
+@st.composite
+def wide_sparse_traces(draw, ways):
+    """Two epochs of 16-36 tasks each on distinct processors, drawn from
+    up to 16384 of which few are active, over a small cache (8 or 32
+    sets of two-word lines).  Each task
+    reads and writes its processor's private words, reads shared words
+    nobody writes, and writes shared words that other tasks write too,
+    reading one only after writing it itself this epoch: so no scheme,
+    marked or not, can serve a read below its barrier floor, and the
+    staleness oracle can run for every scheme."""
+    n_procs = draw(st.sampled_from([64, 1024, 16384]))
+    epochs_procs = [draw(st.lists(st.integers(0, n_procs - 1), unique=True,
+                                  min_size=16, max_size=36))
+                    for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    b = ProgramBuilder("wide")
+    b.array("A", (4096,))
+    with b.procedure("main"):
+        b.stmt(writes=[b.at("A", 0)], work=1)
+    program = b.build()
+    n_sets = draw(st.sampled_from([8, 32]))
+    cache = CacheConfig(size_bytes=n_sets * ways * 2 * WORD_BYTES,
+                        line_words=2, associativity=ways)
+    machine = default_machine().with_(n_procs=n_procs, cache=cache,
+                                      record_epochs=True,
+                                      check_coherence=True)
+    layout = MemoryLayout(program, n_procs, cache.line_words)
+    a = layout.base("A")
+    slot = {p: k for k, p in enumerate(sorted(set().union(*epochs_procs)))}
+    epochs = []
+    for procs in epochs_procs:
+        tasks = []
+        for proc in procs:
+            private = a + 1024 + 16 * slot[proc]
+            written, accesses = set(), []
+            for _ in range(int(rng.integers(32, 41))):
+                kind = int(rng.integers(4))
+                if kind == 0:  # a shared word other tasks write
+                    addr = a + int(rng.integers(8))
+                    write = addr not in written or bool(rng.integers(2))
+                    written.add(addr)
+                    accesses.append((write, addr))
+                elif kind == 1:  # a shared word nobody writes
+                    accesses.append((False, a + 16 + int(rng.integers(8))))
+                else:
+                    accesses.append((bool(rng.integers(2)),
+                                     private + int(rng.integers(12)), False))
+            tasks.append((proc, accesses))
+        epochs.append(tasks)
+    return program, machine, _trace(layout, n_procs, epochs)
+
+
+@pytest.mark.parametrize("scheme, ways", [
+    (scheme, ways) for scheme in SCHEMES if scheme != "tardis"
+    for ways in (1, 4) if not (scheme == "update" and ways > 1)])
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(data=st.data())
+def test_wide_sparse_epochs_match_the_reference(scheme, ways, data):
+    program, machine, trace = data.draw(wide_sparse_traces(ways))
+    fast_eng, fast = _run(program, machine, trace, scheme, "fast")
+    ref_eng, ref = _run(program, machine, trace, scheme, "reference")
+    assert snapshot(fast) == snapshot(ref)
+    assert fast_eng.batched_epochs == 2
+    # The cache bank holds a row per processor the trace uses, no more.
+    rows = (np.arange(machine.n_procs) if dense_state()
+            else np.array(trace.procs))
+    for eng in (fast_eng, ref_eng):
+        np.testing.assert_array_equal(eng.scheme.bank.procs, rows)

@@ -201,20 +201,19 @@ class TestShadowMemory:
 
 class TestTouchBitmap:
     def test_scalar_paths_match_fancy_indexing(self):
-        """Python-int get/set (the per-event path) and the fancy-indexed
-        path (the batch kernels) read and write the same bits."""
+        """Python-int get/set (the per-event path) and fancy indexing of
+        ``bits`` by row (the batch kernels) read and write the same bits,
+        on a bitmap over a subset of the processors."""
         rng = np.random.default_rng(7)
-        scalar = TouchBitmap(6, 40)
-        fancy = TouchBitmap(6, 40)
-        procs = rng.integers(0, 5, 60)  # proc 5 never touched
+        procs = [1, 3, 4, 7, 9, 12]
+        scalar = TouchBitmap(16, 40, procs)
+        fancy = TouchBitmap(16, 40, procs)
+        rows = rng.integers(0, 5, 60)  # processor 12 never touched
         addrs = rng.integers(0, 40, 60)
-        for p, a in zip(procs.tolist(), addrs.tolist()):
-            scalar[p, a] = True
-        fancy[procs, addrs] = True
-        every_p = np.repeat(np.arange(6), 40)
-        every_a = np.tile(np.arange(40), 6)
-        expected = fancy[every_p, every_a].tolist()
-        assert scalar[every_p, every_a].tolist() == expected
-        assert [scalar[p, a] for p, a in zip(every_p.tolist(),
-                                              every_a.tolist())] == expected
-        assert scalar[5, 3] is False
+        for r, a in zip(rows.tolist(), addrs.tolist()):
+            scalar[procs[r], a] = True
+        fancy.bits[rows, addrs] = True
+        np.testing.assert_array_equal(scalar.bits, fancy.bits)
+        assert [scalar[p, a] for p in procs for a in range(40)] == (
+            fancy.bits.ravel().tolist())
+        assert scalar[12, 3] is False

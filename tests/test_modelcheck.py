@@ -162,7 +162,9 @@ TPI = SimpleNamespace(
     self_test_configs=SELF_TEST_CONFIGS, mutant_traces=TPI_MUTANT_TRACES,
     codes=("MC001", "MC002", "MC003", "MC004"), coverage="wraps",
     subject="tpi-protocol", scheme=(), scheme_module=tpi,
-    horizon="--epochs", deep="10", shallow_horizon="6")
+    horizon="--epochs", deep="10", shallow_horizon="6",
+    summary="modelcheck tpi-protocol: 0 error(s), 0 warning(s)  "
+            "(states=5170, wraps=2)")
 TARDIS = SimpleNamespace(
     small=TARDIS_SMALL, bigger=replace(TARDIS_SMALL, max_ts=8),
     shallow=replace(TARDIS_SMALL, max_ts=3),
@@ -173,7 +175,9 @@ TARDIS = SimpleNamespace(
     codes=("MC101", "MC102", "MC103", "MC104"), coverage="rebases",
     subject="tardis-protocol", scheme=("--scheme", "tardis"),
     scheme_module=tardis,
-    horizon="--max-ts", deep="9", shallow_horizon="3")
+    horizon="--max-ts", deep="9", shallow_horizon="3",
+    summary="modelcheck tardis-protocol: 0 error(s), 0 warning(s)  "
+            "(rebases=2, states=6083)")
 
 
 class TestSharedRules:
@@ -409,6 +413,12 @@ class _CliCases:
         out = capsys.readouterr().out
         assert f"modelcheck {self.P.subject}: 0 error(s)" in out
         assert self.P.small.label in out
+
+    def test_summary_line_names_the_protocols_coverage(self, capsys):
+        """TPI reports its counter wraps, Tardis its rebases: a Tardis
+        config has no wrap count to print."""
+        assert main(self.args("--no-cache")) == 0
+        assert capsys.readouterr().out.splitlines()[0] == self.P.summary
 
     def test_bad_bounds_one_line_exit_2(self, capsys):
         assert main(["modelcheck", *self.P.scheme, self.P.horizon, "99",
