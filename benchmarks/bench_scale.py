@@ -4,13 +4,17 @@ Three measurements, all recorded in the committed ``BENCH_scale.json``:
 
 * **scale points** — wall-clock and peak allocation for the extended
   fig23 scaling study (``fig23_scaling_x``: one small workload, fast
-  engine, P = 1 .. 16384).  Per-proc state is sparse, so the wide points
-  must cost roughly what the saturation point costs — P=16384 is the
-  smoke that the processor axis really is O(busy procs);
-* **sparse vs dense** — the same prepared run simulated with the lazy
-  per-proc containers (default) and with ``REPRO_DENSE_STATE=1``
-  (eager materialization of every cache/buffer/lease row).  CI gates
-  the speedup at >= 5x at P=4096; the measured figure is ~80x;
+  engine, P = 1 .. 16384).  A scheme gives per-proc state only to the
+  processors its trace runs tasks on, so the wide points must cost
+  roughly what the saturation point costs — P=16384 is the smoke that
+  the processor axis really is O(busy procs);
+* **sparse vs dense** — the same prepared run simulated with state for
+  the trace's processors (default) and with state for every processor
+  of the machine (every cache-bank row, buffer and lease row), switched
+  by patching the engines' ``SimContext`` in this process to drop the
+  trace's processor set; ``src/repro`` has no setting for it.  CI gates
+  the speedup at >= 5x at P=4096; the in-process figure is ~6x
+  (``BENCH_scale.json``; docs/PERF.md, "Reading BENCH_scale.json");
 * **storage curve** — the fig5-style analytic curve: coherence-state
   bits per memory line vs P for full-map, limited-pointer, LimitLESS,
   TPI, and Tardis (:func:`repro.overhead.figure5_curve`).
@@ -29,14 +33,16 @@ calibrated gate lives in the CI benchmark job).
 """
 
 import argparse
+import contextlib
 import json
-import os
 import platform
 import resource
 import sys
 import time
 import tracemalloc
 
+import repro.sim.engine
+from repro.coherence.api import SimContext
 from repro.common.config import default_machine
 from repro.experiments.fig23_scaling import (EXTENDED_PROCS,
                                              EXTENDED_WORKLOAD, run_extended)
@@ -89,28 +95,40 @@ def time_scale_points(size: str, rounds: int = 3) -> dict:
     }
 
 
+@contextlib.contextmanager
+def state_for(mode: str):
+    """Run the body with per-proc state for the trace's processors
+    (``"sparse"``) or for every processor of the machine (``"dense"``)."""
+    if mode == "sparse":
+        yield
+        return
+
+    def every_proc(*args, procs=None, **kwargs):
+        return SimContext(*args, **kwargs)
+
+    repro.sim.engine.SimContext = every_proc
+    try:
+        yield
+    finally:
+        repro.sim.engine.SimContext = SimContext
+
+
 def time_sparse_vs_dense(size: str, rounds: int = 3,
                          n_procs: int = DENSE_PROCS) -> dict:
-    """Same prepared run, lazy vs ``REPRO_DENSE_STATE=1`` backend state."""
+    """Same prepared run, per-proc state for the trace's processors vs
+    for every processor."""
     program = build_workload(EXTENDED_WORKLOAD, size=size)
     run = prepare(program,
                   default_machine().with_(n_procs=n_procs, engine="fast"))
     timings = {}
-    for mode, env in (("sparse", ""), ("dense", "1")):
-        old = os.environ.get("REPRO_DENSE_STATE")
-        os.environ["REPRO_DENSE_STATE"] = env
-        try:
+    for mode in ("sparse", "dense"):
+        with state_for(mode):
             best = float("inf")
             for _ in range(rounds):
                 started = time.perf_counter()
                 for scheme in SCHEMES:
                     simulate(run, scheme)
                 best = min(best, time.perf_counter() - started)
-        finally:
-            if old is None:
-                os.environ.pop("REPRO_DENSE_STATE", None)
-            else:
-                os.environ["REPRO_DENSE_STATE"] = old
         timings[mode] = best
     return {
         "workload": EXTENDED_WORKLOAD,

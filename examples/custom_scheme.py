@@ -12,13 +12,13 @@ Run:  python examples/custom_scheme.py [workload]
 """
 
 import sys
-from typing import Dict, List, Optional
+from typing import Dict
 
 import repro.coherence.api as api
 from repro import build_workload, default_machine, prepare, simulate
 from repro.coherence.api import AccessResult, CoherenceScheme
 from repro.common.stats import MissKind
-from repro.memsys.cache import Cache
+from repro.memsys.cache import flush_all_words
 
 
 class EpochFlushScheme(CoherenceScheme):
@@ -29,18 +29,16 @@ class EpochFlushScheme(CoherenceScheme):
     name = "flush"
 
     def __init__(self, ctx):
+        # The base class builds ``self.bank``, one cache row per processor
+        # the trace runs tasks on, and ``self.caches``, its per-processor
+        # views.
         super().__init__(ctx)
-        machine = self.machine
-        self.caches: List[Cache] = [Cache(machine.cache)
-                                    for _ in range(machine.n_procs)]
-        self.line_words = machine.cache.line_words
+        self.line_words = self.machine.cache.line_words
 
     def begin_epoch(self, index: int, parallel: bool) -> Dict[int, int]:
-        for cache in self.caches:
-            cache.flush_all_words()
+        flush_all_words(self.bank)
         # Charge the sweep like a TPI reset.
-        return {proc: self.machine.tpi.reset_stall_cycles
-                for proc in range(self.machine.n_procs)}
+        return dict.fromkeys(self.caches, self.machine.tpi.reset_stall_cycles)
 
     def read(self, proc, addr, site, shared, in_critical) -> AccessResult:
         cache = self.caches[proc]

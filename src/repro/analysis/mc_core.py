@@ -382,12 +382,12 @@ class Protocol:
 
 
 #: Modules every drift replay runs through besides the protocol's own:
-#: the scheme base class, the cache, and :func:`replay_rig`'s shadow
-#: memory, network and layout.
+#: the scheme base class, the cache bank, TPI's write buffers, and
+#: :func:`replay_rig`'s shadow memory, network and layout.
 REPLAY_SOURCES = tuple(
     str(Path(__file__).parents[1] / module) for module in (
-        "coherence/api.py", "memsys/cache.py", "memsys/memory.py",
-        "memsys/network.py", "trace/layout.py"))
+        "coherence/api.py", "memsys/cache.py", "memsys/wbuffer.py",
+        "memsys/memory.py", "memsys/network.py", "trace/layout.py"))
 
 
 def code_digest(sources: Iterable[str]) -> str:

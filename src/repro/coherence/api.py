@@ -19,7 +19,6 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import MissKind
 from repro.compiler.marking import Marking
 from repro.memsys.cache import Cache, CacheBank
-from repro.memsys.lazystate import LazyList
 from repro.memsys.memory import ShadowMemory
 from repro.memsys.network import KruskalSnirNetwork
 from repro.trace.layout import MemoryLayout
@@ -109,14 +108,10 @@ class CoherenceScheme(abc.ABC):
         self.machine = machine = ctx.machine
         self.network = ctx.network
         self.shadow = ctx.shadow
+        # The processors holding state are the trace's, fixed here: every
+        # per-processor container is a dict over ``caches``' keys.
         self.bank = CacheBank(machine.cache, machine.n_procs, ctx.procs)
-        self.caches: LazyList[Cache] = LazyList(machine.n_procs,
-                                                self.bank.cache)
-        # The batch kernels write bank rows directly, so every row's
-        # cache exists from the start for the loops over materialized
-        # caches (resets, snoops, invariant checks) to see.
-        self.caches.update((proc, self.bank.cache(proc))
-                           for proc in self.bank.procs.tolist())
+        self.caches: Dict[int, Cache] = self.bank.caches
 
     # -- epoch lifecycle ----------------------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
 from repro.common.config import ConsistencyModel
 from repro.common.stats import MissKind
-from repro.memsys.lazystate import TouchBitmap
+from repro.memsys.cache import TouchBitmap
 
 
 class BaseScheme(CoherenceScheme):
@@ -32,8 +32,7 @@ class BaseScheme(CoherenceScheme):
         super().__init__(ctx)
         machine = self.machine
         self.line_words = machine.cache.line_words
-        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words,
-                                   self.bank.procs)
+        self.touched = TouchBitmap(self.bank.procs, ctx.shadow.total_words)
 
     def read(self, proc: int, addr: int, site: int, shared: bool,
              in_critical: bool) -> AccessResult:

@@ -343,15 +343,16 @@ class _BatchKernel:
         # slot, word]``): reshapes, so writes land in the cache arrays.
         # ``ways`` keeps the ``[row, set, way]`` tags for the slot scan.
         bank = scheme.bank
-        rows = len(bank.procs)
+        slots = (len(bank.procs), self.machine.cache.n_sets * self.assoc)
+        self.procs = bank.procs
         self.row_of = bank.row_of
         self.ways = bank.tags
-        self.tags = bank.tags.reshape(rows, -1)
-        self.dirty = bank.dirty.reshape(rows, -1)
-        self.wv = bank.word_valid.reshape(rows, -1, lw)
-        self.cver = bank.version.reshape(rows, -1, lw)
-        self.used = bank.used.reshape(rows, -1, lw)
-        self.tt = bank.timetag.reshape(rows, -1, lw)
+        self.tags = bank.tags.reshape(slots)
+        self.dirty = bank.dirty.reshape(slots)
+        self.wv = bank.word_valid.reshape(slots + (lw,))
+        self.cver = bank.version.reshape(slots + (lw,))
+        self.used = bank.used.reshape(slots + (lw,))
+        self.tt = bank.timetag.reshape(slots + (lw,))
         self.check = self.machine.check_coherence
         self.hit_lat = self.machine.hit_latency
         self.word_lat = 0
@@ -1182,7 +1183,7 @@ class MsiBatchKernel(_BatchKernel):
         reasons = self.scheme.inval_reason
         claim = np.bincount(lpos[slow & sh], minlength=n) > 0
         for p, sel in self._by_proc(proc, claim):
-            pending = dict.get(reasons, p)
+            pending = reasons[p]
             if pending:
                 ok[sel] &= ~np.isin(lines[sel], np.fromiter(
                     pending, np.int64, len(pending)))
@@ -1375,16 +1376,15 @@ class SnoopBatchKernel(MsiBatchKernel):
                 | ch.runs.prior_any(cols.wr))
 
     def _holders_ok(self, lines, proc, shared, private):
-        # Only a shared access snoops: no other materialized cache may
-        # hold a line with one.  Evictions are silent.
+        # Only a shared access snoops: no other cache of the bank may hold
+        # a line with one.  Evictions are silent.
         ok = np.ones(len(lines), dtype=bool)
         sub = np.flatnonzero(shared)
         if sub.size:
             ls, ps = lines[sub], proc[sub]
             sets = ls % self.machine.cache.n_sets
-            for q, cache in self.caches.materialized():
-                held = (cache.tags[sets] == ls[:, None]).any(axis=1)
-                ok[sub[held & (ps != q)]] = False
+            held = (self.ways[:, sets] == ls[:, None]).any(axis=2)
+            ok[sub[(held & (self.procs[:, None] != ps)).any(axis=0)]] = False
         return ok
 
 

@@ -34,7 +34,6 @@ from repro.common.config import ConsistencyModel
 from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
 from repro.memsys.cache import Cache, CacheWay
-from repro.memsys.lazystate import LazyList
 
 _REASON_TRUE = 1
 _REASON_FALSE = 2
@@ -69,9 +68,8 @@ class MsiScheme(CoherenceScheme):
         super().__init__(ctx)
         machine = self.machine
         self.line_words = machine.cache.line_words
-        self.seen_lines: LazyList = LazyList(machine.n_procs, lambda _p: set())
-        self.inval_reason: LazyList = LazyList(machine.n_procs,
-                                               lambda _p: dict())
+        self.seen_lines = {proc: set() for proc in self.caches}
+        self.inval_reason = {proc: {} for proc in self.caches}
         self.invalidations_sent = 0
         self.false_invalidations = 0
 
@@ -360,7 +358,7 @@ class FullMapDirectoryScheme(MsiScheme):
         """Protocol invariants, callable from tests after any access mix."""
         for line_addr in np.flatnonzero(self.dirstore.row_p1).tolist():
             entry = self._entry(line_addr)
-            holders = {p for p, cache in self.caches.materialized()
+            holders = {p for p, cache in self.caches.items()
                        if cache.probe(line_addr) is not None}
             if entry.state == "U" and holders:
                 raise ProtocolError(f"line {line_addr}: U but cached by {holders}")
@@ -373,7 +371,7 @@ class FullMapDirectoryScheme(MsiScheme):
                         f"line {line_addr}: E owned by {entry.owner} but "
                         f"cached by {holders}")
             dirty_holders = set()
-            for p, cache in self.caches.materialized():
+            for p, cache in self.caches.items():
                 loc = cache.probe(line_addr)
                 if loc is not None and cache.dirty[loc]:
                     dirty_holders.add(p)

@@ -17,8 +17,7 @@ from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
 from repro.common.config import ConsistencyModel
 from repro.common.stats import MissKind
 from repro.compiler.marking import RefMark
-from repro.memsys.cache import Cache
-from repro.memsys.lazystate import LazyList, PerProcWords, TouchBitmap
+from repro.memsys.cache import Cache, TouchBitmap
 from repro.memsys.wbuffer import make_write_buffer, wbuffer_extras
 
 
@@ -32,17 +31,13 @@ class SoftwareBypassScheme(CoherenceScheme):
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         machine = self.machine
-        self.wbuffers = LazyList(
-            machine.n_procs,
-            lambda _p: make_write_buffer(machine.write_buffer))
+        self.wbuffers = {proc: make_write_buffer(machine.write_buffer)
+                         for proc in self.caches}
         self.line_words = machine.cache.line_words
-        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words,
-                                   self.bank.procs)
+        self.touched = TouchBitmap(self.bank.procs, ctx.shadow.total_words)
 
     def end_epoch(self, write_key=None) -> Dict[int, int]:
-        return PerProcWords(self.machine.n_procs,
-                            {proc: wb.drain()
-                             for proc, wb in self.wbuffers.materialized()})
+        return {proc: wb.drain() for proc, wb in self.wbuffers.items()}
 
     def release_fence(self, proc: int) -> AccessResult:
         words = self.wbuffers[proc].drain()
@@ -50,7 +45,7 @@ class SoftwareBypassScheme(CoherenceScheme):
                             kind=MissKind.HIT, write_words=words)
 
     def extras(self) -> Dict[str, int]:
-        return wbuffer_extras(self.wbuffers.materialized_items())
+        return wbuffer_extras(self.wbuffers.values())
 
     def make_batch_kernel(self):
         from repro.coherence.batch import ScBatchKernel

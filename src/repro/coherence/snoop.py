@@ -66,11 +66,11 @@ class SnoopBusScheme(MsiScheme):
         """Every processor but ``skip`` whose snoop would assert "shared"
         for the line (the requester skips itself: the batch kernel has
         already filled its cache when the protocol side runs)."""
-        return [proc for proc, cache in self.caches.materialized()
+        return [proc for proc, cache in self.caches.items()
                 if proc != skip and cache.probe(line_addr) is not None]
 
     def _dirty_holder(self, line_addr: int, skip: int = -1) -> Optional[int]:
-        for proc, cache in self.caches.materialized():
+        for proc, cache in self.caches.items():
             if proc == skip:
                 continue
             loc = cache.probe(line_addr)
@@ -132,13 +132,11 @@ class SnoopBusScheme(MsiScheme):
 
     def check_invariants(self) -> None:
         """MSI invariants, callable from tests after any access mix."""
-        lines = set()
-        for _proc, cache in self.caches.materialized():
-            lines.update(int(tag) for tag in cache.tags.ravel() if tag != -1)
-        for line_addr in lines:
+        tags = self.bank.tags
+        for line_addr in np.unique(tags[tags != -1]).tolist():
             dirty_holders = []
             holders = []
-            for proc, cache in self.caches.materialized():
+            for proc, cache in self.caches.items():
                 loc = cache.probe(line_addr)
                 if loc is None:
                     continue

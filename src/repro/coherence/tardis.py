@@ -48,7 +48,6 @@ from repro.common.config import ConsistencyModel
 from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
 from repro.memsys.cache import Cache, CacheWay
-from repro.memsys.lazystate import LazyList, SparseValues
 from repro.memsys.wbuffer import WRITE_MESSAGE_WORDS
 
 
@@ -77,18 +76,17 @@ class TardisScheme(CoherenceScheme):
         self.line_words = machine.cache.line_words
         self.lease = machine.tardis.lease
         self.modulus = machine.tardis.modulus
-        self.seen_lines: LazyList = LazyList(machine.n_procs, lambda _p: set())
-        # Per-processor program timestamps and per-line cached lease state,
-        # parallel to the Cache arrays.
-        # A lease slot is only ever consulted for a *resident* line, and
-        # every fill overwrites the slot, so lazily materialized rows of
-        # zeros are indistinguishable from eager ones.
-        self.pts: SparseValues = SparseValues(machine.n_procs, 0)
-        shape = (machine.cache.n_sets, machine.cache.associativity)
-        self.rts_a: LazyList = LazyList(
-            machine.n_procs, lambda _p: np.zeros(shape, dtype=np.int64))
-        self.wts_a: LazyList = LazyList(
-            machine.n_procs, lambda _p: np.zeros(shape, dtype=np.int64))
+        self.seen_lines = {proc: set() for proc in self.caches}
+        # Per-processor program timestamps, and the cached lease state of
+        # every line: two arrays of the cache bank's ``[row, set, way]``
+        # shape (a lease slot is only ever consulted for a *resident*
+        # line, and every fill overwrites it).  ``rts``/``wts`` map a
+        # processor to its row, which is what the per-event path reads.
+        self.pts = dict.fromkeys(self.caches, 0)
+        self.rts_a = np.zeros(self.bank.tags.shape, dtype=np.int64)
+        self.wts_a = np.zeros(self.bank.tags.shape, dtype=np.int64)
+        self.rts = dict(zip(self.caches, self.rts_a))
+        self.wts = dict(zip(self.caches, self.wts_a))
         # Home-node timestamps; absent means never leased / never written.
         self.mem_rts: Dict[int, int] = {}
         self.mem_wts: Dict[int, int] = {}
@@ -104,20 +102,19 @@ class TardisScheme(CoherenceScheme):
     # ---------------------------------------------------------------- epochs
 
     def end_epoch(self, write_key: Optional[int] = None) -> Dict[int, int]:
-        joined = tardis_rules.pts_join(self.pts.distinct())
-        self.pts.fill(joined)
-        if tardis_rules.rebase_needed(joined, self.lease, self.base,
-                                      self.modulus):
-            self._rebase(joined)
+        if self.pts:  # no processor, no timestamp to join
+            joined = tardis_rules.pts_join(self.pts.values())
+            self.pts = dict.fromkeys(self.pts, joined)
+            if tardis_rules.rebase_needed(joined, self.lease, self.base,
+                                          self.modulus):
+                self._rebase(joined)
         return {}
 
     def _rebase(self, pts: int) -> None:
         """Tardis 2.0 timestamp compression: clamp everything to a new base."""
         self.base = tardis_rules.rebase_base(pts, self.modulus)
-        for _proc, rts in self.rts_a.materialized():
-            rts[:] = tardis_rules.clamp(rts, self.base)
-        for _proc, wts in self.wts_a.materialized():
-            wts[:] = tardis_rules.clamp(wts, self.base)
+        self.rts_a[...] = tardis_rules.clamp(self.rts_a, self.base)
+        self.wts_a[...] = tardis_rules.clamp(self.wts_a, self.base)
         self.mem_rts = {line: tardis_rules.clamp(ts, self.base)
                         for line, ts in self.mem_rts.items()}
         self.mem_wts = {line: tardis_rules.clamp(ts, self.base)
@@ -149,8 +146,8 @@ class TardisScheme(CoherenceScheme):
         # otherwise inherit a live lease).  ``rts = 0`` holds no lease
         # beyond pts 0; the copy is current as of this instant, which is
         # exactly ``wts = mem_wts``.
-        self.rts_a[proc][s, w] = 0
-        self.wts_a[proc][s, w] = self._home_wts(line_addr)
+        self.rts[proc][s, w] = 0
+        self.wts[proc][s, w] = self._home_wts(line_addr)
         result.read_words += 1 + self.line_words
         self.seen_lines[proc].add(line_addr)
         return loc
@@ -161,8 +158,8 @@ class TardisScheme(CoherenceScheme):
         self.mem_rts[line_addr] = tardis_rules.lease_grant(
             pts, self._home_rts(line_addr), self.lease)
         s, w = loc
-        self.rts_a[proc][s, w] = tardis_rules.own_lease(pts, self.lease)
-        self.wts_a[proc][s, w] = self._home_wts(line_addr)
+        self.rts[proc][s, w] = tardis_rules.own_lease(pts, self.lease)
+        self.wts[proc][s, w] = self._home_wts(line_addr)
 
     # -------------------------------------------------------------- accesses
 
@@ -188,7 +185,7 @@ class TardisScheme(CoherenceScheme):
         pts = self.pts[proc]
         if loc is not None:
             s, w = loc
-            if tardis_rules.lease_hit(pts, self.rts_a[proc].item(s, w)):
+            if tardis_rules.lease_hit(pts, self.rts[proc].item(s, w)):
                 cache.touch(loc)
                 version = cache.version.item(s, w, word)
                 self._check_read_version(addr, version)
@@ -196,7 +193,7 @@ class TardisScheme(CoherenceScheme):
                                     kind=MissKind.HIT, version=version)
             # Expired lease: re-validate against the home node.
             self.lease_expiries += 1
-            cached_wts = self.wts_a[proc].item(s, w)
+            cached_wts = self.wts[proc].item(s, w)
             mem_wts = self._home_wts(line_addr)
             if tardis_rules.renewal_ok(cached_wts, mem_wts, self.base):
                 # Unwritten since the fill: renew without moving data.
@@ -240,7 +237,7 @@ class TardisScheme(CoherenceScheme):
             # Write-allocate; the stamping below covers the lease state.
             loc = self._fill(cache, proc, line_addr, result, loc)
         elif shared and not tardis_rules.renewal_ok(
-                self.wts_a[proc].item(*loc),
+                self.wts[proc].item(*loc),
                 self._home_wts(line_addr), self.base):
             # The write stamps the *whole line* current through ts_w, so
             # a copy that may have missed a remote write since its fill
@@ -259,8 +256,8 @@ class TardisScheme(CoherenceScheme):
             self.pts[proc] = ts_w
             self.mem_wts[line_addr] = ts_w
             self.mem_rts[line_addr] = ts_w
-            self.wts_a[proc][s, w] = ts_w
-            self.rts_a[proc][s, w] = ts_w
+            self.wts[proc][s, w] = ts_w
+            self.rts[proc][s, w] = ts_w
             result.write_words += WRITE_MESSAGE_WORDS  # write-through to home
             if self.machine.consistency is ConsistencyModel.SEQUENTIAL:
                 result.latency = self.network.word_latency()
@@ -275,12 +272,12 @@ class TardisScheme(CoherenceScheme):
             if rts < wts:
                 raise ProtocolError(
                     f"line {line_addr}: mem_rts {rts} < mem_wts {wts}")
-        for proc, cache in self.caches.materialized():
+        for proc, cache in self.caches.items():
             for line_addr in self.mem_wts:
                 loc = cache.probe(line_addr)
                 if loc is None:
                     continue
-                cached = int(self.wts_a[proc][loc])
+                cached = int(self.wts[proc][loc])
                 if cached > self.mem_wts[line_addr]:
                     raise ProtocolError(
                         f"line {line_addr}: proc {proc} cached wts {cached} "

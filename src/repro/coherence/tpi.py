@@ -67,13 +67,11 @@ from repro.common.config import ConsistencyModel, TimetagResetPolicy
 from repro.common.errors import SimulationError
 from repro.common.stats import MissKind
 from repro.compiler.marking import RefMark
-from repro.memsys.cache import Cache
-from repro.memsys.lazystate import (
-    LazyList,
-    PerProcWords,
+from repro.memsys.cache import (
+    Cache,
     TouchBitmap,
-    UniformStalls,
-    dense_state,
+    flush_all_words,
+    two_phase_reset,
 )
 from repro.memsys.wbuffer import make_write_buffer, wbuffer_extras
 
@@ -90,21 +88,15 @@ class TpiScheme(CoherenceScheme):
         machine = self.machine
         if ctx.layout is None:
             raise SimulationError("TPI needs the memory layout (W registers)")
-        self.wbuffers = LazyList(
-            machine.n_procs,
-            lambda _p: make_write_buffer(machine.write_buffer))
+        self.wbuffers = {proc: make_write_buffer(machine.write_buffer)
+                         for proc in self.caches}
         self.epoch_index = 0  # unbounded; the k-bit counter is (this mod 2^k)
         self.modulus = machine.tpi.counter_modulus
         self.phase_size = machine.tpi.phase_size
         self.line_words = machine.cache.line_words
-        self.touched = TouchBitmap(machine.n_procs, ctx.shadow.total_words,
-                                   self.bank.procs)
+        self.touched = TouchBitmap(self.bank.procs, ctx.shadow.total_words)
         self.per_word_tags = machine.tpi.tag_per_word
         self.region_of, self.region_names = ctx.layout.shared_region_table()
-        if dense_state():
-            # The dense baseline materializes the word-address table the
-            # closed-form region lookup replaced.
-            self.region_of = self.region_of[np.arange(ctx.shadow.total_words)]
         # W register per shared array: epoch index of the last possibly-
         # writing epoch (compiler-emitted updates; saturating in hardware).
         self.w_regs = np.full(len(self.region_names), -(10 ** 9), dtype=np.int64)
@@ -119,35 +111,27 @@ class TpiScheme(CoherenceScheme):
     def begin_epoch(self, index: int, parallel: bool) -> Dict[int, int]:
         old = self.epoch_index
         self.epoch_index += 1
-        stalls: Dict[int, int] = {}
         policy = self.machine.tpi.reset_policy
         if policy is TimetagResetPolicy.TWO_PHASE:
             bounds = crossed_phase_bounds(old, self.epoch_index,
                                           self.modulus, self.phase_size)
-            if bounds is not None:
-                lo, hi = bounds
-                self.resets += 1
-                # Every processor stalls for the sweep, but only caches
-                # holding words can invalidate any: the sweep itself walks
-                # materialized caches (an empty cache resets zero words).
-                for _proc, cache in self.caches.materialized():
-                    self.reset_invalidations += cache.two_phase_reset(
-                        lo, hi, self.modulus)
-                return UniformStalls(self.machine.n_procs,
-                                     self.machine.tpi.reset_stall_cycles)
-        elif policy is TimetagResetPolicy.FLUSH:
+            if bounds is None:
+                return {}
+            # One sweep over the whole cache bank; every processor stalls.
+            self.reset_invalidations += two_phase_reset(
+                self.bank, *bounds, self.modulus)
+        else:  # TimetagResetPolicy.FLUSH
             # The R-1 fill rule lets a tag lag its validation time by one
             # epoch, so a flush every 2^k epochs would leave a one-epoch
             # aliasing hole (tag age reaches exactly 2^k = 0 mod 2^k).
             # Flushing every 2^k - 1 epochs closes it; the two-phase sweep
             # needs no such correction because it selects by tag value.
-            if self.epoch_index % max(1, self.modulus - 1) == 0:
-                self.resets += 1
-                for _proc, cache in self.caches.materialized():
-                    self.reset_invalidations += cache.flush_all_words()
-                return UniformStalls(self.machine.n_procs,
-                                     self.machine.tpi.reset_stall_cycles)
-        return stalls
+            if self.epoch_index % max(1, self.modulus - 1) != 0:
+                return {}
+            self.reset_invalidations += flush_all_words(self.bank)
+        self.resets += 1
+        return dict.fromkeys(self.caches,
+                             self.machine.tpi.reset_stall_cycles)
 
     def end_epoch(self, write_key: Optional[int] = None) -> Dict[int, int]:
         # Compiler-emitted epilogue: record which arrays this epoch may have
@@ -157,9 +141,7 @@ class TpiScheme(CoherenceScheme):
         for array, racy in writes.items():
             region = self.region_names.index(array)
             self.w_regs[region] = w_register_update(self.epoch_index, racy)
-        return PerProcWords(self.machine.n_procs,
-                            {proc: wb.drain()
-                             for proc, wb in self.wbuffers.materialized()})
+        return {proc: wb.drain() for proc, wb in self.wbuffers.items()}
 
     def release_fence(self, proc: int) -> AccessResult:
         words = self.wbuffers[proc].drain()
@@ -171,7 +153,7 @@ class TpiScheme(CoherenceScheme):
         out = {"time_reads": self.time_reads,
                "time_read_hits": self.time_read_hits,
                "strict_reads": self.strict_reads}
-        out.update(wbuffer_extras(self.wbuffers.materialized_items()))
+        out.update(wbuffer_extras(self.wbuffers.values()))
         return out
 
     def make_batch_kernel(self):

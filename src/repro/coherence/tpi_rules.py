@@ -9,7 +9,7 @@ of numpy arrays — every rule is written so broadcasting works), and
 everything that *executes* those semantics calls in here:
 
 * :class:`repro.coherence.tpi.TpiScheme` — the per-event reference path;
-* :meth:`repro.memsys.cache.Cache.two_phase_reset` — the hardware sweep;
+* :func:`repro.memsys.cache.two_phase_reset` — the hardware sweep;
 * :class:`repro.coherence.batch.TpiBatchKernel` — the vectorized fast
   engine (arrays in, arrays out);
 * :mod:`repro.analysis.modelcheck` — the bounded-exhaustive model

@@ -33,7 +33,6 @@ from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
 from repro.common.config import ConsistencyModel, WriteBufferKind
 from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
-from repro.memsys.lazystate import LazyList, PerProcWords
 from repro.memsys.wbuffer import WRITE_MESSAGE_WORDS
 
 
@@ -63,10 +62,11 @@ class UpdateDirectoryScheme(CoherenceScheme):
         machine = self.machine
         self.sharers: Dict[int, Set[int]] = {}  # line -> procs with a copy
         self.line_words = machine.cache.line_words
-        self.seen_lines: LazyList = LazyList(machine.n_procs, lambda _p: set())
+        self.seen_lines = {proc: set() for proc in self.caches}
         # Coalescing state: per processor, the words pending broadcast.
         self.coalescing = machine.write_buffer is WriteBufferKind.COALESCING
-        self.pending: LazyList = LazyList(machine.n_procs, lambda _p: set())
+        self.pending: Dict[int, Set[int]] = {proc: set()
+                                             for proc in self.caches}
         self.updates_sent = 0
         self.merged_writes = 0
         self.total_writes = 0
@@ -74,9 +74,7 @@ class UpdateDirectoryScheme(CoherenceScheme):
     # ---------------------------------------------------------------- epochs
 
     def end_epoch(self, write_key: Optional[int] = None) -> Dict[int, int]:
-        drained = {proc: self._drain(proc)
-                   for proc, _pending in self.pending.materialized()}
-        return PerProcWords(self.machine.n_procs, drained)
+        return {proc: self._drain(proc) for proc in self.pending}
 
     def release_fence(self, proc: int) -> AccessResult:
         words = self._drain(proc)

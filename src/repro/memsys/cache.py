@@ -17,12 +17,11 @@ scatter every processor of an epoch with one ``[row, slot]`` index.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.config import CacheConfig
-from repro.memsys.lazystate import dense_state
 
 
 #: Location of a line inside the cache: ``(set index, way index)``.  A
@@ -176,52 +175,6 @@ class Cache:
         self.word_valid[s, w] = False
         self.used[s, w] = False
 
-    def two_phase_reset(self, phase_lo: int, phase_hi: int,
-                        modulus: int) -> int:
-        """Invalidate every word whose k-bit timetag lies in
-        [phase_lo, phase_hi] (values mod ``modulus``).
-
-        Returns the number of words invalidated.  This is the paper's
-        two-phase hardware reset: fired when the epoch counter crosses into
-        the phase whose timetag values are about to be recycled.  It bounds
-        every surviving word's true age below 2^k, which is what makes the
-        hardware's modular age comparisons exact.
-
-        Which tags the sweep selects is the shared pure rule
-        :func:`repro.coherence.tpi_rules.reset_selects` (imported lazily:
-        the coherence package imports this module at init time).
-        """
-        from repro.coherence.tpi_rules import reset_selects
-
-        sets, ways = np.nonzero(self.tags != -1)
-        if sets.size == 0:
-            return 0
-        if sets.size * 2 >= self.tags.size:
-            # Dense cache: full-array ops beat gather/scatter indexing.
-            mask = (self.word_valid
-                    & reset_selects(self.timetag, phase_lo, phase_hi, modulus)
-                    & (self.tags != -1)[:, :, None])
-            count = int(mask.sum())
-            self.word_valid[mask] = False
-            return count
-        # Sparse cache (the common case for the paper's working sets):
-        # restrict the modular comparison to the occupied lines.
-        valid = self.word_valid[sets, ways]
-        mask = valid & reset_selects(self.timetag[sets, ways],
-                                     phase_lo, phase_hi, modulus)
-        count = int(mask.sum())
-        if count:
-            rows, cols = np.nonzero(mask)
-            self.word_valid[sets[rows], ways[rows], cols] = False
-        return count
-
-    def flush_all_words(self) -> int:
-        """Invalidate every word (the naive wrap-around strategy)."""
-        mask = self.word_valid & (self.tags != -1)[:, :, None]
-        count = int(mask.sum())
-        self.word_valid[:, :, :] = False
-        return count
-
     # ------------------------------------------------------------ counters
 
     @property
@@ -232,20 +185,19 @@ class Cache:
 class CacheBank:
     """The caches of one scheme as one array per :class:`Cache` field,
     one row per processor of ``procs`` (sorted; every processor when
-    None or under ``REPRO_DENSE_STATE=1``).
+    None).  The rows are fixed when the scheme is built: a scheme gives
+    state only to the processors its trace runs tasks on.
 
-    Rows are allocated up front, so a bank over the processors a trace
-    uses costs what lazily materializing their caches did.  ``row_of``
-    maps a processor to its row (-1: none; :meth:`cache` then gives the
-    processor a cache of its own).
+    ``caches`` maps each processor to its :class:`Cache`, a view of its
+    row; ``row_of`` maps a processor to its row (-1: none), which is how
+    the batch kernels index every processor of an epoch at once.
     """
 
     def __init__(self, config: CacheConfig, n_procs: int,
                  procs: Optional[Sequence[int]] = None):
         self.config = config
-        if procs is None or dense_state():
-            procs = range(n_procs)
-        self.procs = np.asarray(procs, dtype=np.int64)
+        self.procs = (np.arange(n_procs, dtype=np.int64) if procs is None
+                      else np.asarray(procs, dtype=np.int64))
         self.row_of = np.full(n_procs, -1, dtype=np.int64)
         self.row_of[self.procs] = np.arange(len(self.procs))
         shape_line = (len(self.procs), config.n_sets, config.associativity)
@@ -256,10 +208,83 @@ class CacheBank:
         self.timetag = np.zeros(shape_word, dtype=np.int64)
         self.version = np.zeros(shape_word, dtype=np.int64)
         self.used = np.zeros(shape_word, dtype=bool)
+        self.caches: Dict[int, Cache] = {
+            proc: Cache(config, self, row)
+            for row, proc in enumerate(self.procs.tolist())}
 
-    def cache(self, proc: int) -> Cache:
-        """Processor ``proc``'s cache, on its row."""
-        row = int(self.row_of[proc])
-        if row < 0:
-            return Cache(self.config)
-        return Cache(self.config, self, row)
+
+def two_phase_reset(cache, phase_lo: int, phase_hi: int,
+                    modulus: int) -> int:
+    """Invalidate every word of ``cache`` (a :class:`Cache` or a whole
+    :class:`CacheBank`) whose k-bit timetag lies in [phase_lo, phase_hi]
+    (values mod ``modulus``).
+
+    Returns the number of words invalidated.  This is the paper's
+    two-phase hardware reset: fired when the epoch counter crosses into
+    the phase whose timetag values are about to be recycled.  It bounds
+    every surviving word's true age below 2^k, which is what makes the
+    hardware's modular age comparisons exact.
+
+    Which tags the sweep selects is the shared pure rule
+    :func:`repro.coherence.tpi_rules.reset_selects` (imported lazily:
+    the coherence package imports this module at init time).
+    """
+    from repro.coherence.tpi_rules import reset_selects
+
+    occupied = cache.tags != -1
+    lines = np.nonzero(occupied)
+    if lines[0].size == 0:
+        return 0
+    if lines[0].size * 2 >= occupied.size:
+        # Dense cache: full-array ops beat gather/scatter indexing.
+        mask = (cache.word_valid
+                & reset_selects(cache.timetag, phase_lo, phase_hi, modulus)
+                & occupied[..., None])
+        count = int(mask.sum())
+        cache.word_valid[mask] = False
+        return count
+    # Sparse cache (the common case for the paper's working sets):
+    # restrict the modular comparison to the occupied lines.
+    mask = cache.word_valid[lines] & reset_selects(
+        cache.timetag[lines], phase_lo, phase_hi, modulus)
+    count = int(mask.sum())
+    if count:
+        at, words = np.nonzero(mask)
+        cache.word_valid[tuple(axis[at] for axis in lines) + (words,)] = False
+    return count
+
+
+def flush_all_words(cache) -> int:
+    """Invalidate every word of ``cache`` (a :class:`Cache` or a whole
+    :class:`CacheBank`): the naive wrap-around strategy."""
+    count = int((cache.word_valid & (cache.tags != -1)[..., None]).sum())
+    cache.word_valid[...] = False
+    return count
+
+
+class TouchBitmap:
+    """Per-(processor, word) touch bits, one row of ``bits`` per
+    processor of ``procs`` (a scheme passes its :class:`CacheBank`'s, so
+    the batch kernels index ``bits`` with the bank's rows).
+
+    A row per busy processor, not per processor of the machine: private
+    arrays give ``total_words`` an n_procs factor, so a dense
+    ``(n_procs, total_words)`` array would be O(n_procs^2).  ``[proc,
+    addr]`` is the per-event path's get/set, a direct row access: it sets
+    a bit on every access.
+    """
+
+    __slots__ = ("bits", "_rows")
+
+    def __init__(self, procs: Sequence[int], total_words: int):
+        self.bits = np.zeros((len(procs), total_words), dtype=bool)
+        self._rows: Dict[int, np.ndarray] = dict(zip(
+            np.asarray(procs).tolist(), self.bits))
+
+    def __getitem__(self, key) -> bool:
+        proc, addr = key
+        return self._rows[proc].item(addr)
+
+    def __setitem__(self, key, value) -> None:
+        proc, addr = key
+        self._rows[proc][addr] = value

@@ -54,7 +54,7 @@ def windows(draw):
     bank = CacheBank(machine.cache, n_procs)
     caches = {}
     for p in range(n_procs):
-        cache = bank.cache(p)
+        cache = bank.caches[p]
         for s in range(n_sets):
             lines = draw(st.lists(
                 st.integers(0, n_lines // n_sets - 1).map(

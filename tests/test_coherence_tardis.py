@@ -116,7 +116,7 @@ class TestLeases:
         # The oracle agrees: the slot's rts covers the current pts.
         loc = t.caches[0].probe(t.caches[0].split(8)[0])
         assert tardis_rules.lease_hit(
-            t.pts[0], int(t.rts_a[0][loc]))
+            t.pts[0], int(t.rts[0][loc]))
 
     def test_no_invalidations_readers_keep_hitting_in_epoch(self):
         # The defining Tardis property: a write sends no messages to
@@ -214,8 +214,8 @@ class TestRebase:
                 barrier(t, ctx)
         assert t.rebases >= 2
         for proc in range(3):
-            assert int(t.rts_a[proc].min()) >= t.base
-            assert int(t.wts_a[proc].min()) >= t.base
+            assert int(t.rts[proc].min()) >= t.base
+            assert int(t.wts[proc].min()) >= t.base
         for ts in list(t.mem_rts.values()) + list(t.mem_wts.values()):
             assert ts >= t.base
 

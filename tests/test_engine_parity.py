@@ -26,6 +26,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.common.config import default_machine
+from repro.ir import ProgramBuilder
 from repro.sim import prepare, simulate
 from repro.workloads import build_workload, workload_names
 from tests.strategies import machines, rich_programs
@@ -90,6 +91,22 @@ class TestWorkloadGrid:
     def test_paper_size_spot_check(self, scheme):
         program = build_workload("ocean", size="default")
         assert_parity(program, scheme, default_machine())
+
+
+class TestNoMemoryEvents:
+    """A program that touches no memory runs on no processor: every
+    scheme holds no per-processor state at all, and its barriers join
+    nothing."""
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_event_free_program(self, scheme):
+        b = ProgramBuilder("event-free", params={})
+        b.array("A", (8,))
+        with b.procedure("main"):
+            pass
+        machine = default_machine().with_(record_epochs=True)
+        pair = assert_parity(b.build(), scheme, machine)
+        assert pair["fast"].exec_cycles == 0
 
 
 class TestSharedTransitions:

@@ -49,7 +49,6 @@ from repro.compiler.marking import MarkingOptions, mark_program
 from repro.experiments import run_experiment
 from repro.experiments.fig21_cache import SMALL_SIZES
 from repro.ir import ProgramBuilder
-from repro.memsys.lazystate import dense_state
 from repro.sim import make_engine, prepare, simulate
 from repro.sim.engine import Engine
 from repro.sim.fastengine import _MIN_TASK_EVENTS, FastEngine, _EpochBatch
@@ -57,6 +56,7 @@ from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
 from repro.trace.layout import MemoryLayout
 from repro.trace.schedule import MigrationSpec
 from repro.workloads import build_workload
+from tests import every_proc_state
 from tests.test_engine_parity import SCHEMES, snapshot
 
 EVICT_COUPLED = ("hw", "limitless", "snoop", "update")
@@ -613,7 +613,7 @@ def test_wide_sparse_epochs_match_the_reference(scheme, ways, data):
     assert snapshot(fast) == snapshot(ref)
     assert fast_eng.batched_epochs == 2
     # The cache bank holds a row per processor the trace uses, no more.
-    rows = (np.arange(machine.n_procs) if dense_state()
+    rows = (np.arange(machine.n_procs) if every_proc_state.enabled()
             else np.array(trace.procs))
     for eng in (fast_eng, ref_eng):
         np.testing.assert_array_equal(eng.scheme.bank.procs, rows)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common.config import CacheConfig, MachineConfig, NetworkConfig
-from repro.memsys.cache import Cache
-from repro.memsys.lazystate import TouchBitmap
+from repro.memsys.cache import (Cache, TouchBitmap, flush_all_words,
+                               two_phase_reset)
 from repro.memsys.memory import ShadowMemory
 from repro.memsys.network import KruskalSnirNetwork
 from repro.memsys.wbuffer import (
@@ -81,7 +81,7 @@ class TestTwoPhaseReset:
         cache = tiny_cache(line_words=4)
         loc, _, _ = cache.install(0)
         cache.timetag[loc] = [3, 130, 127, 128]
-        count = cache.two_phase_reset(128, 255, modulus=256)
+        count = two_phase_reset(cache, 128, 255, modulus=256)
         assert count == 2
         valid = cache.word_valid[loc]
         assert list(valid) == [True, False, True, False]
@@ -90,14 +90,14 @@ class TestTwoPhaseReset:
         cache = tiny_cache()
         loc, _, _ = cache.install(0)
         cache.word_valid[loc[0], loc[1], :] = False
-        assert cache.two_phase_reset(0, 255, modulus=256) == 0
+        assert two_phase_reset(cache, 0, 255, modulus=256) == 0
 
     def test_flush_all(self):
         cache = tiny_cache()
         cache.install(0)
         cache.install(1)
-        assert cache.flush_all_words() == 8
-        assert cache.flush_all_words() == 0
+        assert flush_all_words(cache) == 8
+        assert flush_all_words(cache) == 0
 
 
 class TestWriteBuffers:
@@ -206,8 +206,8 @@ class TestTouchBitmap:
         on a bitmap over a subset of the processors."""
         rng = np.random.default_rng(7)
         procs = [1, 3, 4, 7, 9, 12]
-        scalar = TouchBitmap(16, 40, procs)
-        fancy = TouchBitmap(16, 40, procs)
+        scalar = TouchBitmap(procs, 40)
+        fancy = TouchBitmap(procs, 40)
         rows = rng.integers(0, 5, 60)  # processor 12 never touched
         addrs = rng.integers(0, 40, 60)
         for r, a in zip(rows.tolist(), addrs.tolist()):

@@ -386,11 +386,13 @@ class _ReportCases:
 
     @pytest.mark.parametrize("module", [
         "repro.coherence.api", "repro.memsys.cache", "repro.memsys.memory",
-        "repro.memsys.network", "repro.trace.layout"])
+        "repro.memsys.network", "repro.memsys.wbuffer", "repro.trace.layout"])
     def test_cache_key_depends_on_the_replay_path(self, tmp_path,
                                                   monkeypatch, module):
         """The drift replay also runs through the scheme base class, the
-        cache and the replay rig's shadow memory, network and layout."""
+        cache bank (which holds the per-processor containers), TPI's
+        write buffers and the replay rig's shadow memory, network and
+        layout."""
         self.edit_misses_the_cache(
             tmp_path, monkeypatch,
             Path(importlib.import_module(module).__file__))

@@ -1,9 +1,11 @@
-"""Processor-axis scaling: sparse per-proc state at large ``n_procs``.
+"""Processor-axis scaling: per-proc state only for busy processors.
 
-The engines and coherence schemes keep per-processor state lazily — an
-untouched processor's cache, write buffer, stall counter, or directory
-pointer costs nothing — so simulated machines can be orders of magnitude
-wider than the busy processor set.  Three layers of evidence:
+A coherence scheme gives per-processor state (cache-bank rows, write
+buffers, seen-line sets, leases) only to the processors its trace runs
+tasks on, fixed when the scheme is built; the directory's sharer
+pointers are sparse per line.  A processor with no task costs nothing,
+so simulated machines can be orders of magnitude wider than the busy
+processor set.  Three layers of evidence:
 
 * **front end** — :func:`schedule_iterations` allocates buckets only for
   processors that receive work, so a DOALL with 8 iterations schedules
@@ -11,8 +13,9 @@ wider than the busy processor set.  Three layers of evidence:
 * **parity** — the sparse representation is observationally invisible:
   the reference engine, the fast engine, and a gang-primed fast member
   stay byte-identical at irregular processor counts (1, primes,
-  powers-of-two-minus-one), and the ``REPRO_DENSE_STATE`` escape hatch
-  reproduces the exact same results;
+  powers-of-two-minus-one), and giving every processor of the machine
+  state (:mod:`tests.every_proc_state`) reproduces the exact same
+  results;
 * **scale smoke** — a 4096-processor machine runs a tiny workload under
   both engines, bit-identically, in test-suite time.
 
@@ -33,6 +36,7 @@ from repro.sim import prepare, simulate
 from repro.sim.gang import GangMember, run_gang
 from repro.trace.schedule import schedule_iterations
 from repro.workloads import build_workload
+from tests.every_proc_state import every_proc_state
 from tests.strategies import machines, rich_programs
 from tests.test_engine_parity import SCHEMES, SETTINGS, snapshot
 
@@ -152,18 +156,17 @@ class TestIrregularCounts:
         assert snaps["fast"] == snaps["reference"]
         assert snaps["gang"] == snaps["reference"]
 
-    @pytest.mark.parametrize("scheme", ("tpi", "hw", "tardis"))
-    def test_dense_state_escape_hatch_is_result_neutral(self, monkeypatch,
-                                                        scheme):
-        """``REPRO_DENSE_STATE=1`` materializes every per-proc container
-        eagerly; results must be bit-identical to the lazy default."""
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_dense_state_escape_hatch_is_result_neutral(self, scheme):
+        """Giving every processor state, not just the trace's, leaves
+        results bit-identical."""
         program = build_workload("ocean", size="small")
         machine = default_machine().with_(n_procs=31, engine="fast",
                                           record_epochs=True)
         run = prepare(program, machine)
         sparse = snapshot(simulate(run, scheme))
-        monkeypatch.setenv("REPRO_DENSE_STATE", "1")
-        dense = snapshot(simulate(run, scheme))
+        with every_proc_state():
+            dense = snapshot(simulate(run, scheme))
         assert dense == sparse
 
 
@@ -190,7 +193,7 @@ class TestWideMachineSmoke:
 
     def test_wide_machine_barrier_accounting(self):
         """Idle processors still accrue barrier-idle cycles even though
-        they are never materialized: the cycle breakdown must account for
+        they hold no state: the cycle breakdown must account for
         all 4096 processors, not just the active ones."""
         program = tiny_program(iters=8)
         machine = default_machine().with_(n_procs=4096)

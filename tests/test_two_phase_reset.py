@@ -1,6 +1,6 @@
 """Two-phase reset wrap-around coverage on the production cache.
 
-The sweep in :meth:`repro.memsys.cache.Cache.two_phase_reset` has two
+The sweep in :func:`repro.memsys.cache.two_phase_reset` has two
 execution paths (dense full-array ops vs the sparse occupied-line gather
 added for big-cache sweeps); both must invalidate *exactly* the words
 the shared pure predicate :func:`repro.coherence.tpi_rules.reset_selects`
@@ -15,7 +15,7 @@ import pytest
 
 from repro.coherence import tpi_rules
 from repro.common.config import CacheConfig
-from repro.memsys.cache import Cache
+from repro.memsys.cache import Cache, two_phase_reset
 
 from tests.test_coherence_tpi import TR_SITE, WKEY, make_ctx
 from repro.coherence.api import make_scheme
@@ -55,7 +55,7 @@ class TestSweepPaths:
         cache = _seeded_cache(n_lines_resident=4, n_sets=4)
         before_valid = cache.word_valid.copy()
         expected = _oracle_sweep(cache, lo, hi, 4)
-        count = cache.two_phase_reset(lo, hi, 4)
+        count = two_phase_reset(cache, lo, hi, 4)
         assert count == int(expected.sum())
         assert count > 0
         np.testing.assert_array_equal(cache.word_valid,
@@ -67,7 +67,7 @@ class TestSweepPaths:
         cache = _seeded_cache(n_lines_resident=3, n_sets=64)
         before_valid = cache.word_valid.copy()
         expected = _oracle_sweep(cache, lo, hi, 4)
-        count = cache.two_phase_reset(lo, hi, 4)
+        count = two_phase_reset(cache, lo, hi, 4)
         assert count == int(expected.sum())
         assert count > 0
         np.testing.assert_array_equal(cache.word_valid,
@@ -76,7 +76,8 @@ class TestSweepPaths:
     def test_paths_agree_with_each_other(self):
         dense = _seeded_cache(n_lines_resident=4, n_sets=4)
         sparse = _seeded_cache(n_lines_resident=4, n_sets=64)
-        assert dense.two_phase_reset(2, 3, 4) == sparse.two_phase_reset(2, 3, 4)
+        assert (two_phase_reset(dense, 2, 3, 4)
+                == two_phase_reset(sparse, 2, 3, 4))
         # Same resident lines, so the surviving words match 1:1.
         for line_addr in range(4):
             dl, sl = dense.probe(line_addr), sparse.probe(line_addr)
@@ -86,7 +87,7 @@ class TestSweepPaths:
 
     def test_empty_cache_sweeps_nothing(self):
         cache = Cache(CacheConfig(size_bytes=64 * 4 * 4, line_words=4))
-        assert cache.two_phase_reset(0, 1, 4) == 0
+        assert two_phase_reset(cache, 0, 1, 4) == 0
 
     def test_wrapped_tags_selected_by_residue(self):
         """Tags are full epoch indices; the sweep must select on their
@@ -96,7 +97,7 @@ class TestSweepPaths:
         s, w = loc
         cache.timetag[s, w, :] = [1, 5, 2, 6]
         cache.word_valid[s, w, :] = True
-        assert cache.two_phase_reset(0, 1, 4) == 2
+        assert two_phase_reset(cache, 0, 1, 4) == 2
         np.testing.assert_array_equal(cache.word_valid[s, w],
                                       [False, False, True, True])
 
@@ -110,7 +111,7 @@ class TestSchemeWrapAround:
             return 0
         lo, hi = bounds
         expected = 0
-        for cache in scheme.caches:
+        for cache in scheme.caches.values():
             expected += int(_oracle_sweep(cache, lo, hi, scheme.modulus).sum())
         return expected
 
