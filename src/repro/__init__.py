@@ -41,7 +41,7 @@ from repro.runtime import (
     execute_jobs,
 )
 from repro.sim import PreparedRun, SimResult, prepare, simulate, simulate_all
-from repro.trace import ColumnarTrace, MigrationSpec, generate_columnar, generate_trace
+from repro.trace import ColumnarTrace, MigrationSpec, generate_columnar
 from repro.workloads import build_workload, workload_names
 
 __version__ = "1.0.0"
@@ -75,7 +75,6 @@ __all__ = [
     "execute_jobs",
     "experiment_ids",
     "generate_columnar",
-    "generate_trace",
     "mark_program",
     "prepare",
     "run_all",

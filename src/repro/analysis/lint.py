@@ -184,9 +184,10 @@ def lint_program(program: Program, params: Optional[Dict[str, int]] = None,
 
     trace = None
     if sanitize:
-        from repro.trace.generate import generate_trace
+        from repro.trace.generate import generate_columnar
 
-        trace = generate_trace(program, machine or default_machine(), params)
+        trace = generate_columnar(program, machine or default_machine(),
+                                  params)
 
     soft = tuple(s for s in schemes if s in _RULESETS)
     hardware = tuple(s for s in schemes if s not in _RULESETS)

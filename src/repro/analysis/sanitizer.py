@@ -2,7 +2,7 @@
 
 The static oracle (:mod:`repro.analysis.oracle`) reasons over may-execute
 paths; this module checks the other direction.  It replays one concrete
-generated trace (:class:`repro.trace.events.Trace`) keeping, per
+generated trace (:class:`repro.trace.columnar.ColumnarTrace`) keeping, per
 (processor, address), the epoch in which that processor's cached copy was
 last known fresh, and flags every read that *observably* terminates a
 stale reference sequence: another processor wrote the address in an epoch
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.compiler.marking import Marking, RefMark
-from repro.trace.events import EventKind, Trace
+from repro.trace.columnar import KIND_READ, KIND_WRITE, ColumnarTrace
 
 #: Schemes whose hardware maintains coherence: the sanitizer checks the
 #: hardware's freshness model instead of a marking map.
@@ -57,7 +57,7 @@ class StaleRead:
     marked: bool  # was the site marked (Time-Read / bypass) for the scheme?
 
 
-def replay_stale_reads(trace: Trace, marking: Marking,
+def replay_stale_reads(trace: ColumnarTrace, marking: Marking,
                        scheme: str = "tpi") -> List[StaleRead]:
     """All observably stale reads in a trace, flagged with whether the
     checked scheme's validation mechanism covered their site.
@@ -88,39 +88,43 @@ def replay_stale_reads(trace: Trace, marking: Marking,
     last_write: Dict[int, Dict[int, int]] = {}  # addr -> proc -> epoch
     findings: List[StaleRead] = []
 
-    for epoch in trace.epochs:
+    task_proc = trace.task_proc.tolist()
+    task_off = trace.task_off.tolist()
+    epoch_off = trace.epoch_off.tolist()
+    kinds, addrs = trace.kind.tolist(), trace.addr.tolist()
+    sites, shared = trace.site.tolist(), trace.shared.tolist()
+    for index in range(trace.n_epochs):
         pending: List[Tuple[int, int]] = []  # (addr, proc) written this epoch
-        for task in epoch.tasks:
-            proc = task.proc
-            for event in task.events:
-                if not event.shared:
+        for task in range(epoch_off[index], epoch_off[index + 1]):
+            proc = task_proc[task]
+            for i in range(task_off[task], task_off[task + 1]):
+                if not shared[i]:
                     continue
-                if event.kind is EventKind.WRITE:
-                    copies.setdefault(event.addr, {})[proc] = epoch.index
-                    pending.append((event.addr, proc))
+                kind, addr = kinds[i], addrs[i]
+                if kind == KIND_WRITE:
+                    copies.setdefault(addr, {})[proc] = index
+                    pending.append((addr, proc))
                     continue
-                if event.kind is not EventKind.READ:
+                if kind != KIND_READ:
                     continue
-                held = copies.get(event.addr, {}).get(proc)
+                held = copies.get(addr, {}).get(proc)
                 stale = held is not None and any(
                     writer != proc and written > held
-                    for writer, written in
-                    last_write.get(event.addr, {}).items())
+                    for writer, written in last_write.get(addr, {}).items())
                 marked = (True if marks is None
-                          else marks.get(event.site) is RefMark.TIME_READ)
+                          else marks.get(sites[i]) is RefMark.TIME_READ)
                 if stale:
                     findings.append(StaleRead(
-                        epoch=epoch.index, epoch_label=epoch.label,
-                        proc=proc, addr=event.addr, site=event.site,
-                        marked=marked))
+                        epoch=index, epoch_label=trace.epoch_label[index],
+                        proc=proc, addr=addr, site=sites[i], marked=marked))
                 if marked and not marked_read_validates:
                     continue  # SC bypass: cache copy untouched
                 if not stale or marked:
-                    copies.setdefault(event.addr, {})[proc] = epoch.index
+                    copies.setdefault(addr, {})[proc] = index
                 # An unmarked stale read hits on the old copy: its age is
                 # unchanged (and the violation is already recorded).
         for addr, proc in pending:
-            last_write.setdefault(addr, {})[proc] = epoch.index
+            last_write.setdefault(addr, {})[proc] = index
             if invalidating:
                 holders = copies.get(addr)
                 if holders:

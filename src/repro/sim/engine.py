@@ -9,6 +9,12 @@ are barriers: every processor synchronizes to the slowest one, plus the
 loop-setup and task-dispatch overheads of Figure 8's simulated scheduling
 operations.
 
+Events replay as per-task rows of Python ints
+(:meth:`repro.trace.columnar.ColumnarEpoch.rows`) through one heap loop,
+:meth:`Engine._run_epoch`.  The reference engine replays every event
+through it; the fast engine (:mod:`repro.sim.fastengine`) replays only
+the order-sensitive ones, with the rest run around them.
+
 Network load feeds back: after each epoch the Kruskal-Snir model's offered
 load is updated from the words injected during the epoch, so traffic-heavy
 programs see longer miss latencies in subsequent epochs (smoothed
@@ -29,11 +35,9 @@ from repro.compiler.marking import Marking
 from repro.memsys.memory import ShadowMemory
 from repro.memsys.network import KruskalSnirNetwork
 from repro.sim.metrics import EpochRecord, SimResult
-from repro.trace.events import EventKind, Trace
+from repro.trace.columnar import KIND_LOCK, KIND_UNLOCK, ColumnarTrace
 
 _LOCK_RETRY_CYCLES = 16
-_READ = EventKind.READ
-_WRITE = EventKind.WRITE
 _HIT = MissKind.HIT
 
 
@@ -51,8 +55,8 @@ class Engine:
 
     engine_name = "reference"
 
-    def __init__(self, trace: Trace, marking: Marking, machine: MachineConfig,
-                 scheme_name: str):
+    def __init__(self, trace: ColumnarTrace, marking: Marking,
+                 machine: MachineConfig, scheme_name: str):
         if trace.layout is None:
             raise SimulationError("trace has no memory layout")
         self.trace = trace
@@ -106,102 +110,92 @@ class Engine:
         return self.result
 
     def _run_epoch(self, epoch, global_time: int) -> int:
+        """Run one epoch: dispatch its tasks, replay their events through
+        the heap, and close it at the barrier; returns its end time.
+
+        This is the one heap loop of both engines.  Each task replays the
+        rows :meth:`_hot_rows` picks, keyed ``(clock, proc, rank, idx)``
+        with ``idx`` the row's position, so the smallest clock always
+        runs next.  A task whose next key is still the smallest runs on
+        at once (``heappushpop``).  Here every event is hot: ``gaps`` is
+        None and each task replays all of its rows.  The fast engine
+        replays only its plan's hot events; ``gaps[rank][i]`` is then
+        what runs between the task's hot events ``i - 1`` and ``i``
+        (and after the last): pre-applied cold cycles, or cold rows to
+        run now through the exact path (:meth:`_run_cold`).
+        """
         machine = self.machine
+        result = self.result
+        breakdown = result.breakdown
         stalls = self.scheme.begin_epoch(epoch.index, epoch.parallel)
         self._epoch_words = 0
-        breakdown = self.result.breakdown
-        reads_before = self.result.reads
-        misses_before = self.result.read_misses
+        reads_before = result.reads
+        misses_before = result.read_misses
+        tasks = epoch.task_table()
+        rows, gaps = self._hot_rows(epoch)
 
         base = global_time + machine.epoch_setup_cycles
         clocks: Dict[int, int] = {}
         heap: List = []
-        for rank, task in enumerate(epoch.tasks):
+        busy = 0
+        for rank, (proc, extra, n_events) in enumerate(tasks):
             start = base + machine.task_dispatch_cycles * rank
             breakdown["dispatch"] += start - global_time
-            stall = stalls.get(task.proc, 0)
+            stall = stalls.get(proc, 0)
             breakdown["reset_stall"] += stall
             start += stall
-            clocks[task.proc] = start
-            if task.events:
-                heapq.heappush(heap, (start, task.proc, rank, 0))
+            clocks[proc] = start
+            if not n_events:
+                continue
+            if gaps is not None:
+                gap = gaps[rank][0]
+                start += gap if gap.__class__ is int else self._run_cold(
+                    proc, gap)
+            if rows[rank]:
+                heap.append((start, proc, rank, 0))
+            else:
+                clocks[proc] = start + extra
+                busy += extra
+        heapq.heapify(heap)
 
         locks: Dict[int, _LockState] = {}
-        tasks_by_rank = list(epoch.tasks)
-        # Compute work is charged once per event, even when a lock spin
-        # re-processes the same index.
-        work_charged = [-1] * len(tasks_by_rank)
-        heappop, heappush = heapq.heappop, heapq.heappush
+        heappop, heappushpop = heapq.heappop, heapq.heappushpop
         access = self._access
-
-        while heap:
-            clock, proc, rank, idx = heappop(heap)
-            task = tasks_by_rank[rank]
-            event = task.events[idx]
-            if idx > work_charged[rank]:
-                clock += event.work
-                breakdown["busy"] += event.work
-                work_charged[rank] = idx
-            advance = True
-
-            kind = event.kind
-            if kind is _READ or kind is _WRITE:
-                clock += access(proc, kind is _WRITE, event.addr,
-                                event.site, event.shared, event.in_critical)
-            elif kind is EventKind.LOCK:
-                state = locks.setdefault(event.lock, _LockState())
-                if state.held and state.holder_rank == rank:
-                    raise SimulationError(
-                        f"processor {proc} re-acquired lock {event.lock} it "
-                        "already holds: no one can release it")
-                if state.held:
-                    # Spin: jump past the holder's current position and retry.
-                    waited = max(clock + _LOCK_RETRY_CYCLES,
-                                 clocks.get(state.holder, clock) + 1) - clock
-                    clock += waited
-                    breakdown["sync_stall"] += waited
-                    advance = False
-                    state.spins += 1
-                    if state.spins > 10 ** 6:
-                        raise SimulationError(
-                            f"processor {proc} spun on lock {event.lock} "
-                            "a million times: probable deadlock")
-                else:
-                    waited = max(clock, state.free_time) - clock
-                    acquire = self.network.control_latency()
-                    clock += waited + acquire
-                    breakdown["sync_stall"] += waited + acquire
-                    state.held = True
-                    state.holder = proc
-                    state.holder_rank = rank
-                    self.result.extra["lock_acquires"] = (
-                        self.result.extra.get("lock_acquires", 0) + 1)
-            elif kind is EventKind.UNLOCK:
-                state = locks.setdefault(event.lock, _LockState())
-                if not state.held or state.holder != proc:
-                    raise SimulationError(
-                        f"processor {proc} released lock {event.lock} it "
-                        "does not hold (mis-migrated critical section?)")
-                r = self.scheme.release_fence(proc)
-                clock += r.latency
-                breakdown["sync_stall"] += r.latency
-                self.result.note_traffic(r.read_words, r.write_words,
-                                         r.coherence_words)
-                self._epoch_words += r.total_words
-                state.held = False
-                state.holder = -1
-                state.holder_rank = -1
-                state.free_time = clock
-            else:  # pragma: no cover - closed enum
-                raise SimulationError(f"unknown event kind {kind}")
-
+        key = heappop(heap) if heap else None
+        while key is not None:
+            clock, proc, rank, idx = key
+            task = rows[rank]
+            if idx >= 0:
+                kind, addr, site, work, shared, in_critical, lock = task[idx]
+                clock += work
+                busy += work
+            else:
+                # A LOCK retried after a spin: its work is already charged.
+                idx = ~idx
+                kind, addr, site, work, shared, in_critical, lock = task[idx]
+            if kind < KIND_LOCK:
+                clock += access(proc, kind, addr, site, shared, in_critical)
+            else:
+                clock, done = self._sync(kind, lock, proc, rank, clock,
+                                         locks, clocks)
+                if not done:
+                    clocks[proc] = clock
+                    key = heappushpop(heap, (clock, proc, rank, ~idx))
+                    continue
             clocks[proc] = clock
-            next_idx = idx + 1 if advance else idx
-            if next_idx < len(task.events):
-                heappush(heap, (clock, proc, rank, next_idx))
-            elif advance:
-                clocks[proc] = clock + task.extra_work
-                breakdown["busy"] += task.extra_work
+            idx += 1
+            if gaps is not None:
+                gap = gaps[rank][idx]
+                clock += gap if gap.__class__ is int else self._run_cold(
+                    proc, gap)
+            if idx < len(task):
+                key = heappushpop(heap, (clock, proc, rank, idx))
+            else:
+                extra = tasks[rank][1]
+                clocks[proc] = clock + extra
+                busy += extra
+                key = heappop(heap) if heap else None
+        breakdown["busy"] += busy
 
         held = [lock for lock, state in locks.items() if state.held]
         if held:
@@ -209,6 +203,71 @@ class Engine:
 
         return self._end_epoch(epoch, global_time, base, clocks,
                                reads_before, misses_before)
+
+    def _hot_rows(self, epoch):
+        """The rows each task replays through the heap, and the ``gaps``
+        around them (see :meth:`_run_epoch`).  Every event is hot here."""
+        return [epoch.rows(rank) for rank in range(epoch.n_tasks)], None
+
+    def _sync(self, kind: int, lock: int, proc: int, rank: int, clock: int,
+              locks: Dict[int, "_LockState"], clocks: Dict[int, int]):
+        """Run a LOCK or UNLOCK of task ``rank`` at ``clock``.  Returns
+        ``(clock, done)``: a LOCK on a held lock is not done, and retries
+        at the returned clock."""
+        breakdown = self.result.breakdown
+        state = locks.setdefault(lock, _LockState())
+        if kind == KIND_UNLOCK:
+            if not state.held or state.holder != proc:
+                raise SimulationError(
+                    f"processor {proc} released lock {lock} it "
+                    "does not hold (mis-migrated critical section?)")
+            r = self.scheme.release_fence(proc)
+            clock += r.latency
+            breakdown["sync_stall"] += r.latency
+            self.result.note_traffic(r.read_words, r.write_words,
+                                     r.coherence_words)
+            self._epoch_words += r.total_words
+            state.held = False
+            state.holder = -1
+            state.holder_rank = -1
+            state.free_time = clock
+            return clock, True
+        if state.held and state.holder_rank == rank:
+            raise SimulationError(
+                f"processor {proc} re-acquired lock {lock} it "
+                "already holds: no one can release it")
+        if state.held:
+            # Spin: jump past the holder's current position and retry.
+            waited = max(clock + _LOCK_RETRY_CYCLES,
+                         clocks.get(state.holder, clock) + 1) - clock
+            breakdown["sync_stall"] += waited
+            state.spins += 1
+            if state.spins > 10 ** 6:
+                raise SimulationError(
+                    f"processor {proc} spun on lock {lock} "
+                    "a million times: probable deadlock")
+            return clock + waited, False
+        waited = max(clock, state.free_time) - clock
+        acquire = self.network.control_latency()
+        breakdown["sync_stall"] += waited + acquire
+        state.held = True
+        state.holder = proc
+        state.holder_rank = rank
+        self.result.extra["lock_acquires"] = (
+            self.result.extra.get("lock_acquires", 0) + 1)
+        return clock + waited + acquire, True
+
+    def _run_cold(self, proc: int, rows) -> int:
+        """Run a fast-engine cold span's ``rows`` in order through the
+        exact per-event path, charging their work; returns the elapsed
+        cycles."""
+        elapsed = busy = 0
+        access = self._access
+        for kind, addr, site, work, shared, _in_critical, _lock in rows:
+            busy += work
+            elapsed += work + access(proc, kind, addr, site, shared)
+        self.result.breakdown["busy"] += busy
+        return elapsed
 
     def _end_epoch(self, epoch, global_time: int, base: int,
                    clocks: Dict[int, int], reads_before: int,
@@ -321,8 +380,8 @@ def resolve_engine(machine: MachineConfig) -> str:
     return choice
 
 
-def make_engine(trace: Trace, marking: Marking, machine: MachineConfig,
-                scheme_name: str) -> Engine:
+def make_engine(trace: ColumnarTrace, marking: Marking,
+                machine: MachineConfig, scheme_name: str) -> Engine:
     """Instantiate the engine selected by ``machine.engine``/``REPRO_ENGINE``.
 
     The config-axis sharing of fast runs lives in

@@ -15,12 +15,11 @@ does.  This engine exploits that:
   cache set in which a replacement or a remote invalidation could
   couple processors (:meth:`FastEngine._hazard_sets`), hot for every
   task, so its state changes only in heap order.
-* Hot events replay through exactly the reference heap discipline, with
-  identical keys ``(clock, proc, rank, idx)``, so their global order — and
-  therefore every directory transition, invalidation count, and
-  classification — is bit-identical to the reference engine.  A task
-  whose next hot key is still the smallest runs on without a heap round
-  trip (the heap would pop that key next anyway).
+* Hot events replay through the reference engine's own heap loop
+  (:meth:`~repro.sim.engine.Engine._run_epoch`), keyed ``(clock, proc,
+  rank, idx)``, so their global order — and therefore every directory
+  transition, invalidation count, and classification — is bit-identical
+  to the reference engine.
 * Each task's cold events run eagerly between its hot events, in program
   order: with a kernel, all of the epoch's cold events run as one
   numpy-batched window before dispatch (:mod:`repro.coherence.batch`),
@@ -36,21 +35,19 @@ does.  This engine exploits that:
   might fire turns hot for its task.
 
 Planning and pre-apply work on the epoch as a whole, never task by task:
-a columnar epoch's events are one contiguous slice of the trace in task
-order, so the analysis (:class:`_EpochBatch`) holds that slice plus a
-per-event task rank, the hot rules yield one mask over the epoch's
-events, and pre-apply's window is the slice compressed by the cold mask.
-An object trace is converted to columnar form once, when the engine is
-built.
+an epoch's events are one contiguous slice of the trace in task order,
+so the analysis (:class:`_EpochBatch`) holds that slice plus a per-event
+task rank, the hot rules yield one mask over the epoch's events, and
+pre-apply's window is the slice compressed by the cold mask.
 
 Epochs the analysis cannot clear (:func:`batchable`) — synchronization
 (locks / critical sections), two tasks on one processor, or too small to
-pay for the analysis — fall back wholesale to the reference
-``_run_epoch``, as do all epochs of a scheme with no declared hot rule,
-so correctness never depends on the batching being profitable.  The
-hot-set rule serves every associativity: kernels index cache state by
-slot (``set * K + way``), so a K-way cache batches like a direct-mapped
-one.
+pay for the analysis — fall back: the heap loop replays every event, as
+under the reference engine.  So do all epochs of a scheme with no
+declared hot rule, so correctness never depends on the batching being
+profitable.  The hot-set rule serves every associativity: kernels index
+cache state by slot (``set * K + way``), so a K-way cache batches like a
+direct-mapped one.
 
 Differential parity with the reference engine over every workload,
 scheme, and a hypothesis-randomized program space is enforced by
@@ -60,13 +57,12 @@ tests/test_engine_parity.py; speedups are tracked in BENCH_engine.json
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from repro.sim.engine import Engine
-from repro.trace.columnar import KIND_WRITE, ColumnarTrace
+from repro.trace.columnar import KIND_WRITE
 
 #: Minimum events per task for batching to pay for its numpy analysis.
 #: Below this the per-epoch array set-up costs more than the per-event
@@ -80,8 +76,8 @@ def batchable(epoch) -> bool:
     """Can the fast engine batch ``epoch`` (a columnar epoch)?  Not when
     it has under :data:`_MIN_TASK_EVENTS` events per task, has
     synchronization (locks / critical sections), or runs two tasks on
-    one processor: each task starts at its own dispatch time, but
-    ``_run_epoch_fast`` keeps one clock per processor.  The answer is
+    one processor: each task starts at its own dispatch time, but the
+    engine keeps one clock per processor.  The answer is
     trace-static and kept on the epoch: ``epoch._batch`` is False, or
     the dict of analyses :func:`epoch_batch` fills."""
     batches = epoch._batch
@@ -96,8 +92,8 @@ def batchable(epoch) -> bool:
 
 #: The geometry-free fields of :class:`_EpochBatch`, shared by every
 #: geometry view of one epoch.
-_TRACE_FIELDS = ("off", "procs", "extra", "rank", "addr", "site", "work",
-                 "shared", "is_write", "rows")
+_TRACE_FIELDS = ("off", "procs", "rank", "addr", "site", "work",
+                 "shared", "is_write")
 
 
 class _EpochBatch:
@@ -110,13 +106,11 @@ class _EpochBatch:
     A columnar epoch's events are one contiguous slice of the trace, in
     task (dispatch) order.  The event columns are zero-copy views of that
     slice; ``off`` holds the per-task offsets into it, ``rank`` each
-    event's task, and ``procs``/``extra`` the per-task processor and
-    trailing work.  ``lines`` are the epoch's distinct lines, ``pairs``
+    event's task, and ``procs`` the per-task processor.  ``lines`` are the epoch's distinct lines, ``pairs``
     the sorted distinct ``line index * n_tasks + rank`` keys of its
     (line, task) pairs, ``multi`` flags the lines two or more tasks
     touch, and ``hot_written`` the events of the "written" hot rule:
-    multi-touched lines written this epoch.  ``rows`` holds each
-    task's per-event tuples, built on first use (:meth:`task_rows`)."""
+    multi-touched lines written this epoch."""
 
     __slots__ = _TRACE_FIELDS + (
         "geometry", "line", "set_", "lines", "pairs",
@@ -136,12 +130,10 @@ class _EpochBatch:
             lo, hi = int(off[0]), int(off[-1])
             self.off = off - lo
             self.procs = trace.task_proc[t_lo:t_hi].astype(np.int64)
-            self.extra = trace.task_extra[t_lo:t_hi].tolist()
             self.rank = np.repeat(np.arange(t_hi - t_lo), np.diff(self.off))
             self.addr, self.site = trace.addr[lo:hi], trace.site[lo:hi]
             self.work, self.shared = trace.work[lo:hi], trace.shared[lo:hi]
             self.is_write = trace.kind[lo:hi] == KIND_WRITE
-            self.rows = [None] * (t_hi - t_lo)
         else:
             for name in _TRACE_FIELDS:
                 setattr(self, name, getattr(base, name))
@@ -155,21 +147,6 @@ class _EpochBatch:
         written = np.zeros(len(self.lines), dtype=bool)
         written[lid[self.is_write]] = True
         self.hot_written = (self.multi & written)[lid]
-
-    def task_rows(self, rank: int) -> list:
-        """Task ``rank``'s per-event ``(is_write, addr, site, work,
-        shared)`` tuples, for the per-event paths (hot events, kernel-less
-        schemes).  Only batchable epochs get here, so every event is a
-        plain READ/WRITE outside any critical section.  Python-int fields
-        keep the accounting identical to object traces."""
-        rows = self.rows[rank]
-        if rows is None:
-            a, b = self.off[rank], self.off[rank + 1]
-            rows = self.rows[rank] = list(zip(
-                self.is_write[a:b].tolist(), self.addr[a:b].tolist(),
-                self.site[a:b].tolist(), self.work[a:b].tolist(),
-                self.shared[a:b].tolist()))
-        return rows
 
     @property
     def set_groups(self):
@@ -193,7 +170,7 @@ def epoch_batch(epoch, geometry) -> _EpochBatch:
     (``(line_words, n_sets)``), built on first use.  One analysis per
     geometry is kept side by side on ``epoch._batch``, so gang members
     with different geometries never evict each other's work; every view
-    shares the first one's geometry-free columns and row cells."""
+    shares the first one's geometry-free columns."""
     batches = epoch._batch
     batch = batches.get(geometry)
     if batch is None:
@@ -215,8 +192,6 @@ class FastEngine(Engine):
     engine_name = "fast"
 
     def __init__(self, trace, marking, machine, scheme_name):
-        if not isinstance(trace, ColumnarTrace):
-            trace = ColumnarTrace.from_trace(trace)
         super().__init__(trace, marking, machine, scheme_name)
         self._kernel = self.scheme.make_batch_kernel()
         self._cur_batch = None
@@ -337,78 +312,36 @@ class FastEngine(Engine):
 
     # ------------------------------------------------------------- epochs
 
-    def _run_epoch(self, epoch, global_time: int) -> int:
+    def _hot_rows(self, epoch):
+        """The plan's hot events per task, and the cold cycles between
+        them: pre-applied by the kernel, or else cold rows that run as
+        the heap reaches them (see :meth:`Engine._run_epoch`)."""
         hot = self._plan_epoch(epoch)
         if hot is None:
             self.fallback_epochs += 1
-            return super()._run_epoch(epoch, global_time)
+            return super()._hot_rows(epoch)
         self.batched_epochs += 1
-        return self._run_epoch_fast(epoch, global_time, hot)
-
-    def _run_epoch_fast(self, epoch, global_time: int,
-                        hot: np.ndarray) -> int:
-        machine = self.machine
-        result = self.result
-        breakdown = result.breakdown
-        stalls = self.scheme.begin_epoch(epoch.index, epoch.parallel)
-        self._epoch_words = 0
-        reads_before = result.reads
-        misses_before = result.read_misses
         batch = self._cur_batch
-        n_tasks = len(batch.procs)
-        cold = [None] * n_tasks
+        cold = None
         if self._kernel is not None:
             self._kernel.begin_epoch()
             hot = hot.copy()  # pre-apply may promote poisoned sets
-            cold = self._preapply_epoch(batch, hot) or cold
-        base = global_time + machine.epoch_setup_cycles
-        clocks: Dict[int, int] = {}
-        procs = batch.procs.tolist()
-        for rank, proc in enumerate(procs):
-            start = base + machine.task_dispatch_cycles * rank
-            breakdown["dispatch"] += start - global_time
-            stall = stalls.get(proc, 0)
-            breakdown["reset_stall"] += stall
-            start += stall
-            clocks[proc] = start
-
-        # Each task's hot events, as indices into the task.
+            cold = self._preapply_epoch(batch, hot)
         at = np.flatnonzero(hot)
+        if len(at) == len(hot):
+            return super()._hot_rows(epoch)
+        # Each task's hot events, as indices into the task.
         cuts = np.searchsorted(at, batch.off).tolist()
         at = (at - batch.off[batch.rank[at]]).tolist()
-        hot = [at[cuts[rank]:cuts[rank + 1]] for rank in range(n_tasks)]
-        rows = [batch.task_rows(rank) if h else None
-                for rank, h in enumerate(hot)]
-        tasks = list(zip(procs, np.diff(batch.off).tolist(), batch.extra))
-        hot_pos = [0] * n_tasks
-        heap = [key for key in (
-            self._advance(rank, task, 0, clocks[task[0]], hot[rank], 0,
-                          clocks, cold[rank])
-            for rank, task in enumerate(tasks) if task[1]) if key is not None]
-        heapq.heapify(heap)
-
-        # Hot events replay with the reference engine's exact heap keys,
-        # so every cross-processor interaction happens in the same global
-        # order the reference engine would produce.  heappushpop runs a
-        # task on at once while its next key is still the smallest.
-        access = self._access
-        busy = 0
-        key = heapq.heappop(heap) if heap else None
-        while key is not None:
-            clock, proc, rank, idx = key
-            is_write, addr, site, work, shared = rows[rank][idx]
-            busy += work
-            clock += work + access(proc, is_write, addr, site, shared)
-            hot_pos[rank] += 1
-            key = self._advance(rank, tasks[rank], idx + 1, clock,
-                                hot[rank], hot_pos[rank], clocks, cold[rank])
-            if key is not None:
-                key = heapq.heappushpop(heap, key)
-            elif heap:
-                key = heapq.heappop(heap)
-        breakdown["busy"] += busy
-        return self._end_epoch(epoch, global_time, base, clocks,
-                               reads_before, misses_before)
+        rows, gaps = [], []
+        for rank, n_events in enumerate(np.diff(batch.off).tolist()):
+            hot_at = at[cuts[rank]:cuts[rank + 1]]
+            task = epoch.rows(rank) if hot_at or not cold else []
+            rows.append([task[i] for i in hot_at])
+            gaps.append(cold[rank] if cold else [
+                task[a + 1:b] for a, b in zip([-1] + hot_at,
+                                              hot_at + [n_events])])
+        return rows, gaps
 
     # ---------------------------------------------------------- pre-apply
 
@@ -469,35 +402,3 @@ class FastEngine(Engine):
                 return [cycles[first[rank]:first[rank + 1]]
                         for rank in range(n_tasks)]
             hot[poisoned[0]] = True
-
-    # ------------------------------------------------------------ advance
-
-    def _advance(self, rank: int, task, lo: int, clock: int,
-                 hot: List[int], pos: int, clocks, cold) -> Optional[tuple]:
-        """Run task ``rank``'s cold events from ``lo`` up to its next hot
-        event, ``hot[pos]`` (or take their pre-applied cycles,
-        ``cold[pos]``), and return that event's heap key; at the task's
-        end, record its finishing clock and return None.  ``task``:
-        ``(proc, n_events, extra_work)``."""
-        proc, n, extra = task
-        stop = hot[pos] if pos < len(hot) else n
-        clock += (cold[pos] if cold is not None else self._run_rows(
-            proc, self._cur_batch.task_rows(rank)[lo:stop]))
-        if pos < len(hot):
-            return (clock, proc, rank, stop)
-        clock += extra
-        self.result.breakdown["busy"] += extra
-        clocks[proc] = clock
-        return None
-
-    def _run_rows(self, proc: int, rows) -> int:
-        """Run ``rows`` (:meth:`_EpochBatch.task_rows` tuples) in order
-        through the exact per-event path, charging their work; returns
-        the elapsed cycles."""
-        elapsed = busy = 0
-        access = self._access
-        for is_write, addr, site, work, shared in rows:
-            busy += work
-            elapsed += work + access(proc, is_write, addr, site, shared)
-        self.result.breakdown["busy"] += busy
-        return elapsed

@@ -32,7 +32,6 @@ so members now run in turn and only the primed analyses are shared.
 
 Fallbacks (each member silently degrades to a plain solo run):
 
-* object (non-columnar) traces — nothing is primed;
 * epochs the fast engine's planner refuses (:func:`~repro.sim.
   fastengine.batchable`: too small, sync, or two tasks on one
   processor) — those fall back per-event inside each member anyway;
@@ -53,7 +52,6 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.sim.engine import make_engine, resolve_engine
 from repro.sim.fastengine import batchable, epoch_batch
 from repro.sim.metrics import SimResult
-from repro.trace.columnar import ColumnarTrace
 
 
 @dataclass(frozen=True)
@@ -78,9 +76,6 @@ def prime_group(trace, machines: Sequence[Any]) -> Dict[str, Any]:
     """
     stats = {"width": len({_backend_token(m) for m in machines}),
              "geometries": 0, "primed_epochs": 0, "fallback": ""}
-    if not isinstance(trace, ColumnarTrace):
-        stats["fallback"] = "object-trace"
-        return stats
     if len(machines) < 2:
         stats["fallback"] = "gang-of-one"
         return stats

@@ -20,7 +20,6 @@ from repro.ir.program import Program
 from repro.sim.engine import make_engine
 from repro.sim.metrics import SimResult
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.events import Trace
 from repro.trace.generate import generate_columnar
 from repro.trace.schedule import MigrationSpec
 
@@ -29,8 +28,6 @@ from repro.trace.schedule import MigrationSpec
 class PreparedRun:
     """Compiler + trace-generator output, reusable across schemes.
 
-    ``trace`` is columnar (:class:`~repro.trace.columnar.ColumnarTrace`)
-    when built by :func:`prepare`; both engines accept either form.
     ``compile_s``/``trace_s`` record the front-end phase wall times and
     feed the runtime's phase telemetry.
     """
@@ -38,7 +35,7 @@ class PreparedRun:
     program: Program
     machine: MachineConfig
     marking: Marking
-    trace: Union[Trace, ColumnarTrace]
+    trace: ColumnarTrace
     compile_s: float = 0.0
     trace_s: float = 0.0
 

@@ -1,25 +1,18 @@
 """Execution model: turning a marked program into per-processor event streams."""
 
-from repro.trace.events import EventKind, MemEvent, Task, TraceEpoch, Trace
 from repro.trace.columnar import ColumnarTrace, TaskColumns
 from repro.trace.layout import MemoryLayout
 from repro.trace.schedule import MigrationSpec, schedule_iterations
-from repro.trace.generate import generate_columnar, generate_trace
+from repro.trace.generate import generate_columnar
 from repro.trace.vectorize import expand_epoch, extract_template
 
 __all__ = [
     "ColumnarTrace",
-    "EventKind",
-    "MemEvent",
     "MemoryLayout",
     "MigrationSpec",
-    "Task",
     "TaskColumns",
-    "Trace",
-    "TraceEpoch",
     "expand_epoch",
     "extract_template",
     "generate_columnar",
-    "generate_trace",
     "schedule_iterations",
 ]

@@ -1,55 +1,57 @@
-"""Columnar trace store: the object :class:`~repro.trace.events.Trace`
-as a handful of flat numpy arrays.
+"""The memory-event trace: a program execution as flat event columns.
 
-A trace is mostly one enormous homogeneous event stream, so the
-list-of-:class:`MemEvent` representation pays per-object costs everywhere
-it moves: building it dominates trace generation, pickling it dominates
-the executor's process boundary and the artifact cache, and the fast
-engine works on arrays (:class:`repro.sim.fastengine._EpochBatch`).
-This module stores the same information columnarly:
+A trace is a sequence of dynamic epochs; each epoch holds one task per
+participating processor; each task is an ordered run of memory events.
+Epoch boundaries are implicit barriers (the DOALL model): the simulator
+synchronizes all processors and increments the TPI epoch counters
+between epochs.
 
-* one array per :class:`MemEvent` field (``kind``/``addr``/``site``/
-  ``work``/``shared``/``in_critical``/``lock``) over every event in the
-  trace, in task-major program order;
-* a compact task table (``proc``, ``extra_work``, event offsets) and an
+A trace is mostly one enormous homogeneous event stream, so it is
+stored as a handful of flat numpy arrays:
+
+* one array per event field over every event in the trace, in
+  task-major program order: ``kind`` (the ``KIND_*`` codes below),
+  ``addr`` (word address), ``site`` (the originating source reference),
+  ``work`` (compute cycles charged before the operation issues),
+  ``shared``, ``in_critical`` and ``lock`` (the lock id of a LOCK or
+  UNLOCK, else -1);
+* a task table (``task_proc``, ``task_extra`` — trailing compute cycles
+  not attached to any event — and the event offsets ``task_off``) and an
   epoch table (offsets into the task table plus the per-epoch metadata
   lists);
-* the original :class:`~repro.trace.layout.MemoryLayout` by reference.
+* the :class:`~repro.trace.layout.MemoryLayout` by reference.
 
-The conversion is lossless both ways: ``ColumnarTrace.from_trace(t).
-to_trace() == t`` (enforced by a hypothesis property in
-tests/test_columnar.py), and engines driven from either form produce
-byte-identical results.  Consumers that want arrays (the fast engine)
-slice an epoch's events zero-copy: they are one contiguous range of
-the columns; consumers that want objects (the reference engine, the
-wholesale fallback path) materialize a :class:`~repro.trace.events.Task`
-list lazily per epoch.  Pickling a ``ColumnarTrace`` ships the raw array
-buffers — no per-event object graph — which is what makes cached
-``PreparedRun`` artifacts and split executor units cheap.
+Events carry the *site* id of their source reference; coherence schemes
+that honour compiler marking look the site up in the
+:class:`repro.compiler.Marking` maps to decide whether a READ is an
+ordinary read or a Time-Read / bypassing read.  This keeps one trace
+reusable across all schemes.
+
+An epoch's events are one contiguous range of the columns, so the fast
+engine's analysis slices them zero-copy.  Both engines replay an epoch
+as per-task rows of Python ints (:meth:`ColumnarEpoch.rows`), built once
+per task and shared by every scheme and cache geometry.  Pickling a
+``ColumnarTrace`` ships the raw array buffers, which is what makes
+cached ``PreparedRun`` artifacts and split executor units cheap.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
 
 #: Event-kind codes used in the ``kind`` column.  LOCK/UNLOCK sort after
 #: the data kinds so "epoch has synchronization" is one vectorized compare.
 KIND_READ, KIND_WRITE, KIND_LOCK, KIND_UNLOCK = 0, 1, 2, 3
-_KIND_CODE = {EventKind.READ: KIND_READ, EventKind.WRITE: KIND_WRITE,
-              EventKind.LOCK: KIND_LOCK, EventKind.UNLOCK: KIND_UNLOCK}
-_KIND_OF_CODE = (EventKind.READ, EventKind.WRITE,
-                 EventKind.LOCK, EventKind.UNLOCK)
+KIND_NAMES = ("read", "write", "lock", "unlock")
 
 
 @dataclass
 class TaskColumns:
-    """Zero-copy per-task view of the flat event columns."""
+    """One task's events as columns (zero-copy slices where possible)."""
 
     proc: int
     extra_work: int
@@ -65,38 +67,16 @@ class TaskColumns:
     def n(self) -> int:
         return len(self.addr)
 
-    def to_task(self) -> Task:
-        """Materialize the object :class:`Task` (python-int field values)."""
-        events = [MemEvent(_KIND_OF_CODE[k], a, s, w, sh, ic, lk)
-                  for k, a, s, w, sh, ic, lk in zip(
-                      self.kind.tolist(), self.addr.tolist(),
-                      self.site.tolist(), self.work.tolist(),
-                      self.shared.tolist(), self.in_critical.tolist(),
-                      self.lock.tolist())]
-        return Task(proc=self.proc, events=events, extra_work=self.extra_work)
-
-    @staticmethod
-    def from_task(task: Task) -> "TaskColumns":
-        events = task.events
-        n = len(events)
-        return TaskColumns(
-            proc=task.proc, extra_work=task.extra_work,
-            kind=np.fromiter((_KIND_CODE[e.kind] for e in events),
-                             np.uint8, n),
-            addr=np.fromiter((e.addr for e in events), np.int64, n),
-            site=np.fromiter((e.site for e in events), np.int64, n),
-            work=np.fromiter((e.work for e in events), np.int64, n),
-            shared=np.fromiter((e.shared for e in events), bool, n),
-            in_critical=np.fromiter((e.in_critical for e in events), bool, n),
-            lock=np.fromiter((e.lock for e in events), np.int32, n))
-
 
 class ColumnarEpoch:
-    """One epoch of a :class:`ColumnarTrace`, structurally compatible with
-    :class:`~repro.trace.events.TraceEpoch`: the engines read ``index``,
-    ``parallel``, ``label``, ``n_tasks_scheduled``, ``write_key``,
-    ``tasks`` (materialized lazily and cached) and use ``_batch`` as a
-    scratch slot; the fast engine additionally reads the columnar views.
+    """One dynamic epoch: a view of its trace's columns.
+
+    ``write_key`` identifies the originating static epoch (by its first
+    node's identity); the TPI runtime uses it to apply the
+    compiler-emitted per-array last-write-epoch (W-register) updates at
+    the epoch's end.  ``n_tasks_scheduled`` is the dispatch count (above
+    ``n_tasks`` under self-scheduling).  ``_batch`` is the fast engine's
+    scratch slot.
 
     ``trace`` is a weak proxy: the trace owns its epoch views, and a
     strong back-reference would make a reference cycle that keeps a
@@ -104,12 +84,13 @@ class ColumnarEpoch:
     the next full garbage collection.
     """
 
-    __slots__ = ("trace", "index", "_tasks", "_batch")
+    __slots__ = ("trace", "index", "_table", "_rows", "_batch")
 
     def __init__(self, trace: "ColumnarTrace", index: int):
         self.trace = weakref.proxy(trace)
         self.index = index
-        self._tasks: Optional[List[Task]] = None
+        self._table: Optional[List[Tuple[int, int, int]]] = None
+        self._rows: Optional[list] = None
         self._batch = None
 
     # --------------------------------------------------------- epoch meta
@@ -163,31 +144,35 @@ class ColumnarEpoch:
 
     # -------------------------------------------------------------- views
 
-    def task_columns(self) -> List[TaskColumns]:
-        """Per-task zero-copy slices of the flat event columns."""
-        t = self.trace
-        lo, hi = self._task_range
-        out = []
-        for ti in range(lo, hi):
+    def task_table(self) -> List[Tuple[int, int, int]]:
+        """Per task ``(proc, extra_work, n_events)``, in dispatch order."""
+        if self._table is None:
+            t = self.trace
+            lo, hi = self._task_range
+            self._table = list(zip(
+                t.task_proc[lo:hi].tolist(), t.task_extra[lo:hi].tolist(),
+                np.diff(t.task_off[lo:hi + 1]).tolist()))
+        return self._table
+
+    def rows(self, rank: int) -> list:
+        """Task ``rank``'s events as rows of Python ints, ``(kind, addr,
+        site, work, shared, in_critical, lock)``, in program order: the
+        form both engines replay.  Built on first use and kept, so every
+        scheme and cache geometry replaying the epoch shares one copy."""
+        cells = self._rows
+        if cells is None:
+            cells = self._rows = [None] * self.n_tasks
+        rows = cells[rank]
+        if rows is None:
+            t = self.trace
+            ti = self._task_range[0] + rank
             a, b = int(t.task_off[ti]), int(t.task_off[ti + 1])
-            out.append(TaskColumns(
-                proc=int(t.task_proc[ti]), extra_work=int(t.task_extra[ti]),
-                kind=t.kind[a:b], addr=t.addr[a:b], site=t.site[a:b],
-                work=t.work[a:b], shared=t.shared[a:b],
-                in_critical=t.in_critical[a:b], lock=t.lock[a:b]))
-        return out
-
-    @property
-    def tasks(self) -> List[Task]:
-        if self._tasks is None:
-            self._tasks = [tc.to_task() for tc in self.task_columns()]
-        return self._tasks
-
-    def to_epoch(self) -> TraceEpoch:
-        return TraceEpoch(index=self.index, parallel=self.parallel,
-                          tasks=self.tasks, label=self.label,
-                          n_tasks_scheduled=self.n_tasks_scheduled,
-                          write_key=self.write_key)
+            rows = cells[rank] = list(zip(
+                t.kind[a:b].tolist(), t.addr[a:b].tolist(),
+                t.site[a:b].tolist(), t.work[a:b].tolist(),
+                t.shared[a:b].tolist(), t.in_critical[a:b].tolist(),
+                t.lock[a:b].tolist()))
+        return rows
 
 
 class ColumnarTrace:
@@ -220,7 +205,7 @@ class ColumnarTrace:
         self.epoch_label = epoch_label
         self.epoch_n_sched = epoch_n_sched
         self.epoch_write_key = epoch_write_key
-        self.n_expanded_epochs = 0  # set by the columnar generator
+        self.n_expanded_epochs = 0  # set by the generator
         self._views: Optional[List[ColumnarEpoch]] = None
 
     # ----------------------------------------------------------- pickling
@@ -232,8 +217,8 @@ class ColumnarTrace:
                "n_expanded_epochs")
 
     def __getstate__(self):
-        # Derived caches (epoch views, their materialized tasks and batch
-        # analyses) are dropped so pickles carry only the raw buffers.
+        # Derived caches (epoch views, their rows and batch analyses) are
+        # dropped so pickles carry only the raw buffers.
         return {name: getattr(self, name) for name in self._FIELDS}
 
     def __setstate__(self, state):
@@ -264,38 +249,9 @@ class ColumnarTrace:
         return np.unique(self.task_proc)
 
     def counts(self) -> Dict[str, int]:
-        """Event-kind histogram, same shape as :meth:`Trace.counts`."""
-        hist = np.bincount(self.kind, minlength=4)
-        return {k.value: int(hist[_KIND_CODE[k]]) for k in EventKind}
-
-    # -------------------------------------------------------- conversions
-
-    def to_trace(self) -> Trace:
-        """Materialize the equivalent object :class:`Trace` (lossless)."""
-        return Trace(program_name=self.program_name, n_procs=self.n_procs,
-                     epochs=[view.to_epoch() for view in self.epochs],
-                     layout=self.layout)
-
-    @classmethod
-    def from_trace(cls, trace: Trace,
-                   expanded: Optional[Dict[int, Sequence[TaskColumns]]] = None,
-                   ) -> "ColumnarTrace":
-        """Build the columnar form of ``trace``.
-
-        ``expanded`` optionally maps epoch indices to pre-built per-task
-        columns (the vectorized generator's output); those epochs must be
-        placeholders with no object tasks.
-        """
-        builder = ColumnarBuilder(trace.program_name, trace.n_procs,
-                                  trace.layout)
-        for epoch in trace.epochs:
-            columns = expanded.get(epoch.index) if expanded else None
-            if columns is None:
-                columns = [TaskColumns.from_task(t) for t in epoch.tasks]
-            builder.add_epoch(epoch.parallel, epoch.label,
-                              epoch.n_tasks_scheduled, epoch.write_key,
-                              columns)
-        return builder.build()
+        """Event-kind histogram (reads/writes/locks), for reporting."""
+        hist = np.bincount(self.kind, minlength=len(KIND_NAMES))
+        return {name: int(n) for name, n in zip(KIND_NAMES, hist.tolist())}
 
 
 class ColumnarBuilder:
@@ -333,7 +289,7 @@ class ColumnarBuilder:
     def _cat(parts: List[np.ndarray], dtype) -> np.ndarray:
         if not parts:
             return np.zeros(0, dtype=dtype)
-        return np.concatenate(parts)
+        return np.concatenate(parts).astype(dtype, copy=False)
 
     def build(self) -> ColumnarTrace:
         chunks = self._chunks

@@ -1,5 +1,13 @@
 """IR interpreter: executes a program and produces its memory-event trace.
 
+The trace is built in columnar form (:mod:`repro.trace.columnar`) as it
+is generated.  Affine DOALL bodies (the common case; see
+:mod:`repro.trace.vectorize`) are evaluated once symbolically and
+expanded over the whole iteration space with numpy.  Everything else
+(serial epochs, migrated DOALLs and any body the extractor rejects) is
+interpreted per iteration into per-task event buffers, which close into
+the same per-task columns at the epoch's end.
+
 The generator walks the program with concrete parameter bindings and emits
 a dynamic epoch **exactly where the compiler's partitioner placed a static
 epoch on the taken path**.  This agreement is a correctness requirement of
@@ -26,10 +34,9 @@ split mid-task by a :class:`MigrationSpec` for the Section-5 experiments.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.trace.columnar import ColumnarTrace, TaskColumns
+import numpy as np
 
 from repro.common.config import MachineConfig
 from repro.common.errors import SimulationError
@@ -45,9 +52,33 @@ from repro.ir.program import (
     Sharing,
     Statement,
 )
-from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
+from repro.trace.columnar import (
+    KIND_LOCK,
+    KIND_READ,
+    KIND_UNLOCK,
+    KIND_WRITE,
+    ColumnarBuilder,
+    ColumnarTrace,
+    TaskColumns,
+)
 from repro.trace.layout import MemoryLayout
 from repro.trace.schedule import MigrationSpec, schedule_iterations
+from repro.trace.vectorize import TemplateCache, expand_epoch
+
+#: Fields per event in an event buffer: a task's events are buffered as
+#: one flat list of ints, ``(kind, addr, site, work, shared, in_critical,
+#: lock)`` per event.
+_FIELDS = 7
+
+
+def _task_columns(proc: int, extra_work: int, events: List[int]) -> TaskColumns:
+    """A task's event buffer as columns."""
+    ev = np.array(events, dtype=np.int64).reshape(-1, _FIELDS)
+    return TaskColumns(
+        proc=proc, extra_work=extra_work, kind=ev[:, 0].astype(np.uint8),
+        addr=ev[:, 1], site=ev[:, 2], work=ev[:, 3],
+        shared=ev[:, 4].astype(bool), in_critical=ev[:, 5].astype(bool),
+        lock=ev[:, 6].astype(np.int32))
 
 
 class _Generator:
@@ -61,35 +92,39 @@ class _Generator:
         # Fixed-alignment layout: the trace must not depend on back-end
         # cache geometry, so one generation serves a whole line-size sweep.
         self.layout = MemoryLayout(program, machine.n_procs)
-        self.trace = Trace(program_name=program.name, n_procs=machine.n_procs,
-                           layout=self.layout)
-        self.serial_events: List[MemEvent] = []
+        self.builder = ColumnarBuilder(program.name, machine.n_procs,
+                                       self.layout)
+        self.serial_events: List[int] = []
         self.serial_nodes_pending = False
         self.serial_first_node_id: Optional[int] = None
         self.pending_work = 0
         self.lock_ids: Dict[str, int] = {}
         self.iteration_counter = 0  # global, drives migration injection
         self._doall_memo: Dict[str, bool] = {}
+        self._templates = TemplateCache()
+        self.n_expanded_epochs = 0
 
     # ------------------------------------------------------------- driving
 
-    def run(self) -> Trace:
+    def run(self) -> ColumnarTrace:
         self._body(self.program.procedures[self.program.entry].body,
                    proc=0, out=None, in_critical=False, serial=True)
         self._flush_serial()
-        return self.trace
+        trace = self.builder.build()
+        trace.n_expanded_epochs = self.n_expanded_epochs
+        return trace
 
-    def _body(self, nodes, proc: int, out: Optional[List[MemEvent]],
+    def _body(self, nodes, proc: int, out: Optional[List[int]],
               in_critical: bool, serial: bool) -> None:
         # ``out is None`` means "the master's current serial epoch buffer",
         # which _flush_serial may swap out between nodes.
         for node in nodes:
             self._node(node, proc, out, in_critical, serial)
 
-    def _sink(self, out: Optional[List[MemEvent]]) -> List[MemEvent]:
+    def _sink(self, out: Optional[List[int]]) -> List[int]:
         return self.serial_events if out is None else out
 
-    def _node(self, node: Node, proc: int, out: Optional[List[MemEvent]],
+    def _node(self, node: Node, proc: int, out: Optional[List[int]],
               in_critical: bool, serial: bool) -> None:
         if serial:
             self._mark_pending_if_serial_node(node)
@@ -116,13 +151,11 @@ class _Generator:
             self._body(branch, proc, out, in_critical, serial)
         elif isinstance(node, CriticalSection):
             lock = self.lock_ids.setdefault(node.lock, len(self.lock_ids))
-            self._sink(out).append(MemEvent(EventKind.LOCK, 0, -1,
-                                            self._take_work(), shared=False,
-                                            lock=lock))
+            self._sink(out).extend((KIND_LOCK, 0, -1, self._take_work(),
+                                    False, False, lock))
             self._body(node.body, proc, out, True, serial)
-            self._sink(out).append(MemEvent(EventKind.UNLOCK, 0, -1,
-                                            self._take_work(), shared=False,
-                                            lock=lock))
+            self._sink(out).extend((KIND_UNLOCK, 0, -1, self._take_work(),
+                                    False, False, lock))
         elif isinstance(node, Call):
             if serial and proc_contains_doall(self.program, node.callee,
                                               self._doall_memo):
@@ -161,7 +194,7 @@ class _Generator:
         self._body(branch, 0, None, False, True)
         self._flush_serial()
 
-    def _serial_loop(self, loop: Loop, proc: int, out: List[MemEvent],
+    def _serial_loop(self, loop: Loop, proc: int, out: Optional[List[int]],
                      in_critical: bool, serial: bool) -> None:
         lo = loop.lo.evaluate(self.env)
         hi = loop.hi.evaluate(self.env)
@@ -182,12 +215,9 @@ class _Generator:
         """
         if not self.serial_nodes_pending:
             return
-        task = Task(proc=0, events=self.serial_events,
-                    extra_work=self._take_work())
-        epoch = TraceEpoch(index=len(self.trace.epochs), parallel=False,
-                           tasks=[task], label="serial", n_tasks_scheduled=1,
-                           write_key=self.serial_first_node_id)
-        self.trace.epochs.append(epoch)
+        task = _task_columns(0, self._take_work(), self.serial_events)
+        self.builder.add_epoch(False, "serial", 1, self.serial_first_node_id,
+                               [task])
         self.serial_events = []
         self.serial_nodes_pending = False
         self.serial_first_node_id = None
@@ -199,31 +229,47 @@ class _Generator:
         values = list(range(lo, hi + (1 if loop.step > 0 else -1), loop.step))
         assignments = schedule_iterations(values, self.machine.n_procs,
                                           self.machine.schedule)
-        tasks: Dict[int, Task] = {}
+        label = loop.label or f"doall {loop.index}"
+        # Mid-task migration splits depend on the global iteration
+        # counter; the per-iteration walk handles them.
+        template = (None if self.migration.enabled else
+                    self._templates.get(self.program, loop, self.env))
+        if template is not None:
+            columns = expand_epoch(template, values, assignments, self.layout)
+            # None: a subscript leaves its array for some iteration; the
+            # walk below raises the error at the first faulting iteration.
+            if columns is not None:
+                self.builder.add_epoch(True, label, len(values), id(loop),
+                                       columns)
+                self.iteration_counter += len(values)
+                self.n_expanded_epochs += 1
+                return
+        tasks: Dict[int, List[int]] = {}
         env_backup = dict(self.env)
-        n_scheduled = 0
         for proc, iterations in assignments:
             for value in iterations:
-                n_scheduled += 1
                 self.env[loop.index] = value
-                events: List[MemEvent] = []
+                events = tasks.setdefault(proc, [])
+                start = len(events)
                 self._body(loop.body, proc, events, False, serial=False)
-                self._place_task_events(events, proc, tasks)
+                if self.migration.migrates(self.iteration_counter):
+                    self._migrate(events, start, proc, tasks)
                 self.iteration_counter += 1
         self.env = env_backup
+        extra = 0
         if self.pending_work:
             # Work accumulated with no trailing access: charge the master.
-            tasks.setdefault(0, Task(proc=0)).extra_work += self._take_work()
-        epoch = TraceEpoch(index=len(self.trace.epochs), parallel=True,
-                           tasks=[tasks[p] for p in sorted(tasks)],
-                           label=loop.label or f"doall {loop.index}",
-                           n_tasks_scheduled=n_scheduled,
-                           write_key=id(loop))
-        self.trace.epochs.append(epoch)
+            tasks.setdefault(0, [])
+            extra = self._take_work()
+        self.builder.add_epoch(
+            True, label, len(values), id(loop),
+            [_task_columns(p, extra if p == 0 else 0, tasks[p])
+             for p in sorted(tasks)])
 
-    def _place_task_events(self, events: List[MemEvent], proc: int,
-                           tasks: Dict[int, Task]) -> None:
-        """Append one iteration's events, splitting mid-task on migration.
+    def _migrate(self, events: List[int], start: int, proc: int,
+                 tasks: Dict[int, List[int]]) -> None:
+        """Split the iteration buffered in ``events[start:]`` mid-task:
+        its second half moves to the next processor's task.
 
         The split point must not separate a LOCK from its UNLOCK: a task
         cannot migrate while holding a lock (the runtime would have to
@@ -231,31 +277,30 @@ class _Generator:
         lock-depth-zero point nearest the middle; a task that is inside a
         critical section throughout simply does not migrate.
         """
-        split = 0
-        if self.migration.migrates(self.iteration_counter) and len(events) > 1:
-            split = self._lock_safe_split(events)
-        if split:
-            target = (proc + 1) % self.machine.n_procs
-            tasks.setdefault(proc, Task(proc=proc)).events.extend(events[:split])
-            tasks.setdefault(target, Task(proc=target)).events.extend(events[split:])
-        else:
-            tasks.setdefault(proc, Task(proc=proc)).events.extend(events)
+        target = (proc + 1) % self.machine.n_procs
+        kinds = events[start::_FIELDS]
+        split = self._lock_safe_split(kinds) if len(kinds) > 1 else 0
+        if split and target != proc:
+            cut = start + split * _FIELDS
+            tasks.setdefault(target, []).extend(events[cut:])
+            del events[cut:]
 
     @staticmethod
-    def _lock_safe_split(events: List[MemEvent]) -> int:
-        """Index nearest the midpoint where no lock is held (0 = don't split)."""
+    def _lock_safe_split(kinds: List[int]) -> int:
+        """Index nearest the midpoint where no lock is held (0 = don't
+        split), over one iteration's kind column."""
         depth = 0
         candidates = []
-        for idx, event in enumerate(events):
+        for idx, kind in enumerate(kinds):
             if idx > 0 and depth == 0:
                 candidates.append(idx)
-            if event.kind is EventKind.LOCK:
+            if kind == KIND_LOCK:
                 depth += 1
-            elif event.kind is EventKind.UNLOCK:
+            elif kind == KIND_UNLOCK:
                 depth -= 1
         if not candidates:
             return 0
-        mid = (len(events) + 1) // 2
+        mid = (len(kinds) + 1) // 2
         return min(candidates, key=lambda idx: abs(idx - mid))
 
     # ------------------------------------------------------------ leaves
@@ -265,17 +310,16 @@ class _Generator:
         return work
 
     def _statement(self, stmt: Statement, proc: int,
-                   out: Optional[List[MemEvent]],
-                   in_critical: bool) -> None:
+                   out: Optional[List[int]], in_critical: bool) -> None:
         self.pending_work += stmt.work
         sink = self._sink(out)
         for ref in stmt.reads:
-            self._emit_ref(EventKind.READ, ref, proc, in_critical, sink)
+            self._emit_ref(KIND_READ, ref, proc, in_critical, sink)
         for ref in stmt.writes:
-            self._emit_ref(EventKind.WRITE, ref, proc, in_critical, sink)
+            self._emit_ref(KIND_WRITE, ref, proc, in_critical, sink)
 
-    def _emit_ref(self, kind: EventKind, ref, proc: int, in_critical: bool,
-                  sink: List[MemEvent]) -> None:
+    def _emit_ref(self, kind: int, ref, proc: int, in_critical: bool,
+                  sink: List[int]) -> None:
         """One event per word of the access unit (element_words >= 1),
         every word carrying the reference's site marking."""
         array = self.program.arrays[ref.array]
@@ -286,86 +330,14 @@ class _Generator:
         # through the coherence machinery like shared data.
         shared = (array.sharing is Sharing.SHARED or self.migration.enabled)
         for offset in range(array.element_words):
-            sink.append(MemEvent(kind, addr + offset, ref.site,
-                                 self._take_work(), shared=shared,
-                                 in_critical=in_critical))
-
-
-class _ColumnarGenerator(_Generator):
-    """The interpreter with vectorized DOALL expansion layered on top.
-
-    Affine DOALL bodies (the common case — see :mod:`repro.trace.
-    vectorize`) are evaluated once symbolically and expanded over the
-    whole iteration space with numpy broadcasting, producing per-task
-    columns directly; everything else — serial epochs, migration runs,
-    and any body the extractor rejects — takes the inherited
-    per-iteration path, byte-for-byte.  ``run`` returns the whole trace
-    in columnar form.
-    """
-
-    def __init__(self, program: Program, machine: MachineConfig,
-                 params: Optional[Dict[str, int]],
-                 migration: MigrationSpec):
-        super().__init__(program, machine, params, migration)
-        from repro.trace.vectorize import TemplateCache
-        self._expanded: Dict[int, List["TaskColumns"]] = {}
-        self._templates = TemplateCache()
-        self.n_expanded_epochs = 0
-
-    def _doall(self, loop) -> None:
-        from repro.trace.vectorize import expand_epoch
-        if self.migration.enabled:
-            # Mid-task splits depend on the global iteration counter;
-            # the interpreter's event-level walk handles them.
-            return super()._doall(loop)
-        template = self._templates.get(self.program, loop, self.env)
-        if template is None:
-            return super()._doall(loop)
-        self._flush_serial()
-        lo = loop.lo.evaluate(self.env)
-        hi = loop.hi.evaluate(self.env)
-        values = list(range(lo, hi + (1 if loop.step > 0 else -1), loop.step))
-        assignments = schedule_iterations(values, self.machine.n_procs,
-                                          self.machine.schedule)
-        columns = expand_epoch(template, values, assignments, self.layout)
-        if columns is None:
-            # A subscript leaves its array for some iteration; re-run the
-            # interpreter so the error (first faulting iteration) matches.
-            return super()._doall(loop)
-        index = len(self.trace.epochs)
-        self.trace.epochs.append(TraceEpoch(
-            index=index, parallel=True, tasks=[],
-            label=loop.label or f"doall {loop.index}",
-            n_tasks_scheduled=len(values), write_key=id(loop)))
-        self._expanded[index] = columns
-        self.iteration_counter += len(values)
-        self.n_expanded_epochs += 1
-
-    def run(self) -> "ColumnarTrace":  # type: ignore[override]
-        from repro.trace.columnar import ColumnarTrace
-        trace = super().run()
-        columnar = ColumnarTrace.from_trace(trace, self._expanded)
-        columnar.n_expanded_epochs = self.n_expanded_epochs
-        return columnar
-
-
-def generate_trace(program: Program, machine: MachineConfig,
-                   params: Optional[Dict[str, int]] = None,
-                   migration: Optional[MigrationSpec] = None) -> Trace:
-    """Execute ``program`` and return its memory-event trace."""
-    return _Generator(program, machine, params,
-                      migration or MigrationSpec()).run()
+            sink.extend((kind, addr + offset, ref.site, self._take_work(),
+                         shared, in_critical, -1))
 
 
 def generate_columnar(program: Program, machine: MachineConfig,
                       params: Optional[Dict[str, int]] = None,
-                      migration: Optional[MigrationSpec] = None):
-    """Execute ``program`` and return its trace in columnar form.
-
-    Equivalent to ``ColumnarTrace.from_trace(generate_trace(...))`` —
-    the round-trip is lossless and simulation results are identical —
-    but affine DOALLs are expanded with numpy instead of interpreted
-    per iteration, which is what makes the front end fast.
-    """
-    return _ColumnarGenerator(program, machine, params,
-                              migration or MigrationSpec()).run()
+                      migration: Optional[MigrationSpec] = None
+                      ) -> ColumnarTrace:
+    """Execute ``program`` and return its memory-event trace."""
+    return _Generator(program, machine, params,
+                      migration or MigrationSpec()).run()

@@ -1,8 +1,8 @@
 """Vectorized DOALL trace generation: symbolic templates + broadcasting.
 
 The per-iteration interpreter in :mod:`repro.trace.generate` re-walks a
-DOALL body once per iteration, re-evaluating every subscript and building
-every :class:`MemEvent` object individually.  In all six paper workloads
+DOALL body once per iteration, re-evaluating every subscript and
+buffering every event individually.  In all six paper workloads
 the bodies are *affine*: once the enclosing scalar environment is fixed,
 every executed subscript is ``coeff * i + const`` in the iteration
 variable ``i``, branch conditions and inner serial-loop bounds are

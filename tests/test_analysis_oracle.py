@@ -14,7 +14,7 @@ from repro.compiler.marking import (
     mark_program,
 )
 from repro.ir import ProgramBuilder
-from repro.trace.generate import generate_trace
+from repro.trace.generate import generate_columnar
 from repro.workloads import workload_names
 
 
@@ -205,7 +205,7 @@ class TestSanitizer:
     def _trace_and_marking(self):
         program = producer_consumer()
         marking = mark_program(program)
-        trace = generate_trace(program, default_machine(), None)
+        trace = generate_columnar(program, default_machine(), None)
         return program, marking, trace
 
     def test_clean_marking_has_no_unmarked_violations(self):
@@ -251,7 +251,7 @@ class TestHardwareSchemeSanitizer:
     def _trace_and_marking(self):
         program = producer_consumer()
         marking = mark_program(program)
-        trace = generate_trace(program, default_machine(), None)
+        trace = generate_columnar(program, default_machine(), None)
         return program, marking, trace
 
     def test_tardis_observes_the_same_staleness_tpi_does(self):
@@ -296,7 +296,7 @@ class TestHardwareSchemeSanitizer:
 
         program = build_workload(name, size="small")
         marking = mark_program(program)
-        trace = generate_trace(program, default_machine(), None)
+        trace = generate_columnar(program, default_machine(), None)
         tardis = replay_stale_reads(trace, marking, "tardis")
         assert all(f.marked for f in tardis)
         assert unmarked_stale_sites(tardis) == {}

@@ -16,7 +16,7 @@ from repro.analysis.oracle import analyze_staleness
 from repro.analysis.sanitizer import replay_stale_reads, unmarked_stale_sites
 from repro.common.config import default_machine
 from repro.compiler.marking import InterprocMode, MarkingOptions, mark_program
-from repro.trace.generate import generate_trace
+from repro.trace.generate import generate_columnar
 from tests.strategies import rich_programs
 
 SETTINGS = dict(deadline=None,
@@ -29,7 +29,7 @@ class TestMarkingSoundness:
     @given(rich_programs())
     def test_no_dynamic_stale_read_at_unmarked_site(self, program):
         marking = mark_program(program)
-        trace = generate_trace(program, default_machine(), None)
+        trace = generate_columnar(program, default_machine(), None)
         for scheme in ("tpi", "sc"):
             findings = replay_stale_reads(trace, marking, scheme)
             violations = unmarked_stale_sites(findings)

@@ -36,8 +36,8 @@ from repro.ir import ProgramBuilder
 from repro.memsys.cache import CacheBank
 from repro.sim import make_engine, simulate
 from repro.sim.fastengine import FastEngine
-from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
 from repro.trace.layout import MemoryLayout
+from tests.rawtrace import READ, WRITE, raw_trace
 from tests.test_engine_parity import snapshot
 from tests.test_golden import MACHINES, _prepared
 
@@ -173,17 +173,14 @@ def crafted_hw(engine):
     a = layout.base("A")  # set of a + k is (a + k) % 4
     pad = [(False, a + 1 + k % 3) for k in range(40)]
 
-    def epoch(index, accesses):
-        events = [MemEvent(kind=EventKind.WRITE if w else EventKind.READ,
-                           addr=addr, site=0, work=1)
-                  for w, addr in accesses]
-        return TraceEpoch(index=index, parallel=True,
-                          tasks=[Task(proc=0, events=events)])
+    def epoch(accesses):
+        return [(0, [(WRITE if w else READ, addr, 0, 1)
+                     for w, addr in accesses])]
 
-    trace = Trace("crafted", m.n_procs, layout=layout, epochs=[
-        epoch(0, [(True, a), (False, a + 4)] + pad),
-        epoch(1, pad[:20] + [(False, a + 8), (False, a), (True, a)]
-              + pad[20:])])
+    trace = raw_trace(layout, m.n_procs, [
+        epoch([(True, a), (False, a + 4)] + pad),
+        epoch(pad[:20] + [(False, a + 8), (False, a), (True, a)]
+              + pad[20:])], "crafted")
     return make_engine(trace, mark_program(program), m, "hw").run()
 
 

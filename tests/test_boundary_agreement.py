@@ -16,7 +16,8 @@ from repro.compiler import mark_program
 from repro.compiler.epochs import build_epoch_graph
 from repro.ir import ProgramBuilder
 from repro.ir.program import Sharing
-from repro.trace import EventKind, generate_trace
+from repro.trace import generate_columnar
+from tests.rawtrace import WRITE, epochs_of
 from repro.workloads import build_workload, workload_names
 
 MACHINE = default_machine().with_(n_procs=4)
@@ -27,11 +28,11 @@ def dynamic_write_sets(program, trace):
     layout = trace.layout
     region_of, names = layout.shared_region_table()
     out = []
-    for epoch in trace.epochs:
+    for epoch, raw in zip(trace.epochs, epochs_of(trace)):
         written = set()
-        for task in epoch.tasks:
+        for task in raw.tasks:
             for event in task.events:
-                if event.kind is EventKind.WRITE and event.shared:
+                if event.kind == WRITE and event.shared:
                     region = int(region_of[event.addr])
                     if region >= 0:
                         written.add(names[region])
@@ -45,7 +46,7 @@ class TestAgreementOnWorkloads:
         program = build_workload(name, size="small")
         graph = build_epoch_graph(program)
         static_keys = {e.write_key for e in graph.epochs if e.write_key}
-        trace = generate_trace(program, MACHINE)
+        trace = generate_columnar(program, MACHINE)
         for epoch in trace.epochs:
             assert epoch.write_key in static_keys, (
                 f"dynamic epoch {epoch.index} ({epoch.label}) has no "
@@ -54,7 +55,7 @@ class TestAgreementOnWorkloads:
     def test_dynamic_writes_covered_by_compiler_write_sets(self, name):
         program = build_workload(name, size="small")
         marking = mark_program(program)
-        trace = generate_trace(program, MACHINE)
+        trace = generate_columnar(program, MACHINE)
         for epoch, written in dynamic_write_sets(program, trace):
             declared = set(marking.epoch_writes.get(epoch.write_key, {}))
             assert written <= declared, (
@@ -66,7 +67,7 @@ class TestAgreementOnWorkloads:
         program = build_workload(name, size="small")
         graph = build_epoch_graph(program)
         static_parallel_keys = {e.write_key for e in graph.parallel_epochs}
-        trace = generate_trace(program, MACHINE)
+        trace = generate_columnar(program, MACHINE)
         for epoch in trace.epochs:
             if epoch.parallel:
                 assert epoch.write_key in static_parallel_keys
@@ -84,11 +85,11 @@ class TestAgreementCornerCases:
                 with b.doall("i", 0, 7) as i:
                     b.stmt(writes=[b.at("A", i)])
             b.stmt(reads=[b.at("A", 0)])  # post
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         kinds = [e.parallel for e in trace.epochs]
         assert kinds == [False, False]  # pre, post: distinct epochs
 
-        trace_taken = generate_trace(b.build(), MACHINE, params={"GO": 1})
+        trace_taken = generate_columnar(b.build(), MACHINE, params={"GO": 1})
         kinds = [e.parallel for e in trace_taken.epochs]
         assert kinds == [False, True, False]
 
@@ -100,7 +101,7 @@ class TestAgreementCornerCases:
             with b.doall("i", 1, b.p("N")) as i:
                 b.stmt(writes=[b.at("A", i)])
             b.stmt(reads=[b.at("A", 0)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         kinds = [(e.parallel, e.n_events) for e in trace.epochs]
         assert kinds == [(False, 1), (True, 0), (False, 1)]
 
@@ -115,7 +116,7 @@ class TestAgreementCornerCases:
             b.assign("s", 3)
             with b.doall("j", 0, 7) as j:
                 b.stmt(reads=[b.at("A", j)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         kinds = [(e.parallel, e.n_events) for e in trace.epochs]
         assert kinds == [(True, 8), (False, 0), (True, 8)]
 
@@ -127,6 +128,6 @@ class TestAgreementCornerCases:
                 with b.doall("i", 0, 7) as i:
                     b.stmt(writes=[b.at("A", i)])
                 b.stmt(reads=[b.at("A", 0)])  # serial tail per iteration
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         kinds = [e.parallel for e in trace.epochs]
         assert kinds == [True, False] * 3

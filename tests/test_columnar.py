@@ -1,16 +1,17 @@
 """Columnar trace store and vectorized DOALL front end.
 
-Three layers of evidence that the columnar path changes *representation*
-only, never *semantics*:
+Three layers of evidence that template expansion changes *speed* only,
+never *semantics*:
 
-* lossless round-trip — ``ColumnarTrace.from_trace(t).to_trace()`` is
-  field-identical to ``t``, for every workload and for hypothesis-random
-  programs;
-* generation parity — :func:`repro.trace.generate_columnar` (affine
-  template expansion with interpreter fallback) produces the same epochs,
-  tasks, and events as the per-iteration interpreter;
-* simulation parity — both engines produce byte-identical canonical JSON
-  whether fed the columnar or the object trace.
+* pickle round-trip: a pickled trace (the form the artifact cache and
+  the executor ship) comes back column-for-column identical, for every
+  workload and for hypothesis-random programs;
+* generation parity: :func:`repro.trace.generate_columnar` (affine
+  template expansion with interpreter fallback) produces the same
+  epochs, tasks and events as the per-iteration interpreter (the same
+  call with template expansion switched off in-process);
+* simulation parity: both engines produce byte-identical canonical JSON
+  whether fed the vectorized or the interpreted trace.
 
 Plus the batching heuristic, the phase telemetry, and the parallel /
 cached :func:`simulate_all` paths that ship columnar buffers.
@@ -33,13 +34,9 @@ from repro.runtime import ArtifactCache, Telemetry
 from repro.sim import prepare, simulate, simulate_all
 from repro.sim.engine import make_engine
 from repro.sim.fastengine import _MIN_TASK_EVENTS, FastEngine
-from repro.trace import (
-    ColumnarTrace,
-    Trace,
-    generate_columnar,
-    generate_trace,
-)
+from repro.trace import ColumnarTrace, generate_columnar
 from repro.workloads import build_workload, workload_names
+from tests.rawtrace import assert_same_trace, interpreted
 from tests.strategies import machines, rich_programs
 
 MACHINE = default_machine().with_(n_procs=4)
@@ -48,52 +45,45 @@ SETTINGS = dict(deadline=None,
                                        HealthCheck.data_too_large])
 
 
-def assert_traces_equal(a, b):
-    """Field-wise trace equality.
-
-    ``Trace.__eq__`` compares ``layout`` by identity (MemoryLayout has no
-    ``__eq__``), so traces from two generator runs must be compared on
-    the fields that matter: name, processor count, and the full epoch /
-    task / event structure.
-    """
-    assert a.program_name == b.program_name
-    assert a.n_procs == b.n_procs
-    assert a.epochs == b.epochs
-
-
 # --------------------------------------------------------------- round-trip
 
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", workload_names())
     def test_workload_round_trip_identity(self, name):
-        trace = generate_trace(build_workload(name, size="small"), MACHINE)
-        back = ColumnarTrace.from_trace(trace).to_trace()
-        # Same layout object survives the round trip, so full equality
-        # (including the identity-compared layout field) must hold.
-        assert back == trace
-        assert back.layout is trace.layout
+        trace = generate_columnar(build_workload(name, size="small"),
+                                  MACHINE)
+        clone = pickle.loads(pickle.dumps(trace))
+        assert_same_trace(clone, trace)
+        assert clone.n_expanded_epochs == trace.n_expanded_epochs
 
     @pytest.mark.parametrize("name", workload_names())
     def test_workload_counts_match(self, name):
-        trace = generate_trace(build_workload(name, size="small"), MACHINE)
-        assert ColumnarTrace.from_trace(trace).counts() == trace.counts()
+        program = build_workload(name, size="small")
+        counts = generate_columnar(program, MACHINE).counts()
+        assert counts == interpreted(program, MACHINE).counts()
+        assert counts["read"] and counts["write"]
 
     @given(program=rich_programs(), machine=machines())
     @settings(max_examples=25, **SETTINGS)
     def test_random_program_round_trip_identity(self, program, machine):
-        trace = generate_trace(program, machine)
-        columnar = ColumnarTrace.from_trace(trace)
-        assert columnar.to_trace() == trace
-        assert columnar.n_events == trace.n_events
-        assert columnar.counts() == trace.counts()
+        trace = generate_columnar(program, machine)
+        assert_same_trace(pickle.loads(pickle.dumps(trace)), trace)
+        assert sum(trace.counts().values()) == trace.n_events
 
     def test_pickle_round_trip(self):
-        columnar = generate_columnar(build_workload("ocean", size="small"),
-                                     MACHINE)
-        clone = pickle.loads(pickle.dumps(columnar))
-        assert_traces_equal(clone.to_trace(), columnar.to_trace())
-        assert clone.n_expanded_epochs == columnar.n_expanded_epochs
+        """A pickle carries the raw columns only: rows and analyses cached
+        on the epochs stay behind."""
+        run = prepare(build_workload("ocean", size="small"),
+                      MACHINE.with_(engine="fast"))
+        fresh = pickle.dumps(run.trace)
+        simulate(run, "tpi")
+        assert any(epoch._rows for epoch in run.trace.epochs)
+        assert pickle.dumps(run.trace) == fresh
+        clone = pickle.loads(fresh)
+        assert_same_trace(clone, run.trace)
+        assert all(epoch._rows is None and epoch._batch is None
+                   for epoch in clone.epochs)
 
     def test_dropped_run_frees_its_trace(self):
         """Epoch views hold their trace weakly: a dropped prepared run is
@@ -119,16 +109,15 @@ class TestGenerationParity:
     @pytest.mark.parametrize("size", ["small", "default"])
     def test_workload_parity(self, name, size):
         program = build_workload(name, size=size)
-        interpreted = generate_trace(program, MACHINE)
         columnar = generate_columnar(program, MACHINE)
         assert isinstance(columnar, ColumnarTrace)
-        assert_traces_equal(columnar.to_trace(), interpreted)
+        assert_same_trace(columnar, interpreted(program, MACHINE))
 
     @pytest.mark.parametrize("name", workload_names())
     def test_workloads_actually_vectorize(self, name):
-        columnar = generate_columnar(build_workload(name, size="small"),
-                                     MACHINE)
-        assert columnar.n_expanded_epochs > 0
+        program = build_workload(name, size="small")
+        assert generate_columnar(program, MACHINE).n_expanded_epochs > 0
+        assert interpreted(program, MACHINE).n_expanded_epochs == 0
 
     @given(program=rich_programs(), machine=machines())
     @settings(max_examples=40, **SETTINGS)
@@ -136,8 +125,8 @@ class TestGenerationParity:
         # rich_programs mixes affine DOALL bodies (expanded) with critical
         # sections, calls, and loop-carried scalars (interpreter fallback);
         # both halves must agree with the pure interpreter.
-        assert_traces_equal(generate_columnar(program, machine).to_trace(),
-                            generate_trace(program, machine))
+        assert_same_trace(generate_columnar(program, machine),
+                          interpreted(program, machine))
 
 
 # --------------------------------------------------------- simulation parity
@@ -155,17 +144,18 @@ class TestSimulationParity:
     @pytest.mark.parametrize("name", workload_names())
     @pytest.mark.parametrize("engine", ["reference", "fast"])
     def test_columnar_vs_object_trace(self, name, engine):
+        """The vectorized trace simulates exactly like the interpreted
+        one."""
         program = build_workload(name, size="small")
         machine = MACHINE.with_(engine=engine, record_epochs=True)
         marking = mark_program(program)
-        object_trace = generate_trace(program, machine)
+        walked = interpreted(program, machine)
         columnar = generate_columnar(program, machine)
         for scheme in ("base", "sc", "tpi", "hw"):
-            via_object = make_engine(object_trace, marking, machine,
-                                     scheme).run()
+            via_walk = make_engine(walked, marking, machine, scheme).run()
             via_columnar = make_engine(columnar, marking, machine,
                                        scheme).run()
-            assert snapshot(via_columnar) == snapshot(via_object)
+            assert snapshot(via_columnar) == snapshot(via_walk)
 
 
 # ------------------------------------------------------- batching heuristic
@@ -266,12 +256,11 @@ class TestRuntimeParity:
         assert telemetry.prepare_misses == 1
         stats = cache.stats()
         assert stats.entries["prepared"] == 1
-        # The artifact on disk is the columnar form, not the object graph.
+        # The artifact on disk is the columnar trace.
         [path] = (cache.base / "prepared").rglob("*.pkl")
         with open(path, "rb") as handle:
             prepared = pickle.load(handle)
         assert isinstance(prepared.trace, ColumnarTrace)
-        assert not isinstance(prepared.trace, Trace)
 
 
 # --------------------------------------------------------- phase telemetry

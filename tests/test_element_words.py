@@ -6,7 +6,8 @@ from repro.common.config import default_machine
 from repro.common.stats import MissKind
 from repro.ir import ProgramBuilder
 from repro.sim import prepare, simulate, simulate_all
-from repro.trace import EventKind, MemoryLayout, generate_trace
+from repro.trace import MemoryLayout, generate_columnar
+from tests.rawtrace import WRITE, events_of
 
 MACHINE = default_machine().with_(n_procs=4)
 
@@ -42,9 +43,8 @@ class TestLayout:
 class TestTrace:
     def test_two_events_per_access(self):
         program = double_precision_program(n=8, steps=1)
-        trace = generate_trace(program, MACHINE)
-        writes = [ev for e in trace.epochs for t in e.tasks for ev in t.events
-                  if ev.kind is EventKind.WRITE]
+        trace = generate_columnar(program, MACHINE)
+        writes = [ev for ev in events_of(trace) if ev.kind == WRITE]
         d_base = trace.layout.base("D")
         d_writes = [ev for ev in writes if d_base <= ev.addr < d_base + 16]
         assert len(d_writes) == 16  # 8 elements x 2 words

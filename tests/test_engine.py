@@ -6,6 +6,7 @@ from repro.common.config import default_machine
 from repro.common.errors import SimulationError
 from repro.ir import ProgramBuilder
 from repro.sim import prepare, simulate
+from tests.rawtrace import LOCK, UNLOCK, raw_trace
 
 
 def machine(**kw):
@@ -139,8 +140,6 @@ class TestLockErrors:
                 engine="auto"):
         from repro.compiler.marking import mark_program
         from repro.sim import make_engine
-        from repro.trace.events import (EventKind, MemEvent, Task, Trace,
-                                        TraceEpoch)
         from repro.trace.layout import MemoryLayout
 
         b = ProgramBuilder("crafted")
@@ -149,37 +148,26 @@ class TestLockErrors:
             b.stmt(writes=[b.at("A", 0)], work=1)
         program = b.build()
         m = machine(n_procs=n_procs, engine=engine)
-        tasks = [
-            Task(proc=proc, events=[
-                MemEvent(kind=kind, addr=0, site=0, work=1, lock=lock)
-                for kind, lock in events])
-            for proc, events in events_by_proc.items()]
-        trace = Trace("crafted", m.n_procs,
-                      epochs=[TraceEpoch(index=0, parallel=True,
-                                         tasks=tasks)],
-                      layout=MemoryLayout(program, m.n_procs,
-                                          m.cache.line_words))
+        layout = MemoryLayout(program, m.n_procs, m.cache.line_words)
+        trace = raw_trace(layout, m.n_procs, [[
+            (proc, [(kind, 0, 0, 1, True, False, lock)
+                    for kind, lock in events])
+            for proc, events in events_by_proc.items()]], "crafted")
         return make_engine(trace, mark_program(program), m, scheme)
 
     def test_lock_held_at_barrier_raises(self):
-        from repro.trace.events import EventKind
-
-        engine = self.crafted({0: [(EventKind.LOCK, 7)]})
+        engine = self.crafted({0: [(LOCK, 7)]})
         with pytest.raises(SimulationError, match="locks held"):
             engine.run()
 
     def test_unlock_without_hold_raises(self):
-        from repro.trace.events import EventKind
-
-        engine = self.crafted({0: [(EventKind.UNLOCK, 7)]})
+        engine = self.crafted({0: [(UNLOCK, 7)]})
         with pytest.raises(SimulationError, match="does not hold"):
             engine.run()
 
     def test_unlock_by_non_holder_raises(self):
-        from repro.trace.events import EventKind
-
-        engine = self.crafted({0: [(EventKind.LOCK, 7)],
-                               1: [(EventKind.UNLOCK, 7)]})
+        engine = self.crafted({0: [(LOCK, 7)],
+                               1: [(UNLOCK, 7)]})
         with pytest.raises(SimulationError, match="does not hold"):
             engine.run()
 
@@ -187,9 +175,7 @@ class TestLockErrors:
     def test_self_relock_raises_at_once(self, engine_name):
         """Re-locking a lock the task already holds can never succeed: it
         fails on the spot instead of spinning toward the deadlock guard."""
-        from repro.trace.events import EventKind
-
-        engine = self.crafted({0: [(EventKind.LOCK, 7), (EventKind.LOCK, 7)]},
+        engine = self.crafted({0: [(LOCK, 7), (LOCK, 7)]},
                               engine=engine_name)
         with pytest.raises(SimulationError, match="already holds"):
             engine.run()
@@ -199,8 +185,6 @@ class TestLockErrors:
         instead of hanging.  Start the counter near the limit so the test
         does not actually spin a million times."""
         from repro.sim import engine as engine_mod
-        from repro.trace.events import EventKind
-
         real_state = engine_mod._LockState
 
         def near_limit():
@@ -209,8 +193,8 @@ class TestLockErrors:
             return state
 
         monkeypatch.setattr(engine_mod, "_LockState", near_limit)
-        engine = self.crafted({0: [(EventKind.LOCK, 3)],
-                               1: [(EventKind.LOCK, 3)]})
+        engine = self.crafted({0: [(LOCK, 3)],
+                               1: [(LOCK, 3)]})
         with pytest.raises(SimulationError, match="probable deadlock"):
             engine.run()
 

@@ -9,7 +9,7 @@ from repro.compiler.report import marking_report, render_report
 from repro.ir import ProgramBuilder
 from repro.sim import prepare, simulate
 from repro.sim.engine import Engine
-from repro.trace import generate_trace
+from repro.trace import generate_columnar
 
 
 def tiny():
@@ -25,7 +25,7 @@ class TestEngineGuards:
     def test_trace_without_layout_rejected(self):
         program = tiny()
         machine = default_machine().with_(n_procs=2)
-        trace = generate_trace(program, machine)
+        trace = generate_columnar(program, machine)
         trace.layout = None
         with pytest.raises(SimulationError):
             Engine(trace, mark_program(program), machine, "tpi")

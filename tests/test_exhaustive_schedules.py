@@ -11,7 +11,6 @@ Programs here use only shared arrays, so reassigning a task to another
 processor does not change its event addresses.
 """
 
-import copy
 import itertools
 
 import pytest
@@ -20,8 +19,8 @@ from repro.common.config import CacheConfig, default_machine
 from repro.compiler import mark_program
 from repro.ir import ProgramBuilder
 from repro.sim.engine import Engine
-from repro.trace import generate_trace
-from repro.trace.events import Task
+from repro.trace import generate_columnar
+from tests.rawtrace import epochs_of, raw_trace
 
 N_PROCS = 2
 MACHINE = default_machine().with_(
@@ -37,8 +36,7 @@ def split_tasks_per_iteration(program):
                                    cache=MACHINE.cache,
                                    epoch_setup_cycles=2,
                                    task_dispatch_cycles=1)
-    trace = generate_trace(program, wide)
-    return trace
+    return generate_columnar(program, wide)
 
 
 def iteration_task_slots(trace):
@@ -46,26 +44,25 @@ def iteration_task_slots(trace):
     slots = []
     for e_idx, epoch in enumerate(trace.epochs):
         if epoch.parallel:
-            for t_idx in range(len(epoch.tasks)):
+            for t_idx in range(epoch.n_tasks):
                 slots.append((e_idx, t_idx))
     return slots
 
 
 def reassign(trace, slots, assignment):
-    """A deep-copied trace with each slot's task moved to its assigned
-    processor (tasks landing on one processor merge, order preserved)."""
-    new = copy.deepcopy(trace)
-    new.n_procs = N_PROCS
-    for (e_idx, t_idx), proc in zip(slots, assignment):
-        new.epochs[e_idx].tasks[t_idx].proc = proc
-    for epoch in new.epochs:
+    """The trace with each slot's task moved to its assigned processor
+    (tasks landing on one processor merge, order preserved)."""
+    moved = dict(zip(slots, assignment))
+    epochs = []
+    for e_idx, epoch in enumerate(epochs_of(trace)):
         merged = {}
-        for task in epoch.tasks:
-            target = merged.setdefault(task.proc, Task(proc=task.proc))
-            target.events.extend(task.events)
-            target.extra_work += task.extra_work
-        epoch.tasks = [merged[p] for p in sorted(merged)]
-    return new
+        for t_idx, task in enumerate(epoch.tasks):
+            proc = moved.get((e_idx, t_idx), task.proc)
+            events, extra = merged.get(proc, ([], 0))
+            merged[proc] = (events + task.events, extra + task.extra_work)
+        epochs.append(epoch._replace(
+            tasks=[(p, *merged[p]) for p in sorted(merged)]))
+    return raw_trace(trace.layout, N_PROCS, epochs, trace.program_name)
 
 
 def exhaust(program, max_assignments=700):

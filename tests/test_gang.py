@@ -41,8 +41,6 @@ from repro.sim.engine import resolve_engine
 from repro.sim.fastengine import FastEngine
 from repro.sim.gang import GangMember, distinct_backends, prime_group, run_gang
 from repro.sim.sweep import Sweep, axis_cache_lines, axis_timetag_bits
-from repro.trace.columnar import ColumnarTrace
-from repro.trace.generate import generate_trace
 from repro.workloads import build_workload
 from tests.strategies import machines, rich_programs
 
@@ -170,13 +168,6 @@ class TestSchemeAxisGang:
 
 
 class TestPrimeFallbacks:
-    def test_object_trace_falls_back(self):
-        program = build_workload("ocean", size="small")
-        trace = generate_trace(program, MACHINE)
-        stats = prime_group(trace, backend_variants(MACHINE))
-        assert stats["fallback"] == "object-trace"
-        assert stats["primed_epochs"] == 0
-
     def test_gang_of_one_falls_back(self):
         run = prepare(build_workload("ocean", size="small"), MACHINE)
         stats = prime_group(run.trace, [MACHINE])
@@ -206,9 +197,9 @@ class TestPrimeFallbacks:
             return proc, [(bool(rng.integers(2)), a + int(rng.integers(32)))
                           for _ in range(40)]
 
-        trace = ColumnarTrace.from_trace(_trace(layout, 4, [
+        trace = _trace(layout, 4, [
             [task(proc) for proc in (0, 1, 0)],
-            [task(proc) for proc in (0, 1, 2)]]))
+            [task(proc) for proc in (0, 1, 2)]])
         other = machine.with_(cache=CacheConfig(size_bytes=8 * WORD_BYTES,
                                                 line_words=1))
         stats = prime_group(trace, [machine, other])
@@ -231,10 +222,10 @@ class TestPrimeFallbacks:
 
 
 class TestSharedRows:
-    """The per-event row tuples depend on the task, never on the cache
-    geometry: every geometry view of one epoch shares one list of
-    per-task row cells (and every geometry-free column), whether gang
-    priming or the fast engine built the views."""
+    """The per-event rows depend on the task, never on the cache
+    geometry: they live on the epoch, built once per task, and every
+    geometry view of one epoch shares every geometry-free column,
+    whether gang priming or the fast engine built the views."""
 
     @staticmethod
     def assert_views_share_rows(trace):
@@ -244,9 +235,11 @@ class TestSharedRows:
         for epoch in epochs:
             first, *rest = epoch._batch.values()
             for other in rest:
-                assert other.rows is first.rows
                 assert other.addr is first.addr
-                assert len(other.rows) == epoch.n_tasks
+                assert other.off is first.off
+            rows = [epoch.rows(rank) for rank in range(epoch.n_tasks)]
+            assert all(epoch.rows(rank) is task
+                       for rank, task in enumerate(rows))
 
     def test_primed_views_share_rows(self):
         run = prepare(build_workload("ocean", size="small"), MACHINE)

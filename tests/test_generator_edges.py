@@ -5,13 +5,10 @@ import pytest
 from repro.common.config import default_machine
 from repro.ir import ProgramBuilder
 from repro.sim import prepare, simulate
-from repro.trace import EventKind, generate_trace
+from repro.trace import generate_columnar
+from tests.rawtrace import LOCK, UNLOCK, events_of
 
 MACHINE = default_machine().with_(n_procs=4)
-
-
-def events_of(trace):
-    return [ev for e in trace.epochs for t in e.tasks for ev in t.events]
 
 
 class TestSteps:
@@ -21,7 +18,7 @@ class TestSteps:
         with b.procedure("main"):
             with b.doall("i", 0, 15, step=4) as i:
                 b.stmt(writes=[b.at("A", i)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         addrs = sorted(ev.addr - trace.layout.base("A")
                        for ev in events_of(trace))
         assert addrs == [0, 4, 8, 12]
@@ -32,7 +29,7 @@ class TestSteps:
         with b.procedure("main"):
             with b.serial("i", 7, 0, step=-1) as i:
                 b.stmt(writes=[b.at("A", i)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         addrs = [ev.addr - trace.layout.base("A") for ev in events_of(trace)]
         assert addrs == [7, 6, 5, 4, 3, 2, 1, 0]
 
@@ -42,7 +39,7 @@ class TestSteps:
         with b.procedure("main"):
             with b.doall("i", 7, 0, step=-2) as i:
                 b.stmt(writes=[b.at("A", i)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         addrs = sorted(ev.addr - trace.layout.base("A")
                        for ev in events_of(trace))
         assert addrs == [1, 3, 5, 7]
@@ -54,7 +51,7 @@ class TestSteps:
             b.stmt(writes=[b.at("A", 0)])
             with b.serial("i", 1, b.p("N")) as i:
                 b.stmt(writes=[b.at("A", i)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         assert trace.n_events == 1
 
 
@@ -69,16 +66,16 @@ class TestParams:
         return b.build()
 
     def test_defaults(self):
-        trace = generate_trace(self.build(), MACHINE)
+        trace = generate_columnar(self.build(), MACHINE)
         assert trace.n_events == 16
 
     def test_override(self):
-        trace = generate_trace(self.build(), MACHINE, params={"N": 4, "REPS": 3})
+        trace = generate_columnar(self.build(), MACHINE, params={"N": 4, "REPS": 3})
         assert trace.n_events == 12
 
     def test_unknown_override_rejected(self):
         with pytest.raises(KeyError):
-            generate_trace(self.build(), MACHINE, params={"WAT": 1})
+            generate_columnar(self.build(), MACHINE, params={"WAT": 1})
 
     def test_compile_and_simulate_with_overrides(self):
         run = prepare(self.build(), MACHINE, params={"N": 16, "REPS": 1})
@@ -97,9 +94,9 @@ class TestEventFields:
                     b.stmt(writes=[b.at("x", 0)])
                 with b.critical("second"):
                     b.stmt(writes=[b.at("y", 0)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         lock_ids = {ev.lock for ev in events_of(trace)
-                    if ev.kind in (EventKind.LOCK, EventKind.UNLOCK)}
+                    if ev.kind in (LOCK, UNLOCK)}
         assert lock_ids == {0, 1}
 
     def test_trace_counts(self):
@@ -108,7 +105,7 @@ class TestEventFields:
         with b.procedure("main"):
             with b.doall("i", 0, 7) as i:
                 b.stmt(writes=[b.at("A", i)], reads=[b.at("A", 0)])
-        trace = generate_trace(b.build(), MACHINE)
+        trace = generate_columnar(b.build(), MACHINE)
         counts = trace.counts()
         assert counts["read"] == 8 and counts["write"] == 8
         assert counts["lock"] == 0

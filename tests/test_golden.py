@@ -23,12 +23,16 @@ Two layers of pins:
   also pinned to the same digests on the fast engine with epoch
   pre-apply off, so the kernels' per-window span path is held to them
   as well.
+
+Migrated traces, which no digest above covers, are pinned through
+fig18's experiment digest in ``perfbench/golden.json``.
 """
 
 import dataclasses
 import functools
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -512,6 +516,25 @@ def test_golden_digest_window_by_window(machine, workload, scheme,
     monkeypatch.setattr(FastEngine, "_preapply_epoch", lambda *args: False)
     assert _digest(machine, workload, scheme, engine="fast") == DIGESTS[
         (machine, workload, scheme)]
+
+
+def test_fig18_migration_digest():
+    """fig18's migrated DOALLs and lock-safe splits, pinned end to end.
+
+    Only the per-iteration interpreter generates migrated traces, and
+    none of the digests above has migration on.  The experiment's
+    canonical ``to_dict()`` must hash to the digest the repository
+    benchmark pins (``perfbench/golden.json``), under whichever engine
+    ``REPRO_ENGINE`` selects."""
+    from repro.experiments import run_experiment
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "perfbench" / "golden.json") as handle:
+        golden = json.load(handle)["experiments/fig18_migration"]
+    result = run_experiment("fig18_migration", size="small")
+    text = json.dumps(result.to_dict(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == golden
 
 
 if __name__ == "__main__":

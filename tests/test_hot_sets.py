@@ -43,7 +43,6 @@ from hypothesis import strategies as st
 
 from repro.coherence.batch import MsiBatchKernel
 from repro.coherence.batch import _BatchKernel
-from repro.trace.columnar import ColumnarTrace
 from repro.common.config import CacheConfig, WORD_BYTES, default_machine
 from repro.compiler.marking import MarkingOptions, mark_program
 from repro.experiments import run_experiment
@@ -52,11 +51,11 @@ from repro.ir import ProgramBuilder
 from repro.sim import make_engine, prepare, simulate
 from repro.sim.engine import Engine
 from repro.sim.fastengine import _MIN_TASK_EVENTS, FastEngine, _EpochBatch
-from repro.trace.events import EventKind, MemEvent, Task, Trace, TraceEpoch
 from repro.trace.layout import MemoryLayout
 from repro.trace.schedule import MigrationSpec
 from repro.workloads import build_workload
 from tests import every_proc_state
+from tests.rawtrace import READ, WRITE, epochs_of, raw_trace
 from tests.test_engine_parity import SCHEMES, snapshot
 
 EVICT_COUPLED = ("hw", "limitless", "snoop", "update")
@@ -87,15 +86,11 @@ def _setup(n_procs, ways=1):
 def _trace(layout, n_procs, epochs):
     """``epochs``: per epoch, a list of ``(proc, [(is_write, addr)])``;
     an access may add a third field, ``shared`` (default True)."""
-    return Trace("raw", n_procs, layout=layout, epochs=[
-        TraceEpoch(index=i, parallel=True, tasks=[
-            Task(proc=proc, events=[
-                MemEvent(kind=EventKind.WRITE if a[0] else EventKind.READ,
-                         addr=a[1], site=0, work=1,
-                         shared=a[2] if len(a) > 2 else True)
-                for a in accesses])
-            for proc, accesses in tasks])
-        for i, tasks in enumerate(epochs)])
+    return raw_trace(layout, n_procs, [
+        [(proc, [(WRITE if a[0] else READ, a[1], 0, 1, *a[2:])
+                 for a in accesses])
+         for proc, accesses in tasks]
+        for tasks in epochs])
 
 
 def _run(program, machine, trace, scheme, engine):
@@ -342,7 +337,7 @@ def test_exclusive_line_is_hot_only_with_two_outside_readers(scheme, ways,
     # a hot mask over the epoch's events, in task order.
     expected = readers == 2 or conflicts == ways
     start = 0
-    for task in trace.epochs[1].tasks:
+    for task in epochs_of(trace)[1].tasks:
         hot = plans[1][start:start + len(task.events)]
         start += len(task.events)
         at_L = hot[[i for i, e in enumerate(task.events) if e.addr == L]]
@@ -362,12 +357,12 @@ def test_other_lines_are_the_lines_other_tasks_touch():
     n_sets = 4
     for _ in range(50):
         n_tasks = int(rng.integers(1, 6))
-        tasks = [Task(proc=p, events=[
-            MemEvent(kind=EventKind.READ, addr=int(addr), site=0, work=1)
-            for addr in rng.integers(0, 64, rng.integers(0, 20))])
-            for p in range(n_tasks)]
-        trace = ColumnarTrace.from_trace(Trace("raw", n_tasks, epochs=[
-            TraceEpoch(index=0, parallel=True, tasks=tasks)]))
+        trace = raw_trace(None, n_tasks, [[
+            (p, [(READ, int(addr), 0, 1)
+                 for addr in rng.integers(0, 64, rng.integers(0, 20))])
+            for p in range(n_tasks)]])
+        [epoch] = epochs_of(trace)
+        tasks = epoch.tasks
         batch = _EpochBatch(trace.epochs[0], line_words=2, n_sets=n_sets)
         lid, ranks = np.divmod(batch.pairs, n_tasks)
         owned = {(batch.lines[i], r) for i, r in zip(lid.tolist(),

@@ -7,12 +7,12 @@ from repro.common.config import MachineConfig, SchedulePolicy, default_machine
 from repro.common.errors import SimulationError
 from repro.ir import ProgramBuilder
 from repro.trace import (
-    EventKind,
     MemoryLayout,
     MigrationSpec,
-    generate_trace,
+    generate_columnar,
     schedule_iterations,
 )
+from tests.rawtrace import LOCK, READ, UNLOCK, WRITE, epochs_of
 
 
 def machine(n_procs=4, policy=SchedulePolicy.CHUNK):
@@ -117,38 +117,38 @@ class TestGeneration:
         return b.build()
 
     def test_epoch_structure(self):
-        trace = generate_trace(self.simple(), machine())
+        trace = generate_columnar(self.simple(), machine())
         kinds = [e.parallel for e in trace.epochs]
         assert kinds == [False, True, False]
         assert trace.epochs[1].n_tasks_scheduled == 8
 
     def test_doall_task_distribution(self):
-        trace = generate_trace(self.simple(), machine(n_procs=4))
-        doall = trace.epochs[1]
+        trace = generate_columnar(self.simple(), machine(n_procs=4))
+        doall = epochs_of(trace)[1]
         assert [t.proc for t in doall.tasks] == [0, 1, 2, 3]
         assert all(len(t.events) == 4 for t in doall.tasks)  # 2 iters x 2 events
 
     def test_event_addresses(self):
-        trace = generate_trace(self.simple(), machine(n_procs=4))
-        doall = trace.epochs[1]
+        trace = generate_columnar(self.simple(), machine(n_procs=4))
+        doall = epochs_of(trace)[1]
         base = trace.layout.base("A")
         writes = [ev for t in doall.tasks for ev in t.events
-                  if ev.kind is EventKind.WRITE]
+                  if ev.kind == WRITE]
         assert sorted(ev.addr for ev in writes) == [base + k for k in range(8)]
 
     def test_work_attached_to_first_event(self):
-        trace = generate_trace(self.simple(), machine())
-        serial0 = trace.epochs[0].tasks[0]
+        epochs = epochs_of(generate_columnar(self.simple(), machine()))
+        serial0 = epochs[0].tasks[0]
         assert serial0.events[0].work == 3
-        doall_task = trace.epochs[1].tasks[0]
+        doall_task = epochs[1].tasks[0]
         # Each iteration: read (carries work=2) then write (work=0).
         assert doall_task.events[0].work == 2
         assert doall_task.events[1].work == 0
 
     def test_sites_preserved(self):
         program = self.simple()
-        trace = generate_trace(program, machine())
-        sites = {ev.site for e in trace.epochs for t in e.tasks for ev in t.events}
+        trace = generate_columnar(program, machine())
+        sites = set(trace.site.tolist())
         assert sites <= set(range(program.n_sites))
 
     def test_serial_loop_iterates(self):
@@ -158,7 +158,7 @@ class TestGeneration:
             with b.serial("t", 0, b.p("T") - 1):
                 with b.doall("i", 0, 7) as i:
                     b.stmt(writes=[b.at("A", i)])
-        trace = generate_trace(b.build(), machine())
+        trace = generate_columnar(b.build(), machine())
         assert sum(e.parallel for e in trace.epochs) == 3
 
     def test_if_takes_one_branch(self):
@@ -168,9 +168,9 @@ class TestGeneration:
             with b.when(b.p("N"), ">", 4):
                 b.stmt(writes=[b.at("A", 0)])
             b.stmt(writes=[b.at("A", 1)])
-        trace = generate_trace(b.build(), machine())
+        trace = generate_columnar(b.build(), machine())
         assert trace.n_events == 2
-        trace2 = generate_trace(b.build(), machine(), params={"N": 2})
+        trace2 = generate_columnar(b.build(), machine(), params={"N": 2})
         assert trace2.n_events == 1
 
     def test_scalar_evaluation(self):
@@ -179,8 +179,8 @@ class TestGeneration:
         with b.procedure("main"):
             off = b.assign("off", b.p("N") * 2)
             b.stmt(writes=[b.at("A", off + 1)])
-        trace = generate_trace(b.build(), machine())
-        ev = trace.epochs[0].tasks[0].events[0]
+        trace = generate_columnar(b.build(), machine())
+        ev = epochs_of(trace)[0].tasks[0].events[0]
         assert ev.addr == trace.layout.base("A") + 9
 
     def test_call_interpreted(self):
@@ -192,7 +192,7 @@ class TestGeneration:
         with b.procedure("main"):
             b.call("kernel")
             b.call("kernel")
-        trace = generate_trace(b.build(), machine())
+        trace = generate_columnar(b.build(), machine())
         assert sum(e.parallel for e in trace.epochs) == 2
 
     def test_critical_section_events(self):
@@ -202,12 +202,11 @@ class TestGeneration:
             with b.doall("i", 0, 3) as i:
                 with b.critical("L"):
                     b.stmt(reads=[b.at("sum", 0)], writes=[b.at("sum", 0)])
-        trace = generate_trace(b.build(), machine())
-        task0 = trace.epochs[0].tasks[0]
+        trace = generate_columnar(b.build(), machine())
+        task0 = epochs_of(trace)[0].tasks[0]
         kinds = [ev.kind for ev in task0.events]
-        assert kinds[0] is EventKind.LOCK and kinds[-1] is EventKind.UNLOCK
-        inner = [ev for ev in task0.events
-                 if ev.kind in (EventKind.READ, EventKind.WRITE)]
+        assert kinds[0] == LOCK and kinds[-1] == UNLOCK
+        inner = [ev for ev in task0.events if ev.kind in (READ, WRITE)]
         assert all(ev.in_critical for ev in inner)
 
     def test_private_array_addresses_differ_by_proc(self):
@@ -217,9 +216,9 @@ class TestGeneration:
         with b.procedure("main"):
             with b.doall("i", 0, 7) as i:
                 b.stmt(writes=[b.at("t", 0)], reads=[b.at("A", i)])
-        trace = generate_trace(b.build(), machine(n_procs=4))
-        writes = {t.proc: [ev.addr for ev in t.events if ev.kind is EventKind.WRITE]
-                  for t in trace.epochs[0].tasks}
+        trace = generate_columnar(b.build(), machine(n_procs=4))
+        writes = {t.proc: [ev.addr for ev in t.events if ev.kind == WRITE]
+                  for t in epochs_of(trace)[0].tasks}
         addrs = {addrs[0] for addrs in writes.values()}
         assert len(addrs) == 4
 
@@ -230,9 +229,9 @@ class TestGeneration:
             with b.doall("i", 0, 7) as i:
                 for k in range(4):
                     b.stmt(writes=[b.at("A", i, k)])
-        trace = generate_trace(b.build(), machine(n_procs=4),
-                               migration=MigrationSpec(every=3))
-        doall = trace.epochs[0]
+        trace = generate_columnar(b.build(), machine(n_procs=4),
+                                  migration=MigrationSpec(every=3))
+        doall = epochs_of(trace)[0]
         total = sum(len(t.events) for t in doall.tasks)
         assert total == 32  # nothing lost
         # With chunked scheduling each proc runs 2 iterations = 8 events;
@@ -243,7 +242,7 @@ class TestGeneration:
         assert sizes != [8, 8, 8, 8]
 
     def test_deterministic(self):
-        a = generate_trace(self.simple(), machine())
-        b = generate_trace(self.simple(), machine())
+        a = generate_columnar(self.simple(), machine())
+        b = generate_columnar(self.simple(), machine())
         assert a.counts() == b.counts()
         assert a.n_events == b.n_events

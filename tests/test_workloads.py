@@ -128,12 +128,12 @@ class TestLargePresets:
             validate_program(program)
 
     def test_large_exceeds_default_events(self):
-        from repro.trace import generate_trace
+        from repro.trace import generate_columnar
 
         machine = default_machine()
         for name in ("ocean", "qcd2"):
-            small = generate_trace(build_workload(name, size="small"), machine)
-            large = generate_trace(build_workload(name, size="large"), machine)
+            small = generate_columnar(build_workload(name, size="small"), machine)
+            large = generate_columnar(build_workload(name, size="large"), machine)
             assert large.n_events > 5 * small.n_events
 
     def test_large_ocean_simulates(self):
