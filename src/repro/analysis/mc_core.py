@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import (Any, Callable, ClassVar, Dict, Iterable, List, Mapping,
                     Optional, Sequence, Tuple)
 
@@ -364,52 +363,30 @@ def self_test(mutants: Iterable, configs: Sequence, start: Callable,
 class Protocol:
     """What the report, the cache key and the CLI need from a protocol:
     its (counterexample, drift, coverage, truncation) ``codes``, the
-    result attributes whose grid minimum a report's meta records, the
-    rule, scheme and protocol ``sources`` that key the cache (the drift
-    verdicts replay through the scheme), and the map from
-    ``repro modelcheck`` flags to config fields."""
+    result attributes whose grid minimum a report's meta records, and
+    the map from ``repro modelcheck`` flags to config fields."""
 
     subject: str
     kind: str
     scheme: str
     codes: Tuple[str, str, str, str]
     coverage: Mapping[str, str]
-    sources: Tuple[str, ...]
     config: type
     cli_bounds: Mapping[str, str]
     report: Callable[..., Report]
     self_test: Callable[..., ProtocolSelfTest]
 
 
-#: Modules every drift replay runs through besides the protocol's own:
-#: the scheme base class, the cache bank, TPI's write buffers, and
-#: :func:`replay_rig`'s shadow memory, network and layout.
-REPLAY_SOURCES = tuple(
-    str(Path(__file__).parents[1] / module) for module in (
-        "coherence/api.py", "memsys/cache.py", "memsys/wbuffer.py",
-        "memsys/memory.py", "memsys/network.py", "trace/layout.py"))
-
-
-def code_digest(sources: Iterable[str]) -> str:
-    """Digest of the rule, scheme, protocol, replay and core sources,
-    mixed into the cache key so editing any of them invalidates cached
-    reports."""
-    digest = hashlib.sha256()
-    for source in (*sources, *REPLAY_SOURCES, __file__):
-        digest.update(Path(source).read_bytes())
-    return digest.hexdigest()
-
-
 def fingerprint(protocol: Protocol, configs: Sequence, **bounds) -> str:
     """Content key for a cached report: the configs, the search bounds
-    (``max_states``, ``max_violations``, ``replay``) and the code."""
+    (``max_states``, ``max_violations``, ``replay``) and the code, through
+    :func:`~repro.runtime.cache.cache_salt`."""
     from repro.runtime.cache import cache_salt
     from repro.runtime.jobs import canonical_json
 
     payload = canonical_json({
         "salt": cache_salt(),
         "kind": protocol.kind,
-        "code": code_digest(protocol.sources),
         "configs": [config.to_dict() for config in configs],
         "bounds": bounds,
     })

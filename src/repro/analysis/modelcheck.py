@@ -44,7 +44,7 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 
 from repro.analysis import mc_core
 from repro.analysis.diagnostics import Report
-from repro.coherence import tpi as tpi_scheme, tpi_rules
+from repro.coherence import tpi_rules
 from repro.common.errors import ConfigError
 
 # Plan modes per array, per epoch.
@@ -522,7 +522,6 @@ PROTOCOL = mc_core.Protocol(
     subject="tpi-protocol", kind="modelcheck",
     scheme="TpiScheme", codes=("MC001", "MC002", "MC003", "MC004"),
     coverage={"wraps": "wraps"},
-    sources=(tpi_rules.__file__, tpi_scheme.__file__, __file__),
     config=ModelConfig,
     cli_bounds={"procs": "n_procs", "lines": "n_lines",
                 "words": "line_words", "k": "timetag_bits",

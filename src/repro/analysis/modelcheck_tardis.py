@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.analysis import mc_core
 from repro.analysis.diagnostics import Report
-from repro.coherence import tardis as tardis_scheme, tardis_rules
+from repro.coherence import tardis_rules
 from repro.common.errors import ConfigError
 
 
@@ -470,7 +470,6 @@ PROTOCOL = mc_core.Protocol(
     subject="tardis-protocol", kind="modelcheck-tardis",
     scheme="TardisScheme", codes=("MC101", "MC102", "MC103", "MC104"),
     coverage={"rebases": "max_rebases"},
-    sources=(tardis_rules.__file__, tardis_scheme.__file__, __file__),
     config=TardisModelConfig,
     cli_bounds={"procs": "n_procs", "lines": "n_lines",
                 "words": "line_words", "k": "timestamp_bits",

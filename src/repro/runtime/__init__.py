@@ -23,7 +23,6 @@ from repro.runtime.cache import (
     ArtifactCache,
     CacheStats,
     CACHE_VERSION,
-    ENGINE_SALT,
     cache_salt,
     default_cache_dir,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "ArtifactCache",
     "CACHE_VERSION",
     "CacheStats",
-    "ENGINE_SALT",
     "Job",
     "JobRecord",
     "JobTimeoutError",

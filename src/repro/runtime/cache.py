@@ -9,18 +9,17 @@ Four artifact kinds are stored, all pickled under their fingerprint:
 * ``lint`` — :class:`~repro.analysis.diagnostics.Report` from
   ``repro lint``, keyed by :func:`repro.analysis.lint.lint_fingerprint`;
 * ``modelcheck`` — :class:`~repro.analysis.diagnostics.Report` from
-  ``repro modelcheck``, keyed by :func:`repro.analysis.mc_core.fingerprint`
-  (which digests the rule/checker *source files*, so editing the protocol
-  re-verifies).
+  ``repro modelcheck``, keyed by :func:`repro.analysis.mc_core.fingerprint`.
 
 Layout: ``<root>/v<CACHE_VERSION>/<kind>/<key[:2]>/<key>.pkl``.  The root
 defaults to ``~/.cache/repro`` and can be overridden with the
 ``REPRO_CACHE_DIR`` environment variable or the ``--cache-dir`` CLI flag.
 
 Key salting: every fingerprint mixes in :func:`cache_salt`, which combines
-``CACHE_VERSION`` with ``ENGINE_SALT``.  Bump ``ENGINE_SALT`` whenever the
-simulation semantics change (engine, coherence schemes, marking, trace
-generation) so stale artifacts can never be returned; bump
+``CACHE_VERSION`` with a digest of every ``*.py`` file of the ``repro``
+package, so any edit to the code makes every earlier artifact
+unaddressable.  The cost is that each edit cold-starts local caches; the
+orphaned entries stay on disk until ``repro cache clear``.  Bump
 ``CACHE_VERSION`` when the on-disk layout itself changes.
 
 Loads are corruption-tolerant: any failure to read or unpickle an entry is
@@ -31,6 +30,8 @@ to a cache miss, never to a failed run.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import os
 import pickle
 import tempfile
@@ -42,10 +43,6 @@ CACHE_VERSION = 2
 """On-disk layout version; bump when the directory structure or the
 pickled shape of a cached artifact class changes (v2: ``Report.tool``)."""
 
-ENGINE_SALT = "procs-v5"
-"""Simulation-semantics version; bump on any engine/compiler/trace change
-that can alter results, to invalidate previously cached artifacts."""
-
 KIND_PREPARED = "prepared"
 KIND_RESULT = "result"
 KIND_LINT = "lint"
@@ -53,9 +50,19 @@ KIND_MODELCHECK = "modelcheck"
 _KINDS = (KIND_PREPARED, KIND_RESULT, KIND_LINT, KIND_MODELCHECK)
 
 
+@functools.lru_cache(maxsize=None)
 def cache_salt() -> str:
-    """The salt mixed into every fingerprint."""
-    return f"v{CACHE_VERSION}:{ENGINE_SALT}"
+    """The salt mixed into every fingerprint: ``CACHE_VERSION`` and a
+    sha256 over each module's package-relative path and bytes, in sorted
+    path order, so that adding, deleting or renaming a module changes it
+    as well as editing one.  Computed once per process."""
+    package = Path(__file__).parents[1]
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(package).as_posix()
+                       for path in package.rglob("*.py")):
+        source = (package / name).read_bytes()
+        digest.update(f"{name}\0{len(source)}\0".encode() + source)
+    return f"v{CACHE_VERSION}:{digest.hexdigest()}"
 
 
 def default_cache_dir() -> Path:

@@ -20,8 +20,8 @@ Fingerprints are content hashes over a *canonical* JSON rendering of the
 configuration (dataclasses flattened, enums replaced by their values, dict
 keys sorted) plus a digest of the program listing — never over object
 identities — so they are stable across processes and interpreter runs.
-The salt from :mod:`repro.runtime.cache` is mixed in, so bumping it
-invalidates every cached artifact at once.
+The salt from :mod:`repro.runtime.cache` is mixed in, so any edit to the
+package's code invalidates every cached artifact at once.
 """
 
 from __future__ import annotations

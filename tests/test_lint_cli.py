@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.analysis import sanitizer
 from repro.analysis.lint import ALL_MODES, lint_workload
 from repro.analysis.mutate import mutation_self_test
 from repro.cli import main
@@ -84,6 +85,17 @@ class TestJsonAndCache:
                               sanitize=False, cache=cache)
         assert other.meta["cache"] == "miss"
         assert cache.stats().entries.get("lint") == 2
+
+    def test_edited_module_misses_the_cache(self, tmp_path, edit_source):
+        """A report cached before an edit to the sanitizer is not served
+        after it."""
+        cache = ArtifactCache(tmp_path)
+        lint_workload("ocean", modes=["inline"], schemes=["tpi"],
+                      cache=cache)
+        edit_source(sanitizer.__file__)
+        edited = lint_workload("ocean", modes=["inline"], schemes=["tpi"],
+                               cache=cache)
+        assert edited.meta["cache"] == "miss"
 
     def test_cli_cache_dir_round_trip(self, tmp_path, capsys):
         args = ["lint", "ocean", "--mode", "inline", "--scheme", "tpi",

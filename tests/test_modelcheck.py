@@ -14,10 +14,8 @@ The self-test, report/cache and CLI cases are written once (the
 each of which binds ``P`` to that protocol's entry points.
 """
 
-import importlib
 import json
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -48,6 +46,7 @@ from repro.analysis.modelcheck_tardis import (
 from repro.cli import main
 from repro.coherence import tardis, tardis_rules, tpi, tpi_rules
 from repro.common.errors import ConfigError
+from repro.memsys import wbuffer
 from repro.runtime import ArtifactCache
 
 SMALL = ModelConfig(n_procs=2, n_lines=1, line_words=1, timetag_bits=2,
@@ -161,7 +160,7 @@ TPI = SimpleNamespace(
     self_test=protocol_self_test, mutants=protocol_mutants,
     self_test_configs=SELF_TEST_CONFIGS, mutant_traces=TPI_MUTANT_TRACES,
     codes=("MC001", "MC002", "MC003", "MC004"), coverage="wraps",
-    subject="tpi-protocol", scheme=(), scheme_module=tpi,
+    subject="tpi-protocol", scheme=(),
     horizon="--epochs", deep="10", shallow_horizon="6",
     summary="modelcheck tpi-protocol: 0 error(s), 0 warning(s)  "
             "(states=5170, wraps=2)")
@@ -174,7 +173,6 @@ TARDIS = SimpleNamespace(
     mutant_traces=TARDIS_MUTANT_TRACES,
     codes=("MC101", "MC102", "MC103", "MC104"), coverage="rebases",
     subject="tardis-protocol", scheme=("--scheme", "tardis"),
-    scheme_module=tardis,
     horizon="--max-ts", deep="9", shallow_horizon="3",
     summary="modelcheck tardis-protocol: 0 error(s), 0 warning(s)  "
             "(rebases=2, states=6083)")
@@ -366,36 +364,14 @@ class _ReportCases:
         warm = self.P.report([self.P.small], cache=cache)
         assert warm.meta["cache"] == "hit"
 
-    def edit_misses_the_cache(self, tmp_path, monkeypatch, edited_file):
-        """A report after appending to ``edited_file`` misses the cache."""
+    def test_edited_module_misses_the_cache(self, tmp_path, edit_source):
+        """A report cached before an edit to a module the drift replay
+        runs through (TPI's write buffers) is not served after it."""
         cache = ArtifactCache(tmp_path)
         self.P.report([self.P.shallow], cache=cache)
-        read_bytes = Path.read_bytes
-        monkeypatch.setattr(
-            Path, "read_bytes", lambda path: read_bytes(path)
-            + (b"# edited\n" if path == edited_file else b""))
+        edit_source(wbuffer.__file__)
         edited = self.P.report([self.P.shallow], cache=cache)
         assert edited.meta["cache"] == "miss"
-
-    def test_cache_key_depends_on_the_scheme_module(self, tmp_path,
-                                                    monkeypatch):
-        """Drift verdicts replay through the production scheme, so an
-        edit to the scheme's module must not be answered from the cache."""
-        self.edit_misses_the_cache(tmp_path, monkeypatch,
-                                   Path(self.P.scheme_module.__file__))
-
-    @pytest.mark.parametrize("module", [
-        "repro.coherence.api", "repro.memsys.cache", "repro.memsys.memory",
-        "repro.memsys.network", "repro.memsys.wbuffer", "repro.trace.layout"])
-    def test_cache_key_depends_on_the_replay_path(self, tmp_path,
-                                                  monkeypatch, module):
-        """The drift replay also runs through the scheme base class, the
-        cache bank (which holds the per-processor containers), TPI's
-        write buffers and the replay rig's shadow memory, network and
-        layout."""
-        self.edit_misses_the_cache(
-            tmp_path, monkeypatch,
-            Path(importlib.import_module(module).__file__))
 
     def test_mutant_reports_are_never_cached(self, tmp_path):
         cache = ArtifactCache(tmp_path)

@@ -3,10 +3,16 @@
 import multiprocessing
 import os
 import pickle
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.analysis import mc_core, modelcheck
+from repro.analysis.lint import ALL_MODES, lint_fingerprint
 from repro.common.config import CacheConfig, default_machine
 from repro.runtime import (
     ArtifactCache,
@@ -20,7 +26,7 @@ from repro.runtime import (
     session,
 )
 from repro.runtime import executor as executor_module
-from repro.runtime.cache import KIND_RESULT
+from repro.runtime.cache import KIND_RESULT, cache_salt
 from repro.runtime.executor import JobTimeoutError
 from repro.sim.runner import prepare, simulate, simulate_all
 from repro.sim.sweep import Sweep, axis_cache_lines, axis_timetag_bits
@@ -100,9 +106,12 @@ class TestFingerprints:
          "7b84d5b8fe3ffc06703654df0fe477ccc1d01b8b0e6dd82bc025af5a58adc748"),
     ])
     def test_fingerprints_are_pinned(self, workload, scheme, result_key,
-                                     prepare_key):
-        """Literal keys: a change here invalidates every cached artifact
-        and must come with an ``ENGINE_SALT`` bump."""
+                                     prepare_key, monkeypatch):
+        """Literal keys pin the form of ``Job.canonical()``.  The real salt
+        follows every edit to the code, so it is pinned here to a fixed
+        value; a key change then means the canonical form changed."""
+        monkeypatch.setattr("repro.runtime.cache.cache_salt",
+                            lambda: "v2:procs-v5")
         job = Job(program=small(workload), scheme=scheme, machine=MACHINE)
         assert job.fingerprint() == result_key
         assert job.prepare_fingerprint() == prepare_key
@@ -253,6 +262,43 @@ class TestCache:
         cache = ArtifactCache(tmp_path)
         assert cache.store(KIND_RESULT, "cd" * 32, lambda: None) is False
         assert cache.load(KIND_RESULT, "cd" * 32) is None
+
+
+class TestSourceSalt:
+    """Every artifact kind's key carries a digest of the package's code."""
+
+    def keys(self, program):
+        job = Job(program=program, scheme="tpi", machine=MACHINE)
+        return (job.prepare_fingerprint(), job.fingerprint(),
+                lint_fingerprint(program, modes=ALL_MODES, schemes=("tpi",),
+                                 sanitize=True, machine=None, params=None),
+                mc_core.fingerprint(modelcheck.PROTOCOL,
+                                    modelcheck.SELF_TEST_CONFIGS))
+
+    def test_editing_any_module_changes_every_key(self, edit_source):
+        program = small("ocean")
+        package = Path(repro.__file__).parent
+        modules = sorted(package.rglob("*.py"))
+        salt, keys = cache_salt(), self.keys(program)
+        salts = set()
+        for module in modules:
+            edit_source(module)
+            salts.add(cache_salt())
+            assert all(new != old for new, old
+                       in zip(self.keys(program), keys)), module
+        assert salt not in salts and len(salts) == len(modules)
+
+    def test_salt_is_the_same_in_every_process(self, tmp_path):
+        """Pool workers, server workers and later CLI runs must agree on
+        the salt whatever their hash seed and working directory."""
+        src = str(Path(repro.__file__).parents[1])
+        code = "from repro.runtime.cache import cache_salt; print(cache_salt())"
+        salts = [subprocess.run(
+            [sys.executable, "-c", code], cwd=cwd, check=True,
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        ).stdout.strip() for seed, cwd in (("1", tmp_path), ("2", src))]
+        assert salts == [cache_salt()] * 2
 
 
 class TestSweepIntegration:
