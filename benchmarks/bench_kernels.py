@@ -1,20 +1,15 @@
-"""Kernel ledger: what each batch kernel and sub-path buys.
+"""Kernel ledger: what each batch kernel buys.
 
 For every scheme with a batch kernel, times the fast engine over the six
 workloads (front ends prepared outside the timing), best of
-``--rounds``, at small and default size, with each switch on and off:
-
-* ``kernel`` — the scheme's batch kernel; off, ``make_batch_kernel``
-  returns None and cold spans take the engine's per-event path;
-* ``preapply`` — epoch pre-apply; off, ``FastEngine._preapply_epoch``
-  returns False and every cold span runs through the exact per-event
-  path.
-
-Each switch is flipped by patching it in this process; ``src/repro``
-has no setting for any of them.  Every round times all variants in
-turn, so drift on a shared host hits them alike.  An off variant whose
-results differ from the on variant's (a SHA-256 of every result's
-canonical ``to_dict()`` and epoch records) fails the run.
+``--rounds``, at small and default size, with the kernel on and off.
+Off, the scheme is taken out of ``repro.coherence.batch.KERNELS`` in
+this process, so every epoch falls back to the heap; ``src/repro`` has
+no setting for it.  Each row also counts the epochs each variant
+batched.  Every round times both variants in turn, so drift on a
+shared host hits them alike.  An off variant whose results differ from
+the on variant's (a SHA-256 of every result's canonical ``to_dict()``
+and epoch records) fails the run.
 
 Standalone::
 
@@ -27,7 +22,6 @@ one scheme runs once at small size, with sanity assertions only.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -35,52 +29,31 @@ import os
 import platform
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
-from repro.coherence import (BaseScheme, FullMapDirectoryScheme,
-                             LimitLessScheme, SnoopBusScheme,
-                             SoftwareBypassScheme, TpiScheme,
-                             UpdateDirectoryScheme)
+from repro.coherence.batch import KERNELS
 from repro.common.config import default_machine
-from repro.sim import prepare, simulate
-from repro.sim.fastengine import FastEngine
+from repro.sim import make_engine, prepare
 from repro.workloads import build_workload, workload_names
 
-#: The schemes with a batch kernel (tardis has none), by scheme class.
-KERNEL_SCHEMES = {"base": BaseScheme, "sc": SoftwareBypassScheme,
-                  "tpi": TpiScheme, "hw": FullMapDirectoryScheme,
-                  "limitless": LimitLessScheme, "snoop": SnoopBusScheme,
-                  "update": UpdateDirectoryScheme}
-SWITCHES = ("kernel", "preapply")
 SIZES = ("small", "default")
+VARIANTS = ("on", "off")
 
 
-def _patch(scheme: str, switch: str):
-    """``(owner, attribute, value)`` that turns ``switch`` off."""
-    if switch == "kernel":
-        return KERNEL_SCHEMES[scheme], "make_batch_kernel", lambda self: None
-    if switch == "preapply":
-        return FastEngine, "_preapply_epoch", lambda self, *args: False
-    raise ValueError(f"unknown switch {switch!r}")
-
-
-@contextlib.contextmanager
-def switched_off(scheme: str, switch=None):
-    """Run the body with ``switch`` off (None: everything on)."""
-    if switch is None:
-        yield
-        return
-    owner, name, value = _patch(scheme, switch)
-    saved = vars(owner).get(name)
-    setattr(owner, name, value)
-    try:
-        yield
-    finally:
-        if saved is None:
-            delattr(owner, name)
-        else:
-            setattr(owner, name, saved)
+def run_variant(runs, scheme: str, machine, variant: str):
+    """Run ``scheme`` over every prepared run with its kernel ``variant``
+    ("on" or "off"); returns the results and the epochs batched."""
+    results, batched = [], 0
+    with mock.patch.dict(KERNELS):
+        if variant == "off":
+            del KERNELS[scheme]
+        for run in runs:
+            engine = make_engine(run.trace, run.marking, machine, scheme)
+            results.append(engine.run())
+            batched += engine.batched_epochs
+    return results, batched
 
 
 def digest(results) -> str:
@@ -95,36 +68,34 @@ def digest(results) -> str:
     return h.hexdigest()
 
 
-def measure(size: str, schemes=tuple(KERNEL_SCHEMES), rounds: int = 3):
-    """Per scheme: best-of-``rounds`` seconds with everything on and with
-    each switch off, and the results' digest."""
+def measure(size: str, schemes=tuple(KERNELS), rounds: int = 3):
+    """Per scheme: best-of-``rounds`` seconds with the kernel on and off,
+    the epochs each variant batched, and the results' digest."""
     machine = default_machine().with_(engine="fast", record_epochs=True)
     runs = [prepare(build_workload(name, size=size), machine)
             for name in workload_names()]
-    variants = (None,) + SWITCHES
     out = {}
     for scheme in schemes:
-        best = dict.fromkeys(variants, float("inf"))
-        digests = {}
+        best = dict.fromkeys(VARIANTS, float("inf"))
+        digests, batched = {}, {}
         for _ in range(rounds):
-            for switch in variants:
-                with switched_off(scheme, switch):
-                    started = time.perf_counter()
-                    results = [simulate(run, scheme, machine)
-                               for run in runs]
-                    best[switch] = min(best[switch],
-                                       time.perf_counter() - started)
-                digests.setdefault(switch, digest(results))
-        for switch in SWITCHES:
-            if digests[switch] != digests[None]:
-                raise ValueError(f"{size}/{scheme}: results change with "
-                                 f"{switch} off")
-        out[scheme] = {"on_s": round(best[None], 4), "digest": digests[None],
-                       **{f"{switch}_off_s": round(best[switch], 4)
-                          for switch in SWITCHES}}
+            for variant in VARIANTS:
+                started = time.perf_counter()
+                results, batched[variant] = run_variant(runs, scheme,
+                                                        machine, variant)
+                best[variant] = min(best[variant],
+                                    time.perf_counter() - started)
+                digests.setdefault(variant, digest(results))
+        if digests["off"] != digests["on"]:
+            raise ValueError(f"{size}/{scheme}: results change with the "
+                             "kernel off")
+        out[scheme] = {"on_s": round(best["on"], 4),
+                       "kernel_off_s": round(best["off"], 4),
+                       "batched_on": batched["on"],
+                       "batched_off": batched["off"],
+                       "digest": digests["on"]}
     out["total"] = {key: round(sum(row[key] for row in out.values()), 4)
-                    for key in ("on_s",) + tuple(f"{s}_off_s"
-                                                 for s in SWITCHES)}
+                    for key in ("on_s", "kernel_off_s")}
     return out
 
 
@@ -174,12 +145,11 @@ def main(argv=None) -> int:
             return 1
         report["baseline"] = {"label": args.baseline_label,
                               "sizes": baseline["sizes"]}
-    print(f"{'size/scheme':20s} {'on':>8s} "
-          + " ".join(f"{s + ' off':>16s}" for s in SWITCHES))
+    print(f"{'size/scheme':20s} {'on':>8s} {'kernel off':>12s}")
     for size, rows in sizes.items():
         for scheme, row in rows.items():
             print(f"{size + '/' + scheme:20s} {row['on_s']:8.3f} "
-                  + " ".join(f"{row[s + '_off_s']:16.3f}" for s in SWITCHES))
+                  f"{row['kernel_off_s']:12.3f}")
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=2, sort_keys=True)
@@ -192,9 +162,12 @@ class TestKernelBench:
         rows = benchmark.pedantic(measure, args=("small", ("base",), 1),
                                   iterations=1, rounds=1)
         assert set(rows) == {"base", "total"}
-        assert all(value > 0 for key, value in rows["base"].items()
-                   if key.endswith("_s"))
-        assert len(rows["base"]["digest"]) == 64
+        row = rows["base"]
+        assert row["on_s"] > 0 and row["kernel_off_s"] > 0
+        assert len(row["digest"]) == 64
+        # Off must reach the engine: with no kernel no epoch batches.
+        assert row["batched_on"] > 0
+        assert row["batched_off"] == 0
 
 
 if __name__ == "__main__":

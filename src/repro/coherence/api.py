@@ -67,32 +67,6 @@ class CoherenceScheme(abc.ABC):
     resets: int = 0
     reset_invalidations: int = 0
 
-    #: Fast-engine batching contract (see :mod:`repro.sim.fastengine`).
-    #:
-    #: ``batch_hot_rule`` declares which lines are order-sensitive across
-    #: processors within one epoch ("hot"); hot events replay in the
-    #: reference heap order while everything else batches per task:
-    #:
-    #: * ``None`` — unknown coupling; the fast engine falls back to the
-    #:   reference per-event path for every epoch (always safe default);
-    #: * ``"none"`` — no access is order-sensitive (BASE: shared data is
-    #:   never cached and version bumps commute);
-    #: * ``"written"`` — lines touched by two or more processors *and*
-    #:   written this epoch (the word-granularity schemes: only the shadow
-    #:   memory couples processors);
-    #: * ``"directory"`` — the ``"written"`` set plus the exclusive
-    #:   lines :meth:`directory_hot_lines` reports (an owner forward
-    #:   makes even read-read sharing of them order-sensitive) that two
-    #:   or more tasks off the owner's processor touch.
-    #:
-    #: ``batch_evict_coupled`` marks schemes whose *evictions* mutate
-    #: global protocol state (directory entries, sharer sets); for those
-    #: the fast engine additionally makes every cache set hot in which a
-    #: replacement could touch a line another processor interacts with
-    #: this epoch.
-    batch_hot_rule: Optional[str] = None
-    batch_evict_coupled: bool = False
-
     #: :class:`MachineConfig` fields this scheme provably never reads.
     #: Declaring a field here lets :meth:`repro.runtime.jobs.Job.fingerprint`
     #: drop it, so sweep cells differing only in a scheme-dead knob name
@@ -153,21 +127,6 @@ class CoherenceScheme(abc.ABC):
         a counter to a scheme is a one-place change.
         """
         return {}
-
-    # -- fast-engine hooks --------------------------------------------------
-
-    def directory_hot_lines(self, lines):
-        """``(lines, owners)``: the lines of ``lines`` held exclusively,
-        whose first outside reader pays an owner forward, and each one's
-        owner (``batch_hot_rule == "directory"`` only; the fast engine's
-        ``_directory_plan`` decides which of them are hot)."""
-        return (), ()
-
-    def make_batch_kernel(self):
-        """Vectorized batch kernel for this scheme's hit path, or ``None``
-        when the configuration has no vectorized kernel (the fast engine
-        then runs its per-event merged-order path, which is still exact)."""
-        return None
 
     # -- shared helpers -----------------------------------------------------
 

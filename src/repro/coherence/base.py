@@ -16,17 +16,9 @@ from repro.memsys.cache import TouchBitmap
 
 class BaseScheme(CoherenceScheme):
     name = "base"
-    # Shared accesses never touch a cache and version bumps commute, so no
-    # line is order-sensitive within an epoch.
-    batch_hot_rule = "none"
     # No timetags, no write buffer, no directory, no leases: BASE bypasses
     # the cache for shared data and reads none of those config subtrees.
     config_dead_fields = ("tpi", "write_buffer", "directory", "tardis")
-
-    def make_batch_kernel(self):
-        from repro.coherence.batch import BaseBatchKernel
-
-        return BaseBatchKernel.build(self)
 
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)

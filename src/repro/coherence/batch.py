@@ -14,8 +14,13 @@ vectorizes hits, silent writes, the own-cache side of fills and the
 calls the scheme's own transitions in program order, inside the apply,
 only for the rest.  The update kernel vectorizes a provable prefix per
 set chain and runs the rest in program order through the exact path.
-Tardis has no kernel: its epochs batch through the fast engine's
-per-event cold path.
+
+This module alone decides how a scheme batches.  :data:`KERNELS` maps a
+scheme name to its kernel class, and each class declares the hot rule
+and eviction coupling the fast engine plans its epochs by
+(:class:`_BatchKernel`).  A configuration with no kernel (Tardis, and
+update on a K-way cache) falls back on every epoch: the heap replays
+each event, as under the reference engine.
 
 A window is the epoch's columns compressed by the cold mask, one
 operation per field (:class:`_Cols`).  Cache state is the scheme's
@@ -56,8 +61,7 @@ restored with :class:`_Chains` (one stable argsort per key).
 The loop-in-apply update kernel interleaves exact events with its
 batched prefix, which batched LRU stamps would misorder, so it alone
 requires a direct-mapped cache: for any other geometry its
-:meth:`build` returns ``None`` and the fast engine falls back to its
-exact per-event path.
+:meth:`build` returns ``None``.
 """
 
 from __future__ import annotations
@@ -330,6 +334,25 @@ class _BatchKernel:
     CacheBank`, one row per processor; the kernel views it by slot
     (``tags[row, slot]``, ``wv[row, slot, word]``, ...), so every gather
     or scatter over all of a window's processors is one fancy index."""
+
+    #: Which lines are order-sensitive across processors within one
+    #: epoch ("hot"): hot events replay in the reference heap order and
+    #: the rest pre-apply (see :mod:`repro.sim.fastengine`).
+    #:
+    #: * ``"none"`` — no access is (BASE: shared data is never cached
+    #:   and version bumps commute);
+    #: * ``"written"`` — lines touched by two or more tasks *and*
+    #:   written this epoch (only the shadow memory couples processors);
+    #: * ``"directory"`` — the ``"written"`` lines plus the exclusive
+    #:   lines :meth:`MsiBatchKernel.exclusive_lines` reports (an owner
+    #:   forward makes even read-read sharing of them order-sensitive)
+    #:   that two or more tasks off the owner's processor touch.
+    hot_rule = "written"
+    #: Do the scheme's *evictions* mutate global protocol state
+    #: (directory entries, sharer sets)?  Then the fast engine also makes
+    #: hot every cache set in which a replacement could touch a line
+    #: another processor interacts with this epoch.
+    evict_coupled = False
 
     def __init__(self, scheme):
         self.scheme = scheme
@@ -673,6 +696,8 @@ class BaseBatchKernel(_BatchKernel):
     private side is an ordinary cache whose misses are closed-form (an
     install has no protocol side effects beyond its own set)."""
 
+    hot_rule = "none"
+
     def _scan(self, cols):
         priv = ~cols.sh
         _, _, resident, ctx = self._frame(cols, priv)
@@ -941,6 +966,8 @@ class UpdateBatchKernel(_BatchKernel):
     pre-window staleness test.  Direct-mapped caches only (see
     :meth:`build`)."""
 
+    evict_coupled = True
+
     @classmethod
     def build(cls, scheme) -> Optional["UpdateBatchKernel"]:
         # Exact events interleave with the batched prefix inside the
@@ -1057,8 +1084,18 @@ class MsiBatchKernel(_BatchKernel):
     which a miss could displace, or whose invalidation could change the
     victim, is hot, so it holds no cold event.
 
-    Subclasses supply :meth:`_exclusive`, :meth:`_holders_ok` and
-    :meth:`_settle`."""
+    Subclasses supply :meth:`exclusive_lines`, :meth:`_exclusive`,
+    :meth:`_holders_ok` and :meth:`_settle`."""
+
+    hot_rule = "directory"
+    evict_coupled = True
+
+    def exclusive_lines(self, lines):
+        """``(lines, owners)``: the lines of ``lines`` held exclusively,
+        whose first outside reader pays an owner forward, and each one's
+        owner (the fast engine's directory plan decides which of them
+        are hot)."""
+        raise NotImplementedError
 
     def _exclusive(self, cols, ch, tags0, dirty0) -> np.ndarray:
         """Per event: may the processor's resident copy be written
@@ -1292,6 +1329,13 @@ class DirectoryBatchKernel(MsiBatchKernel):
     :class:`DirEntry` proxies into those columns — and writes the quiet
     lines' final states into them."""
 
+    def exclusive_lines(self, lines):
+        # State E: the first other reader pays the 4-hop owner forward
+        # and demotes the entry.
+        store = self.scheme.dirstore
+        held = lines[store.state_code[lines] == STATE_E]
+        return held, store.owner_p1[held] - 1
+
     def _exclusive(self, cols, ch, tags0, dirty0):
         # Window-start E/self holds only while the line keeps the slot it
         # started in (a K-way line evicted mid-window may come back as
@@ -1368,6 +1412,15 @@ class DirectoryBatchKernel(MsiBatchKernel):
 class SnoopBatchKernel(MsiBatchKernel):
     """Snooping MSI: a copy is exclusive in M, i.e. dirty."""
 
+    def exclusive_lines(self, lines):
+        # A Modified copy: the first other reader's snoop demotes its
+        # holder and is serviced cache-to-cache.
+        held = [(line, self.scheme._dirty_holder(line))
+                for line in lines.tolist()]
+        held = np.array([pair for pair in held if pair[1] is not None],
+                        dtype=np.int64).reshape(-1, 2)
+        return held[:, 0], held[:, 1]
+
     def _exclusive(self, cols, ch, tags0, dirty0):
         # Dirty at window start, or after some earlier write in the run
         # (any write sets the dirty bit, and only the fill that opens a
@@ -1388,6 +1441,21 @@ class SnoopBatchKernel(MsiBatchKernel):
         return ok
 
 
-__all__ = ["BaseBatchKernel", "DirectoryBatchKernel", "MsiBatchKernel",
-           "ScBatchKernel", "SnoopBatchKernel", "TpiBatchKernel",
-           "UpdateBatchKernel"]
+#: Each scheme's kernel class, by scheme name.  A scheme not named here
+#: (tardis) has no kernel.
+KERNELS = {"base": BaseBatchKernel, "sc": ScBatchKernel,
+           "tpi": TpiBatchKernel, "hw": DirectoryBatchKernel,
+           "limitless": DirectoryBatchKernel, "update": UpdateBatchKernel,
+           "snoop": SnoopBatchKernel}
+
+
+def make_kernel(scheme) -> Optional[_BatchKernel]:
+    """``scheme``'s batch kernel, or None when its configuration has
+    none: the fast engine then falls back on every epoch."""
+    cls = KERNELS.get(scheme.name)
+    return None if cls is None else cls.build(scheme)
+
+
+__all__ = ["BaseBatchKernel", "DirectoryBatchKernel", "KERNELS",
+           "MsiBatchKernel", "ScBatchKernel", "SnoopBatchKernel",
+           "TpiBatchKernel", "UpdateBatchKernel", "make_kernel"]

@@ -29,7 +29,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.coherence.api import AccessResult, CoherenceScheme, SimContext
-from repro.coherence.sparse import DirectoryStore, DirEntry, exclusive_lines
+from repro.coherence.sparse import DirectoryStore, DirEntry
 from repro.common.config import ConsistencyModel
 from repro.common.errors import ProtocolError
 from repro.common.stats import MissKind
@@ -58,8 +58,6 @@ class MsiScheme(CoherenceScheme):
     kernel, pinned by the golden digests as the tpi/sc/base kernels' are.
     """
 
-    batch_hot_rule = "directory"
-    batch_evict_coupled = True
     # No timetags, no write buffer, no leases; the DirectoryConfig knobs
     # are LimitLess-only.
     config_dead_fields = ("tpi", "write_buffer", "directory", "tardis")
@@ -227,16 +225,6 @@ class MsiScheme(CoherenceScheme):
 
 class FullMapDirectoryScheme(MsiScheme):
     name = "hw"
-
-    def directory_hot_lines(self, lines):
-        """Lines in state E, with their owners: the first other reader
-        pays the 4-hop owner forward and demotes the entry."""
-        return exclusive_lines(self.dirstore, lines)
-
-    def make_batch_kernel(self):
-        from repro.coherence.batch import DirectoryBatchKernel
-
-        return DirectoryBatchKernel.build(self)
 
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)

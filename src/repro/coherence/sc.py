@@ -23,7 +23,6 @@ from repro.memsys.wbuffer import make_write_buffer, wbuffer_extras
 
 class SoftwareBypassScheme(CoherenceScheme):
     name = "sc"
-    batch_hot_rule = "written"
     # Invalidation is index-driven (no timetags, no leases) and there is
     # no directory.
     config_dead_fields = ("tpi", "directory", "tardis")
@@ -46,11 +45,6 @@ class SoftwareBypassScheme(CoherenceScheme):
 
     def extras(self) -> Dict[str, int]:
         return wbuffer_extras(self.wbuffers.values())
-
-    def make_batch_kernel(self):
-        from repro.coherence.batch import ScBatchKernel
-
-        return ScBatchKernel.build(self)
 
     # -------------------------------------------------------------- accesses
 

@@ -41,21 +41,6 @@ class SnoopBusScheme(MsiScheme):
         out["cache_to_cache_transfers"] = self.cache_to_cache_transfers
         return out
 
-    def directory_hot_lines(self, lines):
-        """Lines with a Modified copy, with its holder: the first other
-        reader's snoop demotes the holder and is serviced
-        cache-to-cache."""
-        held = [(line_addr, self._dirty_holder(line_addr))
-                for line_addr in lines.tolist()]
-        held = np.array([pair for pair in held if pair[1] is not None],
-                        dtype=np.int64).reshape(-1, 2)
-        return held[:, 0], held[:, 1]
-
-    def make_batch_kernel(self):
-        from repro.coherence.batch import SnoopBatchKernel
-
-        return SnoopBatchKernel.build(self)
-
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)
         self.cache_to_cache_transfers = 0

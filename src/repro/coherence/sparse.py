@@ -233,11 +233,3 @@ class DirEntry:
     def __repr__(self) -> str:
         return (f"DirEntry(state={self.state!r}, sharers={self.sharers!r}, "
                 f"owner={self.owner})")
-
-
-def exclusive_lines(store: DirectoryStore, lines):
-    """``(lines, owners)``: the subset of ``lines`` in state E and each
-    one's owner (vectorized gather)."""
-    arr = np.asarray(lines, dtype=np.int64)
-    held = arr[store.state_code[arr] == STATE_E]
-    return held, store.owner_p1[held] - 1

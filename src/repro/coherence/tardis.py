@@ -32,8 +32,8 @@ than ``2^k`` timestamps between checks — the model's one acknowledged
 approximation).  All decision rules live in
 :mod:`repro.coherence.tardis_rules`, shared verbatim with the
 bounded-exhaustive model checker (:mod:`repro.analysis.modelcheck_tardis`).
-The scheme has no batch kernel: the fast engine runs its cold spans
-through this per-event path.
+The scheme has no batch kernel, so the fast engine replays its every
+epoch through the heap, as the reference engine does.
 """
 
 from __future__ import annotations
@@ -53,14 +53,6 @@ from repro.memsys.wbuffer import WRITE_MESSAGE_WORDS
 
 class TardisScheme(CoherenceScheme):
     name = "tardis"
-    # Only the shadow memory and the home-node timestamps couple
-    # processors: lease hits mutate nothing, grants are commutative
-    # maxima, and a line written by one processor and touched by another
-    # is hot by definition of the rule.
-    batch_hot_rule = "written"
-    # Evictions drop a local copy and nothing else — the home node's
-    # ``mem_rts`` already covers every outstanding lease.
-    batch_evict_coupled = False
     # Pure hardware timestamps: no compiler timetags, no write buffer
     # (writes go through unbuffered), no sharer directory of any kind.
     config_dead_fields = ("tpi", "write_buffer", "directory")

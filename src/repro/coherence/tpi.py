@@ -78,7 +78,6 @@ from repro.memsys.wbuffer import make_write_buffer, wbuffer_extras
 
 class TpiScheme(CoherenceScheme):
     name = "tpi"
-    batch_hot_rule = "written"
     # TPI reads its own timetag config and the write-buffer kind; the
     # directory and Tardis-lease parameters are foreign to it.
     config_dead_fields = ("directory", "tardis")
@@ -155,11 +154,6 @@ class TpiScheme(CoherenceScheme):
                "strict_reads": self.strict_reads}
         out.update(wbuffer_extras(self.wbuffers.values()))
         return out
-
-    def make_batch_kernel(self):
-        from repro.coherence.batch import TpiBatchKernel
-
-        return TpiBatchKernel.build(self)
 
     # -------------------------------------------------------------- accesses
 

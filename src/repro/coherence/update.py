@@ -38,8 +38,6 @@ from repro.memsys.wbuffer import WRITE_MESSAGE_WORDS
 
 class UpdateDirectoryScheme(CoherenceScheme):
     name = "update"
-    batch_hot_rule = "written"
-    batch_evict_coupled = True
     # Updates push data directly; no timetags, no leases, and no sharer
     # directory config (the write-buffer kind *is* read: coalescing
     # merges updates).
@@ -51,11 +49,6 @@ class UpdateDirectoryScheme(CoherenceScheme):
         if self.merged_writes:
             out["merged_writes"] = self.merged_writes
         return out
-
-    def make_batch_kernel(self):
-        from repro.coherence.batch import UpdateBatchKernel
-
-        return UpdateBatchKernel.build(self)
 
     def __init__(self, ctx: SimContext):
         super().__init__(ctx)

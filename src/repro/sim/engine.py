@@ -13,7 +13,7 @@ Events replay as per-task rows of Python ints
 (:meth:`repro.trace.columnar.ColumnarEpoch.rows`) through one heap loop,
 :meth:`Engine._run_epoch`.  The reference engine replays every event
 through it; the fast engine (:mod:`repro.sim.fastengine`) replays only
-the order-sensitive ones, with the rest run around them.
+the order-sensitive ones where a batch kernel pre-applies the rest.
 
 Network load feeds back: after each epoch the Kruskal-Snir model's offered
 load is updated from the words injected during the epoch, so traffic-heavy
@@ -120,9 +120,8 @@ class Engine:
         at once (``heappushpop``).  Here every event is hot: ``gaps`` is
         None and each task replays all of its rows.  The fast engine
         replays only its plan's hot events; ``gaps[rank][i]`` is then
-        what runs between the task's hot events ``i - 1`` and ``i``
-        (and after the last): pre-applied cold cycles, or cold rows to
-        run now through the exact path (:meth:`_run_cold`).
+        the pre-applied cold cycles between the task's hot events
+        ``i - 1`` and ``i`` (and after the last).
         """
         machine = self.machine
         result = self.result
@@ -148,9 +147,7 @@ class Engine:
             if not n_events:
                 continue
             if gaps is not None:
-                gap = gaps[rank][0]
-                start += gap if gap.__class__ is int else self._run_cold(
-                    proc, gap)
+                start += gaps[rank][0]
             if rows[rank]:
                 heap.append((start, proc, rank, 0))
             else:
@@ -185,9 +182,7 @@ class Engine:
             clocks[proc] = clock
             idx += 1
             if gaps is not None:
-                gap = gaps[rank][idx]
-                clock += gap if gap.__class__ is int else self._run_cold(
-                    proc, gap)
+                clock += gaps[rank][idx]
             if idx < len(task):
                 key = heappushpop(heap, (clock, proc, rank, idx))
             else:
@@ -257,18 +252,6 @@ class Engine:
             self.result.extra.get("lock_acquires", 0) + 1)
         return clock + waited + acquire, True
 
-    def _run_cold(self, proc: int, rows) -> int:
-        """Run a fast-engine cold span's ``rows`` in order through the
-        exact per-event path, charging their work; returns the elapsed
-        cycles."""
-        elapsed = busy = 0
-        access = self._access
-        for kind, addr, site, work, shared, _in_critical, _lock in rows:
-            busy += work
-            elapsed += work + access(proc, kind, addr, site, shared)
-        self.result.breakdown["busy"] += busy
-        return elapsed
-
     def _end_epoch(self, epoch, global_time: int, base: int,
                    clocks: Dict[int, int], reads_before: int,
                    misses_before: int) -> int:
@@ -315,7 +298,7 @@ class Engine:
 
         The one per-event access routine: the reference heap, the fast
         engine's fallback and hot-event paths, and the batch kernels'
-        boundary and exact events all go through it.
+        exact events all go through it.
         """
         if is_write:
             r = self.scheme.write(proc, addr, site, shared, in_critical)
@@ -383,6 +366,10 @@ def resolve_engine(machine: MachineConfig) -> str:
 def make_engine(trace: ColumnarTrace, marking: Marking,
                 machine: MachineConfig, scheme_name: str) -> Engine:
     """Instantiate the engine selected by ``machine.engine``/``REPRO_ENGINE``.
+
+    ``"fast"`` gives a :class:`~repro.sim.fastengine.FastEngine` for
+    every configuration; one with no batch kernel falls back on every
+    epoch, and its result still reads ``engine == "fast"``.
 
     The config-axis sharing of fast runs lives in
     :func:`repro.sim.gang.prime_group`, which :func:`repro.sim.gang.run_gang`

@@ -8,10 +8,13 @@ only moves at the barrier) and most lines are touched by a single
 processor, so their accesses commute with everything another processor
 does.  This engine exploits that:
 
+* An epoch batches only through the scheme's batch kernel
+  (:func:`repro.coherence.batch.make_kernel`).  A configuration with no
+  kernel (tardis; update on a K-way cache) falls back on every epoch.
 * Each epoch's lines are split into **hot** — order-sensitive across
-  processors under the scheme's :attr:`~repro.coherence.api.
-  CoherenceScheme.batch_hot_rule` — and **cold** (everything else).  For
-  an eviction-coupled scheme every line of a **hot set** is hot too: a
+  processors under the kernel's :attr:`~repro.coherence.batch.
+  _BatchKernel.hot_rule` — and **cold** (everything else).  For an
+  eviction-coupled kernel every line of a **hot set** is hot too: a
   cache set in which a replacement or a remote invalidation could
   couple processors (:meth:`FastEngine._hazard_sets`), hot for every
   task, so its state changes only in heap order.
@@ -20,16 +23,14 @@ does.  This engine exploits that:
   rank, idx)``, so their global order — and therefore every directory
   transition, invalidation count, and classification — is bit-identical
   to the reference engine.
-* Each task's cold events run eagerly between its hot events, in program
-  order: with a kernel, all of the epoch's cold events run as one
-  numpy-batched window before dispatch (:mod:`repro.coherence.batch`),
-  and otherwise through the ordinary per-event scheme methods.  Either
-  way each event runs the same state transitions as under the reference
-  engine; only the interleaving *between* processors differs, exactly
-  where it is provably unobservable.
-* With a kernel, every event in a cache set that a task's own hot events
-  use is hot for that task too, so each task's hot and cold events use
-  disjoint sets of its processor's cache.  That is what lets the epoch
+* All of the epoch's cold events run as one numpy-batched window before
+  dispatch (:mod:`repro.coherence.batch`).  Each event runs the same
+  state transitions as under the reference engine; only the
+  interleaving *between* processors differs, exactly where it is
+  provably unobservable.
+* Every event in a cache set that a task's own hot events use is hot
+  for that task too, so each task's hot and cold events use disjoint
+  sets of its processor's cache.  That is what lets the epoch
   **pre-apply** its cold events ahead of every hot one
   (:meth:`FastEngine._preapply_epoch`); a set where the staleness oracle
   might fire turns hot for its task.
@@ -43,11 +44,9 @@ pre-apply's window is the slice compressed by the cold mask.
 Epochs the analysis cannot clear (:func:`batchable`) — synchronization
 (locks / critical sections), two tasks on one processor, or too small to
 pay for the analysis — fall back: the heap loop replays every event, as
-under the reference engine.  So do all epochs of a scheme with no
-declared hot rule, so correctness never depends on the batching being
-profitable.  The hot-set rule serves every associativity: kernels index
-cache state by slot (``set * K + way``), so a K-way cache batches like a
-direct-mapped one.
+under the reference engine.  The hot-set rule serves every
+associativity: kernels index cache state by slot (``set * K + way``),
+so a K-way cache batches like a direct-mapped one.
 
 Differential parity with the reference engine over every workload,
 scheme, and a hypothesis-randomized program space is enforced by
@@ -114,14 +113,10 @@ class _EpochBatch:
 
     __slots__ = _TRACE_FIELDS + (
         "geometry", "line", "set_", "lines", "pairs",
-        "multi", "hot_written", "_set_groups", "plan_cache")
+        "multi", "hot_written", "_set_groups")
 
     def __init__(self, epoch, line_words: int, n_sets: int, base=None):
         self.geometry = (line_words, n_sets)
-        # The "directory" rule's hot masks, keyed by the extra hot lines
-        # (see ``FastEngine._directory_plan``); shared across schemes and
-        # repeated simulations.
-        self.plan_cache = {}
         self._set_groups = None
         if base is None:
             trace = epoch.trace
@@ -192,8 +187,12 @@ class FastEngine(Engine):
     engine_name = "fast"
 
     def __init__(self, trace, marking, machine, scheme_name):
+        # Imported here: a process that builds no fast engine (the model
+        # checkers) never loads the kernels.
+        from repro.coherence.batch import make_kernel
+
         super().__init__(trace, marking, machine, scheme_name)
-        self._kernel = self.scheme.make_batch_kernel()
+        self._kernel = make_kernel(self.scheme)
         self._cur_batch = None
         self.batched_epochs = 0
         self.fallback_epochs = 0
@@ -203,22 +202,20 @@ class FastEngine(Engine):
     def _plan_epoch(self, epoch) -> Optional[np.ndarray]:
         """The epoch's hot events as a mask over its events, or ``None``
         to fall back."""
-        rule = self.scheme.batch_hot_rule
-        if rule is None or not batchable(epoch):
+        kernel = self._kernel
+        if kernel is None or not batchable(epoch):
             return None
         cache_cfg = self.machine.cache
         batch = self._cur_batch = epoch_batch(
             epoch, (cache_cfg.line_words, cache_cfg.n_sets))
-        if rule == "none":
+        if kernel.hot_rule == "none":
             hot = np.zeros(len(batch.addr), dtype=bool)
-        elif rule == "written":
+        elif kernel.hot_rule == "written":
             hot = batch.hot_written
-        elif rule == "directory":
+        else:
             hot = self._directory_plan(batch)
-        else:  # pragma: no cover - unknown rule: always safe to fall back
-            return None
 
-        if self.scheme.batch_evict_coupled:
+        if kernel.evict_coupled:
             # Evictions mutate shared protocol state (directory entries,
             # sharer sets), so every install, eviction, LRU update and
             # remote invalidation in a set that might couple processors
@@ -231,7 +228,7 @@ class FastEngine(Engine):
                 flags = np.zeros(cache_cfg.n_sets, dtype=bool)
                 flags[flagged] = True
                 hot = hot | flags[batch.set_]
-        if self._kernel is not None and hot.any():
+        if hot.any():
             # Pre-apply runs a task's cold events ahead of its own hot
             # ones: make them use disjoint sets of the task's cache by
             # making hot, for this task only, every event in a set its
@@ -248,7 +245,7 @@ class FastEngine(Engine):
         the owner's hit in any order, the one outside reader pays the
         forward whenever its first read comes, and an eviction of the
         owner's copy is hot (clause 1 of :meth:`_hazard_sets`)."""
-        lines, owners = self.scheme.directory_hot_lines(
+        lines, owners = self._kernel.exclusive_lines(
             batch.lines[batch.multi])
         if len(lines):
             # Per (line, task) pair: a task off the line's owner.
@@ -261,15 +258,7 @@ class FastEngine(Engine):
             lines = lines[count[at] >= 2]
         if not len(lines):
             return batch.hot_written
-        # Deterministic replay revisits the same directory states, so
-        # identical hot lines recur across repeated simulations: key the
-        # mask by their content.
-        key = lines.tobytes()
-        hot = batch.plan_cache.get(key)
-        if hot is None:
-            hot = batch.plan_cache[key] = (batch.hot_written
-                                           | _among(batch.line, lines))
-        return hot
+        return batch.hot_written | _among(batch.line, lines)
 
     def _hazard_sets(self, batch) -> np.ndarray:
         """The eviction pre-check: the cache set indices in which a
@@ -313,35 +302,29 @@ class FastEngine(Engine):
     # ------------------------------------------------------------- epochs
 
     def _hot_rows(self, epoch):
-        """The plan's hot events per task, and the cold cycles between
-        them: pre-applied by the kernel, or else cold rows that run as
-        the heap reaches them (see :meth:`Engine._run_epoch`)."""
+        """The plan's hot events per task, and the cold cycles the kernel
+        pre-applied between them (see :meth:`Engine._run_epoch`)."""
         hot = self._plan_epoch(epoch)
         if hot is None:
             self.fallback_epochs += 1
             return super()._hot_rows(epoch)
         self.batched_epochs += 1
         batch = self._cur_batch
-        cold = None
-        if self._kernel is not None:
-            self._kernel.begin_epoch()
-            hot = hot.copy()  # pre-apply may promote poisoned sets
-            cold = self._preapply_epoch(batch, hot)
-        at = np.flatnonzero(hot)
-        if len(at) == len(hot):
+        self._kernel.begin_epoch()
+        hot = hot.copy()  # pre-apply may promote poisoned sets
+        cold = self._preapply_epoch(batch, hot)
+        if not cold:
             return super()._hot_rows(epoch)
         # Each task's hot events, as indices into the task.
+        at = np.flatnonzero(hot)
         cuts = np.searchsorted(at, batch.off).tolist()
         at = (at - batch.off[batch.rank[at]]).tolist()
-        rows, gaps = [], []
-        for rank, n_events in enumerate(np.diff(batch.off).tolist()):
+        rows = []
+        for rank in range(len(batch.procs)):
             hot_at = at[cuts[rank]:cuts[rank + 1]]
-            task = epoch.rows(rank) if hot_at or not cold else []
+            task = epoch.rows(rank) if hot_at else ()
             rows.append([task[i] for i in hot_at])
-            gaps.append(cold[rank] if cold else [
-                task[a + 1:b] for a, b in zip([-1] + hot_at,
-                                              hot_at + [n_events])])
-        return rows, gaps
+        return rows, cold
 
     # ---------------------------------------------------------- pre-apply
 
@@ -360,10 +343,9 @@ class FastEngine(Engine):
           words, directory entries, touched/seen bits and write-buffer
           entries are keyed by address, and the set index is a function
           of the address, so disjoint sets mean disjoint lines.
-        * They commute with other processors' events by the argument that
-          lets cold spans run eagerly: a cold line is written by no other
-          task, and the hot-set rule keeps every cross-processor
-          replacement in heap order.
+        * They commute with other processors' events: a cold line is
+          written by no other task, and the hot-set rule keeps every
+          cross-processor replacement in heap order.
         * A line can be hot for one task and cold for another only when
           a per-task promotion (of a set its hot events use, or of a
           poisoned set, below) made it so.  Then no task writes it this

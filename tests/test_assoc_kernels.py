@@ -15,8 +15,9 @@ direct-mapped closed forms.  Four layers:
   back as the first run of another slot, where window-start directory
   state no longer holds;
 * a path test: on the golden 4-way machine every run-based scheme
-  builds a kernel, and hw batches epochs; tardis has no kernel at any
-  associativity and still batches epochs;
+  builds a kernel, and hw batches epochs; a configuration with no
+  kernel (tardis, update on a K-way cache) falls back on every epoch
+  with the reference engine's results;
 * a parity test: fast against reference on tiny 2-, 4- and 8-way
   caches.
 """
@@ -211,16 +212,23 @@ def test_loop_in_apply_kernels_stay_direct_mapped(scheme):
     assert engine._kernel is None
 
 
-@pytest.mark.parametrize("machine_name", ("dm64k", "4way64k"))
-def test_tardis_has_no_kernel_and_still_batches(machine_name):
-    """Tardis runs its cold spans through the per-event path, but its
-    epochs still take the fast engine's batched route."""
-    run = _prepared("ocean")
-    machine = MACHINES[machine_name].with_(engine="fast")
-    engine = FastEngine(run.trace, run.marking, machine, "tardis")
+@pytest.mark.parametrize("workload", ("ocean", "qcd2"))
+@pytest.mark.parametrize("scheme, ways", [
+    ("tardis", 1), ("tardis", 4), ("update", 2), ("update", 4)])
+def test_configs_with_no_kernel_fall_back(scheme, ways, workload):
+    """A configuration with no batch kernel keeps the fast engine, falls
+    back on every epoch and matches the reference engine."""
+    run = _prepared(workload)
+    machine = MACHINES["dm64k"].with_(cache=CacheConfig(associativity=ways))
+    engine = FastEngine(run.trace, run.marking,
+                        machine.with_(engine="fast"), scheme)
     assert engine._kernel is None
-    engine.run()
-    assert engine.batched_epochs > 0
+    fast = engine.run()
+    assert fast.engine == "fast"
+    assert engine.batched_epochs == 0
+    assert engine.fallback_epochs == len(run.trace.epochs)
+    ref = simulate(run, scheme, machine.with_(engine="reference"))
+    assert snapshot(fast) == snapshot(ref)
 
 
 @pytest.mark.parametrize("ways", (2, 4, 8))

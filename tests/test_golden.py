@@ -507,12 +507,13 @@ def test_golden_digest(machine, workload, scheme):
                          [key for key in _grid() if key[2] != "tardis"])
 def test_golden_digest_window_by_window(machine, workload, scheme,
                                         monkeypatch):
-    """The same digests on the fast engine with epoch pre-apply off.
+    """The same digests on the fast engine with every pre-apply refused.
 
-    Every cold span then runs in program order through the exact
-    per-event path, between the task's hot events: the path a
-    kernel-less scheme takes, pinned here under each kernel's hot-event
-    plan (per-task set promotion included).  Tardis has no kernel."""
+    Each epoch the planner clears then replays all of its events
+    through the heap, as when pre-apply poisons every set: planning,
+    which reads directory and cache state, must leave no trace in the
+    results.  Tardis has no kernel, so its epochs never reach the
+    planner."""
     monkeypatch.setattr(FastEngine, "_preapply_epoch", lambda *args: False)
     assert _digest(machine, workload, scheme, engine="fast") == DIGESTS[
         (machine, workload, scheme)]

@@ -146,7 +146,10 @@ def test_hot_miss_displacing_a_cold_written_resident(scheme):
     fast_eng, fast = _run(program, machine, trace, scheme, "fast")
     _, ref = _run(program, machine, trace, scheme, "reference")
     assert snapshot(fast) == snapshot(ref)
-    assert fast_eng.batched_epochs == 2
+    # Tardis has no kernel, so its epochs fall back.
+    no_kernel = scheme == "tardis"
+    assert (fast_eng._kernel is None) == no_kernel
+    assert fast_eng.batched_epochs == (0 if no_kernel else 2)
 
 
 @pytest.mark.parametrize("scheme", ["hw", "tpi"])
@@ -209,9 +212,14 @@ def test_raw_trace_parity_and_batching(scheme, case):
     fast_eng, fast = _run(program, machine, trace, scheme, "fast")
     _, ref = _run(program, machine, trace, scheme, "reference")
     assert snapshot(fast) == snapshot(ref)
-    # No epoch has sync events and every task clears the size floor.
-    assert fast_eng.fallback_epochs == 0
-    assert fast_eng.batched_epochs == len(trace.epochs)
+    # No epoch has sync events and every task clears the size floor, so
+    # every epoch batches unless the configuration has no kernel (update
+    # on a 2-way cache): then every epoch falls back.
+    no_kernel = scheme == "update" and machine.cache.associativity > 1
+    assert (fast_eng._kernel is None) == no_kernel
+    batched = 0 if no_kernel else len(trace.epochs)
+    assert fast_eng.batched_epochs == batched
+    assert fast_eng.fallback_epochs == len(trace.epochs) - batched
 
 
 @st.composite
